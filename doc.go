@@ -23,7 +23,7 @@
 // representation into either a task-centric Wait-For Graph or an
 // event-centric State Graph — selected adaptively per check — and run
 // cycle detection; the avoidance gate instead runs a targeted search over
-// a sharded, incrementally maintained index, so the per-block check is
+// an incrementally maintained index, so the per-block check is
 // sub-microsecond and allocation-free in steady state (see DESIGN.md "Hot
 // path" and the checked-in BENCH_*.json measurements).
 //

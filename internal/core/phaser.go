@@ -132,7 +132,7 @@ func (p *Phaser) addMemberLocked(t *Task, phase int64, mode RegMode) {
 	}
 	p.members[t] = r
 	t.mu.Lock()
-	t.regs[p] = r
+	t.regs = append(t.regs, r)
 	t.refreshBlockedLocked()
 	t.mu.Unlock()
 }
@@ -147,7 +147,7 @@ func (p *Phaser) removeMemberLocked(t *Task) {
 	p.v.traceDrop(t.id, p.id)
 	delete(p.members, t)
 	t.mu.Lock()
-	delete(t.regs, p)
+	t.dropRegLocked(r)
 	t.refreshBlockedLocked()
 	t.mu.Unlock()
 	if r.mode == WaitOnly {
@@ -389,9 +389,6 @@ func (p *Phaser) Phase(t *Task) (int64, bool) {
 func (p *Phaser) ObservedPhase() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.members) == 0 {
-		return p.min
-	}
 	return p.min
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,8 +23,11 @@ type Task struct {
 	id deps.TaskID
 	v  *Verifier
 
-	mu   sync.Mutex
-	regs map[*Phaser]*registration
+	mu sync.Mutex
+	// regs is the registration vector, in registration order: a slice, so
+	// that assembling a blocked status is a loop and consecutive statuses
+	// list the phasers in the same order (deps.State updates those in place).
+	regs []*registration
 	// blockedOn is non-nil while the task has a blocked record in the
 	// verifier state; Register uses it to refresh the record when a third
 	// party registers a blocked task with a new phaser.
@@ -32,8 +36,11 @@ type Task struct {
 	// waitsBuf/regsBuf back the blocked status assembled on every block.
 	// State.SetBlocked copies them, and a task blocks sequentially, so
 	// reusing them makes the block path allocation-free once warm.
-	waitsBuf []deps.Resource
-	regsBuf  []deps.Reg
+	// refreshBuf is the same for a third party's refresh, which may run
+	// while the blocking task still reads regsBuf outside t.mu.
+	waitsBuf   []deps.Resource
+	regsBuf    []deps.Reg
+	refreshBuf []deps.Reg
 }
 
 // registration is the shared per-(task, phaser) record. The phase is
@@ -53,7 +60,7 @@ func (v *Verifier) NewTask(name string) *Task {
 		v.names[id] = name
 		v.namesMu.Unlock()
 	}
-	return &Task{id: id, v: v, regs: make(map[*Phaser]*registration)}
+	return &Task{id: id, v: v}
 }
 
 // Go spawns fn on a new goroutine bound to a fresh task. When fn returns,
@@ -88,20 +95,13 @@ func (t *Task) Name() string {
 func (t *Task) Terminate() {
 	for {
 		t.mu.Lock()
-		if t.done && len(t.regs) == 0 {
+		t.done = true
+		if len(t.regs) == 0 {
 			t.mu.Unlock()
 			return
 		}
-		t.done = true
-		var p *Phaser
-		for q := range t.regs {
-			p = q
-			break
-		}
+		p := t.regs[len(t.regs)-1].phaser
 		t.mu.Unlock()
-		if p == nil {
-			return
-		}
 		// Deregister acquires p.mu then t.mu; we must not hold t.mu here.
 		_ = p.Deregister(t)
 	}
@@ -111,33 +111,31 @@ func (t *Task) Terminate() {
 // phaser ID: the "impedes" half of its blocked status.
 func (t *Task) Registrations() []deps.Reg {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.regsLocked()
-}
-
-func (t *Task) regsLocked() []deps.Reg {
-	out := t.rawRegsLocked()
+	out := t.rawRegsInto(make([]deps.Reg, 0, len(t.regs)))
+	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Phaser < out[j].Phaser })
 	return out
 }
 
-// rawRegsLocked collects the registration vector without sorting — the
-// analysis does not need an order, and this runs on every block, so the
-// sort is kept out of the hot path.
-func (t *Task) rawRegsLocked() []deps.Reg {
-	return t.rawRegsInto(make([]deps.Reg, 0, len(t.regs)))
+// dropRegLocked removes r from the registration vector, keeping the order
+// of the rest. Caller holds t.mu.
+func (t *Task) dropRegLocked(r *registration) {
+	if i := slices.Index(t.regs, r); i >= 0 {
+		t.regs = slices.Delete(t.regs, i, i+1)
+	}
 }
 
-// rawRegsInto appends the registration vector to out. Wait-only
+// rawRegsInto appends the registration vector to out, unsorted — the
+// analysis needs no order, and this runs on every block. Wait-only
 // registrations are excluded: a wait-only task never gates an await, so it
 // impedes nothing (this is precisely the per-participant knowledge §5.3
 // says the original phaser semantics need).
 func (t *Task) rawRegsInto(out []deps.Reg) []deps.Reg {
-	for p, r := range t.regs {
+	for _, r := range t.regs {
 		if r.mode == WaitOnly {
 			continue
 		}
-		out = append(out, deps.Reg{Phaser: p.id, Phase: r.phase.Load()})
+		out = append(out, deps.Reg{Phaser: r.phaser.id, Phase: r.phase.Load()})
 	}
 	return out
 }
@@ -173,10 +171,13 @@ func (t *Task) refreshBlockedLocked() {
 	if t.blockedOn == nil {
 		return
 	}
-	b := deps.Blocked{Task: t.id, WaitsFor: t.blockedOn, Regs: t.rawRegsLocked()}
+	t.refreshBuf = t.rawRegsInto(t.refreshBuf[:0])
+	b := deps.Blocked{Task: t.id, WaitsFor: t.blockedOn, Regs: t.refreshBuf}
 	t.v.state.SetBlocked(b)
 	t.v.traceBlock(b)
 	// The refresh can add impedes edges that no gate will ever see (the
 	// task is already blocked): make the next avoidance gate scan fully.
-	t.v.noteBlockedRefresh()
+	if t.v.mode == ModeAvoid {
+		t.v.fullPending.Store(true)
+	}
 }

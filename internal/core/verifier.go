@@ -381,7 +381,7 @@ func (v *Verifier) avoidCheck(b deps.Blocked) *deps.Cycle {
 	defer v.checkMu.Unlock()
 	v.state.SetBlocked(b)
 	cyc, edges := v.state.CycleThrough(b.Task, &v.avoidScratch)
-	v.recordTargetedCheck(edges)
+	v.recordEdges(int64(edges))
 	if cyc == nil {
 		if v.fullPending.CompareAndSwap(true, false) {
 			// A blocked task's status was refreshed since the last gate:
@@ -397,7 +397,7 @@ func (v *Verifier) avoidCheck(b deps.Blocked) *deps.Cycle {
 				// and rejecting one of those would refuse a block that
 				// creates no cycle.
 				if recyc, re := v.state.CycleThrough(b.Task, &v.avoidScratch); recyc != nil {
-					v.recordTargetedCheck(re)
+					v.recordEdges(int64(re))
 					v.state.Clear(b.Task)
 					v.traceRejected(b, recyc)
 					// A distinct deadlock may persist after the rollback.
@@ -431,32 +431,18 @@ func (v *Verifier) avoidCheck(b deps.Blocked) *deps.Cycle {
 	return cyc
 }
 
-// recordEdges accounts one analysis of e edges (examined or built) in the
-// check/edge counters.
+// recordEdges accounts one analysis of e edges in the check/edge counters:
+// the edges of a built graph, or those a targeted gate's DFS examined.
 func (v *Verifier) recordEdges(e int64) {
 	v.stats.checks.Add(1)
+	if e == 0 {
+		return // the usual gate: the pre-filter rejected, nothing to add
+	}
 	v.stats.totalEdges.Add(e)
-	for {
-		max := v.stats.maxEdges.Load()
-		if e <= max || v.stats.maxEdges.CompareAndSwap(max, e) {
+	for max := v.stats.maxEdges.Load(); e > max; max = v.stats.maxEdges.Load() {
+		if v.stats.maxEdges.CompareAndSwap(max, e) {
 			break
 		}
-	}
-}
-
-// recordTargetedCheck accounts a targeted avoidance-gate check: edges is
-// the number of WFG edges the DFS examined (the targeted analogue of a
-// built graph's edge count).
-func (v *Verifier) recordTargetedCheck(edges int) {
-	v.recordEdges(int64(edges))
-}
-
-// noteBlockedRefresh records that the published status of an
-// already-blocked task changed without passing the avoidance gate, so the
-// next gate must run a defensive full scan.
-func (v *Verifier) noteBlockedRefresh() {
-	if v.mode == ModeAvoid {
-		v.fullPending.Store(true)
 	}
 }
 

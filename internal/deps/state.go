@@ -7,134 +7,137 @@ import (
 	"sync/atomic"
 )
 
-// numShards is the number of independent locks/maps the State is split
-// over (by TaskID). Power of two so the shard pick is a mask. 16 shards
-// keep SetBlocked/Clear contention negligible at 64+ concurrently blocking
-// tasks while keeping the all-shard read lock of a check cheap.
-const numShards = 16
-
-const (
-	// maxFreeEntries bounds the per-shard pool of recycled task entries.
-	maxFreeEntries = 1024
-	// maxSpareLists bounds the per-shard pools of recycled index lists.
-	maxSpareLists = 64
-)
+// minSweep is the least number of Clear calls between two sweeps of idle
+// task entries; above it the interval is the number of blocked tasks, so a
+// sweep (linear in the entries) costs O(1) per Clear and at most two
+// intervals' worth of idle entries exist at any time.
+const minSweep = 256
 
 // State is the mutable, concurrency-safe collection of blocked statuses —
-// the resource-dependency state D = (I, W) of Definition 4.1. It is
-// sharded by TaskID so that updates (the frequent operation) contend only
-// on 1/numShards of the state, and each shard additionally maintains a
-// persistent per-phaser index of registrations and awaited events that is
-// updated in place by SetBlocked/Clear in O(|Regs|+|WaitsFor|) amortised
-// time. Checks (CycleThrough) read the index directly instead of
-// re-deriving it from a sorted snapshot.
+// the resource-dependency state D = (I, W) of Definition 4.1 — together
+// with a per-phaser index of registrations and awaited events that
+// SetBlocked/Clear keep up to date and CycleThrough reads directly instead
+// of re-deriving it from a snapshot.
+//
+// One lock guards everything: every caller already serialises its writers
+// (the avoidance gate under the verifier's check lock, a server session's
+// executor, a site's driver), so finer locking bought nothing.
+//
+// A task's entry, and the places its registrations occupy in the index,
+// outlive Clear: a task that blocks again with the same phaser set — the
+// steady barrier round — only has its phases overwritten in place. Entries
+// that stay idle are reclaimed (and their storage reused) by a periodic sweep.
 //
 // Blocked statuses are copied on write: the slices inside a Blocked passed
-// to SetBlocked are copied into shard-owned storage, and Snapshot copies
+// to SetBlocked are copied into state-owned storage, and Snapshot copies
 // them back out, so callers on either side can never observe torn data
 // (the distributed publisher in package dist relies on this).
 type State struct {
 	version atomic.Uint64
 	count   atomic.Int64
-	shards  [numShards]stateShard
-}
 
-// stateShard is one lock's worth of state: the blocked statuses of the
-// tasks hashing to this shard plus the per-phaser index over exactly those
-// tasks. Entry and list storage is pooled so steady-state block/unblock
-// churn allocates nothing.
-type stateShard struct {
 	mu      sync.RWMutex
-	blocked map[TaskID]*taskEntry
-	// regs[q] lists (task, localPhase) for each blocked task of this shard
-	// registered with q: the incremental impedes index.
-	regs map[PhaserID][]regRef
-	// waits[q] lists the distinct phases of q awaited by this shard's
-	// blocked tasks, ascending, with a waiter refcount per phase.
-	waits map[PhaserID][]waitRef
-	// pools: cleared entries and emptied index lists, kept for reuse.
-	free   []*taskEntry
-	spareR [][]regRef
-	spareW [][]waitRef
+	tasks   map[TaskID]*taskEntry
+	phasers map[PhaserID]*phaserNode // exactly the nodes with a registration or a waiter
+	entries []*taskEntry             // entries[e.slot] == e; blocked and idle ones
+	// gen counts sweeps; an idle entry last blocked in an earlier
+	// generation is reclaimed by the next sweep.
+	gen        uint32
+	untilSweep int          // Clear calls left before the next sweep
+	free       []*taskEntry // reclaimed entries, at most minSweep, for the next new task
 }
 
-// taskEntry owns the copied blocked status of one task. Its slices are
-// reused in place when the same task re-blocks.
+// taskEntry is the blocked status of one task and its footprint in the
+// index. While idle (cleared) it holds no awaited event, but its
+// registrations stay in place, skipped by every reader.
 type taskEntry struct {
-	b Blocked
+	b       Blocked // state-owned copy
+	slot    int32   // index in State.entries and in a CycleScratch
+	gen     uint32  // State.gen when last blocked
+	blocked bool
+	regs    []regSlot     // regs[i] is where b.Regs[i] sits in the index
+	waits   []*phaserNode // waits[i] is the node of b.WaitsFor[i]; what an earlier status left is a hint
+}
+
+type regSlot struct {
+	node *phaserNode
+	pos  int32 // node.regs[pos] is this registration
+}
+
+// phaserNode is the index of one phaser: who is registered at which local
+// phase (the impedes relation) and which of its phases are awaited.
+type phaserNode struct {
+	id    PhaserID
+	dead  bool // removed from State.phasers; an idle entry may still point here
+	regs  []regRef
+	waits []waitRef // distinct awaited phases, ascending: the last is the maximum
 }
 
 type regRef struct {
-	task  TaskID
+	e     *taskEntry
 	phase int64
+	ri    int32 // e.regs[ri] points back here
 }
 
 type waitRef struct {
 	phase int64
-	count int32
+	count int32 // blocked tasks awaiting it
 }
 
 // NewState returns an empty resource-dependency state.
 func NewState() *State {
-	s := &State{}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.blocked = make(map[TaskID]*taskEntry)
-		sh.regs = make(map[PhaserID][]regRef)
-		sh.waits = make(map[PhaserID][]waitRef)
+	return &State{
+		tasks:      make(map[TaskID]*taskEntry),
+		phasers:    make(map[PhaserID]*phaserNode),
+		untilSweep: minSweep,
 	}
-	return s
-}
-
-func (s *State) shardFor(t TaskID) *stateShard {
-	return &s.shards[uint64(t)&(numShards-1)]
 }
 
 // SetBlocked records (or replaces) the blocked status of b.Task. The
 // slices of b are copied; the caller keeps ownership of them.
 func (s *State) SetBlocked(b Blocked) {
-	sh := s.shardFor(b.Task)
-	sh.mu.Lock()
-	e, ok := sh.blocked[b.Task]
-	if ok {
-		sh.unindexLocked(e)
-	} else {
-		if n := len(sh.free); n > 0 {
-			e = sh.free[n-1]
-			sh.free = sh.free[:n-1]
+	s.mu.Lock()
+	e := s.tasks[b.Task]
+	switch {
+	case e == nil:
+		if n := len(s.free); n > 0 {
+			e, s.free = s.free[n-1], s.free[:n-1]
 		} else {
 			e = new(taskEntry)
 		}
-		sh.blocked[b.Task] = e
+		e.b.Task, e.slot = b.Task, int32(len(s.entries))
+		s.entries = append(s.entries, e)
+		s.tasks[b.Task] = e
+		s.count.Add(1)
+	case e.blocked:
+		s.releaseWaits(e)
+	default:
 		s.count.Add(1)
 	}
-	e.b.Task = b.Task
-	e.b.WaitsFor = append(e.b.WaitsFor[:0], b.WaitsFor...)
-	e.b.Regs = append(e.b.Regs[:0], b.Regs...)
-	sh.indexLocked(e)
+	e.blocked, e.gen = true, s.gen
+	s.setRegs(e, b.Regs)
+	s.setWaits(e, b.WaitsFor)
 	// Bump the version before releasing the lock: a version a reader
 	// observes must never lag a mutation that is already visible, or the
 	// version-keyed caches would serve stale verdicts.
 	s.version.Add(1)
-	sh.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // Clear removes the blocked status of t (the task resumed). Clearing an
 // absent task is a no-op.
 func (s *State) Clear(t TaskID) {
-	sh := s.shardFor(t)
-	sh.mu.Lock()
-	e, ok := sh.blocked[t]
-	if ok {
-		sh.unindexLocked(e)
-		delete(sh.blocked, t)
-		if len(sh.free) < maxFreeEntries {
-			sh.free = append(sh.free, e)
-		}
+	s.mu.Lock()
+	if e := s.tasks[t]; e != nil && e.blocked {
+		e.blocked = false
+		s.releaseWaits(e)
 		s.count.Add(-1)
 		s.version.Add(1) // under the lock: see SetBlocked
+		if s.untilSweep--; s.untilSweep <= 0 {
+			s.sweep()
+		}
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // Len returns the number of currently blocked tasks.
@@ -144,99 +147,135 @@ func (s *State) Len() int { return int(s.count.Load()) }
 // loop uses it to skip re-analysis of an unchanged state.
 func (s *State) Version() uint64 { return s.version.Load() }
 
-// indexLocked adds e's registrations and awaited events to the shard's
-// per-phaser index. Caller holds sh.mu.
-func (sh *stateShard) indexLocked(e *taskEntry) {
-	for _, reg := range e.b.Regs {
-		list, ok := sh.regs[reg.Phaser]
-		if !ok && len(sh.spareR) > 0 {
-			list = sh.spareR[len(sh.spareR)-1]
-			sh.spareR = sh.spareR[:len(sh.spareR)-1]
-		}
-		sh.regs[reg.Phaser] = append(list, regRef{task: e.b.Task, phase: reg.Phase})
+// node returns the index node of phaser q, creating it if needed.
+func (s *State) node(q PhaserID) *phaserNode {
+	n := s.phasers[q]
+	if n == nil {
+		n = &phaserNode{id: q}
+		s.phasers[q] = n
 	}
-	for _, r := range e.b.WaitsFor {
-		wl, ok := sh.waits[r.Phaser]
-		if !ok && len(sh.spareW) > 0 {
-			wl = sh.spareW[len(sh.spareW)-1]
-			sh.spareW = sh.spareW[:len(sh.spareW)-1]
-		}
-		i, found := searchWait(wl, r.Phase)
-		if found {
-			wl[i].count++
-		} else {
-			wl = slices.Insert(wl, i, waitRef{phase: r.Phase, count: 1})
-		}
-		sh.waits[r.Phaser] = wl
+	return n
+}
+
+// dropIfEmpty forgets a node nothing is registered with or waiting on.
+func (s *State) dropIfEmpty(n *phaserNode) {
+	if len(n.regs) == 0 && len(n.waits) == 0 {
+		n.dead = true
+		delete(s.phasers, n.id)
 	}
 }
 
-// unindexLocked removes e's registrations and awaited events from the
-// shard's index. Caller holds sh.mu; e must currently be indexed.
-func (sh *stateShard) unindexLocked(e *taskEntry) {
-	for _, reg := range e.b.Regs {
-		list := sh.regs[reg.Phaser]
-		for i := range list {
-			if list[i].task == e.b.Task && list[i].phase == reg.Phase {
-				last := len(list) - 1
-				list[i] = list[last]
-				list = list[:last]
-				break
+// setRegs makes regs the registration vector of e. Against the same
+// phasers in the same order only the phases that moved are written;
+// anything else re-indexes the entry.
+func (s *State) setRegs(e *taskEntry, regs []Reg) {
+	if len(regs) == len(e.b.Regs) {
+		i := 0
+		for ; i < len(regs) && regs[i].Phaser == e.b.Regs[i].Phaser; i++ {
+			if ph := regs[i].Phase; ph != e.b.Regs[i].Phase {
+				e.b.Regs[i].Phase = ph
+				sl := e.regs[i]
+				sl.node.regs[sl.pos].phase = ph
 			}
 		}
-		if len(list) == 0 {
-			delete(sh.regs, reg.Phaser)
-			if list != nil && len(sh.spareR) < maxSpareLists {
-				sh.spareR = append(sh.spareR, list)
-			}
+		if i == len(regs) {
+			return
+		}
+	}
+	s.unindexRegs(e)
+	e.b.Regs = append(e.b.Regs[:0], regs...)
+	for i, r := range regs {
+		n := s.node(r.Phaser)
+		e.regs = append(e.regs, regSlot{node: n, pos: int32(len(n.regs))})
+		n.regs = append(n.regs, regRef{e: e, phase: r.Phase, ri: int32(i)})
+	}
+}
+
+// unindexRegs takes e's registrations out of the index.
+func (s *State) unindexRegs(e *taskEntry) {
+	for _, sl := range e.regs {
+		n, last := sl.node, len(sl.node.regs)-1
+		if m := n.regs[last]; int(sl.pos) != last {
+			n.regs[sl.pos] = m
+			m.e.regs[m.ri].pos = sl.pos
+		}
+		n.regs[last] = regRef{}
+		n.regs = n.regs[:last]
+		s.dropIfEmpty(n)
+	}
+	clear(e.regs)
+	e.regs = e.regs[:0]
+}
+
+// setWaits makes waits the awaited events of e, which holds none.
+func (s *State) setWaits(e *taskEntry, waits []Resource) {
+	e.b.WaitsFor = append(e.b.WaitsFor[:0], waits...)
+	for len(e.waits) < len(waits) {
+		e.waits = append(e.waits, nil)
+	}
+	for i, r := range waits {
+		n := e.waits[i]
+		if n == nil || n.id != r.Phaser || n.dead {
+			n = s.node(r.Phaser)
+			e.waits[i] = n
+		}
+		// The lists are a phase or two long and a new wait is usually the
+		// highest, so search from the top.
+		w, j := n.waits, len(n.waits)
+		for j > 0 && w[j-1].phase > r.Phase {
+			j--
+		}
+		if j > 0 && w[j-1].phase == r.Phase {
+			w[j-1].count++
 		} else {
-			sh.regs[reg.Phaser] = list
+			n.waits = slices.Insert(w, j, waitRef{phase: r.Phase, count: 1})
 		}
 	}
-	for _, r := range e.b.WaitsFor {
-		wl := sh.waits[r.Phaser]
-		i, found := searchWait(wl, r.Phase)
-		if !found {
-			continue // unreachable: every indexed wait has an entry
+}
+
+// releaseWaits withdraws e's awaited events from the index, leaving
+// e.waits behind as the hint for the next setWaits.
+func (s *State) releaseWaits(e *taskEntry) {
+	for i, r := range e.b.WaitsFor {
+		n := e.waits[i]
+		j := len(n.waits) - 1
+		for n.waits[j].phase != r.Phase { // present: e awaited it
+			j--
 		}
-		wl[i].count--
-		if wl[i].count == 0 {
-			wl = slices.Delete(wl, i, i+1)
+		if n.waits[j].count--; n.waits[j].count == 0 {
+			n.waits = slices.Delete(n.waits, j, j+1)
+			s.dropIfEmpty(n)
 		}
-		if len(wl) == 0 {
-			delete(sh.waits, r.Phaser)
-			if wl != nil && len(sh.spareW) < maxSpareLists {
-				sh.spareW = append(sh.spareW, wl)
+	}
+}
+
+// sweep reclaims the entries that stayed idle for a whole sweep interval
+// and renumbers the rest.
+func (s *State) sweep() {
+	kept := s.entries[:0]
+	for _, e := range s.entries {
+		if !e.blocked && e.gen != s.gen {
+			s.unindexRegs(e)
+			delete(s.tasks, e.b.Task)
+			if e.b.Regs = e.b.Regs[:0]; len(s.free) < minSweep {
+				clear(e.waits) // hints for another task's phasers
+				s.free = append(s.free, e)
 			}
-		} else {
-			sh.waits[r.Phaser] = wl
+			continue
 		}
+		e.slot = int32(len(kept))
+		kept = append(kept, e)
 	}
-}
-
-// searchWait binary-searches wl (sorted ascending by phase) for phase.
-func searchWait(wl []waitRef, phase int64) (int, bool) {
-	return slices.BinarySearchFunc(wl, phase, func(w waitRef, p int64) int {
-		return cmp.Compare(w.phase, p)
-	})
-}
-
-func (s *State) rlockAll() {
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-	}
-}
-
-func (s *State) runlockAll() {
-	for i := range s.shards {
-		s.shards[i].mu.RUnlock()
-	}
+	clear(s.entries[len(kept):])
+	s.entries = kept
+	s.gen++
+	s.untilSweep = max(minSweep, int(s.count.Load()))
 }
 
 // Snapshot returns a deep copy of all blocked statuses, sorted by task ID
-// for determinism. The copy is consistent (all shards are read-locked for
-// its duration) and independent: later SetBlocked/Clear calls can never
-// mutate a returned snapshot.
+// for determinism. The copy is consistent (taken under the read lock) and
+// independent: later SetBlocked/Clear calls can never mutate a returned
+// snapshot.
 func (s *State) Snapshot() []Blocked {
 	return s.SnapshotInto(nil)
 }
@@ -247,43 +286,48 @@ func (s *State) Snapshot() []Blocked {
 // allocates nothing once the buffer is warm.
 func (s *State) SnapshotInto(buf []Blocked) []Blocked {
 	out := buf[:0]
-	s.rlockAll()
-	for i := range s.shards {
-		for _, e := range s.shards[i].blocked {
-			var dst *Blocked
-			if len(out) < cap(out) {
-				out = out[:len(out)+1]
-				dst = &out[len(out)-1]
-			} else {
-				out = append(out, Blocked{})
-				dst = &out[len(out)-1]
-			}
-			dst.Task = e.b.Task
-			dst.WaitsFor = append(dst.WaitsFor[:0], e.b.WaitsFor...)
-			dst.Regs = append(dst.Regs[:0], e.b.Regs...)
+	s.mu.RLock()
+	for _, e := range s.entries {
+		if !e.blocked {
+			continue
 		}
+		if len(out) < cap(out) {
+			out = out[:len(out)+1]
+		} else {
+			out = append(out, Blocked{})
+		}
+		dst := &out[len(out)-1]
+		dst.Task = e.b.Task
+		dst.WaitsFor = append(dst.WaitsFor[:0], e.b.WaitsFor...)
+		dst.Regs = append(dst.Regs[:0], e.b.Regs...)
 	}
-	s.runlockAll()
-	slices.SortFunc(out, func(a, b Blocked) int {
-		switch {
-		case a.Task < b.Task:
-			return -1
-		case a.Task > b.Task:
-			return 1
-		default:
-			return 0
-		}
-	})
+	s.mu.RUnlock()
+	slices.SortFunc(out, func(a, b Blocked) int { return cmp.Compare(a.Task, b.Task) })
 	return out
 }
 
 // CycleScratch holds the reusable working set of CycleThrough. The zero
-// value is ready to use; it grows to the largest search it has seen and is
-// then reused allocation-free. Owned by one checker at a time.
+// value is ready to use; it grows to the largest state it has searched and
+// is then reused allocation-free. Owned by one checker at a time.
 type CycleScratch struct {
-	stack   []TaskID
-	visited map[TaskID]struct{}
-	parent  map[TaskID]TaskID
+	stack []int32
+	// stamp[slot] == epoch marks the entry in that slot as visited by the
+	// current search, so starting a search clears nothing.
+	stamp  []uint32
+	parent []int32
+	epoch  uint32
+}
+
+// begin readies sc for a search over n entry slots.
+func (sc *CycleScratch) begin(n int) {
+	if len(sc.stamp) < n {
+		sc.stamp = slices.Grow(sc.stamp, n-len(sc.stamp))[:n]
+		sc.parent = slices.Grow(sc.parent, n-len(sc.parent))[:n]
+	}
+	if sc.epoch++; sc.epoch == 0 { // wrapped: old stamps could alias
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
 }
 
 // CycleThrough looks for a Wait-For-Graph cycle passing through task start
@@ -294,22 +338,22 @@ type CycleScratch struct {
 // WFG edges examined, the targeted-check analogue of the edge-count
 // statistic of the full builders.
 //
-// The whole search runs under the read lock of every shard, so the view is
-// consistent; with sc warm the deadlock-free path performs no allocations.
+// The whole search runs under the read lock, so the view is consistent;
+// with sc warm the deadlock-free path performs no allocations.
 func (s *State) CycleThrough(start TaskID, sc *CycleScratch) (*Cycle, int) {
-	s.rlockAll()
-	defer s.runlockAll()
-	se := s.shardFor(start).blocked[start]
-	if se == nil {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	se := s.tasks[start]
+	if se == nil || !se.blocked {
 		return nil, 0
 	}
 	// Pre-filter: a cycle through start needs an edge INTO start — some
 	// blocked task awaiting an event start impedes. In the common case
 	// (start arrived, so it impedes only future phases nobody awaits yet)
-	// this rejects in O(|Regs| log) without touching the graph.
+	// this rejects with one compare per registration.
 	impeded := false
-	for _, reg := range se.b.Regs {
-		if s.anyWaiterAboveLocked(reg.Phaser, reg.Phase) {
+	for i, sl := range se.regs {
+		if w := sl.node.waits; len(w) > 0 && w[len(w)-1].phase > se.b.Regs[i].Phase {
 			impeded = true
 			break
 		}
@@ -317,37 +361,26 @@ func (s *State) CycleThrough(start TaskID, sc *CycleScratch) (*Cycle, int) {
 	if !impeded {
 		return nil, 0
 	}
-	if sc.visited == nil {
-		sc.visited = make(map[TaskID]struct{})
-		sc.parent = make(map[TaskID]TaskID)
-	}
-	clear(sc.visited)
-	clear(sc.parent)
-	sc.stack = append(sc.stack[:0], start)
-	sc.visited[start] = struct{}{}
+	sc.begin(len(s.entries))
+	sc.stamp[se.slot] = sc.epoch
+	sc.stack = append(sc.stack[:0], se.slot)
 	edges := 0
 	for len(sc.stack) > 0 {
-		u := sc.stack[len(sc.stack)-1]
+		u := s.entries[sc.stack[len(sc.stack)-1]]
 		sc.stack = sc.stack[:len(sc.stack)-1]
-		ue := s.shardFor(u).blocked[u]
-		if ue == nil {
-			continue // unreachable under the shard locks
-		}
-		for _, r := range ue.b.WaitsFor {
-			for si := range s.shards {
-				for _, ref := range s.shards[si].regs[r.Phaser] {
-					if ref.phase >= r.Phase {
-						continue
-					}
-					edges++
-					if ref.task == start {
-						return s.cycleFoundLocked(start, u, sc), edges
-					}
-					if _, seen := sc.visited[ref.task]; !seen {
-						sc.visited[ref.task] = struct{}{}
-						sc.parent[ref.task] = u
-						sc.stack = append(sc.stack, ref.task)
-					}
+		for i, r := range u.b.WaitsFor {
+			for _, ref := range u.waits[i].regs {
+				if ref.phase >= r.Phase || !ref.e.blocked {
+					continue
+				}
+				edges++
+				if ref.e == se {
+					return s.cycleFound(se, u, sc), edges
+				}
+				if slot := ref.e.slot; sc.stamp[slot] != sc.epoch {
+					sc.stamp[slot] = sc.epoch
+					sc.parent[slot] = u.slot
+					sc.stack = append(sc.stack, slot)
 				}
 			}
 		}
@@ -355,38 +388,21 @@ func (s *State) CycleThrough(start TaskID, sc *CycleScratch) (*Cycle, int) {
 	return nil, edges
 }
 
-// anyWaiterAboveLocked reports whether any blocked task awaits an event of
-// phaser q with a phase strictly greater than m. Caller holds all shard
-// read locks.
-func (s *State) anyWaiterAboveLocked(q PhaserID, m int64) bool {
-	for i := range s.shards {
-		wl := s.shards[i].waits[q]
-		if len(wl) > 0 && wl[len(wl)-1].phase > m {
-			return true
-		}
-	}
-	return false
-}
-
-// cycleFoundLocked translates the DFS tree path start -> ... -> last (plus
-// the closing edge last -> start) into a Cycle report. Runs on the
-// deadlock path only, so it allocates freely. Caller holds all shard read
-// locks.
-func (s *State) cycleFoundLocked(start, last TaskID, sc *CycleScratch) *Cycle {
-	var tasks []TaskID
-	for t := last; t != start; t = sc.parent[t] {
-		tasks = append(tasks, t)
-	}
-	tasks = append(tasks, start)
-	slices.Reverse(tasks)
-	c := &Cycle{Model: ModelWFG, Tasks: tasks}
+// cycleFound translates the DFS tree path start -> ... -> last (plus the
+// closing edge last -> start) into a Cycle report. Runs on the deadlock
+// path only, so it allocates freely. Caller holds the read lock.
+func (s *State) cycleFound(start, last *taskEntry, sc *CycleScratch) *Cycle {
+	c := &Cycle{Model: ModelWFG}
 	seen := make(map[Resource]bool)
-	for _, t := range tasks {
-		e := s.shardFor(t).blocked[t]
-		if e == nil {
-			continue
+	for e := last; ; e = s.entries[sc.parent[e.slot]] {
+		c.Tasks = append(c.Tasks, e.b.Task)
+		if e == start {
+			break
 		}
-		for _, r := range e.b.WaitsFor {
+	}
+	slices.Reverse(c.Tasks)
+	for _, t := range c.Tasks {
+		for _, r := range s.tasks[t].b.WaitsFor {
 			if !seen[r] {
 				seen[r] = true
 				c.Resources = append(c.Resources, r)

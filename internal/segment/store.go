@@ -202,11 +202,12 @@ func (st *Store) NewBatch() *Batch {
 // persister — archive completeness is sacrificed before ingest latency.
 // Ownership of b always transfers; the caller must not touch it after.
 func (st *Store) Append(b *Batch) bool {
+	events, verdicts := int64(b.Events), int64(len(b.Verdicts)) // b is the tee goroutine's once sent
 	select {
 	case st.ch <- b:
 		st.batches.Add(1)
-		st.events.Add(int64(b.Events))
-		st.verdicts.Add(int64(len(b.Verdicts)))
+		st.events.Add(events)
+		st.verdicts.Add(verdicts)
 		return true
 	default:
 		st.batchesDropped.Add(1)

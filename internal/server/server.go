@@ -19,7 +19,7 @@
 //     Sessions are the tenancy unit: all connections naming one session
 //     feed one verifier state, which is what makes deadlocks spanning
 //     several client processes visible. The session table is sharded 16
-//     ways by session-name hash, mirroring the sharded deps.State.
+//     ways by session-name hash.
 //   - A session runs in avoidance mode (every block is gated through the
 //     targeted deps.State.CycleThrough query and refused — with its cycle
 //     — when it would close one; the gate hot path is allocation-free

@@ -39,7 +39,7 @@ type session struct {
 	stopOnce  sync.Once
 	execDone  chan struct{}
 
-	// Avoidance engine: the sharded incremental state plus the targeted
+	// Avoidance engine: the incremental state plus the targeted
 	// gate query's scratch, exactly the machinery of the in-process
 	// avoidance gate. blocked tracks the currently blocked tasks for the
 	// checkpoint verdict (any blocked task on a cycle). Executor-owned.

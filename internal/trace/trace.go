@@ -11,8 +11,8 @@
 // events around them and with the verdicts the verifier delivered
 // (avoidance-gate rejections and deadlock reports). Concurrent mutations on
 // different phasers are recorded in the order the recorder observes them,
-// which is one valid interleaving but not necessarily the one the sharded
-// state applied; everything the replayer asserts (package replay) is stated
+// which is one valid interleaving but not necessarily the one the state
+// applied; everything the replayer asserts (package replay) is stated
 // over the recorded order, so this never produces spurious divergences.
 //
 // Recording turns every interesting execution — an hpcc/npb workload, a
