@@ -2,11 +2,15 @@
 // streams verifier events to a remote verification session and surfaces
 // the session's verdicts.
 //
-// The outbound side is a non-blocking buffered emitter: Register, Arrive,
-// Drop, Unblock and detection-mode Block enqueue an event and return
-// immediately; a writer goroutine drains the queue into the trace-format
-// wire stream in batches. Enqueueing only blocks once the buffer is full —
-// that is the backpressure contract, never unbounded memory.
+// The outbound side is a slab emitter, the mirror image of the server's
+// coalesced egress (internal/server/conn.go) — one mechanism, both ends of
+// the wire. Register, Arrive, Drop, Unblock and detection-mode Block take
+// the client lock once, encode the event's wire frame straight into a
+// pending slab and return; a writer goroutine swaps the slab for its spare
+// under the same lock and puts it on the wire with one CRC update and one
+// Write, so one syscall carries every event that accumulated since the last
+// one. Emitting only blocks once Config.Buffer events are pending — that is
+// the backpressure contract, never unbounded memory.
 //
 // Block in an avoidance session round-trips the server's gate: it returns
 // nil when the block was admitted and *GateError (carrying the refused
@@ -48,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -87,14 +92,18 @@ type Config struct {
 	// OnDisconnect observes transport failures before the reconnect
 	// attempts (optional, diagnostics only).
 	OnDisconnect func(error)
-	// Buffer is the emitter queue length (default 1024).
+	// Buffer is how many events may be pending — emitted but not yet taken
+	// by the writer — before emitting blocks (default 1024).
 	Buffer int
 	// RedialAttempts bounds reconnect attempts per outage (default 8).
 	RedialAttempts int
 	// RedialBackoff is the first reconnect delay; it doubles per attempt,
 	// capped at 2s (default 50ms).
 	RedialBackoff time.Duration
-	// DialTimeout bounds one dial (default 5s).
+	// DialTimeout bounds one dial. It is also how long Close lets its final
+	// drain wait on a peer that has stopped reading before it gives up and
+	// reports the truncation; a short dial timeout therefore shortens that
+	// patience too (default 5s).
 	DialTimeout time.Duration
 }
 
@@ -133,52 +142,40 @@ func (e *GateError) Error() string {
 		e.Task, e.Tasks, e.Resources)
 }
 
-type gateResult struct {
-	allowed   bool
+// result is the answer to one round trip: yes is "admitted" for a gated
+// Block and "deadlocked" for a Checkpoint; tasks and resources carry a
+// refused block's cycle.
+type result struct {
+	yes       bool
 	tasks     []deps.TaskID
 	resources []deps.Resource
 	err       error
 }
 
-type checkResult struct {
-	deadlocked bool
-	err        error
+// waiter is one in-flight round trip, a gated Block or a Checkpoint. The
+// server answers every block event (avoidance sessions) and every verdict
+// event on a connection in write order, and resync re-blocks plus raw Emits
+// of recorded events draw answers with no waiter — so waiters pair with
+// answers by ORDINAL: seq counts the events of the waiter's kind up to and
+// including its own, within the pending slab while it rides there
+// (sentGen 0) and on the current connection once the writer has taken the
+// slab. Only a waiter WRITTEN on the reader's connection (sentGen equal to
+// its generation) can be answered, and only by the response with its
+// ordinal (the server's verdict sequence number, the position among gate
+// responses): a slab-relative seq means nothing to a reader yet. Waiters are
+// recycled through Client.free; everything but ch is guarded by Client.mu.
+type waiter struct {
+	ch      chan result // capacity 1: exactly one answer per flight
+	check   bool        // Checkpoint (counts verdict events), else gated Block
+	sentGen int         // connection generation last written on (0 = still pending)
+	seq     uint64
 }
 
-// blockWaiter is one in-flight gated Block round trip. The server answers
-// every avoidance-mode block event on a connection in write order, and
-// resync re-blocks (plus raw Emits of recorded block events) draw answers
-// with no waiter — so waiters pair with answers by ORDINAL, not task
-// alone: expectGateSeq is the count of block events written on the
-// current connection up to and including this waiter's, and only the
-// gate response with that ordinal is its answer (the gate-side mirror of
-// checkWaiter.expectSeq).
-type blockWaiter struct {
-	ev            trace.Event
-	ch            chan gateResult
-	sentGen       int // connection generation the event was last written on (0 = unwritten)
-	expectGateSeq uint64
-}
-
-// checkWaiter is one in-flight Checkpoint round trip. Responses are
-// matched by the server's per-connection verdict sequence number:
-// expectSeq is the ordinal (counting every verdict EVENT written on the
-// current connection, including raw Emits of recorded traces) this
-// waiter's checkpoint was written as, so an answer to an unsolicited
-// verdict event can never be mistaken for a checkpoint's.
-type checkWaiter struct {
-	ev        trace.Event
-	ch        chan checkResult
-	sentGen   int
-	expectSeq uint64
-}
-
-// outEvent is one emitter queue entry; bw/cw link round-trip events to
-// their waiters so a reconnect can re-submit exactly the written ones.
-type outEvent struct {
-	ev trace.Event
-	bw *blockWaiter
-	cw *checkWaiter
+// ownedStatus is one task's entry in the owned ledger. Entries and their
+// buffers outlive the status: a re-block copies into existing capacity.
+type ownedStatus struct {
+	live bool // st is asserted (blocked); otherwise the task is cleared
+	st   deps.Blocked
 }
 
 // link is one live connection.
@@ -190,30 +187,47 @@ type link struct {
 
 // Client is a connection to one armus-serve session.
 type Client struct {
-	cfg  Config
-	emit chan outEvent
+	cfg Config
 	// addrs is the connection walk order: the session's fleet rank
 	// (owner first, failover tail after), or just [cfg.Addr].
 	addrs []string
 
 	closeCh chan struct{}
 	done    chan struct{}
+	// wake nudges the writer when the pending slab goes non-empty.
+	wake chan struct{}
 
-	mu     sync.Mutex
-	blocks map[deps.TaskID]*blockWaiter
-	checks []*checkWaiter
-	// owned is the last status this client asserted per task: a non-nil
-	// entry is a live blocked status, a nil entry a cleared one. It is the
-	// client's whole contribution to the session state (Definition 4.1),
-	// replayed at each reconnect to resync the server — see run().
-	owned   map[deps.TaskID]*deps.Blocked
+	mu sync.Mutex
+	// The pending slab: wire frames (trace.AppendEventFrame) of the pendN
+	// events emitted since the writer last swapped, pendVerdicts and
+	// pendBlocks of them verdict and block events (what the server will
+	// answer), and the waiters riding among them. It belongs to no
+	// connection: an un-swapped slab survives a reconnect.
+	pend                     []byte
+	pendN                    int
+	pendVerdicts, pendBlocks uint64
+	pendWaiters              []*waiter
+	// space is where emitters wait out a full slab; the swap, Close and a
+	// terminal error release them.
+	space sync.Cond
+
+	blocks map[deps.TaskID]*waiter
+	// checks[checkHead:] is the FIFO of in-flight checkpoints.
+	checks    []*waiter
+	checkHead int
+	free      []*waiter
+	// owned is the last status this client asserted per task, live or
+	// cleared. It is the client's whole contribution to the session state
+	// (Definition 4.1), replayed at each reconnect to resync the server —
+	// see run().
+	owned   map[deps.TaskID]*ownedStatus
+	nc      net.Conn // the live connection, for Close to bound its drain
 	gen     int
 	termErr error
 	closed  bool
-
-	// checkMu serialises checkpoint submission so FIFO matching holds
-	// even with concurrent Checkpoint callers.
-	checkMu sync.Mutex
+	// drainErr is why Close's drain was cut short, if it was. Written by
+	// loop before it closes done, read by Close after.
+	drainErr error
 
 	reconnects atomic.Int64
 	resumed    atomic.Bool
@@ -242,13 +256,14 @@ func Dial(cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		cfg:     cfg,
-		emit:    make(chan outEvent, cfg.Buffer),
 		addrs:   addrs,
 		closeCh: make(chan struct{}),
 		done:    make(chan struct{}),
-		blocks:  make(map[deps.TaskID]*blockWaiter),
-		owned:   make(map[deps.TaskID]*deps.Blocked),
+		wake:    make(chan struct{}, 1),
+		blocks:  make(map[deps.TaskID]*waiter),
+		owned:   make(map[deps.TaskID]*ownedStatus),
 	}
+	c.space.L = &c.mu
 	l, err := c.connect()
 	if err != nil {
 		return nil, err
@@ -362,6 +377,12 @@ func (c *Client) loop(l *link) {
 		err := c.run(l)
 		l.nc.Close()
 		if c.isClosed() {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				// The only deadline run can trip over is the one Close put
+				// on the drain: the peer stopped reading and what was still
+				// pending is lost. Close reports it.
+				c.drainErr = fmt.Errorf("client: close: drain gave up after %v: %w", c.cfg.DialTimeout, err)
+			}
 			c.finish(ErrClosed)
 			return
 		}
@@ -416,13 +437,22 @@ func (c *Client) loop(l *link) {
 	}
 }
 
-// run drives one live connection: resync the session state, start its
-// reader, re-submit in-flight round trips from the previous connection,
-// then pump the emitter.
+// run drives one live connection: resync the session state, re-submit the
+// round trips in flight on the previous connection, start the reader, then
+// pump the pending slab.
 func (c *Client) run(l *link) error {
+	// sentVerdicts counts every verdict EVENT written on this connection
+	// — checkpoints and raw Emits alike — mirroring the server's
+	// per-connection response sequence, so checkpoint waiters know which
+	// RespVerdict ordinal is theirs. sentBlocks does the same for block
+	// events and gate responses (avoidance sessions answer every block).
+	var sentVerdicts, sentBlocks uint64
+	var head []byte
 	c.mu.Lock()
 	c.gen++
 	gen := c.gen
+	c.nc = l.nc
+	c.boundDrainLocked()
 	// The resync set (reconnects only): clear every task this client ever
 	// asserted, then re-assert the live ones — skipping tasks with an
 	// in-flight gated Block, whose resend below supersedes any refresh.
@@ -432,56 +462,22 @@ func (c *Client) run(l *link) error {
 	// clears, the re-asserted set is a subset of statuses the gate already
 	// admitted together, so (for this client's tasks) resync cannot be
 	// refused.
-	var resync []outEvent
 	if gen > 1 && len(c.owned) > 0 {
 		tasks := make([]deps.TaskID, 0, len(c.owned))
 		for t := range c.owned {
-			if _, inflight := c.blocks[t]; inflight {
-				continue
+			if _, inflight := c.blocks[t]; !inflight {
+				tasks = append(tasks, t)
 			}
-			tasks = append(tasks, t)
 		}
 		sort.Slice(tasks, func(i, j int) bool { return tasks[i] < tasks[j] })
 		for _, t := range tasks {
-			resync = append(resync, outEvent{ev: trace.Event{Kind: trace.KindUnblock, Task: t}})
+			head, _ = trace.AppendEventFrame(head, trace.Event{Kind: trace.KindUnblock, Task: t})
 		}
 		for _, t := range tasks {
-			if st := c.owned[t]; st != nil {
-				resync = append(resync, outEvent{ev: trace.Event{Kind: trace.KindBlock, Task: t, Status: *st}})
+			if o := c.owned[t]; o.live {
+				head = appendBlock(head, &o.st)
+				sentBlocks++
 			}
-		}
-	}
-	var resend []outEvent
-	for _, w := range c.blocks {
-		if w.sentGen > 0 && w.sentGen < gen {
-			resend = append(resend, outEvent{ev: w.ev, bw: w})
-		}
-	}
-	for _, w := range c.checks { // FIFO order preserved
-		if w.sentGen > 0 && w.sentGen < gen {
-			resend = append(resend, outEvent{ev: w.ev, cw: w})
-		}
-	}
-	c.mu.Unlock()
-	// sentVerdicts counts every verdict EVENT written on this connection
-	// — checkpoints and raw Emits alike — mirroring the server's
-	// per-connection response sequence, so checkpoint waiters know which
-	// RespVerdict ordinal is theirs. sentBlocks does the same for block
-	// events and gate responses (avoidance sessions answer every block).
-	var sentVerdicts, sentBlocks uint64
-	writeEvent := func(oe *outEvent) error {
-		if oe.ev.Kind == trace.KindVerdict {
-			sentVerdicts++
-		}
-		if oe.ev.Kind == trace.KindBlock {
-			sentBlocks++
-		}
-		c.noteWrite(oe, gen, sentVerdicts, sentBlocks)
-		return l.tw.WriteEvent(oe.ev)
-	}
-	for i := range resync {
-		if err := writeEvent(&resync[i]); err != nil {
-			return err
 		}
 	}
 	// Resync blocks are written before anything else, so in an avoidance
@@ -492,12 +488,26 @@ func (c *Client) run(l *link) error {
 	if c.cfg.Mode != core.ModeAvoid {
 		resyncGates = 0
 	}
-	for i := range resend {
-		if err := writeEvent(&resend[i]); err != nil {
-			return err
+	// Resends: the round trips a previous connection wrote and never saw
+	// answered. (Those still riding in the pending slab have sentGen 0 and
+	// go out with it.) A gated block's event is rebuilt from the ledger —
+	// its status has been there since the Block call, and resync skipped it.
+	for t, w := range c.blocks {
+		if w.sentGen > 0 {
+			head = appendBlock(head, &c.owned[t].st)
+			sentBlocks++
+			w.sentGen, w.seq = gen, sentBlocks
 		}
 	}
-	if err := l.tw.Flush(); err != nil {
+	for _, w := range c.checks[c.checkHead:] { // FIFO order preserved
+		if w.sentGen > 0 {
+			head, _ = trace.AppendEventFrame(head, checkpointEvent)
+			sentVerdicts++
+			w.sentGen, w.seq = gen, sentVerdicts
+		}
+	}
+	c.mu.Unlock()
+	if err := l.tw.WriteFrames(head); err != nil {
 		return err
 	}
 
@@ -505,7 +515,7 @@ func (c *Client) run(l *link) error {
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		c.readLoop(l.br, readerErr, resyncGates)
+		c.readLoop(l.br, readerErr, gen, resyncGates)
 	}()
 	// Join the reader before returning: a reader that outlived its
 	// connection could otherwise race the next connection's re-submission
@@ -515,74 +525,87 @@ func (c *Client) run(l *link) error {
 		<-readerDone
 	}()
 
+	// The pump: swap the pending slab for the spare under the lock, stamp
+	// the few waiters riding in it with this connection's generation and
+	// ordinals in that same critical section — before the bytes can reach
+	// the wire — and write it whole. The two slabs alternate, so steady
+	// state allocates nothing. A slab whose write fails is dropped; its
+	// waiters are stamped, so the next connection resends them, and the
+	// ledger re-asserts what it held of the session state.
+	var spare []byte
 	for {
-		select {
-		case oe := <-c.emit:
-			if err := writeEvent(&oe); err != nil {
-				return err
-			}
-		greedy:
-			for {
-				select {
-				case oe = <-c.emit:
-					if err := writeEvent(&oe); err != nil {
-						return err
-					}
-				default:
-					break greedy
+		c.mu.Lock()
+		slab, closed := c.pend, c.closed
+		if len(slab) > 0 {
+			for _, w := range c.pendWaiters {
+				w.sentGen = gen
+				if w.check {
+					w.seq += sentVerdicts
+				} else {
+					w.seq += sentBlocks
 				}
 			}
-			if err := l.tw.Flush(); err != nil {
+			sentVerdicts += c.pendVerdicts
+			sentBlocks += c.pendBlocks
+			clear(c.pendWaiters)
+			c.pendWaiters = c.pendWaiters[:0]
+			c.pend, c.pendN, c.pendVerdicts, c.pendBlocks = spare[:0], 0, 0, 0
+			c.space.Broadcast()
+		}
+		c.mu.Unlock()
+		if len(slab) > 0 {
+			if err := l.tw.WriteFrames(slab); err != nil {
 				return err
 			}
+			spare = slab
+			select {
+			case err := <-readerErr:
+				return err
+			default:
+			}
+			continue
+		}
+		if closed {
+			// Graceful end: everything emitted is on the wire; close the
+			// trace stream properly (end sentinel + CRC) so the server
+			// reads a clean EOF and the connection doubles as a complete
+			// trace.
+			return l.tw.Close()
+		}
+		select {
+		case <-c.wake:
 		case err := <-readerErr:
 			return err
 		case <-c.closeCh:
-			// Graceful end: drain what is buffered, then close the trace
-			// stream properly (end sentinel + CRC) so the server reads a
-			// clean EOF and the connection doubles as a complete trace.
-		drain:
-			for {
-				select {
-				case oe := <-c.emit:
-					if err := writeEvent(&oe); err != nil {
-						return err
-					}
-				default:
-					break drain
-				}
-			}
-			return l.tw.Close()
 		}
 	}
 }
 
-// noteWrite records, under the client lock and BEFORE the bytes hit the
-// wire, which connection generation an event's waiter was written on and
-// which response ordinal it will be answered as (verdict sequence for
-// checkpoints, block-event ordinal for gated blocks).
-func (c *Client) noteWrite(oe *outEvent, gen int, verdictSeq, blockSeq uint64) {
-	if oe.bw == nil && oe.cw == nil {
-		return
-	}
-	c.mu.Lock()
-	if oe.bw != nil {
-		oe.bw.sentGen = gen
-		oe.bw.expectGateSeq = blockSeq
-	}
-	if oe.cw != nil {
-		oe.cw.sentGen = gen
-		oe.cw.expectSeq = verdictSeq
-	}
-	c.mu.Unlock()
+// checkpointEvent is the one event a Checkpoint sends.
+var checkpointEvent = trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported}
+
+// appendBlock frames the block event of a ledger status.
+func appendBlock(buf []byte, st *deps.Blocked) []byte {
+	// A status in the ledger was framed once already: it cannot fail now.
+	buf, _ = trace.AppendEventFrame(buf, trace.Event{Kind: trace.KindBlock, Task: st.Task, Status: *st})
+	return buf
 }
 
-// readLoop dispatches one connection's responses until it fails.
-// resyncGates is the count of resync re-blocks written at the head of this
+// boundDrainLocked gives a closing client's connection a write deadline:
+// Close drains what is pending, but a peer that has stopped reading must
+// not hold it forever.
+func (c *Client) boundDrainLocked() {
+	if c.closed && c.nc != nil {
+		c.nc.SetWriteDeadline(time.Now().Add(c.cfg.DialTimeout))
+	}
+}
+
+// readLoop dispatches the responses of connection generation gen until it
+// fails. resyncGates is the count of resync re-blocks written at the head of this
 // connection (avoidance mode): their unsolicited gate answers arrive as
 // exactly the first resyncGates RespGate ordinals, and a refusal among
 // them is the terminal resync failure.
-func (c *Client) readLoop(br *bufio.Reader, errch chan<- error, resyncGates uint64) {
+func (c *Client) readLoop(br *bufio.Reader, errch chan<- error, gen int, resyncGates uint64) {
 	var r proto.Response
 	var recvGates uint64
 	for {
@@ -595,12 +618,15 @@ func (c *Client) readLoop(br *bufio.Reader, errch chan<- error, resyncGates uint
 			// The server answers every block event on the connection in
 			// write order; resync re-blocks and raw Emits of recorded block
 			// events draw answers with no waiter. Pair by ordinal: only the
-			// response whose position matches the waiter's written block
-			// ordinal is its answer (mirror of the verdict matching below).
+			// response whose position matches the block ordinal the waiter
+			// was written with ON THIS CONNECTION is its answer — a waiter
+			// still in the pending slab holds a slab-relative seq that an
+			// earlier answer must not match (mirror of the verdict matching
+			// below).
 			recvGates++
 			c.mu.Lock()
 			w := c.blocks[r.Task]
-			if w == nil || w.expectGateSeq != recvGates {
+			if w == nil || w.sentGen != gen || w.seq != recvGates {
 				w = nil
 			} else {
 				delete(c.blocks, r.Task)
@@ -608,13 +634,13 @@ func (c *Client) readLoop(br *bufio.Reader, errch chan<- error, resyncGates uint
 					// The refusal clears ownership under the same critical
 					// section that retires the waiter, so a racing reconnect
 					// can never resync-assert a status the gate rolled back.
-					c.owned[r.Task] = nil
+					c.owned[r.Task].live = false
 				}
 			}
 			c.mu.Unlock()
 			if w != nil {
-				w.ch <- gateResult{
-					allowed:   r.Allowed,
+				w.ch <- result{
+					yes:       r.Allowed,
 					tasks:     append([]deps.TaskID(nil), r.Tasks...),
 					resources: append([]deps.Resource(nil), r.Resources...),
 				}
@@ -628,16 +654,22 @@ func (c *Client) readLoop(br *bufio.Reader, errch chan<- error, resyncGates uint
 			// recorded trace included), so FIFO alone would let an
 			// unsolicited answer steal a checkpoint's slot and skew every
 			// later pairing. Only the response whose ordinal equals the
-			// head waiter's written ordinal is its answer.
+			// ordinal the head waiter was written with on this connection is
+			// its answer; a head still in the pending slab is nobody's yet.
 			c.mu.Lock()
-			var w *checkWaiter
-			if len(c.checks) > 0 && c.checks[0].expectSeq == r.Seq {
-				w = c.checks[0]
-				c.checks = c.checks[1:]
+			var w *waiter
+			if h := c.checkHead; h < len(c.checks) && c.checks[h].sentGen == gen && c.checks[h].seq == r.Seq {
+				w = c.checks[h]
+				// Nil the slot: an answered waiter must not stay reachable
+				// from the queue's backing array.
+				c.checks[c.checkHead] = nil
+				if c.checkHead++; c.checkHead == len(c.checks) {
+					c.checks, c.checkHead = c.checks[:0], 0
+				}
 			}
 			c.mu.Unlock()
 			if w != nil {
-				w.ch <- checkResult{deadlocked: r.Deadlocked}
+				w.ch <- result{yes: r.Deadlocked}
 			}
 		case proto.RespReport:
 			if c.cfg.OnReport != nil {
@@ -655,23 +687,24 @@ func (c *Client) readLoop(br *bufio.Reader, errch chan<- error, resyncGates uint
 	}
 }
 
-// finish fails every in-flight round trip and records the terminal error.
+// finish fails every in-flight round trip, releases every emitter waiting
+// for space and records the terminal error.
 func (c *Client) finish(err error) {
 	c.mu.Lock()
 	if c.termErr == nil {
 		c.termErr = err
 	}
-	blocks := c.blocks
-	checks := c.checks
-	c.blocks = make(map[deps.TaskID]*blockWaiter)
-	c.checks = nil
 	term := c.termErr
-	c.mu.Unlock()
-	for _, w := range blocks {
-		w.ch <- gateResult{err: term}
+	failed := append([]*waiter(nil), c.checks[c.checkHead:]...)
+	for _, w := range c.blocks {
+		failed = append(failed, w)
 	}
-	for _, w := range checks {
-		w.ch <- checkResult{err: term}
+	clear(c.blocks)
+	c.checks, c.checkHead = nil, 0
+	c.space.Broadcast()
+	c.mu.Unlock()
+	for _, w := range failed {
+		w.ch <- result{err: term}
 	}
 }
 
@@ -681,60 +714,111 @@ func (c *Client) isClosed() bool {
 	return c.closed
 }
 
-// terminal returns the terminal error, or nil while the client lives.
-func (c *Client) terminal() error {
+// submit is the whole outbound path of one event, in ONE critical section:
+// wait for space (backpressure), check the terminal error, encode the
+// event's wire frame straight onto the pending slab, fold it into the owned
+// ledger and, for a round trip, enrol its waiter — so the slab's order is
+// the ledger's order is the waiters' order, with no second lock to
+// serialise them. wait enrols a waiter for the answer to e, a verdict event
+// (Checkpoint) or a block event (gated Block). The writer is nudged only
+// when the slab goes non-empty.
+func (c *Client) submit(e *trace.Event, wait bool) (*waiter, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.termErr
-}
-
-// enqueue pushes an event into the emitter. It blocks only when the
-// buffer is full (backpressure) or returns the terminal error if the
-// client is finished.
-func (c *Client) enqueue(oe outEvent) error {
-	if err := c.terminal(); err != nil {
-		return err
+	for c.pendN >= c.cfg.Buffer && c.termErr == nil && !c.closed {
+		c.space.Wait()
 	}
-	// Ownership is recorded BEFORE the push: once the emitter can write
-	// the event, a reconnect's resync must already account for it. A gated
-	// block recorded here and later refused is cleared by readLoop; until
-	// the gate answers, its waiter sits in c.blocks and resync skips the
-	// task, so the provisional entry is never asserted.
-	c.noteOwned(&oe.ev)
-	select {
-	case c.emit <- oe:
-		return nil
-	case <-c.done:
-		if err := c.terminal(); err != nil {
-			return err
-		}
-		return ErrClosed
+	err := c.termErr
+	if err == nil && c.closed {
+		err = ErrClosed
 	}
-}
-
-// noteOwned folds one outbound event into the owned set — the client's
-// replayable contribution to the session state (see run's resync).
-func (c *Client) noteOwned(ev *trace.Event) {
-	switch ev.Kind {
+	if err == nil && wait && e.Kind == trace.KindBlock && c.blocks[e.Task] != nil {
+		err = fmt.Errorf("client: concurrent Block for task %d", e.Task)
+	}
+	if err == nil {
+		c.pend, err = trace.AppendEventFrame(c.pend, *e)
+	}
+	if err != nil {
+		c.mu.Unlock()
+		return nil, err
+	}
+	c.pendN++
+	// Ownership is recorded BEFORE the writer can take the event: once it
+	// is on the wire, a reconnect's resync must already account for it. A
+	// gated block recorded here and later refused is cleared by readLoop;
+	// until the gate answers, its waiter sits in c.blocks and resync skips
+	// the task, so the provisional entry is never asserted.
+	switch e.Kind {
 	case trace.KindBlock:
-		st := &deps.Blocked{
-			Task:     ev.Status.Task,
-			WaitsFor: append([]deps.Resource(nil), ev.Status.WaitsFor...),
-			Regs:     append([]deps.Reg(nil), ev.Status.Regs...),
-		}
-		c.mu.Lock()
-		c.owned[ev.Task] = st
-		c.mu.Unlock()
+		c.pendBlocks++
+		o := c.ownedLocked(e.Task)
+		o.live = true
+		o.st.Task = e.Status.Task
+		o.st.WaitsFor = append(o.st.WaitsFor[:0], e.Status.WaitsFor...)
+		o.st.Regs = append(o.st.Regs[:0], e.Status.Regs...)
 	case trace.KindUnblock:
-		c.mu.Lock()
-		c.owned[ev.Task] = nil
-		c.mu.Unlock()
+		c.ownedLocked(e.Task).live = false
+	case trace.KindVerdict:
+		c.pendVerdicts++
 	}
+	var w *waiter
+	if wait {
+		if n := len(c.free); n > 0 {
+			w, c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			w = &waiter{ch: make(chan result, 1)}
+		}
+		w.sentGen = 0
+		if w.check = e.Kind == trace.KindVerdict; w.check {
+			w.seq = c.pendVerdicts
+			c.checks = append(c.checks, w)
+		} else {
+			w.seq = c.pendBlocks
+			c.blocks[e.Task] = w
+		}
+		c.pendWaiters = append(c.pendWaiters, w)
+	}
+	first := c.pendN == 1
+	c.mu.Unlock()
+	if first {
+		select {
+		case c.wake <- struct{}{}:
+		default:
+		}
+	}
+	return w, nil
 }
 
-// Emit enqueues a raw trace event (fire and forget). Most callers use the
+// ownedLocked returns t's ledger entry, creating it on first sight.
+func (c *Client) ownedLocked(t deps.TaskID) *ownedStatus {
+	o := c.owned[t]
+	if o == nil {
+		o = &ownedStatus{}
+		c.owned[t] = o
+	}
+	return o
+}
+
+// await collects a round trip's answer and recycles its waiter.
+func (c *Client) await(w *waiter) result {
+	res := <-w.ch
+	c.mu.Lock()
+	if len(c.free) < maxFreeWaiters {
+		c.free = append(c.free, w)
+	}
+	c.mu.Unlock()
+	return res
+}
+
+// maxFreeWaiters bounds the waiter free list: enough for every caller of a
+// busy client to find one, small enough to forget a burst.
+const maxFreeWaiters = 64
+
+// Emit submits a raw trace event (fire and forget). Most callers use the
 // typed helpers below; the loadgen uses Emit to stream recorded traces.
-func (c *Client) Emit(e trace.Event) error { return c.enqueue(outEvent{ev: e}) }
+func (c *Client) Emit(e trace.Event) error {
+	_, err := c.submit(&e, false)
+	return err
+}
 
 // Register emits a task-joins-phaser event.
 func (c *Client) Register(t deps.TaskID, q deps.PhaserID, phase int64, mode uint8) error {
@@ -762,40 +846,18 @@ func (c *Client) Unblock(t deps.TaskID) error {
 // *GateError means admitting it would close the returned deadlock cycle
 // and the status was rolled back — the caller must not block.
 func (c *Client) Block(b deps.Blocked) error {
-	ev := trace.Event{Kind: trace.KindBlock, Task: b.Task, Status: deps.Blocked{
-		Task:     b.Task,
-		WaitsFor: append([]deps.Resource(nil), b.WaitsFor...),
-		Regs:     append([]deps.Reg(nil), b.Regs...),
-	}}
-	if c.cfg.Mode != core.ModeAvoid {
-		return c.Emit(ev)
-	}
-	w := &blockWaiter{ev: ev, ch: make(chan gateResult, 1)}
-	c.mu.Lock()
-	if c.termErr != nil {
-		err := c.termErr
-		c.mu.Unlock()
+	// The event borrows b's slices: submit encodes them onto the slab and
+	// copies them into the ledger before it returns, and keeps neither.
+	ev := trace.Event{Kind: trace.KindBlock, Task: b.Task, Status: b}
+	w, err := c.submit(&ev, c.cfg.Mode == core.ModeAvoid)
+	if err != nil || w == nil {
 		return err
 	}
-	if _, dup := c.blocks[b.Task]; dup {
-		c.mu.Unlock()
-		return fmt.Errorf("client: concurrent Block for task %d", b.Task)
-	}
-	c.blocks[b.Task] = w
-	c.mu.Unlock()
-	if err := c.enqueue(outEvent{ev: ev, bw: w}); err != nil {
-		c.mu.Lock()
-		if c.blocks[b.Task] == w {
-			delete(c.blocks, b.Task)
-		}
-		c.mu.Unlock()
-		return err
-	}
-	res := <-w.ch
+	res := c.await(w)
 	if res.err != nil {
 		return res.err
 	}
-	if !res.allowed {
+	if !res.yes {
 		return &GateError{Task: b.Task, Tasks: res.tasks, Resources: res.resources}
 	}
 	return nil
@@ -805,33 +867,12 @@ func (c *Client) Block(b deps.Blocked) error {
 // state is deadlocked after everything this client emitted so far has
 // been applied. It therefore doubles as a write barrier.
 func (c *Client) Checkpoint() (bool, error) {
-	ev := trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported}
-	w := &checkWaiter{ev: ev, ch: make(chan checkResult, 1)}
-	c.checkMu.Lock()
-	c.mu.Lock()
-	if c.termErr != nil {
-		err := c.termErr
-		c.mu.Unlock()
-		c.checkMu.Unlock()
-		return false, err
-	}
-	c.checks = append(c.checks, w)
-	c.mu.Unlock()
-	err := c.enqueue(outEvent{ev: ev, cw: w})
-	c.checkMu.Unlock()
+	w, err := c.submit(&checkpointEvent, true)
 	if err != nil {
-		c.mu.Lock()
-		for i, x := range c.checks {
-			if x == w {
-				c.checks = append(c.checks[:i], c.checks[i+1:]...)
-				break
-			}
-		}
-		c.mu.Unlock()
 		return false, err
 	}
-	res := <-w.ch
-	return res.deadlocked, res.err
+	res := c.await(w)
+	return res.yes, res.err
 }
 
 // Reconnects reports how many times the client re-established its
@@ -842,19 +883,21 @@ func (c *Client) Reconnects() int64 { return c.reconnects.Load() }
 // on the server.
 func (c *Client) Resumed() bool { return c.resumed.Load() }
 
-// Close flushes the emitter, closes the trace stream cleanly (end
-// sentinel + CRC) and releases the client. In-flight Block/Checkpoint
-// calls fail with ErrClosed. Idempotent.
+// Close drains the pending slab, closes the trace stream cleanly (end
+// sentinel + CRC) and releases the client. The drain is given DialTimeout:
+// against a peer that has stopped reading for that long Close gives up,
+// drops what was still pending and returns an error wrapping
+// os.ErrDeadlineExceeded. In-flight Block/Checkpoint calls and emitters
+// waiting for space fail with ErrClosed. Idempotent.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		<-c.done
-		return nil
+	if !c.closed {
+		c.closed = true
+		c.boundDrainLocked()
+		c.space.Broadcast()
+		close(c.closeCh)
 	}
-	c.closed = true
 	c.mu.Unlock()
-	close(c.closeCh)
 	<-c.done
-	return nil
+	return c.drainErr
 }

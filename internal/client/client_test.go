@@ -16,12 +16,16 @@ import (
 )
 
 // flakyProxy is a TCP relay whose live connections can be severed on
-// demand — the transport-failure injector for the reconnect tests.
+// demand — the transport-failure injector for the reconnect tests. It also
+// records what every client connection wrote, and can hold a connection's
+// outbound bytes back (swallow them) so round trips stay in flight.
 type flakyProxy struct {
 	ln     net.Listener
 	target string
 	mu     sync.Mutex
 	live   []net.Conn
+	sent   [][]byte // per accepted connection: the bytes its client wrote
+	hold   bool
 	closed bool
 }
 
@@ -58,19 +62,63 @@ func (p *flakyProxy) acceptLoop() {
 			return
 		}
 		p.live = append(p.live, in, out)
+		i := len(p.sent)
+		p.sent = append(p.sent, nil)
 		p.mu.Unlock()
-		go func() { io.Copy(out, in); out.Close(); in.Close() }()
+		go func() { p.relayUp(i, out, in); out.Close(); in.Close() }()
 		go func() { io.Copy(in, out); in.Close(); out.Close() }()
 	}
 }
 
-// Sever cuts every live relayed connection; new dials still succeed.
+// relayUp is the client-to-server direction of connection i: record, then
+// forward unless held.
+func (p *flakyProxy) relayUp(i int, out, in net.Conn) {
+	buf := make([]byte, 32<<10)
+	for {
+		n, err := in.Read(buf)
+		p.mu.Lock()
+		p.sent[i] = append(p.sent[i], buf[:n]...)
+		hold := p.hold
+		p.mu.Unlock()
+		if n > 0 && !hold {
+			if _, err := out.Write(buf[:n]); err != nil {
+				return
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// Hold makes the proxy swallow what clients write from now on: the bytes
+// count as sent and never arrive.
+func (p *flakyProxy) Hold() {
+	p.mu.Lock()
+	p.hold = true
+	p.mu.Unlock()
+}
+
+// Sent returns a copy of what the client of the i-th accepted connection
+// has written so far (nil before that connection exists).
+func (p *flakyProxy) Sent(i int) []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if i >= len(p.sent) {
+		return nil
+	}
+	return append([]byte(nil), p.sent[i]...)
+}
+
+// Sever cuts every live relayed connection and lifts a hold; new dials
+// still succeed and relay.
 func (p *flakyProxy) Sever() {
 	p.mu.Lock()
 	for _, c := range p.live {
 		c.Close()
 	}
 	p.live = nil
+	p.hold = false
 	p.mu.Unlock()
 }
 

@@ -1,0 +1,291 @@
+package client_test
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"armus/internal/client"
+	"armus/internal/core"
+	"armus/internal/server/proto"
+	"armus/internal/trace"
+)
+
+// TestConnectionIsTraceByteForByte: what one client connection writes —
+// header at Dial, slabs of in-place-encoded frames, sentinel and CRC footer
+// at Close — is, byte for byte, trace.Encode of the same events under the
+// handshake label. Every corpus trace goes through a recording relay into a
+// real server, which must read each connection to a clean, CRC-verified end.
+func TestConnectionIsTraceByteForByte(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/corpus/*.trace")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("corpus glob: %v (%d files)", err, len(paths))
+	}
+	s := startServer(t)
+	for _, path := range paths {
+		tr, err := trace.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		name := filepath.Base(path)
+		p := newProxy(t, s.Addr())
+		c, err := client.Dial(client.Config{Addr: p.Addr(), Session: "bytes-" + name, Mode: core.ModeDetect})
+		if err != nil {
+			t.Fatalf("%s: Dial: %v", name, err)
+		}
+		for i := range tr.Events {
+			if err := c.Emit(tr.Events[i]); err != nil {
+				t.Fatalf("%s: emit %d: %v", name, i, err)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", name, err)
+		}
+		var want bytes.Buffer
+		if err := trace.Encode(&want, &trace.Trace{
+			Label:  proto.Handshake{Session: "bytes-" + name}.Label(),
+			Mode:   uint8(core.ModeDetect),
+			Events: tr.Events,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, func() bool { return len(p.Sent(0)) >= want.Len() })
+		if got := p.Sent(0); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: the connection carried %d bytes, trace.Encode of its %d events is %d bytes, and they differ",
+				name, len(got), len(tr.Events), want.Len())
+		}
+		if c.Reconnects() != 0 {
+			t.Errorf("%s: %d reconnects on a healthy relay", name, c.Reconnects())
+		}
+	}
+	waitUntil(t, func() bool { return s.Metrics().ConnsOpen == 0 })
+	if m := s.Metrics(); m.MalformedConns != 0 {
+		t.Fatalf("%d connections did not end as valid traces", m.MalformedConns)
+	}
+}
+
+// wireEvents decodes as many whole events as data holds after a trace
+// header: the view of a connection that is still open.
+func wireEvents(data []byte) []string {
+	r, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil
+	}
+	var out []string
+	for {
+		e, err := r.Next()
+		if err != nil {
+			return out
+		}
+		out = append(out, fmt.Sprintf("%v task%d", e.Kind, e.Task))
+	}
+}
+
+func frameLen(t *testing.T, e trace.Event) int {
+	t.Helper()
+	f, err := trace.AppendEventFrame(nil, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(f)
+}
+
+func expectWire(t *testing.T, p *flakyProxy, conn int, want []string) {
+	t.Helper()
+	waitUntil(t, func() bool { return len(wireEvents(p.Sent(conn))) >= len(want) })
+	got := wireEvents(p.Sent(conn))[:len(want)]
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("connection %d, event %d on the wire is %q, want %q\nall: %q", conn, i, got[i], want[i], got)
+		}
+	}
+}
+
+// outage dials through p with an OnDisconnect hook that runs pending (once)
+// on the first transport failure. The hook runs on the client's connection
+// goroutine BEFORE the first redial, so whatever it emits sits in the
+// pending slab across the reconnect — deterministically, no sleeps.
+func outage(t *testing.T, p *flakyProxy, cfg client.Config, pending func(*client.Client)) *client.Client {
+	t.Helper()
+	ready := make(chan *client.Client, 1)
+	cfg.Addr = p.Addr()
+	cfg.RedialBackoff = 20 * time.Millisecond
+	cfg.OnDisconnect = func(error) {
+		select {
+		case c := <-ready:
+			pending(c)
+		default:
+		}
+	}
+	c, err := client.Dial(cfg)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	ready <- c
+	return c
+}
+
+func within[T any](t *testing.T, what string, ch <-chan T) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: no answer after the reconnect", what)
+		panic("unreachable")
+	}
+}
+
+// TestSeverWithPendingSlab: the transport dies while a gated block and a
+// checkpoint are in flight and events are pending. The new connection
+// carries the resync, then the two resends, then the pending slab, in that
+// order; both round trips are answered once; and the recycled waiters of
+// later round trips carry no stale answer.
+func TestSeverWithPendingSlab(t *testing.T) {
+	s := startServer(t)
+	p := newProxy(t, s.Addr())
+	emitted := make(chan error, 1)
+	c := outage(t, p, client.Config{Session: "sever-slab", Mode: core.ModeAvoid}, func(c *client.Client) {
+		emitted <- errors.Join(
+			c.Register(9, 9, 0, 0),
+			// A raw block event: gated by the server like any other, its
+			// answer has no waiter, and it counts in the gate ordinals.
+			c.Emit(trace.Event{Kind: trace.KindBlock, Task: 3, Status: st(3, 7, 1, 6, 0)}),
+			c.Arrive(9, 9, 1),
+		)
+	})
+	if err := c.Block(st(1, 2, 1, 1, 0)); err != nil {
+		t.Fatalf("block task1: %v", err)
+	}
+	p.Hold()
+	inFlight := len(p.Sent(0)) +
+		frameLen(t, trace.Event{Kind: trace.KindBlock, Task: 2, Status: st(2, 3, 1, 2, 0)}) +
+		frameLen(t, trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported})
+	gate := make(chan error, 1)
+	type verdict struct {
+		deadlocked bool
+		err        error
+	}
+	check := make(chan verdict, 1)
+	go func() { gate <- c.Block(st(2, 3, 1, 2, 0)) }()
+	go func() {
+		d, err := c.Checkpoint()
+		check <- verdict{d, err}
+	}()
+	waitUntil(t, func() bool { return len(p.Sent(0)) >= inFlight }) // both written, neither answered
+	p.Sever()
+
+	if err := within(t, "pending emits", emitted); err != nil {
+		t.Fatalf("emit during the outage: %v", err)
+	}
+	if err := within(t, "gated block", gate); err != nil {
+		t.Fatalf("in-flight block: %v, want admitted", err)
+	}
+	if v := within(t, "checkpoint", check); v.err != nil || v.deadlocked {
+		t.Fatalf("in-flight checkpoint: %+v, want not deadlocked", v)
+	}
+	if n := c.Reconnects(); n != 1 {
+		t.Fatalf("reconnects = %d, want 1", n)
+	}
+	expectWire(t, p, 1, []string{
+		"unblock task1", "unblock task3", "block task1", "block task3", // resync; task2 is in flight
+		"block task2", "verdict task0", // resends
+		"register task9", "block task3", "arrive task9", // the slab that was pending
+	})
+	select {
+	case err := <-gate:
+		t.Fatalf("gated block answered twice (second: %v)", err)
+	case v := <-check:
+		t.Fatalf("checkpoint answered twice (second: %+v)", v)
+	default:
+	}
+	// Recycled waiters start clean, and the session holds what resync and
+	// the pending slab asserted: a block closing a cycle with task1 (resync)
+	// or task3 (pending) is refused, a harmless one admitted.
+	var ge *client.GateError
+	if err := c.Block(st(4, 1, 1, 2, 0)); !errors.As(err, &ge) {
+		t.Fatalf("block closing a cycle with task1: %v, want *GateError", err)
+	}
+	if err := c.Block(st(5, 6, 1, 7, 0)); !errors.As(err, &ge) {
+		t.Fatalf("block closing a cycle with task3: %v, want *GateError", err)
+	}
+	if err := c.Block(st(6, 8, 1, 8, 1)); err != nil {
+		t.Fatalf("harmless block: %v", err)
+	}
+	if d, err := c.Checkpoint(); err != nil || d {
+		t.Fatalf("final checkpoint: %v %v", d, err)
+	}
+}
+
+// TestCheckpointUnconfusedAcrossSever: the ordinal pairing of
+// TestCheckpointUnconfusedByRawVerdictEvents restarts with the connection.
+// One checkpoint is in flight at the sever (resent as verdict 1 of the new
+// connection); during the outage three raw verdict events and a second
+// checkpoint join the pending slab, bracketed by an unblock and a re-block
+// so the raw verdicts' answers (not deadlocked) differ from the
+// checkpoints' (deadlocked). An ordinal not rebased at the swap pairs the
+// second checkpoint with a raw verdict's answer.
+func TestCheckpointUnconfusedAcrossSever(t *testing.T) {
+	s := startServer(t)
+	p := newProxy(t, s.Addr())
+	type verdict struct {
+		deadlocked bool
+		err        error
+	}
+	emitted := make(chan error, 1)
+	second := make(chan verdict, 1)
+	c := outage(t, p, client.Config{Session: "sever-verdicts", Mode: core.ModeDetect}, func(c *client.Client) {
+		errs := []error{c.Unblock(1)}
+		for i := 0; i < 3; i++ {
+			errs = append(errs, c.Emit(trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported}))
+		}
+		errs = append(errs, c.Block(st(1, 1, 1, 2, 0)))
+		emitted <- errors.Join(errs...)
+		go func() {
+			d, err := c.Checkpoint()
+			second <- verdict{d, err}
+		}()
+	})
+	if err := errors.Join(c.Block(st(1, 1, 1, 2, 0)), c.Block(st(2, 2, 1, 1, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := c.Checkpoint(); err != nil || !d {
+		t.Fatalf("checkpoint before the sever: %v %v, want deadlocked", d, err)
+	}
+	p.Hold()
+	inFlight := len(p.Sent(0)) + frameLen(t, trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported})
+	first := make(chan verdict, 1)
+	go func() {
+		d, err := c.Checkpoint()
+		first <- verdict{d, err}
+	}()
+	waitUntil(t, func() bool { return len(p.Sent(0)) >= inFlight })
+	p.Sever()
+
+	if err := within(t, "pending emits", emitted); err != nil {
+		t.Fatalf("emit during the outage: %v", err)
+	}
+	if v := within(t, "in-flight checkpoint", first); v.err != nil || !v.deadlocked {
+		t.Fatalf("in-flight checkpoint: %+v, want deadlocked (the resynced state)", v)
+	}
+	if v := within(t, "pending checkpoint", second); v.err != nil || !v.deadlocked {
+		t.Fatalf("pending checkpoint: %+v, want deadlocked (paired with a raw verdict's answer?)", v)
+	}
+	expectWire(t, p, 1, []string{
+		"unblock task1", "unblock task2", "block task1", "block task2", // resync
+		"verdict task0",                                                                   // the resent checkpoint: verdict 1
+		"unblock task1", "verdict task0", "verdict task0", "verdict task0", "block task1", // pending: verdicts 2-4
+		"verdict task0", // the second checkpoint: verdict 5
+	})
+	// And the pairing stays right afterwards, as in the original test.
+	if err := c.Unblock(1); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := c.Checkpoint(); err != nil || d {
+		t.Fatalf("checkpoint after unblock: %v %v, want false (stale pairing?)", d, err)
+	}
+}

@@ -184,10 +184,23 @@ func (lc *logCapture) logf(format string, args ...any) {
 	lc.mu.Unlock()
 }
 
-// flightDumps extracts and decodes every flight-recorder dump logged so
-// far.
+// flightDumps waits for the first flight-recorder dump to be logged, then
+// extracts and decodes every one logged so far. The wait is the point: the
+// server answers a gate BEFORE it logs the dump (a refusal must not queue
+// behind a JSON encode), so a test reading the log right after Block
+// returns can be ahead of the executor.
 func (lc *logCapture) flightDumps(t *testing.T) []flightDump {
 	t.Helper()
+	waitFor(t, func() bool {
+		lc.mu.Lock()
+		defer lc.mu.Unlock()
+		for _, line := range lc.lines {
+			if strings.Contains(line, "flight-recorder ") {
+				return true
+			}
+		}
+		return false
+	})
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	var out []flightDump

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -61,23 +60,30 @@ const headerVersion = 1
 // memory before validation catches it.
 const maxTraceItems = 1 << 20
 
+// writerFlushSize is how much WriteEvent lets accumulate before the writer
+// pushes its buffer through on its own: file recordings reach the disk in
+// page-sized writes, live streams flush explicitly.
+const writerFlushSize = 4096
+
 // Writer streams a trace to an io.Writer: header at creation, one framed
-// event per WriteEvent, CRC footer at Close. Writes are buffered.
+// event per WriteEvent, CRC footer at Close. Events are encoded in place
+// into one output buffer, and the running CRC is fed once per flushed
+// buffer (or per WriteFrames slab), not once per frame: a frame is a dozen
+// bytes, far below where crc32's table-slicing and SIMD paths engage.
 type Writer struct {
-	w   *bufio.Writer
+	w io.Writer
+	// out holds encoded bytes not yet written; crc covers everything that
+	// was, so out is folded in only when it leaves. A steady stream of
+	// same-shaped events allocates nothing once out is warm.
+	out []byte
 	crc uint32
-	buf []byte
-	// evBuf is the reused event-encoding buffer: a steady stream of
-	// same-shaped events (the live wire protocol of internal/server)
-	// allocates nothing once it is warm.
-	evBuf []byte
-	err   error
+	err error
 }
 
 // NewWriter writes the magic and header for a trace with the given label
 // and recording mode and returns the event writer.
 func NewWriter(w io.Writer, label string, mode uint8) (*Writer, error) {
-	tw := &Writer{w: bufio.NewWriter(w)}
+	tw := &Writer{w: w}
 	// Headroom for the version/mode/length varints: the whole header frame
 	// must stay under the reader's frame cap, or we would mint a trace no
 	// reader accepts back.
@@ -88,19 +94,40 @@ func NewWriter(w io.Writer, label string, mode uint8) (*Writer, error) {
 	hdr = binary.AppendUvarint(hdr, uint64(mode))
 	hdr = binary.AppendUvarint(hdr, uint64(len(label)))
 	hdr = append(hdr, label...)
-	if err := tw.writeRaw([]byte(traceMagic)); err != nil {
-		return nil, err
-	}
+	tw.out = append(tw.out, traceMagic...)
 	if err := tw.writeFrame(hdr); err != nil {
 		return nil, err
 	}
 	return tw, nil
 }
 
-func (tw *Writer) writeRaw(p []byte) error {
+// writeFrame buffers one length-prefixed frame.
+func (tw *Writer) writeFrame(payload []byte) error {
 	if tw.err != nil {
 		return tw.err
 	}
+	// Enforce the reader's frame cap at write time: an oversized event
+	// must fail the recording, not mint a permanent artifact that every
+	// future decode rejects.
+	if len(payload) > maxTraceItems {
+		tw.err = fmt.Errorf("trace: frame of %d bytes exceeds limit", len(payload))
+		return tw.err
+	}
+	tw.out = binary.AppendUvarint(tw.out, uint64(len(payload)))
+	tw.out = append(tw.out, payload...)
+	return tw.spill()
+}
+
+// spill flushes once the buffer has grown past writerFlushSize.
+func (tw *Writer) spill() error {
+	if len(tw.out) < writerFlushSize {
+		return nil
+	}
+	return tw.Flush()
+}
+
+// put feeds p to the CRC and writes it through.
+func (tw *Writer) put(p []byte) error {
 	tw.crc = crc32.Update(tw.crc, crc32.IEEETable, p)
 	if _, err := tw.w.Write(p); err != nil {
 		tw.err = err
@@ -108,62 +135,51 @@ func (tw *Writer) writeRaw(p []byte) error {
 	return tw.err
 }
 
-func (tw *Writer) writeFrame(payload []byte) error {
-	// Enforce the reader's frame cap at write time: an oversized event
-	// must fail the recording, not mint a permanent artifact that every
-	// future decode rejects.
-	if len(payload) > maxTraceItems {
-		if tw.err == nil {
-			tw.err = fmt.Errorf("trace: frame of %d bytes exceeds limit", len(payload))
-		}
+// WriteEvent appends one framed event, encoded straight into the writer's
+// buffer.
+func (tw *Writer) WriteEvent(e Event) error {
+	if tw.err != nil {
 		return tw.err
 	}
-	tw.buf = binary.AppendUvarint(tw.buf[:0], uint64(len(payload)))
-	if err := tw.writeRaw(tw.buf); err != nil {
-		return err
-	}
-	return tw.writeRaw(payload)
-}
-
-// WriteEvent appends one framed event. The encoding buffer is owned by the
-// writer and reused across calls.
-func (tw *Writer) WriteEvent(e Event) error {
-	payload, err := appendEvent(tw.evBuf[:0], e)
-	if payload != nil {
-		tw.evBuf = payload[:0]
-	}
+	out, err := AppendEventFrame(tw.out, e)
 	if err != nil {
-		if tw.err == nil {
-			tw.err = err
-		}
+		tw.err = err
 		return err
 	}
-	return tw.writeFrame(payload)
+	tw.out = out
+	return tw.spill()
 }
 
 // AppendEventFrame appends the full wire framing of e — uvarint length
 // prefix plus payload, exactly the bytes WriteEvent would emit — to buf and
-// returns the extended slice. It is the building block of the server-side
-// segment tee (internal/segment): frames accumulated this way are
+// returns the extended slice. Frames accumulated this way are
 // self-contained copies, safe to hand to another goroutine, and a run of
-// them is byte-compatible with the event region of a trace stream, so
-// WriteRawFrames can splice them back into a valid trace.
+// them is byte-compatible with the event region of a trace stream: the SDK
+// emitter (internal/client) and the server-side segment tee
+// (internal/segment) build slabs of them, and WriteFrames / WriteRawFrames
+// splice a slab into a valid trace.
 func AppendEventFrame(buf []byte, e Event) ([]byte, error) {
 	start := len(buf)
-	payload, err := appendEvent(buf, e)
+	// Nearly every frame is shorter than 128 bytes, so its prefix is one
+	// byte: reserve it and encode the payload behind it.
+	payload, err := appendEvent(append(buf, 0), &e)
 	if err != nil {
 		return buf[:start], err
 	}
-	n := len(payload) - start
+	n := len(payload) - start - 1
+	if n < 0x80 {
+		payload[start] = byte(n)
+		return payload, nil
+	}
 	if n > maxTraceItems {
 		return buf[:start], fmt.Errorf("trace: frame of %d bytes exceeds limit", n)
 	}
+	// A longer prefix: grow by its extra bytes and shift the payload right
+	// to make room (copy is memmove-safe).
 	var pfx [binary.MaxVarintLen64]byte
 	pl := binary.PutUvarint(pfx[:], uint64(n))
-	// Grow by the prefix length, then shift the payload right to make room
-	// for the prefix in front of it (copy is memmove-safe).
-	payload = append(payload, pfx[:pl]...)
-	copy(payload[start+pl:], payload[start:start+n])
+	payload = append(payload, pfx[1:pl]...)
+	copy(payload[start+pl:], payload[start+1:start+1+n])
 	copy(payload[start:], pfx[:pl])
 	return payload, nil
 }
@@ -188,11 +204,27 @@ func DecodeFramePayload(payload []byte, e *Event) error {
 	return decodeEventInto(payload, e)
 }
 
-// WriteRawFrames appends a run of already-framed events (as produced by
-// AppendEventFrame, or a decompressed segment block) to the trace verbatim,
-// after validating the framing. It is how armus-trace export stitches
-// archived segments back into a single valid trace without re-encoding
-// every event.
+// WriteFrames writes a slab of frames the caller built with
+// AppendEventFrame — and therefore vouches for — through to the underlying
+// writer: whatever was buffered before it goes first, then the slab itself
+// with one CRC update and one Write, uncopied. It is the live stream's
+// flush: the SDK emitter hands over everything that accumulated since its
+// last write and the peer observes it at once.
+func (tw *Writer) WriteFrames(frames []byte) error {
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	if len(frames) == 0 {
+		return nil
+	}
+	return tw.put(frames)
+}
+
+// WriteRawFrames appends a run of already-framed events from a source the
+// caller does not vouch for (a decompressed segment block) to the trace
+// verbatim, after validating the framing. It is how armus-trace export
+// stitches archived segments back into a single valid trace without
+// re-encoding every event.
 func (tw *Writer) WriteRawFrames(frames []byte) error {
 	if tw.err != nil {
 		return tw.err
@@ -204,7 +236,7 @@ func (tw *Writer) WriteRawFrames(frames []byte) error {
 			return err
 		}
 	}
-	return tw.writeRaw(frames)
+	return tw.WriteFrames(frames)
 }
 
 // Flush forces any buffered frames through to the underlying writer without
@@ -212,35 +244,33 @@ func (tw *Writer) WriteRawFrames(frames []byte) error {
 // after each batch so the peer observes events promptly; file writers can
 // ignore it (Close flushes).
 func (tw *Writer) Flush() error {
-	if tw.err != nil {
+	if tw.err != nil || len(tw.out) == 0 {
 		return tw.err
 	}
-	if err := tw.w.Flush(); err != nil {
-		tw.err = err
-	}
-	return tw.err
+	out := tw.out
+	tw.out = out[:0]
+	return tw.put(out)
 }
 
 // Close writes the end sentinel and the CRC footer and flushes. It does
 // not close the underlying writer.
 func (tw *Writer) Close() error {
-	if err := tw.writeRaw([]byte{0}); err != nil { // uvarint 0 sentinel
+	if tw.err != nil {
+		return tw.err
+	}
+	tw.out = append(tw.out, 0) // uvarint 0 sentinel
+	if err := tw.Flush(); err != nil {
 		return err
 	}
 	var foot [4]byte
 	binary.LittleEndian.PutUint32(foot[:], tw.crc)
-	if tw.err == nil {
-		if _, err := tw.w.Write(foot[:]); err != nil {
-			tw.err = err
-		}
-	}
-	if tw.err == nil {
-		tw.err = tw.w.Flush()
+	if _, err := tw.w.Write(foot[:]); err != nil {
+		tw.err = err
 	}
 	return tw.err
 }
 
-func appendEvent(buf []byte, e Event) ([]byte, error) {
+func appendEvent(buf []byte, e *Event) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(e.Kind))
 	switch e.Kind {
 	case KindRegister:
@@ -256,14 +286,14 @@ func appendEvent(buf []byte, e Event) ([]byte, error) {
 		buf = binary.AppendVarint(buf, int64(e.Task))
 		buf = binary.AppendVarint(buf, int64(e.Phaser))
 	case KindBlock:
-		buf = appendStatus(buf, e.Status)
+		buf = appendStatus(buf, &e.Status)
 	case KindUnblock:
 		buf = binary.AppendVarint(buf, int64(e.Task))
 	case KindVerdict:
 		buf = binary.AppendUvarint(buf, uint64(e.Verdict))
 		switch e.Verdict {
 		case VerdictRejected:
-			buf = appendStatus(buf, e.Status)
+			buf = appendStatus(buf, &e.Status)
 		case VerdictReported:
 		default:
 			return nil, fmt.Errorf("trace: cannot encode verdict kind %d", e.Verdict)
@@ -283,7 +313,7 @@ func appendEvent(buf []byte, e Event) ([]byte, error) {
 	return buf, nil
 }
 
-func appendStatus(buf []byte, b deps.Blocked) []byte {
+func appendStatus(buf []byte, b *deps.Blocked) []byte {
 	buf = binary.AppendVarint(buf, int64(b.Task))
 	buf = binary.AppendUvarint(buf, uint64(len(b.WaitsFor)))
 	for _, r := range b.WaitsFor {
@@ -298,37 +328,49 @@ func appendStatus(buf []byte, b deps.Blocked) []byte {
 	return buf
 }
 
+// readerWindow is the reader's initial window: how much one Read of the
+// underlying stream may bring in. It grows only for a frame that does not
+// fit, and never past the frame cap.
+const readerWindow = 4096
+
 // Reader streams a trace from an io.Reader, validating framing as it goes
 // and the CRC footer at the end. Next returns io.EOF exactly once the
 // whole trace has been read and verified.
+//
+// The reader owns its read window and decodes frames where they lie in it:
+// no per-frame copy, and the running CRC is fed once per consumed span of
+// the window (when the window is about to be refilled, and at the end
+// sentinel) instead of once per length byte and once per frame. It is not
+// a bufio.Reader with Peek/Discard because Peek cannot return a frame
+// larger than the buffer (bufio.ErrBufferFull): that would need a second,
+// copying path for big frames, and the CRC needs the span boundaries anyway.
 type Reader struct {
-	r     *bufio.Reader
-	crc   uint32
-	label string
-	mode  uint8
-	done  bool
-	err   error
-	// frameBuf is the reused frame buffer of NextInto (Next still returns
-	// freshly allocated events, which decode from their own frames).
-	frameBuf []byte
-	// crcByte is readByte's reusable CRC-update window (a fresh one-byte
-	// slice per byte read would put an allocation on the streaming path).
-	crcByte [1]byte
+	src io.Reader
+	// buf[r:w] is read but not consumed; buf[crcFrom:r] is consumed but
+	// not yet folded into crc. rerr is the source's sticky error, reported
+	// once the window runs dry.
+	buf           []byte
+	r, w, crcFrom int
+	rerr          error
+	crc           uint32
+	label         string
+	mode          uint8
+	done          bool
+	err           error
 }
 
 // NewReader checks the magic, reads the header, and returns the event
 // reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	tr := &Reader{r: bufio.NewReader(r)}
-	magic := make([]byte, len(traceMagic))
-	if _, err := io.ReadFull(tr.r, magic); err != nil {
+	tr := &Reader{src: r, buf: make([]byte, readerWindow)}
+	if err := tr.needAll(len(traceMagic)); err != nil {
 		return nil, fmt.Errorf("trace: short magic: %w", err)
 	}
-	if string(magic) != traceMagic {
+	if magic := tr.buf[:len(traceMagic)]; string(magic) != traceMagic {
 		return nil, fmt.Errorf("trace: bad magic %q", magic)
 	}
-	tr.crc = crc32.Update(tr.crc, crc32.IEEETable, magic)
-	hdr, err := tr.readFrame()
+	tr.r = len(traceMagic)
+	hdr, err := tr.frame()
 	if err != nil {
 		return nil, err
 	}
@@ -369,30 +411,78 @@ func (tr *Reader) Label() string { return tr.label }
 // Mode returns the numeric core.Mode of the recording verifier.
 func (tr *Reader) Mode() uint8 { return tr.mode }
 
-// readByte reads one byte, feeding the running CRC.
-func (tr *Reader) readByte() (byte, error) {
-	b, err := tr.r.ReadByte()
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, fmt.Errorf("trace: truncated: %w", err)
-	}
-	tr.crcByte[0] = b
-	tr.crc = crc32.Update(tr.crc, crc32.IEEETable, tr.crcByte[:])
-	return b, nil
+// settle folds the consumed span of the window into the running CRC.
+func (tr *Reader) settle() {
+	tr.crc = crc32.Update(tr.crc, crc32.IEEETable, tr.buf[tr.crcFrom:tr.r])
+	tr.crcFrom = tr.r
 }
 
-func (tr *Reader) readUvarint() (uint64, error) {
+// need makes at least n unconsumed bytes available at buf[r:], reading
+// from the source only when the window holds fewer. It returns the
+// source's error (io.EOF at a clean end) if the stream ends first; what
+// did arrive stays in the window.
+func (tr *Reader) need(n int) error {
+	if tr.w-tr.r >= n {
+		return nil
+	}
+	// Refill: the consumed span goes to the CRC, the rest slides to the
+	// front, and the window grows if n exceeds it — at least doubling, so a
+	// run of oversized frames does not reallocate per frame and the frames
+	// behind a big one still arrive many to a Read.
+	tr.settle()
+	buf := tr.buf
+	if n > len(buf) {
+		buf = make([]byte, max(n, min(2*len(buf), maxTraceItems)))
+	}
+	tr.w = copy(buf, tr.buf[tr.r:tr.w])
+	tr.buf, tr.r, tr.crcFrom = buf, 0, 0
+	for empty := 0; tr.w-tr.r < n; {
+		if tr.rerr != nil {
+			return tr.rerr
+		}
+		m, err := tr.src.Read(tr.buf[tr.w:])
+		tr.w += m
+		tr.rerr = err
+		if m > 0 || err != nil {
+			empty = 0
+		} else if empty++; empty >= 100 {
+			tr.rerr = io.ErrNoProgress
+		}
+	}
+	return nil
+}
+
+// needAll is need with io.ReadFull's error convention: io.EOF only when
+// nothing at all arrived, io.ErrUnexpectedEOF when the stream ended part
+// way through the n bytes.
+func (tr *Reader) needAll(n int) error {
+	err := tr.need(n)
+	if err == io.EOF && tr.w > tr.r {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// truncated reports a stream that ended inside a frame.
+func truncated(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("trace: truncated: %w", err)
+}
+
+// frameLen reads a frame's uvarint length prefix.
+func (tr *Reader) frameLen() (uint64, error) {
 	var v uint64
 	for shift := 0; ; shift += 7 {
 		if shift >= 64 {
 			return 0, fmt.Errorf("trace: uvarint overflow")
 		}
-		b, err := tr.readByte()
-		if err != nil {
-			return 0, err
+		if err := tr.need(1); err != nil {
+			return 0, truncated(err)
 		}
+		b := tr.buf[tr.r]
+		tr.r++
 		v |= uint64(b&0x7f) << shift
 		if b < 0x80 {
 			return v, nil
@@ -400,89 +490,62 @@ func (tr *Reader) readUvarint() (uint64, error) {
 	}
 }
 
-// readFrame reads one length-prefixed frame; it returns (nil, nil) at the
-// end sentinel, after verifying the CRC footer and that nothing trails it.
-func (tr *Reader) readFrame() ([]byte, error) {
-	return tr.readFrameBuf(nil)
-}
-
-// readFrameBuf is readFrame reading into buf when it has the capacity (the
-// zero-allocation NextInto path hands it the reader-owned buffer).
-func (tr *Reader) readFrameBuf(buf []byte) ([]byte, error) {
-	n, err := tr.readUvarint()
+// frame returns the next frame's payload as a view into the window, valid
+// until the next call. It returns (nil, nil) at the end sentinel, after
+// verifying the CRC footer and that nothing trails it.
+func (tr *Reader) frame() ([]byte, error) {
+	n, err := tr.frameLen()
 	if err != nil {
 		return nil, err
 	}
 	if n == 0 {
 		// End sentinel: the CRC footer covers everything read so far
 		// (sentinel included) and must be the final bytes of the stream.
+		tr.settle()
 		want := tr.crc
-		var foot [4]byte
-		if _, err := io.ReadFull(tr.r, foot[:]); err != nil {
+		if err := tr.needAll(4); err != nil {
 			return nil, fmt.Errorf("trace: short CRC footer: %w", err)
 		}
-		if got := binary.LittleEndian.Uint32(foot[:]); got != want {
+		got := binary.LittleEndian.Uint32(tr.buf[tr.r:])
+		tr.r += 4
+		if got != want {
 			return nil, fmt.Errorf("trace: CRC mismatch: footer %08x, computed %08x", got, want)
 		}
 		// Only an actual extra byte is trailing garbage. Any read ERROR
 		// here is irrelevant: the trace is complete and CRC-verified, and
 		// a live transport (armus-serve) may well deliver a reset instead
 		// of a tidy EOF right after the footer.
-		if b, err := tr.r.ReadByte(); err == nil {
-			return nil, fmt.Errorf("trace: trailing byte 0x%02x after CRC footer", b)
+		if tr.need(1) == nil {
+			return nil, fmt.Errorf("trace: trailing byte 0x%02x after CRC footer", tr.buf[tr.r])
 		}
 		return nil, nil
 	}
 	if n > maxTraceItems {
 		return nil, fmt.Errorf("trace: frame of %d bytes exceeds limit", n)
 	}
-	var frame []byte
-	if uint64(cap(buf)) >= n {
-		frame = buf[:n]
-	} else {
-		frame = make([]byte, n)
+	if err := tr.need(int(n)); err != nil {
+		return nil, truncated(err)
 	}
-	if _, err := io.ReadFull(tr.r, frame); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("trace: truncated: %w", err)
-	}
-	tr.crc = crc32.Update(tr.crc, crc32.IEEETable, frame)
-	return frame, nil
+	payload := tr.buf[tr.r : tr.r+int(n)]
+	tr.r += int(n)
+	return payload, nil
 }
 
 // Next returns the next event. It returns io.EOF after the final event,
 // once the end sentinel and CRC footer have been verified.
 func (tr *Reader) Next() (Event, error) {
-	if tr.err != nil {
-		return Event{}, tr.err
-	}
-	if tr.done {
-		return Event{}, io.EOF
-	}
-	frame, err := tr.readFrame()
-	if err != nil {
-		tr.err = err
-		return Event{}, err
-	}
-	if frame == nil {
-		tr.done = true
-		return Event{}, io.EOF
-	}
-	e, err := decodeEvent(frame)
-	if err != nil {
-		tr.err = err
+	var e Event
+	if err := tr.NextInto(&e); err != nil {
 		return Event{}, err
 	}
 	return e, nil
 }
 
-// NextInto is Next decoding into e, reusing both the reader's frame buffer
-// and e's slice capacity: the armus-serve ingest loop runs it per event
-// with zero steady-state allocations. The decoded event aliases e's
-// storage, which the NEXT NextInto call overwrites — callers that keep an
-// event must copy it first.
+// NextInto is Next decoding into e, reusing e's slice capacity: the
+// armus-serve ingest loop runs it per event with zero steady-state
+// allocations. The decoded event aliases e's storage, which the NEXT
+// NextInto call overwrites — callers that keep an event must copy it
+// first.
 func (tr *Reader) NextInto(e *Event) error {
 	if tr.err != nil {
 		return tr.err
@@ -490,29 +553,25 @@ func (tr *Reader) NextInto(e *Event) error {
 	if tr.done {
 		return io.EOF
 	}
-	frame, err := tr.readFrameBuf(tr.frameBuf)
+	payload, err := tr.frame()
+	if err == nil && payload != nil {
+		err = decodeEventInto(payload, e)
+	}
 	if err != nil {
 		tr.err = err
 		return err
 	}
-	if frame == nil {
+	if payload == nil {
 		tr.done = true
 		return io.EOF
-	}
-	if cap(frame) > cap(tr.frameBuf) {
-		tr.frameBuf = frame[:0]
-	}
-	if err := decodeEventInto(frame, e); err != nil {
-		tr.err = err
-		return err
 	}
 	return nil
 }
 
-// Buffered reports how many undecoded bytes sit in the reader's buffer —
+// Buffered reports how many undecoded bytes sit in the reader's window —
 // the live ingest loop uses it to batch greedily (keep decoding while more
 // frames are already in memory) without ever blocking mid-batch.
-func (tr *Reader) Buffered() int { return tr.r.Buffered() }
+func (tr *Reader) Buffered() int { return tr.w - tr.r }
 
 // eventDecoder is a cursor over one frame.
 type eventDecoder struct{ buf []byte }
@@ -589,14 +648,6 @@ func (d *eventDecoder) statusInto(b *deps.Blocked) error {
 		b.Regs = append(b.Regs, deps.Reg{Phaser: deps.PhaserID(q), Phase: ph})
 	}
 	return nil
-}
-
-func decodeEvent(frame []byte) (Event, error) {
-	var e Event
-	if err := decodeEventInto(frame, &e); err != nil {
-		return Event{}, err
-	}
-	return e, nil
 }
 
 // resetEvent zeroes e while keeping its slice storage for reuse.

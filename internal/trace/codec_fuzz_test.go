@@ -14,13 +14,17 @@ func quoteBytes(data []byte) string {
 }
 
 // FuzzTraceCodec feeds arbitrary bytes to the trace decoder, mirroring
-// dist's FuzzSnapshotCodec. Two properties must hold on every input:
+// dist's FuzzSnapshotCodec. Three properties must hold on every input:
 //
 //  1. corrupt input never panics and never over-allocates — it returns an
-//     error (replay refuses the trace), and
+//     error (replay refuses the trace),
 //  2. whatever decodes successfully re-encodes to a stream that decodes to
 //     the same trace (decode∘encode is a fixpoint; byte equality is NOT
-//     required because varints accept non-minimal forms on input).
+//     required because varints accept non-minimal forms on input), and
+//  3. the streaming reader yields the same events and the same final error
+//     whether the bytes arrive whole, seven at a time or one at a time (the
+//     chunkings of window_test.go): its in-place window must not let a
+//     refill boundary show.
 //
 // The seed corpus under testdata/fuzz/FuzzTraceCodec holds valid traces of
 // every event shape the recorder produces plus the corrupt variants the
@@ -45,6 +49,12 @@ func FuzzTraceCodec(f *testing.F) {
 	f.Add(append([]byte(traceMagic), 0xff, 0xff, 0xff, 0xff, 0x7f)) // huge frame
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		whole := streamOutcome(data, chunkings[0].wrap)
+		for _, c := range chunkings[1:] {
+			if got := streamOutcome(data, c.wrap); got != whole {
+				t.Fatalf("%s reader diverges from the unchunked one:\n%s\nvs\n%s", c.name, tail(got), tail(whole))
+			}
+		}
 		tr, err := Decode(data)
 		if err != nil {
 			return // rejected: a fine outcome for arbitrary bytes
