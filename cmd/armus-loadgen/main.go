@@ -43,6 +43,7 @@ import (
 
 	"armus/internal/client"
 	"armus/internal/core"
+	"armus/internal/obs"
 	"armus/internal/sim"
 	"armus/internal/trace"
 	"armus/internal/trace/replay"
@@ -119,7 +120,7 @@ func main() {
 
 	type result struct {
 		events, mutations, rejections, checkpoints int
-		lat                                        client.LatencyHist
+		lat                                        obs.HistSnapshot
 		err                                        error
 	}
 	results := make([]result, *clients)
@@ -156,7 +157,7 @@ func main() {
 						r.mutations += st.Mutations
 						r.rejections += st.Rejections
 						r.checkpoints += st.Checkpoints
-						r.lat.Merge(&st.Gate)
+						r.lat = r.lat.Merge(st.Gate.Snapshot())
 					}
 					cerr := c.Close()
 					if err != nil {
@@ -175,7 +176,7 @@ func main() {
 	elapsed := time.Since(start)
 
 	var events, mutations, rejections, checkpoints int
-	var lat client.LatencyHist
+	var lat obs.HistSnapshot
 	failed := false
 	for i := range results {
 		r := &results[i]
@@ -187,13 +188,13 @@ func main() {
 		mutations += r.mutations
 		rejections += r.rejections
 		checkpoints += r.checkpoints
-		lat.Merge(&r.lat)
+		lat = lat.Merge(r.lat)
 	}
 	fmt.Printf("armus-loadgen: %d events (%d mutations, %d checkpoints, %d gate rejections) in %v = %.0f events/s\n",
 		events, mutations, checkpoints, rejections, elapsed, float64(events)/elapsed.Seconds())
-	if lat.Count() > 0 {
+	if lat.Count > 0 {
 		fmt.Printf("armus-loadgen: gate latency p50=%v p99=%v max=%v over %d round trips\n",
-			lat.Percentile(50), lat.Percentile(99), lat.Max(), lat.Count())
+			time.Duration(lat.Percentile(50)), time.Duration(lat.Percentile(99)), time.Duration(lat.Percentile(100)), lat.Count)
 	}
 	if *debugURL != "" {
 		// Server-side attribution of the latency just measured from the

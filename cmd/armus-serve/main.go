@@ -40,7 +40,7 @@ func main() {
 		lease    = flag.Duration("lease", 30*time.Second, "how long a session with no connections survives before GC")
 		sweep    = flag.Duration("sweep", time.Second, "janitor period (lease granularity)")
 		grace    = flag.Duration("drain-grace", 5*time.Second, "graceful-shutdown wait for connections to finish")
-		batch    = flag.Int("batch", 256, "max events applied per session-lock acquisition")
+		batch    = flag.Int("batch", 256, "max events applied per executor wakeup; raise for throughput-over-latency")
 		queue    = flag.Int("queue", 256, "per-connection outbound response queue bound")
 		storeDSN = flag.String("store", "", "armus-store address for session-snapshot persistence (empty disables)")
 		snapEv   = flag.Int("snapshot-every", 64, "persist a session snapshot every n executor batches")
@@ -148,5 +148,5 @@ func main() {
 	}
 	m := s.Metrics()
 	log.Printf("armus-serve: bye (served %d conns, %d sessions, %d events, %d gate rejections, %d reports)",
-		m.ConnsTotal, m.SessionsTotal, m.Events, m.GateRejected, m.Reports)
+		m.ConnsTotal.Load(), m.SessionsTotal.Load(), m.Events.Load(), m.GateRejected.Load(), m.Reports.Load())
 }

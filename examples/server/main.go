@@ -56,8 +56,8 @@ func main() {
 	}
 	m := srv.Metrics()
 	fmt.Printf("server saw %d connections, %d events, pushed %d deadlock report(s)\n",
-		m.ConnsTotal, m.Events, m.Reports)
-	if m.Reports == 0 {
+		m.ConnsTotal.Load(), m.Events.Load(), m.Reports.Load())
+	if m.Reports.Load() == 0 {
 		log.Fatal("no cross-client deadlock was reported")
 	}
 }

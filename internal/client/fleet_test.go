@@ -267,7 +267,7 @@ func TestFleetChaosKillServer(t *testing.T) {
 	// Give the victim's persister a beat to drain, then kill it abruptly:
 	// Close severs every connection with no goodbye — the SIGKILL analogue
 	// for an in-process server.
-	waitUntil(t, func() bool { return servers[victimIdx].Metrics().SnapshotsPersisted >= 1 })
+	waitUntil(t, func() bool { return servers[victimIdx].Metrics().SnapshotsPersisted.Load() >= 1 })
 	servers[victimIdx].Close()
 	close(killed)
 	wg.Wait()
@@ -286,7 +286,7 @@ func TestFleetChaosKillServer(t *testing.T) {
 		if i == victimIdx {
 			continue
 		}
-		rehydrated += s.Metrics().SessionsRehydrated
+		rehydrated += s.Metrics().SessionsRehydrated.Load()
 	}
 	if ownedByVictim > 0 && rehydrated < 1 {
 		t.Fatalf("rehydrated sessions = %d, want >= 1 (%d sessions were orphaned)",
@@ -322,13 +322,13 @@ func TestFleetLeaseExpiryResume(t *testing.T) {
 	if err := c1.Block(st(1, 2, 1, 1, 0)); err != nil {
 		t.Fatalf("block: %v", err)
 	}
-	waitUntil(t, func() bool { return s.Metrics().SnapshotsPersisted >= 1 })
+	waitUntil(t, func() bool { return s.Metrics().SnapshotsPersisted.Load() >= 1 })
 	c1.Close()
-	waitUntil(t, func() bool { return s.Metrics().ConnsOpen == 0 })
-	for i := 0; i < 10 && s.Metrics().SessionsGCed == 0; i++ {
+	waitUntil(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
+	for i := 0; i < 10 && s.Metrics().SessionsGCed.Load() == 0; i++ {
 		fc.Tick()
 	}
-	if s.Metrics().SessionsGCed != 1 {
+	if s.Metrics().SessionsGCed.Load() != 1 {
 		t.Fatal("session not collected after lease")
 	}
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"armus/internal/core"
+	"armus/internal/obs"
 	"armus/internal/trace"
 	"armus/internal/trace/replay"
 )
@@ -37,10 +38,10 @@ type ReplayStats struct {
 	// results in order.
 	Checkpoints int
 	Verdicts    []bool
-	// Gate holds one round-trip time per gated Block (avoidance sessions
-	// only), as a fixed-bucket µs histogram: cheap enough to leave on
-	// under load, stable percentiles across samples.
-	Gate LatencyHist
+	// Gate holds one round-trip time in nanoseconds per gated Block
+	// (avoidance sessions only), in the histogram the server's stage timings
+	// use: cheap to leave on, comparable with them bucket for bucket.
+	Gate obs.Hist
 }
 
 // ReplayTrace streams a recorded trace through c's session and
@@ -117,7 +118,7 @@ func ReplayTrace(c *Client, tr *trace.Trace, o ReplayOptions) (*ReplayStats, err
 			expectReject := mirror.Gate(e.Status)
 			start := time.Now()
 			err := c.Block(e.Status)
-			st.Gate.Observe(time.Since(start))
+			st.Gate.Observe(int64(time.Since(start)))
 			var ge *GateError
 			rejected := errors.As(err, &ge)
 			if err != nil && !rejected {

@@ -61,9 +61,9 @@ func TestConnectionIsTraceByteForByte(t *testing.T) {
 			t.Errorf("%s: %d reconnects on a healthy relay", name, c.Reconnects())
 		}
 	}
-	waitUntil(t, func() bool { return s.Metrics().ConnsOpen == 0 })
-	if m := s.Metrics(); m.MalformedConns != 0 {
-		t.Fatalf("%d connections did not end as valid traces", m.MalformedConns)
+	waitUntil(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
+	if m := s.Metrics(); m.MalformedConns.Load() != 0 {
+		t.Fatalf("%d connections did not end as valid traces", m.MalformedConns.Load())
 	}
 }
 

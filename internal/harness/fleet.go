@@ -119,7 +119,7 @@ func RunFleet(o Options) (*Table, error) {
 	rehydratedAcross := func() int64 {
 		var n int64
 		for i := 1; i < fleetServers; i++ { // survivors only (victim is 0)
-			n += servers[i].Metrics().SessionsRehydrated
+			n += servers[i].Metrics().SessionsRehydrated.Load()
 		}
 		return n
 	}
@@ -139,9 +139,9 @@ func RunFleet(o Options) (*Table, error) {
 	// (post-steady-state persists can only come from them), so failover has
 	// something to rehydrate. Timeout falls through — the kill happens
 	// regardless; it just may rehydrate nothing.
-	persistedAtReady := servers[0].Metrics().SnapshotsPersisted
+	persistedAtReady := servers[0].Metrics().SnapshotsPersisted.Load()
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) &&
-		servers[0].Metrics().SnapshotsPersisted < persistedAtReady+32; {
+		servers[0].Metrics().SnapshotsPersisted.Load() < persistedAtReady+32; {
 		time.Sleep(2 * time.Millisecond)
 	}
 	tKill := time.Since(start)

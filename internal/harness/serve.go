@@ -7,6 +7,7 @@ import (
 
 	"armus/internal/client"
 	"armus/internal/core"
+	"armus/internal/obs"
 	"armus/internal/server"
 	"armus/internal/trace"
 	"armus/internal/workloads/npb"
@@ -17,8 +18,8 @@ var serveClientCounts = []int{1, 8, 64}
 
 // microDur formats gate latencies, which sit well under the millisecond
 // resolution of Dur.
-func microDur(d time.Duration) string {
-	return fmt.Sprintf("%.0fµs", float64(d)/float64(time.Microsecond))
+func microDur(ns int64) string {
+	return fmt.Sprintf("%.0fµs", float64(ns)/float64(time.Microsecond))
 }
 
 // RunServe benchmarks verification-as-a-service end to end: an in-process
@@ -27,13 +28,13 @@ func microDur(d time.Duration) string {
 // tenant shape), every block round-tripping the avoidance gate. Reported
 // per client count: aggregate ingest throughput (events/sec over the
 // wall clock of the whole fleet) and the gate round-trip latency
-// trajectory (p50/p99/p99.9, from the client SDK's µs-resolution
-// histogram), plus the SERVER-side stage attribution of that latency —
-// queue-wait / verify / flush p99 from the stage histograms (internal/obs)
-// diffed across the row's measured interval. Parity is asserted while
-// measuring: each client's mirror gate (client.ReplayTrace) must agree
-// with the server decision for decision, so the benchmark doubles as a
-// correctness gate.
+// trajectory (p50/p99/p99.9 of the round trips the client SDK timed), plus
+// the SERVER-side stage attribution of that latency — queue-wait / verify /
+// flush p99 from the server's stage histograms diffed across the row's
+// measured interval. Both sides use obs.Hist, so the columns compare
+// bucket for bucket. Parity is asserted while measuring: each client's
+// mirror gate (client.ReplayTrace) must agree with the server decision for
+// decision, so the benchmark doubles as a correctness gate.
 func RunServe(o Options) (*Table, error) {
 	o.defaults()
 	rec := trace.NewRecorder()
@@ -58,14 +59,17 @@ func RunServe(o Options) (*Table, error) {
 		Header: []string{"Clients", "Events", "Mean", "CI", "Events/s", "Gate p50", "Gate p99", "Gate p99.9",
 			"QWait p99", "Verify p99", "Flush p99"},
 	}
+	sm := srv.Metrics()
+	stages := func() [3]obs.HistSnapshot {
+		return [3]obs.HistSnapshot{sm.StageQueueWait.Snapshot(), sm.StageVerify.Snapshot(), sm.StageFlush.Snapshot()}
+	}
 	for _, n := range serveClientCounts {
 		var m Measurement
-		var lat client.LatencyHist
+		var lat obs.HistSnapshot
 		var submitted int
 		// Server-side stage attribution for this row: diff the cumulative
-		// stage histograms across the row's measured samples (warm-up
-		// included in `before` is excluded from the interval).
-		stageBase := srv.Metrics()
+		// stage histograms across the row's measured samples.
+		stageBase := stages()
 		for s := 0; s <= o.Samples; s++ {
 			start := time.Now()
 			var wg sync.WaitGroup
@@ -100,24 +104,18 @@ func RunServe(o Options) (*Table, error) {
 			if s == 0 {
 				// Warm-up discarded (start-up methodology); re-anchor the
 				// stage interval so its observations are excluded too.
-				stageBase = srv.Metrics()
+				stageBase = stages()
 				continue
 			}
 			m.Samples = append(m.Samples, elapsed)
 			// Percentiles are computed over every measured sample's round
-			// trips, matching the Mean/CI column's population. The µs
-			// histogram keeps them stable across samples (bucketing, not
-			// sample order, defines them).
+			// trips, matching the Mean/CI column's population.
 			for i := 0; i < n; i++ {
-				lat.Merge(&stats[i].Gate)
+				lat = lat.Merge(stats[i].Gate.Snapshot())
 			}
 		}
 		perSec := float64(submitted) / m.Mean().Seconds()
-		after := srv.Metrics()
-		qwait := after.StageQueueWait.Sub(stageBase.StageQueueWait)
-		verify := after.StageVerify.Sub(stageBase.StageVerify)
-		flush := after.StageFlush.Sub(stageBase.StageFlush)
-		t.Rows = append(t.Rows, []string{
+		row := []string{
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%d", submitted),
 			Dur(m.Mean()), Dur(m.CI95()),
@@ -125,10 +123,11 @@ func RunServe(o Options) (*Table, error) {
 			microDur(lat.Percentile(50)),
 			microDur(lat.Percentile(99)),
 			microDur(lat.Percentile(99.9)),
-			microDur(time.Duration(qwait.Percentile(99))),
-			microDur(time.Duration(verify.Percentile(99))),
-			microDur(time.Duration(flush.Percentile(99))),
-		})
+		}
+		for i, after := range stages() {
+			row = append(row, microDur(after.Sub(stageBase[i]).Percentile(99)))
+		}
+		t.Rows = append(t.Rows, row)
 	}
 	t.Fprint(o.Out)
 	return t, nil

@@ -1,6 +1,7 @@
-// Package obs is the server-side stage-attribution toolkit: nanosecond
-// stamps, fixed-bucket latency histograms, and a lock-free per-session
-// flight recorder of recent verification decisions.
+// Package obs is the telemetry toolkit: nanosecond stamps, the one
+// histogram type every layer measures with (hist.go), metric series
+// declared once as struct fields and rendered from them (metrics.go), and
+// a lock-free per-session flight recorder of recent verification decisions.
 //
 // PR 6 established that the client-observed gate round trip is floored by
 // the hardware (846µs raw TCP echo RTT on the 1-core CI container), but
@@ -29,7 +30,6 @@
 package obs
 
 import (
-	"math/bits"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -43,130 +43,6 @@ var epoch = time.Now()
 // differences are meaningful.
 func Nanotime() int64 { return int64(time.Since(epoch)) }
 
-// Histogram geometry: power-of-two microsecond buckets. Bucket i holds
-// observations in (2^(i-1)µs, 2^iµs]; the first bucket additionally takes
-// everything at or below 1µs, and the final bucket is +Inf. 1µs..~16.4ms
-// spans the whole interesting range: a warm gate query is ~0.5µs, the
-// 1-core container's wire RTT floor is ~846µs, and anything beyond 16ms
-// is an outage, not a latency.
-const (
-	// NumBuckets is the bucket count including the +Inf bucket.
-	NumBuckets = 16
-	numBounds  = NumBuckets - 1
-)
-
-// BucketBound returns the inclusive upper bound of bucket i in
-// nanoseconds (i < NumBuckets-1; the last bucket is +Inf).
-func BucketBound(i int) int64 { return int64(1000) << i }
-
-// bucketOf maps a nanosecond duration to its bucket index.
-func bucketOf(ns int64) int {
-	if ns <= 1000 {
-		return 0
-	}
-	// Smallest i with ns <= 1000<<i, i.e. bits needed for (ns-1)/1000.
-	i := bits.Len64(uint64((ns - 1) / 1000))
-	if i > numBounds {
-		i = numBounds
-	}
-	return i
-}
-
-// Hist is a fixed-bucket nanosecond-latency histogram safe for one or
-// many concurrent writers and concurrent readers: Observe is two atomic
-// adds plus a bounded max CAS, so it can sit on the ingest hot path.
-type Hist struct {
-	buckets [NumBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64 // nanoseconds
-	max     atomic.Int64 // nanoseconds
-}
-
-// Observe records one duration in nanoseconds.
-func (h *Hist) Observe(ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
-	h.buckets[bucketOf(ns)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
-	for {
-		m := h.max.Load()
-		if ns <= m || h.max.CompareAndSwap(m, ns) {
-			return
-		}
-	}
-}
-
-// Snapshot copies the histogram's counters. The copy is not atomic across
-// buckets (observations may land mid-copy), which is fine for monitoring:
-// every bucket value is individually coherent and monotone.
-func (h *Hist) Snapshot() HistSnapshot {
-	var s HistSnapshot
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
-	s.Count = h.count.Load()
-	s.Sum = h.sum.Load()
-	s.Max = h.max.Load()
-	return s
-}
-
-// HistSnapshot is a point-in-time copy of a Hist, comparable and
-// subtractable (for measuring one interval of a cumulative histogram).
-type HistSnapshot struct {
-	Buckets [NumBuckets]int64
-	Count   int64
-	Sum     int64 // nanoseconds
-	Max     int64 // nanoseconds, since histogram creation (not subtractable)
-}
-
-// Sub returns the histogram of observations made after prev was taken
-// (bucket-wise difference). Max is carried from s unchanged: a maximum
-// cannot be un-observed, so interval percentiles should come from the
-// buckets, not Max.
-func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
-	d := s
-	for i := range d.Buckets {
-		d.Buckets[i] -= prev.Buckets[i]
-	}
-	d.Count -= prev.Count
-	d.Sum -= prev.Sum
-	return d
-}
-
-// Percentile returns the p-th percentile (0..100, nearest-rank) in
-// nanoseconds, as the upper bound of the bucket the rank falls in; ranks
-// in the +Inf bucket report Max. Zero when empty.
-func (s HistSnapshot) Percentile(p float64) int64 {
-	if s.Count <= 0 {
-		return 0
-	}
-	rank := int64(p/100*float64(s.Count) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > s.Count {
-		rank = s.Count
-	}
-	var seen int64
-	for i := 0; i < numBounds; i++ {
-		seen += s.Buckets[i]
-		if seen >= rank {
-			return BucketBound(i)
-		}
-	}
-	return s.Max
-}
-
-// Mean returns the arithmetic mean in nanoseconds (0 when empty).
-func (s HistSnapshot) Mean() int64 {
-	if s.Count <= 0 {
-		return 0
-	}
-	return s.Sum / s.Count
-}
-
 // Stats condenses a snapshot into the microsecond summary served by the
 // /debug/armus/sessions endpoint and printed by armus-loadgen.
 func (s HistSnapshot) Stats() StageStats {
@@ -174,7 +50,7 @@ func (s HistSnapshot) Stats() StageStats {
 		Count: s.Count,
 		P50Us: s.Percentile(50) / 1000,
 		P99Us: s.Percentile(99) / 1000,
-		MaxUs: s.Max / 1000,
+		MaxUs: s.Percentile(100) / 1000,
 		SumUs: s.Sum / 1000,
 	}
 }
@@ -195,6 +71,11 @@ type Stages struct {
 	QueueWait StageStats `json:"queue_wait"`
 	Verify    StageStats `json:"verify"`
 	Flush     StageStats `json:"flush"`
+}
+
+// StagesOf summarises three stage histograms, a session's or the server's.
+func StagesOf(queueWait, verify, flush *Hist) Stages {
+	return Stages{queueWait.Snapshot().Stats(), verify.Snapshot().Stats(), flush.Snapshot().Stats()}
 }
 
 // Record kinds for the flight recorder.
@@ -353,13 +234,4 @@ type SessionObs struct {
 	LastDeadlocked atomic.Bool
 
 	Flight FlightRecorder
-}
-
-// StagesOf summarises the three stage histograms.
-func (o *SessionObs) StagesOf() Stages {
-	return Stages{
-		QueueWait: o.QueueWait.Snapshot().Stats(),
-		Verify:    o.Verify.Snapshot().Stats(),
-		Flush:     o.Flush.Snapshot().Stats(),
-	}
 }

@@ -3,98 +3,7 @@ package obs
 import (
 	"sync"
 	"testing"
-	"time"
 )
-
-func TestBucketOf(t *testing.T) {
-	cases := []struct {
-		ns   int64
-		want int
-	}{
-		{-5, 0}, {0, 0}, {1, 0}, {999, 0}, {1000, 0},
-		{1001, 1}, {2000, 1},
-		{2001, 2}, {4000, 2},
-		{1000 << 13, 13},
-		{1000<<14 - 1, 14}, {1000 << 14, 14},
-		{1000<<14 + 1, numBounds}, {1 << 62, numBounds},
-	}
-	for _, c := range cases {
-		if got := bucketOf(c.ns); got != c.want {
-			t.Errorf("bucketOf(%d) = %d, want %d", c.ns, got, c.want)
-		}
-	}
-	// Every non-Inf bucket's upper bound lands in its own bucket.
-	for i := 0; i < numBounds; i++ {
-		if got := bucketOf(BucketBound(i)); got != i {
-			t.Errorf("bucketOf(BucketBound(%d)) = %d", i, got)
-		}
-	}
-}
-
-func TestHistObserveSnapshotPercentile(t *testing.T) {
-	var h Hist
-	// 90 fast (≤1µs), 9 medium (~100µs bucket), 1 slow (5ms).
-	for i := 0; i < 90; i++ {
-		h.Observe(500)
-	}
-	for i := 0; i < 9; i++ {
-		h.Observe(100_000)
-	}
-	h.Observe(5_000_000)
-	s := h.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("count = %d, want 100", s.Count)
-	}
-	wantSum := int64(90*500 + 9*100_000 + 5_000_000)
-	if s.Sum != wantSum {
-		t.Fatalf("sum = %d, want %d", s.Sum, wantSum)
-	}
-	if s.Max != 5_000_000 {
-		t.Fatalf("max = %d, want 5000000", s.Max)
-	}
-	if p := s.Percentile(50); p != BucketBound(0) {
-		t.Fatalf("p50 = %d, want %d (the ≤1µs bucket)", p, BucketBound(0))
-	}
-	// p95 falls among the 100µs observations: bucket bound 128µs.
-	if p := s.Percentile(95); p != 128_000 {
-		t.Fatalf("p95 = %d, want 128000", p)
-	}
-	// p100 is the slow outlier's bucket bound (8192µs).
-	if p := s.Percentile(100); p != 8_192_000 {
-		t.Fatalf("p100 = %d, want 8192000", p)
-	}
-	if m := s.Mean(); m != wantSum/100 {
-		t.Fatalf("mean = %d, want %d", m, wantSum/100)
-	}
-}
-
-func TestHistPercentileInfBucketReportsMax(t *testing.T) {
-	var h Hist
-	h.Observe(int64(30 * time.Second)) // beyond every bound
-	s := h.Snapshot()
-	if p := s.Percentile(99); p != int64(30*time.Second) {
-		t.Fatalf("+Inf-bucket percentile = %d, want the max", p)
-	}
-}
-
-func TestHistSnapshotSub(t *testing.T) {
-	var h Hist
-	h.Observe(500)
-	h.Observe(3000)
-	before := h.Snapshot()
-	h.Observe(500)
-	h.Observe(100_000)
-	d := h.Snapshot().Sub(before)
-	if d.Count != 2 {
-		t.Fatalf("interval count = %d, want 2", d.Count)
-	}
-	if d.Sum != 100_500 {
-		t.Fatalf("interval sum = %d, want 100500", d.Sum)
-	}
-	if d.Buckets[0] != 1 {
-		t.Fatalf("interval fast bucket = %d, want 1", d.Buckets[0])
-	}
-}
 
 func TestFlightRecorderWraparound(t *testing.T) {
 	var f FlightRecorder

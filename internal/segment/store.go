@@ -9,10 +9,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"armus/internal/clock"
+	"armus/internal/obs"
 )
 
 // Config configures a Store: where the archive lives, when segments
@@ -43,23 +43,24 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// MetricsSnapshot is a point-in-time copy of the Store counters,
-// exported on the server's /metrics as armus_serve_segment_*.
-type MetricsSnapshot struct {
-	Batches           int64 // batches accepted onto the tee queue
-	BatchesDropped    int64 // batches dropped on a full queue
-	Events            int64 // events accepted
-	BytesWritten      int64 // compressed bytes written to segment files
-	Sealed            int64 // segments sealed
-	Errors            int64 // write/seal/scan errors (incl. quarantines)
-	ActiveWriters     int64 // sessions with an open writer (gauge)
-	RetainedSegments  int64 // segments deleted by retention
-	RetainedBytes     int64 // bytes reclaimed by retention
-	VerdictsArchived  int64 // verdict events archived
-	SessionsQuiesced  int64 // writers sealed for idleness or session GC
-	QuarantinedFiles  int64 // files quarantined (crash leftovers, corrupt)
-	RetentionSweeps   int64 // sweep passes completed
-	OldestSealedNanos int64 // seal time of the oldest retained segment (gauge)
+// Metrics are the Store's counters, each series declared where it is
+// counted (see obs.WriteMetrics); the server mounts them on its /metrics
+// under armus_serve_segment_.
+type Metrics struct {
+	Batches           obs.Counter `metric:"batches_total" help:"Event batches accepted by the segment tee."`
+	BatchesDropped    obs.Counter `metric:"batches_dropped_total" help:"Tee batches dropped on a full archive queue."`
+	Events            obs.Counter `metric:"events_total" help:"Events archived into trace segments."`
+	VerdictsArchived  obs.Counter `metric:"verdicts_total" help:"Verdict events archived (checkpoints, rejections, reports)."`
+	BytesWritten      obs.Counter `metric:"bytes_written_total" help:"Compressed bytes written to segment files."`
+	Sealed            obs.Counter `metric:"sealed_total" help:"Segments sealed (rotation, idle age, session GC, shutdown)."`
+	ActiveWriters     obs.Gauge   `metric:"active_writers" help:"Sessions with an open (active) segment writer."`
+	Errors            obs.Counter `metric:"errors_total" help:"Segment write, seal or scan failures."`
+	QuarantinedFiles  obs.Counter `metric:"quarantined_total" help:"Segment files quarantined (corrupt or crash leftovers)."`
+	SessionsQuiesced  obs.Counter `metric:"sessions_quiesced_total" help:"Segment writers sealed for idleness or session GC."`
+	RetainedSegments  obs.Counter `metric:"retention_segments_total" help:"Segments reclaimed by the retention manager."`
+	RetainedBytes     obs.Counter `metric:"retention_bytes_total" help:"Bytes reclaimed by the retention manager."`
+	RetentionSweeps   obs.Counter `metric:"retention_sweeps_total" help:"Retention/idle-seal sweep passes completed."`
+	OldestSealedNanos obs.Gauge   `metric:"oldest_sealed_nanos" help:"Seal time (UnixNano) of the oldest retained segment."`
 }
 
 // Batch is one tee unit: a run of pre-framed events for one session.
@@ -96,20 +97,7 @@ type Store struct {
 	done chan struct{}
 	pool sync.Pool
 
-	batches          atomic.Int64
-	batchesDropped   atomic.Int64
-	events           atomic.Int64
-	bytesWritten     atomic.Int64
-	sealed           atomic.Int64
-	errors           atomic.Int64
-	activeWriters    atomic.Int64
-	retainedSegments atomic.Int64
-	retainedBytes    atomic.Int64
-	verdicts         atomic.Int64
-	quiesced         atomic.Int64
-	quarantined      atomic.Int64
-	sweeps           atomic.Int64
-	oldestSealed     atomic.Int64
+	m Metrics
 
 	// goroutine-owned state
 	// fl is the DEFLATE compressor shared by every session's writer: a
@@ -181,7 +169,7 @@ func NewStore(cfg Config) (*Store, error) {
 			// never queryable. Quarantine it.
 			p := filepath.Join(cfg.Dir, name)
 			if os.Rename(p, p+".quarantined") == nil {
-				st.quarantined.Add(1)
+				st.m.QuarantinedFiles.Add(1)
 			}
 		}
 	}
@@ -205,12 +193,12 @@ func (st *Store) Append(b *Batch) bool {
 	events, verdicts := int64(b.Events), int64(len(b.Verdicts)) // b is the tee goroutine's once sent
 	select {
 	case st.ch <- b:
-		st.batches.Add(1)
-		st.events.Add(events)
-		st.verdicts.Add(verdicts)
+		st.m.Batches.Add(1)
+		st.m.Events.Add(events)
+		st.m.VerdictsArchived.Add(verdicts)
 		return true
 	default:
-		st.batchesDropped.Add(1)
+		st.m.BatchesDropped.Add(1)
 		st.pool.Put(b)
 		return false
 	}
@@ -243,25 +231,8 @@ func (st *Store) Close() {
 	<-st.done
 }
 
-// Metrics returns a snapshot of the counters.
-func (st *Store) Metrics() MetricsSnapshot {
-	return MetricsSnapshot{
-		Batches:           st.batches.Load(),
-		BatchesDropped:    st.batchesDropped.Load(),
-		Events:            st.events.Load(),
-		BytesWritten:      st.bytesWritten.Load(),
-		Sealed:            st.sealed.Load(),
-		Errors:            st.errors.Load(),
-		ActiveWriters:     st.activeWriters.Load(),
-		RetainedSegments:  st.retainedSegments.Load(),
-		RetainedBytes:     st.retainedBytes.Load(),
-		VerdictsArchived:  st.verdicts.Load(),
-		SessionsQuiesced:  st.quiesced.Load(),
-		QuarantinedFiles:  st.quarantined.Load(),
-		RetentionSweeps:   st.sweeps.Load(),
-		OldestSealedNanos: st.oldestSealed.Load(),
-	}
-}
+// Metrics returns the live counters.
+func (st *Store) Metrics() *Metrics { return &st.m }
 
 func (st *Store) run() {
 	defer close(st.done)
@@ -297,7 +268,7 @@ func (st *Store) handle(b *Batch) {
 	if b.seal {
 		if w, ok := st.writers[b.Session]; ok {
 			st.sealWriter(b.Session, w, now)
-			st.quiesced.Add(1)
+			st.m.SessionsQuiesced.Add(1)
 		}
 		return
 	}
@@ -307,29 +278,29 @@ func (st *Store) handle(b *Batch) {
 		w, err = NewWriter(WriterConfig{
 			Dir: st.cfg.Dir, Session: b.Session, Mode: b.Mode,
 			MaxBytes: st.cfg.MaxBytes, MaxAge: st.cfg.MaxAge, BlockBytes: st.cfg.BlockBytes,
-			OnWrite:  func(n int) { st.bytesWritten.Add(int64(n)) },
+			OnWrite:  func(n int) { st.m.BytesWritten.Add(int64(n)) },
 			OnSealed: st.onSealed,
 			Flate:    st.fl,
 			StartSeq: st.seqs[EscapeSession(b.Session)],
 			NoScan:   true,
 		})
 		if err != nil {
-			st.errors.Add(1)
+			st.m.Errors.Add(1)
 			st.cfg.Logf("segment: open writer for %q: %v", b.Session, err)
 			return
 		}
 		st.writers[b.Session] = w
-		st.activeWriters.Store(int64(len(st.writers)))
+		st.m.ActiveWriters.Store(int64(len(st.writers)))
 	}
 	if err := w.Append(b.Frames, b.Events, b.Verdicts, now); err != nil {
-		st.errors.Add(1)
-		st.quarantined.Add(1)
+		st.m.Errors.Add(1)
+		st.m.QuarantinedFiles.Add(1)
 		st.cfg.Logf("segment: append for %q: %v", b.Session, err)
 	}
 }
 
 func (st *Store) onSealed(path string, idx *Index) {
-	st.sealed.Add(1)
+	st.m.Sealed.Add(1)
 	if fi, err := os.Stat(path); err == nil {
 		st.retCache[path] = retInfo{size: fi.Size(), sealed: idx.SealedUnixNano}
 	}
@@ -338,12 +309,12 @@ func (st *Store) onSealed(path string, idx *Index) {
 func (st *Store) sealWriter(session string, w *Writer, now time.Time) {
 	st.seqs[EscapeSession(session)] = w.Seq()
 	if err := w.Seal(now); err != nil {
-		st.errors.Add(1)
-		st.quarantined.Add(1)
+		st.m.Errors.Add(1)
+		st.m.QuarantinedFiles.Add(1)
 		st.cfg.Logf("segment: seal %q: %v", session, err)
 	}
 	delete(st.writers, session)
-	st.activeWriters.Store(int64(len(st.writers)))
+	st.m.ActiveWriters.Store(int64(len(st.writers)))
 }
 
 // sweep seals idle writers and enforces the retention policies. Runs on
@@ -358,11 +329,11 @@ func (st *Store) sweep() {
 	for session, w := range st.writers {
 		if w.Active() && now.Sub(w.LastAppend()) >= maxAge {
 			st.sealWriter(session, w, now)
-			st.quiesced.Add(1)
+			st.m.SessionsQuiesced.Add(1)
 		}
 	}
 	st.retain(now)
-	st.sweeps.Add(1)
+	st.m.RetentionSweeps.Add(1)
 }
 
 // retain deletes sealed segments oldest-first until both retention
@@ -375,7 +346,7 @@ func (st *Store) retain(now time.Time) {
 	}
 	entries, err := os.ReadDir(st.cfg.Dir)
 	if err != nil {
-		st.errors.Add(1)
+		st.m.Errors.Add(1)
 		st.cfg.Logf("segment: retention scan: %v", err)
 		return
 	}
@@ -408,8 +379,8 @@ func (st *Store) retain(now time.Time) {
 				} else {
 					// Unreadable sealed segment: quarantine so queries and
 					// future sweeps stop re-parsing it.
-					st.errors.Add(1)
-					st.quarantined.Add(1)
+					st.m.Errors.Add(1)
+					st.m.QuarantinedFiles.Add(1)
 					st.cfg.Logf("segment: retention: %v", err)
 					if os.Rename(path, path+".quarantined") == nil {
 						delete(st.retCache, path)
@@ -441,18 +412,18 @@ func (st *Store) retain(now time.Time) {
 			break
 		}
 		if err := os.Remove(c.path); err != nil {
-			st.errors.Add(1)
+			st.m.Errors.Add(1)
 			st.cfg.Logf("segment: retention remove %s: %v", filepath.Base(c.path), err)
 			continue
 		}
 		delete(st.retCache, c.path)
 		total -= c.size
-		st.retainedSegments.Add(1)
-		st.retainedBytes.Add(c.size)
+		st.m.RetainedSegments.Add(1)
+		st.m.RetainedBytes.Add(c.size)
 		st.cfg.Logf("segment: retention reclaimed %s (%d bytes)", filepath.Base(c.path), c.size)
 		if i == len(cands)-1 {
 			oldest = 0
 		}
 	}
-	st.oldestSealed.Store(oldest)
+	st.m.OldestSealedNanos.Store(oldest)
 }

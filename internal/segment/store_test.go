@@ -47,9 +47,9 @@ func TestStoreTeeSealAndQuery(t *testing.T) {
 	}
 	appendSynth(t, st, "app", 60)
 	appendSynth(t, st, "app", 60)
-	waitFor(t, "appends handled", func() bool { return st.Metrics().ActiveWriters == 1 })
+	waitFor(t, "appends handled", func() bool { return st.Metrics().ActiveWriters.Load() == 1 })
 	st.SealSession("app")
-	waitFor(t, "seal", func() bool { return st.Metrics().Sealed == 1 })
+	waitFor(t, "seal", func() bool { return st.Metrics().Sealed.Load() == 1 })
 	refs, err := Scan(dir, false, nil)
 	if err != nil || len(refs) != 1 {
 		t.Fatalf("Scan: %v, %d refs", err, len(refs))
@@ -58,7 +58,7 @@ func TestStoreTeeSealAndQuery(t *testing.T) {
 		t.Fatalf("sealed index: %+v", refs[0].Index)
 	}
 	m := st.Metrics()
-	if m.Events != 120 || m.Batches != 2 || m.BytesWritten == 0 || m.VerdictsArchived == 0 {
+	if m.Events.Load() != 120 || m.Batches.Load() != 2 || m.BytesWritten.Load() == 0 || m.VerdictsArchived.Load() == 0 {
 		t.Fatalf("metrics: %+v", m)
 	}
 	st.Close()
@@ -102,12 +102,12 @@ func TestRetentionSparesActive(t *testing.T) {
 	}
 	appendSynth(t, st, "old", 50)
 	st.SealSession("old")
-	waitFor(t, "seal", func() bool { return st.Metrics().Sealed == 1 })
+	waitFor(t, "seal", func() bool { return st.Metrics().Sealed.Load() == 1 })
 	appendSynth(t, st, "live", 50) // stays active: no seal, MaxAge far away
-	waitFor(t, "live writer", func() bool { return st.Metrics().ActiveWriters == 1 })
+	waitFor(t, "live writer", func() bool { return st.Metrics().ActiveWriters.Load() == 1 })
 
 	fake.Tick() // sweep: RetainBytes=1 forces deletion of every sealed file
-	waitFor(t, "retention", func() bool { return st.Metrics().RetainedSegments == 1 })
+	waitFor(t, "retention", func() bool { return st.Metrics().RetainedSegments.Load() == 1 })
 
 	if refs, _ := Scan(dir, false, nil); len(refs) != 0 {
 		t.Fatalf("sealed segment survived RetainBytes=1")
@@ -117,7 +117,7 @@ func TestRetentionSparesActive(t *testing.T) {
 		t.Fatalf("active segment count = %d, want 1 (never deleted by retention)", len(actives))
 	}
 	m := st.Metrics()
-	if m.RetainedBytes == 0 {
+	if m.RetainedBytes.Load() == 0 {
 		t.Fatalf("retained bytes not counted: %+v", m)
 	}
 	st.Close()
@@ -140,13 +140,13 @@ func TestRetainAge(t *testing.T) {
 	}
 	appendSynth(t, st, "aged", 20)
 	st.SealSession("aged")
-	waitFor(t, "seal", func() bool { return st.Metrics().Sealed == 1 })
+	waitFor(t, "seal", func() bool { return st.Metrics().Sealed.Load() == 1 })
 	// Each tick advances 1s and runs one sweep; after >5 ticks the sealed
 	// segment is older than RetainAge.
 	for i := 0; i < 8; i++ {
 		fake.Tick()
 	}
-	waitFor(t, "age-based retention", func() bool { return st.Metrics().RetainedSegments == 1 })
+	waitFor(t, "age-based retention", func() bool { return st.Metrics().RetainedSegments.Load() == 1 })
 	if refs, _ := Scan(dir, false, nil); len(refs) != 0 {
 		t.Fatalf("aged segment survived RetainAge")
 	}
@@ -163,11 +163,11 @@ func TestIdleSealOnSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendSynth(t, st, "idle", 25)
-	waitFor(t, "writer open", func() bool { return st.Metrics().ActiveWriters == 1 })
+	waitFor(t, "writer open", func() bool { return st.Metrics().ActiveWriters.Load() == 1 })
 	for i := 0; i < 6; i++ {
 		fake.Tick()
 	}
-	waitFor(t, "idle seal", func() bool { return st.Metrics().Sealed == 1 && st.Metrics().ActiveWriters == 0 })
+	waitFor(t, "idle seal", func() bool { return st.Metrics().Sealed.Load() == 1 && st.Metrics().ActiveWriters.Load() == 0 })
 	refs, _ := Scan(dir, false, nil)
 	if len(refs) != 1 || refs[0].Index.Events != 25 {
 		t.Fatalf("idle session not sealed cleanly: %v", refs)
@@ -186,7 +186,7 @@ func TestStoreQuarantinesCorruptOnSweep(t *testing.T) {
 	}
 	appendSynth(t, st, "bad", 20)
 	st.SealSession("bad")
-	waitFor(t, "seal", func() bool { return st.Metrics().Sealed == 1 })
+	waitFor(t, "seal", func() bool { return st.Metrics().Sealed.Load() == 1 })
 	refs, _ := Scan(dir, false, nil)
 	if len(refs) != 1 {
 		t.Fatalf("expected one sealed segment")
@@ -199,7 +199,7 @@ func TestStoreQuarantinesCorruptOnSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	fake.Tick()
-	waitFor(t, "quarantine on sweep", func() bool { return st.Metrics().QuarantinedFiles >= 1 })
+	waitFor(t, "quarantine on sweep", func() bool { return st.Metrics().QuarantinedFiles.Load() >= 1 })
 	if _, err := os.Stat(refs[0].Path + ".quarantined"); err != nil {
 		t.Fatalf("corrupt segment not quarantined: %v", err)
 	}
@@ -258,7 +258,7 @@ func TestRetentionCountsQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	fake.Tick()
-	waitFor(t, "junk reclaimed", func() bool { return st.Metrics().RetainedSegments == 1 })
+	waitFor(t, "junk reclaimed", func() bool { return st.Metrics().RetainedSegments.Load() == 1 })
 	if _, err := os.Stat(junk); !os.IsNotExist(err) {
 		t.Fatalf("quarantined junk not reclaimed: %v", err)
 	}

@@ -67,15 +67,10 @@ func (s *Server) registerDebug(mux *http.ServeMux) {
 func (s *Server) handleDebugSessions(w http.ResponseWriter, r *http.Request) {
 	wantFlight := r.URL.Query().Get("session")
 	reply := debugReply{
-		Stages: obs.Stages{
-			QueueWait: s.m.StageQueueWait.Snapshot().Stats(),
-			Verify:    s.m.StageVerify.Snapshot().Stats(),
-			Flush:     s.m.StageFlush.Snapshot().Stats(),
-		},
-		Sessions: []debugSession{},
+		UptimeSeconds: s.m.Uptime(),
+		Stages:        obs.StagesOf(&s.m.StageQueueWait, &s.m.StageVerify, &s.m.StageFlush),
+		Sessions:      []debugSession{},
 	}
-	snap := s.Metrics()
-	reply.UptimeSeconds = snap.UptimeSeconds
 	s.mu.Lock()
 	reply.Draining = s.draining || s.closed
 	s.mu.Unlock()
@@ -94,7 +89,7 @@ func (s *Server) handleDebugSessions(w http.ResponseWriter, r *http.Request) {
 				Checkpoints:    ss.ob.Checkpoints.Load(),
 				Reports:        ss.ob.Reports.Load(),
 				LastDeadlocked: ss.ob.LastDeadlocked.Load(),
-				Stages:         ss.ob.StagesOf(),
+				Stages:         obs.StagesOf(&ss.ob.QueueWait, &ss.ob.Verify, &ss.ob.Flush),
 			}
 			if ss.execState.Load() == execParked {
 				row.Executor = "parked"

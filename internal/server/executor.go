@@ -190,7 +190,7 @@ func (ss *session) process(b *batch) {
 	ss.ob.Verify.Observe(verifyNs)
 	ss.srv.m.Events.Add(int64(len(events)))
 	ss.srv.m.Batches.Add(1)
-	ss.srv.m.observeBatch(len(events))
+	ss.srv.m.ExecBatchEvents.Observe(int64(len(events)))
 	c.applied.Add(1)
 	c.recycle(b)
 }

@@ -228,17 +228,17 @@ func TestCrashGCResumeExecutorLifecycle(t *testing.T) {
 	if resumed {
 		t.Fatal("fresh session reported as resumed")
 	}
-	if got := s.Metrics().ExecSpawned; got != 1 {
+	if got := s.Metrics().ExecSpawned.Load(); got != 1 {
 		t.Fatalf("executors spawned = %d, want 1", got)
 	}
 	gateRoundTrip(nc, tw, br, 1)
 	// Idle executor parks (it may park and re-wake per batch; at least
 	// one park episode must be visible).
-	waitFor(t, func() bool { return s.Metrics().ExecParks >= 1 })
+	waitFor(t, func() bool { return s.Metrics().ExecParks.Load() >= 1 })
 
 	// Crash. The connection goes; session and executor stay.
 	nc.Close()
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 })
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 	fc.Tick() // idle 1 of 2
 
 	// Reconnect inside the lease: same session, same executor, and it
@@ -247,7 +247,7 @@ func TestCrashGCResumeExecutorLifecycle(t *testing.T) {
 	if !resumed {
 		t.Fatal("reconnect within lease did not resume")
 	}
-	if got := s.Metrics().ExecSpawned; got != 1 {
+	if got := s.Metrics().ExecSpawned.Load(); got != 1 {
 		t.Fatalf("resume spawned a second executor (%d)", got)
 	}
 	gateRoundTrip(nc2, tw2, br2, 2)
@@ -255,11 +255,11 @@ func TestCrashGCResumeExecutorLifecycle(t *testing.T) {
 	// Crash again and let the lease run out: the janitor stops the
 	// executor and collects the session.
 	nc2.Close()
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 })
-	for i := 0; i < 10 && s.Metrics().SessionsGCed == 0; i++ {
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
+	for i := 0; i < 10 && s.Metrics().SessionsGCed.Load() == 0; i++ {
 		fc.Tick()
 	}
-	if m := s.Metrics(); m.SessionsGCed != 1 || m.SessionsOpen != 0 {
+	if m := s.Metrics(); m.SessionsGCed.Load() != 1 || m.SessionsOpen.Load() != 0 {
 		t.Fatalf("session not collected after lease: %+v", m)
 	}
 
@@ -268,7 +268,7 @@ func TestCrashGCResumeExecutorLifecycle(t *testing.T) {
 	if resumed {
 		t.Fatal("attach after GC resumed a collected session")
 	}
-	if got := s.Metrics().ExecSpawned; got != 2 {
+	if got := s.Metrics().ExecSpawned.Load(); got != 2 {
 		t.Fatalf("executors spawned = %d after GC + re-attach, want 2", got)
 	}
 	gateRoundTrip(nc3, tw3, br3, 3)
@@ -335,13 +335,13 @@ func TestConcurrentSessionsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := s.Metrics()
-	if m.SlowDisconnects != 0 || m.MalformedConns != 0 {
+	if m.SlowDisconnects.Load() != 0 || m.MalformedConns.Load() != 0 {
 		t.Fatalf("parity wall tripped failure paths: %+v", m)
 	}
-	if m.ExecSpawned < sessions {
-		t.Fatalf("executors spawned = %d, want >= %d", m.ExecSpawned, sessions)
+	if m.ExecSpawned.Load() < sessions {
+		t.Fatalf("executors spawned = %d, want >= %d", m.ExecSpawned.Load(), sessions)
 	}
-	if m.Batches < int64(sessions) {
-		t.Fatalf("batches = %d, want >= %d", m.Batches, sessions)
+	if m.Batches.Load() < int64(sessions) {
+		t.Fatalf("batches = %d, want >= %d", m.Batches.Load(), sessions)
 	}
 }

@@ -60,15 +60,15 @@ func TestClientCrashSessionGC(t *testing.T) {
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return s.Metrics().Events >= 1 })
+	waitFor(t, func() bool { return s.Metrics().Events.Load() >= 1 })
 
 	// Crash: abrupt close, no footer. The connection goes, the session
 	// stays.
 	nc.Close()
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 })
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 	fc.Tick() // sweep 1: idle 1 of 3
 	fc.Tick() // sweep 2 begins; GC cannot have happened yet
-	if m := s.Metrics(); m.SessionsOpen != 1 || m.SessionsGCed != 0 {
+	if m := s.Metrics(); m.SessionsOpen.Load() != 1 || m.SessionsGCed.Load() != 0 {
 		t.Fatalf("session collected before lease: %+v", m)
 	}
 
@@ -79,13 +79,13 @@ func TestClientCrashSessionGC(t *testing.T) {
 		t.Fatal("reconnect within lease did not resume the session")
 	}
 	nc2.Close()
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 })
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 
 	// Now let the lease run out: the janitor collects the session.
-	for i := 0; i < 10 && s.Metrics().SessionsGCed == 0; i++ {
+	for i := 0; i < 10 && s.Metrics().SessionsGCed.Load() == 0; i++ {
 		fc.Tick()
 	}
-	if m := s.Metrics(); m.SessionsGCed != 1 || m.SessionsOpen != 0 {
+	if m := s.Metrics(); m.SessionsGCed.Load() != 1 || m.SessionsOpen.Load() != 0 {
 		t.Fatalf("session not collected after lease: %+v", m)
 	}
 
@@ -126,8 +126,8 @@ func TestMalformedFrameRejected(t *testing.T) {
 	nc2.Write([]byte("GET / HTTP/1.1\r\n\r\n"))
 	nc2.Close()
 
-	waitFor(t, func() bool { return s.Metrics().MalformedConns >= 2 })
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 })
+	waitFor(t, func() bool { return s.Metrics().MalformedConns.Load() >= 2 })
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 	// The server is unharmed: a well-behaved client still gets service.
 	c := dialTest(t, s, client.Config{Session: "fine", Mode: core.ModeDetect})
 	if d, err := c.Checkpoint(); err != nil || d {
@@ -244,10 +244,10 @@ func TestManyClientsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := s.Metrics()
-	if m.MalformedConns != 0 || m.SlowDisconnects != 0 {
+	if m.MalformedConns.Load() != 0 || m.SlowDisconnects.Load() != 0 {
 		t.Fatalf("smoke run tripped failure paths: %+v", m)
 	}
-	if m.Events < clients*rounds*8 {
-		t.Fatalf("events ingested = %d, want >= %d", m.Events, clients*rounds*8)
+	if m.Events.Load() < clients*rounds*8 {
+		t.Fatalf("events ingested = %d, want >= %d", m.Events.Load(), clients*rounds*8)
 	}
 }

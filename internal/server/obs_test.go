@@ -25,7 +25,6 @@ import (
 func TestStageSumsConsistentWithRTT(t *testing.T) {
 	const gates = 200
 	s := testServer(t, Config{})
-	base := s.Metrics()
 
 	start := time.Now()
 	c := dialTest(t, s, client.Config{Session: "stages", Mode: core.ModeAvoid})
@@ -41,13 +40,11 @@ func TestStageSumsConsistentWithRTT(t *testing.T) {
 	}
 	// The connection deregisters only after its writer's final flush, so
 	// once the gauge drops every stage observation has landed.
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 })
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 	window := time.Since(start)
 
-	after := s.Metrics()
-	qw := after.StageQueueWait.Sub(base.StageQueueWait)
-	vf := after.StageVerify.Sub(base.StageVerify)
-	fl := after.StageFlush.Sub(base.StageFlush)
+	m := s.Metrics() // of a fresh server: the histograms hold this run only
+	qw, vf, fl := m.StageQueueWait.Snapshot(), m.StageVerify.Snapshot(), m.StageFlush.Snapshot()
 
 	// Queue-wait and verify are observed per processed batch, in the same
 	// place: their counts agree exactly, and a sequential client means one

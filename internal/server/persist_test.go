@@ -65,7 +65,7 @@ func TestSnapshotRehydrateAcrossServers(t *testing.T) {
 	if r := readKind(t, brA, proto.RespGate); !r.Allowed {
 		t.Fatalf("block of task1 refused: %+v", r)
 	}
-	waitFor(t, func() bool { return sA.Metrics().SnapshotsPersisted >= 1 })
+	waitFor(t, func() bool { return sA.Metrics().SnapshotsPersisted.Load() >= 1 })
 	ncA.Close()
 	sA.Close() // the kill: abrupt, no drain
 
@@ -75,7 +75,7 @@ func TestSnapshotRehydrateAcrossServers(t *testing.T) {
 	if !resumed {
 		t.Fatal("attach on the replacement server did not resume from the snapshot")
 	}
-	if got := sB.Metrics().SessionsRehydrated; got != 1 {
+	if got := sB.Metrics().SessionsRehydrated.Load(); got != 1 {
 		t.Fatalf("SessionsRehydrated = %d, want 1", got)
 	}
 	// task2 waits phaser1@1, impedes phaser2@1 — closes the cycle with the
@@ -116,15 +116,15 @@ func TestGCLeavesSnapshotIntact(t *testing.T) {
 	if r := readKind(t, br, proto.RespGate); !r.Allowed {
 		t.Fatalf("block of task1 refused: %+v", r)
 	}
-	waitFor(t, func() bool { return s.Metrics().SnapshotsPersisted >= 1 })
+	waitFor(t, func() bool { return s.Metrics().SnapshotsPersisted.Load() >= 1 })
 	nc.Close()
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 })
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 
 	// Let the lease run out: the janitor collects the in-memory session.
-	for i := 0; i < 10 && s.Metrics().SessionsGCed == 0; i++ {
+	for i := 0; i < 10 && s.Metrics().SessionsGCed.Load() == 0; i++ {
 		fc.Tick()
 	}
-	if m := s.Metrics(); m.SessionsGCed != 1 || m.SessionsOpen != 0 {
+	if m := s.Metrics(); m.SessionsGCed.Load() != 1 || m.SessionsOpen.Load() != 0 {
 		t.Fatalf("session not collected after lease: %+v", m)
 	}
 
@@ -135,7 +135,7 @@ func TestGCLeavesSnapshotIntact(t *testing.T) {
 	if !resumed {
 		t.Fatal("reconnect after GC did not resume: the janitor deleted the snapshot")
 	}
-	if got := s.Metrics().SessionsRehydrated; got < 1 {
+	if got := s.Metrics().SessionsRehydrated.Load(); got < 1 {
 		t.Fatalf("SessionsRehydrated = %d, want >= 1", got)
 	}
 	if err := tw2.WriteEvent(trace.Event{Kind: trace.KindBlock,
@@ -170,10 +170,10 @@ func TestSnapshotModeMismatchStartsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	readKind(t, br, proto.RespGate)
-	waitFor(t, func() bool { return s.Metrics().SnapshotsPersisted >= 1 })
+	waitFor(t, func() bool { return s.Metrics().SnapshotsPersisted.Load() >= 1 })
 	nc.Close()
-	waitFor(t, func() bool { return s.Metrics().ConnsOpen == 0 })
-	for i := 0; i < 10 && s.Metrics().SessionsGCed == 0; i++ {
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
+	for i := 0; i < 10 && s.Metrics().SessionsGCed.Load() == 0; i++ {
 		fc.Tick()
 	}
 

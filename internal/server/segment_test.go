@@ -42,7 +42,7 @@ func TestSegmentArchiveEndToEnd(t *testing.T) {
 	cd.Close()
 
 	snap := s.Metrics()
-	if snap.Segment.Events == 0 || snap.Segment.Batches == 0 {
+	if snap.Segment.Events.Load() == 0 || snap.Segment.Batches.Load() == 0 {
 		t.Fatalf("tee archived nothing: %+v", snap.Segment)
 	}
 	s.Close() // seals every active segment

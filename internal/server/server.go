@@ -229,8 +229,6 @@ type Server struct {
 	seg *segment.Store
 
 	m Metrics
-	// startTime anchors armus_serve_uptime_seconds.
-	startTime time.Time
 
 	mu       sync.Mutex
 	conns    map[*conn]struct{}
@@ -265,8 +263,8 @@ func New(cfg Config) (*Server, error) {
 		conns:     make(map[*conn]struct{}),
 		sweepStop: make(chan struct{}),
 		sweepDone: make(chan struct{}),
-		startTime: time.Now(),
 	}
+	s.initMetrics()
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]*session)
 	}
@@ -285,6 +283,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.seg = seg
+		s.m.Segment = seg.Metrics()
 	}
 	if cfg.StoreAddr != "" {
 		s.db = store.Dial(cfg.StoreAddr)

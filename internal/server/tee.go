@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"armus/internal/deps"
-	"armus/internal/segment"
 	"armus/internal/trace"
 )
 
@@ -109,13 +108,4 @@ func (ss *session) teeVerdict(verdict trace.VerdictKind, status deps.Blocked, re
 	tb.Events = 1
 	tb.Verdicts = append(tb.Verdicts, 0)
 	s.seg.Append(tb)
-}
-
-// segMetrics returns the archive counters, or a zero snapshot when
-// archiving is disabled.
-func (s *Server) segMetrics() segment.MetricsSnapshot {
-	if s.seg == nil {
-		return segment.MetricsSnapshot{}
-	}
-	return s.seg.Metrics()
 }
