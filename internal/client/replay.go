@@ -6,9 +6,10 @@ import (
 	"time"
 
 	"armus/internal/core"
+	"armus/internal/deps"
+	"armus/internal/engine"
 	"armus/internal/obs"
 	"armus/internal/trace"
-	"armus/internal/trace/replay"
 )
 
 // ReplayOptions configures ReplayTrace.
@@ -51,8 +52,8 @@ type ReplayStats struct {
 //     and each checkpoint verdict is compared against o.Expected (the
 //     in-process replay's verdict sequence) when provided.
 //   - In an AVOIDANCE session every block round-trips the server's gate,
-//     and the decision is compared against a local mirror gate (a
-//     deps.State driven with exactly the in-process avoidance machinery):
+//     and the decision is compared against a local mirror gate (an
+//     engine.Engine, the in-process avoidance machinery):
 //     server and mirror must agree block-for-block on admit vs refuse,
 //     and each checkpoint verdict must match the mirror's. This is
 //     stronger than comparing final verdicts — it asserts the remote
@@ -63,12 +64,12 @@ type ReplayStats struct {
 func ReplayTrace(c *Client, tr *trace.Trace, o ReplayOptions) (*ReplayStats, error) {
 	st := &ReplayStats{}
 	avoid := c.cfg.Mode == core.ModeAvoid
-	// The mirror is replay's OWN avoidance engine — the single in-process
-	// reference for the gate semantics — not a re-implementation that
-	// could drift from it.
-	var mirror *replay.AvoidEngine
+	// The mirror is the session engine itself (the type the server runs),
+	// so a disagreement is the executor's, the wire's or the SDK's; the
+	// engine's own reference is the oracle test in internal/engine.
+	var mirror *engine.Engine
 	if avoid {
-		mirror = replay.NewAvoidEngine()
+		mirror = engine.New(core.ModeAvoid, deps.ModelAuto)
 	}
 	checkpoint := func() error {
 		if o.CheckEvery <= 0 || st.Mutations%o.CheckEvery != 0 {
@@ -81,7 +82,7 @@ func ReplayTrace(c *Client, tr *trace.Trace, o ReplayOptions) (*ReplayStats, err
 		st.Checkpoints++
 		st.Verdicts = append(st.Verdicts, got)
 		if avoid {
-			if want := mirror.Deadlocked(); got != want {
+			if want := mirror.Check() != nil; got != want {
 				return fmt.Errorf("parity: checkpoint after mutation %d: server says deadlocked=%v, mirror gate says %v",
 					st.Mutations, got, want)
 			}
@@ -115,7 +116,7 @@ func ReplayTrace(c *Client, tr *trace.Trace, o ReplayOptions) (*ReplayStats, err
 			// Mirror gate decision first (tentative insert + targeted
 			// query + rollback on cycle), then the wire gate; they must
 			// agree.
-			expectReject := mirror.Gate(e.Status)
+			expectReject := mirror.Block(e.Status) != nil
 			start := time.Now()
 			err := c.Block(e.Status)
 			st.Gate.Observe(int64(time.Since(start)))
@@ -141,7 +142,7 @@ func ReplayTrace(c *Client, tr *trace.Trace, o ReplayOptions) (*ReplayStats, err
 				return st, err
 			}
 			if avoid {
-				mirror.Clear(e.Task)
+				mirror.Unblock(e.Task)
 			}
 			if err := checkpoint(); err != nil {
 				return st, err

@@ -347,10 +347,33 @@ func (s *State) CycleThrough(start TaskID, sc *CycleScratch) (*Cycle, int) {
 	if se == nil || !se.blocked {
 		return nil, 0
 	}
-	// Pre-filter: a cycle through start needs an edge INTO start — some
-	// blocked task awaiting an event start impedes. In the common case
-	// (start arrived, so it impedes only future phases nobody awaits yet)
-	// this rejects with one compare per registration.
+	return s.cycleThrough(se, sc)
+}
+
+// FindCycle answers "deadlocked now?" with the gate's own search: it runs
+// the targeted query from every blocked task, in one pass under one read
+// lock, until one finds a cycle (every task on a cycle sees it, so this is
+// exact). The state knows which tasks are blocked; no caller keeps a set.
+func (s *State) FindCycle(sc *CycleScratch) *Cycle {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, e := range s.entries {
+		if e.blocked {
+			if c, _ := s.cycleThrough(e, sc); c != nil {
+				return c
+			}
+		}
+	}
+	return nil
+}
+
+// cycleThrough is the search behind CycleThrough, from the blocked entry se.
+// Caller holds the read lock.
+func (s *State) cycleThrough(se *taskEntry, sc *CycleScratch) (*Cycle, int) {
+	// Pre-filter: a cycle through se needs an edge INTO it — some blocked
+	// task awaiting an event se impedes. In the common case (the task
+	// arrived, so it impedes only future phases nobody awaits yet) this
+	// rejects with one compare per registration.
 	impeded := false
 	for i, sl := range se.regs {
 		if w := sl.node.waits; len(w) > 0 && w[len(w)-1].phase > se.b.Regs[i].Phase {

@@ -1,0 +1,187 @@
+package engine
+
+import (
+	"cmp"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"armus/internal/core"
+	"armus/internal/deps"
+	"armus/internal/sim/oracle"
+)
+
+// model is the reference kept next to the Engine: the blocked statuses by
+// task, from which the oracle's state (internal/sim/oracle shares no code
+// with deps) and the waits-for edges are read off directly.
+type model map[deps.TaskID]deps.Blocked
+
+func (m model) with(b deps.Blocked) model {
+	c := model{b.Task: b}
+	for t, s := range m {
+		if t != b.Task {
+			c[t] = s
+		}
+	}
+	return c
+}
+
+func (m model) oracle() *oracle.State {
+	o := oracle.NewState()
+	for t, b := range m {
+		regs := map[int64]int64{}
+		for _, r := range b.Regs {
+			regs[int64(r.Phaser)] = r.Phase
+		}
+		w := b.WaitsFor[0]
+		o.AddBlocked(int64(t), oracle.Await{Phaser: int64(w.Phaser), Phase: w.Phase}, regs)
+	}
+	return o
+}
+
+// edge reports whether from waits for an event that to impedes.
+func (m model) edge(from, to deps.TaskID) bool {
+	w := m[from].WaitsFor[0]
+	return slices.ContainsFunc(m[to].Regs, func(r deps.Reg) bool { return r.Phaser == w.Phaser && r.Phase < w.Phase })
+}
+
+// isCycle reports whether tasks is a cycle of m's waits-for graph.
+func (m model) isCycle(tasks []deps.TaskID) bool {
+	for i, from := range tasks {
+		if _, ok := m[from]; !ok || !m.edge(from, tasks[(i+1)%len(tasks)]) {
+			return false
+		}
+	}
+	return len(tasks) > 0
+}
+
+// sameState reports whether the engine holds exactly m's statuses.
+func (m model) sameState(e *Engine) bool {
+	want := make([]deps.Blocked, 0, len(m))
+	for _, b := range m {
+		want = append(want, b)
+	}
+	slices.SortFunc(want, func(a, b deps.Blocked) int { return cmp.Compare(a.Task, b.Task) })
+	return slices.EqualFunc(want, e.State().Snapshot(), func(a, b deps.Blocked) bool {
+		return a.Task == b.Task && slices.Equal(a.WaitsFor, b.WaitsFor) && slices.Equal(a.Regs, b.Regs)
+	})
+}
+
+// TestEngineAgainstOracle drives an Engine of each mode through seeded
+// random sequences — block, re-block with a changed status, a block built
+// to close a cycle (also as the re-block of an admitted task), an ungated
+// insert, probe, unblock, and a move of the whole state into a fresh engine
+// through a snapshot — and checks every Block and Probe decision against
+// oracle.CycleThrough on the tentative state, every Check against
+// oracle.StuckSet, and after every step that the engine holds exactly the
+// statuses it should: after a refusal, those from before the call minus the
+// refused task's.
+func TestEngineAgainstOracle(t *testing.T) {
+	steps := 10000
+	if testing.Short() {
+		steps = 2000
+	}
+	for _, mode := range []core.Mode{core.ModeAvoid, core.ModeDetect} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			e, m := New(mode, deps.ModelAuto), model{}
+			refusals, deadlocked, restores := 0, 0, 0
+			random := func(tk deps.TaskID) deps.Blocked {
+				b := deps.Blocked{Task: tk, WaitsFor: []deps.Resource{{Phaser: deps.PhaserID(1 + rng.Intn(4)), Phase: int64(1 + rng.Intn(4))}}}
+				for q := 1; q <= 4; q++ {
+					if rng.Intn(2) == 0 {
+						b.Regs = append(b.Regs, deps.Reg{Phaser: deps.PhaserID(q), Phase: int64(rng.Intn(4))})
+					}
+				}
+				return b
+			}
+			// closing builds a status for tk that closes a two-task cycle
+			// with some other blocked task: tk awaits an event u impedes and
+			// impedes the event u awaits.
+			closing := func(tk deps.TaskID) deps.Blocked {
+				for u, s := range m {
+					if u != tk && len(s.Regs) > 0 {
+						r, w := s.Regs[rng.Intn(len(s.Regs))], s.WaitsFor[0]
+						return deps.Blocked{Task: tk,
+							WaitsFor: []deps.Resource{{Phaser: r.Phaser, Phase: r.Phase + 1}},
+							Regs:     []deps.Reg{{Phaser: w.Phaser, Phase: w.Phase - 1}}}
+					}
+				}
+				return random(tk)
+			}
+			for step := 0; step < steps; step++ {
+				fail := func(format string, args ...any) {
+					t.Helper()
+					t.Fatalf("%v seed %d step %d: "+format+"\nstate: %+v", append(append([]any{mode, seed, step}, args...), m)...)
+				}
+				tk := deps.TaskID(1 + rng.Intn(8))
+				switch op := rng.Intn(16); {
+				case op < 8: // block or re-block, half of them built to close a cycle
+					b := random(tk)
+					if op < 4 {
+						b = closing(tk)
+					}
+					tentative := m.with(b)
+					want := mode == core.ModeAvoid && oracle.CycleThrough(tentative.oracle(), int64(tk))
+					cyc := e.Block(b)
+					if (cyc != nil) != want {
+						fail("Block(%+v) = %v, oracle says refuse=%v", b, cyc, want)
+					}
+					if cyc == nil {
+						m = tentative
+						break
+					}
+					if cyc.Tasks[0] != tk || !tentative.isCycle(cyc.Tasks) {
+						fail("Block(%+v) refused with %v, not a cycle through the task", b, cyc.Tasks)
+					}
+					refusals++
+					delete(m, tk)
+				case op < 10: // a status admitted elsewhere enters ungated
+					b := closing(tk)
+					e.Restore(b)
+					m = m.with(b)
+				case op < 11:
+					b := closing(tk)
+					tentative := m.with(b)
+					want := oracle.CycleThrough(tentative.oracle(), int64(tk))
+					if mode != core.ModeAvoid {
+						want = len(oracle.StuckSet(tentative.oracle())) > 0
+					}
+					if got := e.Probe(b); got != want {
+						fail("Probe(%+v) = %v, oracle %v", b, got, want)
+					}
+					delete(m, tk)
+				case op < 15:
+					e.Unblock(tk)
+					delete(m, tk)
+				default: // failover: a fresh engine takes over from a snapshot
+					fresh := New(mode, deps.ModelAuto)
+					fresh.Restore(e.State().Snapshot()...)
+					e.Close()
+					e = fresh
+					restores++
+				}
+				if !m.sameState(e) {
+					fail("engine holds %+v", e.State().Snapshot())
+				}
+				cyc := e.Check()
+				if want := len(oracle.StuckSet(m.oracle())) > 0; (cyc != nil) != want {
+					fail("Check() = %v, oracle says deadlocked=%v", cyc, want)
+				}
+				if cyc != nil {
+					deadlocked++
+					// Under the SG model the full scan also lists tasks that
+					// merely wait on the cycle; the targeted search is exact.
+					if mode == core.ModeAvoid && !m.isCycle(cyc.Tasks) {
+						fail("Check() = %v, not a cycle", cyc.Tasks)
+					}
+				}
+			}
+			e.Close()
+			if deadlocked == 0 || restores == 0 || (mode == core.ModeAvoid) != (refusals > 0) {
+				t.Fatalf("%v seed %d: %d refusals, %d deadlocked steps, %d restores: a case was never reached",
+					mode, seed, refusals, deadlocked, restores)
+			}
+		}
+	}
+}

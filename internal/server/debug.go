@@ -83,7 +83,7 @@ func (s *Server) handleDebugSessions(w http.ResponseWriter, r *http.Request) {
 				Mode:           ss.mode.String(),
 				Executor:       "running",
 				QueueDepth:     ss.q.depth.Load(),
-				BlockedTasks:   ss.st.Len(),
+				BlockedTasks:   ss.eng.State().Len(),
 				Gates:          ss.ob.Gates.Load(),
 				Rejections:     ss.ob.Rejections.Load(),
 				Checkpoints:    ss.ob.Checkpoints.Load(),

@@ -12,9 +12,9 @@ import (
 	"armus/internal/trace"
 )
 
-// The session executor: one goroutine per session that owns the verifier
+// The session executor: one goroutine per session that owns the session's
 // engine outright. Read loops decode and enqueue; only the executor
-// mutates deps.State or asks the verifier anything. Single-writer is what
+// mutates the engine or asks it anything. Single-writer is what
 // lets the gate hot path drop every lock: the paper's Definition 4.1 makes
 // a blocked status a pure function of the blocked task, so merging the
 // statuses of many connections is order-insensitive per task — any
@@ -141,13 +141,10 @@ func (ss *session) process(b *batch) {
 			if ss.mode == core.ModeAvoid {
 				ss.gate(c, e)
 			} else {
-				ss.st.SetBlocked(e.Status)
+				ss.eng.Block(e.Status)
 			}
 		case trace.KindUnblock:
-			ss.st.Clear(e.Task)
-			if ss.blocked != nil {
-				delete(ss.blocked, e.Task)
-			}
+			ss.eng.Unblock(e.Task)
 		case trace.KindVerdict:
 			// A client->server verdict event is a CHECKPOINT: "tell me
 			// whether the session is deadlocked right now". (Recorded
@@ -156,7 +153,7 @@ func (ss *session) process(b *batch) {
 			t0 := obs.Nanotime()
 			c.checkSeq++
 			ss.srv.m.Checkpoints.Add(1)
-			d := ss.verdict()
+			d := ss.eng.Check() != nil
 			c.send(proto.Response{
 				Kind:       proto.RespVerdict,
 				Seq:        c.checkSeq,
@@ -172,11 +169,6 @@ func (ss *session) process(b *batch) {
 				VerifyNs:   obs.Nanotime() - t0,
 				AtNs:       t0,
 			})
-		default:
-			// Structural events (register/arrive/drop) do not mutate the
-			// dependency state — a membership change of a blocked task is
-			// always followed by its status refresh. Same contract as the
-			// replayer.
 		}
 	}
 	if ss.mode == core.ModeDetect {
@@ -195,96 +187,65 @@ func (ss *session) process(b *batch) {
 	c.recycle(b)
 }
 
-// gate is the avoidance gate, verbatim the in-process semantics:
-// tentatively insert the status, run the targeted cycle query from the
-// blocking task, roll back and refuse on a cycle. The decision goes back
-// to the submitting connection only.
+// gate runs the engine's avoidance gate on a block and sends the decision
+// back to the submitting connection only.
 func (ss *session) gate(c *conn, e *trace.Event) {
 	t0 := obs.Nanotime()
-	ss.st.SetBlocked(e.Status)
-	cyc, _ := ss.st.CycleThrough(e.Status.Task, &ss.sc)
+	cyc := ss.eng.Block(e.Status)
+	resp := proto.Response{Kind: proto.RespGate, Task: e.Status.Task, Allowed: cyc == nil}
 	if cyc == nil {
-		ss.blocked[e.Status.Task] = struct{}{}
 		ss.srv.m.GateAllowed.Add(1)
-		c.send(proto.Response{Kind: proto.RespGate, Task: e.Status.Task, Allowed: true})
-		rec := obs.GateRecord{
-			Ordinal:  uint64(ss.ob.Gates.Add(1)),
-			Kind:     obs.RecordGate,
-			Task:     int64(e.Status.Task),
-			QueueNs:  ss.batchQueueNs,
-			VerifyNs: obs.Nanotime() - t0,
-			AtNs:     t0,
+	} else {
+		ss.srv.m.GateRejected.Add(1)
+		if ss.srv.seg != nil {
+			ss.teeVerdict(trace.VerdictRejected, e.Status, cyc.Resources)
 		}
-		ss.ob.Flight.Record(rec)
-		// Slow-gate trigger: server-side time (queue wait plus this gate's
-		// own work) over the operator threshold dumps the flight ring.
-		if sg := ss.srv.cfg.SlowGate; sg > 0 && rec.QueueNs+rec.VerifyNs >= int64(sg) {
-			ss.dumpFlight("slow-gate", rec)
-		}
-		return
+		// cyc is freshly allocated by the deadlock path; handing its slices
+		// to the coalesce buffer is safe.
+		resp.Tasks, resp.Resources = cyc.Tasks, cyc.Resources
 	}
-	ss.st.Clear(e.Status.Task)
-	ss.srv.m.GateRejected.Add(1)
-	if ss.srv.seg != nil {
-		ss.teeVerdict(trace.VerdictRejected, e.Status, cyc.Resources)
-	}
-	// cyc is freshly allocated by the deadlock path; handing its slices
-	// to the coalesce buffer is safe.
-	c.send(proto.Response{
-		Kind:      proto.RespGate,
-		Task:      e.Status.Task,
-		Allowed:   false,
-		Tasks:     cyc.Tasks,
-		Resources: cyc.Resources,
-	})
+	c.send(resp)
 	rec := obs.GateRecord{
 		Ordinal:  uint64(ss.ob.Gates.Add(1)),
 		Kind:     obs.RecordGate,
 		Task:     int64(e.Status.Task),
-		Rejected: true,
+		Rejected: cyc != nil,
 		QueueNs:  ss.batchQueueNs,
 		VerifyNs: obs.Nanotime() - t0,
 		AtNs:     t0,
 	}
-	ss.ob.Rejections.Add(1)
 	ss.ob.Flight.Record(rec)
-	ss.dumpFlight("gate-rejected", rec)
-}
-
-// verdict answers "is the session state deadlocked right now" with the
-// session's engine — identical machinery to the replay pipelines.
-func (ss *session) verdict() bool {
-	if ss.mode == core.ModeAvoid {
-		for t := range ss.blocked {
-			if cyc, _ := ss.st.CycleThrough(t, &ss.sc); cyc != nil {
-				return true
-			}
-		}
-		return false
+	if cyc != nil {
+		ss.ob.Rejections.Add(1)
+		ss.dumpFlight("gate-rejected", rec)
+	} else if sg := ss.srv.cfg.SlowGate; sg > 0 && rec.QueueNs+rec.VerifyNs >= int64(sg) {
+		// Slow-gate trigger: server-side time (queue wait plus this gate's
+		// own work) over the operator threshold dumps the flight ring.
+		ss.dumpFlight("slow-gate", rec)
 	}
-	return ss.ver.CheckNow() != nil
 }
 
 // report pushes a deadlock report to every subscribed connection of the
-// session when the state transitions into a deadlock. CheckNow is
-// version-cached, so the steady (non-deadlocked, unchanged) case costs a
-// version compare; ss.mu is only taken on the transition.
+// session when the state transitions into a deadlock. The detection
+// engine's Check is version-cached, so the steady (non-deadlocked,
+// unchanged) case costs a version compare; ss.mu is only taken on the
+// transition.
 func (ss *session) report() {
-	derr := ss.ver.CheckNow()
-	d := derr != nil
+	cyc := ss.eng.Check()
+	d := cyc != nil
 	if d && !ss.wasDeadlocked {
 		ss.srv.m.Reports.Add(1)
 		if ss.srv.seg != nil {
-			ss.teeVerdict(trace.VerdictReported, deps.Blocked{}, derr.Cycle.Resources)
+			ss.teeVerdict(trace.VerdictReported, deps.Blocked{}, cyc.Resources)
 		}
-		ss.srv.cfg.Logf("armus-serve: session %q deadlocked: %v", ss.name, derr)
+		ss.srv.cfg.Logf("armus-serve: session %q deadlocked: %v", ss.name, &core.DeadlockError{Cycle: cyc})
 		ss.mu.Lock()
 		for c := range ss.conns {
 			if c.subscribe {
 				c.send(proto.Response{
 					Kind:      proto.RespReport,
-					Tasks:     derr.Cycle.Tasks,
-					Resources: derr.Cycle.Resources,
+					Tasks:     cyc.Tasks,
+					Resources: cyc.Resources,
 				})
 			}
 		}

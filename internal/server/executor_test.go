@@ -70,9 +70,9 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 			}
 
 			srv := &Server{cfg: Config{Logf: func(string, ...any) {}}.withDefaults()}
-			ss := newSession(srv, "alloc", mode, nil)
+			ss := newSession(srv, "alloc", mode, nil, 0)
 			ss.shutdownExecutor() // run its loop inline instead
-			defer ss.closeEngine()
+			defer ss.eng.Close()
 			c := &conn{srv: srv, wsig: make(chan struct{}, 1), done: make(chan struct{})}
 			c.free = make(chan *batch, 1)
 			c.free <- &batch{c: c, events: make([]trace.Event, eventsPerBatch)}
@@ -120,7 +120,7 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 // before exiting; none may be dropped on the floor.
 func TestExecutorDrainMidQueue(t *testing.T) {
 	srv := &Server{cfg: Config{Logf: func(string, ...any) {}}.withDefaults()}
-	ss := newSession(srv, "drain", core.ModeDetect, nil)
+	ss := newSession(srv, "drain", core.ModeDetect, nil, 0)
 	c := &conn{srv: srv, wsig: make(chan struct{}, 1), done: make(chan struct{})}
 	const batches = 16
 	for i := 0; i < batches; i++ {
@@ -130,7 +130,7 @@ func TestExecutorDrainMidQueue(t *testing.T) {
 	// Depending on scheduling the executor is anywhere in the queue when
 	// stop lands; either way every batch must be applied at exit.
 	ss.shutdownExecutor()
-	ss.closeEngine()
+	ss.eng.Close()
 	if got := c.applied.Load(); got != batches {
 		t.Fatalf("executor exited with %d of %d batches applied", got, batches)
 	}

@@ -141,10 +141,10 @@ func TestMalformedFrameRejected(t *testing.T) {
 // bounded no matter how slow the peer.
 func TestSlowConsumerDisconnect(t *testing.T) {
 	srv := &Server{cfg: Config{QueueLen: 4, Logf: func(string, ...any) {}}.withDefaults()}
-	ss := newSession(srv, "slow", core.ModeDetect, nil)
+	ss := newSession(srv, "slow", core.ModeDetect, nil, 0)
 	defer func() {
 		ss.shutdownExecutor()
-		ss.closeEngine()
+		ss.eng.Close()
 	}()
 	p1, p2 := net.Pipe()
 	defer p2.Close()

@@ -41,20 +41,17 @@ const sessionKeyPrefix = "armus:sess:"
 
 func sessionKey(name string) string { return sessionKeyPrefix + name }
 
-// persistReq is one snapshot write: HSET key field val (plus the session
-// mode tag alongside full bases, so rehydration can refuse a mode
-// mismatch).
+// persistReq is one snapshot write: HSET key field val, plus the session
+// mode tag alongside a full base, so rehydration can refuse a mode mismatch.
 type persistReq struct {
-	key      string
-	field    string
-	val      []byte
-	mode     byte
-	withMode bool
+	key   string
+	field string
+	val   []byte
+	mode  byte
 }
 
 // persist hands a snapshot to the persister without ever blocking the
-// executor. Reports whether the request was accepted; a drop is counted
-// and the caller schedules a re-converging full base.
+// executor. Reports whether the request was accepted; a drop is counted.
 func (s *Server) persist(req persistReq) bool {
 	select {
 	case s.persistCh <- req:
@@ -71,7 +68,7 @@ func (s *Server) persister() {
 	defer close(s.persistDone)
 	for req := range s.persistCh {
 		p := s.db.Pipeline()
-		if req.withMode {
+		if req.field == "base" {
 			p.HSet(req.key, "mode", []byte{req.mode})
 		}
 		p.HSet(req.key, req.field, req.val)
@@ -98,96 +95,48 @@ func (ss *session) maybeSnapshot() {
 	ss.persistSnapshot()
 }
 
-// persistSnapshot encodes the session state and hands it to the persister.
-// Executor-owned (the engine and every buffer here are single-writer).
-// Every SnapshotFullEvery-th persist writes a full base; the ones between
-// write a cumulative delta against the retained base copy. curSnap and
-// baseSnap alternate as the SnapshotInto buffer, so steady-state snapshot
-// cost is the encode allocation alone, amortized over SnapshotEvery
-// batches.
+// persistSnapshot encodes the next link of the session's store chain
+// (dist.Chain owns the base/delta bookkeeping) and hands it to the
+// persister. Executor-owned; steady-state cost is the encode allocation
+// alone, amortized over SnapshotEvery batches.
 func (ss *session) persistSnapshot() {
-	srv := ss.srv
-	if v := ss.st.Version(); v == ss.lastPersistVer && ss.snapSeq > 0 {
+	field, val := ss.chain.Next(ss.eng.State())
+	if field == "" {
 		return // nothing changed since the last persisted snapshot
-	} else {
-		ss.lastPersistVer = v
 	}
-	ss.snapSeq++
-	ss.curSnap = ss.st.SnapshotInto(ss.curSnap)
-	key := sessionKey(ss.name)
-	var req persistReq
-	if ss.snapSeq == 1 || ss.persistsSinceBase >= srv.cfg.SnapshotFullEvery {
-		req = persistReq{
-			key: key, field: "base",
-			val:  dist.EncodeSnapshot(0, ss.snapSeq, ss.curSnap),
-			mode: byte(ss.mode), withMode: true,
-		}
-		ss.baseSeq = ss.snapSeq
-		// The buffer just snapshotted into becomes the retained base; the
-		// old base becomes the next snapshot's scratch.
-		ss.baseSnap, ss.curSnap = ss.curSnap, ss.baseSnap
-		ss.persistsSinceBase = 0
-	} else {
-		ss.remBuf, ss.upsBuf = dist.DiffSnapshots(ss.baseSnap, ss.curSnap, ss.remBuf[:0], ss.upsBuf[:0])
-		req = persistReq{
-			key: key, field: "delta",
-			val: dist.EncodeDelta(0, ss.baseSeq, ss.snapSeq, ss.remBuf, ss.upsBuf),
-		}
-	}
-	ss.persistsSinceBase++
-	if !srv.persist(req) {
-		// Dropped under backpressure. A dropped delta only leaves the store
-		// stale (cumulative deltas are self-contained), but a dropped base
-		// would orphan every later delta — either way, re-converge by
-		// making the next persist a fresh full base, even if the state does
-		// not change again before then.
-		ss.persistsSinceBase = srv.cfg.SnapshotFullEvery
-		ss.lastPersistVer = 0
-		ss.snapSeq-- // reuse the seq: the store never saw this one
+	if !ss.srv.persist(persistReq{key: sessionKey(ss.name), field: field, val: val, mode: byte(ss.mode)}) {
+		ss.chain.Rebase() // dropped under backpressure
 	}
 }
 
-// fetchSnapshot loads the stored blocked-status set of a session, or nil
-// when the store has none (or holds one for a different mode — a stale
+// fetchSnapshot loads the stored blocked-status set of a session and the
+// highest seq of its chain, which the new owner numbers above. The set is
+// nil when the store has none (or holds one for a different mode — a stale
 // tenant reusing the name across modes gets a fresh session, not a
 // refusal). Called on the attach cold path, before the session's executor
 // exists.
-func (s *Server) fetchSnapshot(name string, mode core.Mode) []deps.Blocked {
+func (s *Server) fetchSnapshot(name string, mode core.Mode) ([]deps.Blocked, uint64) {
 	if s.db == nil {
-		return nil
+		return nil, 0
 	}
 	h, err := s.db.HGetAll(sessionKey(name))
 	if err != nil {
 		s.m.SnapshotErrors.Add(1)
 		s.cfg.Logf("armus-serve: session %q: snapshot fetch: %v", name, err)
-		return nil
+		return nil, 0
 	}
 	base, ok := h["base"]
 	if !ok {
-		return nil
+		return nil, 0
+	}
+	snap, last, err := dist.DecodeChain(base, h["delta"])
+	if err != nil {
+		s.m.SnapshotErrors.Add(1)
+		s.cfg.Logf("armus-serve: session %q: %v", name, err)
 	}
 	if mv, ok := h["mode"]; !ok || len(mv) != 1 || core.Mode(mv[0]) != mode {
 		s.cfg.Logf("armus-serve: session %q: stored snapshot has different mode, starting fresh", name)
-		return nil
+		return nil, last
 	}
-	_, baseSeq, snap, err := dist.DecodeSnapshot(base)
-	if err != nil {
-		s.m.SnapshotErrors.Add(1)
-		s.cfg.Logf("armus-serve: session %q: corrupt base snapshot: %v", name, err)
-		return nil
-	}
-	if d, ok := h["delta"]; ok {
-		_, dBase, dSeq, removed, upserts, derr := dist.DecodeDelta(d)
-		switch {
-		case derr != nil:
-			s.m.SnapshotErrors.Add(1)
-			s.cfg.Logf("armus-serve: session %q: corrupt delta snapshot (using base alone): %v", name, derr)
-		case dBase == baseSeq && dSeq > baseSeq:
-			snap = dist.ApplyDelta(nil, snap, removed, upserts)
-		default:
-			// A delta for another base: the HGetAll raced a base rewrite.
-			// The base alone is a coherent (just older) snapshot.
-		}
-	}
-	return snap
+	return snap, last
 }

@@ -183,3 +183,53 @@ func TestSnapshotModeMismatchStartsFresh(t *testing.T) {
 		t.Fatal("detect-mode attach resumed an avoid-mode snapshot")
 	}
 }
+
+// TestStaleDeltaAcrossOwners: a base write never clears the stored delta
+// field, so every owner of a session must number its chain above the seqs
+// the store already holds — or a later owner's base (seq 1 again) pairs with
+// an earlier owner's delta (against ITS base seq 1) and resurrects a task
+// that was unblocked in between.
+func TestStaleDeltaAcrossOwners(t *testing.T) {
+	st := testStore(t)
+	cfg := Config{StoreAddr: st.Addr(), SnapshotEvery: 1}
+	send := func(tw *trace.Writer, e trace.Event) {
+		t.Helper()
+		if err := tw.WriteEvent(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Owner A: task1 (base, seq 1), then task3 (delta against it, seq 2).
+	sA := testServer(t, cfg)
+	ncA, twA, brA, _ := rawAttach(t, sA, "handover", core.ModeAvoid)
+	for i, task := range []int64{1, 3} {
+		send(twA, trace.Event{Kind: trace.KindBlock,
+			Status: status(task, []deps.Resource{res(task+1, 1)}, []deps.Reg{reg(task, 0)})})
+		if r := readKind(t, brA, proto.RespGate); !r.Allowed {
+			t.Fatalf("block of task%d refused: %+v", task, r)
+		}
+		waitFor(t, func() bool { return sA.Metrics().SnapshotsPersisted.Load() >= int64(i+1) })
+	}
+	ncA.Close()
+	sA.Close()
+
+	// Owner B resumes both tasks, unblocks task3 and persists once: a base.
+	sB := testServer(t, cfg)
+	ncB, twB, _, resumed := rawAttach(t, sB, "handover", core.ModeAvoid)
+	if !resumed {
+		t.Fatal("owner B did not resume from A's snapshot")
+	}
+	send(twB, trace.Event{Kind: trace.KindUnblock, Task: 3})
+	waitFor(t, func() bool { return sB.Metrics().SnapshotsPersisted.Load() >= 1 })
+	ncB.Close()
+	sB.Close()
+
+	// Owner C must see what B left: task1 alone.
+	snap, _ := testServer(t, cfg).fetchSnapshot("handover", core.ModeAvoid)
+	if len(snap) != 1 || snap[0].Task != 1 {
+		t.Fatalf("owner C rehydrates %v, want task1 only (A's stale delta applied over B's base)", snap)
+	}
+}

@@ -354,8 +354,8 @@ func (s *Server) attach(name string, mode core.Mode, c *conn) (*session, bool, e
 		// exists: the fresh engine is rehydrated before anything can race
 		// it, and the shard lock keeps a concurrent attach of the same
 		// session out.
-		snap := s.fetchSnapshot(name, mode)
-		ss = newSession(s, name, mode, snap)
+		snap, snapSeq := s.fetchSnapshot(name, mode)
+		ss = newSession(s, name, mode, snap, snapSeq)
 		sh.m[name] = ss
 		s.m.SessionsTotal.Add(1)
 		s.m.SessionsOpen.Add(1)
@@ -428,7 +428,7 @@ func (s *Server) sweep() {
 				// another fleet member) still rehydrates and resumes.
 				// Regression: TestGCLeavesSnapshotIntact.
 				ss.shutdownExecutor()
-				ss.closeEngine()
+				ss.eng.Close()
 				s.m.SessionsOpen.Add(-1)
 				s.m.SessionsGCed.Add(1)
 				// Seal the session's archive segment now that its state is
@@ -515,7 +515,7 @@ func (s *Server) Close() {
 		for name, ss := range sh.m {
 			delete(sh.m, name)
 			ss.shutdownExecutor()
-			ss.closeEngine()
+			ss.eng.Close()
 			s.m.SessionsOpen.Add(-1)
 		}
 		sh.mu.Unlock()

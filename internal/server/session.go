@@ -6,22 +6,25 @@ import (
 
 	"armus/internal/core"
 	"armus/internal/deps"
+	"armus/internal/dist"
+	"armus/internal/engine"
 	"armus/internal/obs"
 )
 
 // session is one tenant: a named verifier state shared by every
 // connection that attached under its name, mutated exclusively by the
-// session's executor goroutine (executor.go). The engine mirrors the
-// replay pipelines (internal/trace/replay) on purpose — verdicts served
-// over the wire are the verdicts an in-process replay of the same event
-// stream computes, which is what the loadgen parity check asserts.
+// session's executor goroutine (executor.go). Its engine is the one the
+// replay pipelines (internal/trace/replay) drive, so verdicts served over
+// the wire are the verdicts an in-process replay of the same event stream
+// computes; the loadgen parity check asserts that executor, wire and SDK
+// keep it so.
 type session struct {
 	srv  *Server
 	name string
 	mode core.Mode
 
 	// mu owns the connection set and the janitor bookkeeping only. The
-	// verifier engine below is single-writer: the executor goroutine owns
+	// engine below is single-writer: the executor goroutine owns
 	// it outright, so the ingest hot path takes no lock at all.
 	mu    sync.Mutex
 	conns map[*conn]struct{}
@@ -39,18 +42,10 @@ type session struct {
 	stopOnce  sync.Once
 	execDone  chan struct{}
 
-	// Avoidance engine: the incremental state plus the targeted
-	// gate query's scratch, exactly the machinery of the in-process
-	// avoidance gate. blocked tracks the currently blocked tasks for the
-	// checkpoint verdict (any blocked task on a cycle). Executor-owned.
-	st      *deps.State
-	sc      deps.CycleScratch
-	blocked map[deps.TaskID]struct{}
-
-	// Detection engine: an observe-mode verifier; st aliases its state.
-	// CheckNow is version-cached, so checking once per batch is cheap.
-	// Executor-owned.
-	ver           *core.Verifier
+	// eng is the session's verdict engine (internal/engine) — the same type
+	// the replay pipelines drive — and wasDeadlocked the last verdict a
+	// detection session reported on. Executor-owned.
+	eng           *engine.Engine
 	wasDeadlocked bool
 
 	// ob is the session's observability block: stage histograms, decision
@@ -66,26 +61,18 @@ type session struct {
 	lastDumpNs int64
 	flightBuf  []obs.GateRecord
 
-	// Snapshot-persistence bookkeeping (persist.go); executor-owned and
-	// untouched without a configured store. curSnap/baseSnap alternate as
-	// the SnapshotInto buffer: the retained base copy is what cumulative
-	// deltas diff against.
-	batchesSinceSnap  int
-	persistsSinceBase int
-	snapSeq           uint64
-	baseSeq           uint64
-	lastPersistVer    uint64
-	curSnap           []deps.Blocked
-	baseSnap          []deps.Blocked
-	remBuf            []deps.TaskID
-	upsBuf            []deps.Blocked
+	// Snapshot persistence (persist.go): the session's store chain and the
+	// batches processed since its last link. Executor-owned.
+	chain            *dist.Chain
+	batchesSinceSnap int
 }
 
 // newSession builds a session, seeds its engine from a store snapshot
-// (snap may be nil — the common fresh-session case) and spawns its
-// executor. Seeding happens strictly before the spawn: the engine is not
-// yet shared, so rehydration needs no synchronization with the executor.
-func newSession(s *Server, name string, mode core.Mode, snap []deps.Blocked) *session {
+// (snap is empty in the common fresh-session case; snapSeq is the highest
+// seq the store holds for it) and spawns its executor. Seeding happens
+// strictly before the spawn: the engine is not yet shared, so rehydration
+// needs no synchronization with the executor.
+func newSession(s *Server, name string, mode core.Mode, snap []deps.Blocked, snapSeq uint64) *session {
 	ss := &session{
 		srv:      s,
 		name:     name,
@@ -94,31 +81,18 @@ func newSession(s *Server, name string, mode core.Mode, snap []deps.Blocked) *se
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		execDone: make(chan struct{}),
+		eng:      engine.New(mode, s.cfg.Model),
+		chain:    dist.NewChain(s.cfg.SnapshotFullEvery, snapSeq),
 	}
 	ss.q.init()
-	if mode == core.ModeAvoid {
-		ss.st = deps.NewState()
-		ss.blocked = make(map[deps.TaskID]struct{})
-	} else {
-		ss.ver = core.New(core.WithMode(core.ModeObserve), core.WithModel(s.cfg.Model))
-		ss.st = ss.ver.State()
-	}
 	// Rehydrate: Definition 4.1 makes each blocked status a pure function
 	// of its task, so re-applying the snapshot IS the session state the
-	// previous owner had at persist time. The statuses were admitted when
-	// first gated, so they re-enter without re-gating.
-	for i := range snap {
-		ss.st.SetBlocked(snap[i])
-		if ss.blocked != nil {
-			ss.blocked[snap[i].Task] = struct{}{}
-		}
-	}
-	if len(snap) > 0 && ss.ver != nil {
-		// A deadlock that predates the failover was already reported by
-		// the previous owner; start from "was deadlocked" so this server
-		// does not push a duplicate report for the same cycle.
-		ss.wasDeadlocked = ss.ver.CheckNow() != nil
-	}
+	// previous owner had at persist time.
+	ss.eng.Restore(snap...)
+	// A deadlock that predates the failover was already reported by the
+	// previous owner; start from "was deadlocked" so this server does not
+	// push a duplicate report for the same cycle.
+	ss.wasDeadlocked = len(snap) > 0 && ss.eng.Check() != nil
 	s.m.ExecSpawned.Add(1)
 	go ss.runExecutor()
 	return ss
@@ -140,13 +114,4 @@ func (ss *session) detach(c *conn) {
 func (ss *session) shutdownExecutor() {
 	ss.stopOnce.Do(func() { close(ss.stop) })
 	<-ss.execDone
-}
-
-// closeEngine releases the session's verifier. Called by the janitor (GC)
-// and by Server.Close, after the session has left the table and its
-// executor has drained.
-func (ss *session) closeEngine() {
-	if ss.ver != nil {
-		ss.ver.Close()
-	}
 }

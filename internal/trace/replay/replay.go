@@ -6,12 +6,13 @@
 // sequence to a pipeline-specific checker and computes, after every
 // mutation, the pipeline's deadlock verdict for the reconstructed state:
 //
-//   - Avoid drives the avoidance machinery: a bare deps.State with its
-//     incremental per-phaser index, answering via the targeted
-//     State.CycleThrough gate query from each blocked task;
-//   - Detect drives a real core.Verifier's full-scan analysis
-//     (snapshot, graph build under the configured model, cycle search) —
-//     exactly what the detection loop runs every period;
+//   - Avoid drives the session engine (internal/engine) in avoidance mode:
+//     a bare deps.State with its incremental per-phaser index, answering
+//     via the gate's targeted query from each blocked task;
+//   - Detect drives the same engine in detection mode: a real
+//     core.Verifier's full-scan analysis (snapshot, graph build under the
+//     configured model, cycle search) — exactly what the detection loop
+//     runs every period;
 //   - Dist deals the statuses across observe-mode dist.Sites connected to
 //     a real store server: the mutated site runs a full pipelined
 //     publish+fetch round (dist.Site.RoundOnce) for the per-mutation
@@ -47,6 +48,7 @@ import (
 	"armus/internal/core"
 	"armus/internal/deps"
 	"armus/internal/dist"
+	"armus/internal/engine"
 	"armus/internal/store"
 	"armus/internal/trace"
 )
@@ -179,8 +181,8 @@ func (s *sliceSource) Next() (trace.Event, error) {
 	return e, nil
 }
 
-// engine is one pipeline's state + verdict machinery.
-type engine interface {
+// checker is one pipeline's state + verdict machinery.
+type checker interface {
 	// set applies (or refreshes) a blocked status.
 	set(b deps.Blocked) error
 	// clear removes a blocked status.
@@ -199,12 +201,12 @@ type engine interface {
 	close()
 }
 
-func newEngine(p Pipeline, o Options) (engine, error) {
+func newChecker(p Pipeline, o Options) (checker, error) {
 	switch p {
 	case Avoid:
-		return newAvoidEngine(), nil
+		return localEngine{engine.New(core.ModeAvoid, o.Model)}, nil
 	case Detect:
-		return newDetectEngine(o), nil
+		return localEngine{engine.New(core.ModeDetect, o.Model)}, nil
 	case Dist:
 		return newDistEngine(o)
 	default:
@@ -218,7 +220,7 @@ func newEngine(p Pipeline, o Options) (engine, error) {
 // see, or — Dist — sites disagreeing on a verdict.
 func Replay(src Source, p Pipeline, o Options) (*Result, error) {
 	o = o.withDefaults()
-	eng, err := newEngine(p, o)
+	eng, err := newChecker(p, o)
 	if err != nil {
 		return nil, err
 	}
@@ -375,130 +377,42 @@ func VerifyAll(tr *trace.Trace, o Options, pipelines ...Pipeline) ([]*Result, er
 	return results, Equivalent(results...)
 }
 
-// avoidEngine answers verdicts with the avoidance pipeline's machinery:
-// the incrementally indexed deps.State and the targeted CycleThrough gate
-// query, run from each blocked task until a cycle is found (every task on
-// a cycle sees it, so trying each blocked task is exact).
-type avoidEngine struct {
-	state   *deps.State
-	sc      deps.CycleScratch
-	blocked map[deps.TaskID]bool
-}
+// localEngine adapts the one session engine (internal/engine) to the replay
+// loop: Avoid is its avoidance mode — the incrementally indexed deps.State
+// searched with the gate's targeted query — and Detect its detection mode,
+// a real verifier's full scan. A recorded block was admitted (or applied
+// unconditionally) by the recording verifier, so it re-enters ungated.
+type localEngine struct{ e *engine.Engine }
 
-func newAvoidEngine() *avoidEngine {
-	return &avoidEngine{state: deps.NewState(), blocked: map[deps.TaskID]bool{}}
-}
+func (l localEngine) set(b deps.Blocked) error { l.e.Restore(b); return nil }
 
-func (e *avoidEngine) set(b deps.Blocked) error {
-	e.state.SetBlocked(b)
-	e.blocked[b.Task] = true
-	return nil
-}
+func (l localEngine) clear(t deps.TaskID) error { l.e.Unblock(t); return nil }
 
-func (e *avoidEngine) clear(t deps.TaskID) error {
-	e.state.Clear(t)
-	delete(e.blocked, t)
-	return nil
-}
+func (l localEngine) verdict() (bool, error) { return l.e.Check() != nil, nil }
 
-func (e *avoidEngine) verdict() (bool, error) {
-	for t := range e.blocked {
-		if c, _ := e.state.CycleThrough(t, &e.sc); c != nil {
-			return true, nil
-		}
-	}
-	return false, nil
-}
+func (l localEngine) probe(b deps.Blocked) (bool, error) { return l.e.Probe(b), nil }
 
-func (e *avoidEngine) probe(b deps.Blocked) (bool, error) {
-	e.state.SetBlocked(b)
-	c, _ := e.state.CycleThrough(b.Task, &e.sc)
-	e.state.Clear(b.Task)
-	return c != nil, nil
-}
+func (l localEngine) finish() error { return nil }
 
-func (e *avoidEngine) close() {}
+func (l localEngine) storeStats() (int64, int64) { return 0, 0 }
 
-func (e *avoidEngine) finish() error { return nil }
+func (l localEngine) close() { l.e.Close() }
 
-func (e *avoidEngine) storeStats() (int64, int64) { return 0, 0 }
+// AvoidEngine is the avoidance gate as the repository benchmark's set-up
+// drives it; everything else uses engine.Engine directly.
+type AvoidEngine struct{ e *engine.Engine }
 
-// AvoidEngine exposes the avoidance reference engine to out-of-process
-// parity checks (internal/client.ReplayTrace mirrors a remote armus-serve
-// gate against it). There is deliberately ONE in-process reference for
-// the avoidance semantics — this engine — so a future change to the gate
-// query cannot drift the replay pipeline and the wire-parity mirror
-// apart; the independent implementation under test is the server's.
-type AvoidEngine struct {
-	e avoidEngine
-}
-
-// NewAvoidEngine returns an empty avoidance reference engine.
+// NewAvoidEngine returns an empty avoidance engine.
 func NewAvoidEngine() *AvoidEngine {
-	return &AvoidEngine{e: *newAvoidEngine()}
+	return &AvoidEngine{e: engine.New(core.ModeAvoid, deps.ModelAuto)}
 }
 
-// Gate runs the avoidance gate on b: the status is tentatively inserted
-// and, when that closes a cycle through b.Task, rolled back again. It
-// reports whether the block was REJECTED; an admitted status stays in
-// the engine state.
-func (m *AvoidEngine) Gate(b deps.Blocked) (rejected bool) {
-	m.e.state.SetBlocked(b)
-	if c, _ := m.e.state.CycleThrough(b.Task, &m.e.sc); c != nil {
-		m.e.state.Clear(b.Task)
-		return true
-	}
-	m.e.blocked[b.Task] = true
-	return false
-}
+// Gate runs the avoidance gate on b and reports whether the block was
+// REJECTED (and rolled back); an admitted status stays in the state.
+func (m *AvoidEngine) Gate(b deps.Blocked) (rejected bool) { return m.e.Block(b) != nil }
 
 // Clear removes a blocked status (the task resumed).
-func (m *AvoidEngine) Clear(t deps.TaskID) { _ = m.e.clear(t) }
-
-// Deadlocked reports the engine verdict: any blocked task on a cycle.
-func (m *AvoidEngine) Deadlocked() bool {
-	d, _ := m.e.verdict()
-	return d
-}
-
-// detectEngine answers verdicts with the detection pipeline's machinery: a
-// real verifier's full scan — snapshot, graph build under the configured
-// model, cycle search — via CheckNow, which shares runCheck with the
-// detection loop.
-type detectEngine struct {
-	v *core.Verifier
-}
-
-func newDetectEngine(o Options) *detectEngine {
-	return &detectEngine{v: core.New(core.WithMode(core.ModeObserve), core.WithModel(o.Model))}
-}
-
-func (e *detectEngine) set(b deps.Blocked) error {
-	e.v.State().SetBlocked(b)
-	return nil
-}
-
-func (e *detectEngine) clear(t deps.TaskID) error {
-	e.v.State().Clear(t)
-	return nil
-}
-
-func (e *detectEngine) verdict() (bool, error) {
-	return e.v.CheckNow() != nil, nil
-}
-
-func (e *detectEngine) probe(b deps.Blocked) (bool, error) {
-	e.v.State().SetBlocked(b)
-	d := e.v.CheckNow() != nil
-	e.v.State().Clear(b.Task)
-	return d, nil
-}
-
-func (e *detectEngine) close() { e.v.Close() }
-
-func (e *detectEngine) finish() error { return nil }
-
-func (e *detectEngine) storeStats() (int64, int64) { return 0, 0 }
+func (m *AvoidEngine) Clear(t deps.TaskID) { m.e.Unblock(t) }
 
 // distEngine answers verdicts with the distributed pipeline: statuses are
 // dealt across observe-mode sites by task ID, and the mutated site answers

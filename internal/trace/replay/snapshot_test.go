@@ -7,16 +7,17 @@ import (
 	"armus/internal/core"
 	"armus/internal/deps"
 	"armus/internal/dist"
+	"armus/internal/engine"
 	"armus/internal/trace"
 )
 
 // TestSnapshotRehydrateParity is the differential check behind the fleet
 // failover path (internal/server/persist.go): for every corpus trace, the
-// live state is persisted through the dist base+delta codec at each settle
-// point exactly the way the server persists sessions — alternating full
-// bases and cumulative deltas, stale deltas left in place across base
-// rewrites — then decoded and rehydrated into a FRESH verifier, whose
-// verdict must equal the uninterrupted Detect pipeline's verdict at that
+// live state is persisted at each settle point through the chain writer the
+// server persists sessions with (dist.Chain: alternating full bases and
+// cumulative deltas, stale deltas left in place across base rewrites), then
+// read back with the server's reader (dist.DecodeChain) and rehydrated into
+// a FRESH engine, whose verdict must equal the uninterrupted Detect pipeline's verdict at that
 // mutation. Definition 4.1 is the claim under test: a session's verifier
 // state IS its blocked-status set, so snapshot→rehydrate loses nothing
 // verdict-relevant at any point of any recorded execution.
@@ -42,47 +43,23 @@ func TestSnapshotRehydrateParity(t *testing.T) {
 				t.Fatalf("reference replay: %v", err)
 			}
 
-			st := deps.NewState()
-			// The server's persist bookkeeping, verbatim: two alternating
-			// snapshot buffers (SnapshotInto reuses inner slices, so the
-			// retained base must be a distinct buffer), a stored base and a
-			// stored delta that is NOT cleared on base rewrites — the decode
-			// side must ignore it by sequence mismatch, the same staleness
-			// guard fetchSnapshot applies.
-			var curSnap, baseSnap, upsBuf []deps.Blocked
-			var remBuf []deps.TaskID
-			var seq, baseSeq uint64
-			var baseBytes, deltaBytes []byte
-			persistsSinceBase := 0
-
+			live := engine.New(core.ModeDetect, deps.ModelAuto)
+			defer live.Close()
+			// The server's own writer and reader (dist.Chain, DecodeChain)
+			// over the store's two fields. As in the store, a base write
+			// does NOT clear the delta field — the reader must ignore a
+			// stale delta by sequence mismatch.
+			chain := dist.NewChain(fullEvery, 0)
+			fields := map[string][]byte{}
 			persist := func() {
-				seq++
-				curSnap = st.SnapshotInto(curSnap)
-				if seq == 1 || persistsSinceBase >= fullEvery {
-					baseBytes = dist.EncodeSnapshot(0, seq, curSnap)
-					baseSeq = seq
-					baseSnap, curSnap = curSnap, baseSnap
-					persistsSinceBase = 0
-				} else {
-					remBuf, upsBuf = dist.DiffSnapshots(baseSnap, curSnap, remBuf[:0], upsBuf[:0])
-					deltaBytes = dist.EncodeDelta(0, baseSeq, seq, remBuf, upsBuf)
+				if field, val := chain.Next(live.State()); field != "" {
+					fields[field] = val
 				}
-				persistsSinceBase++
 			}
-
 			rehydrate := func() []deps.Blocked {
-				_, bSeq, snap, err := dist.DecodeSnapshot(baseBytes)
+				snap, _, err := dist.DecodeChain(fields["base"], fields["delta"])
 				if err != nil {
-					t.Fatalf("decode base: %v", err)
-				}
-				if deltaBytes != nil {
-					_, dBase, dSeq, removed, upserts, derr := dist.DecodeDelta(deltaBytes)
-					if derr != nil {
-						t.Fatalf("decode delta: %v", derr)
-					}
-					if dBase == bSeq && dSeq > bSeq {
-						snap = dist.ApplyDelta(nil, snap, removed, upserts)
-					}
+					t.Fatalf("decode chain: %v", err)
 				}
 				return snap
 			}
@@ -91,12 +68,10 @@ func TestSnapshotRehydrateParity(t *testing.T) {
 			checked := 0
 			check := func() {
 				persist()
-				v := core.New(core.WithMode(core.ModeObserve))
-				defer v.Close()
-				for _, b := range rehydrate() {
-					v.State().SetBlocked(b)
-				}
-				got := v.CheckNow() != nil
+				fresh := engine.New(core.ModeDetect, deps.ModelAuto)
+				defer fresh.Close()
+				fresh.Restore(rehydrate()...)
+				got := fresh.Check() != nil
 				if want := ref.Verdicts[mut-1]; got != want {
 					t.Fatalf("mutation %d: rehydrated verifier says deadlocked=%v, uninterrupted pipeline says %v",
 						mut-1, got, want)
@@ -107,9 +82,9 @@ func TestSnapshotRehydrateParity(t *testing.T) {
 			for _, ev := range tr.Events {
 				switch ev.Kind {
 				case trace.KindBlock:
-					st.SetBlocked(ev.Status)
+					live.Block(ev.Status)
 				case trace.KindUnblock:
-					st.Clear(ev.Task)
+					live.Unblock(ev.Task)
 				default:
 					continue
 				}
