@@ -1,45 +1,22 @@
 // Command armus-bench regenerates the paper's evaluation (§6): Tables 1-3
-// and Figures 6-9. Each experiment prints the same rows/series the paper
-// reports; absolute times differ from the paper's 64-core testbed but the
-// shapes (who wins, by roughly what factor, where crossovers fall) hold.
+// and Figures 6-9, printed as aligned text. Each experiment prints the same
+// rows/series the paper reports; absolute times differ from the paper's
+// 64-core testbed but the shapes (who wins, by roughly what factor, where
+// crossovers fall) hold.
 //
 // Usage:
 //
 //	armus-bench -exp all
 //	armus-bench -exp table1 -samples 10 -class 2 -tasks 2,4,8,16
 //	armus-bench -exp fig7 -sites 8 -tasks-per-site 8
-//	armus-bench -exp table2 -samples 1 -json > bench.json
 //
-// With -json the tables are emitted as a JSON array on stdout (one element
-// per experiment, carrying its tables and wall-clock seconds) instead of
-// the aligned-text rendering, so runs can be archived and diffed (the
-// checked-in BENCH_*.json files are produced this way).
-//
-// With -baseline the run additionally becomes the CI perf-trajectory gate:
-// every per-kernel overhead cell is compared against the same cell of the
-// given (previously archived) JSON file and the process exits non-zero
-// when any cell regressed by more than -tolerance percentage points, and
-// every gate-latency cell (the serve experiment's p50/p99 columns) when it
-// exceeds -lat-tolerance times its baseline, and every throughput cell
-// (the replay experiment's Events/s columns) when it falls below its
-// baseline divided by -thr-tolerance:
-//
-//	armus-bench -exp table2 -samples 5 -class 1 -tasks 2,4 -json \
-//	    -baseline bench_baseline.json -tolerance 30 > bench.json
-//	armus-bench -exp serve -samples 3 -json \
-//	    -baseline BENCH_2026-08-07-serve.json -lat-tolerance 3 > serve.json
-//	armus-bench -exp replay -samples 3 -class 1 -json \
-//	    -baseline BENCH_2026-08-08-dist.json -thr-tolerance 3 > replay.json
-//
-// Regenerate the baseline with the exact same experiment flags whenever an
-// intentional perf change moves the floor.
+// It is not a performance gate: the service and its layers are measured by
+// the repository benchmark (benchmark/README.md, BENCHMARK.json).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -47,13 +24,6 @@ import (
 
 	"armus/internal/harness"
 )
-
-// jsonResult is one experiment's archive entry for -json output.
-type jsonResult struct {
-	Experiment string           `json:"experiment"`
-	Seconds    float64          `json:"seconds"`
-	Tables     []*harness.Table `json:"tables"`
-}
 
 func main() {
 	var (
@@ -65,12 +35,6 @@ func main() {
 		sites        = flag.Int("sites", 4, "number of sites for figure 7")
 		tasksPerSite = flag.Int("tasks-per-site", 4, "tasks per site for figure 7")
 		period       = flag.Duration("period", 100*time.Millisecond, "detection scan period")
-		schedules    = flag.Int("schedules", 500, "seeded schedules per pipeline for the explore experiment")
-		asJSON       = flag.Bool("json", false, "emit results as JSON on stdout instead of text tables")
-		baseline     = flag.String("baseline", "", "compare overhead and latency cells against this archived -json file and fail on regression")
-		tolerance    = flag.Float64("tolerance", 25, "allowed overhead regression vs -baseline, in percentage points")
-		latTolerance = flag.Float64("lat-tolerance", 3, "allowed latency regression vs -baseline, as a multiplier")
-		thrTolerance = flag.Float64("thr-tolerance", 3, "allowed throughput drop vs -baseline, as a divisor")
 	)
 	flag.Parse()
 
@@ -79,12 +43,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "armus-bench:", err)
 		os.Exit(2)
 	}
-	var out io.Writer = os.Stdout
-	if *asJSON {
-		out = io.Discard // tables are collected and marshalled instead
-	}
 	o := harness.Options{
-		Out:          out,
+		Out:          os.Stdout,
 		Samples:      *samples,
 		Class:        *class,
 		TaskCounts:   counts,
@@ -92,7 +52,6 @@ func main() {
 		Sites:        *sites,
 		TasksPerSite: *tasksPerSite,
 		DetectPeriod: *period,
-		Schedules:    *schedules,
 	}
 
 	experiments := harness.Experiments()
@@ -100,7 +59,6 @@ func main() {
 	if *exp == "all" {
 		names = harness.ExperimentNames()
 	}
-	var results []jsonResult
 	for _, name := range names {
 		run, ok := experiments[name]
 		if !ok {
@@ -108,38 +66,13 @@ func main() {
 				name, strings.Join(harness.ExperimentNames(), ", "))
 			os.Exit(2)
 		}
-		if !*asJSON {
-			fmt.Printf("== %s ==\n", name)
-		}
+		fmt.Printf("== %s ==\n", name)
 		start := time.Now()
-		tables, err := run(o)
-		elapsed := time.Since(start)
-		if err != nil {
+		if err := run(o); err != nil {
 			fmt.Fprintf(os.Stderr, "armus-bench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		results = append(results, jsonResult{
-			Experiment: name,
-			Seconds:    elapsed.Seconds(),
-			Tables:     tables,
-		})
-		if !*asJSON {
-			fmt.Printf("(%s completed in %v)\n\n", name, elapsed.Round(time.Millisecond))
-		}
-	}
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			fmt.Fprintln(os.Stderr, "armus-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *baseline != "" {
-		if err := compareBaseline(results, *baseline, *tolerance, *latTolerance, *thrTolerance); err != nil {
-			fmt.Fprintln(os.Stderr, "armus-bench:", err)
-			os.Exit(1)
-		}
+		fmt.Printf("(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 }
 

@@ -38,17 +38,12 @@ func main() {
 		listen   = flag.String("listen", "127.0.0.1:7777", "TCP address to serve the verification protocol on")
 		httpAddr = flag.String("http", "", "HTTP address for /healthz and /metrics (empty disables)")
 		lease    = flag.Duration("lease", 30*time.Second, "how long a session with no connections survives before GC")
-		sweep    = flag.Duration("sweep", time.Second, "janitor period (lease granularity)")
 		grace    = flag.Duration("drain-grace", 5*time.Second, "graceful-shutdown wait for connections to finish")
-		batch    = flag.Int("batch", 256, "max events applied per executor wakeup; raise for throughput-over-latency")
-		queue    = flag.Int("queue", 256, "per-connection outbound response queue bound")
 		storeDSN = flag.String("store", "", "armus-store address for session-snapshot persistence (empty disables)")
 		snapEv   = flag.Int("snapshot-every", 64, "persist a session snapshot every n executor batches")
-		snapFull = flag.Int("snapshot-full-every", 16, "every nth persisted snapshot is a full base (deltas between)")
 		fleetCSV = flag.String("fleet", "", "comma-separated fleet shard map (the same list clients route with)")
 		selfAddr = flag.String("self", "", "this server's entry in -fleet (foreign-session accounting)")
 		segDir   = flag.String("segment-dir", "", "directory for the durable trace archive (empty disables; query with armus-trace query)")
-		segMaxB  = flag.Int64("segment-max-bytes", 0, "rotate a session's segment at this size (0 = 4MiB default)")
 		segMaxA  = flag.Duration("segment-max-age", 0, "rotate/seal a session's segment after this idle age (0 = 5m default)")
 		retainB  = flag.Int64("retain-bytes", 0, "retention: cap total sealed-segment bytes, deleting oldest-first (0 = unlimited)")
 		retainA  = flag.Duration("retain-age", 0, "retention: delete sealed segments older than this (0 = keep forever)")
@@ -61,16 +56,11 @@ func main() {
 	cfg := server.Config{
 		Addr:               *listen,
 		Lease:              *lease,
-		SweepPeriod:        *sweep,
 		DrainGrace:         *grace,
-		MaxBatch:           *batch,
-		QueueLen:           *queue,
 		StoreAddr:          *storeDSN,
 		SnapshotEvery:      *snapEv,
-		SnapshotFullEvery:  *snapFull,
 		SelfAddr:           *selfAddr,
 		SegmentDir:         *segDir,
-		SegmentMaxBytes:    *segMaxB,
 		SegmentMaxAge:      *segMaxA,
 		SegmentRetainBytes: *retainB,
 		SegmentRetainAge:   *retainA,
@@ -105,11 +95,9 @@ func main() {
 		"pprof":   *pprofOn,
 	})
 	log.Printf("armus-serve: %s", banner)
-	log.Printf("armus-serve: listening on %s (lease %v, batch %d, queue %d)",
-		s.Addr(), *lease, *batch, *queue)
+	log.Printf("armus-serve: listening on %s (lease %v)", s.Addr(), *lease)
 	if *storeDSN != "" {
-		log.Printf("armus-serve: persisting session snapshots to %s (every %d batches, full base every %d)",
-			*storeDSN, *snapEv, *snapFull)
+		log.Printf("armus-serve: persisting session snapshots to %s (every %d batches)", *storeDSN, *snapEv)
 	}
 	if *segDir != "" {
 		log.Printf("armus-serve: archiving trace segments to %s (retain-bytes %d, retain-age %v)",

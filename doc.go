@@ -25,7 +25,7 @@
 // cycle detection; the avoidance gate instead runs a targeted search over
 // an incrementally maintained index, so the per-block check is
 // sub-microsecond and allocation-free in steady state (see DESIGN.md "Hot
-// path" and the checked-in BENCH_*.json measurements).
+// path" and the repository benchmark, benchmark/README.md).
 //
 // # Quick start
 //

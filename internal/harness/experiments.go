@@ -297,36 +297,29 @@ func RunTable3(o Options) (*Table, error) {
 }
 
 // Experiments maps experiment names (as used by armus-bench -exp) to
-// runners that print to o.Out and return their result tables, so callers
-// can render them in other formats (armus-bench -json).
-func Experiments() map[string]func(Options) ([]*Table, error) {
-	one := func(run func(Options) (*Table, error)) func(Options) ([]*Table, error) {
-		return func(o Options) ([]*Table, error) {
-			t, err := run(o)
-			if err != nil {
-				return nil, err
-			}
-			return []*Table{t}, nil
-		}
-	}
-	return map[string]func(Options) ([]*Table, error){
-		"table1":  one(RunTable1),
-		"table2":  one(RunTable2),
-		"fig6":    RunFig6,
-		"fig7":    one(RunFig7),
-		"fig8":    one(RunFig8),
-		"fig9":    one(RunFig9),
-		"table3":  one(RunTable3),
-		"explore": one(RunExplore),
-		"replay":  one(RunReplay),
-		"serve":   one(RunServe),
-		"fleet":   one(RunFleet),
-		"segment": one(RunSegment),
+// runners that print their tables to o.Out.
+func Experiments() map[string]func(Options) error {
+	return map[string]func(Options) error{
+		"table1": printing(RunTable1),
+		"table2": printing(RunTable2),
+		"fig6":   printing(RunFig6),
+		"fig7":   printing(RunFig7),
+		"fig8":   printing(RunFig8),
+		"fig9":   printing(RunFig9),
+		"table3": printing(RunTable3),
 	}
 }
 
-// ExperimentNames lists the experiments in the paper's order, then the
-// post-paper additions.
+// printing drops a Run* function's returned tables (tests read them; the
+// driver only needs what was printed to o.Out).
+func printing[T any](run func(Options) (T, error)) func(Options) error {
+	return func(o Options) error {
+		_, err := run(o)
+		return err
+	}
+}
+
+// ExperimentNames lists the experiments in the paper's order.
 func ExperimentNames() []string {
-	return []string{"table1", "table2", "fig6", "fig7", "fig8", "fig9", "table3", "explore", "replay", "serve", "fleet", "segment"}
+	return []string{"table1", "table2", "fig6", "fig7", "fig8", "fig9", "table3"}
 }

@@ -92,13 +92,11 @@ func MeasureLocal(samples int, mode core.Mode, model deps.Model, period time.Dur
 	return m, nil
 }
 
-// Table is a printable result table. The json tags fix the schema of
-// armus-bench -json output (and the archived BENCH_*.json entries built
-// from it).
+// Table is a printable result table.
 type Table struct {
-	Title  string     `json:"title"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
+	Title  string
+	Header []string
+	Rows   [][]string
 }
 
 // Fprint renders the table with aligned columns.
@@ -168,9 +166,6 @@ type Options struct {
 	// DetectPeriod overrides the detection-scan period (paper: 100 ms
 	// local, 200 ms distributed).
 	DetectPeriod time.Duration
-	// Schedules is the seed count per pipeline for the schedule-exploration
-	// experiment (explore).
-	Schedules int
 }
 
 func (o *Options) defaults() {
@@ -197,8 +192,5 @@ func (o *Options) defaults() {
 	}
 	if o.DetectPeriod == 0 {
 		o.DetectPeriod = core.DefaultPeriod
-	}
-	if o.Schedules == 0 {
-		o.Schedules = 500
 	}
 }

@@ -116,14 +116,6 @@ func (s HistSnapshot) Percentile(p float64) int64 {
 	return BucketBound(i)
 }
 
-// Mean returns the arithmetic mean (0 when empty).
-func (s HistSnapshot) Mean() int64 {
-	if s.Count <= 0 {
-		return 0
-	}
-	return s.Sum / s.Count
-}
-
 // CountLE returns how many observations the buckets place at or below
 // bound: exact when bound is a bucket bound (every power of two is),
 // otherwise short by the part of one straddling bucket.

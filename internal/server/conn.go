@@ -24,6 +24,10 @@ import (
 // executor split.
 const batchesPerConn = 4
 
+// maxBatch is the most events one read loop decodes into a batch before
+// handing it to the session executor.
+const maxBatch = 256
+
 // conn is one accepted client connection: a read loop that only decodes
 // and enqueues (the session executor does all verification), and a writer
 // goroutine flushing the coalesce buffer responses are encoded into.
@@ -146,7 +150,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	// verifier engine.
 	c.free = make(chan *batch, batchesPerConn)
 	for i := 0; i < batchesPerConn; i++ {
-		c.free <- &batch{c: c, events: make([]trace.Event, s.cfg.MaxBatch)}
+		c.free <- &batch{c: c, events: make([]trace.Event, maxBatch)}
 	}
 	for {
 		b := <-c.free

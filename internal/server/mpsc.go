@@ -13,7 +13,7 @@ import (
 // recycles it, so the steady-state ingest path allocates nothing.
 type batch struct {
 	c      *conn
-	events []trace.Event // backing array, len == Config.MaxBatch
+	events []trace.Event // backing array, len == maxBatch
 	n      int           // events[:n] are valid
 	next   atomic.Pointer[batch]
 

@@ -18,10 +18,15 @@ import (
 
 // TestStageSumsConsistentWithRTT is the acceptance check for the stage
 // histograms: over a strictly sequential client (one gate in flight at a
-// time), the server-side stage attribution — queue-wait + verify + flush —
-// can never exceed the wall clock the client observed for the whole run.
-// If a stamp were taken at the wrong point (double-counting a stage,
-// timing across batches), the sums would blow past the window.
+// time), queue-wait and verify of successive batches are adjacent,
+// non-overlapping intervals, so their sums can never exceed the wall clock
+// the client observed for the whole run. If a stamp were taken at the wrong
+// point (double-counting a stage, timing across batches), the sums would
+// blow past the window. Flush is NOT part of that bound: writeLoop takes
+// its end stamp after nc.Write returns, and by then the client may already
+// have sent the next gate and the executor answered it, so flush interval i
+// overlaps queue-wait/verify of gate i+1 (Hist.Sum is exact — no bucket
+// rounding is involved). Flush is only required to have been observed.
 func TestStageSumsConsistentWithRTT(t *testing.T) {
 	const gates = 200
 	s := testServer(t, Config{})
@@ -58,13 +63,12 @@ func TestStageSumsConsistentWithRTT(t *testing.T) {
 	if fl.Count == 0 || fl.Count > gates+2 {
 		t.Fatalf("flush count = %d, want 1..%d", fl.Count, gates+2)
 	}
-	total := qw.Sum + vf.Sum + fl.Sum
-	if total <= 0 {
+	if qw.Sum+vf.Sum <= 0 || fl.Sum <= 0 {
 		t.Fatalf("stage sums empty: qw=%d vf=%d fl=%d", qw.Sum, vf.Sum, fl.Sum)
 	}
-	if total > int64(window) {
-		t.Fatalf("stage sums exceed the measured window: queue %v + verify %v + flush %v > %v",
-			time.Duration(qw.Sum), time.Duration(vf.Sum), time.Duration(fl.Sum), window)
+	if qw.Sum+vf.Sum > int64(window) {
+		t.Fatalf("stage sums exceed the measured window: queue %v + verify %v > %v",
+			time.Duration(qw.Sum), time.Duration(vf.Sum), window)
 	}
 }
 

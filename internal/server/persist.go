@@ -39,6 +39,10 @@ import (
 // sessionKeyPrefix namespaces session snapshots in the shared store.
 const sessionKeyPrefix = "armus:sess:"
 
+// snapshotFullEvery makes every 16th persisted snapshot a full base; the
+// ones between are cumulative deltas against it.
+const snapshotFullEvery = 16
+
 func sessionKey(name string) string { return sessionKeyPrefix + name }
 
 // persistReq is one snapshot write: HSET key field val, plus the session

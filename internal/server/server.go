@@ -78,9 +78,6 @@ import (
 type Config struct {
 	// Addr is the TCP listen address, e.g. "127.0.0.1:7777" or ":0".
 	Addr string
-	// MaxBatch is the most events one read loop decodes into a batch
-	// before handing it to the session executor (default 256).
-	MaxBatch int
 	// QueueLen bounds a connection's undelivered responses (the coalesce
 	// buffer, counted in responses; default 256); a connection exceeding
 	// it is disconnected as a slow consumer.
@@ -114,9 +111,6 @@ type Config struct {
 	// batches (default 64). Lower is fresher at more store traffic; the
 	// client SDK's reconnect resync covers whatever the cadence misses.
 	SnapshotEvery int
-	// SnapshotFullEvery makes every Nth persisted snapshot a full base
-	// (default 16); the ones between are cumulative deltas against it.
-	SnapshotFullEvery int
 	// Fleet and SelfAddr declare the static shard map this server serves
 	// in (the same -fleet list clients route with) and which entry is this
 	// server. Observational only: a session owned by another fleet member
@@ -135,10 +129,9 @@ type Config struct {
 	// the persister discipline: bounded channel, single writer goroutine,
 	// drops counted, never blocks ingestion. Empty disables archiving.
 	SegmentDir string
-	// SegmentMaxBytes / SegmentMaxAge rotate (seal) a session's current
-	// segment once it reaches this size / age (defaults 4 MiB / 5m).
-	SegmentMaxBytes int64
-	SegmentMaxAge   time.Duration
+	// SegmentMaxAge rotates (seals) a session's current segment once it
+	// reaches this age (default 5m; the size bound is segment's 4 MiB).
+	SegmentMaxAge time.Duration
 	// SegmentRetainBytes / SegmentRetainAge bound the archive: the
 	// retention sweep deletes sealed segments oldest-first while the
 	// directory exceeds the byte budget, and deletes any sealed segment
@@ -168,9 +161,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
 	if c.QueueLen <= 0 {
 		c.QueueLen = 256
 	}
@@ -188,9 +178,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 64
-	}
-	if c.SnapshotFullEvery <= 0 {
-		c.SnapshotFullEvery = 16
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Real{}
@@ -271,7 +258,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SegmentDir != "" {
 		seg, err := segment.NewStore(segment.Config{
 			Dir:         cfg.SegmentDir,
-			MaxBytes:    cfg.SegmentMaxBytes,
 			MaxAge:      cfg.SegmentMaxAge,
 			RetainBytes: cfg.SegmentRetainBytes,
 			RetainAge:   cfg.SegmentRetainAge,

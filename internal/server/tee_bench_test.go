@@ -14,8 +14,8 @@ import (
 // isolation: 64 concurrent avoidance sessions replay the CG corpus
 // trace against a server with archiving off, then on. This is the
 // profiling entry point for the tee path (`go test -bench TeeIngest
-// -cpuprofile ...`); the end-to-end acceptance number comes from
-// `armus-bench -exp segment`.
+// -cpuprofile ...`); the end-to-end numbers are the repository
+// benchmark's serve-stream workload and its segment.* ladder rungs.
 func BenchmarkTeeIngest(b *testing.B) {
 	tr, err := trace.ReadFile("../../testdata/corpus/npb-cg-avoid.trace")
 	if err != nil {
