@@ -226,7 +226,10 @@ func NewSite(id int, addr string, opts ...SiteOption) *Site {
 	return dist.NewSite(id, addr, opts...)
 }
 
-// WithSiteModel selects the graph model for the site's global analysis.
+// WithSiteModel selects the graph model of the site's local verifier. The
+// site's global analysis builds no graph — it searches the index of its
+// merged view, as the avoidance gate does — and its reports carry ModelWFG
+// like the gate's.
 func WithSiteModel(m Model) SiteOption { return dist.WithModel(m) }
 
 // WithSitePeriod sets the site's publish/check period (default 200 ms).

@@ -3,6 +3,7 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"armus/internal/deps"
 )
@@ -113,81 +114,103 @@ func (d *snapshotDecoder) length() (int, error) {
 	return int(v), nil
 }
 
-// blocked decodes one blocked status (shared by the snapshot and delta
-// decoders).
-func (d *snapshotDecoder) blocked() (deps.Blocked, error) {
-	var b deps.Blocked
+// emptied returns buf with length zero and room for n items. Whatever buf
+// held stays behind its length, so a decoder refilling it finds the inner
+// slices of its previous occupants and reuses them — the way
+// deps.State.SnapshotInto treats its buffer. A fresh decode (nil buffers)
+// allocates exactly what it needs, once.
+func emptied[T any](buf []T, n int) []T {
+	switch {
+	case n <= cap(buf):
+	case cap(buf) == 0:
+		return make([]T, 0, n)
+	default:
+		buf = slices.Grow(buf[:cap(buf)], n-cap(buf))
+	}
+	return buf[:0]
+}
+
+// blockedInto decodes one blocked status (shared by the snapshot and delta
+// decoders) into b, overwriting it and reusing its slices.
+func (d *snapshotDecoder) blockedInto(b *deps.Blocked) error {
 	t, err := d.varint()
 	if err != nil {
-		return b, err
+		return err
 	}
 	b.Task = deps.TaskID(t)
 	nw, err := d.length()
 	if err != nil {
-		return b, err
+		return err
 	}
-	b.WaitsFor = make([]deps.Resource, 0, nw)
+	b.WaitsFor = emptied(b.WaitsFor, nw)
 	for j := 0; j < nw; j++ {
 		q, err := d.varint()
 		if err != nil {
-			return b, err
+			return err
 		}
 		ph, err := d.varint()
 		if err != nil {
-			return b, err
+			return err
 		}
 		b.WaitsFor = append(b.WaitsFor, deps.Resource{Phaser: deps.PhaserID(q), Phase: ph})
 	}
 	nr, err := d.length()
 	if err != nil {
-		return b, err
+		return err
 	}
-	b.Regs = make([]deps.Reg, 0, nr)
+	b.Regs = emptied(b.Regs, nr)
 	for j := 0; j < nr; j++ {
 		q, err := d.varint()
 		if err != nil {
-			return b, err
+			return err
 		}
 		ph, err := d.varint()
 		if err != nil {
-			return b, err
+			return err
 		}
 		b.Regs = append(b.Regs, deps.Reg{Phaser: deps.PhaserID(q), Phase: ph})
 	}
-	return b, nil
+	return nil
 }
 
-// decodeSnapshot parses a payload produced by encodeSnapshot. Any
-// malformation is an error: the caller drops the snapshot (counting it) so
-// one corrupt entry can never wedge a global check.
-func decodeSnapshot(payload []byte) (siteID int, seq uint64, snap []deps.Blocked, err error) {
+// decodeSnapshotInto parses a payload produced by encodeSnapshot into buf,
+// which it overwrites, reuses (see emptied) and returns — also on an
+// error, when what it holds is unspecified: a caller with a good snapshot
+// to lose decodes into a spare. Any malformation is an error: the caller
+// drops the snapshot (counting it) so one corrupt entry can never wedge a
+// global check.
+func decodeSnapshotInto(payload []byte, buf []deps.Blocked) (siteID int, seq uint64, snap []deps.Blocked, err error) {
 	if len(payload) < len(snapshotMagic) || string(payload[:len(snapshotMagic)]) != snapshotMagic {
-		return 0, 0, nil, fmt.Errorf("dist: bad snapshot magic")
+		return 0, 0, buf, fmt.Errorf("dist: bad snapshot magic")
 	}
 	d := &snapshotDecoder{buf: payload[len(snapshotMagic):]}
 	id, err := d.uvarint()
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, buf, err
 	}
 	if seq, err = d.uvarint(); err != nil {
-		return 0, 0, nil, err
+		return 0, 0, buf, err
 	}
 	n, err := d.length()
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, buf, err
 	}
-	snap = make([]deps.Blocked, 0, n)
+	snap = emptied(buf, n)
 	for i := 0; i < n; i++ {
-		b, err := d.blocked()
-		if err != nil {
-			return 0, 0, nil, err
+		snap = snap[:i+1]
+		if err := d.blockedInto(&snap[i]); err != nil {
+			return 0, 0, snap, err
 		}
-		snap = append(snap, b)
 	}
 	if len(d.buf) != 0 {
-		return 0, 0, nil, fmt.Errorf("dist: %d trailing bytes after snapshot", len(d.buf))
+		return 0, 0, snap, fmt.Errorf("dist: %d trailing bytes after snapshot", len(d.buf))
 	}
 	return int(id), seq, snap, nil
+}
+
+// decodeSnapshot is decodeSnapshotInto into fresh memory.
+func decodeSnapshot(payload []byte) (siteID int, seq uint64, snap []deps.Blocked, err error) {
+	return decodeSnapshotInto(payload, nil)
 }
 
 // peekSnapshotSeq reads a snapshot header without decoding the body, so an
@@ -251,62 +274,71 @@ func encodeDelta(siteID int, baseSeq, seq uint64, removed []deps.TaskID, upserts
 	return appendDelta(buf, siteID, baseSeq, seq, removed, upserts)
 }
 
-// decodeDelta parses a payload produced by encodeDelta, enforcing the
-// ordering invariants (strictly ascending removed tasks and upserts, seq
-// beyond baseSeq) so applyDelta stays a simple sorted merge. Any
-// malformation is an error: the caller falls back to the base snapshot.
-func decodeDelta(payload []byte) (siteID int, baseSeq, seq uint64, removed []deps.TaskID, upserts []deps.Blocked, err error) {
+// decodeDeltaInto parses a payload produced by encodeDelta into the
+// caller's removed and upserts buffers (overwritten, reused and returned
+// like decodeSnapshotInto's), enforcing the ordering invariants (strictly
+// ascending removed tasks and upserts, seq beyond baseSeq) so applyDelta
+// stays a simple sorted merge. Any malformation is an error: the caller
+// falls back to the base snapshot.
+func decodeDeltaInto(payload []byte, removed []deps.TaskID, upserts []deps.Blocked) (siteID int, baseSeq, seq uint64, _ []deps.TaskID, _ []deps.Blocked, err error) {
+	fail := func(err error) (int, uint64, uint64, []deps.TaskID, []deps.Blocked, error) {
+		return 0, 0, 0, removed, upserts, err
+	}
 	if len(payload) < len(deltaMagic) || string(payload[:len(deltaMagic)]) != deltaMagic {
-		return 0, 0, 0, nil, nil, fmt.Errorf("dist: bad delta magic")
+		return fail(fmt.Errorf("dist: bad delta magic"))
 	}
 	d := &snapshotDecoder{buf: payload[len(deltaMagic):]}
 	id, err := d.uvarint()
 	if err != nil {
-		return 0, 0, 0, nil, nil, err
+		return fail(err)
 	}
 	if baseSeq, err = d.uvarint(); err != nil {
-		return 0, 0, 0, nil, nil, err
+		return fail(err)
 	}
 	if seq, err = d.uvarint(); err != nil {
-		return 0, 0, 0, nil, nil, err
+		return fail(err)
 	}
 	if seq <= baseSeq {
-		return 0, 0, 0, nil, nil, fmt.Errorf("dist: delta seq %d not beyond base %d", seq, baseSeq)
+		return fail(fmt.Errorf("dist: delta seq %d not beyond base %d", seq, baseSeq))
 	}
 	nr, err := d.length()
 	if err != nil {
-		return 0, 0, 0, nil, nil, err
+		return fail(err)
 	}
-	removed = make([]deps.TaskID, 0, nr)
+	removed = emptied(removed, nr)
 	for i := 0; i < nr; i++ {
 		t, err := d.varint()
 		if err != nil {
-			return 0, 0, 0, nil, nil, err
+			return fail(err)
 		}
 		if i > 0 && deps.TaskID(t) <= removed[i-1] {
-			return 0, 0, 0, nil, nil, fmt.Errorf("dist: delta removed tasks not ascending")
+			return fail(fmt.Errorf("dist: delta removed tasks not ascending"))
 		}
 		removed = append(removed, deps.TaskID(t))
 	}
 	nu, err := d.length()
 	if err != nil {
-		return 0, 0, 0, nil, nil, err
+		return fail(err)
 	}
-	upserts = make([]deps.Blocked, 0, nu)
+	upserts = emptied(upserts, nu)
 	for i := 0; i < nu; i++ {
-		b, err := d.blocked()
-		if err != nil {
-			return 0, 0, 0, nil, nil, err
+		upserts = upserts[:i+1]
+		if err := d.blockedInto(&upserts[i]); err != nil {
+			return fail(err)
 		}
-		if i > 0 && b.Task <= upserts[i-1].Task {
-			return 0, 0, 0, nil, nil, fmt.Errorf("dist: delta upserts not ascending")
+		if i > 0 && upserts[i].Task <= upserts[i-1].Task {
+			return fail(fmt.Errorf("dist: delta upserts not ascending"))
 		}
-		upserts = append(upserts, b)
 	}
 	if len(d.buf) != 0 {
-		return 0, 0, 0, nil, nil, fmt.Errorf("dist: %d trailing bytes after delta", len(d.buf))
+		return fail(fmt.Errorf("dist: %d trailing bytes after delta", len(d.buf)))
 	}
 	return int(id), baseSeq, seq, removed, upserts, nil
+}
+
+// decodeDelta is decodeDeltaInto into fresh memory.
+func decodeDelta(payload []byte) (siteID int, baseSeq, seq uint64, removed []deps.TaskID, upserts []deps.Blocked, err error) {
+	return decodeDeltaInto(payload, nil, nil)
 }
 
 // peekDeltaSeqs reads a delta header without decoding the body.

@@ -47,10 +47,32 @@ func FuzzSnapshotCodec(f *testing.F) {
 	f.Add([]byte("NOTARMUS-------"))
 	f.Add(append([]byte(snapshotMagic), 1, 1, 0xff, 0xff, 0xff, 0xff, 0x7f)) // huge length
 
+	// A longer, wider occupant for the reused buffers than most inputs.
+	var long []deps.Blocked
+	for i := 0; i < 12; i++ {
+		long = append(long, seeds[2][0], seeds[3][0])
+	}
+	longPayload := encodeSnapshot(7, 7, long)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		id, seq, snap, err := decodeSnapshot(data)
+		// The decode the site runs: into buffers that held another snapshot.
+		// It must agree with the fresh one on everything — nothing of the
+		// previous occupant showing through, whether as a status or as the
+		// tail of a slice — and fail where that fails.
+		_, _, buf, lerr := decodeSnapshotInto(longPayload, nil)
+		if lerr != nil {
+			t.Fatal(lerr)
+		}
+		id3, seq3, snap3, err3 := decodeSnapshotInto(data, buf)
+		if (err3 != nil) != (err != nil) {
+			t.Fatalf("fresh decode: %v, decode into used buffers: %v", err, err3)
+		}
 		if err != nil {
 			return // rejected: that is a fine outcome for arbitrary bytes
+		}
+		if id3 != id || seq3 != seq || !sameSnapshot(snap3, snap) {
+			t.Fatalf("decode into used buffers: (%d,%d) %+v, fresh: (%d,%d) %+v", id3, seq3, snap3, id, seq, snap)
 		}
 		re := encodeSnapshot(id, seq, snap)
 		id2, seq2, snap2, err := decodeSnapshot(re)
@@ -96,10 +118,34 @@ func FuzzDeltaCodec(f *testing.F) {
 	f.Add(encodeSnapshot(1, 1, base))           // wrong magic (a full snapshot)
 	f.Add(append([]byte(deltaMagic), 1, 5, 2))  // seq <= baseSeq
 
+	// A longer, wider occupant for the reused buffers than most inputs.
+	var long []deps.Blocked
+	var longRemoved []deps.TaskID
+	for i := int64(0); i < 24; i++ {
+		b := base[1]
+		b.Task += deps.TaskID(i)
+		long, longRemoved = append(long, b), append(longRemoved, deps.TaskID(i))
+	}
+	longPayload := encodeDelta(7, 1, 2, longRemoved, long)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		id, baseSeq, seq, removed, upserts, err := decodeDelta(data)
+		// As in FuzzSnapshotCodec: the decode into used buffers must be the
+		// fresh decode.
+		_, _, _, rbuf, ubuf, lerr := decodeDeltaInto(longPayload, nil, nil)
+		if lerr != nil {
+			t.Fatal(lerr)
+		}
+		id3, baseSeq3, seq3, removed3, upserts3, err3 := decodeDeltaInto(data, rbuf, ubuf)
+		if (err3 != nil) != (err != nil) {
+			t.Fatalf("fresh decode: %v, decode into used buffers: %v", err, err3)
+		}
 		if err != nil {
 			return
+		}
+		if id3 != id || baseSeq3 != baseSeq || seq3 != seq || !sliceEqual(removed3, removed) || !sameSnapshot(upserts3, upserts) {
+			t.Fatalf("decode into used buffers: (%d,%d,%d) -%v +%+v, fresh: (%d,%d,%d) -%v +%+v",
+				id3, baseSeq3, seq3, removed3, upserts3, id, baseSeq, seq, removed, upserts)
 		}
 		if seq <= baseSeq {
 			t.Fatalf("decoded delta with seq %d <= baseSeq %d", seq, baseSeq)
@@ -139,4 +185,17 @@ func FuzzDeltaCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameSnapshot reports whether two decodes hold the same statuses.
+func sameSnapshot(a, b []deps.Blocked) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !blockedEqual(&a[i], &b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -33,10 +33,15 @@
 // healed by an immediate full republish, preserving the crash-recovery
 // story above). Fetched peers are cached decoded, keyed by seq: an
 // unchanged peer costs a header peek, a changed one a delta apply, and a
-// corrupt delta falls back to that peer's base snapshot. When nothing
-// changed anywhere — no peer seq advanced, local state version identical —
-// the graph build and cycle analysis are skipped and the previous verdict
-// is returned.
+// corrupt delta falls back to that peer's base snapshot. The merged view
+// is one persistent index-searched engine (package engine) holding the
+// local statuses and every peer's: a round applies to it only what each
+// changed source removed or upserted, and searches for a cycle from the
+// upserted tasks alone — a new cycle must pass through a changed status.
+// When nothing changed anywhere — no peer seq advanced, local state version
+// identical — the previous verdict is returned. A warm round allocates
+// nothing: store replies are parsed in the pipeline's own storage and
+// payloads decoded into per-peer buffers.
 //
 // Task and phaser IDs are made globally unique by offsetting each site's
 // verifier with core.WithIDBase(siteID << SiteIDShift), so merged snapshots
@@ -45,11 +50,13 @@ package dist
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"log"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,6 +64,7 @@ import (
 	"armus/internal/clock"
 	"armus/internal/core"
 	"armus/internal/deps"
+	"armus/internal/engine"
 	"armus/internal/store"
 	"armus/internal/trace"
 )
@@ -79,6 +87,11 @@ const keyPrefix = "armus:site:"
 // the cumulative delta's growth and the blast radius of a lost write.
 const defaultFullEvery = 16
 
+// noVersion is a deps.State version no state reaches: a site that has not
+// analysed anything yet holds it for the local state's, so its first
+// analysis is never taken for a repeat of an earlier one.
+const noVersion = ^uint64(0)
+
 // ErrSiteClosed is returned by PublishOnce and CheckOnce after Close: a
 // closed site must not re-publish the snapshot Close withdrew.
 var ErrSiteClosed = errors.New("dist: site is closed")
@@ -90,8 +103,10 @@ func SiteOf(id int64) int { return int(id >> SiteIDShift) }
 // Option configures NewSite.
 type Option func(*Site)
 
-// WithModel selects the graph model for the site's global analysis
-// (default deps.ModelAuto, the adaptive §5.1 policy).
+// WithModel selects the graph model of the site's local verifier (default
+// deps.ModelAuto, the adaptive §5.1 policy). The global analysis does not
+// build a graph: it searches the merged view's index, as the avoidance gate
+// does, and its reports carry deps.ModelWFG like the gate's.
 func WithModel(m deps.Model) Option { return func(s *Site) { s.model = m } }
 
 // WithPeriod sets the publish/check period (default DefaultPeriod).
@@ -138,18 +153,60 @@ func WithOnDeadlock(f func(*core.DeadlockError)) Option {
 	return func(s *Site) { s.onDeadlock = f }
 }
 
-// peerView is one remote site's decoded, cached contribution to the merged
-// view: the last decoded base snapshot plus the view after applying the
-// peer's current cumulative delta. Both are refreshed only when the
-// corresponding seq advances; view entries alias base/delta decode output
-// and are treated as read-only.
-type peerView struct {
-	baseSeq  uint64
-	viewSeq  uint64
-	base     []deps.Blocked
-	view     []deps.Blocked
-	applyBuf []deps.Blocked
-	seen     bool // per-round mark; unseen peers were withdrawn
+// source is one contributor to the merged view: a peer site, or the local
+// state. view is what it claims now and applied the deep copy of what the
+// merged engine holds of it, both sorted by task; the analysis applies the
+// difference. The rest is a peer's seq-gated decode cache: its last decoded
+// base snapshot and current cumulative delta, refreshed only when the
+// corresponding seq advances, in buffers that every decode reuses. view
+// aliases them (base alone, or patched = base + delta).
+type source struct {
+	key     string
+	view    []deps.Blocked
+	applied []deps.Blocked
+	moved   bool // view may differ from applied
+	seen    bool // per-fetch mark; unseen peers were withdrawn
+
+	baseSeq uint64
+	viewSeq uint64
+	base    []deps.Blocked
+	spare   []deps.Blocked // the next base decodes here and is swapped in on success
+	removed []deps.TaskID
+	upserts []deps.Blocked
+	patched []deps.Blocked
+}
+
+// rebase decodes a base snapshot and makes it the view. On an error the
+// source is untouched: the last good view survives a corrupt base.
+func (src *source) rebase(payload []byte, seq uint64) error {
+	var err error
+	if _, _, src.spare, err = decodeSnapshotInto(payload, src.spare); err != nil {
+		return err
+	}
+	src.base, src.spare = sortedByTask(src.spare), src.base
+	src.baseSeq = seq
+	src.setView(src.base, seq)
+	return nil
+}
+
+func (src *source) setView(view []deps.Blocked, seq uint64) {
+	src.view, src.viewSeq, src.moved = view, seq, true
+}
+
+func byTask(a, b deps.Blocked) int { return cmp.Compare(a.Task, b.Task) }
+
+// sortedByTask returns snap strictly ascending by task, which the encoder
+// guarantees and the decoder does not check: a base some other program
+// wrote is put in order here (the first status of a task wins), because
+// diffSnapshots and applyDelta merge by task.
+func sortedByTask(snap []deps.Blocked) []deps.Blocked {
+	for i := 1; i < len(snap); i++ {
+		if snap[i-1].Task >= snap[i].Task {
+			slices.SortStableFunc(snap, byTask)
+			return slices.CompactFunc(snap, func(a, b deps.Blocked) bool { return a.Task == b.Task })
+		}
+	}
+	return snap
 }
 
 // Site is one participant of a distributed program: it owns the process's
@@ -177,6 +234,8 @@ type Site struct {
 	pubMu        sync.Mutex
 	pubPipe      *store.Pipeline
 	snapBuf      []deps.Blocked
+	snapVer      uint64         // deps.State version read before filling snapBuf
+	snapOK       bool           // snapBuf holds the snapshot of snapVer
 	baseSnap     []deps.Blocked // deep copy of the published base snapshot
 	pubSeq       uint64         // seq of the current published view
 	baseSeq      uint64         // seq of the published base
@@ -190,18 +249,20 @@ type Site struct {
 	pubPayload   []byte
 	pubErrStreak int
 
-	// chkMu owns the check round's reusable buffers, the per-peer view
-	// cache and the graph builder, so the periodic global analysis does
-	// not re-decode unchanged peers or re-allocate the graph every round.
-	chkMu           sync.Mutex
-	chkPipe         *store.Pipeline
-	chkBuf          []deps.Blocked
-	mergedBuf       []deps.Blocked
-	builder         *deps.Builder
-	peers           map[string]*peerView
-	lastAnalysisOK  bool
-	lastAnalysisVer uint64
-	lastRep         *core.DeadlockError
+	// chkMu owns the merged view — one persistent engine holding the
+	// statuses of every source — and the check round's reusable buffers,
+	// so the periodic global analysis re-decodes no unchanged peer and
+	// re-applies no unchanged status.
+	chkMu    sync.Mutex
+	chkPipe  *store.Pipeline
+	merged   *engine.Engine
+	local    source    // view and applied only; it has no store fields
+	localVer uint64    // deps.State version of local.view; noVersion before the first analysis
+	peers    []*source // sorted by key, as MGETP replies are
+	dropBuf  []deps.TaskID
+	putBuf   []deps.Blocked
+	putTasks []deps.TaskID
+	lastRep  *core.DeadlockError // verdict of the merged view as applied
 
 	mu      sync.Mutex
 	started bool
@@ -224,9 +285,9 @@ func NewSite(id int, addr string, opts ...Option) *Site {
 		mode:      core.ModeObserve,
 		clock:     clock.Real{},
 		client:    store.Dial(addr),
-		builder:   deps.NewBuilder(),
+		merged:    engine.New(core.ModeAvoid, deps.ModelWFG),
+		localVer:  noVersion,
 		fullEvery: defaultFullEvery,
-		peers:     make(map[string]*peerView),
 	}
 	for _, o := range opts {
 		o(s)
@@ -410,6 +471,7 @@ func (s *Site) queuePublishLocked(p *store.Pipeline) pubPlan {
 		return pubPlan{ver: ver}
 	}
 	s.snapBuf = s.v.State().SnapshotInto(s.snapBuf)
+	s.snapVer, s.snapOK = ver, true
 	seq := s.pubSeq + 1
 	full := !s.havePub || s.forceFull || s.sinceFull >= s.fullEvery
 	if !full {
@@ -458,10 +520,7 @@ func (s *Site) commitPublishLocked(plan pubPlan) {
 // published base must not alias the snapshot buffer: the next SnapshotInto
 // overwrites that buffer in place.
 func copySnapshot(dst, src []deps.Blocked) []deps.Blocked {
-	for len(dst) < len(src) {
-		dst = append(dst, deps.Blocked{})
-	}
-	dst = dst[:len(src)]
+	dst = emptied(dst, len(src))[:len(src)]
 	for i := range src {
 		dst[i].Task = src[i].Task
 		dst[i].WaitsFor = append(dst[i].WaitsFor[:0], src[i].WaitsFor...)
@@ -564,16 +623,34 @@ type ownExpect struct {
 	published bool
 }
 
-// ingestLocked refreshes the per-peer view cache from one MGETP reply.
-// Unchanged peers (same base and view seqs) cost two header peeks; a
-// changed delta is decoded and applied over the cached base; a changed
+// peerLocked finds the peer published under key, looking first at position
+// at — where it is when the reply lists the keys in order, as the store
+// does — and reports its position, or where it belongs. Caller holds chkMu.
+func (s *Site) peerLocked(key []byte, at int) (*source, int) {
+	if at < len(s.peers) && s.peers[at].key == string(key) {
+		return s.peers[at], at
+	}
+	at, ok := slices.BinarySearchFunc(s.peers, key, func(p *source, key []byte) int {
+		return strings.Compare(p.key, string(key))
+	})
+	if !ok {
+		return nil, at
+	}
+	return s.peers[at], at
+}
+
+// ingestLocked refreshes the per-peer view cache from one MGETP reply,
+// whose storage it does not keep: everything is decoded into the peer's own
+// buffers. Unchanged peers (same base and view seqs) cost two header peeks;
+// a changed delta is decoded and applied over the cached base; a changed
 // base is re-decoded in full. Corrupt payloads never wedge the round: a
 // corrupt delta falls back to that peer's base view, a corrupt base keeps
 // the previous good view (or drops the peer if there was none), and both
-// are counted. Peers absent from the reply were withdrawn and are
-// evicted. When exp is non-nil the site's own fields are validated against
-// it and ownIntact reports whether the store still holds what the site
-// published (false after a store restart). Caller holds chkMu.
+// are counted. Peers absent from the reply were withdrawn: their view is
+// emptied, and the analysis drops them once their statuses are out of the
+// merged view. When exp is non-nil the site's own fields are validated
+// against it and ownIntact reports whether the store still holds what the
+// site published (false after a store restart). Caller holds chkMu.
 func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged, ownIntact bool) {
 	ownIntact = true
 	own := s.key()
@@ -581,11 +658,12 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 	for _, pv := range s.peers {
 		pv.seen = false
 	}
+	next := 0 // position in s.peers after the previous key's
 	for i := 0; i < len(entries); {
 		key := entries[i].Key
 		var basePayload, deltaPayload, plainPayload []byte
-		for ; i < len(entries) && entries[i].Key == key; i++ {
-			switch entries[i].Field {
+		for ; i < len(entries) && bytes.Equal(entries[i].Key, key); i++ {
+			switch string(entries[i].Field) {
 			case "base":
 				basePayload = entries[i].Value
 			case "delta":
@@ -594,7 +672,7 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 				plainPayload = entries[i].Value
 			}
 		}
-		if key == own {
+		if string(key) == own {
 			if exp != nil && exp.published {
 				ownSeen = true
 				okBase := false
@@ -618,22 +696,22 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 			// it as a base-only snapshot (tests also write these directly).
 			basePayload = plainPayload
 		}
-		pv := s.peers[key]
+		pv, at := s.peerLocked(key, next)
+		if pv != nil {
+			// Whatever its fields turn out to hold, the peer is there:
+			// where they are no good, its last good view is kept.
+			pv.seen, next = true, at+1
+		}
 		if basePayload == nil {
 			// A delta with no base: the publisher is mid-repair or the
-			// store lost the base field. Keep the last good view.
-			if pv != nil {
-				pv.seen = true
-			} else {
+			// store lost the base field.
+			if pv == nil {
 				s.stats.snapshotsDropped.Add(1)
 			}
 			continue
 		}
 		_, bseq, err := peekSnapshotSeq(basePayload)
 		if err != nil {
-			if pv != nil {
-				pv.seen = true // keep the last good view
-			}
 			s.stats.snapshotsDropped.Add(1)
 			continue
 		}
@@ -652,55 +730,49 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 			}
 		}
 		if pv != nil && pv.baseSeq == bseq && pv.viewSeq == target {
-			pv.seen = true
-			continue // unchanged: no decode, no rebuild
+			continue // unchanged: no decode, nothing to apply
 		}
-		if pv == nil {
-			_, _, snap, err := decodeSnapshot(basePayload)
-			if err != nil {
+		if pv == nil || pv.baseSeq != bseq {
+			fresh := pv == nil
+			if fresh {
+				pv = &source{key: string(key), seen: true}
+			}
+			if err := pv.rebase(basePayload, bseq); err != nil {
 				s.stats.snapshotsDropped.Add(1)
 				continue
 			}
-			pv = &peerView{base: snap, baseSeq: bseq, view: snap, viewSeq: bseq, seen: true}
-			s.peers[key] = pv
-			viewsChanged = true
-		} else {
-			pv.seen = true
-			if pv.baseSeq != bseq {
-				_, _, snap, err := decodeSnapshot(basePayload)
-				if err != nil {
-					s.stats.snapshotsDropped.Add(1)
-					continue // keep the last good view
-				}
-				pv.base, pv.baseSeq = snap, bseq
-				pv.view, pv.viewSeq = snap, bseq
-				viewsChanged = true
+			if fresh {
+				s.peers = slices.Insert(s.peers, at, pv)
+				next = at + 1
 			}
+			viewsChanged = true
 		}
 		if haveDelta && pv.viewSeq != deltaTo {
-			_, _, _, removed, upserts, err := decodeDelta(deltaPayload)
+			// The view may alias the buffers this decode overwrites; either
+			// branch below replaces it.
+			_, _, _, pv.removed, pv.upserts, err = decodeDeltaInto(deltaPayload, pv.removed, pv.upserts)
 			if err != nil {
 				// Corrupt delta body: fall back to the base snapshot. The
 				// publisher's next overwrite (or re-base) heals the field.
 				s.stats.deltaFallbacks.Add(1)
 				if pv.viewSeq != pv.baseSeq {
-					pv.view, pv.viewSeq = pv.base, pv.baseSeq
+					pv.setView(pv.base, pv.baseSeq)
 					viewsChanged = true
 				}
 				continue
 			}
-			pv.applyBuf = applyDelta(pv.applyBuf[:0], pv.base, removed, upserts)
-			pv.view, pv.viewSeq = pv.applyBuf, deltaTo
+			pv.patched = applyDelta(pv.patched[:0], pv.base, pv.removed, pv.upserts)
+			pv.setView(pv.patched, deltaTo)
 			viewsChanged = true
 		} else if !haveDelta && pv.viewSeq != bseq {
 			// The delta disappeared (publisher re-based): back to the base.
-			pv.view, pv.viewSeq = pv.base, bseq
+			pv.setView(pv.base, bseq)
 			viewsChanged = true
 		}
 	}
-	for key, pv := range s.peers {
+	for _, pv := range s.peers {
 		if !pv.seen {
-			delete(s.peers, key)
+			pv.setView(nil, 0)
 			viewsChanged = true
 		}
 	}
@@ -710,38 +782,73 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 	return viewsChanged, ownIntact
 }
 
-// analyzeLocked merges the live local state with the cached peer views and
-// runs cycle analysis — unless nothing changed since the previous analysis
-// (no peer view advanced, local state version identical), in which case
-// the cached verdict is returned without rebuilding the graph. Caller
-// holds chkMu.
-func (s *Site) analyzeLocked(viewsChanged bool) *core.DeadlockError {
+// applyLocked brings the merged engine from what it holds of src to what
+// src claims now: the removals at once, the upserts queued on putBuf for
+// when every source's removals are in. Caller holds chkMu.
+func (s *Site) applyLocked(src *source) {
+	if !src.moved {
+		return
+	}
+	s.dropBuf, s.putBuf = diffSnapshots(src.applied, src.view, s.dropBuf[:0], s.putBuf)
+	for _, t := range s.dropBuf {
+		s.merged.Unblock(t)
+	}
+	src.applied = copySnapshot(src.applied, src.view)
+	src.moved = false
+}
+
+// analyzeLocked brings the merged view up to date with the sources that
+// changed — the peers ingestLocked refreshed, the local state if its
+// version advanced — and returns its verdict. Only the difference is
+// applied, and only the upserted tasks are searched from: a cycle the
+// previous deadlock-free view did not have must pass through a status that
+// changed. After a deadlock verdict the whole view is searched, since the
+// cycle reported may be the one that just dissolved; when nothing changed
+// since the previous analysis the cached verdict is returned. With
+// pubSnapshot the caller also holds pubMu, and the snapshot the publisher
+// took this round is used instead of a second one. Caller holds chkMu.
+func (s *Site) analyzeLocked(viewsChanged, pubSnapshot bool) *core.DeadlockError {
+	s.stats.checks.Add(1)
 	// Version is read before the snapshot: a mutation racing this round
-	// may make the cached verdict conservative (recomputed next round),
-	// never stale.
-	ver := s.v.State().Version()
-	if !viewsChanged && s.lastAnalysisOK && ver == s.lastAnalysisVer {
-		s.stats.checks.Add(1)
+	// may make the verdict conservative (recomputed next round), never
+	// stale.
+	if ver := s.v.State().Version(); ver != s.localVer {
+		if pubSnapshot && s.snapOK && s.snapVer == ver {
+			s.local.view, s.snapBuf, s.snapOK = s.snapBuf, s.local.view, false
+		} else {
+			s.local.view = s.v.State().SnapshotInto(s.local.view)
+		}
+		s.local.moved, s.localVer = true, ver
+	} else if !viewsChanged {
 		s.stats.analysisSkips.Add(1)
 		return s.lastRep
 	}
-	s.chkBuf = s.v.State().SnapshotInto(s.chkBuf)
-	merged := append(s.mergedBuf[:0], s.chkBuf...)
+	// All removals of all sources go in before any upsert: a task that left
+	// one source and entered another since the last analysis would
+	// otherwise lose, to the first one's removal, the status the second
+	// one just put in.
+	s.putBuf = s.putBuf[:0]
+	s.applyLocked(&s.local)
 	for _, pv := range s.peers {
-		merged = append(merged, pv.view...)
+		s.applyLocked(pv)
 	}
-	s.mergedBuf = merged
-	a := s.builder.Build(s.model, merged)
-	s.stats.checks.Add(1)
-	cyc := a.FindDeadlock(merged)
-	var rep *core.DeadlockError
+	s.peers = slices.DeleteFunc(s.peers, func(pv *source) bool { return !pv.seen })
+	s.merged.Restore(s.putBuf...)
+	var cyc *deps.Cycle
+	if s.lastRep != nil {
+		cyc = s.merged.Check()
+	} else {
+		s.putTasks = s.putTasks[:0]
+		for i := range s.putBuf {
+			s.putTasks = append(s.putTasks, s.putBuf[i].Task)
+		}
+		cyc = s.merged.CheckThrough(s.putTasks)
+	}
+	s.lastRep = nil
 	if cyc != nil {
-		rep = s.newReport(cyc)
+		s.lastRep = s.newReport(cyc)
 	}
-	s.lastAnalysisOK = true
-	s.lastAnalysisVer = ver
-	s.lastRep = rep
-	return rep
+	return s.lastRep
 }
 
 // CheckOnce fetches every site's published fields in one MGETP round trip,
@@ -768,7 +875,7 @@ func (s *Site) CheckOnce() (*core.DeadlockError, error) {
 		return nil, err
 	}
 	viewsChanged, _ := s.ingestLocked(entries, nil)
-	return s.analyzeLocked(viewsChanged), nil
+	return s.analyzeLocked(viewsChanged, false), nil
 }
 
 // AnalyzeCached runs cycle analysis on the live local state merged with
@@ -782,7 +889,7 @@ func (s *Site) AnalyzeCached() (*core.DeadlockError, error) {
 	}
 	s.chkMu.Lock()
 	defer s.chkMu.Unlock()
-	return s.analyzeLocked(false), nil
+	return s.analyzeLocked(false, false), nil
 }
 
 // RoundOnce runs one full verification round — the publish and fetch
@@ -795,11 +902,11 @@ func (s *Site) AnalyzeCached() (*core.DeadlockError, error) {
 // half still runs on the local view); the returned error is a check
 // failure.
 func (s *Site) RoundOnce() (*core.DeadlockError, error) {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
 	if s.isClosed() {
 		return nil, ErrSiteClosed
 	}
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
 	s.chkMu.Lock()
 	defer s.chkMu.Unlock()
 	plan := s.queuePublishLocked(s.chkPipe)
@@ -836,7 +943,7 @@ func (s *Site) RoundOnce() (*core.DeadlockError, error) {
 		// fetch. A failure here is counted; the next round retries.
 		_ = s.republishFullLocked()
 	}
-	return s.analyzeLocked(viewsChanged), nil
+	return s.analyzeLocked(viewsChanged, true), nil
 }
 
 // newReport wraps a cycle as a *core.DeadlockError, naming local tasks

@@ -74,6 +74,23 @@ func (e *Engine) Check() *deps.Cycle {
 	return nil
 }
 
+// CheckThrough is Check for a caller that knows which statuses changed since
+// a deadlock-free verdict: a cycle that was not there before must pass
+// through one of them, so in avoidance mode only the gate's targeted search
+// from each of tasks runs, their statuses left in place. Every other mode's
+// verdict is the full scan's anyway.
+func (e *Engine) CheckThrough(tasks []deps.TaskID) *deps.Cycle {
+	if e.ver != nil {
+		return e.Check()
+	}
+	for _, t := range tasks {
+		if cyc, _ := e.st.CycleThrough(t, &e.sc); cyc != nil {
+			return cyc
+		}
+	}
+	return nil
+}
+
 // Probe reports whether the state with b inserted is deadlocked — through
 // b.Task in avoidance mode, anywhere otherwise — and leaves b.Task with no
 // status. It re-validates a recorded gate refusal, whose task holds none.

@@ -72,8 +72,9 @@ func (m model) sameState(e *Engine) bool {
 // to close a cycle (also as the re-block of an admitted task), an ungated
 // insert, probe, unblock, and a move of the whole state into a fresh engine
 // through a snapshot — and checks every Block and Probe decision against
-// oracle.CycleThrough on the tentative state, every Check against
-// oracle.StuckSet, and after every step that the engine holds exactly the
+// oracle.CycleThrough on the tentative state, every Check (and CheckThrough
+// the ungated insert into a deadlock-free state) against oracle.StuckSet,
+// and after every step that the engine holds exactly the
 // statuses it should: after a refusal, those from before the call minus the
 // refused task's.
 func TestEngineAgainstOracle(t *testing.T) {
@@ -85,7 +86,7 @@ func TestEngineAgainstOracle(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			e, m := New(mode, deps.ModelAuto), model{}
-			refusals, deadlocked, restores := 0, 0, 0
+			refusals, deadlocked, restores, targeted := 0, 0, 0, 0
 			random := func(tk deps.TaskID) deps.Blocked {
 				b := deps.Blocked{Task: tk, WaitsFor: []deps.Resource{{Phaser: deps.PhaserID(1 + rng.Intn(4)), Phase: int64(1 + rng.Intn(4))}}}
 				for q := 1; q <= 4; q++ {
@@ -138,8 +139,22 @@ func TestEngineAgainstOracle(t *testing.T) {
 					delete(m, tk)
 				case op < 10: // a status admitted elsewhere enters ungated
 					b := closing(tk)
+					clean := len(oracle.StuckSet(m.oracle())) == 0
 					e.Restore(b)
 					m = m.with(b)
+					if !clean {
+						break
+					}
+					// The state had no deadlock, so a search through the one
+					// status that changed is the whole verdict.
+					cyc := e.CheckThrough([]deps.TaskID{tk})
+					if want := len(oracle.StuckSet(m.oracle())) > 0; (cyc != nil) != want {
+						fail("CheckThrough(%d) after Restore(%+v) = %v, oracle says deadlocked=%v", tk, b, cyc, want)
+					}
+					if cyc != nil && mode == core.ModeAvoid && (cyc.Tasks[0] != tk || !m.isCycle(cyc.Tasks)) {
+						fail("CheckThrough(%d) = %v, not a cycle through the task", tk, cyc.Tasks)
+					}
+					targeted++
 				case op < 11:
 					b := closing(tk)
 					tentative := m.with(b)
@@ -178,9 +193,9 @@ func TestEngineAgainstOracle(t *testing.T) {
 				}
 			}
 			e.Close()
-			if deadlocked == 0 || restores == 0 || (mode == core.ModeAvoid) != (refusals > 0) {
-				t.Fatalf("%v seed %d: %d refusals, %d deadlocked steps, %d restores: a case was never reached",
-					mode, seed, refusals, deadlocked, restores)
+			if deadlocked == 0 || restores == 0 || targeted == 0 || (mode == core.ModeAvoid) != (refusals > 0) {
+				t.Fatalf("%v seed %d: %d refusals, %d deadlocked steps, %d restores, %d targeted checks: a case was never reached",
+					mode, seed, refusals, deadlocked, restores, targeted)
 			}
 		}
 	}

@@ -100,8 +100,8 @@ func (c *Client) dropLocked() {
 }
 
 // do sends one command and reads one reply, retrying once on a broken
-// connection.
-func (c *Client) do(args ...[]byte) (reply, error) {
+// connection. The reply is freshly allocated: callers keep what it holds.
+func (c *Client) do(args ...[]byte) (Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.roundTrips++
@@ -117,7 +117,7 @@ func (c *Client) do(args ...[]byte) (reply, error) {
 			lastErr = err
 			continue
 		}
-		rep, err := c.readReplyLocked()
+		rep, err := c.readReplyLocked(nil)
 		if err != nil {
 			// ErrNil and server errors are valid replies, not transport
 			// failures: do not retry those.
@@ -130,19 +130,10 @@ func (c *Client) do(args ...[]byte) (reply, error) {
 		}
 		return rep, nil
 	}
-	return reply{}, fmt.Errorf("store: %s unreachable: %w", c.addr, lastErr)
+	return Reply{}, fmt.Errorf("store: %s unreachable: %w", c.addr, lastErr)
 }
 
 func (c *Client) writeCommandLocked(args [][]byte) error {
-	if err := c.writeArgsLocked(args); err != nil {
-		return err
-	}
-	return c.w.Flush()
-}
-
-// writeArgsLocked buffers one command without flushing, so a pipeline can
-// share a single flush (and a single network round trip) across commands.
-func (c *Client) writeArgsLocked(args [][]byte) error {
 	if err := writeHeader(c.w, '*', len(args)); err != nil {
 		return err
 	}
@@ -151,84 +142,68 @@ func (c *Client) writeArgsLocked(args [][]byte) error {
 			return err
 		}
 	}
-	return nil
+	return c.w.Flush()
 }
 
-type reply struct {
-	simple string
-	n      int
-	bulk   []byte
-	array  [][]byte
+// simpleString is string(b) without an allocation for the status lines the
+// server actually sends.
+func simpleString(b []byte) string {
+	switch string(b) {
+	case "OK":
+		return "OK"
+	case "PONG":
+		return "PONG"
+	}
+	return string(b)
 }
 
-func (c *Client) readReplyLocked() (reply, error) {
+// readReplyLocked reads one reply, its bulks and array carved from a (a nil
+// arena allocates them). Err of the result is left unset: ErrNil and server
+// errors come back as the error, like a transport failure, and the caller
+// tells them apart.
+func (c *Client) readReplyLocked(a *arena) (Reply, error) {
 	line, err := readLine(c.r)
 	if err != nil {
-		return reply{}, err
+		return Reply{}, err
 	}
 	if len(line) == 0 {
-		return reply{}, errors.New("store: empty reply")
+		return Reply{}, errors.New("store: empty reply")
 	}
 	switch line[0] {
 	case '+':
-		return reply{simple: string(line[1:])}, nil
+		return Reply{Simple: simpleString(line[1:])}, nil
 	case '-':
-		return reply{}, fmt.Errorf("%w: %s", ErrServerError, line[1:])
+		return Reply{}, fmt.Errorf("%w: %s", ErrServerError, line[1:])
 	case ':':
 		n, err := strconv.Atoi(string(line[1:]))
 		if err != nil {
-			return reply{}, err
+			return Reply{}, err
 		}
-		return reply{n: n}, nil
+		return Reply{N: n}, nil
 	case '$':
-		// Re-parse as a bulk string: push the line back logically.
-		n, err := strconv.Atoi(string(line[1:]))
+		b, err := readBulkBody(c.r, line, a)
 		if err != nil {
-			return reply{}, err
+			return Reply{}, err
 		}
-		if n == -1 {
-			return reply{}, ErrNil
-		}
-		if n < 0 || n > maxBulk {
-			return reply{}, fmt.Errorf("store: bad bulk length %d", n)
-		}
-		buf := make([]byte, n+2)
-		if _, err := readFull(c.r, buf); err != nil {
-			return reply{}, err
-		}
-		return reply{bulk: buf[:n]}, nil
+		return Reply{Bulk: b}, nil
 	case '*':
 		n, err := strconv.Atoi(string(line[1:]))
 		if err != nil {
-			return reply{}, err
+			return Reply{}, err
 		}
-		if n < 0 || n > 1<<20 {
-			return reply{}, fmt.Errorf("store: bad array length %d", n)
+		if n < 0 || n > maxArray {
+			return Reply{}, fmt.Errorf("store: bad array length %d", n)
 		}
-		arr := make([][]byte, 0, n)
-		for i := 0; i < n; i++ {
-			b, err := readBulk(c.r)
-			if err != nil {
-				return reply{}, err
+		arr := a.array(n)
+		for i := range arr {
+			if arr[i], err = readBulk(c.r, a); err != nil {
+				return Reply{}, err
 			}
-			arr = append(arr, b)
 		}
-		return reply{array: arr}, nil
+		return Reply{Array: arr}, nil
 	default:
-		return reply{}, fmt.Errorf("store: bad reply %q", line)
+		return Reply{}, fmt.Errorf("store: bad reply %q", line)
 	}
-}
-
-func readFull(r *bufio.Reader, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := r.Read(buf[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 // Ping checks connectivity.
@@ -237,8 +212,8 @@ func (c *Client) Ping() error {
 	if err != nil {
 		return err
 	}
-	if rep.simple != "PONG" {
-		return fmt.Errorf("store: unexpected ping reply %q", rep.simple)
+	if rep.Simple != "PONG" {
+		return fmt.Errorf("store: unexpected ping reply %q", rep.Simple)
 	}
 	return nil
 }
@@ -255,7 +230,7 @@ func (c *Client) Get(key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rep.bulk, nil
+	return rep.Bulk, nil
 }
 
 // Del removes keys, returning how many existed.
@@ -266,7 +241,7 @@ func (c *Client) Del(keys ...string) (int, error) {
 		args = append(args, []byte(k))
 	}
 	rep, err := c.do(args...)
-	return rep.n, err
+	return rep.N, err
 }
 
 // Keys lists all keys with the given prefix.
@@ -275,8 +250,8 @@ func (c *Client) Keys(prefix string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]string, len(rep.array))
-	for i, b := range rep.array {
+	out := make([]string, len(rep.Array))
+	for i, b := range rep.Array {
 		out[i] = string(b)
 	}
 	return out, nil
@@ -294,7 +269,7 @@ func (c *Client) HGet(hash, field string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rep.bulk, nil
+	return rep.Bulk, nil
 }
 
 // HGetAll returns every field of the hash.
@@ -303,9 +278,9 @@ func (c *Client) HGetAll(hash string) (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string][]byte, len(rep.array)/2)
-	for i := 0; i+1 < len(rep.array); i += 2 {
-		out[string(rep.array[i])] = rep.array[i+1]
+	out := make(map[string][]byte, len(rep.Array)/2)
+	for i := 0; i+1 < len(rep.Array); i += 2 {
+		out[string(rep.Array[i])] = rep.Array[i+1]
 	}
 	return out, nil
 }
@@ -313,33 +288,23 @@ func (c *Client) HGetAll(hash string) (map[string][]byte, error) {
 // HDel removes hash[field], reporting whether it existed.
 func (c *Client) HDel(hash, field string) (bool, error) {
 	rep, err := c.do([]byte("HDEL"), []byte(hash), []byte(field))
-	return rep.n > 0, err
+	return rep.N > 0, err
 }
 
 // HLen returns the number of fields in hash (0 if absent).
 func (c *Client) HLen(hash string) (int, error) {
 	rep, err := c.do([]byte("HLEN"), []byte(hash))
-	return rep.n, err
+	return rep.N, err
 }
 
-// Entry is one (key, field, value) triple from an MGETP reply. Plain keys
-// carry an empty Field; hash keys contribute one Entry per field. Entries
-// arrive sorted by (Key, Field).
+// Entry is one (key, field, value) triple from an MGETP reply, as it came
+// off the wire: three views into the reply's storage, no string made per
+// entry. Plain keys carry an empty Field; hash keys contribute one Entry per
+// field. Entries arrive sorted by (Key, Field).
 type Entry struct {
-	Key   string
-	Field string
+	Key   []byte
+	Field []byte
 	Value []byte
-}
-
-func parseEntries(arr [][]byte) ([]Entry, error) {
-	if len(arr)%3 != 0 {
-		return nil, fmt.Errorf("store: MGETP reply length %d not a multiple of 3", len(arr))
-	}
-	out := make([]Entry, 0, len(arr)/3)
-	for i := 0; i < len(arr); i += 3 {
-		out = append(out, Entry{Key: string(arr[i]), Field: string(arr[i+1]), Value: arr[i+2]})
-	}
-	return out, nil
 }
 
 // MGetPrefix returns every value stored under keys with the given prefix
@@ -349,47 +314,138 @@ func (c *Client) MGetPrefix(prefix string) ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseEntries(rep.array)
+	return rep.Entries()
 }
 
-// Reply is one command's result from a pipelined Exec. Err carries ErrNil
-// or a server error for that command; transport failures abort the whole
-// Exec instead.
+// Reply is one command's result. From a pipelined Exec, Err carries ErrNil
+// or a server error for that command (transport failures abort the whole
+// Exec instead), and Bulk, Array and what Entries returns live in storage
+// the Pipeline owns: they are valid until its next Exec.
 type Reply struct {
 	Simple string
 	N      int
 	Bulk   []byte
 	Array  [][]byte
 	Err    error
+
+	arena *arena // of the Pipeline that read it; nil for a single command's
 }
 
-// Entries parses the reply of a pipelined MGetPrefix.
+// Entries parses the reply of an MGetPrefix.
 func (r Reply) Entries() ([]Entry, error) {
 	if r.Err != nil {
 		return nil, r.Err
 	}
-	return parseEntries(r.Array)
+	if len(r.Array)%3 != 0 {
+		return nil, fmt.Errorf("store: MGETP reply length %d not a multiple of 3", len(r.Array))
+	}
+	out := r.arena.entries(len(r.Array) / 3)
+	for i := range out {
+		out[i] = Entry{Key: r.Array[3*i], Field: r.Array[3*i+1], Value: r.Array[3*i+2]}
+	}
+	return out, nil
+}
+
+// minChunk is the least capacity of a chunk an arena allocates, in items.
+const minChunk = 512
+
+// slab hands out slices of T from a chunk it reuses after every reset. A
+// chunk that cannot fit a request is replaced by a new one, never grown, so
+// slices handed out earlier stay valid — and what they hold is only
+// overwritten by a request after the next reset.
+type slab[T any] struct {
+	chunk []T // its length is what was handed out of it
+	total int // handed out since the last reset, over every chunk
+}
+
+// take returns n items of storage, holding whatever their previous use left.
+func (s *slab[T]) take(n int) []T {
+	if n > cap(s.chunk)-len(s.chunk) {
+		s.chunk = make([]T, 0, max(n, minChunk))
+	}
+	off := len(s.chunk)
+	s.chunk = s.chunk[:off+n]
+	s.total += n
+	return s.chunk[off : off+n : off+n]
+}
+
+// reset takes back everything handed out. If that did not fit one chunk,
+// the next one is sized for all of it (up to limit items), so a steady
+// sequence of equal requests settles on one chunk and no allocation.
+func (s *slab[T]) reset(limit int) {
+	if s.total > cap(s.chunk) {
+		s.chunk = make([]T, 0, min(s.total, limit))
+	}
+	s.chunk, s.total = s.chunk[:0], 0
+}
+
+// arena is the storage of one Pipeline's replies. A nil *arena allocates
+// every request afresh, which is what a single command's reply is made of.
+type arena struct {
+	bytes slab[byte]   // bulk strings, with their CRLF
+	elems slab[[]byte] // array elements
+	ents  slab[Entry]  // parsed MGETP entries
+}
+
+func (a *arena) reset() {
+	a.bytes.reset(maxBulk + 2)
+	a.elems.reset(maxArray)
+	a.ents.reset(maxArray / 3)
+}
+
+func (a *arena) bulk(n int) []byte {
+	if a == nil {
+		return make([]byte, n)
+	}
+	return a.bytes.take(n)
+}
+
+func (a *arena) array(n int) [][]byte {
+	if a == nil {
+		return make([][]byte, n)
+	}
+	return a.elems.take(n)
+}
+
+func (a *arena) entries(n int) []Entry {
+	if a == nil {
+		return make([]Entry, n)
+	}
+	return a.ents.take(n)
 }
 
 // Pipeline batches commands into one buffered write with a single flush;
 // replies are matched in order, so N commands cost one network round trip
 // instead of N. On a broken connection the whole batch is retried once
 // after a redial — callers must only pipeline idempotent commands (SET,
-// HSET, DEL, reads), which is all the verification rounds need. Queued
-// values are referenced, not copied: do not mutate them before Exec.
-// A Pipeline is not safe for concurrent use; Exec resets it for reuse.
+// HSET, DEL, reads), which is all the verification rounds need. Commands
+// are encoded as they are queued, so the caller may reuse a queued value at
+// once. The pipeline owns the storage of its replies and reuses it: what
+// Exec returns — the slice, every Bulk and Array, every Entries result — is
+// valid until the next Exec, and a caller that keeps any of it longer
+// copies it. A Pipeline is not safe for concurrent use; Exec resets it for
+// reuse.
 type Pipeline struct {
-	c     *Client
-	names []string
-	args  [][][]byte
+	c       *Client
+	names   []string // of the queued commands, for the traffic counters
+	out     []byte   // the queued commands, encoded
+	replies []Reply
+	arena   arena
 }
 
 // Pipeline returns an empty pipeline bound to this client.
 func (c *Client) Pipeline() *Pipeline { return &Pipeline{c: c} }
 
-func (p *Pipeline) add(name string, args ...[]byte) {
+// add queues the header of a command of argc arguments, the name included;
+// the caller appends the others with appendBulk.
+func (p *Pipeline) add(name string, argc int) {
 	p.names = append(p.names, name)
-	p.args = append(p.args, args)
+	p.out = appendBulk(appendHeader(p.out, '*', argc), name)
+}
+
+func appendBulk[T string | []byte](buf []byte, v T) []byte {
+	buf = append(appendHeader(buf, '$', len(v)), v...)
+	return append(buf, '\r', '\n')
 }
 
 // Len reports how many commands are queued.
@@ -397,27 +453,32 @@ func (p *Pipeline) Len() int { return len(p.names) }
 
 // Set queues SET key value.
 func (p *Pipeline) Set(key string, value []byte) {
-	p.add("SET", []byte("SET"), []byte(key), value)
+	p.add("SET", 3)
+	p.out = appendBulk(appendBulk(p.out, key), value)
 }
 
 // Del queues DEL key.
 func (p *Pipeline) Del(key string) {
-	p.add("DEL", []byte("DEL"), []byte(key))
+	p.add("DEL", 2)
+	p.out = appendBulk(p.out, key)
 }
 
 // HSet queues HSET hash field value.
 func (p *Pipeline) HSet(hash, field string, value []byte) {
-	p.add("HSET", []byte("HSET"), []byte(hash), []byte(field), value)
+	p.add("HSET", 4)
+	p.out = appendBulk(appendBulk(appendBulk(p.out, hash), field), value)
 }
 
 // HLen queues HLEN hash.
 func (p *Pipeline) HLen(hash string) {
-	p.add("HLEN", []byte("HLEN"), []byte(hash))
+	p.add("HLEN", 2)
+	p.out = appendBulk(p.out, hash)
 }
 
 // MGetPrefix queues MGETP prefix.
 func (p *Pipeline) MGetPrefix(prefix string) {
-	p.add("MGETP", []byte("MGETP"), []byte(prefix))
+	p.add("MGETP", 2)
+	p.out = appendBulk(p.out, prefix)
 }
 
 // Exec flushes the queued commands in one write and reads one reply per
@@ -427,9 +488,9 @@ func (p *Pipeline) MGetPrefix(prefix string) {
 func (p *Pipeline) Exec() ([]Reply, error) {
 	defer func() {
 		p.names = p.names[:0]
-		p.args = p.args[:0]
+		p.out = p.out[:0]
 	}()
-	if len(p.args) == 0 {
+	if len(p.names) == 0 {
 		return nil, nil
 	}
 	c := p.c
@@ -445,13 +506,7 @@ func (p *Pipeline) Exec() ([]Reply, error) {
 			lastErr = err
 			continue
 		}
-		werr := error(nil)
-		for _, args := range p.args {
-			if err := c.writeArgsLocked(args); err != nil {
-				werr = err
-				break
-			}
-		}
+		_, werr := c.w.Write(p.out)
 		if werr == nil {
 			werr = c.w.Flush()
 		}
@@ -460,22 +515,24 @@ func (p *Pipeline) Exec() ([]Reply, error) {
 			lastErr = werr
 			continue
 		}
-		out := make([]Reply, len(p.args))
+		p.arena.reset()
+		p.replies = p.replies[:0]
 		ok := true
-		for i := range p.args {
-			rep, err := c.readReplyLocked()
+		for range p.names {
+			rep, err := c.readReplyLocked(&p.arena)
 			if err != nil && !errors.Is(err, ErrNil) && !errors.Is(err, ErrServerError) {
 				c.dropLocked()
 				lastErr = err
 				ok = false
 				break
 			}
-			out[i] = Reply{Simple: rep.simple, N: rep.n, Bulk: rep.bulk, Array: rep.array, Err: err}
+			rep.Err, rep.arena = err, &p.arena
+			p.replies = append(p.replies, rep)
 		}
 		if !ok {
 			continue
 		}
-		return out, nil
+		return p.replies, nil
 	}
 	return nil, fmt.Errorf("store: %s unreachable: %w", c.addr, lastErr)
 }

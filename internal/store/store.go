@@ -15,7 +15,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -406,15 +405,18 @@ var ErrServerError = errors.New("store: server error")
 // ErrNil is returned by Get/HGet for a missing key.
 var ErrNil = errors.New("store: nil reply")
 
-// writeHeader writes a one-byte type tag, a decimal count, and CRLF without
-// going through fmt: the digits are formatted straight into the bufio
-// writer's spare capacity.
-func writeHeader(w *bufio.Writer, tag byte, n int) error {
-	b := w.AvailableBuffer()
+// appendHeader appends a one-byte type tag, a decimal count, and CRLF,
+// without going through fmt.
+func appendHeader(b []byte, tag byte, n int) []byte {
 	b = append(b, tag)
 	b = strconv.AppendInt(b, int64(n), 10)
-	b = append(b, '\r', '\n')
-	_, err := w.Write(b)
+	return append(b, '\r', '\n')
+}
+
+// writeHeader formats the header straight into the bufio writer's spare
+// capacity.
+func writeHeader(w *bufio.Writer, tag byte, n int) error {
+	_, err := w.Write(appendHeader(w.AvailableBuffer(), tag, n))
 	return err
 }
 
@@ -510,14 +512,17 @@ func readLine(r *bufio.Reader) ([]byte, error) {
 }
 
 // maxBulk bounds a single value (16 MiB) to keep a corrupted length prefix
-// from allocating unbounded memory.
-const maxBulk = 16 << 20
+// from allocating unbounded memory; maxArray bounds an array's length.
+const (
+	maxBulk  = 16 << 20
+	maxArray = 1 << 20
+)
 
-func readBulk(r *bufio.Reader) ([]byte, error) {
-	line, err := readLine(r)
-	if err != nil {
-		return nil, err
-	}
+// readBulkBody reads the rest of a bulk string whose header line was just
+// read, into storage from a (nil allocates). It is the one bulk reader:
+// server and client, single replies and array elements. A nil bulk is
+// ErrNil; a length out of bounds or a missing CRLF is a framing error.
+func readBulkBody(r *bufio.Reader, line []byte, a *arena) ([]byte, error) {
 	if len(line) == 0 || line[0] != '$' {
 		return nil, fmt.Errorf("store: expected bulk string, got %q", line)
 	}
@@ -531,14 +536,27 @@ func readBulk(r *bufio.Reader) ([]byte, error) {
 	if n < 0 || n > maxBulk {
 		return nil, fmt.Errorf("store: bad bulk length %d", n)
 	}
-	buf := make([]byte, n+2)
+	buf := a.bulk(n + 2)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	if !bytes.HasSuffix(buf, []byte("\r\n")) {
+	if buf[n] != '\r' || buf[n+1] != '\n' {
 		return nil, errors.New("store: bulk string missing terminator")
 	}
-	return buf[:n], nil
+	return buf[:n:n], nil
+}
+
+// readBulk reads one element of an array, where a nil bulk has no meaning.
+func readBulk(r *bufio.Reader, a *arena) ([]byte, error) {
+	line, err := readLine(r)
+	if err != nil {
+		return nil, err
+	}
+	b, err := readBulkBody(r, line, a)
+	if err == ErrNil {
+		return nil, errors.New("store: nil bulk inside an array")
+	}
+	return b, err
 }
 
 func readArray(r *bufio.Reader) ([][]byte, error) {
@@ -553,12 +571,12 @@ func readArray(r *bufio.Reader) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n < 0 || n > 1<<20 {
+	if n < 0 || n > maxArray {
 		return nil, fmt.Errorf("store: bad array length %d", n)
 	}
 	out := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
-		b, err := readBulk(r)
+		b, err := readBulk(r, nil)
 		if err != nil {
 			return nil, err
 		}

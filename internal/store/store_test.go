@@ -355,7 +355,10 @@ func TestMGetPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Entry{
+	want := []struct {
+		Key, Field string
+		Value      []byte
+	}{
 		{Key: "armus:site:1", Field: "", Value: []byte("plain")},
 		{Key: "armus:site:2", Field: "base", Value: []byte("b2")},
 		{Key: "armus:site:2", Field: "delta", Value: []byte("d2")},
@@ -364,7 +367,7 @@ func TestMGetPrefix(t *testing.T) {
 		t.Fatalf("MGetPrefix = %v, want %v", got, want)
 	}
 	for i := range want {
-		if got[i].Key != want[i].Key || got[i].Field != want[i].Field || !bytes.Equal(got[i].Value, want[i].Value) {
+		if string(got[i].Key) != want[i].Key || string(got[i].Field) != want[i].Field || !bytes.Equal(got[i].Value, want[i].Value) {
 			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
@@ -388,7 +391,7 @@ func TestMGetPrefixMixedKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Field != "" || got[1].Field != "f" {
+	if len(got) != 2 || len(got[0].Field) != 0 || string(got[1].Field) != "f" {
 		t.Fatalf("MGetPrefix mixed = %v", got)
 	}
 }
@@ -452,7 +455,7 @@ func TestPipelineExec(t *testing.T) {
 	}
 	// The pipeline is reusable, and a server error mid-batch does not
 	// poison the commands after it.
-	p.add("BOGUS", []byte("BOGUS"))
+	p.add("BOGUS", 1)
 	p.Set("k2", []byte("v2"))
 	reps, err = p.Exec()
 	if err != nil {
@@ -577,5 +580,110 @@ func TestMalformedTailFlushesBatchReplies(t *testing.T) {
 	want := "+PONG\r\n+OK\r\n"
 	if string(got) != want {
 		t.Fatalf("replies before close = %q, want %q", got, want)
+	}
+}
+
+// cannedPeer answers the k-th connection it accepts with replies[k] (the
+// last one again for any further connection) once the client has sent
+// something, and counts the connections.
+func cannedPeer(t *testing.T, replies ...string) (addr string, conns *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	conns = new(atomic.Int64)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			k := int(conns.Add(1)) - 1
+			go func() {
+				defer conn.Close()
+				if _, err := conn.Read(make([]byte, 4096)); err != nil {
+					return
+				}
+				_, _ = conn.Write([]byte(replies[min(k, len(replies)-1)]))
+				_, _ = conn.Read(make([]byte, 1)) // until the client hangs up
+			}()
+		}
+	}()
+	return ln.Addr().String(), conns
+}
+
+// TestBulkReplyNeedsItsTerminator: a bulk reply whose length is not followed
+// by CRLF comes off a desynchronised stream. It must not reach Get's caller
+// as a value: the connection is dropped like after any framing error, and
+// the command retried once on a new one.
+func TestBulkReplyNeedsItsTerminator(t *testing.T) {
+	addr, conns := cannedPeer(t, "$3\r\nabcXY", "$3\r\nabc\r\n")
+	c := Dial(addr)
+	defer c.Close()
+	v, err := c.Get("k")
+	if err != nil || string(v) != "abc" || conns.Load() != 2 {
+		t.Fatalf("Get = %q, %v over %d connections; want the well-formed reply of the second", v, err, conns.Load())
+	}
+
+	addr, conns = cannedPeer(t, "$3\r\nabcXY")
+	c2 := Dial(addr)
+	defer c2.Close()
+	if v, err := c2.HGet("h", "f"); err == nil {
+		t.Fatalf("HGet = %q from a peer that never terminates its bulks, want an error", v)
+	}
+	if conns.Load() != 2 {
+		t.Fatalf("%d connections, want the first dropped and one retry", conns.Load())
+	}
+}
+
+// TestPipelineRepliesLiveUntilNextExec pins the reply-lifetime contract: a
+// pipeline's replies sit in storage it reuses, so they are whole until its
+// next Exec — also the ones read before a chunk of that storage filled up
+// and was replaced — and a warm pipeline's replies land where the last
+// ones did.
+func TestPipelineRepliesLiveUntilNextExec(t *testing.T) {
+	_, c := newPair(t)
+	big := bytes.Repeat([]byte{0xA5}, 3*minChunk) // no two of these share a chunk at first
+	for i := 0; i < 4; i++ {
+		if err := c.HSet(fmt.Sprintf("k%d", i), "base", append([]byte{byte(i)}, big...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := c.Pipeline()
+	exec := func() []Entry {
+		p.HSet("k0", "delta", []byte("d"))
+		p.MGetPrefix("k")
+		reps, err := p.Exec()
+		if err != nil || len(reps) != 2 || reps[0].Simple != "OK" {
+			t.Fatalf("Exec = %+v, %v", reps, err)
+		}
+		entries, err := reps[1].Entries()
+		if err != nil || len(entries) != 5 {
+			t.Fatalf("Entries = %d, %v", len(entries), err)
+		}
+		return entries
+	}
+	check := func(entries []Entry) {
+		t.Helper()
+		for _, e := range entries {
+			if string(e.Field) == "delta" {
+				if string(e.Key) != "k0" || string(e.Value) != "d" {
+					t.Fatalf("delta entry = %q %q", e.Key, e.Value)
+				}
+				continue
+			}
+			if want := append([]byte{e.Key[1] - '0'}, big...); string(e.Field) != "base" || !bytes.Equal(e.Value, want) {
+				t.Fatalf("entry %q/%q holds %d bytes starting %v", e.Key, e.Field, len(e.Value), e.Value[:1])
+			}
+		}
+	}
+	check(exec()) // cold: chunks fill up and are replaced mid-reply
+	check(exec()) // one chunk sized for all of the last reply
+	warm := exec()
+	check(warm)
+	if again := exec(); &again[0] != &warm[0] || &again[4].Value[0] != &warm[4].Value[0] {
+		t.Fatal("a warm pipeline's next Exec did not reuse the storage of the last")
 	}
 }
