@@ -60,9 +60,10 @@ func appendBlocked(buf []byte, b *deps.Blocked) []byte {
 	return buf
 }
 
-// appendSnapshot serialises one site's blocked statuses into buf.
+// appendSnapshot serialises one site's blocked statuses into buf, which a
+// size estimate grows once when it is new or still small.
 func appendSnapshot(buf []byte, siteID int, seq uint64, snap []deps.Blocked) []byte {
-	buf = append(buf, snapshotMagic...)
+	buf = append(slices.Grow(buf, len(snapshotMagic)+16+32*len(snap)), snapshotMagic...)
 	buf = binary.AppendUvarint(buf, uint64(siteID))
 	buf = binary.AppendUvarint(buf, seq)
 	buf = binary.AppendUvarint(buf, uint64(len(snap)))
@@ -74,7 +75,7 @@ func appendSnapshot(buf []byte, siteID int, seq uint64, snap []deps.Blocked) []b
 
 // encodeSnapshot serialises one site's blocked statuses.
 func encodeSnapshot(siteID int, seq uint64, snap []deps.Blocked) []byte {
-	return appendSnapshot(make([]byte, 0, len(snapshotMagic)+16+32*len(snap)), siteID, seq, snap)
+	return appendSnapshot(nil, siteID, seq, snap)
 }
 
 // snapshotDecoder is a cursor over an encoded snapshot.
@@ -180,15 +181,8 @@ func (d *snapshotDecoder) blockedInto(b *deps.Blocked) error {
 // drops the snapshot (counting it) so one corrupt entry can never wedge a
 // global check.
 func decodeSnapshotInto(payload []byte, buf []deps.Blocked) (siteID int, seq uint64, snap []deps.Blocked, err error) {
-	if len(payload) < len(snapshotMagic) || string(payload[:len(snapshotMagic)]) != snapshotMagic {
-		return 0, 0, buf, fmt.Errorf("dist: bad snapshot magic")
-	}
-	d := &snapshotDecoder{buf: payload[len(snapshotMagic):]}
-	id, err := d.uvarint()
+	d, siteID, seq, err := snapshotHeader(payload)
 	if err != nil {
-		return 0, 0, buf, err
-	}
-	if seq, err = d.uvarint(); err != nil {
 		return 0, 0, buf, err
 	}
 	n, err := d.length()
@@ -205,7 +199,7 @@ func decodeSnapshotInto(payload []byte, buf []deps.Blocked) (siteID int, seq uin
 	if len(d.buf) != 0 {
 		return 0, 0, snap, fmt.Errorf("dist: %d trailing bytes after snapshot", len(d.buf))
 	}
-	return int(id), seq, snap, nil
+	return siteID, seq, snap, nil
 }
 
 // decodeSnapshot is decodeSnapshotInto into fresh memory.
@@ -213,21 +207,28 @@ func decodeSnapshot(payload []byte) (siteID int, seq uint64, snap []deps.Blocked
 	return decodeSnapshotInto(payload, nil)
 }
 
+// snapshotHeader checks the magic and reads the header, leaving the decoder
+// at the body.
+func snapshotHeader(payload []byte) (d snapshotDecoder, siteID int, seq uint64, err error) {
+	if len(payload) < len(snapshotMagic) || string(payload[:len(snapshotMagic)]) != snapshotMagic {
+		return d, 0, 0, fmt.Errorf("dist: bad snapshot magic")
+	}
+	d.buf = payload[len(snapshotMagic):]
+	id, err := d.uvarint()
+	if err != nil {
+		return d, 0, 0, err
+	}
+	if seq, err = d.uvarint(); err != nil {
+		return d, 0, 0, err
+	}
+	return d, int(id), seq, nil
+}
+
 // peekSnapshotSeq reads a snapshot header without decoding the body, so an
 // unchanged peer (same seq as the cached view) costs no allocation.
 func peekSnapshotSeq(payload []byte) (siteID int, seq uint64, err error) {
-	if len(payload) < len(snapshotMagic) || string(payload[:len(snapshotMagic)]) != snapshotMagic {
-		return 0, 0, fmt.Errorf("dist: bad snapshot magic")
-	}
-	d := &snapshotDecoder{buf: payload[len(snapshotMagic):]}
-	id, err := d.uvarint()
-	if err != nil {
-		return 0, 0, err
-	}
-	if seq, err = d.uvarint(); err != nil {
-		return 0, 0, err
-	}
-	return int(id), seq, nil
+	_, siteID, seq, err = snapshotHeader(payload)
+	return siteID, seq, err
 }
 
 // --- delta format -----------------------------------------------------
@@ -251,9 +252,9 @@ func peekSnapshotSeq(payload []byte) (siteID int, seq uint64, err error) {
 const deltaMagic = "ARMUSI1"
 
 // appendDelta serialises a cumulative delta against the base snapshot
-// into buf.
+// into buf (grown like appendSnapshot's).
 func appendDelta(buf []byte, siteID int, baseSeq, seq uint64, removed []deps.TaskID, upserts []deps.Blocked) []byte {
-	buf = append(buf, deltaMagic...)
+	buf = append(slices.Grow(buf, len(deltaMagic)+24+8*len(removed)+32*len(upserts)), deltaMagic...)
 	buf = binary.AppendUvarint(buf, uint64(siteID))
 	buf = binary.AppendUvarint(buf, baseSeq)
 	buf = binary.AppendUvarint(buf, seq)
@@ -270,8 +271,7 @@ func appendDelta(buf []byte, siteID int, baseSeq, seq uint64, removed []deps.Tas
 
 // encodeDelta serialises a cumulative delta into a fresh buffer.
 func encodeDelta(siteID int, baseSeq, seq uint64, removed []deps.TaskID, upserts []deps.Blocked) []byte {
-	buf := make([]byte, 0, len(deltaMagic)+24+8*len(removed)+32*len(upserts))
-	return appendDelta(buf, siteID, baseSeq, seq, removed, upserts)
+	return appendDelta(nil, siteID, baseSeq, seq, removed, upserts)
 }
 
 // decodeDeltaInto parses a payload produced by encodeDelta into the
@@ -284,18 +284,8 @@ func decodeDeltaInto(payload []byte, removed []deps.TaskID, upserts []deps.Block
 	fail := func(err error) (int, uint64, uint64, []deps.TaskID, []deps.Blocked, error) {
 		return 0, 0, 0, removed, upserts, err
 	}
-	if len(payload) < len(deltaMagic) || string(payload[:len(deltaMagic)]) != deltaMagic {
-		return fail(fmt.Errorf("dist: bad delta magic"))
-	}
-	d := &snapshotDecoder{buf: payload[len(deltaMagic):]}
-	id, err := d.uvarint()
+	d, id, baseSeq, seq, err := deltaHeader(payload)
 	if err != nil {
-		return fail(err)
-	}
-	if baseSeq, err = d.uvarint(); err != nil {
-		return fail(err)
-	}
-	if seq, err = d.uvarint(); err != nil {
 		return fail(err)
 	}
 	if seq <= baseSeq {
@@ -333,7 +323,7 @@ func decodeDeltaInto(payload []byte, removed []deps.TaskID, upserts []deps.Block
 	if len(d.buf) != 0 {
 		return fail(fmt.Errorf("dist: %d trailing bytes after delta", len(d.buf)))
 	}
-	return int(id), baseSeq, seq, removed, upserts, nil
+	return id, baseSeq, seq, removed, upserts, nil
 }
 
 // decodeDelta is decodeDeltaInto into fresh memory.
@@ -341,23 +331,29 @@ func decodeDelta(payload []byte) (siteID int, baseSeq, seq uint64, removed []dep
 	return decodeDeltaInto(payload, nil, nil)
 }
 
-// peekDeltaSeqs reads a delta header without decoding the body.
-func peekDeltaSeqs(payload []byte) (siteID int, baseSeq, seq uint64, err error) {
+// deltaHeader is snapshotHeader for a delta.
+func deltaHeader(payload []byte) (d snapshotDecoder, siteID int, baseSeq, seq uint64, err error) {
 	if len(payload) < len(deltaMagic) || string(payload[:len(deltaMagic)]) != deltaMagic {
-		return 0, 0, 0, fmt.Errorf("dist: bad delta magic")
+		return d, 0, 0, 0, fmt.Errorf("dist: bad delta magic")
 	}
-	d := &snapshotDecoder{buf: payload[len(deltaMagic):]}
+	d.buf = payload[len(deltaMagic):]
 	id, err := d.uvarint()
 	if err != nil {
-		return 0, 0, 0, err
+		return d, 0, 0, 0, err
 	}
 	if baseSeq, err = d.uvarint(); err != nil {
-		return 0, 0, 0, err
+		return d, 0, 0, 0, err
 	}
 	if seq, err = d.uvarint(); err != nil {
-		return 0, 0, 0, err
+		return d, 0, 0, 0, err
 	}
-	return int(id), baseSeq, seq, nil
+	return d, int(id), baseSeq, seq, nil
+}
+
+// peekDeltaSeqs reads a delta header without decoding the body.
+func peekDeltaSeqs(payload []byte) (siteID int, baseSeq, seq uint64, err error) {
+	_, siteID, baseSeq, seq, err = deltaHeader(payload)
+	return siteID, baseSeq, seq, err
 }
 
 // blockedEqual reports whether two blocked statuses are identical.

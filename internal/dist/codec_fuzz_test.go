@@ -97,8 +97,8 @@ func FuzzSnapshotCodec(f *testing.F) {
 // arbitrary bytes either decode to a delta that re-encodes to the same
 // delta (encode∘decode fixpoint), or are rejected with an error — never a
 // panic. Whatever decodes must also survive applyDelta against an
-// arbitrary base slice carved from the same input, since ingest applies
-// any delta whose header matches the cached base.
+// arbitrary base slice carved from the same input, since a Reader applies
+// any delta whose header names the base it holds.
 func FuzzDeltaCodec(f *testing.F) {
 	base := []deps.Blocked{
 		{Task: 1},
@@ -139,6 +139,21 @@ func FuzzDeltaCodec(f *testing.F) {
 		id3, baseSeq3, seq3, removed3, upserts3, err3 := decodeDeltaInto(data, rbuf, ubuf)
 		if (err3 != nil) != (err != nil) {
 			t.Fatalf("fresh decode: %v, decode into used buffers: %v", err, err3)
+		}
+		// The same through the reader a site keeps per peer: the input as the
+		// delta of a good base it names, read by a Reader that held a longer
+		// view of other seqs, must amount to what a fresh DecodeChain makes
+		// of the pair — whether it is applied, falls back or is set aside.
+		_, from, _, _ := peekDeltaSeqs(data)
+		var rd Reader
+		if v, _, _, _ := rd.Read(encodeSnapshot(7, from+1, long), encodeDelta(7, from+1, from+2, longRemoved[:1], long[:3])); len(v) != len(long) {
+			t.Fatalf("the reader's first occupant: %d statuses, want %d", len(v), len(long))
+		}
+		goodBase := encodeSnapshot(2, from, base)
+		view, moved, _, rerr := rd.Read(goodBase, data)
+		fresh, _, ferr := DecodeChain(goodBase, data)
+		if !moved || (rerr != nil) != (ferr != nil) || !sameSnapshot(view, fresh) {
+			t.Fatalf("used reader: %+v (moved %v, %v), fresh DecodeChain: %+v (%v)", view, moved, rerr, fresh, ferr)
 		}
 		if err != nil {
 			return

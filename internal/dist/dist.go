@@ -24,17 +24,23 @@
 // The round is incremental end to end. A site publishes a full base
 // snapshot into the "base" field of its store hash, then per round only a
 // cumulative delta against that base into the "delta" field (overwritten
-// in place — no chains), re-basing every K publishes or whenever the delta
-// would outgrow the full set; when the local state did not change, it
-// publishes nothing at all. Publish and fetch share one pipelined store
-// round trip: the round's writes plus a single MGETP that returns every
-// site's fields — including the site's own, which doubles as a liveness
-// echo (a restarted, empty store is detected from the same reply and
-// healed by an immediate full republish, preserving the crash-recovery
-// story above). Fetched peers are cached decoded, keyed by seq: an
-// unchanged peer costs a header peek, a changed one a delta apply, and a
-// corrupt delta falls back to that peer's base snapshot. The merged view
-// is one persistent index-searched engine (package engine) holding the
+// in place — no chains of deltas), re-basing after K deltas or whenever the
+// delta would outgrow the full set; when the local state did not change, it
+// publishes nothing at all. What the next link is and under which sequence
+// number is the Chain's decision (chain.go: the writer sessions are
+// persisted through, too); the site queues the store commands, counts once
+// the store has answered, and has the chain re-base when it has not — a
+// link whose acknowledgement was lost may have been fetched by a peer, so
+// its number is never used again. Publish and fetch share one pipelined
+// store round trip: the round's writes plus a single MGETP that returns
+// every site's fields — including the site's own, which doubles as a
+// liveness echo (a restarted, empty store is detected from the same reply
+// and healed by an immediate full republish, preserving the crash-recovery
+// story above). Each peer's fields go through that peer's Reader (chain.go
+// again), which caches what it decoded by seq: an unchanged peer costs two
+// header peeks, a changed one a delta apply, a corrupt delta falls back to
+// that peer's base snapshot and a corrupt base to its last view. The merged
+// view is one persistent index-searched engine (package engine) holding the
 // local statuses and every peer's: a round applies to it only what each
 // changed source removed or upserted, and searches for a cycle from the
 // upserted tasks alone — a new cycle must pass through a changed status.
@@ -50,7 +56,6 @@ package dist
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"log"
@@ -156,57 +161,15 @@ func WithOnDeadlock(f func(*core.DeadlockError)) Option {
 // source is one contributor to the merged view: a peer site, or the local
 // state. view is what it claims now and applied the deep copy of what the
 // merged engine holds of it, both sorted by task; the analysis applies the
-// difference. The rest is a peer's seq-gated decode cache: its last decoded
-// base snapshot and current cumulative delta, refreshed only when the
-// corresponding seq advances, in buffers that every decode reuses. view
-// aliases them (base alone, or patched = base + delta).
+// difference. A peer's view is its Reader's, refreshed by every fetch; the
+// local source has no store fields and its view is a snapshot buffer.
 type source struct {
 	key     string
+	rd      Reader
 	view    []deps.Blocked
 	applied []deps.Blocked
 	moved   bool // view may differ from applied
 	seen    bool // per-fetch mark; unseen peers were withdrawn
-
-	baseSeq uint64
-	viewSeq uint64
-	base    []deps.Blocked
-	spare   []deps.Blocked // the next base decodes here and is swapped in on success
-	removed []deps.TaskID
-	upserts []deps.Blocked
-	patched []deps.Blocked
-}
-
-// rebase decodes a base snapshot and makes it the view. On an error the
-// source is untouched: the last good view survives a corrupt base.
-func (src *source) rebase(payload []byte, seq uint64) error {
-	var err error
-	if _, _, src.spare, err = decodeSnapshotInto(payload, src.spare); err != nil {
-		return err
-	}
-	src.base, src.spare = sortedByTask(src.spare), src.base
-	src.baseSeq = seq
-	src.setView(src.base, seq)
-	return nil
-}
-
-func (src *source) setView(view []deps.Blocked, seq uint64) {
-	src.view, src.viewSeq, src.moved = view, seq, true
-}
-
-func byTask(a, b deps.Blocked) int { return cmp.Compare(a.Task, b.Task) }
-
-// sortedByTask returns snap strictly ascending by task, which the encoder
-// guarantees and the decoder does not check: a base some other program
-// wrote is put in order here (the first status of a task wins), because
-// diffSnapshots and applyDelta merge by task.
-func sortedByTask(snap []deps.Blocked) []deps.Blocked {
-	for i := 1; i < len(snap); i++ {
-		if snap[i-1].Task >= snap[i].Task {
-			slices.SortStableFunc(snap, byTask)
-			return slices.CompactFunc(snap, func(a, b deps.Blocked) bool { return a.Task == b.Task })
-		}
-	}
-	return snap
 }
 
 // Site is one participant of a distributed program: it owns the process's
@@ -229,23 +192,13 @@ type Site struct {
 	// pubMu serialises publishing against Close so a PublishOnce racing
 	// Close can never recreate the key Close just withdrew (the store
 	// client transparently redials, so closing it is not enough). It also
-	// owns the publisher's state: the reusable snapshot buffer, the copy
-	// of the published base, the seq counters and the delta scratch.
+	// owns the site's chain — which link is next, under which seq, against
+	// which retained base — and the payload buffer every link is encoded
+	// into.
 	pubMu        sync.Mutex
 	pubPipe      *store.Pipeline
-	snapBuf      []deps.Blocked
-	snapVer      uint64         // deps.State version read before filling snapBuf
-	snapOK       bool           // snapBuf holds the snapshot of snapVer
-	baseSnap     []deps.Blocked // deep copy of the published base snapshot
-	pubSeq       uint64         // seq of the current published view
-	baseSeq      uint64         // seq of the published base
-	havePub      bool           // at least one base was published
-	forceFull    bool           // next publish must re-base
-	lastVer      uint64         // deps.State version at the last publish
-	sinceFull    int            // delta publishes since the last base
-	fullEvery    int
-	removedBuf   []deps.TaskID
-	upsertBuf    []deps.Blocked
+	chain        *Chain
+	fullEvery    int // for NewChain only
 	pubPayload   []byte
 	pubErrStreak int
 
@@ -292,6 +245,7 @@ func NewSite(id int, addr string, opts ...Option) *Site {
 	for _, o := range opts {
 		o(s)
 	}
+	s.chain = NewChain(id, s.fullEvery, 0)
 	s.pubPipe = s.client.Pipeline()
 	s.chkPipe = s.client.Pipeline()
 	if s.onDeadlock == nil {
@@ -442,78 +396,57 @@ func appendFingerprint(sc *fpScratch, c *deps.Cycle) []byte {
 	return sc.buf
 }
 
-// fingerprint is the allocation-per-call string form of appendFingerprint
-// (tests compare fingerprints across cycle permutations).
-func fingerprint(c *deps.Cycle) string {
-	var sc fpScratch
-	return string(appendFingerprint(&sc, c))
-}
-
-// pubPlan describes what queuePublishLocked decided to write this round,
-// so the caller can commit the publisher state only after the store
-// acknowledged the writes.
-type pubPlan struct {
-	changed bool // commands were queued
-	full    bool // a fresh base was queued (vs a delta)
-	seq     uint64
-	ver     uint64
-	cmds    int
-}
-
-// queuePublishLocked snapshots the local state and queues this round's
-// publish commands (nothing when the state is unchanged; a cumulative
-// delta against the published base normally; a DEL plus fresh base every
-// fullEvery publishes, on the first publish, when the delta would outgrow
-// the full set, or after a detected store loss). Caller holds pubMu.
-func (s *Site) queuePublishLocked(p *store.Pipeline) pubPlan {
-	ver := s.v.State().Version()
-	if s.havePub && !s.forceFull && ver == s.lastVer {
-		return pubPlan{ver: ver}
-	}
-	s.snapBuf = s.v.State().SnapshotInto(s.snapBuf)
-	s.snapVer, s.snapOK = ver, true
-	seq := s.pubSeq + 1
-	full := !s.havePub || s.forceFull || s.sinceFull >= s.fullEvery
-	if !full {
-		s.removedBuf, s.upsertBuf = diffSnapshots(s.baseSnap, s.snapBuf, s.removedBuf[:0], s.upsertBuf[:0])
-		if len(s.removedBuf)+len(s.upsertBuf) > len(s.snapBuf) {
-			full = true // the delta outgrew the full set: cheaper to re-base
-		}
-	}
-	if full {
-		s.pubPayload = appendSnapshot(s.pubPayload[:0], s.id, seq, s.snapBuf)
+// queuePublishLocked queues the next link of the site's chain, which
+// decides what it is: nothing when the state is unchanged, a cumulative
+// delta against the published base normally, a fresh base on the first
+// publish, on the re-base cadence, when the delta would outgrow the full set
+// and after Rebase. The store commands are the site's. Caller holds pubMu.
+func (s *Site) queuePublishLocked(p *store.Pipeline) (field string) {
+	field, s.pubPayload = s.chain.Next(s.v.State(), s.pubPayload[:0])
+	switch field {
+	case "base":
 		// DEL first clears the stale delta field (and any legacy plain
 		// key), so a reader can never pair the new base with an old delta.
 		p.Del(s.key())
 		p.HSet(s.key(), "base", s.pubPayload)
-		return pubPlan{changed: true, full: true, seq: seq, ver: ver, cmds: 2}
+	case "delta":
+		p.HSet(s.key(), "delta", s.pubPayload)
 	}
-	s.pubPayload = appendDelta(s.pubPayload[:0], s.id, s.baseSeq, seq, s.removedBuf, s.upsertBuf)
-	p.HSet(s.key(), "delta", s.pubPayload)
-	return pubPlan{changed: true, full: false, seq: seq, ver: ver, cmds: 1}
+	return field
 }
 
-// commitPublishLocked applies a store-acknowledged publish plan to the
-// publisher state. Caller holds pubMu.
-func (s *Site) commitPublishLocked(plan pubPlan) {
+// commitPublishLocked counts a publish round by what the store answered to
+// the commands queued for field. A link that was not acknowledged may or
+// may not be in the store, and a peer may have fetched it: its seq is spent,
+// and the next link is a base numbered above it. Caller holds pubMu.
+func (s *Site) commitPublishLocked(field string, err error) error {
+	if err != nil {
+		s.stats.publishErrors.Add(1)
+		if field != "" {
+			s.chain.Rebase()
+		}
+		return err
+	}
 	s.stats.publishes.Add(1)
-	if !plan.changed {
-		s.stats.publishSkips.Add(1)
-		return
-	}
-	s.pubSeq = plan.seq
-	s.lastVer = plan.ver
-	s.havePub = true
-	s.forceFull = false
-	if plan.full {
-		s.baseSeq = plan.seq
-		s.baseSnap = copySnapshot(s.baseSnap, s.snapBuf)
-		s.sinceFull = 0
+	switch field {
+	case "base":
 		s.stats.fullSnapshots.Add(1)
-	} else {
-		s.sinceFull++
+	case "delta":
 		s.stats.deltaSnapshots.Add(1)
+	default:
+		s.stats.publishSkips.Add(1)
 	}
+	return nil
+}
+
+// replyErr returns the first error among the replies to queued writes.
+func replyErr(reps []store.Reply) error {
+	for _, r := range reps {
+		if r.Err != nil {
+			return r.Err
+		}
+	}
+	return nil
 }
 
 // copySnapshot deep-copies src into dst, reusing dst's entry capacity. The
@@ -533,24 +466,14 @@ func copySnapshot(dst, src []deps.Blocked) []deps.Blocked {
 // store that lost the site's fields (restart, eviction). Caller holds
 // pubMu.
 func (s *Site) republishFullLocked() error {
-	s.forceFull = true
+	s.chain.Rebase()
 	s.stats.storeRepairs.Add(1)
-	plan := s.queuePublishLocked(s.pubPipe)
+	field := s.queuePublishLocked(s.pubPipe)
 	reps, err := s.pubPipe.Exec()
 	if err == nil {
-		for _, r := range reps {
-			if r.Err != nil {
-				err = r.Err
-				break
-			}
-		}
+		err = replyErr(reps)
 	}
-	if err != nil {
-		s.stats.publishErrors.Add(1)
-		return err
-	}
-	s.commitPublishLocked(plan)
-	return nil
+	return s.commitPublishLocked(field, err)
 }
 
 // PublishOnce publishes the local blocked statuses: a delta when the state
@@ -569,26 +492,18 @@ func (s *Site) PublishOnce() error {
 	if s.isClosed() {
 		return ErrSiteClosed
 	}
-	plan := s.queuePublishLocked(s.pubPipe)
+	field := s.queuePublishLocked(s.pubPipe)
 	s.pubPipe.HLen(s.key())
 	reps, err := s.pubPipe.Exec()
-	if err != nil {
-		s.stats.publishErrors.Add(1)
+	if err == nil {
+		err = replyErr(reps[:len(reps)-1])
+	}
+	if err := s.commitPublishLocked(field, err); err != nil {
 		return err
 	}
-	for _, r := range reps[:len(reps)-1] {
-		if r.Err != nil {
-			s.stats.publishErrors.Add(1)
-			return r.Err
-		}
-	}
-	s.commitPublishLocked(plan)
-	wantFields := 1
-	if s.pubSeq != s.baseSeq {
-		wantFields = 2 // base + live delta
-	}
-	if !s.havePub {
-		wantFields = 0
+	wantFields := 2 // base + live delta
+	if base, seq := s.chain.Seqs(); seq == base {
+		wantFields = 1
 	}
 	if reps[len(reps)-1].N != wantFields {
 		return s.republishFullLocked()
@@ -596,13 +511,12 @@ func (s *Site) PublishOnce() error {
 	return nil
 }
 
-// notePublishOutcomeLocked counts and logs the loop's publish outcomes:
-// the first failure of a streak and the eventual recovery, so publish
-// errors are visible in site logs distinctly from check errors without one
-// line per failed period. Caller holds pubMu.
+// notePublishOutcomeLocked logs the loop's publish outcomes: the first
+// failure of a streak and the eventual recovery, so publish errors are
+// visible in site logs distinctly from check errors without one line per
+// failed period. Caller holds pubMu.
 func (s *Site) notePublishOutcomeLocked(err error) {
 	if err != nil {
-		s.stats.publishErrors.Add(1)
 		s.pubErrStreak++
 		if s.pubErrStreak == 1 {
 			log.Printf("armus: site %d: publish failed (peers keep the last snapshot): %v", s.id, err)
@@ -613,14 +527,6 @@ func (s *Site) notePublishOutcomeLocked(err error) {
 		log.Printf("armus: site %d: publish recovered after %d failed rounds", s.id, s.pubErrStreak)
 		s.pubErrStreak = 0
 	}
-}
-
-// ownExpect is what the publisher believes the store holds for its own
-// key; the MGETP echo is validated against it.
-type ownExpect struct {
-	baseSeq   uint64
-	seq       uint64
-	published bool
 }
 
 // peerLocked finds the peer published under key, looking first at position
@@ -639,19 +545,19 @@ func (s *Site) peerLocked(key []byte, at int) (*source, int) {
 	return s.peers[at], at
 }
 
-// ingestLocked refreshes the per-peer view cache from one MGETP reply,
-// whose storage it does not keep: everything is decoded into the peer's own
-// buffers. Unchanged peers (same base and view seqs) cost two header peeks;
-// a changed delta is decoded and applied over the cached base; a changed
-// base is re-decoded in full. Corrupt payloads never wedge the round: a
-// corrupt delta falls back to that peer's base view, a corrupt base keeps
-// the previous good view (or drops the peer if there was none), and both
-// are counted. Peers absent from the reply were withdrawn: their view is
-// emptied, and the analysis drops them once their statuses are out of the
-// merged view. When exp is non-nil the site's own fields are validated
-// against it and ownIntact reports whether the store still holds what the
-// site published (false after a store restart). Caller holds chkMu.
-func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged, ownIntact bool) {
+// ingestLocked refreshes the peers' views from one MGETP reply, whose
+// storage it does not keep: it groups the entries by key and hands each
+// peer's fields to that peer's Reader, which decodes what is new into its
+// own buffers and pairs base and delta. Corrupt payloads never wedge the
+// round: a delta that fell back to the peer's base and a base that was
+// dropped (the peer's previous good view kept, a peer not yet known left
+// out) are counted. Peers absent from the reply were withdrawn: their view
+// is emptied, and the analysis drops them once their statuses are out of
+// the merged view. When echo is set the caller holds pubMu too and the
+// chain's last link was acknowledged: the site's own fields are held against
+// that link's seqs, and ownIntact reports whether the store still holds what
+// the site published (false after a store restart). Caller holds chkMu.
+func (s *Site) ingestLocked(entries []store.Entry, echo bool) (viewsChanged, ownIntact bool) {
 	ownIntact = true
 	own := s.key()
 	ownSeen := false
@@ -673,17 +579,18 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 			}
 		}
 		if string(key) == own {
-			if exp != nil && exp.published {
+			if echo {
 				ownSeen = true
+				wantBase, wantSeq := s.chain.Seqs()
 				okBase := false
 				if basePayload != nil {
 					_, bs, err := peekSnapshotSeq(basePayload)
-					okBase = err == nil && bs == exp.baseSeq
+					okBase = err == nil && bs == wantBase
 				}
-				okDelta := exp.seq == exp.baseSeq // no delta expected
+				okDelta := wantSeq == wantBase // no delta expected
 				if !okDelta && deltaPayload != nil {
 					_, df, dt, err := peekDeltaSeqs(deltaPayload)
-					okDelta = err == nil && df == exp.baseSeq && dt == exp.seq
+					okDelta = err == nil && df == wantBase && dt == wantSeq
 				}
 				if !okBase || !okDelta {
 					ownIntact = false
@@ -710,90 +617,53 @@ func (s *Site) ingestLocked(entries []store.Entry, exp *ownExpect) (viewsChanged
 			}
 			continue
 		}
-		_, bseq, err := peekSnapshotSeq(basePayload)
-		if err != nil {
+		var fresh Reader
+		rd := &fresh
+		if pv != nil {
+			rd = &pv.rd
+		}
+		view, moved, out, _ := rd.Read(basePayload, deltaPayload)
+		switch out {
+		case BaseDropped:
 			s.stats.snapshotsDropped.Add(1)
-			continue
+		case DeltaFellBack:
+			s.stats.deltaFallbacks.Add(1)
 		}
-		target := bseq
-		haveDelta := false
-		var deltaTo uint64
-		if deltaPayload != nil {
-			_, df, dt, derr := peekDeltaSeqs(deltaPayload)
-			if derr == nil && df == bseq {
-				haveDelta, deltaTo, target = true, dt, dt
-			} else {
-				// Corrupt header or a delta against a different base (the
-				// publisher re-based between our reads): the base alone is
-				// a consistent, self-contained view.
-				s.stats.deltaFallbacks.Add(1)
-			}
+		if !moved {
+			continue // seen before, or a base that is no good: nothing to apply
 		}
-		if pv != nil && pv.baseSeq == bseq && pv.viewSeq == target {
-			continue // unchanged: no decode, nothing to apply
+		if pv == nil {
+			pv = &source{key: string(key), seen: true, rd: fresh}
+			s.peers = slices.Insert(s.peers, at, pv)
+			next = at + 1
 		}
-		if pv == nil || pv.baseSeq != bseq {
-			fresh := pv == nil
-			if fresh {
-				pv = &source{key: string(key), seen: true}
-			}
-			if err := pv.rebase(basePayload, bseq); err != nil {
-				s.stats.snapshotsDropped.Add(1)
-				continue
-			}
-			if fresh {
-				s.peers = slices.Insert(s.peers, at, pv)
-				next = at + 1
-			}
-			viewsChanged = true
-		}
-		if haveDelta && pv.viewSeq != deltaTo {
-			// The view may alias the buffers this decode overwrites; either
-			// branch below replaces it.
-			_, _, _, pv.removed, pv.upserts, err = decodeDeltaInto(deltaPayload, pv.removed, pv.upserts)
-			if err != nil {
-				// Corrupt delta body: fall back to the base snapshot. The
-				// publisher's next overwrite (or re-base) heals the field.
-				s.stats.deltaFallbacks.Add(1)
-				if pv.viewSeq != pv.baseSeq {
-					pv.setView(pv.base, pv.baseSeq)
-					viewsChanged = true
-				}
-				continue
-			}
-			pv.patched = applyDelta(pv.patched[:0], pv.base, pv.removed, pv.upserts)
-			pv.setView(pv.patched, deltaTo)
-			viewsChanged = true
-		} else if !haveDelta && pv.viewSeq != bseq {
-			// The delta disappeared (publisher re-based): back to the base.
-			pv.setView(pv.base, bseq)
-			viewsChanged = true
-		}
+		pv.view, pv.moved = view, true
+		viewsChanged = true
 	}
 	for _, pv := range s.peers {
 		if !pv.seen {
-			pv.setView(nil, 0)
+			pv.view, pv.moved = nil, true
 			viewsChanged = true
 		}
 	}
-	if exp != nil && exp.published && !ownSeen {
+	if echo && !ownSeen {
 		ownIntact = false // the store does not hold our key at all
 	}
 	return viewsChanged, ownIntact
 }
 
-// applyLocked brings the merged engine from what it holds of src to what
-// src claims now: the removals at once, the upserts queued on putBuf for
+// applyLocked brings the merged engine from what it holds of src to view,
+// what src claims now: the removals at once, the upserts queued on putBuf for
 // when every source's removals are in. Caller holds chkMu.
-func (s *Site) applyLocked(src *source) {
+func (s *Site) applyLocked(src *source, view []deps.Blocked) {
 	if !src.moved {
 		return
 	}
-	s.dropBuf, s.putBuf = diffSnapshots(src.applied, src.view, s.dropBuf[:0], s.putBuf)
+	s.dropBuf, s.putBuf = diffSnapshots(src.applied, view, s.dropBuf[:0], s.putBuf)
 	for _, t := range s.dropBuf {
 		s.merged.Unblock(t)
 	}
-	src.applied = copySnapshot(src.applied, src.view)
+	src.applied = copySnapshot(src.applied, view)
 	src.moved = false
 }
 
@@ -805,18 +675,24 @@ func (s *Site) applyLocked(src *source) {
 // changed. After a deadlock verdict the whole view is searched, since the
 // cycle reported may be the one that just dissolved; when nothing changed
 // since the previous analysis the cached verdict is returned. With
-// pubSnapshot the caller also holds pubMu, and the snapshot the publisher
-// took this round is used instead of a second one. Caller holds chkMu.
+// pubSnapshot the caller also holds pubMu, and the snapshot the chain took
+// this round is borrowed instead of taking a second one — for this analysis
+// only: the chain writes through that buffer at its next link, under pubMu
+// alone, so nothing that outlives the call may alias it. Caller holds chkMu.
 func (s *Site) analyzeLocked(viewsChanged, pubSnapshot bool) *core.DeadlockError {
 	s.stats.checks.Add(1)
 	// Version is read before the snapshot: a mutation racing this round
 	// may make the verdict conservative (recomputed next round), never
 	// stale.
+	var local []deps.Blocked
 	if ver := s.v.State().Version(); ver != s.localVer {
-		if pubSnapshot && s.snapOK && s.snapVer == ver {
-			s.local.view, s.snapBuf, s.snapOK = s.snapBuf, s.local.view, false
-		} else {
+		lentVer := noVersion
+		if pubSnapshot {
+			local, lentVer = s.chain.Snapshot()
+		}
+		if lentVer != ver {
 			s.local.view = s.v.State().SnapshotInto(s.local.view)
+			local = s.local.view
 		}
 		s.local.moved, s.localVer = true, ver
 	} else if !viewsChanged {
@@ -828,9 +704,9 @@ func (s *Site) analyzeLocked(viewsChanged, pubSnapshot bool) *core.DeadlockError
 	// otherwise lose, to the first one's removal, the status the second
 	// one just put in.
 	s.putBuf = s.putBuf[:0]
-	s.applyLocked(&s.local)
+	s.applyLocked(&s.local, local)
 	for _, pv := range s.peers {
-		s.applyLocked(pv)
+		s.applyLocked(pv, pv.view)
 	}
 	s.peers = slices.DeleteFunc(s.peers, func(pv *source) bool { return !pv.seen })
 	s.merged.Restore(s.putBuf...)
@@ -874,7 +750,7 @@ func (s *Site) CheckOnce() (*core.DeadlockError, error) {
 		s.stats.checkErrors.Add(1)
 		return nil, err
 	}
-	viewsChanged, _ := s.ingestLocked(entries, nil)
+	viewsChanged, _ := s.ingestLocked(entries, false)
 	return s.analyzeLocked(viewsChanged, false), nil
 }
 
@@ -909,35 +785,22 @@ func (s *Site) RoundOnce() (*core.DeadlockError, error) {
 	}
 	s.chkMu.Lock()
 	defer s.chkMu.Unlock()
-	plan := s.queuePublishLocked(s.chkPipe)
+	field := s.queuePublishLocked(s.chkPipe)
 	s.chkPipe.MGetPrefix(keyPrefix)
 	reps, err := s.chkPipe.Exec()
 	if err != nil {
-		s.notePublishOutcomeLocked(err)
+		s.notePublishOutcomeLocked(s.commitPublishLocked(field, err))
 		s.stats.checkErrors.Add(1)
 		return nil, err
 	}
-	var pubErr error
-	for _, r := range reps[:len(reps)-1] {
-		if r.Err != nil {
-			pubErr = r.Err
-			break
-		}
-	}
-	if pubErr == nil {
-		s.commitPublishLocked(plan)
-	}
+	pubErr := s.commitPublishLocked(field, replyErr(reps[:len(reps)-1]))
 	s.notePublishOutcomeLocked(pubErr)
 	entries, err := reps[len(reps)-1].Entries()
 	if err != nil {
 		s.stats.checkErrors.Add(1)
 		return nil, err
 	}
-	var exp *ownExpect
-	if pubErr == nil {
-		exp = &ownExpect{baseSeq: s.baseSeq, seq: s.pubSeq, published: s.havePub}
-	}
-	viewsChanged, ownIntact := s.ingestLocked(entries, exp)
+	viewsChanged, ownIntact := s.ingestLocked(entries, pubErr == nil)
 	if !ownIntact {
 		// The store lost our fields (restart): heal before peers' next
 		// fetch. A failure here is counted; the next round retries.

@@ -322,6 +322,12 @@ func TestCheckErrorCountedWhenStoreDown(t *testing.T) {
 	}
 }
 
+// fingerprint is the string form of appendFingerprint.
+func fingerprint(c *deps.Cycle) string {
+	var sc fpScratch
+	return string(appendFingerprint(&sc, c))
+}
+
 func TestFingerprintIsOrderInsensitive(t *testing.T) {
 	a := fingerprint(&deps.Cycle{Tasks: []deps.TaskID{3, 1, 2}})
 	b := fingerprint(&deps.Cycle{Tasks: []deps.TaskID{2, 3, 1}})

@@ -39,8 +39,8 @@ import (
 // sessionKeyPrefix namespaces session snapshots in the shared store.
 const sessionKeyPrefix = "armus:sess:"
 
-// snapshotFullEvery makes every 16th persisted snapshot a full base; the
-// ones between are cumulative deltas against it.
+// snapshotFullEvery is how many cumulative deltas ride one persisted base
+// before the next snapshot is a full base again.
 const snapshotFullEvery = 16
 
 func sessionKey(name string) string { return sessionKeyPrefix + name }
@@ -104,7 +104,7 @@ func (ss *session) maybeSnapshot() {
 // persister. Executor-owned; steady-state cost is the encode allocation
 // alone, amortized over SnapshotEvery batches.
 func (ss *session) persistSnapshot() {
-	field, val := ss.chain.Next(ss.eng.State())
+	field, val := ss.chain.Next(ss.eng.State(), nil)
 	if field == "" {
 		return // nothing changed since the last persisted snapshot
 	}

@@ -202,19 +202,24 @@ func TestStaleDeltaAcrossOwners(t *testing.T) {
 		}
 	}
 
-	// Owner A: task1 (base, seq 1), then task3 (delta against it, seq 2).
-	sA := testServer(t, cfg)
-	ncA, twA, brA, _ := rawAttach(t, sA, "handover", core.ModeAvoid)
-	for i, task := range []int64{1, 3} {
-		send(twA, trace.Event{Kind: trace.KindBlock,
-			Status: status(task, []deps.Resource{res(task+1, 1)}, []deps.Reg{reg(task, 0)})})
-		if r := readKind(t, brA, proto.RespGate); !r.Allowed {
-			t.Fatalf("block of task%d refused: %+v", task, r)
+	// A session's first owner: task1 (base, seq 1), then task3 (delta
+	// against it, seq 2).
+	firstOwner := func(session string) {
+		t.Helper()
+		srv := testServer(t, cfg)
+		nc, tw, br, _ := rawAttach(t, srv, session, core.ModeAvoid)
+		for i, task := range []int64{1, 3} {
+			send(tw, trace.Event{Kind: trace.KindBlock,
+				Status: status(task, []deps.Resource{res(task+1, 1)}, []deps.Reg{reg(task, 0)})})
+			if r := readKind(t, br, proto.RespGate); !r.Allowed {
+				t.Fatalf("block of task%d refused: %+v", task, r)
+			}
+			waitFor(t, func() bool { return srv.Metrics().SnapshotsPersisted.Load() >= int64(i+1) })
 		}
-		waitFor(t, func() bool { return sA.Metrics().SnapshotsPersisted.Load() >= int64(i+1) })
+		nc.Close()
+		srv.Close()
 	}
-	ncA.Close()
-	sA.Close()
+	firstOwner("handover") // owner A
 
 	// Owner B resumes both tasks, unblocks task3 and persists once: a base.
 	sB := testServer(t, cfg)
@@ -231,5 +236,37 @@ func TestStaleDeltaAcrossOwners(t *testing.T) {
 	snap, _ := testServer(t, cfg).fetchSnapshot("handover", core.ModeAvoid)
 	if len(snap) != 1 || snap[0].Task != 1 {
 		t.Fatalf("owner C rehydrates %v, want task1 only (A's stale delta applied over B's base)", snap)
+	}
+
+	// The same hand-over with the base gone bad in between: the delta beside
+	// it is live and numbered, so the next owner — which rehydrates nothing —
+	// must still number above it.
+	firstOwner("corrupt") // owner D
+	db := store.Dial(st.Addr())
+	defer db.Close()
+	if err := db.HSet(sessionKey("corrupt"), "base", []byte("not a snapshot")); err != nil {
+		t.Fatal(err)
+	}
+
+	// Owner E finds nothing it can use, admits task5 and persists its first
+	// link: a base.
+	sE := testServer(t, cfg)
+	ncE, twE, brE, resumed := rawAttach(t, sE, "corrupt", core.ModeAvoid)
+	if resumed {
+		t.Fatal("owner E resumed from a corrupt base")
+	}
+	send(twE, trace.Event{Kind: trace.KindBlock,
+		Status: status(5, []deps.Resource{res(6, 1)}, []deps.Reg{reg(5, 0)})})
+	if r := readKind(t, brE, proto.RespGate); !r.Allowed {
+		t.Fatalf("block of task5 refused: %+v", r)
+	}
+	waitFor(t, func() bool { return sE.Metrics().SnapshotsPersisted.Load() >= 1 })
+	ncE.Close()
+	sE.Close()
+
+	// Owner F must see what E left: task5 alone.
+	snap, _ = testServer(t, cfg).fetchSnapshot("corrupt", core.ModeAvoid)
+	if len(snap) != 1 || snap[0].Task != 5 {
+		t.Fatalf("owner F rehydrates %v, want task5 only (D's delta applied over E's base)", snap)
 	}
 }

@@ -82,7 +82,7 @@ func newSession(s *Server, name string, mode core.Mode, snap []deps.Blocked, sna
 		stop:     make(chan struct{}),
 		execDone: make(chan struct{}),
 		eng:      engine.New(mode, s.cfg.Model),
-		chain:    dist.NewChain(snapshotFullEvery, snapSeq),
+		chain:    dist.NewChain(0, snapshotFullEvery, snapSeq),
 	}
 	ss.q.init()
 	// Rehydrate: Definition 4.1 makes each blocked status a pure function

@@ -421,13 +421,12 @@ func (m *AvoidEngine) Clear(t deps.TaskID) { m.e.Unblock(t) }
 // round trip). That verdict is exact, not an approximation: a site's merged
 // view is its live local state plus every peer's published snapshot, and
 // the engine publishes a peer's mutations before any other site fetches,
-// so the owner's view always equals the global state. When no peer has
-// anything new — no publish since the owner's last fetch, no unpublished
-// mutation — the store round is skipped entirely (AnalyzeCached), which is
-// what the engine's bookkeeping below tracks. The §5.2 all-site agreement
-// property is asserted at settle points: every verdict transition, every
-// SettleEvery mutations, and at end of trace, every site fetches and must
-// reach the common verdict.
+// so the owner's view always equals the global state. When no other site
+// mutated since the owner's last fetch the store round is skipped entirely
+// (AnalyzeCached), which is all the engine keeps track of. The §5.2
+// all-site agreement property is asserted at settle points: every verdict
+// transition, every SettleEvery mutations, and at end of trace, every site
+// fetches and must reach the common verdict.
 type distEngine struct {
 	srv         *store.Server
 	sockDir     string // temp dir of the unix socket, "" when on TCP
@@ -436,9 +435,7 @@ type distEngine struct {
 	sinceSettle int
 	lastVerdict bool
 	lastOwner   int
-	tick        int    // monotonic store-operation counter
-	pubAt       []int  // tick of each site's last publish
-	fetchAt     []int  // tick of each site's last fetch
+	behind      []bool // another site mutated since this site's last fetch
 	pending     []bool // site has mutations not yet published
 }
 
@@ -451,8 +448,7 @@ func newDistEngine(o Options) (*distEngine, error) {
 		srv:         srv,
 		sockDir:     sockDir,
 		settleEvery: o.SettleEvery,
-		pubAt:       make([]int, o.Sites),
-		fetchAt:     make([]int, o.Sites),
+		behind:      make([]bool, o.Sites),
 		pending:     make([]bool, o.Sites),
 	}
 	for i := 0; i < o.Sites; i++ {
@@ -481,19 +477,24 @@ func (e *distEngine) owner(t deps.TaskID) int {
 }
 
 func (e *distEngine) set(b deps.Blocked) error {
-	i := e.owner(b.Task)
-	e.sites[i].Verifier().State().SetBlocked(b)
-	e.pending[i] = true
-	e.lastOwner = i
+	e.sites[e.mutated(b.Task)].Verifier().State().SetBlocked(b)
 	return nil
 }
 
 func (e *distEngine) clear(t deps.TaskID) error {
-	i := e.owner(t)
-	e.sites[i].Verifier().State().Clear(t)
-	e.pending[i] = true
-	e.lastOwner = i
+	e.sites[e.mutated(t)].Verifier().State().Clear(t)
 	return nil
+}
+
+// mutated notes that t's site is about to change: it has something to
+// publish, and every other site's fetched view of it is out of date.
+func (e *distEngine) mutated(t deps.TaskID) int {
+	i := e.owner(t)
+	for j := range e.behind {
+		e.behind[j] = e.behind[j] || j != i
+	}
+	e.pending[i], e.lastOwner = true, i
+	return i
 }
 
 // publish flushes site i's unpublished mutations to the store.
@@ -501,8 +502,6 @@ func (e *distEngine) publish(i int) error {
 	if err := e.sites[i].PublishOnce(); err != nil {
 		return fmt.Errorf("dist publish (site %d): %w", e.sites[i].ID(), err)
 	}
-	e.tick++
-	e.pubAt[i] = e.tick
 	e.pending[i] = false
 	return nil
 }
@@ -511,17 +510,10 @@ func (e *distEngine) publish(i int) error {
 func (e *distEngine) verdict() (bool, error) {
 	j := e.lastOwner
 	// The owner's cached peer views are current unless some other site
-	// published since the owner's last fetch or holds unpublished
-	// mutations; only then is a store round needed.
-	need := false
-	for i := range e.sites {
-		if i != j && (e.pending[i] || e.pubAt[i] > e.fetchAt[j]) {
-			need = true
-			break
-		}
-	}
+	// mutated since the owner's last fetch; only then is a store round
+	// needed.
 	var deadlocked bool
-	if !need {
+	if !e.behind[j] {
 		rep, err := e.sites[j].AnalyzeCached()
 		if err != nil {
 			return false, fmt.Errorf("dist analyze (site %d): %w", e.sites[j].ID(), err)
@@ -539,9 +531,7 @@ func (e *distEngine) verdict() (bool, error) {
 		if err != nil {
 			return false, fmt.Errorf("dist round (site %d): %w", e.sites[j].ID(), err)
 		}
-		e.tick++
-		e.pubAt[j], e.fetchAt[j] = e.tick, e.tick
-		e.pending[j] = false
+		e.behind[j], e.pending[j] = false, false
 		deadlocked = rep != nil
 	}
 	e.sinceSettle++
@@ -570,8 +560,7 @@ func (e *distEngine) settle(want bool) error {
 		if err != nil {
 			return fmt.Errorf("dist check (site %d): %w", s.ID(), err)
 		}
-		e.tick++
-		e.fetchAt[i] = e.tick
+		e.behind[i] = false
 		if (rep != nil) != want {
 			return fmt.Errorf("sites disagree: site %d says %v, owner site %d says %v",
 				s.ID(), rep != nil, e.sites[e.lastOwner].ID(), want)

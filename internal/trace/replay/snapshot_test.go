@@ -30,7 +30,7 @@ func TestSnapshotRehydrateParity(t *testing.T) {
 		t.Fatalf("no corpus traces found (testdata/corpus is part of the repo)")
 	}
 	const checkEvery = 16 // settle cadence between forced checks
-	const fullEvery = 4   // every Nth persisted snapshot is a full base
+	const fullEvery = 4   // deltas riding one full base
 	for _, path := range paths {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
@@ -49,10 +49,10 @@ func TestSnapshotRehydrateParity(t *testing.T) {
 			// over the store's two fields. As in the store, a base write
 			// does NOT clear the delta field — the reader must ignore a
 			// stale delta by sequence mismatch.
-			chain := dist.NewChain(fullEvery, 0)
+			chain := dist.NewChain(0, fullEvery, 0)
 			fields := map[string][]byte{}
 			persist := func() {
-				if field, val := chain.Next(live.State()); field != "" {
+				if field, val := chain.Next(live.State(), nil); field != "" {
 					fields[field] = val
 				}
 			}
