@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"armus/internal/core"
-	"armus/internal/deps"
 	"armus/internal/dist"
 	"armus/internal/sim"
 	"armus/internal/store"
@@ -82,7 +81,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: armus-trace <record|replay|inspect|stat|query|export> [flags] [file...]
   record  -o FILE (-npb K | -course P | -hpcc B | -sim SEED) [-mode M] [shape flags]
-  replay  [-pipeline avoid|detect|dist|all] [-model auto|wfg|sg] [-sites N] [-v] FILE...
+  replay  [-pipeline avoid|detect|dist|all] [-sites N] [-v] FILE...
   inspect [-n MAX] FILE
   stat    FILE...
   query   -dir DIR [-session S] [-since T] [-until T] [-verdicts] [-sessions] [-quarantine]
@@ -261,25 +260,10 @@ func recordHPCC(name string, sites, perSite, class int) (*trace.Trace, error) {
 	return rec.Trace(), nil
 }
 
-func parseModel(s string) (m replay.Options, err error) {
-	switch s {
-	case "auto":
-		m.Model = deps.ModelAuto
-	case "wfg":
-		m.Model = deps.ModelWFG
-	case "sg":
-		m.Model = deps.ModelSG
-	default:
-		err = fmt.Errorf("unknown -model %q (auto, wfg, sg)", s)
-	}
-	return m, err
-}
-
 func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	var (
 		pipeline = fs.String("pipeline", "all", "pipeline: avoid, detect, dist, or all (asserts equivalence)")
-		model    = fs.String("model", "auto", "graph model for detect/dist: auto, wfg, sg")
 		sites    = fs.Int("sites", 3, "sites for the dist pipeline")
 		verbose  = fs.Bool("v", false, "print the per-mutation verdict sequence")
 	)
@@ -291,11 +275,7 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	o, err := parseModel(*model)
-	if err != nil {
-		return err
-	}
-	o.Sites = *sites
+	o := replay.Options{Sites: *sites}
 	for _, path := range fs.Args() {
 		tr, err := trace.ReadFile(path)
 		if err != nil {

@@ -214,7 +214,7 @@ func TestCorruptDeltaFallsBackToBase(t *testing.T) {
 
 	// The base view is really in use: site 92's stale half closes the ring
 	// published only in 90's base.
-	if err := c.Set(keyPrefix+"92", encodeSnapshot(92, 1, []deps.Blocked{blockedOn(92, 1, 90)})); err != nil {
+	if err := c.HSet(keyPrefix+"92", "base", encodeSnapshot(92, 1, []deps.Blocked{blockedOn(92, 1, 90)})); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = s.CheckOnce()

@@ -214,7 +214,6 @@ type Site struct {
 	peers    []*source // sorted by key, as MGETP replies are
 	dropBuf  []deps.TaskID
 	putBuf   []deps.Blocked
-	putTasks []deps.TaskID
 	lastRep  *core.DeadlockError // verdict of the merged view as applied
 
 	mu      sync.Mutex
@@ -238,7 +237,7 @@ func NewSite(id int, addr string, opts ...Option) *Site {
 		mode:      core.ModeObserve,
 		clock:     clock.Real{},
 		client:    store.Dial(addr),
-		merged:    engine.New(core.ModeAvoid, deps.ModelWFG),
+		merged:    engine.New(core.ModeAvoid),
 		localVer:  noVersion,
 		fullEvery: defaultFullEvery,
 	}
@@ -405,8 +404,8 @@ func (s *Site) queuePublishLocked(p *store.Pipeline) (field string) {
 	field, s.pubPayload = s.chain.Next(s.v.State(), s.pubPayload[:0])
 	switch field {
 	case "base":
-		// DEL first clears the stale delta field (and any legacy plain
-		// key), so a reader can never pair the new base with an old delta.
+		// DEL first clears the stale delta field, so a reader can never
+		// pair the new base with an old delta.
 		p.Del(s.key())
 		p.HSet(s.key(), "base", s.pubPayload)
 	case "delta":
@@ -567,15 +566,13 @@ func (s *Site) ingestLocked(entries []store.Entry, echo bool) (viewsChanged, own
 	next := 0 // position in s.peers after the previous key's
 	for i := 0; i < len(entries); {
 		key := entries[i].Key
-		var basePayload, deltaPayload, plainPayload []byte
+		var basePayload, deltaPayload []byte
 		for ; i < len(entries) && bytes.Equal(entries[i].Key, key); i++ {
 			switch string(entries[i].Field) {
 			case "base":
 				basePayload = entries[i].Value
 			case "delta":
 				deltaPayload = entries[i].Value
-			case "":
-				plainPayload = entries[i].Value
 			}
 		}
 		if string(key) == own {
@@ -597,11 +594,6 @@ func (s *Site) ingestLocked(entries []store.Entry, echo bool) (viewsChanged, own
 				}
 			}
 			continue
-		}
-		if basePayload == nil {
-			// Sites that predate the hash layout publish a plain key; treat
-			// it as a base-only snapshot (tests also write these directly).
-			basePayload = plainPayload
 		}
 		pv, at := s.peerLocked(key, next)
 		if pv != nil {
@@ -670,11 +662,10 @@ func (s *Site) applyLocked(src *source, view []deps.Blocked) {
 // analyzeLocked brings the merged view up to date with the sources that
 // changed — the peers ingestLocked refreshed, the local state if its
 // version advanced — and returns its verdict. Only the difference is
-// applied, and only the upserted tasks are searched from: a cycle the
-// previous deadlock-free view did not have must pass through a status that
-// changed. After a deadlock verdict the whole view is searched, since the
-// cycle reported may be the one that just dissolved; when nothing changed
-// since the previous analysis the cached verdict is returned. With
+// applied, and the engine searches from the upserted tasks only (or from
+// every task after a deadlock verdict: engine.Engine.Check has the rule);
+// when nothing changed since the previous analysis the cached verdict is
+// returned. With
 // pubSnapshot the caller also holds pubMu, and the snapshot the chain took
 // this round is borrowed instead of taking a second one — for this analysis
 // only: the chain writes through that buffer at its next link, under pubMu
@@ -710,18 +701,8 @@ func (s *Site) analyzeLocked(viewsChanged, pubSnapshot bool) *core.DeadlockError
 	}
 	s.peers = slices.DeleteFunc(s.peers, func(pv *source) bool { return !pv.seen })
 	s.merged.Restore(s.putBuf...)
-	var cyc *deps.Cycle
-	if s.lastRep != nil {
-		cyc = s.merged.Check()
-	} else {
-		s.putTasks = s.putTasks[:0]
-		for i := range s.putBuf {
-			s.putTasks = append(s.putTasks, s.putBuf[i].Task)
-		}
-		cyc = s.merged.CheckThrough(s.putTasks)
-	}
 	s.lastRep = nil
-	if cyc != nil {
+	if cyc := s.merged.Check(); cyc != nil {
 		s.lastRep = s.newReport(cyc)
 	}
 	return s.lastRep

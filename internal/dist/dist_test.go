@@ -211,11 +211,11 @@ func TestStaleAndCorruptSnapshotsDoNotWedge(t *testing.T) {
 
 	// (a) A dead site 90's stale snapshot: blocked on its own barrier while
 	// lagging dead site 92's — internally acyclic, never refreshed again.
-	if err := c.Set(keyPrefix+"90", arc(90, 92)); err != nil {
+	if err := c.HSet(keyPrefix+"90", "base", arc(90, 92)); err != nil {
 		t.Fatal(err)
 	}
 	// (b) Garbage under the prefix.
-	if err := c.Set(keyPrefix+"91", []byte("not a snapshot")); err != nil {
+	if err := c.HSet(keyPrefix+"91", "base", []byte("not a snapshot")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,7 +235,7 @@ func TestStaleAndCorruptSnapshotsDoNotWedge(t *testing.T) {
 	// (c) Dead site 92's stale snapshot closes the ring with 90's. The
 	// deadlock is real and permanent — neither dead site's tasks can ever
 	// advance — so every live site must report it.
-	if err := c.Set(keyPrefix+"92", arc(92, 90)); err != nil {
+	if err := c.HSet(keyPrefix+"92", "base", arc(92, 90)); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range sites {

@@ -72,9 +72,10 @@ func (m model) sameState(e *Engine) bool {
 // to close a cycle (also as the re-block of an admitted task), an ungated
 // insert, probe, unblock, and a move of the whole state into a fresh engine
 // through a snapshot — and checks every Block and Probe decision against
-// oracle.CycleThrough on the tentative state, every Check (and CheckThrough
-// the ungated insert into a deadlock-free state) against oracle.StuckSet,
-// and after every step that the engine holds exactly the
+// oracle.CycleThrough on the tentative state, every Check (the one right
+// after an ungated insert into a deadlock-free state, which must find its
+// cycle through the inserted task, included) against oracle.StuckSet, and
+// after every step that the engine holds exactly the
 // statuses it should: after a refusal, those from before the call minus the
 // refused task's.
 func TestEngineAgainstOracle(t *testing.T) {
@@ -85,7 +86,7 @@ func TestEngineAgainstOracle(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeAvoid, core.ModeDetect} {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			e, m := New(mode, deps.ModelAuto), model{}
+			e, m := New(mode), model{}
 			refusals, deadlocked, restores, targeted := 0, 0, 0, 0
 			random := func(tk deps.TaskID) deps.Blocked {
 				b := deps.Blocked{Task: tk, WaitsFor: []deps.Resource{{Phaser: deps.PhaserID(1 + rng.Intn(4)), Phase: int64(1 + rng.Intn(4))}}}
@@ -147,12 +148,12 @@ func TestEngineAgainstOracle(t *testing.T) {
 					}
 					// The state had no deadlock, so a search through the one
 					// status that changed is the whole verdict.
-					cyc := e.CheckThrough([]deps.TaskID{tk})
+					cyc := e.Check()
 					if want := len(oracle.StuckSet(m.oracle())) > 0; (cyc != nil) != want {
-						fail("CheckThrough(%d) after Restore(%+v) = %v, oracle says deadlocked=%v", tk, b, cyc, want)
+						fail("Check() after Restore(%+v) = %v, oracle says deadlocked=%v", b, cyc, want)
 					}
-					if cyc != nil && mode == core.ModeAvoid && (cyc.Tasks[0] != tk || !m.isCycle(cyc.Tasks)) {
-						fail("CheckThrough(%d) = %v, not a cycle through the task", tk, cyc.Tasks)
+					if cyc != nil && (cyc.Tasks[0] != tk || !m.isCycle(cyc.Tasks)) {
+						fail("Check() after Restore(%+v) = %v, not a cycle through the task", b, cyc.Tasks)
 					}
 					targeted++
 				case op < 11:
@@ -170,9 +171,8 @@ func TestEngineAgainstOracle(t *testing.T) {
 					e.Unblock(tk)
 					delete(m, tk)
 				default: // failover: a fresh engine takes over from a snapshot
-					fresh := New(mode, deps.ModelAuto)
+					fresh := New(mode)
 					fresh.Restore(e.State().Snapshot()...)
-					e.Close()
 					e = fresh
 					restores++
 				}
@@ -185,14 +185,11 @@ func TestEngineAgainstOracle(t *testing.T) {
 				}
 				if cyc != nil {
 					deadlocked++
-					// Under the SG model the full scan also lists tasks that
-					// merely wait on the cycle; the targeted search is exact.
-					if mode == core.ModeAvoid && !m.isCycle(cyc.Tasks) {
+					if !m.isCycle(cyc.Tasks) {
 						fail("Check() = %v, not a cycle", cyc.Tasks)
 					}
 				}
 			}
-			e.Close()
 			if deadlocked == 0 || restores == 0 || targeted == 0 || (mode == core.ModeAvoid) != (refusals > 0) {
 				t.Fatalf("%v seed %d: %d refusals, %d deadlocked steps, %d restores, %d targeted checks: a case was never reached",
 					mode, seed, refusals, deadlocked, restores, targeted)

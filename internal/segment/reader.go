@@ -23,9 +23,9 @@ type Segment struct {
 	Index *Index
 
 	f       *os.File
-	fileCRC uint32 // trailer's CRC over [0, Size-trailerLen)
-	rawBuf  []byte // reused decompression buffer
-	compBuf []byte // reused compressed-block buffer
+	fileCRC uint32       // trailer's CRC over [0, Size-trailerLen)
+	rawBuf  bytes.Buffer // reused decompression buffer
+	compBuf []byte       // reused compressed-block buffer
 }
 
 // Open reads and validates the trailer and footer index of the sealed
@@ -119,7 +119,9 @@ func (s *Segment) Verify() error {
 // Block returns the decompressed contents (a run of trace event frames)
 // of block i, verifying the block CRC and the decompressed length. The
 // returned slice is owned by the Segment and reused by the next Block
-// call.
+// call. The buffer grows as the block inflates, not to the length the
+// index declares: that is the file's claim, and a small corrupt file could
+// claim a gigabyte.
 func (s *Segment) Block(i int) ([]byte, error) {
 	if i < 0 || i >= len(s.Index.Blocks) {
 		return nil, fmt.Errorf("segment: block %d out of range", i)
@@ -137,18 +139,18 @@ func (s *Segment) Block(i int) ([]byte, error) {
 	}
 	fr := flate.NewReader(bytes.NewReader(cb))
 	defer fr.Close()
-	if int64(cap(s.rawBuf)) < b.RawLen {
-		s.rawBuf = make([]byte, b.RawLen)
-	}
-	raw := s.rawBuf[:b.RawLen]
-	if _, err := io.ReadFull(fr, raw); err != nil {
+	s.rawBuf.Reset()
+	n, err := s.rawBuf.ReadFrom(io.LimitReader(fr, b.RawLen+1))
+	if err != nil || n < b.RawLen {
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("segment: %s: block %d: short decompress: %w", filepath.Base(s.Path), i, err)
 	}
-	var extra [1]byte
-	if n, _ := fr.Read(extra[:]); n != 0 {
+	if n > b.RawLen {
 		return nil, fmt.Errorf("segment: %s: block %d: decompressed past declared length", filepath.Base(s.Path), i)
 	}
-	return raw, nil
+	return s.rawBuf.Bytes(), nil
 }
 
 // Events decodes every event in order, calling fn with the segment-wide

@@ -28,8 +28,11 @@ type WriterConfig struct {
 	// MaxAge rotates a segment once it has been open this long; <= 0
 	// means DefaultMaxAge.
 	MaxAge time.Duration
-	// BlockBytes is the raw (uncompressed) size at which the pending
-	// block is compressed and flushed; <= 0 means DefaultBlockBytes.
+	// BlockBytes is the most raw (uncompressed) bytes a block holds: the
+	// pending block is compressed and flushed before the batch that would
+	// take it past this size (and at once when full), so only a batch
+	// larger than BlockBytes, a block by itself, exceeds it; <= 0 means
+	// DefaultBlockBytes.
 	BlockBytes int
 	// OnWrite, if set, observes every file write (metrics hook).
 	OnWrite func(n int)
@@ -49,10 +52,13 @@ type WriterConfig struct {
 }
 
 // Defaults for WriterConfig; shared with Store and the serve flags.
+// DefaultBlockBytes is the most compress/flate's BestSpeed encoder puts in
+// one DEFLATE block: an archive block that fits is one DEFLATE block with
+// one Huffman table, not a full one and a small tail with a table of its own.
 const (
 	DefaultMaxBytes   = 4 << 20
 	DefaultMaxAge     = 5 * time.Minute
-	DefaultBlockBytes = 64 << 10
+	DefaultBlockBytes = 65535
 )
 
 // Writer appends event batches to rotating segment files for a single
@@ -273,8 +279,9 @@ func (a *activeSeg) write(p []byte, onWrite func(int)) error {
 // Append adds one batch of pre-framed events (trace.AppendEventFrame
 // encoding, events frames total) stamped at now. verdictRel lists the
 // batch-relative indexes of verdict events. Rotation by age is checked
-// before the batch, rotation by size after it — a batch, and therefore
-// an event, is never split across segments.
+// before the batch, rotation by size after it, and the pending block is
+// cut before the batch that would overfill it — a batch, and therefore an
+// event, is never split across segments or blocks.
 func (w *Writer) Append(frames []byte, events int, verdictRel []int, now time.Time) error {
 	if events <= 0 {
 		return nil
@@ -288,6 +295,12 @@ func (w *Writer) Append(frames []byte, events int, verdictRel []int, now time.Ti
 		w.open(now)
 	}
 	a := w.active
+	// Cut the pending block before the batch that would overfill it...
+	if len(a.raw)+len(frames) > w.cfg.BlockBytes {
+		if err := w.cutBlock(); err != nil {
+			return err
+		}
+	}
 	ns := now.UnixNano()
 	if a.events == 0 {
 		a.first = ns
@@ -309,18 +322,30 @@ func (w *Writer) Append(frames []byte, events int, verdictRel []int, now time.Ti
 	a.events += int64(events)
 	a.blockEvents += int64(events)
 	w.lastAppend = now
+	// ...and at once when this batch filled it, or is larger than a block
+	// and so one by itself.
 	if len(a.raw) >= w.cfg.BlockBytes {
-		if err := w.flushBlock(); err != nil {
-			// A failed block write leaves the file mid-block: no seal can
-			// make it valid, so quarantine it and start fresh next append.
-			w.active = nil
-			return w.abort(a, err)
+		if err := w.cutBlock(); err != nil {
+			return err
 		}
 	}
 	if a.off >= w.cfg.MaxBytes {
 		return w.Seal(now)
 	}
 	return nil
+}
+
+// cutBlock is flushBlock for Append. A failed block write leaves the file
+// mid-block: no seal can make it valid, so it is quarantined and the next
+// append starts afresh.
+func (w *Writer) cutBlock() error {
+	err := w.flushBlock()
+	if err != nil {
+		a := w.active
+		w.active = nil
+		err = w.abort(a, err)
+	}
+	return err
 }
 
 // flushBlock compresses the pending raw buffer into one DEFLATE stream

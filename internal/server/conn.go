@@ -62,7 +62,8 @@ type conn struct {
 	wfirstNs int64
 
 	// Tee coalescing (read-loop local): pending archive frames for the
-	// segment store, flushed by size/age in tee() and at read-loop end.
+	// segment store, flushed by size/age after a decoded batch and at
+	// read-loop end (tee.go).
 	teePending *segment.Batch
 	teeSince   time.Time
 
@@ -144,33 +145,17 @@ func (s *Server) handleConn(nc net.Conn) {
 	c.send(proto.Response{Kind: proto.RespHello, Mode: uint8(sess.mode), Resumed: resumed})
 
 	// The ingest loop: take a free batch (blocking here is the
-	// backpressure), decode into it with the zero-alloc NextInto path,
-	// greedily folding in whatever further frames are already buffered,
-	// and hand it to the session executor. This loop never touches the
-	// verifier engine.
+	// backpressure), decode into it and hand it to the session executor.
+	// This loop never touches the verifier engine.
 	c.free = make(chan *batch, batchesPerConn)
 	for i := 0; i < batchesPerConn; i++ {
 		c.free <- &batch{c: c, events: make([]trace.Event, maxBatch)}
 	}
 	for {
 		b := <-c.free
-		b.n = 0
-		err := tr.NextInto(&b.events[0])
-		if err == nil {
-			b.n = 1
-			for b.n < len(b.events) && tr.Buffered() > 0 {
-				if e2 := tr.NextInto(&b.events[b.n]); e2 != nil {
-					err = e2
-					break
-				}
-				b.n++
-			}
-		}
+		err := c.decode(tr, sess, b)
 		if b.n > 0 {
 			b.decNs = obs.Nanotime()
-			if s.seg != nil {
-				c.tee(sess, b)
-			}
 			c.pushed++
 			sess.enqueue(b)
 		} else {
@@ -194,6 +179,27 @@ func (s *Server) handleConn(nc net.Conn) {
 			return
 		}
 	}
+}
+
+// decode fills b from tr with the zero-alloc NextInto path: one event,
+// waiting for it if it must, then greedily whatever further frames are
+// already buffered. With the archive on, every frame is teed as it is
+// decoded — not after the batch, when a later read may have slid the
+// reader's window from under it — and the pending archive batch is handed
+// over once, after the last, if it is due.
+func (c *conn) decode(tr *trace.Reader, ss *session, b *batch) error {
+	var err error
+	for b.n = 0; b.n < len(b.events) && (b.n == 0 || tr.Buffered() > 0); b.n++ {
+		e := &b.events[b.n]
+		if err = tr.NextInto(e); err != nil {
+			break
+		}
+		if c.srv.seg != nil {
+			c.teeFrame(ss, tr.Payload(), e.Kind == trace.KindVerdict)
+		}
+	}
+	c.teeFlushIfDue()
+	return err
 }
 
 // awaitApplied waits (bounded, defensively) until the session executor

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -14,23 +15,27 @@ import (
 	"armus/internal/clock"
 	"armus/internal/core"
 	"armus/internal/deps"
+	"armus/internal/segment"
 	"armus/internal/server/proto"
 	"armus/internal/trace"
 	"armus/internal/trace/replay"
 )
 
 // TestExecutorPathZeroAlloc guards the acceptance criterion for the
-// executor rework: the FULL ingest path — wire decode (NextInto), MPSC
-// enqueue, executor pop + gate/mutate/checkpoint, coalesced response
-// encode — allocates nothing per batch once warm, in both session modes.
-// The executor goroutine is stopped and its pop/process loop run inline,
-// because AllocsPerRun only observes the calling goroutine; the inline
-// loop is byte-for-byte the code runExecutor runs.
+// executor rework: the FULL ingest path — wire decode (conn.decode, the
+// read loop's own, with the archive tee off and on), MPSC enqueue,
+// executor pop + gate/mutate/checkpoint, coalesced response encode —
+// allocates nothing per batch once warm, in both session modes. The
+// executor goroutine is stopped and its pop/process loop run inline, so
+// that the measured calls do all the work; the inline loop is
+// byte-for-byte the code runExecutor runs. With the archive on, its
+// store's goroutine runs beside: the stream is sized to stay inside one
+// archive block, so that it only appends to a warm buffer.
 func TestExecutorPathZeroAlloc(t *testing.T) {
 	const (
 		tasks          = 64
 		eventsPerBatch = tasks + 1 + tasks // blocks, checkpoint, unblocks
-		batches        = 60                // > warmups + AllocsPerRun's 51 calls
+		batches        = 80                // > warmups + AllocsPerRun's 51 calls, and < one archive block
 	)
 	// One steady round per batch: 64 tasks block (each arrived at its
 	// phaser, so the gate admits without refusing), one checkpoint, then
@@ -46,8 +51,16 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 		round = append(round, trace.Event{Kind: trace.KindUnblock, Task: deps.TaskID(i)})
 	}
 
-	for _, mode := range []core.Mode{core.ModeAvoid, core.ModeDetect} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		mode    core.Mode
+		archive bool
+	}{{core.ModeAvoid, false}, {core.ModeDetect, false}, {core.ModeAvoid, true}, {core.ModeDetect, true}} {
+		mode := tc.mode
+		name := mode.String()
+		if tc.archive {
+			name += "-archived"
+		}
+		t.Run(name, func(t *testing.T) {
 			// Pre-encode the wire stream the decode half will consume.
 			var wire bytes.Buffer
 			tw, err := trace.NewWriter(&wire, "alloc", uint8(mode))
@@ -70,23 +83,32 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 			}
 
 			srv := &Server{cfg: Config{Logf: func(string, ...any) {}}.withDefaults()}
+			if tc.archive {
+				if srv.seg, err = segment.NewStore(segment.Config{Dir: t.TempDir()}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			ss := newSession(srv, "alloc", mode, nil, 0)
 			ss.shutdownExecutor() // run its loop inline instead
-			defer ss.eng.Close()
 			c := &conn{srv: srv, wsig: make(chan struct{}, 1), done: make(chan struct{})}
 			c.free = make(chan *batch, 1)
-			c.free <- &batch{c: c, events: make([]trace.Event, eventsPerBatch)}
+			// Every slot's slices start warm: decode ends a batch where the
+			// reader's window happens to end on a frame boundary, and from
+			// then on the rounds no longer fall on the same slots.
+			events := make([]trace.Event, eventsPerBatch)
+			for i := range events {
+				events[i].Status = status(0, make([]deps.Resource, 0, 1), make([]deps.Reg, 0, 1))
+			}
+			c.free <- &batch{c: c, events: events}
 
+			decoded := 0
 			run := func() {
-				// Read loop half: decode one batch and enqueue it.
+				// Read loop half: decode one batch (and tee it) and enqueue it.
 				b := <-c.free
-				b.n = 0
-				for b.n < len(b.events) {
-					if err := tr.NextInto(&b.events[b.n]); err != nil {
-						t.Fatalf("decode: %v", err)
-					}
-					b.n++
+				if err := c.decode(tr, ss, b); err != nil || b.n == 0 {
+					t.Fatalf("decode: %d events, %v", b.n, err)
 				}
+				decoded += b.n
 				ss.enqueue(b)
 				// Executor half: pop and process until drained.
 				for {
@@ -105,11 +127,29 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 				case <-c.wsig:
 				default:
 				}
+				if tc.archive {
+					// Archive half: let the store take what was handed over
+					// and put the batch back in its pool.
+					runtime.Gosched()
+				}
 			}
 			run()
 			run() // warm the pools, maps, scratch and both buffers
-			if n := testing.AllocsPerRun(50, run); n != 0 {
+			for i := 0; tc.archive && i <= teeFlushBytes/(wire.Len()/batches); i++ {
+				run() // and the archive batch, which is handed over every teeFlushBytes
+			}
+			// (The archive batch comes back through a sync.Pool, which the
+			// race detector makes forgetful.)
+			if n := testing.AllocsPerRun(50, run); n != 0 && !(tc.archive && raceEnabled) {
 				t.Fatalf("executor ingest path allocates %.1f allocs per batch, want 0", n)
+			}
+			if tc.archive {
+				c.teeFlush()
+				srv.seg.Close()
+				if got := srv.seg.Metrics().Events.Load(); got != int64(decoded) || srv.seg.Metrics().BatchesDropped.Load() != 0 {
+					t.Fatalf("archive took %d of %d decoded events, %d batches dropped",
+						got, decoded, srv.seg.Metrics().BatchesDropped.Load())
+				}
 			}
 		})
 	}
@@ -130,7 +170,6 @@ func TestExecutorDrainMidQueue(t *testing.T) {
 	// Depending on scheduling the executor is anywhere in the queue when
 	// stop lands; either way every batch must be applied at exit.
 	ss.shutdownExecutor()
-	ss.eng.Close()
 	if got := c.applied.Load(); got != batches {
 		t.Fatalf("executor exited with %d of %d batches applied", got, batches)
 	}

@@ -142,10 +142,7 @@ func TestMalformedFrameRejected(t *testing.T) {
 func TestSlowConsumerDisconnect(t *testing.T) {
 	srv := &Server{cfg: Config{QueueLen: 4, Logf: func(string, ...any) {}}.withDefaults()}
 	ss := newSession(srv, "slow", core.ModeDetect, nil, 0)
-	defer func() {
-		ss.shutdownExecutor()
-		ss.eng.Close()
-	}()
+	defer ss.shutdownExecutor()
 	p1, p2 := net.Pipe()
 	defer p2.Close()
 	// No writeLoop: the coalesce buffer never drains, like a peer that

@@ -2,11 +2,16 @@ package server
 
 import (
 	"bytes"
+	"io"
+	"net"
+	"reflect"
 	"testing"
 
 	"armus/internal/client"
 	"armus/internal/core"
+	"armus/internal/deps"
 	"armus/internal/segment"
+	"armus/internal/server/proto"
 	"armus/internal/trace"
 	"armus/internal/trace/replay"
 )
@@ -103,6 +108,149 @@ func TestSegmentArchiveEndToEnd(t *testing.T) {
 			if r.Events == 0 {
 				t.Fatalf("%s: pipeline %v replayed no events", session, r.Pipeline)
 			}
+		}
+	}
+}
+
+// TestArchiveHoldsWhatArrived streams one detection session over a
+// net.Pipe, with the tee on, as bytes written by hand: a status whose task
+// is a varint one byte longer than it need be, a frame long enough for a
+// two-byte length prefix, checkpoints in the middle of batches, a deadlock
+// that forms and dissolves, and all of it in one write several reader
+// windows long, so that the window slides in the middle of a batch. The
+// archive must read back as the events that were sent, in order, with the
+// index's verdict ordinals on the verdict events, and the export must replay
+// to the verdicts the sent trace replays to.
+func TestArchiveHoldsWhatArrived(t *testing.T) {
+	dir := t.TempDir()
+	s := testServer(t, Config{SegmentDir: dir})
+	const session = "verbatim"
+
+	var wire bytes.Buffer
+	tw, err := trace.NewWriter(&wire, proto.Handshake{Session: session}.Label(), uint8(core.ModeDetect))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	handshake := wire.Len()
+	send := func(e trace.Event) {
+		t.Helper()
+		if err := tw.WriteEvent(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint := trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported}
+	// Task 1 blocks with a registration vector of 70 phasers: a frame of
+	// more than 127 bytes.
+	wide := status(1, []deps.Resource{res(1, 1)}, []deps.Reg{reg(1, 1)})
+	for q := int64(100); q < 170; q++ {
+		wide.Regs = append(wide.Regs, reg(q, 0))
+	}
+	send(trace.Event{Kind: trace.KindBlock, Task: 1, Status: wide})
+	// Task 5 unblocks, its ID (zig-zag 10) spelt 0x8a 0x00 instead of 0x0a.
+	if err := tw.WriteFrames([]byte{3, byte(trace.KindUnblock), 0x8a, 0x00}); err != nil {
+		t.Fatal(err)
+	}
+	send(checkpoint)
+	// Rounds of two tasks on two phasers; in every eighth they wait for each
+	// other, with a checkpoint while they do and one after.
+	for round := int64(1); wire.Len() < 4*4096; round++ {
+		a := status(2, []deps.Resource{res(2, round)}, []deps.Reg{reg(2, round), reg(3, round)})
+		b := status(3, []deps.Resource{res(3, round)}, []deps.Reg{reg(2, round), reg(3, round)})
+		if round%8 == 0 {
+			a.Regs[1].Phase, b.Regs[0].Phase = round-1, round-1
+		}
+		send(trace.Event{Kind: trace.KindBlock, Task: 2, Status: a})
+		send(trace.Event{Kind: trace.KindBlock, Task: 3, Status: b})
+		if round%8 == 0 {
+			send(checkpoint)
+		}
+		send(trace.Event{Kind: trace.KindUnblock, Task: 2})
+		send(trace.Event{Kind: trace.KindUnblock, Task: 3})
+		if round%8 == 0 {
+			send(checkpoint)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sent, err := trace.Decode(wire.Bytes())
+	if err != nil {
+		t.Fatalf("the stream as written does not decode: %v", err)
+	}
+	if sent.Events[1].Kind != trace.KindUnblock || sent.Events[1].Task != 5 {
+		t.Fatalf("the long varint decodes to %v", sent.Events[1])
+	}
+
+	client, server := net.Pipe()
+	s.wg.Add(1)
+	go s.handleConn(server)
+	go io.Copy(io.Discard, client) // hello and checkpoint answers
+	// The handshake, then everything else in one write: the reader takes it
+	// a window at a time, and a batch goes on while the window holds bytes.
+	for _, part := range [][]byte{wire.Bytes()[:handshake], wire.Bytes()[handshake:]} {
+		if _, err := client.Write(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client.Close()
+	s.Close() // waits for the connection, seals the segment
+	if n := s.Metrics().MalformedConns.Load(); n != 0 {
+		t.Fatalf("%d connections refused as malformed", n)
+	}
+
+	var export bytes.Buffer
+	if _, _, err := segment.Stitch(&export, dir, session, func(path string, err error) { t.Errorf("%s: %v", path, err) }); err != nil {
+		t.Fatal(err)
+	}
+	got, err := trace.Decode(export.Bytes())
+	if err != nil {
+		t.Fatalf("the export does not decode: %v", err)
+	}
+	// The server's own annotations (a report if a batch happened to end
+	// inside a deadlock) sit where the executor happened to be; a client
+	// checkpoint names no resources, a report does.
+	var arrived []trace.Event
+	var ordinals []int64
+	for i, e := range got.Events {
+		if e.Kind == trace.KindVerdict {
+			ordinals = append(ordinals, int64(i))
+			if len(e.Resources) > 0 {
+				continue
+			}
+		}
+		arrived = append(arrived, e)
+	}
+	if len(arrived) != len(sent.Events) {
+		t.Fatalf("archive holds %d client events, %d were sent", len(arrived), len(sent.Events))
+	}
+	for i := range arrived {
+		if !reflect.DeepEqual(arrived[i], sent.Events[i]) {
+			t.Fatalf("event %d: archived %v, sent %v", i, arrived[i], sent.Events[i])
+		}
+	}
+	refs, err := segment.Scan(dir, false, nil)
+	if err != nil || len(refs) != 1 {
+		t.Fatalf("Scan: %v, %d segments", err, len(refs))
+	}
+	if !reflect.DeepEqual(refs[0].Index.VerdictOrdinals, ordinals) {
+		t.Fatalf("index lists verdicts at %v, the events have them at %v", refs[0].Index.VerdictOrdinals, ordinals)
+	}
+
+	want, err := replay.ReplayTrace(sent, replay.Detect, replay.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := replay.VerifyAll(got, replay.Options{})
+	if err != nil {
+		t.Fatalf("the export fails replay: %v", err)
+	}
+	for _, r := range results {
+		if !reflect.DeepEqual(r.Verdicts, want.Verdicts) || r.DeadlockSteps == 0 {
+			t.Fatalf("%v: the export replays to other verdicts than what was sent (%d deadlocked steps, want %d)",
+				r.Pipeline, r.DeadlockSteps, want.DeadlockSteps)
 		}
 	}
 }

@@ -23,9 +23,10 @@
 //   - A session runs in avoidance mode (every block is gated through the
 //     targeted deps.State.CycleThrough query and refused — with its cycle
 //     — when it would close one; the gate hot path is allocation-free
-//     once warm) or detection mode (mutations apply unconditionally, an
-//     observe-mode core.Verifier answers CheckNow per batch, and
-//     deadlock transitions are pushed to subscribed connections).
+//     once warm) or detection mode (mutations apply unconditionally, the
+//     session engine answers "deadlocked now?" per batch with the same
+//     query, from the tasks whose status the batch set, and deadlock
+//     transitions are pushed to subscribed connections).
 //   - Each session owns ONE EXECUTOR goroutine (executor.go): the single
 //     writer of its verifier state, fed by a lock-free MPSC queue
 //     (mpsc.go) of decoded batches. Per-connection read loops only decode
@@ -42,9 +43,10 @@
 //     the injectable internal/clock garbage-collects them. Shutdown
 //     drains on the same clock: stop accepting, say goodbye, give
 //     connections a grace to finish, then close.
-//   - With Config.SegmentDir set, every read loop additionally tees its
-//     decoded batches into the durable trace archive (internal/segment,
-//     tee.go) and executors append the server's verdict transitions —
+//   - With Config.SegmentDir set, every read loop additionally tees the
+//     frames it accepted, as they arrived, into the durable trace archive
+//     (internal/segment, tee.go) and executors append the server's verdict
+//     transitions —
 //     making every session's ingest stream queryable and replayable
 //     after the fact. The tee never blocks verification; see
 //     docs/SEGMENT_FORMAT.md and docs/OPERATIONS.md.
@@ -66,7 +68,6 @@ import (
 
 	"armus/internal/clock"
 	"armus/internal/core"
-	"armus/internal/deps"
 	"armus/internal/fleet"
 	"armus/internal/segment"
 	"armus/internal/server/proto"
@@ -97,9 +98,6 @@ type Config struct {
 	// deliver its trace header (default 10s; real time — it is a socket
 	// read deadline, not a verification loop).
 	HandshakeTimeout time.Duration
-	// Model is the graph model of detection-mode sessions (default
-	// deps.ModelAuto).
-	Model deps.Model
 	// StoreAddr connects the server to an armus-store instance
 	// ("host:port" or "unix:/path") for session-snapshot persistence:
 	// every session periodically persists its blocked-status state there,
@@ -414,7 +412,6 @@ func (s *Server) sweep() {
 				// another fleet member) still rehydrates and resumes.
 				// Regression: TestGCLeavesSnapshotIntact.
 				ss.shutdownExecutor()
-				ss.eng.Close()
 				s.m.SessionsOpen.Add(-1)
 				s.m.SessionsGCed.Add(1)
 				// Seal the session's archive segment now that its state is
@@ -472,7 +469,7 @@ func (s *Server) Shutdown() {
 }
 
 // Close stops the server immediately: listener and every connection are
-// closed, the janitor is stopped, and all session engines are released.
+// closed, the janitor is stopped, and all session executors are stopped.
 // Idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
@@ -494,14 +491,13 @@ func (s *Server) Close() {
 	<-s.sweepDone
 	s.wg.Wait()
 	// Every read loop has exited (wg), so no producer survives: stop the
-	// executors (each drains its queue first), then release the engines.
+	// executors (each drains its queue first).
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for name, ss := range sh.m {
 			delete(sh.m, name)
 			ss.shutdownExecutor()
-			ss.eng.Close()
 			s.m.SessionsOpen.Add(-1)
 		}
 		sh.mu.Unlock()

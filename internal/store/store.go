@@ -373,6 +373,11 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) error {
 			if _, ok := h[string(args[2])]; ok {
 				delete(h, string(args[2]))
 				n = 1
+				if len(h) == 0 {
+					// A hash goes with its last field: an empty one would
+					// be listed, counted and scanned as a key for ever.
+					delete(s.hashes, string(args[1]))
+				}
 			}
 		}
 		s.mu.Unlock()

@@ -122,6 +122,19 @@ func TestHashOps(t *testing.T) {
 	if n, err := c.Del("h"); err != nil || n != 1 {
 		t.Fatalf("Del hash = %d, %v", n, err)
 	}
+	// A hash goes with its last field: no key is left behind.
+	if err := c.HSet("g", "only", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := c.HDel("g", "only"); err != nil || !ok {
+		t.Fatalf("HDel last field = %v, %v", ok, err)
+	}
+	if keys, err := c.Keys(""); err != nil || len(keys) != 0 {
+		t.Fatalf("Keys after HDel of the last field = %q, %v", keys, err)
+	}
+	if n, err := c.Del("g"); err != nil || n != 0 {
+		t.Fatalf("Del of a hash emptied by HDel = %d, %v", n, err)
+	}
 }
 
 func TestServerErrorReply(t *testing.T) {

@@ -357,6 +357,9 @@ type Reader struct {
 	mode          uint8
 	done          bool
 	err           error
+	// payload is the event frame NextInto decoded last, where it lies in
+	// the window (Payload).
+	payload []byte
 }
 
 // NewReader checks the magic, reads the header, and returns the event
@@ -557,6 +560,7 @@ func (tr *Reader) NextInto(e *Event) error {
 	if err == nil && payload != nil {
 		err = decodeEventInto(payload, e)
 	}
+	tr.payload = nil
 	if err != nil {
 		tr.err = err
 		return err
@@ -565,8 +569,18 @@ func (tr *Reader) NextInto(e *Event) error {
 		tr.done = true
 		return io.EOF
 	}
+	tr.payload = payload
 	return nil
 }
+
+// Payload returns the payload of the event frame the last successful
+// NextInto (or Next) decoded — the bytes decodeEventInto accepted, without
+// their length prefix — as a view into the reader's window, valid until the
+// next read; nil otherwise. A caller that keeps a frame as it arrived (the
+// armus-serve archive tee) copies it out before reading on: the next read
+// may slide the window, and by then the prefix may already have slid out,
+// which is why the view does not include it.
+func (tr *Reader) Payload() []byte { return tr.payload }
 
 // Buffered reports how many undecoded bytes sit in the reader's window —
 // the live ingest loop uses it to batch greedily (keep decoding while more
@@ -576,7 +590,14 @@ func (tr *Reader) Buffered() int { return tr.w - tr.r }
 // eventDecoder is a cursor over one frame.
 type eventDecoder struct{ buf []byte }
 
+// uvarint and varint read a one-byte value — task, phaser, phase, kind and
+// count nearly always are — in place, and leave the rest to encoding/binary.
 func (d *eventDecoder) uvarint() (uint64, error) {
+	if len(d.buf) > 0 && d.buf[0] < 0x80 {
+		v := uint64(d.buf[0])
+		d.buf = d.buf[1:]
+		return v, nil
+	}
 	v, n := binary.Uvarint(d.buf)
 	if n <= 0 {
 		return 0, fmt.Errorf("trace: truncated frame")
@@ -586,6 +607,11 @@ func (d *eventDecoder) uvarint() (uint64, error) {
 }
 
 func (d *eventDecoder) varint() (int64, error) {
+	if len(d.buf) > 0 && d.buf[0] < 0x80 {
+		u := d.buf[0]
+		d.buf = d.buf[1:]
+		return int64(u>>1) ^ -int64(u&1), nil
+	}
 	v, n := binary.Varint(d.buf)
 	if n <= 0 {
 		return 0, fmt.Errorf("trace: truncated frame")

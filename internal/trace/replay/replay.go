@@ -7,12 +7,16 @@
 // mutation, the pipeline's deadlock verdict for the reconstructed state:
 //
 //   - Avoid drives the session engine (internal/engine) in avoidance mode:
-//     a bare deps.State with its incremental per-phaser index, answering
-//     via the gate's targeted query from each blocked task;
-//   - Detect drives the same engine in detection mode: a real
-//     core.Verifier's full-scan analysis (snapshot, graph build under the
-//     configured model, cycle search) — exactly what the detection loop
-//     runs every period;
+//     a deps.State with its incremental per-phaser index, a recorded
+//     rejection re-validated by the gate itself (a cycle through the
+//     refused task);
+//   - Detect drives the same engine in detection mode, as a detection
+//     session of armus-serve does: the verdict is the same targeted query,
+//     run from the statuses set since the last one, and a recorded
+//     rejection is re-validated against the whole state. (The SG/WFG graph
+//     analysis of §5.1 is the in-process core.Verifier's; internal/sim
+//     checks it against the oracle, internal/engine's differential test
+//     checks this engine against it.)
 //   - Dist deals the statuses across observe-mode dist.Sites connected to
 //     a real store server: the mutated site runs a full pipelined
 //     publish+fetch round (dist.Site.RoundOnce) for the per-mutation
@@ -57,9 +61,9 @@ import (
 type Pipeline int
 
 const (
-	// Avoid replays through the avoidance gate's targeted index search.
+	// Avoid replays through the session engine in avoidance mode.
 	Avoid Pipeline = iota
-	// Detect replays through a real verifier's full-scan analysis.
+	// Detect replays through the session engine in detection mode.
 	Detect
 	// Dist replays through observe-mode sites and a real store (§5.2).
 	Dist
@@ -99,9 +103,6 @@ func Parse(s string) ([]Pipeline, error) {
 
 // Options configures a replay.
 type Options struct {
-	// Model is the graph model of the Detect and Dist pipelines (default
-	// deps.ModelAuto, the adaptive §5.1 policy).
-	Model deps.Model
 	// Sites is the number of sites the Dist pipeline deals statuses
 	// across (default 3).
 	Sites int
@@ -204,9 +205,9 @@ type checker interface {
 func newChecker(p Pipeline, o Options) (checker, error) {
 	switch p {
 	case Avoid:
-		return localEngine{engine.New(core.ModeAvoid, o.Model)}, nil
+		return localEngine{engine.New(core.ModeAvoid)}, nil
 	case Detect:
-		return localEngine{engine.New(core.ModeDetect, o.Model)}, nil
+		return localEngine{engine.New(core.ModeDetect)}, nil
 	case Dist:
 		return newDistEngine(o)
 	default:
@@ -378,10 +379,9 @@ func VerifyAll(tr *trace.Trace, o Options, pipelines ...Pipeline) ([]*Result, er
 }
 
 // localEngine adapts the one session engine (internal/engine) to the replay
-// loop: Avoid is its avoidance mode — the incrementally indexed deps.State
-// searched with the gate's targeted query — and Detect its detection mode,
-// a real verifier's full scan. A recorded block was admitted (or applied
-// unconditionally) by the recording verifier, so it re-enters ungated.
+// loop, in its avoidance mode for Avoid and its detection mode for Detect.
+// A recorded block was admitted (or applied unconditionally) by the
+// recording verifier, so it re-enters ungated.
 type localEngine struct{ e *engine.Engine }
 
 func (l localEngine) set(b deps.Blocked) error { l.e.Restore(b); return nil }
@@ -396,7 +396,7 @@ func (l localEngine) finish() error { return nil }
 
 func (l localEngine) storeStats() (int64, int64) { return 0, 0 }
 
-func (l localEngine) close() { l.e.Close() }
+func (l localEngine) close() {}
 
 // AvoidEngine is the avoidance gate as the repository benchmark's set-up
 // drives it; everything else uses engine.Engine directly.
@@ -404,7 +404,7 @@ type AvoidEngine struct{ e *engine.Engine }
 
 // NewAvoidEngine returns an empty avoidance engine.
 func NewAvoidEngine() *AvoidEngine {
-	return &AvoidEngine{e: engine.New(core.ModeAvoid, deps.ModelAuto)}
+	return &AvoidEngine{e: engine.New(core.ModeAvoid)}
 }
 
 // Gate runs the avoidance gate on b and reports whether the block was
@@ -452,7 +452,7 @@ func newDistEngine(o Options) (*distEngine, error) {
 		pending:     make([]bool, o.Sites),
 	}
 	for i := 0; i < o.Sites; i++ {
-		e.sites = append(e.sites, dist.NewSite(i+1, srv.Addr(), dist.WithModel(o.Model)))
+		e.sites = append(e.sites, dist.NewSite(i+1, srv.Addr()))
 	}
 	return e, nil
 }

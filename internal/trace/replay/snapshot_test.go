@@ -43,8 +43,7 @@ func TestSnapshotRehydrateParity(t *testing.T) {
 				t.Fatalf("reference replay: %v", err)
 			}
 
-			live := engine.New(core.ModeDetect, deps.ModelAuto)
-			defer live.Close()
+			live := engine.New(core.ModeDetect)
 			// The server's own writer and reader (dist.Chain, DecodeChain)
 			// over the store's two fields. As in the store, a base write
 			// does NOT clear the delta field — the reader must ignore a
@@ -68,8 +67,7 @@ func TestSnapshotRehydrateParity(t *testing.T) {
 			checked := 0
 			check := func() {
 				persist()
-				fresh := engine.New(core.ModeDetect, deps.ModelAuto)
-				defer fresh.Close()
+				fresh := engine.New(core.ModeDetect)
 				fresh.Restore(rehydrate()...)
 				got := fresh.Check() != nil
 				if want := ref.Verdicts[mut-1]; got != want {
