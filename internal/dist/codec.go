@@ -2,10 +2,12 @@ package dist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 
 	"armus/internal/deps"
+	"armus/internal/wire"
 )
 
 // The snapshot wire format is a hand-rolled varint encoding rather than
@@ -25,13 +27,7 @@ import (
 //	uvarint siteID
 //	uvarint seq
 //	uvarint len(snap)
-//	per Blocked:
-//	    varint  Task
-//	    uvarint len(WaitsFor)  then per Resource: varint Phaser, varint Phase
-//	    uvarint len(Regs)      then per Reg:      varint Phaser, varint Phase
-//
-// Signed fields use zig-zag varints so distributed ID bases near the top of
-// the int64 range still encode compactly enough and negatives round-trip.
+//	per Blocked: status (wire.AppendBlocked)
 
 // snapshotMagic versions the wire format; bump the trailing digit on any
 // incompatible change so mixed-version clusters drop (rather than misparse)
@@ -43,34 +39,13 @@ const snapshotMagic = "ARMUSD1"
 // store's own maxBulk guard).
 const maxSnapshotItems = 1 << 20
 
-// appendBlocked serialises one blocked status (shared by the snapshot and
-// delta encoders).
-func appendBlocked(buf []byte, b *deps.Blocked) []byte {
-	buf = binary.AppendVarint(buf, int64(b.Task))
-	buf = binary.AppendUvarint(buf, uint64(len(b.WaitsFor)))
-	for _, r := range b.WaitsFor {
-		buf = binary.AppendVarint(buf, int64(r.Phaser))
-		buf = binary.AppendVarint(buf, r.Phase)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(b.Regs)))
-	for _, reg := range b.Regs {
-		buf = binary.AppendVarint(buf, int64(reg.Phaser))
-		buf = binary.AppendVarint(buf, reg.Phase)
-	}
-	return buf
-}
-
 // appendSnapshot serialises one site's blocked statuses into buf, which a
 // size estimate grows once when it is new or still small.
 func appendSnapshot(buf []byte, siteID int, seq uint64, snap []deps.Blocked) []byte {
 	buf = append(slices.Grow(buf, len(snapshotMagic)+16+32*len(snap)), snapshotMagic...)
 	buf = binary.AppendUvarint(buf, uint64(siteID))
 	buf = binary.AppendUvarint(buf, seq)
-	buf = binary.AppendUvarint(buf, uint64(len(snap)))
-	for i := range snap {
-		buf = appendBlocked(buf, &snap[i])
-	}
-	return buf
+	return appendBody(buf, snap)
 }
 
 // encodeSnapshot serialises one site's blocked statuses.
@@ -78,126 +53,49 @@ func encodeSnapshot(siteID int, seq uint64, snap []deps.Blocked) []byte {
 	return appendSnapshot(nil, siteID, seq, snap)
 }
 
-// snapshotDecoder is a cursor over an encoded snapshot.
-type snapshotDecoder struct {
-	buf []byte
+// appendBody serialises a counted run of statuses, the body of a
+// snapshot and the upserts of a delta.
+func appendBody(buf []byte, snap []deps.Blocked) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(snap)))
+	for i := range snap {
+		buf = wire.AppendBlocked(buf, &snap[i])
+	}
+	return buf
 }
 
-func (d *snapshotDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("dist: truncated snapshot")
+// bodyInto reads what appendBody wrote into buf, which it
+// overwrites and reuses, inner slices included (see wire.Emptied).
+func bodyInto(c *wire.Cursor, buf []deps.Blocked) []deps.Blocked {
+	n := c.Length(maxSnapshotItems)
+	buf = wire.Emptied(buf, n)[:n]
+	for i := range buf {
+		c.BlockedInto(&buf[i], maxSnapshotItems)
 	}
-	d.buf = d.buf[n:]
-	return v, nil
+	return buf
 }
 
-func (d *snapshotDecoder) varint() (int64, error) {
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("dist: truncated snapshot")
+// opened returns a cursor over what follows magic in payload; one that has
+// already failed if payload does not open with it.
+func opened(payload []byte, magic string) wire.Cursor {
+	if len(payload) < len(magic) || string(payload[:len(magic)]) != magic {
+		c := wire.NewCursor(nil)
+		c.Fail(errors.New("bad magic"))
+		return c
 	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
-
-func (d *snapshotDecoder) length() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	// Every encoded item costs at least one byte, so a count larger than
-	// the remaining payload is corrupt — reject it BEFORE allocating, or a
-	// 15-byte payload claiming 2^20 items would cost tens of MB per check.
-	if v > maxSnapshotItems || v > uint64(len(d.buf)) {
-		return 0, fmt.Errorf("dist: snapshot length %d exceeds limit", v)
-	}
-	return int(v), nil
-}
-
-// emptied returns buf with length zero and room for n items. Whatever buf
-// held stays behind its length, so a decoder refilling it finds the inner
-// slices of its previous occupants and reuses them — the way
-// deps.State.SnapshotInto treats its buffer. A fresh decode (nil buffers)
-// allocates exactly what it needs, once.
-func emptied[T any](buf []T, n int) []T {
-	switch {
-	case n <= cap(buf):
-	case cap(buf) == 0:
-		return make([]T, 0, n)
-	default:
-		buf = slices.Grow(buf[:cap(buf)], n-cap(buf))
-	}
-	return buf[:0]
-}
-
-// blockedInto decodes one blocked status (shared by the snapshot and delta
-// decoders) into b, overwriting it and reusing its slices.
-func (d *snapshotDecoder) blockedInto(b *deps.Blocked) error {
-	t, err := d.varint()
-	if err != nil {
-		return err
-	}
-	b.Task = deps.TaskID(t)
-	nw, err := d.length()
-	if err != nil {
-		return err
-	}
-	b.WaitsFor = emptied(b.WaitsFor, nw)
-	for j := 0; j < nw; j++ {
-		q, err := d.varint()
-		if err != nil {
-			return err
-		}
-		ph, err := d.varint()
-		if err != nil {
-			return err
-		}
-		b.WaitsFor = append(b.WaitsFor, deps.Resource{Phaser: deps.PhaserID(q), Phase: ph})
-	}
-	nr, err := d.length()
-	if err != nil {
-		return err
-	}
-	b.Regs = emptied(b.Regs, nr)
-	for j := 0; j < nr; j++ {
-		q, err := d.varint()
-		if err != nil {
-			return err
-		}
-		ph, err := d.varint()
-		if err != nil {
-			return err
-		}
-		b.Regs = append(b.Regs, deps.Reg{Phaser: deps.PhaserID(q), Phase: ph})
-	}
-	return nil
+	return wire.NewCursor(payload[len(magic):])
 }
 
 // decodeSnapshotInto parses a payload produced by encodeSnapshot into buf,
-// which it overwrites, reuses (see emptied) and returns — also on an
+// which it overwrites, reuses (see wire.Emptied) and returns — also on an
 // error, when what it holds is unspecified: a caller with a good snapshot
 // to lose decodes into a spare. Any malformation is an error: the caller
 // drops the snapshot (counting it) so one corrupt entry can never wedge a
 // global check.
 func decodeSnapshotInto(payload []byte, buf []deps.Blocked) (siteID int, seq uint64, snap []deps.Blocked, err error) {
-	d, siteID, seq, err := snapshotHeader(payload)
-	if err != nil {
-		return 0, 0, buf, err
-	}
-	n, err := d.length()
-	if err != nil {
-		return 0, 0, buf, err
-	}
-	snap = emptied(buf, n)
-	for i := 0; i < n; i++ {
-		snap = snap[:i+1]
-		if err := d.blockedInto(&snap[i]); err != nil {
-			return 0, 0, snap, err
-		}
-	}
-	if len(d.buf) != 0 {
-		return 0, 0, snap, fmt.Errorf("dist: %d trailing bytes after snapshot", len(d.buf))
+	c, siteID, seq := snapshotHeader(payload)
+	snap = bodyInto(&c, buf)
+	if err := c.Done(); err != nil {
+		return 0, 0, snap, fmt.Errorf("dist: snapshot: %w", err)
 	}
 	return siteID, seq, snap, nil
 }
@@ -207,28 +105,23 @@ func decodeSnapshot(payload []byte) (siteID int, seq uint64, snap []deps.Blocked
 	return decodeSnapshotInto(payload, nil)
 }
 
-// snapshotHeader checks the magic and reads the header, leaving the decoder
+// snapshotHeader checks the magic and reads the header, leaving the cursor
 // at the body.
-func snapshotHeader(payload []byte) (d snapshotDecoder, siteID int, seq uint64, err error) {
-	if len(payload) < len(snapshotMagic) || string(payload[:len(snapshotMagic)]) != snapshotMagic {
-		return d, 0, 0, fmt.Errorf("dist: bad snapshot magic")
-	}
-	d.buf = payload[len(snapshotMagic):]
-	id, err := d.uvarint()
-	if err != nil {
-		return d, 0, 0, err
-	}
-	if seq, err = d.uvarint(); err != nil {
-		return d, 0, 0, err
-	}
-	return d, int(id), seq, nil
+func snapshotHeader(payload []byte) (c wire.Cursor, siteID int, seq uint64) {
+	c = opened(payload, snapshotMagic)
+	siteID = int(c.Uvarint())
+	seq = c.Uvarint()
+	return c, siteID, seq
 }
 
 // peekSnapshotSeq reads a snapshot header without decoding the body, so an
 // unchanged peer (same seq as the cached view) costs no allocation.
 func peekSnapshotSeq(payload []byte) (siteID int, seq uint64, err error) {
-	_, siteID, seq, err = snapshotHeader(payload)
-	return siteID, seq, err
+	c, siteID, seq := snapshotHeader(payload)
+	if err := c.Err(); err != nil {
+		return 0, 0, fmt.Errorf("dist: snapshot header: %w", err)
+	}
+	return siteID, seq, nil
 }
 
 // --- delta format -----------------------------------------------------
@@ -245,8 +138,8 @@ func peekSnapshotSeq(payload []byte) (siteID int, seq uint64, err error) {
 //	uvarint siteID
 //	uvarint baseSeq            (base snapshot this delta applies to)
 //	uvarint seq                (resulting view; must exceed baseSeq)
-//	uvarint len(removed)       then per task: varint TaskID, strictly ascending
-//	uvarint len(upserts)       then per Blocked (strictly ascending Task)
+//	tasks removed              (wire.AppendTasks), strictly ascending
+//	uvarint len(upserts)       then per Blocked: status, strictly ascending Task
 
 // deltaMagic versions the delta wire format (see snapshotMagic).
 const deltaMagic = "ARMUSI1"
@@ -258,15 +151,8 @@ func appendDelta(buf []byte, siteID int, baseSeq, seq uint64, removed []deps.Tas
 	buf = binary.AppendUvarint(buf, uint64(siteID))
 	buf = binary.AppendUvarint(buf, baseSeq)
 	buf = binary.AppendUvarint(buf, seq)
-	buf = binary.AppendUvarint(buf, uint64(len(removed)))
-	for _, t := range removed {
-		buf = binary.AppendVarint(buf, int64(t))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(upserts)))
-	for i := range upserts {
-		buf = appendBlocked(buf, &upserts[i])
-	}
-	return buf
+	buf = wire.AppendTasks(buf, removed)
+	return appendBody(buf, upserts)
 }
 
 // encodeDelta serialises a cumulative delta into a fresh buffer.
@@ -281,49 +167,28 @@ func encodeDelta(siteID int, baseSeq, seq uint64, removed []deps.TaskID, upserts
 // stays a simple sorted merge. Any malformation is an error: the caller
 // falls back to the base snapshot.
 func decodeDeltaInto(payload []byte, removed []deps.TaskID, upserts []deps.Blocked) (siteID int, baseSeq, seq uint64, _ []deps.TaskID, _ []deps.Blocked, err error) {
-	fail := func(err error) (int, uint64, uint64, []deps.TaskID, []deps.Blocked, error) {
-		return 0, 0, 0, removed, upserts, err
-	}
-	d, id, baseSeq, seq, err := deltaHeader(payload)
-	if err != nil {
-		return fail(err)
-	}
+	c, siteID, baseSeq, seq := deltaHeader(payload)
 	if seq <= baseSeq {
-		return fail(fmt.Errorf("dist: delta seq %d not beyond base %d", seq, baseSeq))
+		c.Fail(fmt.Errorf("seq %d not beyond base %d", seq, baseSeq))
 	}
-	nr, err := d.length()
-	if err != nil {
-		return fail(err)
-	}
-	removed = emptied(removed, nr)
-	for i := 0; i < nr; i++ {
-		t, err := d.varint()
-		if err != nil {
-			return fail(err)
-		}
-		if i > 0 && deps.TaskID(t) <= removed[i-1] {
-			return fail(fmt.Errorf("dist: delta removed tasks not ascending"))
-		}
-		removed = append(removed, deps.TaskID(t))
-	}
-	nu, err := d.length()
-	if err != nil {
-		return fail(err)
-	}
-	upserts = emptied(upserts, nu)
-	for i := 0; i < nu; i++ {
-		upserts = upserts[:i+1]
-		if err := d.blockedInto(&upserts[i]); err != nil {
-			return fail(err)
-		}
-		if i > 0 && upserts[i].Task <= upserts[i-1].Task {
-			return fail(fmt.Errorf("dist: delta upserts not ascending"))
+	removed = c.TasksInto(removed, maxSnapshotItems)
+	for i := 1; i < len(removed); i++ {
+		if removed[i] <= removed[i-1] {
+			c.Fail(errors.New("removed tasks not ascending"))
+			break
 		}
 	}
-	if len(d.buf) != 0 {
-		return fail(fmt.Errorf("dist: %d trailing bytes after delta", len(d.buf)))
+	upserts = bodyInto(&c, upserts)
+	for i := 1; i < len(upserts); i++ {
+		if upserts[i].Task <= upserts[i-1].Task {
+			c.Fail(errors.New("upserts not ascending"))
+			break
+		}
 	}
-	return id, baseSeq, seq, removed, upserts, nil
+	if err := c.Done(); err != nil {
+		return 0, 0, 0, removed, upserts, fmt.Errorf("dist: delta: %w", err)
+	}
+	return siteID, baseSeq, seq, removed, upserts, nil
 }
 
 // decodeDelta is decodeDeltaInto into fresh memory.
@@ -332,28 +197,21 @@ func decodeDelta(payload []byte) (siteID int, baseSeq, seq uint64, removed []dep
 }
 
 // deltaHeader is snapshotHeader for a delta.
-func deltaHeader(payload []byte) (d snapshotDecoder, siteID int, baseSeq, seq uint64, err error) {
-	if len(payload) < len(deltaMagic) || string(payload[:len(deltaMagic)]) != deltaMagic {
-		return d, 0, 0, 0, fmt.Errorf("dist: bad delta magic")
-	}
-	d.buf = payload[len(deltaMagic):]
-	id, err := d.uvarint()
-	if err != nil {
-		return d, 0, 0, 0, err
-	}
-	if baseSeq, err = d.uvarint(); err != nil {
-		return d, 0, 0, 0, err
-	}
-	if seq, err = d.uvarint(); err != nil {
-		return d, 0, 0, 0, err
-	}
-	return d, int(id), baseSeq, seq, nil
+func deltaHeader(payload []byte) (c wire.Cursor, siteID int, baseSeq, seq uint64) {
+	c = opened(payload, deltaMagic)
+	siteID = int(c.Uvarint())
+	baseSeq = c.Uvarint()
+	seq = c.Uvarint()
+	return c, siteID, baseSeq, seq
 }
 
 // peekDeltaSeqs reads a delta header without decoding the body.
 func peekDeltaSeqs(payload []byte) (siteID int, baseSeq, seq uint64, err error) {
-	_, siteID, baseSeq, seq, err = deltaHeader(payload)
-	return siteID, baseSeq, seq, err
+	c, siteID, baseSeq, seq := deltaHeader(payload)
+	if err := c.Err(); err != nil {
+		return 0, 0, 0, fmt.Errorf("dist: delta header: %w", err)
+	}
+	return siteID, baseSeq, seq, nil
 }
 
 // blockedEqual reports whether two blocked statuses are identical.

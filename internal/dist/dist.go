@@ -72,6 +72,7 @@ import (
 	"armus/internal/engine"
 	"armus/internal/store"
 	"armus/internal/trace"
+	"armus/internal/wire"
 )
 
 // DefaultPeriod is the publish/check period of the paper's distributed
@@ -452,7 +453,7 @@ func replyErr(reps []store.Reply) error {
 // published base must not alias the snapshot buffer: the next SnapshotInto
 // overwrites that buffer in place.
 func copySnapshot(dst, src []deps.Blocked) []deps.Blocked {
-	dst = emptied(dst, len(src))[:len(src)]
+	dst = wire.Emptied(dst, len(src))[:len(src)]
 	for i := range src {
 		dst[i].Task = src[i].Task
 		dst[i].WaitsFor = append(dst[i].WaitsFor[:0], src[i].WaitsFor...)

@@ -286,7 +286,7 @@ func Scan(dir string, quarantine bool, warn func(path string, err error)) ([]Ref
 				warn(path, err)
 			}
 			if quarantine {
-				_ = os.Rename(path, path+".quarantined")
+				Quarantine(path)
 			}
 			continue
 		}

@@ -31,6 +31,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
+
+	"armus/internal/wire"
 )
 
 // Magic identifies a segment file; the trailing digit is the format
@@ -161,168 +164,61 @@ func appendIndex(buf []byte, idx *Index) []byte {
 	return buf
 }
 
-// cursor is a bounds-checked decode cursor over the index payload.
-type cursor struct{ buf []byte }
-
-func (c *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("segment: truncated index")
-	}
-	c.buf = c.buf[n:]
-	return v, nil
-}
-
-func (c *cursor) varint() (int64, error) {
-	v, n := binary.Varint(c.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("segment: truncated index")
-	}
-	c.buf = c.buf[n:]
-	return v, nil
-}
-
-// length decodes an item count, rejecting counts that cannot fit in the
-// remaining bytes (every item costs at least one byte) before anything
-// is allocated.
-func (c *cursor) length(cap uint64, what string) (int, error) {
-	v, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > cap || v > uint64(len(c.buf)) {
-		return 0, fmt.Errorf("segment: %s count %d exceeds limit", what, v)
-	}
-	return int(v), nil
-}
-
-// parseIndex decodes and validates an index payload.
+// parseIndex decodes and validates an index payload: appendIndex's fields
+// in order, each count checked against its cap and the bytes left before
+// anything is allocated (wire.Cursor.Length).
 func parseIndex(data []byte) (*Index, error) {
-	c := &cursor{buf: data}
-	ver, err := c.uvarint()
-	if err != nil {
-		return nil, err
+	c := wire.NewCursor(data)
+	if ver := c.Uvarint(); ver != indexVersion {
+		c.Fail(fmt.Errorf("unsupported index version %d", ver))
 	}
-	if ver != indexVersion {
-		return nil, fmt.Errorf("segment: unsupported index version %d", ver)
-	}
-	idx := &Index{Version: int(ver)}
-	mode, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if mode > 0xff {
-		return nil, fmt.Errorf("segment: mode %d out of range", mode)
-	}
-	idx.Mode = uint8(mode)
-	if idx.Seq, err = c.uvarint(); err != nil {
-		return nil, err
-	}
-	n, err := c.length(maxSessionLen, "session")
-	if err != nil {
-		return nil, err
-	}
-	idx.Session = string(c.buf[:n])
-	c.buf = c.buf[n:]
-	if idx.CreatedUnixNano, err = c.varint(); err != nil {
-		return nil, err
-	}
-	if idx.SealedUnixNano, err = c.varint(); err != nil {
-		return nil, err
-	}
-	ev, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	idx.Events = int64(ev)
-	if idx.FirstUnixNano, err = c.varint(); err != nil {
-		return nil, err
-	}
-	if idx.LastUnixNano, err = c.varint(); err != nil {
-		return nil, err
-	}
-	vd, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	idx.Verdicts = int64(vd)
-	trunc, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	idx := &Index{Version: indexVersion}
+	idx.Mode = c.Uint8()
+	idx.Seq = c.Uvarint()
+	idx.Session = string(c.Bytes(maxSessionLen))
+	idx.CreatedUnixNano = c.Varint()
+	idx.SealedUnixNano = c.Varint()
+	idx.Events = int64(c.Uvarint())
+	idx.FirstUnixNano = c.Varint()
+	idx.LastUnixNano = c.Varint()
+	idx.Verdicts = int64(c.Uvarint())
+	trunc := c.Uvarint()
 	if trunc > 1 {
-		return nil, fmt.Errorf("segment: bad truncation flag %d", trunc)
+		c.Fail(fmt.Errorf("bad truncation flag %d", trunc))
 	}
 	idx.VerdictsTruncated = trunc == 1
-	no, err := c.length(maxVerdictOrdinals, "verdict ordinal")
-	if err != nil {
-		return nil, err
-	}
-	if no > 0 {
+	if no := c.Length(maxVerdictOrdinals); no > 0 {
 		idx.VerdictOrdinals = make([]int64, no)
 		ord := int64(0)
 		for i := range idx.VerdictOrdinals {
-			d, err := c.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			ord += int64(d)
+			ord += int64(c.Uvarint())
 			if ord < 0 || ord >= idx.Events {
-				return nil, fmt.Errorf("segment: verdict ordinal %d out of range", ord)
+				c.Fail(fmt.Errorf("verdict ordinal %d out of range", ord))
 			}
 			idx.VerdictOrdinals[i] = ord
 		}
 	}
-	ds, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	idx.DataStart = int64(ds)
-	nb, err := c.length(maxBlocks, "block")
-	if err != nil {
-		return nil, err
-	}
-	idx.Blocks = make([]BlockInfo, nb)
-	off := idx.DataStart
-	var total int64
+	idx.DataStart = int64(c.Uvarint())
+	idx.Blocks = make([]BlockInfo, c.Length(maxBlocks))
+	off, total := idx.DataStart, int64(0)
 	for i := range idx.Blocks {
 		b := &idx.Blocks[i]
 		b.Offset = off
-		cl, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		rl, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		be, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		cl, rl, be, crc := c.Uvarint(), c.Uvarint(), c.Uvarint(), c.Uvarint()
 		if cl > maxBlockLen || rl > maxBlockLen || be > rl {
-			return nil, fmt.Errorf("segment: block %d sizes out of range", i)
+			c.Fail(fmt.Errorf("block %d sizes out of range", i))
 		}
-		b.CompLen, b.RawLen, b.Events = int64(cl), int64(rl), int64(be)
-		crc, err := c.uvarint()
-		if err != nil {
-			return nil, err
+		if crc > math.MaxUint32 {
+			c.Fail(fmt.Errorf("block %d CRC out of range", i))
 		}
-		if crc > 0xffffffff {
-			return nil, fmt.Errorf("segment: block %d CRC out of range", i)
-		}
-		b.CRC = uint32(crc)
-		if b.FirstUnixNano, err = c.varint(); err != nil {
-			return nil, err
-		}
-		if b.LastUnixNano, err = c.varint(); err != nil {
-			return nil, err
-		}
+		b.CompLen, b.RawLen, b.Events, b.CRC = int64(cl), int64(rl), int64(be), uint32(crc)
+		b.FirstUnixNano = c.Varint()
+		b.LastUnixNano = c.Varint()
 		off += b.CompLen
 		total += b.Events
 	}
-	if len(c.buf) != 0 {
-		return nil, fmt.Errorf("segment: %d trailing index bytes", len(c.buf))
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("segment: index: %w", err)
 	}
 	if total != idx.Events {
 		return nil, fmt.Errorf("segment: index event count %d != block sum %d", idx.Events, total)

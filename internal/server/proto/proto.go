@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"armus/internal/deps"
+	"armus/internal/wire"
 )
 
 // Version is the handshake protocol version; it rides in the trace header
@@ -218,19 +219,6 @@ func appendBool(buf []byte, b bool) []byte {
 	return append(buf, 0)
 }
 
-func appendCycle(buf []byte, tasks []deps.TaskID, resources []deps.Resource) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(tasks)))
-	for _, t := range tasks {
-		buf = binary.AppendVarint(buf, int64(t))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(resources)))
-	for _, r := range resources {
-		buf = binary.AppendVarint(buf, int64(r.Phaser))
-		buf = binary.AppendVarint(buf, r.Phase)
-	}
-	return buf
-}
-
 // AppendResponse appends the complete frame (length prefix included) for r
 // to buf and returns the extended buffer. The common responses (gate
 // allowed, verdict) encode with zero allocations into a warm buffer.
@@ -249,13 +237,15 @@ func AppendResponse(buf []byte, r *Response) ([]byte, error) {
 		buf = binary.AppendVarint(buf, int64(r.Task))
 		buf = appendBool(buf, r.Allowed)
 		if !r.Allowed {
-			buf = appendCycle(buf, r.Tasks, r.Resources)
+			buf = wire.AppendTasks(buf, r.Tasks)
+			buf = wire.AppendResources(buf, r.Resources)
 		}
 	case RespVerdict:
 		buf = binary.AppendUvarint(buf, r.Seq)
 		buf = appendBool(buf, r.Deadlocked)
 	case RespReport:
-		buf = appendCycle(buf, r.Tasks, r.Resources)
+		buf = wire.AppendTasks(buf, r.Tasks)
+		buf = wire.AppendResources(buf, r.Resources)
 	case RespGoodbye:
 		buf = append(buf, r.Code)
 		if len(r.Msg) > 256 {
@@ -304,152 +294,47 @@ func ReadResponse(br *bufio.Reader, r *Response) error {
 	return decodeResponse(payload, r)
 }
 
-type respDecoder struct{ buf []byte }
-
-func (d *respDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("proto: truncated response")
-	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
-
-func (d *respDecoder) varint() (int64, error) {
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("proto: truncated response")
-	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
-
-func (d *respDecoder) bool() (bool, error) {
-	if len(d.buf) == 0 {
-		return false, fmt.Errorf("proto: truncated response")
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	if b > 1 {
-		return false, fmt.Errorf("proto: bad bool %d", b)
-	}
-	return b == 1, nil
-}
-
-func (d *respDecoder) length() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(d.buf)) {
-		return 0, fmt.Errorf("proto: length %d exceeds frame", v)
-	}
-	return int(v), nil
-}
-
-func (d *respDecoder) cycle(r *Response) error {
-	nt, err := d.length()
-	if err != nil {
-		return err
-	}
-	r.Tasks = r.Tasks[:0]
-	for i := 0; i < nt; i++ {
-		t, err := d.varint()
-		if err != nil {
-			return err
-		}
-		r.Tasks = append(r.Tasks, deps.TaskID(t))
-	}
-	nr, err := d.length()
-	if err != nil {
-		return err
-	}
-	r.Resources = r.Resources[:0]
-	for i := 0; i < nr; i++ {
-		q, err := d.varint()
-		if err != nil {
-			return err
-		}
-		ph, err := d.varint()
-		if err != nil {
-			return err
-		}
-		r.Resources = append(r.Resources, deps.Resource{Phaser: deps.PhaserID(q), Phase: ph})
-	}
-	return nil
-}
-
+// decodeResponse decodes one frame's payload into r. Per kind:
+//
+//	hello:   uvarint Version, uvarint mode, bool resumed
+//	gate:    varint task, bool allowed, then the cycle if refused
+//	verdict: uvarint seq, bool deadlocked
+//	report:  the cycle
+//	goodbye: byte code, uvarint len(msg), msg
+//
+// where a cycle is wire.AppendTasks then wire.AppendResources.
 func decodeResponse(payload []byte, r *Response) error {
-	d := &respDecoder{buf: payload}
+	c := wire.NewCursor(payload)
 	ts, rs, fb := r.Tasks[:0], r.Resources[:0], r.buf
 	*r = Response{Tasks: ts, Resources: rs, buf: fb}
-	kind, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	r.Kind = RespKind(kind)
+	r.Kind = RespKind(c.Uint8())
 	switch r.Kind {
 	case RespHello:
-		ver, err := d.uvarint()
-		if err != nil {
-			return err
+		if ver := c.Uvarint(); ver != Version {
+			c.Fail(fmt.Errorf("server speaks protocol version %d, client %d", ver, Version))
 		}
-		if ver != Version {
-			return fmt.Errorf("proto: server speaks protocol version %d, client %d", ver, Version)
-		}
-		mode, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if mode > 0xff {
-			return fmt.Errorf("proto: mode %d out of range", mode)
-		}
-		r.Mode = uint8(mode)
-		if r.Resumed, err = d.bool(); err != nil {
-			return err
-		}
+		r.Mode = c.Uint8()
+		r.Resumed = c.Bool()
 	case RespGate:
-		t, err := d.varint()
-		if err != nil {
-			return err
-		}
-		r.Task = deps.TaskID(t)
-		if r.Allowed, err = d.bool(); err != nil {
-			return err
-		}
-		if !r.Allowed {
-			if err := d.cycle(r); err != nil {
-				return err
-			}
+		r.Task = deps.TaskID(c.Varint())
+		if r.Allowed = c.Bool(); !r.Allowed {
+			r.Tasks = c.TasksInto(r.Tasks, MaxFrame)
+			r.Resources = c.ResourcesInto(r.Resources, MaxFrame)
 		}
 	case RespVerdict:
-		if r.Seq, err = d.uvarint(); err != nil {
-			return err
-		}
-		if r.Deadlocked, err = d.bool(); err != nil {
-			return err
-		}
+		r.Seq = c.Uvarint()
+		r.Deadlocked = c.Bool()
 	case RespReport:
-		if err := d.cycle(r); err != nil {
-			return err
-		}
+		r.Tasks = c.TasksInto(r.Tasks, MaxFrame)
+		r.Resources = c.ResourcesInto(r.Resources, MaxFrame)
 	case RespGoodbye:
-		if len(d.buf) == 0 {
-			return fmt.Errorf("proto: truncated goodbye")
-		}
-		r.Code = d.buf[0]
-		d.buf = d.buf[1:]
-		n, err := d.length()
-		if err != nil {
-			return err
-		}
-		r.Msg = string(d.buf[:n])
-		d.buf = d.buf[n:]
+		r.Code = c.Byte()
+		r.Msg = string(c.Bytes(MaxFrame))
 	default:
-		return fmt.Errorf("proto: unknown response kind %d", kind)
+		c.Fail(fmt.Errorf("unknown response kind %d", r.Kind))
 	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("proto: %d unconsumed bytes in %v response", len(d.buf), r.Kind)
+	if err := c.Done(); err != nil {
+		return fmt.Errorf("proto: %v response: %w", r.Kind, err)
 	}
 	return nil
 }

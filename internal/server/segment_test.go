@@ -6,6 +6,7 @@ import (
 	"net"
 	"reflect"
 	"testing"
+	"time"
 
 	"armus/internal/client"
 	"armus/internal/core"
@@ -252,5 +253,46 @@ func TestArchiveHoldsWhatArrived(t *testing.T) {
 			t.Fatalf("%v: the export replays to other verdicts than what was sent (%d deadlocked steps, want %d)",
 				r.Pipeline, r.DeadlockSteps, want.DeadlockSteps)
 		}
+	}
+}
+
+// TestWideKindFrameRefusedAndNotArchived: event kind 261 is 5 (unblock)
+// modulo 256. A decoder that narrows the kind before it looks at it takes
+// the frame 85 02 02 for "unblock task 1" — and the archive, which keeps
+// frames as they arrived, would hold it for ever. The connection gets a
+// malformed goodbye instead, and the archive ends with the frame before.
+func TestWideKindFrameRefusedAndNotArchived(t *testing.T) {
+	dir := t.TempDir()
+	s := testServer(t, Config{SegmentDir: dir})
+	const session = "wide-kind"
+	nc, tw, br, _ := rawAttach(t, s, session, core.ModeDetect)
+	defer nc.Close()
+	good := trace.Event{Kind: trace.KindBlock, Task: 1, Status: status(1, []deps.Resource{res(1, 1)}, []deps.Reg{reg(1, 1)})}
+	if err := tw.WriteEvent(good); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.WriteFrames([]byte{3, 0x85, 0x02, 0x02}); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var r proto.Response
+	if err := proto.ReadResponse(br, &r); err != nil {
+		t.Fatalf("no goodbye for a frame of kind 261: %v", err)
+	}
+	if r.Kind != proto.RespGoodbye || r.Code != proto.ByeMalformed {
+		t.Fatalf("got %v code=%d, want a malformed goodbye", r.Kind, r.Code)
+	}
+	s.Close() // seals the segment
+
+	var export bytes.Buffer
+	if _, _, err := segment.Stitch(&export, dir, session, func(path string, err error) { t.Errorf("%s: %v", path, err) }); err != nil {
+		t.Fatal(err)
+	}
+	got, err := trace.Decode(export.Bytes())
+	if err != nil {
+		t.Fatalf("the export does not decode: %v", err)
+	}
+	if len(got.Events) != 1 || !reflect.DeepEqual(got.Events[0], good) {
+		t.Fatalf("the archive holds %v, want the one good event", got.Events)
 	}
 }

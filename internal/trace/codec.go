@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"armus/internal/deps"
+	"armus/internal/wire"
 )
 
 // The trace wire format follows the codec discipline of internal/dist's
@@ -32,19 +33,18 @@ import (
 //	    unblock:  varint task
 //	    verdict:  uvarint verdictKind,
 //	              status (rejected only),
-//	              uvarint len(tasks)     then per task: varint task
-//	              uvarint len(resources) then per event: varint phaser, varint phase
-//	    where status = varint task,
-//	                   uvarint len(waitsFor) then varint phaser, varint phase
-//	                   uvarint len(regs)     then varint phaser, varint phase
+//	              tasks, resources          (the cycle)
+//	    where status = wire.AppendBlocked, tasks = wire.AppendTasks and
+//	    resources = wire.AppendResources
 //	footer: uvarint 0 (end sentinel), then 4 bytes little-endian CRC-32
 //	    (IEEE) over every preceding byte, magic through sentinel inclusive
 //
 // Varint framing lets a reader skip nothing and trust nothing: a frame
 // length larger than what remains, an item count larger than the frame, an
-// unknown kind, unconsumed frame bytes, a missing sentinel or a CRC
-// mismatch are all hard errors — a truncated or bit-rotted corpus file
-// fails loudly instead of replaying a silently different execution.
+// unknown kind (one that does not fit a byte included), unconsumed frame
+// bytes, a missing sentinel or a CRC mismatch are all hard errors — a
+// truncated or bit-rotted corpus file fails loudly instead of replaying a
+// silently different execution.
 // Signed fields use zig-zag varints so distributed IDs (site offsets near
 // the top of the int64 range) round-trip compactly.
 
@@ -186,7 +186,10 @@ func AppendEventFrame(buf []byte, e Event) ([]byte, error) {
 
 // NextFrame splits a run of AppendEventFrame-encoded frames into the first
 // event payload and the remaining frames. Malformed framing (bad prefix,
-// zero or over-limit length, short buffer) is an error.
+// zero or over-limit length, short buffer) is an error. It is the one reader
+// of a varint outside internal/wire: a prefix is one read, so a cursor
+// (three calls where binary.Uvarint is inlined) would only add to the walk
+// over an archived block, which is nothing but this function in a loop.
 func NextFrame(frames []byte) (payload, rest []byte, err error) {
 	n, sz := binary.Uvarint(frames)
 	if sz <= 0 {
@@ -286,46 +289,24 @@ func appendEvent(buf []byte, e *Event) ([]byte, error) {
 		buf = binary.AppendVarint(buf, int64(e.Task))
 		buf = binary.AppendVarint(buf, int64(e.Phaser))
 	case KindBlock:
-		buf = appendStatus(buf, &e.Status)
+		buf = wire.AppendBlocked(buf, &e.Status)
 	case KindUnblock:
 		buf = binary.AppendVarint(buf, int64(e.Task))
 	case KindVerdict:
 		buf = binary.AppendUvarint(buf, uint64(e.Verdict))
 		switch e.Verdict {
 		case VerdictRejected:
-			buf = appendStatus(buf, &e.Status)
+			buf = wire.AppendBlocked(buf, &e.Status)
 		case VerdictReported:
 		default:
 			return nil, fmt.Errorf("trace: cannot encode verdict kind %d", e.Verdict)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(e.Tasks)))
-		for _, t := range e.Tasks {
-			buf = binary.AppendVarint(buf, int64(t))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(e.Resources)))
-		for _, r := range e.Resources {
-			buf = binary.AppendVarint(buf, int64(r.Phaser))
-			buf = binary.AppendVarint(buf, r.Phase)
-		}
+		buf = wire.AppendTasks(buf, e.Tasks)
+		buf = wire.AppendResources(buf, e.Resources)
 	default:
 		return nil, fmt.Errorf("trace: cannot encode event kind %d", e.Kind)
 	}
 	return buf, nil
-}
-
-func appendStatus(buf []byte, b *deps.Blocked) []byte {
-	buf = binary.AppendVarint(buf, int64(b.Task))
-	buf = binary.AppendUvarint(buf, uint64(len(b.WaitsFor)))
-	for _, r := range b.WaitsFor {
-		buf = binary.AppendVarint(buf, int64(r.Phaser))
-		buf = binary.AppendVarint(buf, r.Phase)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(b.Regs)))
-	for _, r := range b.Regs {
-		buf = binary.AppendVarint(buf, int64(r.Phaser))
-		buf = binary.AppendVarint(buf, r.Phase)
-	}
-	return buf
 }
 
 // readerWindow is the reader's initial window: how much one Read of the
@@ -380,30 +361,14 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if hdr == nil {
 		return nil, fmt.Errorf("trace: missing header frame")
 	}
-	d := &eventDecoder{buf: hdr}
-	ver, err := d.uvarint()
-	if err != nil {
-		return nil, err
+	c := wire.NewCursor(hdr)
+	if ver := c.Uvarint(); ver != headerVersion {
+		c.Fail(fmt.Errorf("unsupported header version %d", ver))
 	}
-	if ver != headerVersion {
-		return nil, fmt.Errorf("trace: unsupported header version %d", ver)
-	}
-	mode, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if mode > 0xff {
-		return nil, fmt.Errorf("trace: mode %d out of range", mode)
-	}
-	tr.mode = uint8(mode)
-	n, err := d.length()
-	if err != nil {
-		return nil, fmt.Errorf("trace: label: %w", err)
-	}
-	tr.label = string(d.buf[:n])
-	d.buf = d.buf[n:]
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("trace: %d trailing header bytes", len(d.buf))
+	tr.mode = c.Uint8()
+	tr.label = string(c.Bytes(maxTraceItems))
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("trace: header: %w", err)
 	}
 	return tr, nil
 }
@@ -587,95 +552,6 @@ func (tr *Reader) Payload() []byte { return tr.payload }
 // frames are already in memory) without ever blocking mid-batch.
 func (tr *Reader) Buffered() int { return tr.w - tr.r }
 
-// eventDecoder is a cursor over one frame.
-type eventDecoder struct{ buf []byte }
-
-// uvarint and varint read a one-byte value — task, phaser, phase, kind and
-// count nearly always are — in place, and leave the rest to encoding/binary.
-func (d *eventDecoder) uvarint() (uint64, error) {
-	if len(d.buf) > 0 && d.buf[0] < 0x80 {
-		v := uint64(d.buf[0])
-		d.buf = d.buf[1:]
-		return v, nil
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("trace: truncated frame")
-	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
-
-func (d *eventDecoder) varint() (int64, error) {
-	if len(d.buf) > 0 && d.buf[0] < 0x80 {
-		u := d.buf[0]
-		d.buf = d.buf[1:]
-		return int64(u>>1) ^ -int64(u&1), nil
-	}
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("trace: truncated frame")
-	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
-
-// length decodes an item count, rejecting counts that could not possibly
-// fit in the remaining frame (every item costs at least one byte) before
-// anything is allocated.
-func (d *eventDecoder) length() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > maxTraceItems || v > uint64(len(d.buf)) {
-		return 0, fmt.Errorf("trace: length %d exceeds limit", v)
-	}
-	return int(v), nil
-}
-
-// statusInto decodes a status into b, reusing b's slice capacity.
-func (d *eventDecoder) statusInto(b *deps.Blocked) error {
-	t, err := d.varint()
-	if err != nil {
-		return err
-	}
-	b.Task = deps.TaskID(t)
-	nw, err := d.length()
-	if err != nil {
-		return err
-	}
-	b.WaitsFor = b.WaitsFor[:0]
-	for i := 0; i < nw; i++ {
-		q, err := d.varint()
-		if err != nil {
-			return err
-		}
-		ph, err := d.varint()
-		if err != nil {
-			return err
-		}
-		b.WaitsFor = append(b.WaitsFor, deps.Resource{Phaser: deps.PhaserID(q), Phase: ph})
-	}
-	nr, err := d.length()
-	if err != nil {
-		return err
-	}
-	b.Regs = b.Regs[:0]
-	for i := 0; i < nr; i++ {
-		q, err := d.varint()
-		if err != nil {
-			return err
-		}
-		ph, err := d.varint()
-		if err != nil {
-			return err
-		}
-		b.Regs = append(b.Regs, deps.Reg{Phaser: deps.PhaserID(q), Phase: ph})
-	}
-	return nil
-}
-
 // resetEvent zeroes e while keeping its slice storage for reuse.
 func resetEvent(e *Event) {
 	w, g := e.Status.WaitsFor[:0], e.Status.Regs[:0]
@@ -691,95 +567,44 @@ func resetEvent(e *Event) {
 // buffers are warm. On error e is left in an unspecified (but safely
 // reusable) state.
 func decodeEventInto(frame []byte, e *Event) error {
-	d := &eventDecoder{buf: frame}
+	c := wire.NewCursor(frame)
 	resetEvent(e)
-	kind, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	e.Kind = Kind(kind)
+	e.Kind = Kind(c.Uint8())
 	switch e.Kind {
 	case KindRegister:
-		var t, q int64
-		if t, err = d.varint(); err == nil {
-			if q, err = d.varint(); err == nil {
-				if e.Phase, err = d.varint(); err == nil {
-					var m uint64
-					if m, err = d.uvarint(); err == nil && m > 0xff {
-						err = fmt.Errorf("trace: register mode %d out of range", m)
-					} else {
-						e.Mode = uint8(m)
-					}
-				}
-			}
-		}
-		e.Task, e.Phaser = deps.TaskID(t), deps.PhaserID(q)
+		e.Task = deps.TaskID(c.Varint())
+		e.Phaser = deps.PhaserID(c.Varint())
+		e.Phase = c.Varint()
+		e.Mode = c.Uint8()
 	case KindArrive:
-		var t, q int64
-		if t, err = d.varint(); err == nil {
-			if q, err = d.varint(); err == nil {
-				e.Phase, err = d.varint()
-			}
-		}
-		e.Task, e.Phaser = deps.TaskID(t), deps.PhaserID(q)
+		e.Task = deps.TaskID(c.Varint())
+		e.Phaser = deps.PhaserID(c.Varint())
+		e.Phase = c.Varint()
 	case KindDrop:
-		var t, q int64
-		if t, err = d.varint(); err == nil {
-			q, err = d.varint()
-		}
-		e.Task, e.Phaser = deps.TaskID(t), deps.PhaserID(q)
+		e.Task = deps.TaskID(c.Varint())
+		e.Phaser = deps.PhaserID(c.Varint())
 	case KindBlock:
-		err = d.statusInto(&e.Status)
+		c.BlockedInto(&e.Status, maxTraceItems)
 		e.Task = e.Status.Task
 	case KindUnblock:
-		var t int64
-		t, err = d.varint()
-		e.Task = deps.TaskID(t)
+		e.Task = deps.TaskID(c.Varint())
 	case KindVerdict:
-		var vk uint64
-		if vk, err = d.uvarint(); err == nil {
-			e.Verdict = VerdictKind(vk)
-			switch e.Verdict {
-			case VerdictRejected:
-				err = d.statusInto(&e.Status)
-				e.Task = e.Status.Task
-			case VerdictReported:
-			default:
-				err = fmt.Errorf("trace: unknown verdict kind %d", vk)
-			}
+		e.Verdict = VerdictKind(c.Uint8())
+		switch e.Verdict {
+		case VerdictRejected:
+			c.BlockedInto(&e.Status, maxTraceItems)
+			e.Task = e.Status.Task
+		case VerdictReported:
+		default:
+			c.Fail(fmt.Errorf("unknown verdict kind %d", e.Verdict))
 		}
-		if err == nil {
-			var nt int
-			if nt, err = d.length(); err == nil {
-				for i := 0; i < nt && err == nil; i++ {
-					var t int64
-					if t, err = d.varint(); err == nil {
-						e.Tasks = append(e.Tasks, deps.TaskID(t))
-					}
-				}
-			}
-		}
-		if err == nil {
-			var nr int
-			if nr, err = d.length(); err == nil {
-				for i := 0; i < nr && err == nil; i++ {
-					var q, ph int64
-					if q, err = d.varint(); err == nil {
-						if ph, err = d.varint(); err == nil {
-							e.Resources = append(e.Resources, deps.Resource{Phaser: deps.PhaserID(q), Phase: ph})
-						}
-					}
-				}
-			}
-		}
+		e.Tasks = c.TasksInto(e.Tasks, maxTraceItems)
+		e.Resources = c.ResourcesInto(e.Resources, maxTraceItems)
 	default:
-		err = fmt.Errorf("trace: unknown event kind %d", kind)
+		c.Fail(fmt.Errorf("unknown event kind %d", e.Kind))
 	}
-	if err != nil {
-		return err
-	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("trace: %d unconsumed bytes in %v frame", len(d.buf), e.Kind)
+	if err := c.Done(); err != nil {
+		return fmt.Errorf("trace: %v frame: %w", e.Kind, err)
 	}
 	return nil
 }
@@ -800,8 +625,11 @@ func Encode(w io.Writer, t *Trace) error {
 
 // Decode parses a complete encoded trace, validating framing and CRC. Any
 // malformation is an error.
-func Decode(data []byte) (*Trace, error) {
-	r, err := NewReader(bytes.NewReader(data))
+func Decode(data []byte) (*Trace, error) { return readAll(bytes.NewReader(data)) }
+
+// readAll drains the trace stream src into a Trace.
+func readAll(src io.Reader) (*Trace, error) {
+	r, err := NewReader(src)
 	if err != nil {
 		return nil, err
 	}
@@ -838,19 +666,9 @@ func ReadFile(path string) (*Trace, error) {
 		return nil, err
 	}
 	defer f.Close()
-	r, err := NewReader(f)
+	t, err := readAll(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	t := &Trace{Label: r.Label(), Mode: r.Mode()}
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		t.Events = append(t.Events, e)
-	}
+	return t, nil
 }

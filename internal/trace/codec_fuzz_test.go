@@ -47,6 +47,8 @@ func FuzzTraceCodec(f *testing.F) {
 	f.Add([]byte(traceMagic))                   // header missing
 	f.Add([]byte("NOTARMUS--------"))
 	f.Add(append([]byte(traceMagic), 0xff, 0xff, 0xff, 0xff, 0x7f)) // huge frame
+	f.Add(mustEncodeFrames(f, [][]byte{aliasUnblock}))              // event kind 261
+	f.Add(mustEncodeFrames(f, [][]byte{aliasReported}))             // verdict kind 258
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		whole := streamOutcome(data, chunkings[0].wrap)

@@ -131,13 +131,39 @@ func corruptions(t *testing.T) map[string][]byte {
 		"unknown_kind":   mustEncodeFrames(t, [][]byte{{99}}),
 		"short_frame":    mustEncodeFrames(t, [][]byte{{byte(KindUnblock)}}),
 		"frame_trailing": mustEncodeFrames(t, [][]byte{{byte(KindUnblock), 2, 0}}),
+		// A kind that does not fit a byte is not the kind it is modulo 256.
+		"kind_alias":         mustEncodeFrames(t, [][]byte{aliasUnblock}),
+		"verdict_kind_alias": mustEncodeFrames(t, [][]byte{aliasReported}),
+	}
+}
+
+// Event kind 261 and verdict kind 258: cut to a byte they read "unblock
+// task 1" and "verdict reported", and a decoder that narrows before it
+// looks accepts both.
+var (
+	aliasUnblock  = []byte{0x85, 0x02, 0x02}
+	aliasReported = []byte{0x06, 0x82, 0x02, 0x00, 0x00}
+)
+
+// TestWideKindIsNotItsLowByte: a kind of 256 or more is rejected, where a
+// long spelling of a kind that does fit stays accepted (the archive keeps
+// frames as they arrived, TestArchiveHoldsWhatArrived).
+func TestWideKindIsNotItsLowByte(t *testing.T) {
+	var e Event
+	for _, frame := range [][]byte{aliasUnblock, aliasReported} {
+		if err := DecodeFramePayload(frame, &e); err == nil {
+			t.Errorf("frame % x accepted as %v", frame, e)
+		}
+	}
+	if err := DecodeFramePayload([]byte{0x85, 0x00, 0x02}, &e); err != nil || e.Kind != KindUnblock || e.Task != 1 {
+		t.Errorf("kind 5 spelt in two bytes: %v, %v", e, err)
 	}
 }
 
 // mustEncodeFrames assembles a structurally valid stream (magic + empty
 // header + CRC footer) around raw event frames, so corrupt-frame cases
 // fail on the frame, not on the envelope.
-func mustEncodeFrames(t *testing.T, frames [][]byte) []byte {
+func mustEncodeFrames(t testing.TB, frames [][]byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, "", 0)
