@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -70,6 +72,49 @@ func reseal(file []byte, idx *Index, data []byte) []byte {
 	return append(out, tr[:]...)
 }
 
+// legacySeed is the seed segment as the writer sealed it before it had an
+// encoder of its own: every block compressed by compress/flate at
+// BestSpeed. The reader must take it event for event as it takes the seed.
+func legacySeed(t testing.TB, seed []byte, idx *Index) []byte {
+	t.Helper()
+	legacy := *idx
+	legacy.Blocks = append([]BlockInfo(nil), idx.Blocks...)
+	var data []byte
+	fl, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
+	var comp bytes.Buffer
+	for i := range legacy.Blocks {
+		b := &legacy.Blocks[i]
+		raw := inflate(t, seed[b.Offset:b.Offset+b.CompLen])
+		cb := bestSpeed(fl, &comp, raw)
+		b.CompLen, b.CRC = int64(len(cb)), crcIEEE(cb)
+		data = append(data, cb...)
+	}
+	file := reseal(seed, &legacy, data)
+	events := func(file []byte) []trace.Event {
+		path := filepath.Join(t.TempDir(), "legacy-00000001.seg")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var evs []trace.Event
+		if err := s.Events(func(_ int64, e *trace.Event) error {
+			evs = append(evs, normEvent(e))
+			return nil
+		}); err != nil {
+			t.Fatalf("a segment of compress/flate blocks: %v", err)
+		}
+		return evs
+	}
+	if got, want := events(file), events(seed); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a segment of compress/flate blocks reads %d events, the same segment as sealed today %d", len(got), len(want))
+	}
+	return file
+}
+
 // FuzzSegmentReader feeds arbitrary bytes to everything that reads a
 // segment file — Scan and Open (trailer, footer index), Verify, block
 // decompression, Events, EachVerdict and Stitch. Since the tee archives
@@ -110,6 +155,8 @@ func FuzzSegmentReader(f *testing.F) {
 	garbage.Events, garbage.Verdicts, garbage.VerdictOrdinals = 1, 0, nil
 	garbage.Blocks = []BlockInfo{{CompLen: int64(comp.Len()), RawLen: int64(len(raw)), Events: 1, CRC: crcIEEE(comp.Bytes())}}
 	f.Add(reseal(seed, &garbage, comp.Bytes()))
+
+	f.Add(legacySeed(f, seed, idx))
 
 	f.Fuzz(func(t *testing.T, file []byte) {
 		dir := t.TempDir()

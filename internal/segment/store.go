@@ -1,9 +1,7 @@
 package segment
 
 import (
-	"compress/flate"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -100,10 +98,6 @@ type Store struct {
 	m Metrics
 
 	// goroutine-owned state
-	// fl is the DEFLATE compressor shared by every session's writer: a
-	// flate.Writer's match tables are large, and the tee goroutine only
-	// ever compresses one block at a time.
-	fl      *flate.Writer
 	writers map[string]*Writer
 	// seqs remembers the last used sequence number per escaped session
 	// stem, seeded by one directory scan at startup and updated as
@@ -139,12 +133,10 @@ func NewStore(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
 	}
-	fl, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
 	st := &Store{
 		cfg:      cfg,
 		ch:       make(chan *Batch, cfg.QueueLen),
 		done:     make(chan struct{}),
-		fl:       fl,
 		writers:  make(map[string]*Writer),
 		seqs:     make(map[string]uint64),
 		retCache: make(map[string]retInfo),
@@ -280,7 +272,6 @@ func (st *Store) handle(b *Batch) {
 			MaxBytes: st.cfg.MaxBytes, MaxAge: st.cfg.MaxAge, BlockBytes: st.cfg.BlockBytes,
 			OnWrite:  func(n int) { st.m.BytesWritten.Add(int64(n)) },
 			OnSealed: st.onSealed,
-			Flate:    st.fl,
 			StartSeq: st.seqs[EscapeSession(b.Session)],
 			NoScan:   true,
 		})

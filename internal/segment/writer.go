@@ -1,13 +1,10 @@
 package segment
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -38,11 +35,6 @@ type WriterConfig struct {
 	OnWrite func(n int)
 	// OnSealed, if set, observes every sealed segment.
 	OnSealed func(path string, idx *Index)
-	// Flate, if set, is the DEFLATE compressor to use. A flate.Writer
-	// holds hundreds of KiB of match tables, so writers driven from one
-	// goroutine should share one (the Store shares one across every
-	// session); nil allocates a private compressor.
-	Flate *flate.Writer
 	// StartSeq, with NoScan, seeds the sequence counter (sequences resume
 	// after it). The Store scans the directory once at startup and seeds
 	// every writer from that scan, instead of paying one directory scan
@@ -52,9 +44,8 @@ type WriterConfig struct {
 }
 
 // Defaults for WriterConfig; shared with Store and the serve flags.
-// DefaultBlockBytes is the most compress/flate's BestSpeed encoder puts in
-// one DEFLATE block: an archive block that fits is one DEFLATE block with
-// one Huffman table, not a full one and a small tail with a table of its own.
+// DefaultBlockBytes is the largest stored DEFLATE block: an archive block
+// that does not compress is still one DEFLATE block.
 const (
 	DefaultMaxBytes   = 4 << 20
 	DefaultMaxAge     = 5 * time.Minute
@@ -68,7 +59,6 @@ type Writer struct {
 	cfg        WriterConfig
 	esc        string // escaped session name, the filename stem
 	seq        uint64 // last used sequence number
-	fl         *flate.Writer
 	active     *activeSeg
 	lastAppend time.Time
 }
@@ -88,7 +78,6 @@ type activeSeg struct {
 	dataStart int64
 
 	raw         []byte // pending block, uncompressed
-	comp        bytes.Buffer
 	blocks      []BlockInfo
 	blockEvents int64
 	blockFirst  int64
@@ -121,10 +110,7 @@ func NewWriter(cfg WriterConfig) (*Writer, error) {
 	if len(cfg.Session) > maxSessionLen {
 		return nil, fmt.Errorf("segment: session name of %d bytes exceeds limit", len(cfg.Session))
 	}
-	w := &Writer{cfg: cfg, esc: EscapeSession(cfg.Session), fl: cfg.Flate}
-	if w.fl == nil {
-		w.fl, _ = flate.NewWriter(io.Discard, flate.BestSpeed)
-	}
+	w := &Writer{cfg: cfg, esc: EscapeSession(cfg.Session)}
 	if cfg.NoScan {
 		w.seq = cfg.StartSeq
 		return w, nil
@@ -339,9 +325,9 @@ func (w *Writer) Append(frames []byte, events int, verdictRel []int, now time.Ti
 // mid-block: no seal can make it valid, so it is quarantined and the next
 // append starts afresh.
 func (w *Writer) cutBlock() error {
-	err := w.flushBlock()
+	a := w.active
+	err := w.flushBlock(a)
 	if err != nil {
-		a := w.active
 		w.active = nil
 		err = w.abort(a, err)
 	}
@@ -349,21 +335,16 @@ func (w *Writer) cutBlock() error {
 }
 
 // flushBlock compresses the pending raw buffer into one DEFLATE stream
-// and writes it, recording the block's metadata for the footer index.
-func (w *Writer) flushBlock() error {
-	a := w.active
+// and writes it, recording the block's metadata for the footer index. The
+// encoder comes from a pool shared by every writer: only the goroutines
+// compressing at the moment hold one.
+func (w *Writer) flushBlock(a *activeSeg) error {
 	if a == nil || a.blockEvents == 0 {
 		return nil
 	}
-	a.comp.Reset()
-	w.fl.Reset(&a.comp)
-	if _, err := w.fl.Write(a.raw); err != nil {
-		return fmt.Errorf("segment: %w", err)
-	}
-	if err := w.fl.Close(); err != nil {
-		return fmt.Errorf("segment: %w", err)
-	}
-	cb := a.comp.Bytes()
+	enc := encoders.Get().(*blockEncoder)
+	defer encoders.Put(enc)
+	cb := enc.encode(a.raw)
 	if err := a.ensureFile(w.cfg.OnWrite); err != nil {
 		return err
 	}
@@ -389,7 +370,7 @@ func (w *Writer) Seal(now time.Time) error {
 		return nil
 	}
 	w.active = nil
-	if err := w.flushBlockInto(a); err != nil {
+	if err := w.flushBlock(a); err != nil {
 		return w.abort(a, err)
 	}
 	if err := a.ensureFile(w.cfg.OnWrite); err != nil {
@@ -431,15 +412,6 @@ func (w *Writer) Seal(now time.Time) error {
 		w.cfg.OnSealed(a.finalPath, idx)
 	}
 	return nil
-}
-
-// flushBlockInto is flushBlock against an explicit segment (Seal has
-// already detached it from the writer).
-func (w *Writer) flushBlockInto(a *activeSeg) error {
-	w.active = a
-	err := w.flushBlock()
-	w.active = nil
-	return err
 }
 
 // abort closes and quarantines a segment that failed mid-seal: the file

@@ -149,16 +149,13 @@ func (ss *session) process(b *batch) {
 			// A client->server verdict event is a CHECKPOINT: "tell me
 			// whether the session is deadlocked right now". (Recorded
 			// traces carry verdict events too; ingesting one costs the
-			// sender an answer it may ignore.)
+			// sender an answer it may ignore.) Counted and recorded before
+			// the answer goes: a client that has it may read
+			// /debug/armus/sessions next.
 			t0 := obs.Nanotime()
 			c.checkSeq++
 			ss.srv.m.Checkpoints.Add(1)
 			d := ss.eng.Check() != nil
-			c.send(proto.Response{
-				Kind:       proto.RespVerdict,
-				Seq:        c.checkSeq,
-				Deadlocked: d,
-			})
 			ss.ob.LastDeadlocked.Store(d)
 			ss.ob.Flight.Record(obs.GateRecord{
 				Ordinal:    uint64(ss.ob.Checkpoints.Add(1)),
@@ -168,6 +165,11 @@ func (ss *session) process(b *batch) {
 				QueueNs:    ss.batchQueueNs,
 				VerifyNs:   obs.Nanotime() - t0,
 				AtNs:       t0,
+			})
+			c.send(proto.Response{
+				Kind:       proto.RespVerdict,
+				Seq:        c.checkSeq,
+				Deadlocked: d,
 			})
 		}
 	}
@@ -188,7 +190,8 @@ func (ss *session) process(b *batch) {
 }
 
 // gate runs the engine's avoidance gate on a block and sends the decision
-// back to the submitting connection only.
+// back to the submitting connection only. The decision is counted and
+// recorded before it is sent, and the flight ring dumped after.
 func (ss *session) gate(c *conn, e *trace.Event) {
 	t0 := obs.Nanotime()
 	cyc := ss.eng.Block(e.Status)
@@ -197,6 +200,7 @@ func (ss *session) gate(c *conn, e *trace.Event) {
 		ss.srv.m.GateAllowed.Add(1)
 	} else {
 		ss.srv.m.GateRejected.Add(1)
+		ss.ob.Rejections.Add(1)
 		if ss.srv.seg != nil {
 			ss.teeVerdict(trace.VerdictRejected, e.Status, cyc.Resources)
 		}
@@ -204,7 +208,6 @@ func (ss *session) gate(c *conn, e *trace.Event) {
 		// to the coalesce buffer is safe.
 		resp.Tasks, resp.Resources = cyc.Tasks, cyc.Resources
 	}
-	c.send(resp)
 	rec := obs.GateRecord{
 		Ordinal:  uint64(ss.ob.Gates.Add(1)),
 		Kind:     obs.RecordGate,
@@ -215,8 +218,8 @@ func (ss *session) gate(c *conn, e *trace.Event) {
 		AtNs:     t0,
 	}
 	ss.ob.Flight.Record(rec)
+	c.send(resp)
 	if cyc != nil {
-		ss.ob.Rejections.Add(1)
 		ss.dumpFlight("gate-rejected", rec)
 	} else if sg := ss.srv.cfg.SlowGate; sg > 0 && rec.QueueNs+rec.VerifyNs >= int64(sg) {
 		// Slow-gate trigger: server-side time (queue wait plus this gate's

@@ -135,7 +135,9 @@ func TestDebugSessionsEndpoint(t *testing.T) {
 		row.Rejections != 0 || row.Checkpoints != 1 || row.LastDeadlocked {
 		t.Fatalf("session row = %+v", row)
 	}
-	if row.Stages.QueueWait.Count != row.Stages.Verify.Count || row.Stages.Verify.Count < gates {
+	// Every batch was picked up before the last answer went out, but the
+	// last batch's verify stage ends after its answer: it may still be open.
+	if v := row.Stages.Verify.Count; row.Stages.QueueWait.Count != gates+1 || v != gates && v != gates+1 {
 		t.Fatalf("session stage counts = %+v", row.Stages)
 	}
 	// The flight ring holds every decision, oldest first, with per-kind
