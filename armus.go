@@ -64,7 +64,7 @@ const (
 
 // Analysis types (see internal/deps).
 type (
-	// Model is the graph representation policy for cycle analysis.
+	// Model names the graph representation a Cycle was found in.
 	Model = deps.Model
 	// TaskID names a task in analyses and reports.
 	TaskID = deps.TaskID
@@ -81,16 +81,9 @@ type (
 	Cycle = deps.Cycle
 )
 
-// Graph model policies.
-const (
-	// ModelAuto selects SG vs WFG adaptively per check (the paper's §5.1
-	// policy) — the recommended default.
-	ModelAuto = deps.ModelAuto
-	// ModelWFG fixes the task-centric Wait-For Graph.
-	ModelWFG = deps.ModelWFG
-	// ModelSG fixes the event-centric State Graph.
-	ModelSG = deps.ModelSG
-)
+// ModelWFG is the Model of every reported Cycle: the tasks on a Wait-For
+// Graph cycle and the events they await.
+const ModelWFG = deps.ModelWFG
 
 // Errors returned by phaser operations.
 var (
@@ -102,15 +95,12 @@ var (
 	ErrSignalOnlyWait = core.ErrSignalOnlyWait
 )
 
-// New creates a verifier. With no options it runs in detection mode with
-// the adaptive graph model and a 100 ms scan period.
+// New creates a verifier. With no options it runs in detection mode with a
+// 100 ms scan period.
 func New(opts ...Option) *Verifier { return core.New(opts...) }
 
 // WithMode selects the verification mode.
 func WithMode(m Mode) Option { return core.WithMode(m) }
-
-// WithModel fixes or frees the graph representation.
-func WithModel(m Model) Option { return core.WithModel(m) }
 
 // WithPeriod sets the detection-mode scan period.
 func WithPeriod(d time.Duration) Option { return core.WithPeriod(d) }
@@ -225,12 +215,6 @@ type (
 func NewSite(id int, addr string, opts ...SiteOption) *Site {
 	return dist.NewSite(id, addr, opts...)
 }
-
-// WithSiteModel selects the graph model of the site's local verifier. The
-// site's global analysis builds no graph — it searches the index of its
-// merged view, as the avoidance gate does — and its reports carry ModelWFG
-// like the gate's.
-func WithSiteModel(m Model) SiteOption { return dist.WithModel(m) }
 
 // WithSitePeriod sets the site's publish/check period (default 200 ms).
 func WithSitePeriod(d time.Duration) SiteOption { return dist.WithPeriod(d) }

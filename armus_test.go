@@ -126,8 +126,7 @@ func TestDistributedFacade(t *testing.T) {
 	if err := client.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	s1 := armus.NewSite(1, srv.Addr(), armus.WithSitePeriod(5*time.Millisecond),
-		armus.WithSiteModel(armus.ModelAuto))
+	s1 := armus.NewSite(1, srv.Addr(), armus.WithSitePeriod(5*time.Millisecond))
 	defer s1.Close()
 	s1.Start()
 	// A site with no blocked tasks publishes empty snapshots and finds no
@@ -187,8 +186,9 @@ func TestFakeClockFacade(t *testing.T) {
 	if err := p.Register(main, w); err != nil {
 		t.Fatal(err)
 	}
-	// Both parties await the next phase without arriving: each impedes the
-	// other's await — a 2-cycle.
+	// Both parties await the next phase without arriving: each impedes its
+	// own await and the other's, so the report's WFG cycle is one of them
+	// alone or both.
 	go func() { _ = p.AwaitPhase(w, 1) }()
 	go func() { _ = p.AwaitPhase(main, 1) }()
 	deadline := time.Now().Add(5 * time.Second)
@@ -201,7 +201,7 @@ func TestFakeClockFacade(t *testing.T) {
 	fc.Round()
 	select {
 	case e := <-found:
-		if len(e.Cycle.Tasks) != 2 {
+		if n := len(e.Cycle.Tasks); n < 1 || n > 2 {
 			t.Fatalf("cycle = %+v", e.Cycle)
 		}
 	default:

@@ -11,10 +11,12 @@ package armus_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"armus/internal/core"
 	"armus/internal/deps"
 	"armus/internal/dist"
+	"armus/internal/harness"
 	"armus/internal/store"
 	"armus/internal/workloads/course"
 	"armus/internal/workloads/hpcc"
@@ -109,12 +111,12 @@ func BenchmarkFig7Distributed(b *testing.B) {
 	}
 }
 
-func benchCourse(b *testing.B, p course.Program, mode core.Mode, model deps.Model) {
+func benchCourse(b *testing.B, p course.Program, mode core.Mode) {
 	b.Helper()
 	b.ReportAllocs()
 	var edges float64
 	for i := 0; i < b.N; i++ {
-		v := core.New(core.WithMode(mode), core.WithModel(model))
+		v := core.New(core.WithMode(mode))
 		if _, err := p.Run(v, course.Config{Size: 32}); err != nil {
 			b.Fatal(err)
 		}
@@ -124,33 +126,40 @@ func benchCourse(b *testing.B, p course.Program, mode core.Mode, model deps.Mode
 	b.ReportMetric(edges, "edges/check")
 }
 
-// BenchmarkFig8AvoidanceModels: course programs × graph model, avoidance
-// mode (Figure 8). The targeted avoidance gate ignores the model choice,
-// so the three variants should coincide up to noise (see EXPERIMENTS.md);
-// the live model comparison is BenchmarkFig9DetectionModels.
-func BenchmarkFig8AvoidanceModels(b *testing.B) {
+// BenchmarkFig8Fig9Course: course programs unchecked, under avoidance
+// (Figure 8) and under detection (Figure 9). Neither checker has a graph
+// model to choose; the per-model comparison is BenchmarkTable3Checks.
+func BenchmarkFig8Fig9Course(b *testing.B) {
 	for _, p := range course.Programs() {
-		for _, mc := range []struct {
-			name  string
-			model deps.Model
-		}{{"auto", deps.ModelAuto}, {"sg", deps.ModelSG}, {"wfg", deps.ModelWFG}} {
-			b.Run(p.Name+"/"+mc.name, func(b *testing.B) {
-				benchCourse(b, p, core.ModeAvoid, mc.model)
+		for _, mode := range []core.Mode{core.ModeOff, core.ModeAvoid, core.ModeDetect} {
+			b.Run(p.Name+"/"+mode.String(), func(b *testing.B) {
+				benchCourse(b, p, mode)
 			})
 		}
 	}
 }
 
-// BenchmarkFig9DetectionModels: course programs × graph model, detection
-// mode (Figure 9).
-func BenchmarkFig9DetectionModels(b *testing.B) {
+// BenchmarkTable3Checks is Table 3 per check: each course program's run is
+// recorded once, and every state it passes through is checked under each
+// graph model and with the index search. ns/check leaves out replaying the
+// mutations themselves.
+func BenchmarkTable3Checks(b *testing.B) {
 	for _, p := range course.Programs() {
-		for _, mc := range []struct {
-			name  string
-			model deps.Model
-		}{{"auto", deps.ModelAuto}, {"sg", deps.ModelSG}, {"wfg", deps.ModelWFG}} {
-			b.Run(p.Name+"/"+mc.name, func(b *testing.B) {
-				benchCourse(b, p, core.ModeDetect, mc.model)
+		muts, err := p.Record(core.ModeObserve, 32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range harness.Mechanisms {
+			b.Run(p.Name+"/"+m.Name, func(b *testing.B) {
+				var total time.Duration
+				var edges float64
+				for i := 0; i < b.N; i++ {
+					var d time.Duration
+					d, edges = m.CheckCost(muts)
+					total += d
+				}
+				b.ReportMetric(float64(total)/float64(b.N), "ns/check")
+				b.ReportMetric(edges, "edges/check")
 			})
 		}
 	}
@@ -158,11 +167,13 @@ func BenchmarkFig9DetectionModels(b *testing.B) {
 
 // BenchmarkTable3EdgeCounts measures pure analysis cost and edge counts on
 // the two extreme snapshot shapes of Table 3 (PS-like: tasks >> events;
-// FR-like: events >> tasks) for each graph model.
+// FR-like: events >> tasks) and on a deadlock-free dependency chain, for
+// each graph model with a warm builder and for the index search.
 func BenchmarkTable3EdgeCounts(b *testing.B) {
 	shapes := map[string][]deps.Blocked{
-		"ps-like": spmdSnapshot(64, 1),
-		"fr-like": forkJoinSnapshot(8, 64),
+		"ps-like":  spmdSnapshot(64, 1),
+		"fr-like":  forkJoinSnapshot(8, 64),
+		"chain-64": chainSnapshot(64),
 	}
 	for name, snap := range shapes {
 		for _, mc := range []struct {
@@ -170,10 +181,11 @@ func BenchmarkTable3EdgeCounts(b *testing.B) {
 			model deps.Model
 		}{{"auto", deps.ModelAuto}, {"sg", deps.ModelSG}, {"wfg", deps.ModelWFG}} {
 			b.Run(name+"/"+mc.name, func(b *testing.B) {
+				bd := deps.NewBuilder()
 				b.ReportAllocs()
 				var edges int
 				for i := 0; i < b.N; i++ {
-					a := deps.Build(mc.model, snap)
+					a := bd.Build(mc.model, snap)
 					edges = a.Graph.NumEdges()
 					if a.FindDeadlock(snap) != nil {
 						b.Fatal("unexpected deadlock in benchmark snapshot")
@@ -182,6 +194,23 @@ func BenchmarkTable3EdgeCounts(b *testing.B) {
 				b.ReportMetric(float64(edges), "edges")
 			})
 		}
+		b.Run(name+"/index", func(b *testing.B) {
+			st := deps.NewState()
+			for _, s := range snap {
+				st.SetBlocked(s)
+			}
+			var sc deps.CycleScratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			var edges int
+			for i := 0; i < b.N; i++ {
+				var cyc *deps.Cycle
+				if cyc, edges = st.FindCycle(&sc); cyc != nil {
+					b.Fatal("unexpected deadlock in benchmark snapshot")
+				}
+			}
+			b.ReportMetric(float64(edges), "edges")
+		})
 	}
 }
 
@@ -218,6 +247,20 @@ func denseSnapshot(n int) []deps.Blocked {
 			b.Regs = append(b.Regs, deps.Reg{Phaser: deps.PhaserID(q), Phase: ph})
 		}
 		snap = append(snap, b)
+	}
+	return snap
+}
+
+// chainSnapshot: a deadlock-free dependency chain — task i awaits phaser
+// i+1 while it lags on phaser i — whose WFG is one path of n-1 edges.
+func chainSnapshot(n int) []deps.Blocked {
+	snap := make([]deps.Blocked, 0, n)
+	for i := 0; i < n; i++ {
+		snap = append(snap, deps.Blocked{
+			Task:     deps.TaskID(i),
+			WaitsFor: []deps.Resource{{Phaser: deps.PhaserID(i + 1), Phase: 1}},
+			Regs:     []deps.Reg{{Phaser: deps.PhaserID(i), Phase: 0}},
+		})
 	}
 	return snap
 }

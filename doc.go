@@ -19,13 +19,13 @@
 // Verification is sound and complete with respect to the paper's core
 // language PL: a deadlock is reported if and only if the program state is
 // deadlocked in the sense of its Definition 3.2 (mutual waiting among
-// blocked tasks). Full scans translate an event-based blocked-status
-// representation into either a task-centric Wait-For Graph or an
-// event-centric State Graph — selected adaptively per check — and run
-// cycle detection; the avoidance gate instead runs a targeted search over
-// an incrementally maintained index, so the per-block check is
-// sub-microsecond and allocation-free in steady state (see DESIGN.md "Hot
-// path" and the repository benchmark, benchmark/README.md).
+// blocked tasks). Every check searches an incrementally maintained index of
+// the event-based blocked statuses for a Wait-For-Graph cycle — the
+// avoidance gate from the blocking task only, sub-microsecond and
+// allocation-free in steady state, a full scan in one pass. The paper's
+// Wait-For and State Graphs, selected adaptively, are the reference it is
+// tested and timed against (see DESIGN.md "Adaptive model selection" and
+// "Hot path", and the repository benchmark, benchmark/README.md).
 //
 // # Quick start
 //

@@ -83,19 +83,21 @@ func TestCheckNowUnchangedZeroAlloc(t *testing.T) {
 }
 
 // TestFullScanSteadyStateZeroAlloc guards the detection-scan path: with the
-// snapshot buffer, builder and cycle scratch warm, a full snapshot+build+
-// Tarjan pass over an unchanged-size state allocates nothing.
+// cycle scratch warm, the index's one-pass search of the whole state — the
+// detect loop's, CheckNow's and the gate's defensive scan — allocates
+// nothing.
 func TestFullScanSteadyStateZeroAlloc(t *testing.T) {
 	v := New(WithMode(ModeObserve))
 	defer v.Close()
 	chainState(v, 1, 64)
+	var sc deps.CycleScratch
 	for i := 0; i < 10; i++ {
-		if cyc := v.runCheck(); cyc != nil {
+		if cyc := v.fullScan(&sc); cyc != nil {
 			t.Fatalf("false deadlock: %+v", cyc)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if cyc := v.runCheck(); cyc != nil {
+		if cyc := v.fullScan(&sc); cyc != nil {
 			t.Fatalf("false deadlock: %+v", cyc)
 		}
 	})
@@ -201,10 +203,11 @@ func BenchmarkHotPath(b *testing.B) {
 		v := New(WithMode(ModeObserve))
 		defer v.Close()
 		chainState(v, 1, n)
+		var sc deps.CycleScratch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if cyc := v.runCheck(); cyc != nil {
+			if cyc := v.fullScan(&sc); cyc != nil {
 				b.Fatalf("false deadlock: %+v", cyc)
 			}
 		}

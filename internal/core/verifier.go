@@ -6,9 +6,8 @@
 //   - the application layer — a native Go phaser runtime (generalising X10
 //     clocks, Java Phaser / CyclicBarrier / CountDownLatch and join
 //     barriers) that produces the blocked status of every task, and
-//   - the verification layer — the resource-dependency state plus the
-//     graph-based deadlock checker with fixed (WFG, SG) or adaptive model
-//     selection.
+//   - the verification layer — the resource-dependency state and the search
+//     of its incremental index for a Wait-For-Graph cycle.
 //
 // Two verification modes are provided. In detection mode a dedicated
 // goroutine periodically samples the blocked statuses and reports existing
@@ -74,7 +73,6 @@ const DefaultPeriod = 100 * time.Millisecond
 // deadlocks. It is also the factory for tasks and phasers.
 type Verifier struct {
 	mode   Mode
-	model  deps.Model
 	period time.Duration
 	clock  clock.Clock
 
@@ -90,11 +88,10 @@ type Verifier struct {
 	// passing the gate); the next gate runs a defensive full scan.
 	fullPending atomic.Bool
 
-	// runMu serialises full-scan checks and owns the reusable snapshot
-	// buffer, builder and the version-keyed result cache of CheckNow.
+	// runMu serialises CheckNow and owns its search scratch and its
+	// version-keyed result cache.
 	runMu          sync.Mutex
-	builder        *deps.Builder
-	snapBuf        []deps.Blocked
+	runScratch     deps.CycleScratch
 	checkedValid   bool
 	checkedVersion uint64
 	checkedErr     *DeadlockError
@@ -129,9 +126,6 @@ type Option func(*Verifier)
 
 // WithMode selects the verification mode (default ModeDetect).
 func WithMode(m Mode) Option { return func(v *Verifier) { v.mode = m } }
-
-// WithModel fixes or frees the graph representation (default deps.ModelAuto).
-func WithModel(m deps.Model) Option { return func(v *Verifier) { v.model = m } }
 
 // WithPeriod sets the detection-mode scan period (default DefaultPeriod).
 func WithPeriod(d time.Duration) Option { return func(v *Verifier) { v.period = d } }
@@ -178,13 +172,11 @@ func WithTraceWriter(w io.Writer) Option {
 // checker. Call Close when done.
 func New(opts ...Option) *Verifier {
 	v := &Verifier{
-		mode:    ModeDetect,
-		model:   deps.ModelAuto,
-		period:  DefaultPeriod,
-		clock:   clock.Real{},
-		state:   deps.NewState(),
-		builder: deps.NewBuilder(),
-		names:   make(map[deps.TaskID]string),
+		mode:   ModeDetect,
+		period: DefaultPeriod,
+		clock:  clock.Real{},
+		state:  deps.NewState(),
+		names:  make(map[deps.TaskID]string),
 	}
 	for _, o := range opts {
 		o(v)
@@ -205,9 +197,6 @@ func New(opts ...Option) *Verifier {
 
 // Mode returns the verifier's verification mode.
 func (v *Verifier) Mode() Mode { return v.mode }
-
-// Model returns the configured graph-model selection policy.
-func (v *Verifier) Model() deps.Model { return v.model }
 
 // State exposes the resource-dependency state (used by the distributed
 // layer to publish local blocked statuses).
@@ -288,14 +277,15 @@ func (v *Verifier) traceReported(c *deps.Cycle) {
 	}
 }
 
-// detectLoop is the paper's detection mode: sample the blocked statuses
-// every period and run cycle analysis; report deadlocks via the handler.
-// Analysis is skipped while the state is unchanged, and a given stuck state
-// is reported once.
+// detectLoop is the paper's detection mode: search the blocked statuses
+// every period for a cycle; report deadlocks via the handler. The search is
+// skipped while the state is unchanged, and a given stuck state is
+// reported once.
 func (v *Verifier) detectLoop() {
 	defer close(v.detectDone)
 	ticker := v.clock.NewTicker(v.period)
 	defer ticker.Stop()
+	var sc deps.CycleScratch
 	var lastVersion uint64
 	var reportedVersion uint64
 	first := true
@@ -311,7 +301,7 @@ func (v *Verifier) detectLoop() {
 		}
 		first = false
 		lastVersion = ver
-		if cyc := v.runCheck(); cyc != nil && ver != reportedVersion {
+		if cyc := v.fullScan(&sc); cyc != nil && ver != reportedVersion {
 			reportedVersion = ver
 			v.stats.deadlocks.Add(1)
 			v.traceReported(cyc)
@@ -320,21 +310,14 @@ func (v *Verifier) detectLoop() {
 	}
 }
 
-// runCheck snapshots the state, builds the configured graph model, records
-// statistics, and returns the deadlock cycle, if any. It reuses the
-// verifier's snapshot buffer and builder (serialised by runMu), so a
-// steady stream of full scans allocates nothing once warm.
-func (v *Verifier) runCheck() *deps.Cycle {
-	v.runMu.Lock()
-	defer v.runMu.Unlock()
-	return v.runCheckLocked()
-}
-
-func (v *Verifier) runCheckLocked() *deps.Cycle {
-	v.snapBuf = v.state.SnapshotInto(v.snapBuf)
-	a := v.builder.Build(v.model, v.snapBuf)
-	v.recordCheck(a)
-	return a.FindDeadlock(v.snapBuf)
+// fullScan searches the whole state for a cycle with the index's one-pass
+// search, records the edges it examined and returns the cycle, if any. The
+// caller owns sc, so a steady stream of full scans allocates nothing once
+// warm.
+func (v *Verifier) fullScan(sc *deps.CycleScratch) *deps.Cycle {
+	cyc, edges := v.state.FindCycle(sc)
+	v.recordEdges(int64(edges))
+	return cyc
 }
 
 // CheckNow runs one synchronous deadlock check and returns a *DeadlockError
@@ -345,22 +328,17 @@ func (v *Verifier) runCheckLocked() *deps.Cycle {
 // allocating — anything.
 func (v *Verifier) CheckNow() *DeadlockError {
 	v.runMu.Lock()
+	defer v.runMu.Unlock()
 	ver := v.state.Version()
 	if v.checkedValid && ver == v.checkedVersion {
-		err := v.checkedErr
-		v.runMu.Unlock()
-		return err
+		return v.checkedErr
 	}
-	cyc := v.runCheckLocked()
 	var err *DeadlockError
-	if cyc != nil {
+	if cyc := v.fullScan(&v.runScratch); cyc != nil {
 		err = v.newDeadlockError(cyc)
 		v.stats.deadlocks.Add(1)
 	}
-	v.checkedValid = true
-	v.checkedVersion = ver
-	v.checkedErr = err
-	v.runMu.Unlock()
+	v.checkedValid, v.checkedVersion, v.checkedErr = true, ver, err
 	return err
 }
 
@@ -370,12 +348,10 @@ func (v *Verifier) CheckNow() *DeadlockError {
 // will block) and nil is returned. checkMu makes gate decisions atomic.
 //
 // The gate is TARGETED: a cycle created by this block must pass through
-// b.Task, so instead of snapshotting and building a full graph it runs a
-// DFS from b.Task over the state's incremental phaser index — O(reachable
-// edges), zero allocations once the scratch is warm. Cycles that appear
-// WITHOUT a task passing the gate (a third party registering an
-// already-blocked task) flag a defensive full scan, preserving the old
-// full-Tarjan semantics.
+// b.Task, so it runs a DFS from b.Task over the state's incremental phaser
+// index — O(reachable edges), zero allocations once the scratch is warm.
+// Cycles that appear WITHOUT a task passing the gate (a third party
+// registering an already-blocked task) flag a defensive full scan.
 func (v *Verifier) avoidCheck(b deps.Blocked) *deps.Cycle {
 	v.checkMu.Lock()
 	defer v.checkMu.Unlock()
@@ -386,27 +362,20 @@ func (v *Verifier) avoidCheck(b deps.Blocked) *deps.Cycle {
 		if v.fullPending.CompareAndSwap(true, false) {
 			// A blocked task's status was refreshed since the last gate:
 			// edges may have appeared elsewhere. Check the whole state.
-			if full := v.runCheck(); full != nil {
+			if full := v.fullScan(&v.avoidScratch); full != nil {
 				v.stats.deadlocks.Add(1)
 				// A refresh racing in after the targeted search could in
 				// principle close a cycle through b.Task itself: refuse
-				// the block then, exactly like the direct verdict. The
-				// membership test must be the exact targeted query — the
-				// full report's task list over-approximates under the SG
-				// model (it includes tasks merely WAITING on the cycle),
-				// and rejecting one of those would refuse a block that
-				// creates no cycle.
+				// the block then, exactly like the direct verdict.
 				if recyc, re := v.state.CycleThrough(b.Task, &v.avoidScratch); recyc != nil {
 					v.recordEdges(int64(re))
 					v.state.Clear(b.Task)
 					v.traceRejected(b, recyc)
 					// A distinct deadlock may persist after the rollback.
-					// full cannot tell us: it was computed with b inserted,
-					// so it may describe b's own (now avoided) cycle, and
-					// under the SG model its task list also includes mere
-					// waiters. Re-scan the rolled-back state and report
-					// exactly what remains standing.
-					if rest := v.runCheck(); rest != nil {
+					// full cannot tell: it was found with b inserted, so it
+					// may be b's own (now avoided) cycle. Re-scan the
+					// rolled-back state and report what remains standing.
+					if rest := v.fullScan(&v.avoidScratch); rest != nil {
 						// Two deadlock events on this path — the rejection
 						// and the persisting report — so a second count.
 						v.stats.deadlocks.Add(1)
@@ -431,8 +400,8 @@ func (v *Verifier) avoidCheck(b deps.Blocked) *deps.Cycle {
 	return cyc
 }
 
-// recordEdges accounts one analysis of e edges in the check/edge counters:
-// the edges of a built graph, or those a targeted gate's DFS examined.
+// recordEdges accounts one search that examined e WFG edges in the
+// check/edge counters.
 func (v *Verifier) recordEdges(e int64) {
 	v.stats.checks.Add(1)
 	if e == 0 {
@@ -446,16 +415,6 @@ func (v *Verifier) recordEdges(e int64) {
 	}
 }
 
-func (v *Verifier) recordCheck(a *deps.Analysis) {
-	v.recordEdges(int64(a.Graph.NumEdges()))
-	switch a.Model {
-	case deps.ModelWFG:
-		v.stats.wfgBuilds.Add(1)
-	case deps.ModelSG:
-		v.stats.sgBuilds.Add(1)
-	}
-}
-
 func (v *Verifier) newDeadlockError(cyc *deps.Cycle) *DeadlockError {
 	e := &DeadlockError{Cycle: cyc, TaskNames: make(map[deps.TaskID]string, len(cyc.Tasks))}
 	v.namesMu.RLock()
@@ -466,8 +425,8 @@ func (v *Verifier) newDeadlockError(cyc *deps.Cycle) *DeadlockError {
 	return e
 }
 
-// DeadlockError reports a barrier deadlock: the tasks and synchronisation
-// events on (or waiting on) the dependency cycle.
+// DeadlockError reports a barrier deadlock: the tasks on the Wait-For-Graph
+// cycle and the synchronisation events they await.
 type DeadlockError struct {
 	Cycle     *deps.Cycle
 	TaskNames map[deps.TaskID]string
@@ -498,8 +457,6 @@ func (e *DeadlockError) Error() string {
 // stats holds the verifier's atomic counters.
 type stats struct {
 	checks     atomic.Int64
-	wfgBuilds  atomic.Int64
-	sgBuilds   atomic.Int64
 	totalEdges atomic.Int64
 	maxEdges   atomic.Int64
 	deadlocks  atomic.Int64
@@ -507,18 +464,18 @@ type stats struct {
 }
 
 // Stats is a point-in-time copy of the verifier's counters, used by the
-// evaluation harness (Table 3 needs the average edge count per check).
+// tests and the repository benchmark's verifier rung.
 type Stats struct {
-	Checks     int64 // graph analyses performed
-	WFGBuilds  int64 // analyses that used the WFG representation
-	SGBuilds   int64 // analyses that used the SG representation
-	TotalEdges int64 // sum of edge counts over all analyses
-	MaxEdges   int64 // largest single graph analysed
+	Checks     int64 // cycle searches performed: gates and full scans
+	WFGBuilds  int64 // always 0: no verdict path builds a graph
+	SGBuilds   int64 // always 0: no verdict path builds a graph
+	TotalEdges int64 // sum of the WFG edges the searches examined
+	MaxEdges   int64 // most edges one search examined
 	Deadlocks  int64 // deadlocks found
 	Blocks     int64 // blocking operations that actually parked
 }
 
-// AvgEdges returns the mean edge count per analysis.
+// AvgEdges returns the mean number of edges examined per search.
 func (s Stats) AvgEdges() float64 {
 	if s.Checks == 0 {
 		return 0
@@ -530,8 +487,6 @@ func (s Stats) AvgEdges() float64 {
 func (v *Verifier) Stats() Stats {
 	return Stats{
 		Checks:     v.stats.checks.Load(),
-		WFGBuilds:  v.stats.wfgBuilds.Load(),
-		SGBuilds:   v.stats.sgBuilds.Load(),
 		TotalEdges: v.stats.totalEdges.Load(),
 		MaxEdges:   v.stats.maxEdges.Load(),
 		Deadlocks:  v.stats.deadlocks.Load(),

@@ -1,7 +1,9 @@
 // Package deps implements the event-based resource-dependency state of
-// Armus (§4 of the paper) and its translations into the Wait-For Graph
-// (WFG), the State Graph (SG), and the General Resource Graph (GRG),
-// together with the adaptive model-selection policy of §5.1.
+// Armus (§4 of the paper), whose incremental index every verdict searches,
+// and its translations into the Wait-For Graph (WFG), the State Graph (SG),
+// and the General Resource Graph (GRG), together with the adaptive
+// model-selection policy of §5.1: the reference the search is tested and
+// timed against.
 //
 // A resource is a synchronisation event: a (phaser, phase) pair, in the
 // sense of a Lamport logical-clock timestamp. A blocked task contributes a

@@ -2,6 +2,7 @@ package deps
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -16,8 +17,8 @@ const minSweep = 256
 // State is the mutable, concurrency-safe collection of blocked statuses —
 // the resource-dependency state D = (I, W) of Definition 4.1 — together
 // with a per-phaser index of registrations and awaited events that
-// SetBlocked/Clear keep up to date and CycleThrough reads directly instead
-// of re-deriving it from a snapshot.
+// SetBlocked/Clear keep up to date and CycleThrough and FindCycle read
+// directly instead of re-deriving it from a snapshot.
 //
 // One lock guards everything: every caller already serialises its writers
 // (the avoidance gate under the verifier's check lock, a server session's
@@ -306,16 +307,25 @@ func (s *State) SnapshotInto(buf []Blocked) []Blocked {
 	return out
 }
 
-// CycleScratch holds the reusable working set of CycleThrough. The zero
-// value is ready to use; it grows to the largest state it has searched and
-// is then reused allocation-free. Owned by one checker at a time.
+// CycleScratch holds the reusable working set of CycleThrough and
+// FindCycle. The zero value is ready to use; it grows to the largest state
+// it has searched and is then reused allocation-free. Owned by one checker
+// at a time.
 type CycleScratch struct {
-	stack []int32
-	// stamp[slot] == epoch marks the entry in that slot as visited by the
-	// current search, so starting a search clears nothing.
+	frames []cycleFrame
+	// stamp[slot] == epoch marks the entry in that slot as on the current
+	// search's path, epoch+1 as finished, so starting a search clears
+	// nothing.
 	stamp  []uint32
 	parent []int32
 	epoch  uint32
+}
+
+// cycleFrame is one entry on the search path and how far through its
+// out-edges the search is: the next registration of the node of its
+// wait-th awaited event.
+type cycleFrame struct {
+	slot, wait, reg int32
 }
 
 // begin readies sc for a search over n entry slots.
@@ -324,10 +334,25 @@ func (sc *CycleScratch) begin(n int) {
 		sc.stamp = slices.Grow(sc.stamp, n-len(sc.stamp))[:n]
 		sc.parent = slices.Grow(sc.parent, n-len(sc.parent))[:n]
 	}
-	if sc.epoch++; sc.epoch == 0 { // wrapped: old stamps could alias
+	if sc.epoch > math.MaxUint32-3 { // the next two marks would wrap onto old stamps
 		clear(sc.stamp)
-		sc.epoch = 1
+		sc.epoch = 0
 	}
+	sc.epoch += 2
+}
+
+// impeded is the in-edge pre-filter: whether some blocked task awaits an
+// event e impedes. Without that no edge enters e and no cycle passes
+// through it. In the common case (the task arrived, so it impedes only
+// future phases nobody awaits yet) it answers with one compare per
+// registration.
+func impeded(e *taskEntry) bool {
+	for i, sl := range e.regs {
+		if w := sl.node.waits; len(w) > 0 && w[len(w)-1].phase > e.b.Regs[i].Phase {
+			return true
+		}
+	}
+	return false
 }
 
 // CycleThrough looks for a Wait-For-Graph cycle passing through task start
@@ -344,74 +369,83 @@ func (s *State) CycleThrough(start TaskID, sc *CycleScratch) (*Cycle, int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	se := s.tasks[start]
-	if se == nil || !se.blocked {
-		return nil, 0
-	}
-	return s.cycleThrough(se, sc)
-}
-
-// FindCycle answers "deadlocked now?" with the gate's own search: it runs
-// the targeted query from every blocked task, in one pass under one read
-// lock, until one finds a cycle (every task on a cycle sees it, so this is
-// exact). The state knows which tasks are blocked; no caller keeps a set.
-func (s *State) FindCycle(sc *CycleScratch) *Cycle {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, e := range s.entries {
-		if e.blocked {
-			if c, _ := s.cycleThrough(e, sc); c != nil {
-				return c
-			}
-		}
-	}
-	return nil
-}
-
-// cycleThrough is the search behind CycleThrough, from the blocked entry se.
-// Caller holds the read lock.
-func (s *State) cycleThrough(se *taskEntry, sc *CycleScratch) (*Cycle, int) {
-	// Pre-filter: a cycle through se needs an edge INTO it — some blocked
-	// task awaiting an event se impedes. In the common case (the task
-	// arrived, so it impedes only future phases nobody awaits yet) this
-	// rejects with one compare per registration.
-	impeded := false
-	for i, sl := range se.regs {
-		if w := sl.node.waits; len(w) > 0 && w[len(w)-1].phase > se.b.Regs[i].Phase {
-			impeded = true
-			break
-		}
-	}
-	if !impeded {
+	if se == nil || !se.blocked || !impeded(se) {
 		return nil, 0
 	}
 	sc.begin(len(s.entries))
-	sc.stamp[se.slot] = sc.epoch
-	sc.stack = append(sc.stack[:0], se.slot)
+	return s.search(se, se, sc)
+}
+
+// FindCycle answers "deadlocked now?" for the whole state: one coloured
+// depth-first search over the index under one read lock, expanding every
+// blocked task at most once, O(V+E). A root the in-edge pre-filter rejects
+// is passed over (a task reached over an edge has its in-edge). It returns
+// the WFG edges examined, as CycleThrough does, and with sc warm the
+// deadlock-free path performs no allocations.
+func (s *State) FindCycle(sc *CycleScratch) (*Cycle, int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	sc.begin(len(s.entries))
 	edges := 0
-	for len(sc.stack) > 0 {
-		u := s.entries[sc.stack[len(sc.stack)-1]]
-		sc.stack = sc.stack[:len(sc.stack)-1]
-		for i, r := range u.b.WaitsFor {
-			for _, ref := range u.waits[i].regs {
-				if ref.phase >= r.Phase || !ref.e.blocked {
-					continue
-				}
-				edges++
-				if ref.e == se {
-					return s.cycleFound(se, u, sc), edges
-				}
-				if slot := ref.e.slot; sc.stamp[slot] != sc.epoch {
-					sc.stamp[slot] = sc.epoch
-					sc.parent[slot] = u.slot
-					sc.stack = append(sc.stack, slot)
-				}
+	for _, root := range s.entries {
+		if root.blocked && sc.stamp[root.slot] != sc.epoch+1 && impeded(root) {
+			cyc, e := s.search(root, nil, sc)
+			if edges += e; cyc != nil {
+				return cyc, edges
 			}
 		}
 	}
 	return nil, edges
 }
 
-// cycleFound translates the DFS tree path start -> ... -> last (plus the
+// search is the depth-first search from root. Every task it reaches is
+// expanded once and left finished, so the searches of one FindCycle pass
+// never expand a task twice. An edge into through closes a cycle — or,
+// when through is nil, an edge into any task on the search path. Caller
+// holds the read lock and has begun sc.
+func (s *State) search(root, through *taskEntry, sc *CycleScratch) (*Cycle, int) {
+	onPath, done := sc.epoch, sc.epoch+1
+	sc.stamp[root.slot] = onPath
+	sc.frames = append(sc.frames[:0], cycleFrame{slot: root.slot})
+	edges := 0
+	for len(sc.frames) > 0 {
+		f := &sc.frames[len(sc.frames)-1]
+		u := s.entries[f.slot]
+		w := nextEdge(u, f)
+		if w == nil { // every edge out of u examined
+			sc.stamp[u.slot] = done
+			sc.frames = sc.frames[:len(sc.frames)-1]
+			continue
+		}
+		edges++
+		switch st := sc.stamp[w.slot]; {
+		case w == through || through == nil && st == onPath:
+			return s.cycleFound(w, u, sc), edges
+		case st != onPath && st != done:
+			sc.stamp[w.slot] = onPath
+			sc.parent[w.slot] = u.slot
+			sc.frames = append(sc.frames, cycleFrame{slot: w.slot})
+		}
+	}
+	return nil, edges
+}
+
+// nextEdge advances f, the frame of u, to u's next WFG edge and returns the
+// blocked task it enters, or nil when none is left.
+func nextEdge(u *taskEntry, f *cycleFrame) *taskEntry {
+	for ; int(f.wait) < len(u.b.WaitsFor); f.wait, f.reg = f.wait+1, 0 {
+		phase, regs := u.b.WaitsFor[f.wait].Phase, u.waits[f.wait].regs
+		for j := f.reg; int(j) < len(regs); j++ {
+			if ref := &regs[j]; ref.phase < phase && ref.e.blocked {
+				f.reg = j + 1
+				return ref.e
+			}
+		}
+	}
+	return nil
+}
+
+// cycleFound translates the search path start -> ... -> last (plus the
 // closing edge last -> start) into a Cycle report. Runs on the deadlock
 // path only, so it allocates freely. Caller holds the read lock.
 func (s *State) cycleFound(start, last *taskEntry, sc *CycleScratch) *Cycle {

@@ -158,11 +158,42 @@ func (m churnModel) reachableEdges(start TaskID) int {
 	return edges
 }
 
+// expandedEdges counts the WFG edges leaving the tasks some edge enters:
+// what a deadlock-free FindCycle must have examined, since it expands each
+// of those once and no other task.
+func (m churnModel) expandedEdges() int {
+	edges := 0
+	for to := range m {
+		entered := false
+		for from := range m {
+			entered = entered || m.edge(from, to)
+		}
+		for t := range m {
+			if entered && m.edge(to, t) {
+				edges++
+			}
+		}
+	}
+	return edges
+}
+
+// checkCycle fails unless every consecutive pair of cyc, wrapping around,
+// is a WFG edge.
+func (m churnModel) checkCycle(cyc []TaskID) error {
+	for i, from := range cyc {
+		if to := cyc[(i+1)%len(cyc)]; !m.edge(from, to) {
+			return fmt.Errorf("reported cycle %v has no edge %d -> %d", cyc, from, to)
+		}
+	}
+	return nil
+}
+
 // TestStateChurnAgainstOracle drives the State through seeded random churn
 // — block, re-block with advanced phases, re-block on a changed phaser set,
 // a third party's refresh, clear, tasks and phasers that go away for good —
-// and after every step compares CycleThrough for every blocked task with
-// the exhaustive oracle, and the live index with one rebuilt from scratch.
+// and after every step compares FindCycle and CycleThrough for every
+// blocked task with the exhaustive oracle, and the live index with one
+// rebuilt from scratch.
 func TestStateChurnAgainstOracle(t *testing.T) {
 	steps := 30000
 	if testing.Short() {
@@ -245,6 +276,17 @@ func TestStateChurnAgainstOracle(t *testing.T) {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 			o := model.oracle()
+			cyc, edges := s.FindCycle(&sc)
+			if want := oracle.Deadlocked(o); (cyc != nil) != want {
+				t.Fatalf("seed %d step %d: FindCycle = %v, oracle %v\nstate: %+v", seed, step, cyc, want, model)
+			}
+			if cyc == nil {
+				if want := model.expandedEdges(); edges != want {
+					t.Fatalf("seed %d step %d: FindCycle examined %d edges, want %d", seed, step, edges, want)
+				}
+			} else if err := model.checkCycle(cyc.Tasks); err != nil {
+				t.Fatalf("seed %d step %d: FindCycle: %v", seed, step, err)
+			}
 			for bt := range model {
 				cyc, edges := s.CycleThrough(bt, &sc)
 				if want := oracle.CycleThrough(o, int64(bt)); (cyc != nil) != want {
@@ -259,10 +301,8 @@ func TestStateChurnAgainstOracle(t *testing.T) {
 				if cyc.Tasks[0] != bt {
 					t.Fatalf("seed %d step %d: cycle %v does not start at %d", seed, step, cyc.Tasks, bt)
 				}
-				for i, from := range cyc.Tasks {
-					if to := cyc.Tasks[(i+1)%len(cyc.Tasks)]; !model.edge(from, to) {
-						t.Fatalf("seed %d step %d: reported cycle %v has no edge %d -> %d", seed, step, cyc.Tasks, from, to)
-					}
+				if err := model.checkCycle(cyc.Tasks); err != nil {
+					t.Fatalf("seed %d step %d: CycleThrough(%d): %v", seed, step, bt, err)
 				}
 			}
 		}
@@ -418,16 +458,19 @@ func TestStateRaceMix(t *testing.T) {
 }
 
 // TestCycleScratchEpochWrap: when the visit stamp wraps around, marks left
-// by searches 2^32 epochs ago must not read as visited.
+// by searches 2^32 epochs ago must not read as visited or finished.
 func TestCycleScratchEpochWrap(t *testing.T) {
 	s := NewState()
 	for _, b := range example41() {
 		s.SetBlocked(b)
 	}
-	sc := CycleScratch{epoch: math.MaxUint32 - 2}
+	sc := CycleScratch{epoch: math.MaxUint32 - 7}
 	for i := 0; i < 6; i++ {
 		if cyc, _ := s.CycleThrough(4, &sc); cyc == nil {
 			t.Fatalf("search %d (epoch %d) missed the deadlock of Example 4.1", i, sc.epoch)
+		}
+		if cyc, _ := s.FindCycle(&sc); cyc == nil {
+			t.Fatalf("full search %d (epoch %d) missed the deadlock of Example 4.1", i, sc.epoch)
 		}
 	}
 	s.Clear(4) // the workers now wait on each other's dead end
@@ -435,6 +478,39 @@ func TestCycleScratchEpochWrap(t *testing.T) {
 		if cyc, _ := s.CycleThrough(1, &sc); cyc != nil {
 			t.Fatalf("search %d (epoch %d) found %v in a deadlock-free state", i, sc.epoch, cyc.Tasks)
 		}
+		if cyc, _ := s.FindCycle(&sc); cyc != nil {
+			t.Fatalf("full search %d (epoch %d) found %v in a deadlock-free state", i, sc.epoch, cyc.Tasks)
+		}
+	}
+}
+
+// TestFindCycleOnePass: on a deadlock-free dependency chain of 512 tasks,
+// each task is expanded once — the search examines no more than twice the
+// WFG's edges (a search restarted from every task examines about n²/2) —
+// and a warm scratch allocates nothing. Closing the chain into a ring is
+// found.
+func TestFindCycleOnePass(t *testing.T) {
+	const n = 512
+	var snap []Blocked
+	for i := 0; i < n; i++ { // task i awaits phaser i+1 and lags on phaser i
+		snap = append(snap, Blocked{Task: TaskID(i), WaitsFor: []Resource{{PhaserID(i + 1), 1}}, Regs: []Reg{{PhaserID(i), 0}}})
+	}
+	s := NewState()
+	for _, b := range snap {
+		s.SetBlocked(b)
+	}
+	var sc CycleScratch
+	wfg := BuildWFG(snap).Graph.NumEdges()
+	cyc, edges := s.FindCycle(&sc)
+	if cyc != nil || edges > 2*wfg {
+		t.Fatalf("chain of %d: cycle %v after %d edges; want none within 2 × %d", n, cyc, edges, wfg)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.FindCycle(&sc) }); allocs != 0 {
+		t.Fatalf("a warm full search allocates %.1f times, want 0", allocs)
+	}
+	s.SetBlocked(Blocked{Task: n, WaitsFor: []Resource{{0, 1}}, Regs: []Reg{{n, 0}}})
+	if cyc, _ := s.FindCycle(&sc); cyc == nil || len(cyc.Tasks) != n+1 {
+		t.Fatalf("ring of %d: FindCycle = %v", n+1, cyc)
 	}
 }
 

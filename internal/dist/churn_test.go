@@ -27,10 +27,10 @@ func referenceView(s *Site) []deps.Blocked {
 }
 
 // referenceVerdict is the analysis every round used to run on that view:
-// the graph built from nothing under the site's model, and a full cycle
-// search.
-func referenceVerdict(s *Site, bd *deps.Builder, merged []deps.Blocked) bool {
-	return bd.Build(s.model, merged).FindDeadlock(merged) != nil
+// the graph built from nothing under the adaptive §5.1 model, and a full
+// cycle search.
+func referenceVerdict(bd *deps.Builder, merged []deps.Blocked) bool {
+	return bd.Build(deps.ModelAuto, merged).FindDeadlock(merged) != nil
 }
 
 // ghost is a site that exists only as fields the test writes straight into
@@ -243,7 +243,7 @@ func (c *churn) round(s *Site) {
 func (c *churn) verify(s *Site, rep *core.DeadlockError) {
 	c.t.Helper()
 	ref := referenceView(s)
-	want := referenceVerdict(s, c.bd, ref)
+	want := referenceVerdict(c.bd, ref)
 	slices.SortStableFunc(ref, byTask)
 	got := s.merged.State().Snapshot()
 	c.verified++

@@ -109,12 +109,6 @@ func SiteOf(id int64) int { return int(id >> SiteIDShift) }
 // Option configures NewSite.
 type Option func(*Site)
 
-// WithModel selects the graph model of the site's local verifier (default
-// deps.ModelAuto, the adaptive §5.1 policy). The global analysis does not
-// build a graph: it searches the merged view's index, as the avoidance gate
-// does, and its reports carry deps.ModelWFG like the gate's.
-func WithModel(m deps.Model) Option { return func(s *Site) { s.model = m } }
-
 // WithPeriod sets the publish/check period (default DefaultPeriod).
 func WithPeriod(d time.Duration) Option { return func(s *Site) { s.period = d } }
 
@@ -178,7 +172,6 @@ type source struct {
 type Site struct {
 	id     int
 	skey   string
-	model  deps.Model
 	period time.Duration
 	mode   core.Mode
 	clock  clock.Clock
@@ -233,7 +226,6 @@ func NewSite(id int, addr string, opts ...Option) *Site {
 	s := &Site{
 		id:        id,
 		skey:      keyPrefix + strconv.Itoa(id),
-		model:     deps.ModelAuto,
 		period:    DefaultPeriod,
 		mode:      core.ModeObserve,
 		clock:     clock.Real{},
@@ -253,7 +245,6 @@ func NewSite(id int, addr string, opts ...Option) *Site {
 	}
 	copts := []core.Option{
 		core.WithMode(s.mode),
-		core.WithModel(s.model),
 		core.WithIDBase(int64(id) << SiteIDShift),
 	}
 	if s.rec != nil {

@@ -37,7 +37,7 @@ type Engine struct {
 
 	// set lists the tasks whose status went in ungated since the last
 	// deadlock-free verdict, repeats included. Once it is longer than the
-	// state has blocked tasks the scan from every blocked task is the
+	// state has blocked tasks the one-pass scan of the whole state is the
 	// cheaper search, so it stops growing there (scan): the state's size
 	// bounds it, not a constant.
 	set  []deps.TaskID
@@ -89,8 +89,8 @@ func (e *Engine) Unblock(t deps.TaskID) { e.st.Clear(t) }
 
 // Check is the "deadlocked now?" verdict: a cycle of the current state, or
 // nil. An unchanged state version returns the previous verdict. After a
-// deadlock verdict every blocked task is searched from, since the cycle
-// reported may be the one that dissolved; otherwise only the noted ones.
+// deadlock verdict the whole state is searched, since the cycle reported
+// may be the one that dissolved; otherwise only from the noted tasks.
 func (e *Engine) Check() *deps.Cycle {
 	ver := e.st.Version()
 	if ver == e.lastVer {
@@ -98,7 +98,7 @@ func (e *Engine) Check() *deps.Cycle {
 	}
 	var cyc *deps.Cycle
 	if e.last != nil || e.scan || len(e.set) > e.st.Len() {
-		cyc = e.st.FindCycle(&e.sc)
+		cyc, _ = e.st.FindCycle(&e.sc)
 	} else {
 		for _, t := range e.set {
 			if cyc, _ = e.st.CycleThrough(t, &e.sc); cyc != nil {

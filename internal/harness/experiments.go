@@ -8,14 +8,14 @@ import (
 	"armus/internal/deps"
 	"armus/internal/dist"
 	"armus/internal/store"
+	"armus/internal/trace"
 	"armus/internal/workloads/course"
 	"armus/internal/workloads/hpcc"
 	"armus/internal/workloads/npb"
 )
 
 // RunTable1 regenerates Table 1: relative execution overhead of deadlock
-// DETECTION (adaptive model, periodic scan) on the NPB/JGF kernels, per
-// task count.
+// DETECTION (periodic scan) on the NPB/JGF kernels, per task count.
 func RunTable1(o Options) (*Table, error) {
 	return overheadTable(o, core.ModeDetect,
 		"Table 1: relative execution overhead in detection mode")
@@ -34,7 +34,7 @@ func overheadTable(o Options, mode core.Mode, title string) (*Table, error) {
 	for _, k := range npb.Kernels() {
 		row := []string{k.Name}
 		for _, tasks := range o.TaskCounts {
-			base, err := MeasureLocal(o.Samples, core.ModeOff, deps.ModelAuto, 0,
+			base, err := MeasureLocal(o.Samples, core.ModeOff, 0,
 				func(v *core.Verifier) error {
 					_, err := k.Run(v, npb.Config{Tasks: tasks, Class: o.Class})
 					return err
@@ -42,7 +42,7 @@ func overheadTable(o Options, mode core.Mode, title string) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%d unchecked: %w", k.Name, tasks, err)
 			}
-			checked, err := MeasureLocal(o.Samples, mode, deps.ModelAuto, o.DetectPeriod,
+			checked, err := MeasureLocal(o.Samples, mode, o.DetectPeriod,
 				func(v *core.Verifier) error {
 					_, err := k.Run(v, npb.Config{Tasks: tasks, Class: o.Class})
 					return err
@@ -80,7 +80,7 @@ func RunFig6(o Options) ([]*Table, error) {
 		for _, tasks := range o.TaskCounts {
 			row := []string{fmt.Sprintf("%d", tasks)}
 			for _, mode := range []core.Mode{core.ModeOff, core.ModeDetect, core.ModeAvoid} {
-				m, err := MeasureLocal(o.Samples, mode, deps.ModelAuto, o.DetectPeriod,
+				m, err := MeasureLocal(o.Samples, mode, o.DetectPeriod,
 					func(v *core.Verifier) error {
 						_, err := k.Run(v, npb.Config{Tasks: tasks, Class: o.Class})
 						return err
@@ -164,62 +164,39 @@ func measureDistributed(o Options, b hpcc.Benchmark, verified bool) (Measurement
 	return m, nil
 }
 
-// modelChoices are the graph-model selection policies compared in §6.3.
-var modelChoices = []struct {
-	Name  string
-	Model deps.Model
-}{
-	{"Auto", deps.ModelAuto},
-	{"SG", deps.ModelSG},
-	{"WFG", deps.ModelWFG},
-}
-
-// RunFig8 regenerates Figure 8: execution time of the course programs per
-// graph-model choice under deadlock AVOIDANCE. Caveat: the avoidance gate
-// is a targeted index search that ignores the model choice, so the three
-// model columns exercise the same gate and should coincide up to noise —
-// the figure survives as a regression check against the unchecked
-// baseline; the live model comparison is Figure 9 (see EXPERIMENTS.md).
+// RunFig8 regenerates Figure 8: execution time of the course programs
+// under deadlock AVOIDANCE against the unchecked baseline, in one checked
+// column where the paper has one per graph model.
 func RunFig8(o Options) (*Table, error) {
-	return modelFigure(o, core.ModeAvoid,
-		"Figure 8: graph model choice, avoidance mode (mean ± 95% CI)")
+	return courseFigure(o, core.ModeAvoid,
+		"Figure 8: course programs, avoidance mode (mean ± 95% CI; the targeted gate has no model to choose)")
 }
 
-// RunFig9 regenerates Figure 9: execution time of the course programs per
-// graph-model choice under deadlock DETECTION.
+// RunFig9 regenerates Figure 9 the same way under deadlock DETECTION: the
+// detector searches the index and has no model to choose either.
 func RunFig9(o Options) (*Table, error) {
-	return modelFigure(o, core.ModeDetect,
-		"Figure 9: graph model choice, detection mode (mean ± 95% CI)")
+	return courseFigure(o, core.ModeDetect,
+		"Figure 9: course programs, detection mode (mean ± 95% CI; the per-model comparison is Table 3)")
 }
 
-func modelFigure(o Options, mode core.Mode, title string) (*Table, error) {
+func courseFigure(o Options, mode core.Mode, title string) (*Table, error) {
 	o.defaults()
 	t := &Table{
-		Title: title,
-		Header: []string{"Benchmark", "Unchecked", "CI",
-			"Auto", "CI", "SG", "CI", "WFG", "CI"},
+		Title:  title,
+		Header: []string{"Benchmark", "Unchecked", "CI", "Checked", "CI"},
 	}
 	for _, p := range course.Programs() {
 		row := []string{p.Name}
-		base, err := MeasureLocal(o.Samples, core.ModeOff, deps.ModelAuto, 0,
-			func(v *core.Verifier) error {
-				_, err := p.Run(v, course.Config{Size: o.CourseSize})
-				return err
-			})
-		if err != nil {
-			return nil, fmt.Errorf("%s unchecked: %w", p.Name, err)
-		}
-		row = append(row, Dur(base.Mean()), Dur(base.CI95()))
-		for _, mc := range modelChoices {
-			m, err := MeasureLocal(o.Samples, mode, mc.Model, o.DetectPeriod,
+		for _, m := range []core.Mode{core.ModeOff, mode} {
+			meas, err := MeasureLocal(o.Samples, m, o.DetectPeriod,
 				func(v *core.Verifier) error {
 					_, err := p.Run(v, course.Config{Size: o.CourseSize})
 					return err
 				})
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", p.Name, mc.Name, err)
+				return nil, fmt.Errorf("%s/%v: %w", p.Name, m, err)
 			}
-			row = append(row, Dur(m.Mean()), Dur(m.CI95()))
+			row = append(row, Dur(meas.Mean()), Dur(meas.CI95()))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -227,70 +204,99 @@ func modelFigure(o Options, mode core.Mode, title string) (*Table, error) {
 	return t, nil
 }
 
-// RunTable3 regenerates Table 3: average edge count per analysis plus the
-// relative verification overhead, per benchmark and per graph-model
-// choice, in both avoidance and detection modes.
+// Mechanism is one answer to "deadlocked now?" that Table 3 times per
+// check: a snapshot, a graph built under Model and Tarjan's search — the
+// in-process verifier's full check until the index replaced it — or, for
+// Index, the index's one-pass search that every verdict path runs.
+type Mechanism struct {
+	Name  string
+	Model deps.Model
+	Index bool
+}
+
+// Mechanisms lists the compared mechanisms in Table 3's order.
+var Mechanisms = []Mechanism{
+	{Name: "Auto", Model: deps.ModelAuto},
+	{Name: "SG", Model: deps.ModelSG},
+	{Name: "WFG", Model: deps.ModelWFG},
+	{Name: "Index", Index: true},
+}
+
+// CheckCost replays muts, the mutations of a recorded run, into a state —
+// with m's check after every mutation, and with none, each as often as it
+// takes to run at least minChecks — and returns the difference per check
+// and the mean edges per check: those the graph was built with, or those
+// the index search examined.
+func (m Mechanism) CheckCost(muts []trace.Event) (time.Duration, float64) {
+	const minChecks = 1 << 14
+	var bd deps.Builder
+	var buf []deps.Blocked
+	var sc deps.CycleScratch
+	n := max(1, len(muts))
+	reps := max(1, minChecks/n)
+	pass := func(check bool) (time.Duration, int) {
+		st, edges := deps.NewState(), 0
+		start := time.Now()
+		for range reps {
+			for i := range muts {
+				muts[i].Apply(st)
+				switch {
+				case !check:
+				case m.Index:
+					_, e := st.FindCycle(&sc)
+					edges += e
+				default:
+					buf = st.SnapshotInto(buf)
+					a := bd.Build(m.Model, buf)
+					a.FindDeadlock(buf)
+					edges += a.Graph.NumEdges()
+				}
+			}
+		}
+		return time.Since(start), edges
+	}
+	base, _ := pass(false)
+	checked, edges := pass(true)
+	checks := time.Duration(reps * n)
+	return max(0, checked-base) / checks, float64(edges) / float64(checks)
+}
+
+// RunTable3 regenerates Table 3, the paper's §5.1 comparison: per course
+// program, the mean edges and time of one full check under each graph
+// model and with the index search, over every state of one recorded run
+// (samples + 1 interleaved passes per mechanism, the first discarded).
 func RunTable3(o Options) (*Table, error) {
 	o.defaults()
 	t := &Table{
-		Title:  "Table 3: edge count and verification overhead per graph mode",
-		Header: []string{"Mode", "Metric", "SE", "FI", "FR", "BFS", "PS"},
+		Title:  "Table 3: edges and time per full check, per graph model and for the index search",
+		Header: []string{"Benchmark", "Checks"},
 	}
-	type cell struct {
-		edges          float64
-		avoidOv, detOv float64
+	for _, unit := range []string{" edges", " ns ± CI"} {
+		for _, m := range Mechanisms {
+			t.Header = append(t.Header, m.Name+unit)
+		}
 	}
-	results := map[string]map[string]cell{} // model -> bench -> cell
-	baseline := map[string]Measurement{}
 	for _, p := range course.Programs() {
-		base, err := MeasureLocal(o.Samples, core.ModeOff, deps.ModelAuto, 0,
-			func(v *core.Verifier) error {
-				_, err := p.Run(v, course.Config{Size: o.CourseSize})
-				return err
-			})
+		muts, err := p.Record(core.ModeObserve, o.CourseSize)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
-		baseline[p.Name] = base
-	}
-	for _, mc := range modelChoices {
-		results[mc.Name] = map[string]cell{}
-		for _, p := range course.Programs() {
-			avoid, err := MeasureLocal(o.Samples, core.ModeAvoid, mc.Model, 0,
-				func(v *core.Verifier) error {
-					_, err := p.Run(v, course.Config{Size: o.CourseSize})
-					return err
-				})
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s avoid: %w", p.Name, mc.Name, err)
-			}
-			det, err := MeasureLocal(o.Samples, core.ModeDetect, mc.Model, o.DetectPeriod,
-				func(v *core.Verifier) error {
-					_, err := p.Run(v, course.Config{Size: o.CourseSize})
-					return err
-				})
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s detect: %w", p.Name, mc.Name, err)
-			}
-			results[mc.Name][p.Name] = cell{
-				edges:   avoid.Stats.AvgEdges(),
-				avoidOv: Overhead(avoid, baseline[p.Name]),
-				detOv:   Overhead(det, baseline[p.Name]),
+		times := make([]Measurement, len(Mechanisms))
+		edges := make([]string, len(Mechanisms))
+		for lap := 0; lap <= o.Samples; lap++ {
+			for i, m := range Mechanisms {
+				d, e := m.CheckCost(muts)
+				if lap > 0 {
+					times[i].Samples = append(times[i].Samples, d)
+				}
+				edges[i] = fmt.Sprintf("%.1f", e)
 			}
 		}
-	}
-	benches := []string{"SE", "FI", "FR", "BFS", "PS"}
-	for _, mc := range modelChoices {
-		edges := []string{mc.Name, "Edges"}
-		avoid := []string{"", "Avoidance"}
-		det := []string{"", "Detection"}
-		for _, b := range benches {
-			c := results[mc.Name][b]
-			edges = append(edges, fmt.Sprintf("%.0f", c.edges))
-			avoid = append(avoid, Pct(c.avoidOv))
-			det = append(det, Pct(c.detOv))
+		row := append([]string{p.Name, fmt.Sprint(len(muts))}, edges...)
+		for _, m := range times {
+			row = append(row, fmt.Sprintf("%d ± %d", m.Mean().Nanoseconds(), m.CI95().Nanoseconds()))
 		}
-		t.Rows = append(t.Rows, edges, avoid, det)
+		t.Rows = append(t.Rows, row)
 	}
 	t.Fprint(o.Out)
 	return t, nil

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"armus/internal/core"
-	"armus/internal/deps"
 )
 
 // Measurement is a set of timed samples plus the verifier counters of the
@@ -66,11 +65,11 @@ func Overhead(checked, base Measurement) float64 {
 
 // MeasureLocal times run under a fresh verifier per sample. samples+1 runs
 // are performed and the first is discarded (start-up methodology).
-func MeasureLocal(samples int, mode core.Mode, model deps.Model, period time.Duration,
+func MeasureLocal(samples int, mode core.Mode, period time.Duration,
 	run func(v *core.Verifier) error) (Measurement, error) {
 	var m Measurement
 	for i := 0; i <= samples; i++ {
-		opts := []core.Option{core.WithMode(mode), core.WithModel(model)}
+		opts := []core.Option{core.WithMode(mode)}
 		if period > 0 {
 			opts = append(opts, core.WithPeriod(period))
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"armus/internal/core"
-	"armus/internal/deps"
 )
 
 func TestMeasurementStats(t *testing.T) {
@@ -41,7 +40,7 @@ func TestOverhead(t *testing.T) {
 
 func TestMeasureLocalDiscardsWarmup(t *testing.T) {
 	calls := 0
-	m, err := MeasureLocal(3, core.ModeOff, deps.ModelAuto, 0, func(v *core.Verifier) error {
+	m, err := MeasureLocal(3, core.ModeOff, 0, func(v *core.Verifier) error {
 		calls++
 		return nil
 	})
@@ -152,7 +151,7 @@ func TestRunTable3Tiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 9 { // 3 models x 3 metric rows
+	if len(tab.Rows) != 5 { // SE FI FR BFS PS
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 }

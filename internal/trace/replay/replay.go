@@ -14,9 +14,8 @@
 //     session of armus-serve does: the verdict is the same targeted query,
 //     run from the statuses set since the last one, and a recorded
 //     rejection is re-validated against the whole state. (The SG/WFG graph
-//     analysis of §5.1 is the in-process core.Verifier's; internal/sim
-//     checks it against the oracle, internal/engine's differential test
-//     checks this engine against it.)
+//     analysis of §5.1 is the reference: internal/engine's differential
+//     test checks this engine against it.)
 //   - Dist deals the statuses across observe-mode dist.Sites connected to
 //     a real store server: the mutated site runs a full pipelined
 //     publish+fetch round (dist.Site.RoundOnce) for the per-mutation

@@ -128,6 +128,17 @@ type Event struct {
 // state — the events the replayer applies (and computes a verdict after).
 func (e Event) IsMutation() bool { return e.Kind == KindBlock || e.Kind == KindUnblock }
 
+// Apply applies a mutation to st: a block sets its status, an unblock
+// clears its task. Any other event changes nothing.
+func (e *Event) Apply(st *deps.State) {
+	switch e.Kind {
+	case KindBlock:
+		st.SetBlocked(e.Status)
+	case KindUnblock:
+		st.Clear(e.Task)
+	}
+}
+
 // String renders the event for armus-trace inspect.
 func (e Event) String() string {
 	switch e.Kind {

@@ -16,10 +16,12 @@ package course
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"armus/internal/clocked"
 	"armus/internal/core"
+	"armus/internal/trace"
 )
 
 // Config scales a program.
@@ -43,6 +45,20 @@ var ErrValidation = errors.New("course: verification failed")
 type Program struct {
 	Name string
 	Run  func(v *core.Verifier, cfg Config) (Result, error)
+}
+
+// Record runs p once under a verifier in mode that records its trace, and
+// returns the run's state mutations: every status set and cleared, in the
+// order the verifier saw them — the states a full check could run on.
+func (p Program) Record(mode core.Mode, size int) ([]trace.Event, error) {
+	rec := trace.NewRecorder()
+	v := core.New(core.WithMode(mode), core.WithTraceRecorder(rec))
+	_, err := p.Run(v, Config{Size: size})
+	v.Close()
+	if err != nil {
+		return nil, err
+	}
+	return slices.DeleteFunc(rec.Trace().Events, func(e trace.Event) bool { return !e.IsMutation() }), nil
 }
 
 // Programs lists the benchmarks in the order of Table 3.

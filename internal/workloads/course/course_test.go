@@ -8,14 +8,12 @@ import (
 	"armus/internal/deps"
 )
 
-// runAll exercises every program under the given mode and model.
-func runAll(t *testing.T, mode core.Mode, model deps.Model, size int) {
+// runAll exercises every program under the given mode.
+func runAll(t *testing.T, mode core.Mode, size int) {
 	t.Helper()
 	for _, p := range Programs() {
-		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			v := core.New(core.WithMode(mode), core.WithModel(model),
-				core.WithPeriod(5*time.Millisecond))
+			v := core.New(core.WithMode(mode), core.WithPeriod(5*time.Millisecond))
 			defer v.Close()
 			res, err := p.Run(v, Config{Size: size})
 			if err != nil {
@@ -31,15 +29,42 @@ func runAll(t *testing.T, mode core.Mode, model deps.Model, size int) {
 	}
 }
 
-func TestProgramsUnchecked(t *testing.T) { runAll(t, core.ModeOff, deps.ModelAuto, 24) }
+func TestProgramsUnchecked(t *testing.T) { runAll(t, core.ModeOff, 24) }
 
-func TestProgramsDetect(t *testing.T) { runAll(t, core.ModeDetect, deps.ModelAuto, 24) }
+func TestProgramsDetect(t *testing.T) { runAll(t, core.ModeDetect, 24) }
 
-func TestProgramsAvoid(t *testing.T) { runAll(t, core.ModeAvoid, deps.ModelAuto, 24) }
+func TestProgramsAvoid(t *testing.T) { runAll(t, core.ModeAvoid, 24) }
 
-func TestProgramsAvoidFixedWFG(t *testing.T) { runAll(t, core.ModeAvoid, deps.ModelWFG, 16) }
+// TestProgramsAvoidFixedWFG and TestProgramsAvoidFixedSG hold a fixed §5.1
+// model — the graph build every verdict path ran before the index search
+// replaced it, kept as the reference — to the index on every state of each
+// program's recorded avoidance run: neither may see a deadlock.
+func TestProgramsAvoidFixedWFG(t *testing.T) { againstFixedModel(t, deps.ModelWFG) }
 
-func TestProgramsAvoidFixedSG(t *testing.T) { runAll(t, core.ModeAvoid, deps.ModelSG, 16) }
+func TestProgramsAvoidFixedSG(t *testing.T) { againstFixedModel(t, deps.ModelSG) }
+
+func againstFixedModel(t *testing.T, model deps.Model) {
+	for _, p := range Programs() {
+		t.Run(p.Name, func(t *testing.T) {
+			muts, err := p.Record(core.ModeAvoid, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, bd := deps.NewState(), deps.NewBuilder()
+			var sc deps.CycleScratch
+			for i := range muts {
+				muts[i].Apply(st)
+				snap := st.Snapshot()
+				if cyc := bd.Build(model, snap).FindDeadlock(snap); cyc != nil {
+					t.Fatalf("mutation %d: the %v graph reports %+v", i, model, cyc)
+				}
+				if cyc, _ := st.FindCycle(&sc); cyc != nil {
+					t.Fatalf("mutation %d: the index reports %+v", i, cyc)
+				}
+			}
+		})
+	}
+}
 
 func TestFIValuesExact(t *testing.T) {
 	v := core.New(core.WithMode(core.ModeAvoid))
@@ -88,25 +113,28 @@ func TestBFSAndPSScaling(t *testing.T) {
 }
 
 // TestPSShapeFavoursSG: PS is the paper's flagship case for adaptive
-// selection (Table 3: 781 WFG edges vs 6 SG edges). Check that the fixed
-// WFG builds dramatically more edges than the fixed SG, and that adaptive
-// mode never picks the WFG.
+// selection (Table 3: 781 WFG edges vs 6 SG edges). Over every state of a
+// recorded PS run the fixed WFG must build many times the fixed SG's
+// edges, and the adaptive policy must pick the SG every time.
 func TestPSShapeFavoursSG(t *testing.T) {
-	edges := map[deps.Model]float64{}
-	for _, model := range []deps.Model{deps.ModelWFG, deps.ModelSG, deps.ModelAuto} {
-		v := core.New(core.WithMode(core.ModeAvoid), core.WithModel(model))
-		if _, err := RunPS(v, Config{Size: 64}); err != nil {
-			t.Fatal(err)
-		}
-		s := v.Stats()
-		edges[model] = s.AvgEdges()
-		if model == deps.ModelAuto && s.WFGBuilds > 0 {
-			t.Fatalf("adaptive fell back to WFG on PS: %+v", s)
-		}
-		v.Close()
+	muts, err := Program{"PS", RunPS}.Record(core.ModeObserve, 64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if edges[deps.ModelWFG] < 8*edges[deps.ModelSG] {
-		t.Fatalf("PS edge counts do not show the paper's shape: wfg=%.1f sg=%.1f",
-			edges[deps.ModelWFG], edges[deps.ModelSG])
+	st, bd := deps.NewState(), deps.NewBuilder()
+	var wfg, sg int
+	for i := range muts {
+		muts[i].Apply(st)
+		snap := st.Snapshot()
+		wfg += bd.Build(deps.ModelWFG, snap).Graph.NumEdges()
+		sg += bd.Build(deps.ModelSG, snap).Graph.NumEdges()
+		if m := bd.Build(deps.ModelAuto, snap).Model; m != deps.ModelSG {
+			t.Fatalf("mutation %d: adaptive picked %v on a PS state of %d tasks", i, m, len(snap))
+		}
 	}
+	n := float64(len(muts))
+	if sg == 0 || wfg < 8*sg {
+		t.Fatalf("PS edge counts do not show the paper's shape: wfg=%.1f sg=%.1f per check", float64(wfg)/n, float64(sg)/n)
+	}
+	t.Logf("%d checks: wfg=%.1f sg=%.1f edges per check", len(muts), float64(wfg)/n, float64(sg)/n)
 }
