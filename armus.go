@@ -105,7 +105,9 @@ func WithMode(m Mode) Option { return core.WithMode(m) }
 // WithPeriod sets the detection-mode scan period.
 func WithPeriod(d time.Duration) Option { return core.WithPeriod(d) }
 
-// WithOnDeadlock installs the detection-mode report handler.
+// WithOnDeadlock installs the deadlock report handler: the detector's in
+// detection mode, and in avoidance mode the one a Register runs that closes
+// a deadlock no gate saw (see core.WithOnDeadlock).
 func WithOnDeadlock(f func(*DeadlockError)) Option { return core.WithOnDeadlock(f) }
 
 // ClockSource is the injectable ticker source driving the periodic

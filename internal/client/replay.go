@@ -68,7 +68,7 @@ func ReplayTrace(c *Client, tr *trace.Trace, o ReplayOptions) (*ReplayStats, err
 	// engine's own reference is the oracle test in internal/engine.
 	var mirror *engine.Engine
 	if avoid {
-		mirror = engine.New(core.ModeAvoid)
+		mirror = engine.New(true)
 	}
 	checkpoint := func() error {
 		if o.CheckEvery <= 0 || st.Mutations%o.CheckEvery != 0 {

@@ -705,3 +705,125 @@ func benchAdvance(b *testing.B, mode Mode) {
 	}
 	wg.Wait()
 }
+
+// refreshDeadlock builds, in avoidance mode, a deadlock that no gate sees:
+// a blocks on q@1 (impeded by b), b blocks on r@1 (impeded by c), and then
+// c registers the blocked a with r, so that a impedes r@1 as well. The
+// returned release unsticks everything and waits for a and b to return; a
+// test that fails leaves them stuck rather than risk hanging on a runtime
+// lock.
+func refreshDeadlock(t *testing.T, v *Verifier) (a, b, c *Task, q, r *Phaser, release func()) {
+	t.Helper()
+	a, b, c = v.NewTask("a"), v.NewTask("b"), v.NewTask("c")
+	q, r = v.NewPhaser(a), v.NewPhaser(b)
+	if err := q.Register(a, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Register(b, c); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{}, 2)
+	go func() { _ = q.Advance(a); a.Terminate(); done <- struct{}{} }()
+	waitBlocked(t, v, 1)
+	go func() { _ = r.Advance(b); b.Terminate(); done <- struct{}{} }()
+	waitBlocked(t, v, 2)
+	return a, b, c, q, r, func() {
+		a.Terminate()
+		c.Terminate()
+		<-done
+		<-done
+	}
+}
+
+// TestAvoidRefreshDeadlockReported: in avoidance mode a deadlock closed by a
+// third party's Register, around tasks that already passed their gates, is
+// reported by that Register call — not only when some later task happens to
+// pass a gate, and not never.
+func TestAvoidRefreshDeadlockReported(t *testing.T) {
+	reports := make(chan *DeadlockError, 16)
+	v := New(WithMode(ModeAvoid), WithOnDeadlock(func(e *DeadlockError) {
+		select {
+		case reports <- e:
+		default:
+		}
+	}))
+	defer v.Close()
+	a, b, c, _, r, release := refreshDeadlock(t, v)
+	if err := r.Register(c, a); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case e := <-reports:
+		if got := fmt.Sprint(e.Cycle.Tasks); got != fmt.Sprint([]deps.TaskID{a.ID(), b.ID()}) &&
+			got != fmt.Sprint([]deps.TaskID{b.ID(), a.ID()}) {
+			t.Fatalf("reported cycle %v, want a and b", e.Cycle.Tasks)
+		}
+	default:
+		t.Fatalf("Register closed a deadlock (CheckNow: %v) and returned without reporting it", v.CheckNow())
+	}
+	if _, err := r.Arrive(c); err != nil {
+		t.Fatal(err)
+	}
+	if e := v.CheckNow(); e == nil {
+		t.Fatal("CheckNow does not see the deadlock")
+	}
+	if s := v.Stats(); s.Deadlocks != 1 {
+		t.Fatalf("Stats().Deadlocks = %d, want 1", s.Deadlocks)
+	}
+	release()
+}
+
+// TestOnDeadlockHandlerMayUsePhasers: the report is delivered with no
+// phaser, task or verifier lock held, so a handler may read the phasers
+// involved — also when the next task to block is gated on the same phaser.
+func TestOnDeadlockHandlerMayUsePhasers(t *testing.T) {
+	var r *Phaser
+	members := make(chan int, 16)
+	v := New(WithMode(ModeAvoid), WithOnDeadlock(func(e *DeadlockError) {
+		select {
+		case members <- r.NumMembers():
+		default:
+		}
+	}))
+	defer v.Close()
+	a, _, c, _, r0, release := refreshDeadlock(t, v)
+	r = r0
+	if err := r.Register(c, a); err != nil {
+		t.Fatal(err)
+	}
+	// c gates on r next, behind a: the gate admits it, since no cycle passes
+	// through c.
+	go func() { _ = r.Advance(c) }()
+	select {
+	case n := <-members:
+		if n != 3 {
+			t.Fatalf("handler read %d members of r, want 3", n)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("no report within 2 s: the handler is blocked on a lock the runtime holds, or never ran")
+	}
+	release()
+}
+
+// TestCheckNowAfterDirectStateWrites: statuses written through State(),
+// behind the engine's back — the repository benchmark's verifier rung does
+// this — are seen by the next CheckNow, as the cycle they close and as its
+// dissolution.
+func TestCheckNowAfterDirectStateWrites(t *testing.T) {
+	v := New(WithMode(ModeObserve))
+	defer v.Close()
+	a := deps.Blocked{Task: 1, WaitsFor: []deps.Resource{{Phaser: 1, Phase: 1}}, Regs: []deps.Reg{{Phaser: 2, Phase: 0}}}
+	b := deps.Blocked{Task: 2, WaitsFor: []deps.Resource{{Phaser: 2, Phase: 1}}, Regs: []deps.Reg{{Phaser: 1, Phase: 0}}}
+	v.State().SetBlocked(a)
+	if e := v.CheckNow(); e != nil {
+		t.Fatalf("CheckNow() = %v with one task blocked", e)
+	}
+	v.State().SetBlocked(b)
+	if e := v.CheckNow(); e == nil || len(e.Cycle.Tasks) != 2 {
+		t.Fatalf("CheckNow() = %v, want the cycle of tasks 1 and 2", e)
+	}
+	v.State().Clear(b.Task)
+	if e := v.CheckNow(); e != nil {
+		t.Fatalf("CheckNow() = %v after the cycle was cleared", e)
+	}
+}

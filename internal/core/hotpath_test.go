@@ -12,7 +12,7 @@ import (
 // with no cycle (nobody impedes phaser n). Task IDs start at base.
 func chainState(v *Verifier, base int64, n int) {
 	for i := 0; i < n; i++ {
-		v.state.SetBlocked(deps.Blocked{
+		v.State().SetBlocked(deps.Blocked{
 			Task:     deps.TaskID(base + int64(i)),
 			WaitsFor: []deps.Resource{{Phaser: deps.PhaserID(base + int64(i) + 1), Phase: 1}},
 			Regs:     []deps.Reg{{Phaser: deps.PhaserID(base + int64(i)), Phase: 0}},
@@ -47,16 +47,16 @@ func TestAvoidGateZeroAlloc(t *testing.T) {
 	probe := gateProbe(1, n)
 	// Warm up pools, index lists and scratch.
 	for i := 0; i < 10; i++ {
-		if cyc := v.avoidCheck(probe); cyc != nil {
+		if cyc := v.block(probe); cyc != nil {
 			t.Fatalf("false deadlock: %+v", cyc)
 		}
-		v.state.Clear(probe.Task)
+		v.State().Clear(probe.Task)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if cyc := v.avoidCheck(probe); cyc != nil {
+		if cyc := v.block(probe); cyc != nil {
 			t.Fatalf("false deadlock: %+v", cyc)
 		}
-		v.state.Clear(probe.Task)
+		v.State().Clear(probe.Task)
 	})
 	if allocs != 0 {
 		t.Fatalf("avoidance gate allocates %.1f times per check, want 0", allocs)
@@ -82,25 +82,39 @@ func TestCheckNowUnchangedZeroAlloc(t *testing.T) {
 	}
 }
 
+// churnBehind sets and clears probe through State, behind the engine's
+// back, as a resumed task's clear and the benchmark's verifier rung write:
+// the next verdict must scan the whole state.
+func churnBehind(v *Verifier, probe deps.Blocked) {
+	v.State().SetBlocked(probe)
+	v.State().Clear(probe.Task)
+}
+
 // TestFullScanSteadyStateZeroAlloc guards the detection-scan path: with the
-// cycle scratch warm, the index's one-pass search of the whole state — the
-// detect loop's, CheckNow's and the gate's defensive scan — allocates
+// engine's scratch warm, the index's one-pass search of the whole state —
+// what a verdict runs after a write behind the engine's back — allocates
 // nothing.
 func TestFullScanSteadyStateZeroAlloc(t *testing.T) {
 	v := New(WithMode(ModeObserve))
 	defer v.Close()
 	chainState(v, 1, 64)
-	var sc deps.CycleScratch
+	probe := gateProbe(1, 64)
 	for i := 0; i < 10; i++ {
-		if cyc := v.fullScan(&sc); cyc != nil {
-			t.Fatalf("false deadlock: %+v", cyc)
+		churnBehind(v, probe)
+		if e := v.CheckNow(); e != nil {
+			t.Fatalf("false deadlock: %v", e)
 		}
 	}
+	checks := v.Stats().Checks
 	allocs := testing.AllocsPerRun(200, func() {
-		if cyc := v.fullScan(&sc); cyc != nil {
-			t.Fatalf("false deadlock: %+v", cyc)
+		churnBehind(v, probe)
+		if e := v.CheckNow(); e != nil {
+			t.Fatalf("false deadlock: %v", e)
 		}
 	})
+	if got := v.Stats().Checks - checks; got != 201 { // AllocsPerRun runs once more to warm up
+		t.Fatalf("%d searches over 201 verdicts after a write behind the engine's back", got)
+	}
 	if allocs != 0 {
 		t.Fatalf("full scan allocates %.1f times per check, want 0", allocs)
 	}
@@ -122,7 +136,7 @@ func TestAvoidGateStillCatchesCycle(t *testing.T) {
 		WaitsFor: []deps.Resource{{Phaser: deps.PhaserID(1), Phase: 1}},
 		Regs:     []deps.Reg{{Phaser: deps.PhaserID(1 + n), Phase: 0}},
 	}
-	cyc := v.avoidCheck(closer)
+	cyc := v.block(closer)
 	if cyc == nil {
 		t.Fatal("targeted gate missed the cycle closing the chain")
 	}
@@ -135,8 +149,8 @@ func TestAvoidGateStillCatchesCycle(t *testing.T) {
 	if !found {
 		t.Fatalf("cycle %v does not pass through the blocking task", cyc.Tasks)
 	}
-	if v.state.Len() != n {
-		t.Fatalf("refused block not rolled back: %d blocked", v.state.Len())
+	if v.State().Len() != n {
+		t.Fatalf("refused block not rolled back: %d blocked", v.State().Len())
 	}
 }
 
@@ -155,10 +169,10 @@ func BenchmarkHotPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if cyc := v.avoidCheck(probe); cyc != nil {
+			if cyc := v.block(probe); cyc != nil {
 				b.Fatalf("false deadlock: %+v", cyc)
 			}
-			v.state.Clear(probe.Task)
+			v.State().Clear(probe.Task)
 		}
 	})
 	b.Run("avoid-gate/prefilter-64", func(b *testing.B) {
@@ -167,7 +181,7 @@ func BenchmarkHotPath(b *testing.B) {
 		v := New(WithMode(ModeAvoid))
 		defer v.Close()
 		for i := 0; i < n; i++ {
-			v.state.SetBlocked(deps.Blocked{
+			v.State().SetBlocked(deps.Blocked{
 				Task:     deps.TaskID(i + 1),
 				WaitsFor: []deps.Resource{{Phaser: 1, Phase: 1}},
 				Regs:     []deps.Reg{{Phaser: 1, Phase: 1}},
@@ -181,10 +195,10 @@ func BenchmarkHotPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if cyc := v.avoidCheck(probe); cyc != nil {
+			if cyc := v.block(probe); cyc != nil {
 				b.Fatalf("false deadlock: %+v", cyc)
 			}
-			v.state.Clear(probe.Task)
+			v.State().Clear(probe.Task)
 		}
 	})
 	b.Run("checknow-unchanged-64", func(b *testing.B) {
@@ -203,12 +217,13 @@ func BenchmarkHotPath(b *testing.B) {
 		v := New(WithMode(ModeObserve))
 		defer v.Close()
 		chainState(v, 1, n)
-		var sc deps.CycleScratch
+		probe := gateProbe(1, n)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if cyc := v.fullScan(&sc); cyc != nil {
-				b.Fatalf("false deadlock: %+v", cyc)
+			churnBehind(v, probe)
+			if e := v.CheckNow(); e != nil {
+				b.Fatalf("false deadlock: %v", e)
 			}
 		}
 	})
@@ -220,8 +235,8 @@ func BenchmarkHotPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v.state.SetBlocked(probe)
-			v.state.Clear(probe.Task)
+			v.State().SetBlocked(probe)
+			v.State().Clear(probe.Task)
 		}
 	})
 }

@@ -99,8 +99,9 @@ func (v *Verifier) NewPhaser(creator *Task) *Phaser {
 	}
 	p.cond = sync.NewCond(&p.mu)
 	p.mu.Lock()
-	p.addMemberLocked(creator, 0, SigWait)
+	rep := p.addMemberLocked(creator, 0, SigWait)
 	p.mu.Unlock()
+	v.report(rep)
 	return p
 }
 
@@ -109,8 +110,9 @@ func (p *Phaser) ID() deps.PhaserID { return p.id }
 
 // addMemberLocked inserts t at the given phase. Caller holds p.mu; t must
 // not already be a member. Only signal-capable members participate in the
-// min/atMin bookkeeping that gates awaits.
-func (p *Phaser) addMemberLocked(t *Task, phase int64, mode RegMode) {
+// min/atMin bookkeeping that gates awaits. It returns the deadlock that
+// refreshing a blocked t closed, for the caller to report after unlocking.
+func (p *Phaser) addMemberLocked(t *Task, phase int64, mode RegMode) *DeadlockError {
 	// Trace the registration before the membership refresh below so a
 	// recorded refresh (a Block event) never precedes its cause.
 	p.v.traceRegister(t.id, p.id, phase, mode)
@@ -133,39 +135,40 @@ func (p *Phaser) addMemberLocked(t *Task, phase int64, mode RegMode) {
 	p.members[t] = r
 	t.mu.Lock()
 	t.regs = append(t.regs, r)
-	t.refreshBlockedLocked()
+	rep := t.refreshBlockedLocked()
 	t.mu.Unlock()
+	return rep
 }
 
 // removeMemberLocked deletes t's membership and wakes waiters whose await
-// became satisfiable. Caller holds p.mu.
-func (p *Phaser) removeMemberLocked(t *Task) {
+// became satisfiable. Caller holds p.mu. Like addMemberLocked it returns
+// a deadlock its refresh of a blocked t found.
+func (p *Phaser) removeMemberLocked(t *Task) *DeadlockError {
 	r, ok := p.members[t]
 	if !ok {
-		return
+		return nil
 	}
 	p.v.traceDrop(t.id, p.id)
 	delete(p.members, t)
 	t.mu.Lock()
 	t.dropRegLocked(r)
-	t.refreshBlockedLocked()
+	rep := t.refreshBlockedLocked()
 	t.mu.Unlock()
-	if r.mode == WaitOnly {
-		return // never gated anyone; no wake-ups needed
-	}
-	p.signal--
-	if p.signal == 0 {
-		p.atMin = 0
-		p.cond.Broadcast()
-		return
-	}
-	if r.phase.Load() == p.min {
-		p.atMin--
-		if p.atMin == 0 {
-			p.recomputeMinLocked()
+	if r.mode != WaitOnly { // a wait-only member never gated anyone
+		p.signal--
+		switch {
+		case p.signal == 0:
+			p.atMin = 0
 			p.cond.Broadcast()
+		case r.phase.Load() == p.min:
+			p.atMin--
+			if p.atMin == 0 {
+				p.recomputeMinLocked()
+				p.cond.Broadcast()
+			}
 		}
 	}
+	return rep
 }
 
 // recomputeMinLocked recomputes min/atMin over the signal-capable members
@@ -201,6 +204,8 @@ func (p *Phaser) Register(registrar, newcomer *Task) error {
 // WaitOnly consumers never gate an await (and never impede, so they cannot
 // be the target of a dependency edge).
 func (p *Phaser) RegisterMode(registrar, newcomer *Task, mode RegMode) error {
+	var rep *DeadlockError
+	defer func() { p.v.report(rep) }() // after the unlock
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	rr, ok := p.members[registrar]
@@ -210,7 +215,7 @@ func (p *Phaser) RegisterMode(registrar, newcomer *Task, mode RegMode) error {
 	if _, dup := p.members[newcomer]; dup {
 		return ErrAlreadyRegistered
 	}
-	p.addMemberLocked(newcomer, rr.phase.Load(), mode)
+	rep = p.addMemberLocked(newcomer, rr.phase.Load(), mode)
 	return nil
 }
 
@@ -229,12 +234,14 @@ func (p *Phaser) Mode(t *Task) (RegMode, bool) {
 // becomes satisfied are woken: dropping membership is the standard fix for
 // missing-participant deadlocks (§2.1).
 func (p *Phaser) Deregister(t *Task) error {
+	var rep *DeadlockError
+	defer func() { p.v.report(rep) }() // after the unlock
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.members[t]; !ok {
 		return ErrNotRegistered
 	}
-	p.removeMemberLocked(t)
+	rep = p.removeMemberLocked(t)
 	return nil
 }
 
@@ -335,9 +342,8 @@ func (p *Phaser) awaitLocked(t *Task, n int64) error {
 		p.mu.Unlock()
 		return nil
 	}
-	mode := p.v.mode
-	if mode == ModeOff {
-		p.v.stats.blocks.Add(1)
+	if p.v.mode == ModeOff {
+		p.v.blocks.Add(1)
 		for !p.satisfiedLocked(n) {
 			p.cond.Wait()
 		}
@@ -347,22 +353,18 @@ func (p *Phaser) awaitLocked(t *Task, n int64) error {
 	// Assemble the blocked status AFTER any arrival so the registration
 	// vector reflects the task's true (now frozen) phases.
 	b := t.blockedStatusFor(deps.Resource{Phaser: p.id, Phase: n})
-	if mode == ModeAvoid {
-		if cyc := p.v.avoidCheck(b); cyc != nil {
-			t.mu.Lock()
-			t.blockedOn = nil
-			t.mu.Unlock()
-			// Deregister the failing task so other members can proceed —
-			// the paper's avoidance recovery (§2.1).
-			p.removeMemberLocked(t)
-			p.mu.Unlock()
-			return p.v.newDeadlockError(cyc)
-		}
-	} else {
-		p.v.state.SetBlocked(b)
-		p.v.traceBlock(b)
+	if cyc := p.v.block(b); cyc != nil {
+		t.mu.Lock()
+		t.blockedOn = nil
+		t.mu.Unlock()
+		// Deregister the failing task so other members can proceed — the
+		// paper's avoidance recovery (§2.1). t holds no status, so there is
+		// no refresh to report.
+		p.removeMemberLocked(t)
+		p.mu.Unlock()
+		return p.v.newDeadlockError(cyc)
 	}
-	p.v.stats.blocks.Add(1)
+	p.v.blocks.Add(1)
 	for !p.satisfiedLocked(n) {
 		p.cond.Wait()
 	}

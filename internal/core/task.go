@@ -155,29 +155,25 @@ func (t *Task) blockedStatusFor(r deps.Resource) deps.Blocked {
 // clearBlocked removes the task's blocked record. Must be called before
 // the task performs any further phaser mutation — the detector's
 // no-false-positive argument relies on blocked records always describing
-// the task's true (frozen) phase vector.
+// the task's true (frozen) phase vector. It writes the state without the
+// verifier's lock: a clear closes no cycle, and the engine's next verdict
+// accounts for a write it did not make.
 func (t *Task) clearBlocked() {
 	t.mu.Lock()
 	t.blockedOn = nil
 	t.mu.Unlock()
-	t.v.state.Clear(t.id)
+	t.v.State().Clear(t.id)
 	t.v.traceUnblock(t.id)
 }
 
 // refreshBlockedLocked re-publishes the blocked record after a third party
-// changed the task's registration vector while it was blocked. Caller
-// holds t.mu.
-func (t *Task) refreshBlockedLocked() {
+// changed the task's registration vector while it was blocked, and returns
+// the deadlock the new status closed in avoidance mode, which the caller
+// reports after letting go of its locks. Caller holds t.mu.
+func (t *Task) refreshBlockedLocked() *DeadlockError {
 	if t.blockedOn == nil {
-		return
+		return nil
 	}
 	t.refreshBuf = t.rawRegsInto(t.refreshBuf[:0])
-	b := deps.Blocked{Task: t.id, WaitsFor: t.blockedOn, Regs: t.refreshBuf}
-	t.v.state.SetBlocked(b)
-	t.v.traceBlock(b)
-	// The refresh can add impedes edges that no gate will ever see (the
-	// task is already blocked): make the next avoidance gate scan fully.
-	if t.v.mode == ModeAvoid {
-		t.v.fullPending.Store(true)
-	}
+	return t.v.refresh(deps.Blocked{Task: t.id, WaitsFor: t.blockedOn, Regs: t.refreshBuf})
 }

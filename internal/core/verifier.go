@@ -27,6 +27,7 @@ import (
 
 	"armus/internal/clock"
 	"armus/internal/deps"
+	"armus/internal/engine"
 	"armus/internal/trace"
 )
 
@@ -76,25 +77,19 @@ type Verifier struct {
 	period time.Duration
 	clock  clock.Clock
 
-	state *deps.State
-	// checkMu serialises avoidance-mode checks so that two tasks racing
-	// into a deadlock cannot both conclude "no cycle yet".
-	checkMu sync.Mutex
-	// avoidScratch is the avoidance gate's reusable DFS working set,
-	// owned under checkMu, so the gate allocates nothing once warm.
-	avoidScratch deps.CycleScratch
-	// fullPending is set when a third party refreshes the status of an
-	// already-blocked task (new impedes edges can appear without any task
-	// passing the gate); the next gate runs a defensive full scan.
-	fullPending atomic.Bool
-
-	// runMu serialises CheckNow and owns its search scratch and its
-	// version-keyed result cache.
-	runMu          sync.Mutex
-	runScratch     deps.CycleScratch
-	checkedValid   bool
-	checkedVersion uint64
-	checkedErr     *DeadlockError
+	// mu serialises every call into eng: the avoidance gate and the other
+	// modes' block inserts, a third party's refresh of a blocked task, and
+	// every verdict. A resumed task clears its status through eng.State()
+	// without it (Task.clearBlocked), a write the engine accounts for as
+	// made behind its back. lastErr wraps eng's verdict lastCyc, so an
+	// unchanged state answers with the same *DeadlockError; deadlocks counts
+	// the refused blocks and the verdicts that found a deadlock.
+	mu        sync.Mutex
+	eng       *engine.Engine
+	lastCyc   *deps.Cycle
+	lastErr   *DeadlockError
+	deadlocks int64
+	blocks    atomic.Int64 // blocking operations that parked
 
 	onDeadlock func(*DeadlockError)
 
@@ -113,8 +108,6 @@ type Verifier struct {
 
 	namesMu sync.RWMutex
 	names   map[deps.TaskID]string
-
-	stats stats
 
 	detectStop chan struct{}
 	detectDone chan struct{}
@@ -135,8 +128,14 @@ func WithPeriod(d time.Duration) Option { return func(v *Verifier) { v.period = 
 // deterministically instead of sleeping through scan periods.
 func WithClock(c clock.Clock) Option { return func(v *Verifier) { v.clock = c } }
 
-// WithOnDeadlock installs the detection-mode report handler. The default
-// handler logs the report. The handler runs on the detector goroutine.
+// WithOnDeadlock installs the deadlock report handler; the default logs the
+// report. In detection mode the detector goroutine runs it. In avoidance
+// mode a refused block is the blocking call's *DeadlockError, not a report:
+// the handler runs for a deadlock found when a third party's Register (or
+// Deregister) changes the registrations of a task already blocked — which
+// no gate sees — on that caller's goroutine, before the call returns. No
+// phaser, task or verifier lock is held while it runs, so it may call back
+// into the runtime. Observe and off modes never report.
 func WithOnDeadlock(f func(*DeadlockError)) Option {
 	return func(v *Verifier) { v.onDeadlock = f }
 }
@@ -175,12 +174,12 @@ func New(opts ...Option) *Verifier {
 		mode:   ModeDetect,
 		period: DefaultPeriod,
 		clock:  clock.Real{},
-		state:  deps.NewState(),
 		names:  make(map[deps.TaskID]string),
 	}
 	for _, o := range opts {
 		o(v)
 	}
+	v.eng = engine.New(v.mode == ModeAvoid)
 	if v.onDeadlock == nil {
 		v.onDeadlock = func(e *DeadlockError) { log.Printf("armus: %v", e) }
 	}
@@ -200,7 +199,7 @@ func (v *Verifier) Mode() Mode { return v.mode }
 
 // State exposes the resource-dependency state (used by the distributed
 // layer to publish local blocked statuses).
-func (v *Verifier) State() *deps.State { return v.state }
+func (v *Verifier) State() *deps.State { return v.eng.State() }
 
 // TaskName returns the report name registered for id ("" if the task is
 // unnamed or was minted by another verifier). The distributed layer uses it
@@ -277,141 +276,89 @@ func (v *Verifier) traceReported(c *deps.Cycle) {
 	}
 }
 
-// detectLoop is the paper's detection mode: search the blocked statuses
-// every period for a cycle; report deadlocks via the handler. The search is
-// skipped while the state is unchanged, and a given stuck state is
-// reported once.
+// detectLoop is the paper's detection mode: ask for a verdict every period
+// and report a deadlock via the handler. The engine answers an unchanged
+// state from its cache, so a given stuck state is reported once.
 func (v *Verifier) detectLoop() {
 	defer close(v.detectDone)
 	ticker := v.clock.NewTicker(v.period)
 	defer ticker.Stop()
-	var sc deps.CycleScratch
-	var lastVersion uint64
-	var reportedVersion uint64
-	first := true
+	var reported *DeadlockError
 	for {
 		select {
 		case <-v.detectStop:
 			return
 		case <-ticker.C():
 		}
-		ver := v.state.Version()
-		if !first && ver == lastVersion {
-			continue
-		}
-		first = false
-		lastVersion = ver
-		if cyc := v.fullScan(&sc); cyc != nil && ver != reportedVersion {
-			reportedVersion = ver
-			v.stats.deadlocks.Add(1)
-			v.traceReported(cyc)
-			v.onDeadlock(v.newDeadlockError(cyc))
+		if e := v.CheckNow(); e != nil && e != reported {
+			reported = e
+			v.traceReported(e.Cycle)
+			v.onDeadlock(e)
 		}
 	}
-}
-
-// fullScan searches the whole state for a cycle with the index's one-pass
-// search, records the edges it examined and returns the cycle, if any. The
-// caller owns sc, so a steady stream of full scans allocates nothing once
-// warm.
-func (v *Verifier) fullScan(sc *deps.CycleScratch) *deps.Cycle {
-	cyc, edges := v.state.FindCycle(sc)
-	v.recordEdges(int64(edges))
-	return cyc
 }
 
 // CheckNow runs one synchronous deadlock check and returns a *DeadlockError
-// describing the deadlock, or nil. It is safe from any goroutine and is the
-// building block of the distributed checker. The verdict is cached by
-// state version: repeated calls on an unchanged state return the cached
-// result (the same *DeadlockError instance) without re-analysing — or
-// allocating — anything.
+// describing the deadlock, or nil. It is safe from any goroutine. Repeated
+// calls on an unchanged state return the same *DeadlockError instance
+// without re-analysing — or allocating — anything.
 func (v *Verifier) CheckNow() *DeadlockError {
-	v.runMu.Lock()
-	defer v.runMu.Unlock()
-	ver := v.state.Version()
-	if v.checkedValid && ver == v.checkedVersion {
-		return v.checkedErr
-	}
-	var err *DeadlockError
-	if cyc := v.fullScan(&v.runScratch); cyc != nil {
-		err = v.newDeadlockError(cyc)
-		v.stats.deadlocks.Add(1)
-	}
-	v.checkedValid, v.checkedVersion, v.checkedErr = true, ver, err
-	return err
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.verdictLocked()
 }
 
-// avoidCheck is the avoidance-mode gate: with b tentatively inserted in the
-// state, look for a cycle through b.Task. On deadlock the insertion is
-// rolled back and the cycle returned; otherwise b stays recorded (the task
-// will block) and nil is returned. checkMu makes gate decisions atomic.
-//
-// The gate is TARGETED: a cycle created by this block must pass through
-// b.Task, so it runs a DFS from b.Task over the state's incremental phaser
-// index — O(reachable edges), zero allocations once the scratch is warm.
-// Cycles that appear WITHOUT a task passing the gate (a third party
-// registering an already-blocked task) flag a defensive full scan.
-func (v *Verifier) avoidCheck(b deps.Blocked) *deps.Cycle {
-	v.checkMu.Lock()
-	defer v.checkMu.Unlock()
-	v.state.SetBlocked(b)
-	cyc, edges := v.state.CycleThrough(b.Task, &v.avoidScratch)
-	v.recordEdges(int64(edges))
-	if cyc == nil {
-		if v.fullPending.CompareAndSwap(true, false) {
-			// A blocked task's status was refreshed since the last gate:
-			// edges may have appeared elsewhere. Check the whole state.
-			if full := v.fullScan(&v.avoidScratch); full != nil {
-				v.stats.deadlocks.Add(1)
-				// A refresh racing in after the targeted search could in
-				// principle close a cycle through b.Task itself: refuse
-				// the block then, exactly like the direct verdict.
-				if recyc, re := v.state.CycleThrough(b.Task, &v.avoidScratch); recyc != nil {
-					v.recordEdges(int64(re))
-					v.state.Clear(b.Task)
-					v.traceRejected(b, recyc)
-					// A distinct deadlock may persist after the rollback.
-					// full cannot tell: it was found with b inserted, so it
-					// may be b's own (now avoided) cycle. Re-scan the
-					// rolled-back state and report what remains standing.
-					if rest := v.fullScan(&v.avoidScratch); rest != nil {
-						// Two deadlock events on this path — the rejection
-						// and the persisting report — so a second count.
-						v.stats.deadlocks.Add(1)
-						v.traceReported(rest)
-						v.onDeadlock(v.newDeadlockError(rest))
-					}
-					return recyc
-				}
-				// The cycle is elsewhere: report it and let this task
-				// block (it is not part of the deadlock).
-				v.traceReported(full)
-				v.onDeadlock(v.newDeadlockError(full))
-			}
+// verdictLocked asks the engine for its verdict and counts a deadlock it
+// has not answered before. Caller holds v.mu.
+func (v *Verifier) verdictLocked() *DeadlockError {
+	if cyc := v.eng.Check(); cyc != v.lastCyc {
+		v.lastCyc, v.lastErr = cyc, nil
+		if cyc != nil {
+			v.lastErr = v.newDeadlockError(cyc)
+			v.deadlocks++
 		}
-		// The block is accepted: b is (and stays) in the state.
-		v.traceBlock(b)
+	}
+	return v.lastErr
+}
+
+// block publishes the status of a task about to park. In avoidance mode it
+// is the gate: a block that would close a cycle through b.Task is refused,
+// left out of the state, and its cycle returned.
+func (v *Verifier) block(b deps.Blocked) *deps.Cycle {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if cyc := v.eng.Block(b); cyc != nil {
+		v.deadlocks++
+		v.traceRejected(b, cyc)
+		return cyc
+	}
+	v.traceBlock(b)
+	return nil
+}
+
+// refresh re-publishes the status of a task that is already parked, after
+// a third party changed its registrations. No gate sees that insert, so in
+// avoidance mode the state is checked here, and a deadlock it closed is
+// returned for the caller to report once it holds no lock.
+func (v *Verifier) refresh(b deps.Blocked) *DeadlockError {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.eng.Restore(b)
+	v.traceBlock(b)
+	if v.mode != ModeAvoid {
 		return nil
 	}
-	v.state.Clear(b.Task)
-	v.stats.deadlocks.Add(1)
-	v.traceRejected(b, cyc)
-	return cyc
+	e := v.verdictLocked()
+	if e != nil {
+		v.traceReported(e.Cycle)
+	}
+	return e
 }
 
-// recordEdges accounts one search that examined e WFG edges in the
-// check/edge counters.
-func (v *Verifier) recordEdges(e int64) {
-	v.stats.checks.Add(1)
-	if e == 0 {
-		return // the usual gate: the pre-filter rejected, nothing to add
-	}
-	v.stats.totalEdges.Add(e)
-	for max := v.stats.maxEdges.Load(); e > max; max = v.stats.maxEdges.Load() {
-		if v.stats.maxEdges.CompareAndSwap(max, e) {
-			break
-		}
+// report delivers a deadlock found by a refresh. Callers hold no lock.
+func (v *Verifier) report(e *DeadlockError) {
+	if e != nil {
+		v.onDeadlock(e)
 	}
 }
 
@@ -454,19 +401,10 @@ func (e *DeadlockError) Error() string {
 	return msg + "]"
 }
 
-// stats holds the verifier's atomic counters.
-type stats struct {
-	checks     atomic.Int64
-	totalEdges atomic.Int64
-	maxEdges   atomic.Int64
-	deadlocks  atomic.Int64
-	blocks     atomic.Int64
-}
-
 // Stats is a point-in-time copy of the verifier's counters, used by the
 // tests and the repository benchmark's verifier rung.
 type Stats struct {
-	Checks     int64 // cycle searches performed: gates and full scans
+	Checks     int64 // cycle searches the engine ran: gates and verdicts
 	WFGBuilds  int64 // always 0: no verdict path builds a graph
 	SGBuilds   int64 // always 0: no verdict path builds a graph
 	TotalEdges int64 // sum of the WFG edges the searches examined
@@ -485,11 +423,9 @@ func (s Stats) AvgEdges() float64 {
 
 // Stats returns a snapshot of the verifier's counters.
 func (v *Verifier) Stats() Stats {
-	return Stats{
-		Checks:     v.stats.checks.Load(),
-		TotalEdges: v.stats.totalEdges.Load(),
-		MaxEdges:   v.stats.maxEdges.Load(),
-		Deadlocks:  v.stats.deadlocks.Load(),
-		Blocks:     v.stats.blocks.Load(),
-	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	es := v.eng.Stats()
+	return Stats{Checks: es.Searches, TotalEdges: es.Edges, MaxEdges: es.MaxEdges,
+		Deadlocks: v.deadlocks, Blocks: v.blocks.Load()}
 }

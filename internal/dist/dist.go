@@ -230,7 +230,7 @@ func NewSite(id int, addr string, opts ...Option) *Site {
 		mode:      core.ModeObserve,
 		clock:     clock.Real{},
 		client:    store.Dial(addr),
-		merged:    engine.New(core.ModeAvoid),
+		merged:    engine.New(true),
 		localVer:  noVersion,
 		fullEvery: defaultFullEvery,
 	}

@@ -1,7 +1,8 @@
 // Package engine is the one session engine: what a server session, a trace
-// replay, a dist site's merged view and the SDK's parity mirror all do to a
-// resource-dependency state — insert a blocked status (gated or not), clear
-// it, ask "deadlocked now?" — written once.
+// replay, a dist site's merged view, the SDK's parity mirror and the
+// in-process verifier (core.Verifier) all do to a resource-dependency state
+// — insert a blocked status (gated or not), clear it, ask "deadlocked
+// now?" — written once.
 //
 // Definition 4.1 of the paper makes a blocked status a pure function of its
 // task, so the state IS the set of statuses and those three operations are
@@ -10,13 +11,10 @@
 // by its status refresh, which does.
 //
 // An Engine is single-writer: its owner (a session's executor, a replay
-// loop, a site's check round) serialises every call.
+// loop, a site's check round, the verifier's lock) serialises every call.
 package engine
 
-import (
-	"armus/internal/core"
-	"armus/internal/deps"
-)
+import "armus/internal/deps"
 
 // Engine is a dependency state plus its verdict: one mechanism in every
 // mode, the gate's targeted search over the state's incremental index. No
@@ -30,10 +28,17 @@ import (
 // verdict and from nothing else. Block in a mode that does not gate and
 // Restore note their task; a Block the avoidance gate admitted needs no
 // note, the gate has just proved that no cycle passes through it.
+//
+// The state may also be written behind the engine's back, through State:
+// the repository benchmark's verifier and dist rungs do, and core.Verifier
+// clears a resumed task's status without its lock. Such a write is never
+// noted, so Check compares how far the state's version moved with the
+// version steps of the engine's own writes, and scans the whole state when
+// the two differ.
 type Engine struct {
 	st     *deps.State
 	sc     deps.CycleScratch
-	gating bool // core.ModeAvoid: Block is the gate
+	gating bool // Block is the avoidance gate
 
 	// set lists the tasks whose status went in ungated since the last
 	// deadlock-free verdict, repeats included. Once it is longer than the
@@ -42,16 +47,29 @@ type Engine struct {
 	// bounds it, not a constant.
 	set  []deps.TaskID
 	scan bool
+	// own counts the version steps of the engine's own writes since lastVer.
+	own uint64
 	// last is the verdict of the state at version lastVer. The zero value
 	// is the verdict of an empty state at version 0.
 	last    *deps.Cycle
 	lastVer uint64
+
+	stats Stats
 }
 
-// New returns an empty engine. Only core.ModeAvoid gates; every other mode
-// inserts unconditionally.
-func New(mode core.Mode) *Engine {
-	return &Engine{st: deps.NewState(), gating: mode == core.ModeAvoid}
+// Stats counts the searches an engine ran — each gate, and each targeted or
+// whole-state search of a verdict — and the Wait-For-Graph edges they
+// examined.
+type Stats struct {
+	Searches int64
+	Edges    int64 // summed over every search
+	MaxEdges int64 // the most one search examined
+}
+
+// New returns an empty engine. With gating, Block is the avoidance gate;
+// otherwise every insert is unconditional.
+func New(gating bool) *Engine {
+	return &Engine{st: deps.NewState(), gating: gating}
 }
 
 // Block records (or replaces) the blocked status of b.Task. In avoidance
@@ -62,13 +80,14 @@ func New(mode core.Mode) *Engine {
 // insert is unconditional and the result nil.
 func (e *Engine) Block(b deps.Blocked) *deps.Cycle {
 	e.st.SetBlocked(b)
+	e.own++
 	if !e.gating {
 		e.note(b.Task)
 		return nil
 	}
-	cyc, _ := e.st.CycleThrough(b.Task, &e.sc)
+	cyc := e.counted(e.st.CycleThrough(b.Task, &e.sc))
 	if cyc != nil {
-		e.st.Clear(b.Task)
+		e.Unblock(b.Task)
 	}
 	return cyc
 }
@@ -84,29 +103,42 @@ func (e *Engine) note(t deps.TaskID) {
 	}
 }
 
-// Unblock removes the blocked status of t (the task resumed).
-func (e *Engine) Unblock(t deps.TaskID) { e.st.Clear(t) }
+// counted accounts one search in the engine's Stats and passes its cycle on.
+func (e *Engine) counted(cyc *deps.Cycle, edges int) *deps.Cycle {
+	e.stats.Searches++
+	e.stats.Edges += int64(edges)
+	e.stats.MaxEdges = max(e.stats.MaxEdges, int64(edges))
+	return cyc
+}
+
+// Unblock removes the blocked status of t (the task resumed). Clearing a
+// task with no status does not move the state's version.
+func (e *Engine) Unblock(t deps.TaskID) {
+	ver := e.st.Version()
+	e.st.Clear(t)
+	e.own += e.st.Version() - ver
+}
 
 // Check is the "deadlocked now?" verdict: a cycle of the current state, or
 // nil. An unchanged state version returns the previous verdict. After a
-// deadlock verdict the whole state is searched, since the cycle reported
-// may be the one that dissolved; otherwise only from the noted tasks.
+// deadlock verdict, or a write the engine did not make, the whole state is
+// searched; otherwise only from the noted tasks.
 func (e *Engine) Check() *deps.Cycle {
 	ver := e.st.Version()
 	if ver == e.lastVer {
 		return e.last
 	}
 	var cyc *deps.Cycle
-	if e.last != nil || e.scan || len(e.set) > e.st.Len() {
-		cyc, _ = e.st.FindCycle(&e.sc)
+	if e.last != nil || e.scan || len(e.set) > e.st.Len() || ver-e.lastVer != e.own {
+		cyc = e.counted(e.st.FindCycle(&e.sc))
 	} else {
 		for _, t := range e.set {
-			if cyc, _ = e.st.CycleThrough(t, &e.sc); cyc != nil {
+			if cyc = e.counted(e.st.CycleThrough(t, &e.sc)); cyc != nil {
 				break
 			}
 		}
 	}
-	e.set, e.scan = e.set[:0], false
+	e.set, e.scan, e.own = e.set[:0], false, 0
 	e.last, e.lastVer = cyc, ver
 	return cyc
 }
@@ -119,19 +151,25 @@ func (e *Engine) Probe(b deps.Blocked) bool {
 	if !e.gating {
 		cyc = e.Check()
 	}
-	e.st.Clear(b.Task) // a no-op after a refusal
+	e.Unblock(b.Task) // a no-op after a refusal
 	return cyc != nil
 }
 
 // Restore inserts statuses that were admitted before — a stored snapshot's
 // on rehydration, a recorded trace's on replay, a peer site's in a merged
-// view — without gating them again.
+// view, a blocked task's refreshed by a third party — without gating them
+// again.
 func (e *Engine) Restore(snap ...deps.Blocked) {
 	for i := range snap {
 		e.st.SetBlocked(snap[i])
+		e.own++
 		e.note(snap[i].Task)
 	}
 }
 
-// State exposes the dependency state for reading (snapshots, Version, Len).
+// State exposes the dependency state (snapshots, Version, Len, and the
+// writes Check accounts for as made behind the engine's back).
 func (e *Engine) State() *deps.State { return e.st }
+
+// Stats returns the engine's search counters.
+func (e *Engine) Stats() Stats { return e.stats }

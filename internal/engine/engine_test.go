@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"armus/internal/core"
 	"armus/internal/deps"
 	"armus/internal/sim/oracle"
 )
@@ -83,10 +82,10 @@ func TestEngineAgainstOracle(t *testing.T) {
 	if testing.Short() {
 		steps = 2000
 	}
-	for _, mode := range []core.Mode{core.ModeAvoid, core.ModeDetect} {
+	for _, gating := range []bool{true, false} {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			e, m := New(mode), model{}
+			e, m := New(gating), model{}
 			refusals, deadlocked, restores, targeted := 0, 0, 0, 0
 			random := func(tk deps.TaskID) deps.Blocked {
 				b := deps.Blocked{Task: tk, WaitsFor: []deps.Resource{{Phaser: deps.PhaserID(1 + rng.Intn(4)), Phase: int64(1 + rng.Intn(4))}}}
@@ -114,7 +113,7 @@ func TestEngineAgainstOracle(t *testing.T) {
 			for step := 0; step < steps; step++ {
 				fail := func(format string, args ...any) {
 					t.Helper()
-					t.Fatalf("%v seed %d step %d: "+format+"\nstate: %+v", append(append([]any{mode, seed, step}, args...), m)...)
+					t.Fatalf("gating=%v seed %d step %d: "+format+"\nstate: %+v", append(append([]any{gating, seed, step}, args...), m)...)
 				}
 				tk := deps.TaskID(1 + rng.Intn(8))
 				switch op := rng.Intn(16); {
@@ -124,7 +123,7 @@ func TestEngineAgainstOracle(t *testing.T) {
 						b = closing(tk)
 					}
 					tentative := m.with(b)
-					want := mode == core.ModeAvoid && oracle.CycleThrough(tentative.oracle(), int64(tk))
+					want := gating && oracle.CycleThrough(tentative.oracle(), int64(tk))
 					cyc := e.Block(b)
 					if (cyc != nil) != want {
 						fail("Block(%+v) = %v, oracle says refuse=%v", b, cyc, want)
@@ -160,7 +159,7 @@ func TestEngineAgainstOracle(t *testing.T) {
 					b := closing(tk)
 					tentative := m.with(b)
 					want := oracle.CycleThrough(tentative.oracle(), int64(tk))
-					if mode != core.ModeAvoid {
+					if !gating {
 						want = len(oracle.StuckSet(tentative.oracle())) > 0
 					}
 					if got := e.Probe(b); got != want {
@@ -171,7 +170,7 @@ func TestEngineAgainstOracle(t *testing.T) {
 					e.Unblock(tk)
 					delete(m, tk)
 				default: // failover: a fresh engine takes over from a snapshot
-					fresh := New(mode)
+					fresh := New(gating)
 					fresh.Restore(e.State().Snapshot()...)
 					e = fresh
 					restores++
@@ -190,10 +189,36 @@ func TestEngineAgainstOracle(t *testing.T) {
 					}
 				}
 			}
-			if deadlocked == 0 || restores == 0 || targeted == 0 || (mode == core.ModeAvoid) != (refusals > 0) {
-				t.Fatalf("%v seed %d: %d refusals, %d deadlocked steps, %d restores, %d targeted checks: a case was never reached",
-					mode, seed, refusals, deadlocked, restores, targeted)
+			if deadlocked == 0 || restores == 0 || targeted == 0 || gating != (refusals > 0) {
+				t.Fatalf("gating=%v seed %d: %d refusals, %d deadlocked steps, %d restores, %d targeted checks: a case was never reached",
+					gating, seed, refusals, deadlocked, restores, targeted)
 			}
+		}
+	}
+}
+
+// TestCheckAfterWriteBehindEngine: a status written through State, not
+// through the engine, is not noted, yet the next Check must see the cycle it
+// closes — also when the engine noted another task of its own meanwhile, whose
+// targeted search alone would miss the cycle — and then see it dissolve.
+func TestCheckAfterWriteBehindEngine(t *testing.T) {
+	a := deps.Blocked{Task: 1, WaitsFor: []deps.Resource{{Phaser: 1, Phase: 1}}, Regs: []deps.Reg{{Phaser: 2, Phase: 0}}}
+	b := deps.Blocked{Task: 2, WaitsFor: []deps.Resource{{Phaser: 2, Phase: 1}}, Regs: []deps.Reg{{Phaser: 1, Phase: 0}}}
+	c := deps.Blocked{Task: 3, WaitsFor: []deps.Resource{{Phaser: 3, Phase: 1}}}
+	for _, gating := range []bool{true, false} {
+		e := New(gating)
+		e.Restore(a)
+		if cyc := e.Check(); cyc != nil {
+			t.Fatalf("gating=%v: Check() = %v with one task blocked", gating, cyc.Tasks)
+		}
+		e.State().SetBlocked(b)
+		e.Restore(c)
+		if cyc := e.Check(); cyc == nil || !(model{1: a, 2: b}).isCycle(cyc.Tasks) {
+			t.Fatalf("gating=%v: Check() = %v after a write behind the engine closed the cycle [1 2]", gating, cyc)
+		}
+		e.State().Clear(b.Task)
+		if cyc := e.Check(); cyc != nil {
+			t.Fatalf("gating=%v: Check() = %v after a write behind the engine cleared the cycle", gating, cyc.Tasks)
 		}
 	}
 }

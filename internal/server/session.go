@@ -81,7 +81,7 @@ func newSession(s *Server, name string, mode core.Mode, snap []deps.Blocked, sna
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		execDone: make(chan struct{}),
-		eng:      engine.New(mode),
+		eng:      engine.New(mode == core.ModeAvoid),
 		chain:    dist.NewChain(0, snapshotFullEvery, snapSeq),
 	}
 	ss.q.init()

@@ -25,7 +25,9 @@ const (
 	RunModel RunMode = iota
 	// RunAvoid drives a real avoidance-mode verifier in lockstep: the gate
 	// must reject a block exactly when the oracle finds a cycle through
-	// the blocking task, and CheckNow must match the oracle every step.
+	// the blocking task, a deadlock a third-party Register closes must be
+	// reported during that step, and CheckNow must match the oracle every
+	// step.
 	RunAvoid
 	// RunDetect drives a real detection-mode verifier whose scan loop is
 	// stepped by a fake clock: the detector must report at the step a
@@ -603,17 +605,19 @@ func (d *driver) postStep() *Divergence {
 	for _, s := range stuck {
 		stuckSet[int(s)] = true
 	}
+	// A deadlock must be reported by the end of the step it appears at: in
+	// detection mode by the scan just stepped, in avoidance mode — where
+	// only a third party's Register can close one, around tasks already
+	// past their gates — by that Register call.
 	got, div := d.drainReports(stuckSet)
 	if div != nil {
 		return div
 	}
-	if d.mode == RunDetect {
-		if !verdict && got > 0 {
-			return d.fail("detector reported a deadlock, oracle says the state is clean")
-		}
-		if verdict && !d.deadlockSeen && got == 0 {
-			return d.fail("deadlock appeared (stuck=%v) but the detector's scan did not report it", stuck)
-		}
+	if !verdict && got > 0 {
+		return d.fail("a deadlock was reported, oracle says the state is clean")
+	}
+	if verdict && !d.deadlockSeen && got == 0 {
+		return d.fail("deadlock appeared (stuck=%v) but the runtime did not report it", stuck)
 	}
 	if verdict {
 		d.deadlockSeen = true

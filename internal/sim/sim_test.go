@@ -30,15 +30,16 @@ func seedCount(t *testing.T, full int) int {
 
 // TestDifferentialAvoid sweeps seeded schedules through the lockstep
 // avoidance runner: the gate must reject exactly the blocks the oracle
-// says close a cycle through the blocking task, CheckNow must match the
-// oracle verdict after every step, and the runtime state must mirror the
-// model bit-for-bit. Together with TestDifferentialDetect and
+// says close a cycle through the blocking task, a deadlock that a
+// third-party Register closes anyway must be reported in the step it
+// appears, CheckNow must match the oracle verdict after every step, and the
+// runtime state must mirror the model bit-for-bit. Together with TestDifferentialDetect and
 // TestDifferentialDist this is the >= 10,000-schedule differential run of
 // the acceptance criteria.
 func TestDifferentialAvoid(t *testing.T) {
 	t.Parallel()
 	n := seedCount(t, 5000)
-	rejected, untouched := 0, 0
+	rejected, untouched, deadlocked := 0, 0, 0
 	for seed := uint64(1); seed <= uint64(n); seed++ {
 		cfg := shapeFor(seed)
 		r, err := Run(cfg, RunAvoid)
@@ -50,6 +51,13 @@ func TestDifferentialAvoid(t *testing.T) {
 		} else {
 			untouched++
 		}
+		if r.DeadlockStep >= 0 {
+			deadlocked++
+		}
+	}
+	t.Logf("%d of %d schedules deadlocked through a third-party Register, each reported in that step", deadlocked, n)
+	if deadlocked == 0 {
+		t.Fatal("no schedule deadlocked: the report requirement was never exercised")
 	}
 	// Non-vacuity: plenty of schedules where the gate had to refuse a
 	// block, and plenty it let run untouched. (The final state is rarely

@@ -48,7 +48,6 @@ import (
 	"os"
 	"time"
 
-	"armus/internal/core"
 	"armus/internal/deps"
 	"armus/internal/dist"
 	"armus/internal/engine"
@@ -204,9 +203,9 @@ type checker interface {
 func newChecker(p Pipeline, o Options) (checker, error) {
 	switch p {
 	case Avoid:
-		return localEngine{engine.New(core.ModeAvoid)}, nil
+		return localEngine{engine.New(true)}, nil
 	case Detect:
-		return localEngine{engine.New(core.ModeDetect)}, nil
+		return localEngine{engine.New(false)}, nil
 	case Dist:
 		return newDistEngine(o)
 	default:
@@ -403,7 +402,7 @@ type AvoidEngine struct{ e *engine.Engine }
 
 // NewAvoidEngine returns an empty avoidance engine.
 func NewAvoidEngine() *AvoidEngine {
-	return &AvoidEngine{e: engine.New(core.ModeAvoid)}
+	return &AvoidEngine{e: engine.New(true)}
 }
 
 // Gate runs the avoidance gate on b and reports whether the block was

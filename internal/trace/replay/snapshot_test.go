@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"armus/internal/core"
 	"armus/internal/deps"
 	"armus/internal/dist"
 	"armus/internal/engine"
@@ -43,7 +42,7 @@ func TestSnapshotRehydrateParity(t *testing.T) {
 				t.Fatalf("reference replay: %v", err)
 			}
 
-			live := engine.New(core.ModeDetect)
+			live := engine.New(false)
 			// The server's own writer and reader (dist.Chain, DecodeChain)
 			// over the store's two fields. As in the store, a base write
 			// does NOT clear the delta field — the reader must ignore a
@@ -67,7 +66,7 @@ func TestSnapshotRehydrateParity(t *testing.T) {
 			checked := 0
 			check := func() {
 				persist()
-				fresh := engine.New(core.ModeDetect)
+				fresh := engine.New(false)
 				fresh.Restore(rehydrate()...)
 				got := fresh.Check() != nil
 				if want := ref.Verdicts[mut-1]; got != want {

@@ -83,9 +83,9 @@ const (
 	// for it), so the replayer re-validates the rejection by tentatively
 	// inserting Status and re-running the gate query.
 	VerdictRejected VerdictKind = 1
-	// VerdictReported is a deadlock report (detection loop or the
-	// avoidance gate's defensive full scan): Tasks/Resources describe the
-	// reported cycle.
+	// VerdictReported is a deadlock report (detection loop, or an
+	// avoidance-mode refresh of a blocked task): Tasks/Resources describe
+	// the reported cycle.
 	VerdictReported VerdictKind = 2
 )
 
