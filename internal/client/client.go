@@ -176,6 +176,9 @@ type waiter struct {
 type ownedStatus struct {
 	live bool // st is asserted (blocked); otherwise the task is cleared
 	st   deps.Blocked
+	// ord is the block ordinal (Client.blockOrd) of the task's last block
+	// frame, the one st was framed in; 0 before the first.
+	ord uint64
 }
 
 // link is one live connection.
@@ -198,15 +201,21 @@ type Client struct {
 	wake chan struct{}
 
 	mu sync.Mutex
-	// The pending slab: wire frames (trace.AppendEventFrame) of the pendN
-	// events emitted since the writer last swapped, pendVerdicts and
-	// pendBlocks of them verdict and block events (what the server will
-	// answer), and the waiters riding among them. It belongs to no
-	// connection: an un-swapped slab survives a reconnect.
+	// The pending slab: wire frames (trace.AppendEventFrame, or a re-block
+	// from appendBlockLocked) of the pendN events emitted since the writer
+	// last swapped, pendVerdicts and pendBlocks of them verdict and block
+	// events (what the server will answer), and the waiters riding among
+	// them. It belongs to no connection: an un-swapped slab survives a
+	// reconnect.
 	pend                     []byte
 	pendN                    int
 	pendVerdicts, pendBlocks uint64
 	pendWaiters              []*waiter
+	// blockOrd numbers the block frames put on pending slabs, and slabStart
+	// is the number the first of the current slab takes. A slab is
+	// contiguous on whichever connection carries it, so a re-block whose
+	// reference lies in its own slab decodes there (trace.Reblockable).
+	blockOrd, slabStart uint64
 	// space is where emitters wait out a full slab; the swap, Close and a
 	// terminal error release them.
 	space sync.Cond
@@ -550,6 +559,7 @@ func (c *Client) run(l *link) error {
 			clear(c.pendWaiters)
 			c.pendWaiters = c.pendWaiters[:0]
 			c.pend, c.pendN, c.pendVerdicts, c.pendBlocks = spare[:0], 0, 0, 0
+			c.slabStart = c.blockOrd + 1
 			c.space.Broadcast()
 		}
 		c.mu.Unlock()
@@ -734,8 +744,13 @@ func (c *Client) submit(e *trace.Event, wait bool) (*waiter, error) {
 	if err == nil && wait && e.Kind == trace.KindBlock && c.blocks[e.Task] != nil {
 		err = fmt.Errorf("client: concurrent Block for task %d", e.Task)
 	}
+	var o *ownedStatus
 	if err == nil {
-		c.pend, err = trace.AppendEventFrame(c.pend, *e)
+		if e.Kind == trace.KindBlock {
+			o, err = c.appendBlockLocked(e)
+		} else {
+			c.pend, err = trace.AppendEventFrame(c.pend, *e)
+		}
 	}
 	if err != nil {
 		c.mu.Unlock()
@@ -750,8 +765,8 @@ func (c *Client) submit(e *trace.Event, wait bool) (*waiter, error) {
 	switch e.Kind {
 	case trace.KindBlock:
 		c.pendBlocks++
-		o := c.ownedLocked(e.Task)
 		o.live = true
+		o.ord = c.blockOrd
 		o.st.Task = e.Status.Task
 		o.st.WaitsFor = append(o.st.WaitsFor[:0], e.Status.WaitsFor...)
 		o.st.Regs = append(o.st.Regs[:0], e.Status.Regs...)
@@ -786,6 +801,35 @@ func (c *Client) submit(e *trace.Event, wait bool) (*waiter, error) {
 		}
 	}
 	return w, nil
+}
+
+// appendBlockLocked frames the block event e onto the pending slab and
+// returns its task's ledger entry, created on first sight. e goes as a
+// re-block of the task's last block frame when trace.Reblockable allows it
+// — that frame lies in this slab — and the status keeps the frame's
+// phasers in their order; otherwise in full.
+func (c *Client) appendBlockLocked(e *trace.Event) (*ownedStatus, error) {
+	o, next, framed := c.owned[e.Task], c.blockOrd+1, false
+	if o != nil && trace.Reblockable(o.ord, c.slabStart, next) {
+		c.pend, framed = trace.AppendReblockFrame(c.pend, &o.st, &e.Status)
+	}
+	if !framed {
+		var err error
+		if c.pend, err = trace.AppendEventFrame(c.pend, *e); err != nil {
+			return nil, err
+		}
+	}
+	c.blockOrd = next
+	if e.Task != e.Status.Task {
+		// A raw event naming another task than its status: a decoder files
+		// the frame under the status's task, whose entry here it does not
+		// update, so nothing later in this slab may lean on that entry.
+		c.slabStart = next + 1
+	}
+	if o == nil {
+		o = c.ownedLocked(e.Task)
+	}
+	return o, nil
 }
 
 // ownedLocked returns t's ledger entry, creating it on first sight.

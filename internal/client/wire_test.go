@@ -5,65 +5,273 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"armus/internal/client"
 	"armus/internal/core"
+	"armus/internal/deps"
 	"armus/internal/server/proto"
 	"armus/internal/trace"
 )
 
 // TestConnectionIsTraceByteForByte: what one client connection writes —
 // header at Dial, slabs of in-place-encoded frames, sentinel and CRC footer
-// at Close — is, byte for byte, trace.Encode of the same events under the
-// handshake label. Every corpus trace goes through a recording relay into a
-// real server, which must read each connection to a clean, CRC-verified end.
+// at Close — is a trace that decodes, event for event, to what the client
+// was asked to send, under the handshake label, to a clean CRC-verified end.
+// Where no task blocks twice the connection is, byte for byte, trace.Encode
+// of the same events: only a re-block differs from a full frame. Every
+// corpus trace goes through a recording relay into a real server, which must
+// read each connection to a clean, CRC-verified end.
 func TestConnectionIsTraceByteForByte(t *testing.T) {
 	paths, err := filepath.Glob("../../testdata/corpus/*.trace")
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("corpus glob: %v (%d files)", err, len(paths))
 	}
-	s := startServer(t)
+	streams := map[string][]trace.Event{}
 	for _, path := range paths {
 		tr, err := trace.ReadFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		name := filepath.Base(path)
+		streams[filepath.Base(path)] = tr.Events
+	}
+	var once []trace.Event // every task blocks once
+	for task := int64(1); task <= 40; task++ {
+		once = append(once,
+			trace.Event{Kind: trace.KindRegister, Task: deps.TaskID(task), Phaser: 1, Phase: task},
+			trace.Event{Kind: trace.KindBlock, Task: deps.TaskID(task), Status: st(task, 1, task+1, 1, task)},
+			trace.Event{Kind: trace.KindUnblock, Task: deps.TaskID(task)})
+	}
+	streams["block-once"] = once
+	// A raw block event naming another task than its status (a block frame
+	// carries only the status): what follows in the slab must not lean on
+	// the SDK's entry for the status's task, which the event left behind.
+	streams["raw-other-task"] = []trace.Event{
+		{Kind: trace.KindBlock, Task: 1, Status: st(1, 1, 1, 1, 0)},
+		{Kind: trace.KindBlock, Task: 2, Status: st(1, 1, 2, 1, 1)},
+		{Kind: trace.KindBlock, Task: 1, Status: st(1, 1, 3, 1, 2)},
+	}
+
+	s := startServer(t)
+	reblocked := false
+	for name, events := range streams {
 		p := newProxy(t, s.Addr())
 		c, err := client.Dial(client.Config{Addr: p.Addr(), Session: "bytes-" + name, Mode: core.ModeDetect})
 		if err != nil {
 			t.Fatalf("%s: Dial: %v", name, err)
 		}
-		for i := range tr.Events {
-			if err := c.Emit(tr.Events[i]); err != nil {
+		for i := range events {
+			if err := c.Emit(events[i]); err != nil {
 				t.Fatalf("%s: emit %d: %v", name, i, err)
 			}
 		}
 		if err := c.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", name, err)
 		}
-		var want bytes.Buffer
-		if err := trace.Encode(&want, &trace.Trace{
+		want := &trace.Trace{
 			Label:  proto.Handshake{Session: "bytes-" + name}.Label(),
 			Mode:   uint8(core.ModeDetect),
-			Events: tr.Events,
-		}); err != nil {
+			Events: events,
+		}
+		var got *trace.Trace
+		waitUntil(t, func() bool {
+			got, err = trace.Decode(p.Sent(0))
+			return err == nil
+		})
+		for i := range got.Events {
+			if e := &got.Events[i]; e.Kind == trace.KindBlock && i < len(events) {
+				e.Task = events[i].Task // a block frame names only its status's task
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the connection decodes to %d events under %q, the client sent %d under %q",
+				name, len(got.Events), got.Label, len(events), want.Label)
+		}
+		var enc bytes.Buffer
+		if err := trace.Encode(&enc, want); err != nil {
 			t.Fatal(err)
 		}
-		waitUntil(t, func() bool { return len(p.Sent(0)) >= want.Len() })
-		if got := p.Sent(0); !bytes.Equal(got, want.Bytes()) {
+		sent := p.Sent(0)
+		reblocked = reblocked || len(sent) < enc.Len()
+		if name == "block-once" && !bytes.Equal(sent, enc.Bytes()) {
 			t.Errorf("%s: the connection carried %d bytes, trace.Encode of its %d events is %d bytes, and they differ",
-				name, len(got), len(tr.Events), want.Len())
+				name, len(sent), len(events), enc.Len())
 		}
 		if c.Reconnects() != 0 {
 			t.Errorf("%s: %d reconnects on a healthy relay", name, c.Reconnects())
 		}
 	}
+	if !reblocked {
+		t.Error("no corpus connection carried a re-block")
+	}
 	waitUntil(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 	if m := s.Metrics(); m.MalformedConns.Load() != 0 {
 		t.Fatalf("%d connections did not end as valid traces", m.MalformedConns.Load())
+	}
+}
+
+// reblocksOnWire counts the re-block frames among the whole events data holds
+// after a trace header.
+func reblocksOnWire(data []byte) int {
+	r, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return 0
+	}
+	n := 0
+	for e := (trace.Event{}); r.NextInto(&e) == nil; {
+		if r.Ref() != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// pairRound is round r of two tasks on phasers 1 and 2, both registered with
+// both: each blocks awaiting its own phaser at phase r, and in every third
+// round each still lags the other's phaser, so the two deadlock until they
+// unblock. A task's statuses repeat its registrations with phases advanced:
+// the shape a re-block carries.
+func pairRound(r int64, unblock bool) []trace.Event {
+	lag := int64(0)
+	if r%3 == 0 {
+		lag = 1
+	}
+	var out []trace.Event
+	for task := int64(1); task <= 2; task++ {
+		regs := []deps.Reg{{Phaser: 1, Phase: r}, {Phaser: 2, Phase: r}}
+		regs[2-task].Phase -= lag // the other task's phaser
+		out = append(out, trace.Event{Kind: trace.KindBlock, Task: deps.TaskID(task), Status: deps.Blocked{
+			Task: deps.TaskID(task), WaitsFor: []deps.Resource{{Phaser: deps.PhaserID(task), Phase: r}}, Regs: regs}})
+	}
+	if unblock {
+		out = append(out, trace.Event{Kind: trace.KindUnblock, Task: 1}, trace.Event{Kind: trace.KindUnblock, Task: 2})
+	}
+	return out
+}
+
+// TestSeverWithPendingReblocks: the transport dies and, during the outage,
+// rounds of re-blocks pile into the pending slab, leaving the session
+// deadlocked. The slab goes out on the new connection behind the resync
+// head, its re-blocks with it, and every checkpoint — before, right after
+// and past the reconnect — answers what it answers on a connection that
+// never failed.
+func TestSeverWithPendingReblocks(t *testing.T) {
+	s := startServer(t)
+	p := newProxy(t, s.Addr())
+	emit := func(c *client.Client, events []trace.Event) error {
+		for _, e := range events {
+			if err := c.Emit(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var pending []trace.Event
+	for r := int64(4); r <= 9; r++ {
+		pending = append(pending, pairRound(r, r < 9)...) // round 9 stays deadlocked
+	}
+	emitted := make(chan error, 1)
+	c := outage(t, p, client.Config{Session: "sever-reblocks", Mode: core.ModeDetect}, func(c *client.Client) {
+		emitted <- emit(c, pending)
+	})
+	direct, err := client.Dial(client.Config{Addr: s.Addr(), Session: "unsevered-reblocks", Mode: core.ModeDetect})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+
+	var got, want []bool
+	check := func(c *client.Client, into *[]bool) {
+		t.Helper()
+		d, err := c.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		*into = append(*into, d)
+	}
+	for r := int64(1); r <= 3; r++ {
+		for _, cc := range []struct {
+			c    *client.Client
+			into *[]bool
+		}{{c, &got}, {direct, &want}} {
+			if err := emit(cc.c, pairRound(r, false)); err != nil {
+				t.Fatal(err)
+			}
+			check(cc.c, cc.into)
+			if err := emit(cc.c, pairRound(r, true)[2:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	p.Sever()
+	if err := within(t, "pending emits", emitted); err != nil {
+		t.Fatalf("emit during the outage: %v", err)
+	}
+	if err := emit(direct, pending); err != nil {
+		t.Fatal(err)
+	}
+	check(c, &got)
+	check(direct, &want)
+	for r := int64(10); r <= 15; r++ {
+		for _, cc := range []struct {
+			c    *client.Client
+			into *[]bool
+		}{{c, &got}, {direct, &want}} {
+			if err := emit(cc.c, pairRound(r, false)); err != nil {
+				t.Fatal(err)
+			}
+			check(cc.c, cc.into)
+			if err := emit(cc.c, pairRound(r, true)[2:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) || !want[2] || !want[3] || want[4] {
+		t.Fatalf("checkpoints across the sever %v, on a connection that never failed %v", got, want)
+	}
+	if n := c.Reconnects(); n != 1 {
+		t.Fatalf("reconnects = %d, want 1", n)
+	}
+	if n := reblocksOnWire(p.Sent(1)); n < len(pending)/4 {
+		t.Fatalf("the new connection carried %d re-blocks, want the pending slab's", n)
+	}
+}
+
+// TestAvoidSlabsCarryNoReblock: in an avoidance session a task's next block
+// waits for the gate's answer to its last, so the two never share a slab —
+// and a slab holds the whole run a re-block may lean on. However alike its
+// statuses, the connection carries full block frames only.
+func TestAvoidSlabsCarryNoReblock(t *testing.T) {
+	s := startServer(t)
+	p := newProxy(t, s.Addr())
+	c, err := client.Dial(client.Config{Addr: p.Addr(), Session: "avoid-full", Mode: core.ModeAvoid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for r := int64(1); r <= 20; r++ {
+		for _, e := range pairRound(r, true) {
+			if e.Kind != trace.KindBlock {
+				err = c.Emit(e)
+			} else if err = c.Emit(trace.Event{Kind: trace.KindArrive, Task: e.Task, Phaser: 1, Phase: r}); err == nil {
+				// Every third round the second block closes the cycle.
+				var ge *client.GateError
+				if err = c.Block(e.Status); errors.As(err, &ge) && r%3 == 0 && e.Task == 2 {
+					err = nil
+				}
+			}
+			if err != nil {
+				t.Fatalf("round %d: %v", r, err)
+			}
+		}
+	}
+	if d, err := c.Checkpoint(); err != nil || d {
+		t.Fatalf("checkpoint: %v %v", d, err)
+	}
+	if n := reblocksOnWire(p.Sent(0)); n != 0 {
+		t.Fatalf("an avoidance connection carried %d re-blocks", n)
 	}
 }
 

@@ -155,7 +155,8 @@ func (s *Segment) Block(i int) ([]byte, error) {
 
 // Events decodes every event in order, calling fn with the segment-wide
 // ordinal and a reused Event (copy it to retain). Any framing or count
-// mismatch is an error.
+// mismatch is an error. Each block is decoded with a ledger of its own: a
+// re-block's reference never lies in another block.
 func (s *Segment) Events(fn func(ord int64, e *trace.Event) error) error {
 	var e trace.Event
 	ord := int64(0)
@@ -164,13 +165,14 @@ func (s *Segment) Events(fn func(ord int64, e *trace.Event) error) error {
 		if err != nil {
 			return err
 		}
+		var led trace.Ledger
 		n := int64(0)
 		for rest := raw; len(rest) > 0; n++ {
 			var payload []byte
 			if payload, rest, err = trace.NextFrame(rest); err != nil {
 				return fmt.Errorf("segment: %s: block %d: %w", filepath.Base(s.Path), i, err)
 			}
-			if err := trace.DecodeFramePayload(payload, &e); err != nil {
+			if err := led.Decode(payload, &e); err != nil {
 				return fmt.Errorf("segment: %s: block %d: %w", filepath.Base(s.Path), i, err)
 			}
 			if err := fn(ord, &e); err != nil {
@@ -188,7 +190,8 @@ func (s *Segment) Events(fn func(ord int64, e *trace.Event) error) error {
 // EachVerdict decodes only the verdict events, using the index's verdict
 // ordinals to skip blocks (and the decode of non-verdict frames) when
 // the ordinal list is complete; a truncated list falls back to scanning
-// every block.
+// every block. A verdict frame leans on no other frame, so it is decoded
+// alone.
 func (s *Segment) EachVerdict(fn func(ord int64, e *trace.Event) error) error {
 	if s.Index.VerdictsTruncated {
 		return s.Events(func(ord int64, e *trace.Event) error {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"armus/internal/deps"
 	"armus/internal/trace"
 )
 
@@ -55,6 +56,61 @@ func sealedSeed(t testing.TB) ([]byte, *Index) {
 		t.Fatal(err)
 	}
 	return data, refs[0].Index
+}
+
+// reblockSeed is a sealed session whose batches, each a block of its own,
+// hold re-blocks as the tee archives them: a task's first block frame of a
+// batch in full, its later ones as re-blocks of the one before.
+func reblockSeed(t testing.TB) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	w, err := NewWriter(WriterConfig{Dir: dir, Session: "fuzz/reblock", Mode: 2, BlockBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1_700_000_000, 0)
+	for batch := int64(0); batch < 3; batch++ {
+		var frames []byte
+		last := map[deps.TaskID]deps.Blocked{}
+		for i := int64(0); i < 9; i++ {
+			task, phase := deps.TaskID(i%3+1), 3*batch+i/3
+			st := deps.Blocked{Task: task, WaitsFor: []deps.Resource{{Phaser: 1, Phase: phase + 1}},
+				Regs: []deps.Reg{{Phaser: 1, Phase: phase}, {Phaser: 2}, {Phaser: 3}, {Phaser: 4}}}
+			framed := false
+			if ref, ok := last[task]; ok {
+				frames, framed = trace.AppendReblockFrame(frames, &ref, &st)
+			}
+			if !framed {
+				if frames, err = trace.AppendEventFrame(frames, trace.Event{Kind: trace.KindBlock, Task: task, Status: st}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			last[task] = st
+		}
+		if err := w.Append(frames, 9, nil, now.Add(time.Duration(batch)*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Seal(now.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	refs, err := Scan(dir, false, nil)
+	if err != nil || len(refs) != 1 || len(refs[0].Index.Blocks) != 3 {
+		t.Fatalf("re-block seed: %v, %d refs", err, len(refs))
+	}
+	s, err := Open(refs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Events(func(int64, *trace.Event) error { return nil }); err != nil {
+		t.Fatalf("re-block seed: %v", err)
+	}
+	data, err := os.ReadFile(refs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // reseal puts a data region and an index behind the header of a sealed
@@ -157,6 +213,7 @@ func FuzzSegmentReader(f *testing.F) {
 	f.Add(reseal(seed, &garbage, comp.Bytes()))
 
 	f.Add(legacySeed(f, seed, idx))
+	f.Add(reblockSeed(f))
 
 	f.Fuzz(func(t *testing.T, file []byte) {
 		dir := t.TempDir()

@@ -44,12 +44,17 @@ type WriterConfig struct {
 }
 
 // Defaults for WriterConfig; shared with Store and the serve flags.
-// DefaultBlockBytes is the largest stored DEFLATE block: an archive block
-// that does not compress is still one DEFLATE block.
+// DefaultBlockBytes bounds the longest stretch of work the archive does at
+// once: a block is compressed in one call, and where the server shares one
+// CPU a checkpoint that lands behind it waits for all of it. 32 KiB of
+// re-block frames, which parse at two thirds the speed of full frames per
+// byte, take about 0.3 ms on a 2-vCPU VM (EXPERIMENTS.md, "A re-block
+// frame"); a block that does not compress is still one stored DEFLATE
+// block.
 const (
 	DefaultMaxBytes   = 4 << 20
 	DefaultMaxAge     = 5 * time.Minute
-	DefaultBlockBytes = 65535
+	DefaultBlockBytes = 32 << 10
 )
 
 // Writer appends event batches to rotating segment files for a single

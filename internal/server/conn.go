@@ -63,9 +63,11 @@ type conn struct {
 
 	// Tee coalescing (read-loop local): pending archive frames for the
 	// segment store, flushed by size/age after a decoded batch and at
-	// read-loop end (tee.go).
+	// read-loop end (tee.go). teeStart is the block ordinal the pending
+	// batch's first block frame takes.
 	teePending *segment.Batch
 	teeSince   time.Time
+	teeStart   uint64
 
 	subscribe bool
 	slow      atomic.Bool
@@ -195,10 +197,10 @@ func (c *conn) decode(tr *trace.Reader, ss *session, b *batch) error {
 			break
 		}
 		if c.srv.seg != nil {
-			c.teeFrame(ss, tr.Payload(), e.Kind == trace.KindVerdict)
+			c.teeFrame(ss, tr, e)
 		}
 	}
-	c.teeFlushIfDue()
+	c.teeFlushIfDue(tr)
 	return err
 }
 

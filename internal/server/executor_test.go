@@ -52,29 +52,46 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		mode    core.Mode
-		archive bool
-	}{{core.ModeAvoid, false}, {core.ModeDetect, false}, {core.ModeAvoid, true}, {core.ModeDetect, true}} {
+		mode              core.Mode
+		archive, reblocks bool
+	}{
+		{core.ModeAvoid, false, false}, {core.ModeDetect, false, false},
+		{core.ModeAvoid, true, false}, {core.ModeDetect, true, false},
+		{core.ModeDetect, false, true}, {core.ModeDetect, true, true},
+	} {
 		mode := tc.mode
 		name := mode.String()
 		if tc.archive {
 			name += "-archived"
 		}
+		if tc.reblocks {
+			name += "-reblocks"
+		}
 		t.Run(name, func(t *testing.T) {
-			// Pre-encode the wire stream the decode half will consume.
+			// Pre-encode the wire stream the decode half will consume: full
+			// frames, or re-blocks wherever the SDK would send them.
 			var wire bytes.Buffer
 			tw, err := trace.NewWriter(&wire, "alloc", uint8(mode))
 			if err != nil {
 				t.Fatal(err)
 			}
+			var stream []trace.Event
 			for b := 0; b < batches; b++ {
-				for i := range round {
-					if err := tw.WriteEvent(round[i]); err != nil {
-						t.Fatal(err)
+				stream = append(stream, round...)
+			}
+			if tc.reblocks {
+				err = tw.WriteFrames(reblockFrames(t, stream))
+			} else {
+				for i := range stream {
+					if err = tw.WriteEvent(stream[i]); err != nil {
+						break
 					}
 				}
 			}
-			if err := tw.Flush(); err != nil {
+			if err == nil {
+				err = tw.Flush()
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			tr, err := trace.NewReader(bytes.NewReader(wire.Bytes()))

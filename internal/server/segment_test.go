@@ -121,8 +121,22 @@ func TestSegmentArchiveEndToEnd(t *testing.T) {
 // windows long, so that the window slides in the middle of a batch. The
 // archive must read back as the events that were sent, in order, with the
 // index's verdict ordinals on the verdict events, and the export must replay
-// to the verdicts the sent trace replays to.
+// to the verdicts the sent trace replays to. The stream goes once in full
+// frames and once with re-blocks wherever the SDK would send them, long
+// enough to fill more than one archive block: every block must decode on
+// its own, so a re-block whose reference the tee batch does not hold must
+// have been archived in full, and the others as they arrived.
 func TestArchiveHoldsWhatArrived(t *testing.T) {
+	for _, reblocks := range []bool{false, true} {
+		name := "full"
+		if reblocks {
+			name = "reblocks"
+		}
+		t.Run(name, func(t *testing.T) { archiveHoldsWhatArrived(t, reblocks) })
+	}
+}
+
+func archiveHoldsWhatArrived(t *testing.T, reblocks bool) {
 	dir := t.TempDir()
 	s := testServer(t, Config{SegmentDir: dir})
 	const session = "verbatim"
@@ -136,9 +150,19 @@ func TestArchiveHoldsWhatArrived(t *testing.T) {
 		t.Fatal(err)
 	}
 	handshake := wire.Len()
+	var framer sdkFramer
+	fullLen := 0
 	send := func(e trace.Event) {
 		t.Helper()
-		if err := tw.WriteEvent(e); err != nil {
+		frames, err := trace.AppendEventFrame(nil, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullLen += len(frames)
+		if reblocks {
+			frames = framer.append(t, nil, e)
+		}
+		if err := tw.WriteFrames(frames); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,10 +178,11 @@ func TestArchiveHoldsWhatArrived(t *testing.T) {
 	if err := tw.WriteFrames([]byte{3, byte(trace.KindUnblock), 0x8a, 0x00}); err != nil {
 		t.Fatal(err)
 	}
+	fullLen += 4
 	send(checkpoint)
 	// Rounds of two tasks on two phasers; in every eighth they wait for each
 	// other, with a checkpoint while they do and one after.
-	for round := int64(1); wire.Len() < 4*4096; round++ {
+	for round := int64(1); wire.Len() < 72<<10; round++ {
 		a := status(2, []deps.Resource{res(2, round)}, []deps.Reg{reg(2, round), reg(3, round)})
 		b := status(3, []deps.Resource{res(3, round)}, []deps.Reg{reg(2, round), reg(3, round)})
 		if round%8 == 0 {
@@ -238,6 +263,31 @@ func TestArchiveHoldsWhatArrived(t *testing.T) {
 	}
 	if !reflect.DeepEqual(refs[0].Index.VerdictOrdinals, ordinals) {
 		t.Fatalf("index lists verdicts at %v, the events have them at %v", refs[0].Index.VerdictOrdinals, ordinals)
+	}
+	// Every block decodes alone (Events starts each with an empty ledger).
+	sg, err := segment.Open(refs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.Close()
+	var raw int64
+	for _, b := range sg.Index.Blocks {
+		raw += b.RawLen
+	}
+	if len(sg.Index.Blocks) < 2 {
+		t.Fatalf("the archive is %d block(s): no block boundary to decode across", len(sg.Index.Blocks))
+	}
+	if reblocks && raw >= int64(fullLen) {
+		t.Fatalf("the archive holds %d bytes, the events in full frames %d: no re-block kept", raw, fullLen)
+	}
+	err = sg.Events(func(ord int64, e *trace.Event) error {
+		if e.Kind != got.Events[ord].Kind || e.Task != got.Events[ord].Task {
+			t.Fatalf("block-wise event %d is %v, the export's %v", ord, e, got.Events[ord])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("an archive block does not decode on its own: %v", err)
 	}
 
 	want, err := replay.ReplayTrace(sent, replay.Detect, replay.Options{})

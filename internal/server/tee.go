@@ -13,7 +13,10 @@ import (
 // into the durable trace archive (internal/segment) before its batch
 // reaches the session executor, and the server's own verdict transitions
 // (gate rejections, deadlock reports) are appended as verdict
-// annotations — the only frames the server encodes. Both paths end in one
+// annotations. The server encodes nothing else but a re-block whose
+// reference lies outside the pending archive batch: that one is archived
+// as the full block frame it stands for, so that every archive block
+// decodes on its own. Both paths end in one
 // non-blocking channel send; all file I/O happens on the archive's own
 // goroutine, so a slow or full disk can drop archive batches (counted)
 // but can never stall verification.
@@ -32,18 +35,20 @@ const (
 	teeFlushAge   = 100 * time.Millisecond
 )
 
-// teeFrame appends one event frame to the connection's pending archive
-// batch: a length prefix and payload, the payload verbatim. What is
-// archived is exactly what the decoder has just accepted — it rejects
-// trailing bytes, and a varint it accepts in a longer than minimal
-// encoding is read back by the same decoder — so the archive needs no
-// encoder, only the copy: payload is a view into the reader's window. It
-// runs on the connection read loop, before enqueue, so the archive order
+// teeFrame appends the event frame tr has just decoded into e to the
+// connection's pending archive batch: a length prefix and payload, the
+// payload verbatim. What is archived is exactly what the decoder has just
+// accepted — it rejects trailing bytes, and a varint it accepts in a longer
+// than minimal encoding is read back by the same decoder — so the archive
+// needs no encoder, only the copy: the payload is a view into the reader's
+// window. The exception is a re-block whose reference is not in this batch
+// (trace.Reblockable): it is archived as the full frame of e. It runs on
+// the connection read loop, before enqueue, so the archive order
 // is the order this connection's events entered the session — one valid
 // linearization of the merged trace (blocked status is a pure function of
 // the task, Def. 4.1, so per-task order is all that matters and each task
 // arrives on one connection).
-func (c *conn) teeFrame(ss *session, payload []byte, verdict bool) {
+func (c *conn) teeFrame(ss *session, tr *trace.Reader, e *trace.Event) {
 	tb := c.teePending
 	if tb == nil {
 		tb = c.srv.seg.NewBatch()
@@ -52,19 +57,31 @@ func (c *conn) teeFrame(ss *session, payload []byte, verdict bool) {
 		c.teePending = tb
 		c.teeSince = time.Now()
 	}
-	if verdict {
+	if e.Kind == trace.KindVerdict {
 		tb.Verdicts = append(tb.Verdicts, tb.Events)
 	}
-	tb.Frames = binary.AppendUvarint(tb.Frames, uint64(len(payload)))
-	tb.Frames = append(tb.Frames, payload...)
+	if ref := tr.Ref(); ref != 0 && !trace.Reblockable(ref, c.teeStart, tr.Blocks()) {
+		// The reference lies before this batch, which must decode on its
+		// own. (A status too large for any frame is left out.)
+		frames, err := trace.AppendEventFrame(tb.Frames, *e)
+		if err != nil {
+			return
+		}
+		tb.Frames = frames
+	} else {
+		payload := tr.Payload()
+		tb.Frames = binary.AppendUvarint(tb.Frames, uint64(len(payload)))
+		tb.Frames = append(tb.Frames, payload...)
+	}
 	tb.Events++
 }
 
 // teeFlushIfDue hands over the pending archive batch, if there is one and
-// it is full or old.
-func (c *conn) teeFlushIfDue() {
+// it is full or old. The next batch starts with the next frame tr decodes.
+func (c *conn) teeFlushIfDue(tr *trace.Reader) {
 	if tb := c.teePending; tb != nil && (len(tb.Frames) >= teeFlushBytes || time.Since(c.teeSince) >= teeFlushAge) {
 		c.teeFlush()
+		c.teeStart = tr.Blocks() + 1
 	}
 }
 

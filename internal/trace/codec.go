@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -34,10 +35,28 @@ import (
 //	    verdict:  uvarint verdictKind,
 //	              status (rejected only),
 //	              tasks, resources          (the cycle)
+//	    re-block (kind 7): varint task, resources waitsFor,
+//	              uvarint n, then n × (uvarint gap, varint phase delta)
 //	    where status = wire.AppendBlocked, tasks = wire.AppendTasks and
 //	    resources = wire.AppendResources
 //	footer: uvarint 0 (end sentinel), then 4 bytes little-endian CRC-32
 //	    (IEEE) over every preceding byte, magic through sentinel inclusive
+//
+// A re-block is a block frame that leans on the task's previous one: the
+// task blocks again on the registrations of its last block frame (full or
+// re-block; verdict frames do not count) earlier in the same stream — its
+// reference — with the phasers in the reference's order, awaits the
+// resources listed, and the n phases named advanced. Each change names its
+// registration by the gap after the previous change's index (the first
+// counts from -1) and carries the phase's signed difference from the
+// reference. It decodes to an ordinary KindBlock event. Under Def. 4.1 a
+// status is a pure function of its task, and consecutive statuses of one
+// task mostly repeat it: a re-block carries only what moved.
+//
+// Block frames are numbered from 1 in stream order (the block ordinal). A
+// re-block whose reference is missing or reblockWindow or more block frames
+// back is corrupt, whatever a reader may still remember: see Ledger and
+// Reblockable, the one statement of the rule for readers and writers.
 //
 // Varint framing lets a reader skip nothing and trust nothing: a frame
 // length larger than what remains, an item count larger than the frame, an
@@ -159,29 +178,86 @@ func (tw *Writer) WriteEvent(e Event) error {
 // (internal/segment) build slabs of them, and WriteFrames / WriteRawFrames
 // splice a slab into a valid trace.
 func AppendEventFrame(buf []byte, e Event) ([]byte, error) {
-	start := len(buf)
 	// Nearly every frame is shorter than 128 bytes, so its prefix is one
 	// byte: reserve it and encode the payload behind it.
 	payload, err := appendEvent(append(buf, 0), &e)
 	if err != nil {
-		return buf[:start], err
+		return buf, err
 	}
-	n := len(payload) - start - 1
+	return closeFrame(payload, len(buf))
+}
+
+// closeFrame writes the length prefix of the payload that follows the one
+// reserved byte at frames[start].
+func closeFrame(frames []byte, start int) ([]byte, error) {
+	n := len(frames) - start - 1
 	if n < 0x80 {
-		payload[start] = byte(n)
-		return payload, nil
+		frames[start] = byte(n)
+		return frames, nil
 	}
 	if n > maxTraceItems {
-		return buf[:start], fmt.Errorf("trace: frame of %d bytes exceeds limit", n)
+		return frames[:start], fmt.Errorf("trace: frame of %d bytes exceeds limit", n)
 	}
 	// A longer prefix: grow by its extra bytes and shift the payload right
 	// to make room (copy is memmove-safe).
 	var pfx [binary.MaxVarintLen64]byte
 	pl := binary.PutUvarint(pfx[:], uint64(n))
-	payload = append(payload, pfx[1:pl]...)
-	copy(payload[start+pl:], payload[start+1:start+1+n])
-	copy(payload[start:], pfx[:pl])
-	return payload, nil
+	frames = append(frames, pfx[1:pl]...)
+	copy(frames[start+pl:], frames[start+1:start+1+n])
+	copy(frames[start:], pfx[:pl])
+	return frames, nil
+}
+
+// kindReblock is the frame kind of a re-block. It is not an event kind: a
+// decoder expands the frame into a KindBlock event.
+const kindReblock Kind = 7
+
+// reblockWindow is how far back, in block frames, a re-block may reach for
+// its reference, and so a bound on what a decoder must remember.
+const reblockWindow = 128
+
+// Reblockable is the reference rule. A writer may frame a task's next block
+// as a re-block only when the task's last block frame — its reference, with
+// block ordinal ref (0: none) — lies in the self-contained run being written
+// (an SDK slab, an archive batch), whose first block frame would have
+// ordinal start, and fewer than reblockWindow block frames before the new
+// frame's ordinal next.
+func Reblockable(ref, start, next uint64) bool {
+	return ref != 0 && ref >= start && next-ref < reblockWindow
+}
+
+// AppendReblockFrame appends st, framed as a re-block of ref — the status of
+// st's task in its last block frame — and reports true, or appends nothing
+// and reports false when st does not register with ref's phasers in ref's
+// order, the one shape a re-block can carry. The caller has checked
+// Reblockable.
+func AppendReblockFrame(buf []byte, ref, st *deps.Blocked) ([]byte, bool) {
+	if st.Task != ref.Task || len(st.Regs) != len(ref.Regs) {
+		return buf, false
+	}
+	moved := 0
+	for i, r := range st.Regs {
+		if r.Phaser != ref.Regs[i].Phaser {
+			return buf, false
+		}
+		if r.Phase != ref.Regs[i].Phase {
+			moved++
+		}
+	}
+	frames := append(buf, 0, byte(kindReblock))
+	frames = binary.AppendVarint(frames, int64(st.Task))
+	frames = wire.AppendResources(frames, st.WaitsFor)
+	frames = binary.AppendUvarint(frames, uint64(moved))
+	last := -1
+	for i, r := range st.Regs {
+		if r.Phase != ref.Regs[i].Phase {
+			frames = binary.AppendUvarint(frames, uint64(i-last-1))
+			frames = binary.AppendVarint(frames, r.Phase-ref.Regs[i].Phase)
+			last = i
+		}
+	}
+	frames, err := closeFrame(frames, len(buf))
+	return frames, err == nil
 }
 
 // NextFrame splits a run of AppendEventFrame-encoded frames into the first
@@ -202,9 +278,112 @@ func NextFrame(frames []byte) (payload, rest []byte, err error) {
 }
 
 // DecodeFramePayload decodes one event payload (the bytes NextFrame yields)
-// into e, reusing e's slice capacity exactly like Reader.NextInto.
+// into e, reusing e's slice capacity exactly like Reader.NextInto. It keeps
+// no state, so it refuses a re-block, which only its stream can expand (see
+// Ledger).
 func DecodeFramePayload(payload []byte, e *Event) error {
-	return decodeEventInto(payload, e)
+	return decodeEventInto(payload, e, nil)
+}
+
+// Ledger is what a decoder keeps of one stream to expand its re-blocks: per
+// task, the registrations of its last block frame and that frame's block
+// ordinal. Every reblockWindow block frames it forgets the entries that many
+// or more back — no re-block may reach them — so it holds at most
+// 2·reblockWindow tasks, however many the stream names. The zero value is
+// ready for the start of a stream; a stream that failed to decode is over,
+// and so is its ledger.
+type Ledger struct {
+	last map[deps.TaskID]*ledgerEntry
+	free []*ledgerEntry // forgotten entries, for reuse
+	n    uint64         // block frames decoded: the last one's ordinal
+	ref  uint64         // the last frame was a re-block of block frame ref (0: it was not)
+	hit  *ledgerEntry   // the entry a re-block being decoded refers to
+}
+
+type ledgerEntry struct {
+	ord  uint64
+	regs []deps.Reg
+}
+
+// Decode decodes the next event payload of the stream into e, as
+// DecodeFramePayload does, expanding a re-block into the KindBlock event it
+// stands for.
+func (l *Ledger) Decode(payload []byte, e *Event) error {
+	l.ref, l.hit = 0, nil
+	if err := decodeEventInto(payload, e, l); err != nil {
+		l.ref = 0
+		return err
+	}
+	if e.Kind == kindReblock {
+		e.Kind = KindBlock
+	}
+	if e.Kind == KindBlock {
+		l.record(&e.Status)
+	}
+	return nil
+}
+
+// reblockInto reads a re-block's fields after its kind and expands them
+// against the task's entry into e.
+func (l *Ledger) reblockInto(c *wire.Cursor, e *Event) {
+	t := deps.TaskID(c.Varint())
+	e.Task, e.Status.Task = t, t
+	e.Status.WaitsFor = c.ResourcesInto(e.Status.WaitsFor, maxTraceItems)
+	ent := l.last[t]
+	if ent == nil || l.n+1-ent.ord >= reblockWindow {
+		c.Fail(fmt.Errorf("task%d has no block frame among the last %d", t, reblockWindow))
+		return
+	}
+	// The phases advance in the entry itself, which becomes the task's
+	// entry for this frame: one copy, into e.
+	regs := ent.regs
+	moved := c.Uvarint()
+	if moved > uint64(len(regs)) {
+		c.Fail(fmt.Errorf("%d phases advanced of task%d's %d registrations", moved, t, len(regs)))
+		return
+	}
+	for i := -1; moved > 0; moved-- {
+		gap := c.Uvarint()
+		if gap >= uint64(len(regs)-1-i) {
+			c.Fail(fmt.Errorf("registration index past task%d's %d", t, len(regs)))
+			return
+		}
+		i += int(gap) + 1
+		regs[i].Phase += c.Varint()
+	}
+	e.Status.Regs = append(e.Status.Regs[:0], regs...)
+	l.ref, l.hit = ent.ord, ent
+}
+
+// record files a decoded block frame's status as its task's entry (a
+// re-block's is already there), and forgets what has fallen out of reach
+// every reblockWindow block frames.
+func (l *Ledger) record(st *deps.Blocked) {
+	ent := l.hit
+	if ent == nil {
+		if ent = l.last[st.Task]; ent == nil {
+			if k := len(l.free); k > 0 {
+				ent, l.free = l.free[k-1], l.free[:k-1]
+			} else {
+				ent = new(ledgerEntry)
+			}
+			if l.last == nil {
+				l.last = make(map[deps.TaskID]*ledgerEntry)
+			}
+			l.last[st.Task] = ent
+		}
+		ent.regs = append(ent.regs[:0], st.Regs...)
+	}
+	l.n++
+	ent.ord = l.n
+	if l.n%reblockWindow == 0 {
+		for t, old := range l.last {
+			if l.n-old.ord >= reblockWindow {
+				delete(l.last, t)
+				l.free = append(l.free, old)
+			}
+		}
+	}
 }
 
 // WriteFrames writes a slab of frames the caller built with
@@ -341,6 +520,7 @@ type Reader struct {
 	// payload is the event frame NextInto decoded last, where it lies in
 	// the window (Payload).
 	payload []byte
+	led     Ledger
 }
 
 // NewReader checks the magic, reads the header, and returns the event
@@ -439,18 +619,19 @@ func truncated(err error) error {
 	return fmt.Errorf("trace: truncated: %w", err)
 }
 
-// frameLen reads a frame's uvarint length prefix.
+// frameLen reads a frame's uvarint length prefix. Like encoding/binary it
+// refuses a tenth byte above 1: the value would not fit 64 bits.
 func (tr *Reader) frameLen() (uint64, error) {
 	var v uint64
 	for shift := 0; ; shift += 7 {
-		if shift >= 64 {
-			return 0, fmt.Errorf("trace: uvarint overflow")
-		}
 		if err := tr.need(1); err != nil {
 			return 0, truncated(err)
 		}
 		b := tr.buf[tr.r]
 		tr.r++
+		if shift == 63 && b > 1 {
+			return 0, fmt.Errorf("trace: bad frame length prefix")
+		}
 		v |= uint64(b&0x7f) << shift
 		if b < 0x80 {
 			return v, nil
@@ -523,7 +704,7 @@ func (tr *Reader) NextInto(e *Event) error {
 	}
 	payload, err := tr.frame()
 	if err == nil && payload != nil {
-		err = decodeEventInto(payload, e)
+		err = tr.led.Decode(payload, e)
 	}
 	tr.payload = nil
 	if err != nil {
@@ -547,6 +728,16 @@ func (tr *Reader) NextInto(e *Event) error {
 // which is why the view does not include it.
 func (tr *Reader) Payload() []byte { return tr.payload }
 
+// Blocks returns how many block frames, full and re-block, the reader has
+// decoded: the block ordinal of the last one.
+func (tr *Reader) Blocks() uint64 { return tr.led.n }
+
+// Ref returns, when the last frame decoded was a re-block, the block
+// ordinal of its reference, and 0 otherwise. A caller that keeps frames as
+// they arrived (the armus-serve archive tee) asks it whether a re-block
+// still has its reference among what it kept (Reblockable).
+func (tr *Reader) Ref() uint64 { return tr.led.ref }
+
 // Buffered reports how many undecoded bytes sit in the reader's window —
 // the live ingest loop uses it to batch greedily (keep decoding while more
 // frames are already in memory) without ever blocking mid-batch.
@@ -564,9 +755,9 @@ func resetEvent(e *Event) {
 // decodeEventInto decodes one event frame into e, reusing e's slice
 // capacity: a caller feeding a steady stream of same-shaped events through
 // the same Event (the armus-serve ingest loop) allocates nothing once the
-// buffers are warm. On error e is left in an unspecified (but safely
-// reusable) state.
-func decodeEventInto(frame []byte, e *Event) error {
+// buffers are warm. A re-block is read against l, and refused without one.
+// On error e is left in an unspecified (but safely reusable) state.
+func decodeEventInto(frame []byte, e *Event, l *Ledger) error {
 	c := wire.NewCursor(frame)
 	resetEvent(e)
 	e.Kind = Kind(c.Uint8())
@@ -586,6 +777,12 @@ func decodeEventInto(frame []byte, e *Event) error {
 	case KindBlock:
 		c.BlockedInto(&e.Status, maxTraceItems)
 		e.Task = e.Status.Task
+	case kindReblock:
+		if l == nil {
+			c.Fail(errors.New("decodes only in the stream it came in"))
+			break
+		}
+		l.reblockInto(&c, e)
 	case KindUnblock:
 		e.Task = deps.TaskID(c.Varint())
 	case KindVerdict:

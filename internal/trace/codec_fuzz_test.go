@@ -49,6 +49,11 @@ func FuzzTraceCodec(f *testing.F) {
 	f.Add(append([]byte(traceMagic), 0xff, 0xff, 0xff, 0xff, 0x7f)) // huge frame
 	f.Add(mustEncodeFrames(f, [][]byte{aliasUnblock}))              // event kind 261
 	f.Add(mustEncodeFrames(f, [][]byte{aliasReported}))             // verdict kind 258
+	f.Add(streamOf(f, overflowPrefix))                              // a length that wraps
+	f.Add(streamOf(f, reblockFrames(f, meshStream(1), 100)))        // re-blocks
+	for _, c := range reblockRefusals(f) {                          // re-blocks refused by name
+		f.Add(c.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		whole := streamOutcome(data, chunkings[0].wrap)

@@ -68,6 +68,8 @@ func (k Kind) String() string {
 		return "unblock"
 	case KindVerdict:
 		return "verdict"
+	case kindReblock:
+		return "re-block"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

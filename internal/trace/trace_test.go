@@ -119,7 +119,7 @@ func corruptions(t *testing.T) map[string][]byte {
 	flipped[len(flipped)-10] ^= 0x40 // damage an event body, CRC must catch it
 	badCRC := append([]byte(nil), good...)
 	badCRC[len(badCRC)-1] ^= 0xff
-	return map[string][]byte{
+	out := map[string][]byte{
 		"truncated":      good[:len(good)-7],
 		"no_footer":      good[:len(good)-4],
 		"trailing":       append(append([]byte(nil), good...), 0),
@@ -134,6 +134,29 @@ func corruptions(t *testing.T) map[string][]byte {
 		// A kind that does not fit a byte is not the kind it is modulo 256.
 		"kind_alias":         mustEncodeFrames(t, [][]byte{aliasUnblock}),
 		"verdict_kind_alias": mustEncodeFrames(t, [][]byte{aliasReported}),
+		"prefix_overflow":    streamOf(t, overflowPrefix),
+	}
+	for name, c := range reblockRefusals(t) {
+		out[name] = c.data
+	}
+	return out
+}
+
+// overflowPrefix is an unblock frame behind a length prefix of 2 + 2·2⁶³:
+// in 64 bits it wraps to the frame's true length, 2.
+var overflowPrefix = []byte{0x82, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, byte(KindUnblock), 0x02}
+
+// TestFrameLengthOverflowRefused: a frame length prefix whose tenth byte is
+// above 1 does not fit 64 bits; the stream reader refuses it as NextFrame
+// does, instead of taking the wrapped value.
+func TestFrameLengthOverflowRefused(t *testing.T) {
+	if _, _, err := NextFrame(overflowPrefix); err == nil {
+		t.Fatal("NextFrame took the prefix")
+	}
+	for _, c := range chunkings {
+		if got := streamOutcome(streamOf(t, overflowPrefix), c.wrap); !strings.HasSuffix(got, "end: trace: bad frame length prefix") {
+			t.Errorf("%s reader: %s", c.name, tail(got))
+		}
 	}
 }
 
@@ -268,6 +291,7 @@ func TestWriteFuzzSeedCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds["distributed_ids"] = append([]byte(nil), buf.Bytes()...)
+	seeds["reblock_mesh"] = streamOf(t, reblockFrames(t, meshStream(1), 100))
 	for name, data := range corruptions(t) {
 		seeds[name] = data
 	}
