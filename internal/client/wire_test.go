@@ -12,6 +12,8 @@ import (
 	"armus/internal/client"
 	"armus/internal/core"
 	"armus/internal/deps"
+	"armus/internal/segment"
+	"armus/internal/server"
 	"armus/internal/server/proto"
 	"armus/internal/trace"
 )
@@ -242,9 +244,15 @@ func TestSeverWithPendingReblocks(t *testing.T) {
 // TestAvoidSlabsCarryNoReblock: in an avoidance session a task's next block
 // waits for the gate's answer to its last, so the two never share a slab —
 // and a slab holds the whole run a re-block may lean on. However alike its
-// statuses, the connection carries full block frames only.
+// statuses, the connection carries full block frames only. The archive,
+// whose batches span many slabs, holds them as re-blocks all the same.
 func TestAvoidSlabsCarryNoReblock(t *testing.T) {
-	s := startServer(t)
+	dir := t.TempDir()
+	s, err := server.New(server.Config{Addr: "127.0.0.1:0", SegmentDir: dir, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
 	p := newProxy(t, s.Addr())
 	c, err := client.Dial(client.Config{Addr: p.Addr(), Session: "avoid-full", Mode: core.ModeAvoid})
 	if err != nil {
@@ -272,6 +280,20 @@ func TestAvoidSlabsCarryNoReblock(t *testing.T) {
 	}
 	if n := reblocksOnWire(p.Sent(0)); n != 0 {
 		t.Fatalf("an avoidance connection carried %d re-blocks", n)
+	}
+	c.Close()
+	s.Close() // seals the segment
+	var export bytes.Buffer
+	if _, _, err := segment.Stitch(&export, dir, "avoid-full", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.Decode(export.Bytes()); err != nil {
+		t.Fatalf("the export does not decode: %v", err)
+	}
+	// Each task's first block goes in full, and so does one whose reference
+	// an archive batch handed over at its age limit left behind.
+	if n := reblocksOnWire(export.Bytes()); n < 20 {
+		t.Fatalf("the archive holds %d re-blocks of the 40 block frames sent", n)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"armus/internal/leakcheck"
 	"armus/internal/store"
 )
 
@@ -19,9 +20,10 @@ import (
 // allocates per round, which an in-process store would drown in its own.
 const storeChildArg = "armus-dist-test-store"
 
-// TestMain runs the tests — or, started as "<binary> armus-dist-test-store
-// <addr>", serves a store on addr until standard input closes, which it
-// does when the parent test process ends, however it ends.
+// TestMain runs the tests under the goroutine-leak guard — or, started as
+// "<binary> armus-dist-test-store <addr>", serves a store on addr until
+// standard input closes, which it does when the parent test process ends,
+// however it ends.
 func TestMain(m *testing.M) {
 	if len(os.Args) == 3 && os.Args[1] == storeChildArg {
 		srv, err := store.NewServer(os.Args[2])
@@ -33,7 +35,7 @@ func TestMain(m *testing.M) {
 		srv.Close()
 		os.Exit(0)
 	}
-	os.Exit(m.Run())
+	leakcheck.Main(m)
 }
 
 // startStoreProcess runs a store on a unix socket in a child process and

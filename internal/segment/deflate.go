@@ -8,81 +8,46 @@ import (
 )
 
 // The archive's compressor turns one block into one self-contained RFC 1951
-// stream. Its parse is greedy LZ77 that tries the last match distance
-// before a hash lookup, which suits a status stream: consecutive statuses
-// of one task differ only in a few phase varints, so the match after one
-// against the task's previous status is mostly at the same distance, a byte
-// or two on. The hash table keeps positions only and is cleared per block,
-// so no block refers to another. Symbols are counted while tokenising; the
-// block is one final dynamic-Huffman block, or stored blocks when those
-// would not be larger.
+// stream of literals: one final dynamic-Huffman block coded from the block's
+// own byte counts, with no length or distance symbol, or stored blocks when
+// those would not be larger. It looks for no matches. The repetition an
+// LZ77 parse found in a status stream — a task's next status repeating its
+// registrations — is what a re-block frame (internal/trace) already leaves
+// out, and the tee archives every block it can as one; on that stream a
+// match finder saved a sixth of the bytes at 2.3 times the encode time
+// (DESIGN.md, "A compressor shaped to the stream").
 
-// RFC 1951's limits, and the parser's choices within them.
+// RFC 1951's limits, and the code's shape within them.
 const (
-	minMatch    = 4 // the parser's shortest match; DEFLATE's is 3
-	maxMatch    = 258
-	maxDistance = 32768
 	maxStored   = 65535 // the largest stored block
-	maxCodeBits = 15    // longest literal/length and distance code
+	maxCodeBits = 15    // longest literal code
 	maxCLBits   = 7     // longest code-length code
-	hashBits    = 14
-	numLitLen   = 286 // 0..255 literals, 256 end of block, 257..285 lengths
-	numDist     = 30
+	numLit      = 257   // 0..255 literals, 256 end of block
 	endOfBlock  = 256
 )
 
 var (
-	lengthBase  = [29]uint16{3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31, 35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258}
-	lengthExtra = [29]uint8{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0}
-	distBase    = [numDist]uint16{1, 2, 3, 4, 5, 7, 9, 13, 17, 25, 33, 49, 65, 97, 129, 193, 257, 385, 513, 769, 1025, 1537, 2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577}
-	distExtra   = [numDist]uint8{0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13}
 	// clOrder is the order in which a dynamic block header sends the
 	// code-length code's lengths; clExtra, the extra bits of its repeats.
 	clOrder = [19]uint8{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
 	clExtra = [19]uint8{16: 2, 17: 3, 18: 7}
-
-	// lengthCode maps length-3 to its length code (0..28); 258 has code
-	// 28 of its own, not code 27 with every extra bit set.
-	lengthCode = func() (t [256]uint8) {
-		for c := 0; c < 28; c++ {
-			for l := lengthBase[c]; l < lengthBase[c]+1<<lengthExtra[c]; l++ {
-				t[l-3] = uint8(c)
-			}
-		}
-		t[255] = 28
-		return t
-	}()
 )
 
-// distCode maps distance-1 (0..32767) to its distance code (0..29).
-func distCode(d uint32) uint32 {
-	if d < 4 {
-		return d
-	}
-	n := uint32(bits.Len32(d)) - 1 // d's top bit; the code pairs share it
-	return 2*n + d>>(n-1)&1
-}
-
-// blockEncoder is the compressor's state, about 70 KiB plus a 4-byte token
-// per input byte: one per goroutine compressing at a time, from encoders
-// (the Store's tee goroutine is the only one in the server).
+// blockEncoder is the compressor's state, under 6 KiB besides the output:
+// one per goroutine compressing at a time, from encoders (the Store's tee
+// goroutine is the only one in the server).
 type blockEncoder struct {
-	table     [1 << hashBits]uint32 // last position hashed to each slot
-	tokens    []uint32              // a literal byte, or dist<<8 | length-3
-	litFreq   [numLitLen]uint32
-	distFreq  [numDist]uint32
-	litLen    [numLitLen]uint8
-	distLen   [numDist]uint8
-	litCodes  [numLitLen]uint16 // bit-reversed, ready to write LSB first
-	distCodes [numDist]uint16
+	freq  [numLit]uint32
+	lens  [numLit]uint8
+	codes [numLit]uint16 // bit-reversed, ready to write LSB first
 	// the dynamic header's code lengths, run-length coded
-	cgen    [numLitLen + numDist]uint8 // symbol 0..18
-	cgenX   [numLitLen + numDist]uint8 // its extra bits' value
+	cgen    [numLit + 1]uint8 // symbol 0..18
+	cgenX   [numLit + 1]uint8 // its extra bits' value
 	clFreq  [19]uint32
 	clLen   [19]uint8
 	clCodes [19]uint16
-	syms    [numLitLen]uint64 // Huffman scratch: freq<<16 | symbol
-	weights [numLitLen]uint32
+	syms    [numLit]uint64 // Huffman scratch: freq<<16 | symbol
+	weights [numLit]uint32
 	out     []byte
 }
 
@@ -91,19 +56,16 @@ var encoders = sync.Pool{New: func() any { return new(blockEncoder) }}
 // encode compresses src into one self-contained DEFLATE stream. The result
 // is the encoder's own and valid until its next call.
 func (e *blockEncoder) encode(src []byte) []byte {
-	e.tokenize(src)
-	e.huffLengths(e.litFreq[:], e.litLen[:], maxCodeBits)
-	e.huffLengths(e.distFreq[:], e.distLen[:], maxCodeBits)
-	// A header sends code lengths through the last nonzero one.
-	hlit, hdist, hclen := numLitLen, numDist, 19
-	for hlit > 257 && e.litLen[hlit-1] == 0 {
-		hlit--
+	clear(e.freq[:])
+	for _, b := range src {
+		e.freq[b]++
 	}
-	for hdist > 1 && e.distLen[hdist-1] == 0 {
-		hdist--
-	}
-	ncg := e.codegen(hlit, hdist)
+	e.freq[endOfBlock] = 1
+	e.huffLengths(e.freq[:], e.lens[:], maxCodeBits)
+	ncg := e.codegen()
 	e.huffLengths(e.clFreq[:], e.clLen[:], maxCLBits)
+	// A header sends code-length code lengths through the last nonzero one.
+	hclen := 19
 	for hclen > 4 && e.clLen[clOrder[hclen-1]] == 0 {
 		hclen--
 	}
@@ -112,89 +74,14 @@ func (e *blockEncoder) encode(src []byte) []byte {
 	for s, f := range e.clFreq {
 		size += int(f) * int(e.clLen[s]+clExtra[s])
 	}
-	for s, f := range e.litFreq {
-		size += int(f) * int(e.litLen[s])
-	}
-	for c, x := range lengthExtra {
-		size += int(e.litFreq[257+c]) * int(x)
-	}
-	for c, f := range e.distFreq {
-		size += int(f) * int(e.distLen[c]+distExtra[c])
+	for s, f := range e.freq {
+		size += int(f) * int(e.lens[s])
 	}
 	stored := len(src) + 5*max(1, (len(src)+maxStored-1)/maxStored)
 	if (size+7)/8 >= stored {
 		return e.writeStored(src, stored)
 	}
-	return e.writeDynamic(hlit, hdist, hclen, ncg, (size+7)/8)
-}
-
-func load32(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i:]) }
-
-func hash4(u uint32) uint32 { return (u * 0x1e35a7bd) >> (32 - hashBits) }
-
-// tokenize parses src into e.tokens and counts every symbol the tokens
-// will be written as, the end-of-block code included.
-func (e *blockEncoder) tokenize(src []byte) {
-	clear(e.table[:])
-	clear(e.litFreq[:])
-	clear(e.distFreq[:])
-	if cap(e.tokens) < len(src) {
-		e.tokens = make([]uint32, len(src))
-	}
-	toks := e.tokens[:len(src)]
-	nt, lit, rep := 0, 0, 0
-	literals := func(to int) {
-		for _, b := range src[lit:to] {
-			toks[nt] = uint32(b)
-			e.litFreq[b]++
-			nt++
-		}
-	}
-	for i := 0; i+minMatch <= len(src); {
-		cur := load32(src, i)
-		h := hash4(cur)
-		d := rep
-		if d == 0 || load32(src, i-d) != cur {
-			c := int(e.table[h])
-			if d = i - c; d == 0 || d > maxDistance || load32(src, c) != cur {
-				e.table[h] = uint32(i)
-				i++
-				continue
-			}
-		}
-		e.table[h] = uint32(i)
-		n := minMatch + matchLen(src, i+minMatch-d, i+minMatch, min(maxMatch, len(src)-i)-minMatch)
-		for i > lit && i > d && n < maxMatch && src[i-1] == src[i-1-d] {
-			i--
-			n++
-		}
-		literals(i)
-		toks[nt] = uint32(d)<<8 | uint32(n-3)
-		nt++
-		e.litFreq[257+int(lengthCode[n-3])]++
-		e.distFreq[distCode(uint32(d-1))]++
-		rep = d
-		i += n
-		lit = i
-	}
-	literals(len(src))
-	e.litFreq[endOfBlock] = 1
-	e.tokens = toks[:nt]
-}
-
-// matchLen is the length of the common prefix of src[a:] and src[b:], at
-// most limit, with b+limit <= len(src); compared 8 bytes at a time.
-func matchLen(src []byte, a, b, limit int) int {
-	n := 0
-	for ; n+8 <= limit; n += 8 {
-		if x := binary.LittleEndian.Uint64(src[b+n:]) ^ binary.LittleEndian.Uint64(src[a+n:]); x != 0 {
-			return n + bits.TrailingZeros64(x)>>3
-		}
-	}
-	for n < limit && src[a+n] == src[b+n] {
-		n++
-	}
-	return n
+	return e.writeLiterals(src, hclen, ncg, (size+7)/8)
 }
 
 // huffLengths sets lens to the code lengths of a Huffman code for freq
@@ -317,13 +204,14 @@ func canonical(lens []uint8, codes []uint16) {
 	}
 }
 
-// codegen run-length codes the hlit literal/length and hdist distance
-// code lengths, as one sequence, into e.cgen/e.cgenX, counting the symbols
-// in e.clFreq; it returns their count.
-func (e *blockEncoder) codegen(hlit, hdist int) int {
-	var all [numLitLen + numDist]uint8
-	n := copy(all[:], e.litLen[:hlit])
-	n += copy(all[n:], e.distLen[:hdist])
+// codegen run-length codes the header's code lengths — the 257 literal
+// ones, then one distance code of length 0: the block has no distances —
+// into e.cgen/e.cgenX, counting the symbols in e.clFreq; it returns their
+// count.
+func (e *blockEncoder) codegen() int {
+	var all [numLit + 1]uint8
+	copy(all[:], e.lens[:])
+	n := len(all)
 	k := 0
 	clear(e.clFreq[:])
 	emit := func(s, x uint8) {
@@ -377,11 +265,10 @@ func (e *blockEncoder) writeStored(src []byte, size int) []byte {
 	}
 }
 
-// writeDynamic writes the tokens as one final dynamic-Huffman block of
-// size bytes.
-func (e *blockEncoder) writeDynamic(hlit, hdist, hclen, ncg, size int) []byte {
-	canonical(e.litLen[:], e.litCodes[:])
-	canonical(e.distLen[:], e.distCodes[:])
+// writeLiterals writes src as one final dynamic-Huffman block of size
+// bytes, every byte a literal.
+func (e *blockEncoder) writeLiterals(src []byte, hclen, ncg, size int) []byte {
+	canonical(e.lens[:], e.codes[:])
 	canonical(e.clLen[:], e.clCodes[:])
 	if cap(e.out) < size+8 {
 		e.out = make([]byte, size+8)
@@ -400,30 +287,29 @@ func (e *blockEncoder) writeDynamic(hlit, hdist, hclen, ncg, size int) []byte {
 		nacc &= 7
 	}
 	put(1|2<<1, 3) // BFINAL, BTYPE 10: final, dynamic Huffman
-	put(uint64(hlit-257)|uint64(hdist-1)<<5|uint64(hclen-4)<<10, 14)
+	// HLIT and HDIST 0: 257 literal/length codes and one distance code.
+	put(uint64(hclen-4)<<10, 14)
 	for _, s := range clOrder[:hclen] {
 		put(uint64(e.clLen[s]), 3)
 	}
 	for i, s := range e.cgen[:ncg] {
 		put(uint64(e.clCodes[s])|uint64(e.cgenX[i])<<e.clLen[s], uint(e.clLen[s]+clExtra[s]))
 	}
-	for _, t := range e.tokens {
-		if t < 256 {
-			put(uint64(e.litCodes[t]), uint(e.litLen[t]))
-			continue
-		}
-		l, d := t&0xff, t>>8-1
-		lc, dc := lengthCode[l], distCode(d)
-		v, n := uint64(e.litCodes[257+int(lc)]), uint(e.litLen[257+int(lc)])
-		v |= uint64(l+3-uint32(lengthBase[lc])) << n
-		n += uint(lengthExtra[lc])
-		v |= uint64(e.distCodes[dc]) << n
-		n += uint(e.distLen[dc])
-		v |= uint64(d+1-uint32(distBase[dc])) << n
-		n += uint(distExtra[dc])
-		put(v, n)
+	// Three codes of at most 15 bits are one write.
+	codes, lens := &e.codes, &e.lens
+	i := 0
+	for ; i+3 <= len(src); i += 3 {
+		a, b, c := src[i], src[i+1], src[i+2]
+		v, n := uint64(codes[a]), uint(lens[a])
+		v |= uint64(codes[b]) << n
+		n += uint(lens[b])
+		v |= uint64(codes[c]) << n
+		put(v, n+uint(lens[c]))
 	}
-	put(uint64(e.litCodes[endOfBlock]), uint(e.litLen[endOfBlock]))
+	for _, b := range src[i:] {
+		put(uint64(codes[b]), uint(lens[b]))
+	}
+	put(uint64(codes[endOfBlock]), uint(lens[endOfBlock]))
 	if nacc > 0 {
 		pos++
 	}

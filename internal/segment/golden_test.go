@@ -1,10 +1,14 @@
 package segment
 
 import (
+	"bytes"
 	"encoding/hex"
 	"math"
 	"reflect"
 	"testing"
+
+	"armus/internal/trace"
+	"armus/internal/trace/replay"
 )
 
 // goldenIndexHex is the footer index of goldenIndex as appendIndex of the
@@ -39,5 +43,73 @@ func TestGoldenIndex(t *testing.T) {
 	}
 	if !reflect.DeepEqual(idx, goldenIndex()) {
 		t.Fatalf("the index decodes to\n%+v, want\n%+v", idx, goldenIndex())
+	}
+}
+
+// TestLZ77SegmentStillReads: testdata/lz77-mesh-00000001.seg was sealed by
+// this package's encoder before its blocks went literal-only, whose blocks
+// carry LZ77 matches: the Mesh(8,8) stream of meshFrames(1, 8, 8, 4), framed
+// with re-blocks in batches of 64 events, in 4 KiB blocks. Today's reader
+// must scan it, stitch it back to the events it was written from, replay
+// the export and decode it block by block.
+func TestLZ77SegmentStillReads(t *testing.T) {
+	const dir, session = "testdata", "lz77-mesh"
+	warn := func(path string, err error) { t.Errorf("%s: %v", path, err) }
+	refs, err := Scan(dir, false, warn)
+	if err != nil || len(refs) != 1 || refs[0].Index.Session != session {
+		t.Fatalf("Scan: %v, %d segments", err, len(refs))
+	}
+	var export bytes.Buffer
+	if _, _, err := Stitch(&export, dir, session, warn); err != nil {
+		t.Fatal(err)
+	}
+	got, err := trace.Decode(export.Bytes())
+	if err != nil {
+		t.Fatalf("the export does not decode: %v", err)
+	}
+	var want []trace.Event
+	for rest := meshFrames(t, 1, 8, 8, 4); len(rest) > 0; {
+		var payload []byte
+		var e trace.Event
+		if payload, rest, err = trace.NextFrame(rest); err == nil {
+			err = trace.DecodeFramePayload(payload, &e)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, e)
+	}
+	if !reflect.DeepEqual(got.Events, want) {
+		t.Fatalf("the export holds %d events, other than the %d written", len(got.Events), len(want))
+	}
+	if _, err := replay.VerifyAll(got, replay.Options{}); err != nil {
+		t.Fatalf("the export fails replay: %v", err)
+	}
+	sg, err := Open(refs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.Close()
+	n := 0
+	if err := sg.Events(func(ord int64, e *trace.Event) error {
+		if !reflect.DeepEqual(normEvent(e), normEvent(&want[ord])) {
+			t.Fatalf("block-wise event %d is %v, want %v", ord, e, want[ord])
+		}
+		n++
+		return nil
+	}); err != nil || n != len(want) {
+		t.Fatalf("block by block: %v after %d events", err, n)
+	}
+	// The blocks are the LZ77 parse's: a literal-only code of the same
+	// bytes is longer.
+	enc := new(blockEncoder)
+	for i, b := range sg.Index.Blocks {
+		raw, err := sg.Block(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(enc.encode(raw)); int64(n) <= b.CompLen {
+			t.Fatalf("block %d: %d bytes as literals, %d in the file: no matches to read", i, n, b.CompLen)
+		}
 	}
 }

@@ -141,7 +141,7 @@ func legacySeed(t testing.TB, seed []byte, idx *Index) []byte {
 	for i := range legacy.Blocks {
 		b := &legacy.Blocks[i]
 		raw := inflate(t, seed[b.Offset:b.Offset+b.CompLen])
-		cb := bestSpeed(fl, &comp, raw)
+		cb := flateBytes(fl, &comp, raw)
 		b.CompLen, b.CRC = int64(len(cb)), crcIEEE(cb)
 		data = append(data, cb...)
 	}

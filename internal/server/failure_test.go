@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -172,6 +173,39 @@ func TestSlowConsumerDisconnect(t *testing.T) {
 	waitFor(t, func() bool { return c.applied.Load() >= 2 })
 	if got := srv.m.SlowDisconnects.Load(); got != 1 {
 		t.Fatalf("slow disconnect double-counted: %d", got)
+	}
+}
+
+// TestSlowConsumerOverPipeCountedOnce: a peer on an in-memory net.Pipe that
+// sends checkpoints and never reads is disconnected by the slow-consumer
+// policy, which closes the pipe under the read loop. That is one slow
+// disconnect and no malformed stream: the read loop's io.ErrClosedPipe is
+// an abrupt close like any socket's.
+func TestSlowConsumerOverPipeCountedOnce(t *testing.T) {
+	s := testServer(t, Config{QueueLen: 4})
+	var wire bytes.Buffer
+	tw, err := trace.NewWriter(&wire, proto.Handshake{Session: "pipe-slow"}.Label(), uint8(core.ModeDetect))
+	for i := 0; err == nil && i < 64; i++ {
+		err = tw.WriteEvent(trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported})
+	}
+	if err == nil {
+		err = tw.Flush()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, server := net.Pipe()
+	defer peer.Close()
+	s.wg.Add(1)
+	go s.handleConn(server)
+	// Nobody reads peer: the hello blocks the writer and the answers pile
+	// up. The write ends early if the pipe closes under it.
+	peer.Write(wire.Bytes())
+	waitFor(t, func() bool { return s.Metrics().SlowDisconnects.Load() > 0 })
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
+	if m := s.Metrics(); m.SlowDisconnects.Load() != 1 || m.MalformedConns.Load() != 0 {
+		t.Fatalf("%d slow disconnects, %d malformed connections; want 1 and 0",
+			m.SlowDisconnects.Load(), m.MalformedConns.Load())
 	}
 }
 

@@ -114,18 +114,19 @@ func TestSegmentArchiveEndToEnd(t *testing.T) {
 }
 
 // TestArchiveHoldsWhatArrived streams one detection session over a
-// net.Pipe, with the tee on, as bytes written by hand: a status whose task
-// is a varint one byte longer than it need be, a frame long enough for a
-// two-byte length prefix, checkpoints in the middle of batches, a deadlock
-// that forms and dissolves, and all of it in one write several reader
-// windows long, so that the window slides in the middle of a batch. The
-// archive must read back as the events that were sent, in order, with the
-// index's verdict ordinals on the verdict events, and the export must replay
-// to the verdicts the sent trace replays to. The stream goes once in full
-// frames and once with re-blocks wherever the SDK would send them, long
-// enough to fill more than one archive block: every block must decode on
-// its own, so a re-block whose reference the tee batch does not hold must
-// have been archived in full, and the others as they arrived.
+// net.Pipe, with the tee on, as bytes written by hand: an unblock whose task
+// and a block whose phase are varints one byte longer than they need be, a
+// frame long enough for a two-byte length prefix, checkpoints in the middle
+// of batches, a deadlock that forms and dissolves, and all of it in one
+// write several reader windows long, so that the window slides in the
+// middle of a batch. The archive must read back as the events that were
+// sent, in order, with the index's verdict ordinals on the verdict events,
+// and the export must replay to the verdicts the sent trace replays to. The
+// stream goes once in full frames and once with re-blocks wherever the SDK
+// would send them, long enough to fill more than one archive block. Either
+// way the tee archives a block as a re-block wherever its reference lies in
+// its batch, so the archive is smaller than the events in full frames, and
+// in full where it does not, so every block decodes on its own.
 func TestArchiveHoldsWhatArrived(t *testing.T) {
 	for _, reblocks := range []bool{false, true} {
 		name := "full"
@@ -138,7 +139,11 @@ func TestArchiveHoldsWhatArrived(t *testing.T) {
 
 func archiveHoldsWhatArrived(t *testing.T, reblocks bool) {
 	dir := t.TempDir()
-	s := testServer(t, Config{SegmentDir: dir})
+	// The stream carries some 450 checkpoints, and net.Pipe delivers their
+	// answers only as fast as the discarding reader runs: a queue longer
+	// than that keeps the slow-consumer policy, which is not under test
+	// here, from closing the pipe.
+	s := testServer(t, Config{SegmentDir: dir, QueueLen: 1 << 12})
 	const session = "verbatim"
 
 	var wire bytes.Buffer
@@ -179,6 +184,19 @@ func archiveHoldsWhatArrived(t *testing.T, reblocks bool) {
 		t.Fatal(err)
 	}
 	fullLen += 4
+	// Task 6 blocks twice on phasers 4 and 5, the second frame spelling its
+	// phase of phaser 4 (zig-zag 4) as 0x84 0x00. The tee archives it as a
+	// re-block of the first, which must decode to the event that was sent.
+	for _, frame := range [][]byte{
+		{10, byte(trace.KindBlock), 12, 1, 8, 2, 2, 8, 2, 10, 0},
+		{11, byte(trace.KindBlock), 12, 1, 8, 4, 2, 8, 0x84, 0x00, 10, 0},
+	} {
+		if err := tw.WriteFrames(frame); err != nil {
+			t.Fatal(err)
+		}
+		fullLen += len(frame)
+	}
+	framer.ord += 2 // the framer numbers block frames as the stream does
 	send(checkpoint)
 	// Rounds of two tasks on two phasers; in every eighth they wait for each
 	// other, with a checkpoint while they do and one after.
@@ -209,6 +227,9 @@ func archiveHoldsWhatArrived(t *testing.T, reblocks bool) {
 	if sent.Events[1].Kind != trace.KindUnblock || sent.Events[1].Task != 5 {
 		t.Fatalf("the long varint decodes to %v", sent.Events[1])
 	}
+	if e := sent.Events[3]; e.Task != 6 || len(e.Status.Regs) != 2 || e.Status.Regs[0].Phase != 2 {
+		t.Fatalf("the long phase varint decodes to %v", e)
+	}
 
 	client, server := net.Pipe()
 	s.wg.Add(1)
@@ -223,8 +244,8 @@ func archiveHoldsWhatArrived(t *testing.T, reblocks bool) {
 	}
 	client.Close()
 	s.Close() // waits for the connection, seals the segment
-	if n := s.Metrics().MalformedConns.Load(); n != 0 {
-		t.Fatalf("%d connections refused as malformed", n)
+	if m := s.Metrics(); m.MalformedConns.Load() != 0 || m.SlowDisconnects.Load() != 0 {
+		t.Fatalf("%d connections refused as malformed, %d as slow", m.MalformedConns.Load(), m.SlowDisconnects.Load())
 	}
 
 	var export bytes.Buffer
@@ -277,8 +298,8 @@ func archiveHoldsWhatArrived(t *testing.T, reblocks bool) {
 	if len(sg.Index.Blocks) < 2 {
 		t.Fatalf("the archive is %d block(s): no block boundary to decode across", len(sg.Index.Blocks))
 	}
-	if reblocks && raw >= int64(fullLen) {
-		t.Fatalf("the archive holds %d bytes, the events in full frames %d: no re-block kept", raw, fullLen)
+	if raw >= int64(fullLen) {
+		t.Fatalf("the archive holds %d bytes, the events in full frames %d: no re-block archived", raw, fullLen)
 	}
 	err = sg.Events(func(ord int64, e *trace.Event) error {
 		if e.Kind != got.Events[ord].Kind || e.Task != got.Events[ord].Task {

@@ -521,9 +521,10 @@ func (s *Server) Close() {
 
 // isAbruptClose classifies a read-loop error: a peer that vanished
 // mid-stream (crash, reset, our own Close) versus a stream that violated
-// the trace framing (malformed input).
+// the trace framing (malformed input). An in-memory net.Pipe closed under
+// the reader reports io.ErrClosedPipe, not wrapped in a net.OpError.
 func isAbruptClose(err error) bool {
-	if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
+	if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) {
 		return true
 	}
 	var ne net.Error

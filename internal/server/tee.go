@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"time"
 
 	"armus/internal/deps"
@@ -9,15 +8,13 @@ import (
 )
 
 // tee.go is the archive half of ingestion. When Config.SegmentDir is
-// set, every event frame a read loop accepts is copied, as it arrived,
-// into the durable trace archive (internal/segment) before its batch
-// reaches the session executor, and the server's own verdict transitions
-// (gate rejections, deadlock reports) are appended as verdict
-// annotations. The server encodes nothing else but a re-block whose
-// reference lies outside the pending archive batch: that one is archived
-// as the full block frame it stands for, so that every archive block
-// decodes on its own. Both paths end in one
-// non-blocking channel send; all file I/O happens on the archive's own
+// set, every event frame a read loop accepts is appended to the durable
+// trace archive (internal/segment) before its batch reaches the session
+// executor — a block frame framed against the pending archive batch, so
+// that every archive block decodes on its own, anything else as it
+// arrived — and the server's own verdict transitions (gate rejections,
+// deadlock reports) are appended as verdict annotations. Both paths end in
+// one non-blocking channel send; all file I/O happens on the archive's own
 // goroutine, so a slow or full disk can drop archive batches (counted)
 // but can never stall verification.
 
@@ -36,18 +33,15 @@ const (
 )
 
 // teeFrame appends the event frame tr has just decoded into e to the
-// connection's pending archive batch: a length prefix and payload, the
-// payload verbatim. What is archived is exactly what the decoder has just
-// accepted — it rejects trailing bytes, and a varint it accepts in a longer
-// than minimal encoding is read back by the same decoder — so the archive
-// needs no encoder, only the copy: the payload is a view into the reader's
-// window. The exception is a re-block whose reference is not in this batch
-// (trace.Reblockable): it is archived as the full frame of e. It runs on
-// the connection read loop, before enqueue, so the archive order
-// is the order this connection's events entered the session — one valid
-// linearization of the merged trace (blocked status is a pure function of
-// the task, Def. 4.1, so per-task order is all that matters and each task
-// arrives on one connection).
+// connection's pending archive batch, framed by trace.Reader.AppendArchived:
+// a block frame goes as a re-block wherever its reference lies in the
+// batch, and in full where it does not, so the batch decodes on its own and
+// is as dense as a re-block stream whoever sent it; every other frame is
+// copied as the decoder accepted it. It runs on the connection read loop,
+// before enqueue, so the archive order is the order this connection's
+// events entered the session — one valid linearization of the merged trace
+// (blocked status is a pure function of the task, Def. 4.1, so per-task
+// order is all that matters and each task arrives on one connection).
 func (c *conn) teeFrame(ss *session, tr *trace.Reader, e *trace.Event) {
 	tb := c.teePending
 	if tb == nil {
@@ -57,22 +51,14 @@ func (c *conn) teeFrame(ss *session, tr *trace.Reader, e *trace.Event) {
 		c.teePending = tb
 		c.teeSince = time.Now()
 	}
+	frames, err := tr.AppendArchived(tb.Frames, c.teeStart)
+	if err != nil {
+		return // a status too large for any frame is left out
+	}
 	if e.Kind == trace.KindVerdict {
 		tb.Verdicts = append(tb.Verdicts, tb.Events)
 	}
-	if ref := tr.Ref(); ref != 0 && !trace.Reblockable(ref, c.teeStart, tr.Blocks()) {
-		// The reference lies before this batch, which must decode on its
-		// own. (A status too large for any frame is left out.)
-		frames, err := trace.AppendEventFrame(tb.Frames, *e)
-		if err != nil {
-			return
-		}
-		tb.Frames = frames
-	} else {
-		payload := tr.Payload()
-		tb.Frames = binary.AppendUvarint(tb.Frames, uint64(len(payload)))
-		tb.Frames = append(tb.Frames, payload...)
-	}
+	tb.Frames = frames
 	tb.Events++
 }
 

@@ -298,6 +298,13 @@ type Ledger struct {
 	n    uint64         // block frames decoded: the last one's ordinal
 	ref  uint64         // the last frame was a re-block of block frame ref (0: it was not)
 	hit  *ledgerEntry   // the entry a re-block being decoded refers to
+	// When the last frame was a full block frame of a task with an entry,
+	// prev is the ordinal of the task's block frame before it and prevRegs
+	// that frame's registrations: the entry's slice, swapped out for this
+	// scratch one rather than overwritten, so an archive can frame the full
+	// frame as a re-block (Reader.AppendArchived).
+	prev     uint64
+	prevRegs []deps.Reg
 }
 
 type ledgerEntry struct {
@@ -309,7 +316,7 @@ type ledgerEntry struct {
 // DecodeFramePayload does, expanding a re-block into the KindBlock event it
 // stands for.
 func (l *Ledger) Decode(payload []byte, e *Event) error {
-	l.ref, l.hit = 0, nil
+	l.ref, l.hit, l.prev = 0, nil, 0
 	if err := decodeEventInto(payload, e, l); err != nil {
 		l.ref = 0
 		return err
@@ -361,7 +368,10 @@ func (l *Ledger) reblockInto(c *wire.Cursor, e *Event) {
 func (l *Ledger) record(st *deps.Blocked) {
 	ent := l.hit
 	if ent == nil {
-		if ent = l.last[st.Task]; ent == nil {
+		if ent = l.last[st.Task]; ent != nil {
+			l.prev = ent.ord
+			l.prevRegs, ent.regs = ent.regs, append(l.prevRegs[:0], st.Regs...)
+		} else {
 			if k := len(l.free); k > 0 {
 				ent, l.free = l.free[k-1], l.free[:k-1]
 			} else {
@@ -371,8 +381,8 @@ func (l *Ledger) record(st *deps.Blocked) {
 				l.last = make(map[deps.TaskID]*ledgerEntry)
 			}
 			l.last[st.Task] = ent
+			ent.regs = append(ent.regs[:0], st.Regs...)
 		}
-		ent.regs = append(ent.regs[:0], st.Regs...)
 	}
 	l.n++
 	ent.ord = l.n
@@ -518,8 +528,9 @@ type Reader struct {
 	done          bool
 	err           error
 	// payload is the event frame NextInto decoded last, where it lies in
-	// the window (Payload).
+	// the window, and ev the event it decoded it into (AppendArchived).
 	payload []byte
+	ev      *Event
 	led     Ledger
 }
 
@@ -706,7 +717,7 @@ func (tr *Reader) NextInto(e *Event) error {
 	if err == nil && payload != nil {
 		err = tr.led.Decode(payload, e)
 	}
-	tr.payload = nil
+	tr.payload, tr.ev = nil, nil
 	if err != nil {
 		tr.err = err
 		return err
@@ -715,27 +726,45 @@ func (tr *Reader) NextInto(e *Event) error {
 		tr.done = true
 		return io.EOF
 	}
-	tr.payload = payload
+	tr.payload, tr.ev = payload, e
 	return nil
 }
 
-// Payload returns the payload of the event frame the last successful
-// NextInto (or Next) decoded — the bytes decodeEventInto accepted, without
-// their length prefix — as a view into the reader's window, valid until the
-// next read; nil otherwise. A caller that keeps a frame as it arrived (the
-// armus-serve archive tee) copies it out before reading on: the next read
-// may slide the window, and by then the prefix may already have slid out,
-// which is why the view does not include it.
-func (tr *Reader) Payload() []byte { return tr.payload }
+// AppendArchived appends the frame the last successful NextInto decoded to
+// buf, framed for an archive batch — a run that must decode on its own, with
+// an empty Ledger — whose first block frame takes block ordinal start:
+//   - a re-block whose reference lies before start, as the full block frame
+//     it stands for;
+//   - a full block frame whose task's previous block frame lies in the batch
+//     (Reblockable), with the same phasers in the same order, as a re-block
+//     of that frame;
+//   - anything else verbatim, as the decoder accepted it.
+//
+// Either way the batch decodes to the events the stream did, however its
+// sender framed them. The frame is read where it lies in the reader's
+// window, so call this before the next read. It fails, appending nothing,
+// only for a status too large for any frame.
+func (tr *Reader) AppendArchived(buf []byte, start uint64) ([]byte, error) {
+	l := &tr.led
+	switch {
+	case l.ref != 0 && !Reblockable(l.ref, start, l.n):
+		return AppendEventFrame(buf, *tr.ev)
+	case l.prev != 0 && Reblockable(l.prev, start, l.n):
+		ref := deps.Blocked{Task: tr.ev.Status.Task, Regs: l.prevRegs}
+		if out, ok := AppendReblockFrame(buf, &ref, &tr.ev.Status); ok {
+			return out, nil
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(tr.payload)))
+	return append(buf, tr.payload...), nil
+}
 
 // Blocks returns how many block frames, full and re-block, the reader has
 // decoded: the block ordinal of the last one.
 func (tr *Reader) Blocks() uint64 { return tr.led.n }
 
 // Ref returns, when the last frame decoded was a re-block, the block
-// ordinal of its reference, and 0 otherwise. A caller that keeps frames as
-// they arrived (the armus-serve archive tee) asks it whether a re-block
-// still has its reference among what it kept (Reblockable).
+// ordinal of its reference, and 0 otherwise.
 func (tr *Reader) Ref() uint64 { return tr.led.ref }
 
 // Buffered reports how many undecoded bytes sit in the reader's window —

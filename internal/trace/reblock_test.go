@@ -323,6 +323,95 @@ func TestReblockRefusedByName(t *testing.T) {
 	}
 }
 
+// archive cuts what r reads of data into batches of batch events, each
+// framed with AppendArchived from the block ordinal its first block frame
+// takes, and returns them.
+func archive(t *testing.T, data []byte, batch int) [][]byte {
+	t.Helper()
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	var e Event
+	var start uint64
+	for i := 0; ; i++ {
+		next := r.Blocks() + 1
+		if err := r.NextInto(&e); err == io.EOF {
+			return out
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if i%batch == 0 {
+			out, start = append(out, nil), next
+		}
+		if out[len(out)-1], err = r.AppendArchived(out[len(out)-1], start); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAppendArchived: a Mesh stream sent in full frames, in re-blocks of
+// small SDK slabs and in re-blocks of large ones, archived in batches of
+// several sizes: every batch decodes on its own to the events that were
+// sent, and the archive is as dense as the re-block stream whoever sent it
+// — a block goes as a re-block wherever its reference lies in the batch.
+func TestAppendArchived(t *testing.T) {
+	events := meshStream(4)
+	var dense int
+	for _, slab := range []int{len(events), 1, 7} {
+		data := streamOf(t, reblockFrames(t, events, slab))
+		for _, batch := range []int{1, 7, 300, len(events)} {
+			size, i := 0, 0
+			for _, frames := range archive(t, data, batch) {
+				size += len(frames)
+				var led Ledger
+				var e Event
+				for rest := frames; len(rest) > 0; i++ {
+					var payload []byte
+					var err error
+					if payload, rest, err = NextFrame(rest); err == nil {
+						err = led.Decode(payload, &e)
+					}
+					if err != nil || !reflect.DeepEqual(normalize(e), events[i]) {
+						t.Fatalf("slab %d, batch %d: event %d decodes alone to %v (%v)", slab, batch, i, e, err)
+					}
+				}
+			}
+			if i != len(events) {
+				t.Fatalf("slab %d, batch %d: %d events archived of %d", slab, batch, i, len(events))
+			}
+			switch {
+			case slab == len(events) && batch == len(events):
+				dense = size
+			case batch == len(events) && size != dense:
+				t.Errorf("slab %d: one batch holds %d bytes, the re-block stream's %d", slab, size, dense)
+			}
+		}
+	}
+}
+
+// TestAppendArchivedKeepsOtherShapes: a full block frame on other phasers
+// than its task's previous one, or on the same ones in another order, is
+// archived as it arrived.
+func TestAppendArchivedKeepsOtherShapes(t *testing.T) {
+	regs := func(qs ...deps.PhaserID) []deps.Reg {
+		var out []deps.Reg
+		for _, q := range qs {
+			out = append(out, deps.Reg{Phaser: q, Phase: 1})
+		}
+		return out
+	}
+	var events []Event
+	for _, r := range [][]deps.Reg{regs(1, 2), regs(1, 3), regs(3, 1)} {
+		events = append(events, Event{Kind: KindBlock, Task: 1, Status: deps.Blocked{Task: 1, Regs: r}})
+	}
+	frames := reblockFrames(t, events, 1)
+	if got := archive(t, streamOf(t, frames), len(events)); len(got) != 1 || !bytes.Equal(got[0], frames) {
+		t.Fatalf("archived as % x, sent as % x", got, frames)
+	}
+}
+
 // TestLedgerBounded: over 10^5 short-lived tasks, each blocking twice, the
 // reader's ledger never holds more than 2·reblockWindow tasks, nor keeps
 // more than that many entries for reuse.
