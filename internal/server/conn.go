@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,22 +27,41 @@ const batchesPerConn = 4
 // handing it to the session executor.
 const maxBatch = 256
 
+// maxBacklog bounds a connection's undelivered responses (the coalesce
+// buffer, counted in responses): a connection exceeding it is disconnected
+// as a slow consumer. It is far above what a peer that reads its answers
+// keeps in flight, and a peer that does not read trips it at about 40 KB.
+const maxBacklog = 4096
+
+// batch is one decoded chunk of a connection's event stream — the unit of
+// work a read loop hands to its session's executor. Batches cycle through
+// the owning connection's free ring: the read loop decodes into a free
+// batch, the executor processes it and recycles it, so the steady-state
+// ingest path allocates nothing.
+type batch struct {
+	c      *conn
+	events []trace.Event // backing array, len == maxBatch
+	n      int           // events[:n] are valid
+	// decNs (internal/obs Nanotime) is taken by the read loop right after
+	// the batch is decoded; the executor's queue-wait stage starts there.
+	decNs int64
+}
+
 // conn is one accepted client connection: a read loop that only decodes
 // and enqueues (the session executor does all verification), and a writer
 // goroutine flushing the coalesce buffer responses are encoded into.
 type conn struct {
-	srv  *Server
-	nc   net.Conn
+	srv *Server
+	nc  net.Conn
+	// sess is set by attach and read by the writer, both under wmu: a
+	// Shutdown goodbye makes the writer flush mid-handshake.
 	sess *session
 
 	// free is the decode-batch ring; batches cycle read loop -> session
-	// queue -> executor -> back here. pushed (read-loop local) and applied
-	// (executor-written) count batches through that cycle; their gap is
-	// the connection's in-flight work, and awaitApplied closes it before
-	// teardown so trailing responses make the writer's final flush.
-	free    chan *batch
-	pushed  int64
-	applied atomic.Int64
+	// queue -> executor -> back here. The batches out of the ring are the
+	// connection's in-flight work, and awaitApplied takes them all back
+	// before teardown so trailing responses make the writer's final flush.
+	free chan *batch
 
 	// Egress: responses are encoded under wmu into wbuf (bounded by
 	// response count, wcount) and the writer is nudged through wsig; the
@@ -158,7 +176,6 @@ func (s *Server) handleConn(nc net.Conn) {
 		err := c.decode(tr, sess, b)
 		if b.n > 0 {
 			b.decNs = obs.Nanotime()
-			c.pushed++
 			sess.enqueue(b)
 		} else {
 			c.free <- b
@@ -204,25 +221,31 @@ func (c *conn) decode(tr *trace.Reader, ss *session, b *batch) error {
 	return err
 }
 
-// awaitApplied waits (bounded, defensively) until the session executor
-// has processed every batch this connection enqueued. The executor
-// outlives every read loop by construction, so this terminates quickly;
-// the deadline only guards against a wedged engine taking teardown down
-// with it.
+// awaitApplied waits until the session executor has processed every batch
+// this connection enqueued. The executor returns a batch to the free ring
+// only after its responses are encoded, so holding the whole ring means
+// nothing is in flight; the ring is put back afterwards. The executor
+// outlives every read loop by construction, so this returns quickly; the
+// guard only keeps a wedged engine from taking teardown down with it. A
+// connection that never attached has no ring and nothing in flight.
 func (c *conn) awaitApplied() {
-	if c.pushed == 0 || c.applied.Load() >= c.pushed {
+	if c.free == nil {
 		return
 	}
-	deadline := time.Now().Add(time.Second)
-	for spins := 0; c.applied.Load() < c.pushed; spins++ {
-		if spins < 64 {
-			runtime.Gosched()
-			continue
+	guard := time.NewTimer(time.Second)
+	defer guard.Stop()
+	var held [batchesPerConn]*batch
+	n := 0
+wait:
+	for ; n < batchesPerConn; n++ {
+		select {
+		case held[n] = <-c.free:
+		case <-guard.C:
+			break wait
 		}
-		if time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(50 * time.Microsecond)
+	}
+	for _, b := range held[:n] {
+		c.free <- b
 	}
 }
 
@@ -250,7 +273,7 @@ func (c *conn) refuse(code byte, err error) {
 
 // send encodes a response into the connection's coalesce buffer and
 // nudges the writer; it never blocks on the socket. The buffer is bounded
-// by RESPONSE COUNT: a peer holding more than QueueLen undelivered
+// by RESPONSE COUNT: a peer holding more than maxBacklog undelivered
 // responses is not draining its read side while we still have verdicts to
 // deliver — the slow-consumer policy is to disconnect it (bounded memory
 // beats an unbounded backlog). Returns false if the response was dropped
@@ -276,13 +299,13 @@ func (c *conn) send(r proto.Response) bool {
 		c.wfirstNs = obs.Nanotime()
 	}
 	c.wcount++
-	over := c.wcount > c.srv.cfg.QueueLen
+	over := c.wcount > maxBacklog
 	c.wmu.Unlock()
 	if over {
 		if c.slow.CompareAndSwap(false, true) {
 			c.srv.m.SlowDisconnects.Add(1)
 			c.srv.cfg.Logf("armus-serve: disconnecting slow consumer (%d responses backlogged)",
-				c.srv.cfg.QueueLen)
+				maxBacklog)
 			c.nc.Close() // read loop notices and tears the connection down
 		}
 		return false
@@ -317,6 +340,7 @@ func (c *conn) writeLoop() {
 		c.wmu.Lock()
 		buf := c.wbuf
 		first := c.wfirstNs
+		ss := c.sess
 		c.wbuf = spare[:0]
 		c.wcount = 0
 		c.wfirstNs = 0
@@ -331,7 +355,7 @@ func (c *conn) writeLoop() {
 			if first != 0 {
 				ns := obs.Nanotime() - first
 				c.srv.m.StageFlush.Observe(ns)
-				if ss := c.sess; ss != nil {
+				if ss != nil {
 					ss.ob.Flush.Observe(ns)
 				}
 			}

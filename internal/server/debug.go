@@ -82,7 +82,7 @@ func (s *Server) handleDebugSessions(w http.ResponseWriter, r *http.Request) {
 				Name:           name,
 				Mode:           ss.mode.String(),
 				Executor:       "running",
-				QueueDepth:     ss.q.depth.Load(),
+				QueueDepth:     int64(len(ss.in)),
 				BlockedTasks:   ss.eng.State().Len(),
 				Gates:          ss.ob.Gates.Load(),
 				Rejections:     ss.ob.Rejections.Load(),
@@ -91,7 +91,7 @@ func (s *Server) handleDebugSessions(w http.ResponseWriter, r *http.Request) {
 				LastDeadlocked: ss.ob.LastDeadlocked.Load(),
 				Stages:         obs.StagesOf(&ss.ob.QueueWait, &ss.ob.Verify, &ss.ob.Flush),
 			}
-			if ss.execState.Load() == execParked {
+			if ss.parked.Load() {
 				row.Executor = "parked"
 			}
 			ss.mu.Lock()

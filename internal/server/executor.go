@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"runtime"
 	"time"
 
 	"armus/internal/core"
@@ -22,74 +21,36 @@ import (
 // in-process verifier would have, and one owner goroutine is the cheapest
 // serializer there is.
 
-// Executor states (session.execState).
-const (
-	execRunning int32 = iota
-	execParked
-)
+// execQueueLen is the capacity of a session's executor queue, in batches:
+// room for sixteen connections' full batch rings. At the bound a read loop
+// waits in enqueue and stops reading its socket, as it does when its own
+// ring runs empty.
+const execQueueLen = 16 * batchesPerConn
 
-// enqueue hands a decoded batch to the session executor, waking it if it
-// parked. Called by connection read loops only; the executor lifecycle
-// guarantees it outlives every producer (see shutdownExecutor).
-//
-// The no-lost-wakeup argument: push increments q.depth before the node is
-// published, and both sides use sequentially consistent atomics. If the
-// executor's post-park depth check misses this push, then in the total
-// order the check preceded the increment, so the parked store preceded
-// this state load — the producer sees execParked and signals. If it does
-// not miss it, the executor unparks itself. Either way the batch is
-// processed.
-func (ss *session) enqueue(b *batch) {
-	if b.decNs == 0 {
-		// No read-loop decode stamp (tests, internal injection): the
-		// queue-wait stage starts here.
-		b.enqNs = obs.Nanotime()
-	}
-	ss.q.push(b)
-	if ss.execState.Load() == execParked &&
-		ss.execState.CompareAndSwap(execParked, execRunning) {
-		select {
-		case ss.wake <- struct{}{}:
-		default:
-		}
-	}
-}
+// enqueue hands a decoded batch to the session executor, waiting while the
+// queue is full. Called by connection read loops only; the executor
+// lifecycle guarantees it outlives every producer (see shutdownExecutor).
+func (ss *session) enqueue(b *batch) { ss.in <- b }
 
-// runExecutor is the session's event loop: pop, process, park when idle,
-// drain and exit on stop.
+// runExecutor is the session's event loop: receive and process until the
+// queue is empty, then park on the queue; drain and exit on stop.
 func (ss *session) runExecutor() {
 	defer close(ss.execDone)
 	for {
-		if b := ss.q.pop(); b != nil {
+		select {
+		case b := <-ss.in:
 			ss.process(b)
 			continue
-		}
-		if ss.q.depth.Load() != 0 {
-			// A producer is mid-push; its link is one store away.
-			runtime.Gosched()
-			continue
-		}
-		select {
-		case <-ss.stop:
-			ss.drainQueue()
-			return
 		default:
 		}
-		// Park. Publish the parked state first, then re-check the depth:
-		// a push that raced the publish is either seen here (un-park
-		// ourselves) or saw execParked and is signalling wake.
-		ss.execState.Store(execParked)
-		if ss.q.depth.Load() != 0 {
-			if ss.execState.CompareAndSwap(execParked, execRunning) {
-				continue
-			}
-		}
 		ss.srv.m.ExecParks.Add(1)
+		ss.parked.Store(true)
 		select {
-		case <-ss.wake:
-			// The waking producer already moved execState to running.
+		case b := <-ss.in:
+			ss.parked.Store(false)
+			ss.process(b)
 		case <-ss.stop:
-			ss.execState.Store(execRunning)
+			ss.parked.Store(false)
 			ss.drainQueue()
 			return
 		}
@@ -97,18 +58,15 @@ func (ss *session) runExecutor() {
 }
 
 // drainQueue processes everything enqueued before stop. stop is only
-// closed once no producer can push again, so the queue strictly shrinks.
+// closed once no producer can send again, so the queue strictly shrinks.
 func (ss *session) drainQueue() {
 	for {
-		b := ss.q.pop()
-		if b == nil {
-			if ss.q.depth.Load() != 0 {
-				runtime.Gosched()
-				continue
-			}
+		select {
+		case b := <-ss.in:
+			ss.process(b)
+		default:
 			return
 		}
-		ss.process(b)
 	}
 }
 
@@ -117,16 +75,13 @@ func (ss *session) drainQueue() {
 // Steady-state (same tasks re-blocking, warm pools and buffers) it
 // performs zero heap allocations — guarded by TestExecutorPathZeroAlloc.
 func (ss *session) process(b *batch) {
-	// Queue-wait stage: decode (or enqueue) to executor pickup. The stamp
-	// diffs and histogram adds are a handful of atomics — the path stays
-	// allocation-free (TestExecutorPathZeroAlloc, TestObsStampPathZeroAlloc).
+	// Queue-wait stage: decode to executor pickup. The stamp diffs and
+	// histogram adds are a handful of atomics — the path stays
+	// allocation-free (TestExecutorPathZeroAlloc, obs.TestStampPathZeroAlloc).
+	// Only batches injected by tests lack the read loop's stamp.
 	tDeq := obs.Nanotime()
-	start := b.decNs
-	if start == 0 {
-		start = b.enqNs
-	}
-	if start != 0 {
-		ss.batchQueueNs = tDeq - start
+	if b.decNs != 0 {
+		ss.batchQueueNs = tDeq - b.decNs
 		ss.srv.m.StageQueueWait.Observe(ss.batchQueueNs)
 		ss.ob.QueueWait.Observe(ss.batchQueueNs)
 	} else {
@@ -185,7 +140,6 @@ func (ss *session) process(b *batch) {
 	ss.srv.m.Events.Add(int64(len(events)))
 	ss.srv.m.Batches.Add(1)
 	ss.srv.m.ExecBatchEvents.Observe(int64(len(events)))
-	c.applied.Add(1)
 	c.recycle(b)
 }
 

@@ -15,6 +15,7 @@ import (
 	"armus/internal/clock"
 	"armus/internal/core"
 	"armus/internal/deps"
+	"armus/internal/obs"
 	"armus/internal/segment"
 	"armus/internal/server/proto"
 	"armus/internal/trace"
@@ -23,12 +24,11 @@ import (
 
 // TestExecutorPathZeroAlloc guards the acceptance criterion for the
 // executor rework: the FULL ingest path — wire decode (conn.decode, the
-// read loop's own, with the archive tee off and on), MPSC enqueue,
-// executor pop + gate/mutate/checkpoint, coalesced response encode —
-// allocates nothing per batch once warm, in both session modes. The
-// executor goroutine is stopped and its pop/process loop run inline, so
-// that the measured calls do all the work; the inline loop is
-// byte-for-byte the code runExecutor runs. With the archive on, its
+// read loop's own, with the archive tee off and on), the decode stamp and
+// the channel send, executor receive + gate/mutate/checkpoint, coalesced
+// response encode — allocates nothing per batch once warm, in both session
+// modes. The executor goroutine is stopped and its receive loop
+// (drainQueue) run inline, so that the measured calls do all the work. With the archive on, its
 // store's goroutine runs beside: the stream is sized to stay inside one
 // archive block, so that it only appends to a warm buffer.
 func TestExecutorPathZeroAlloc(t *testing.T) {
@@ -120,21 +120,17 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 
 			decoded := 0
 			run := func() {
-				// Read loop half: decode one batch (and tee it) and enqueue it.
+				// Read loop half: decode one batch (and tee it), stamp it and
+				// enqueue it.
 				b := <-c.free
 				if err := c.decode(tr, ss, b); err != nil || b.n == 0 {
 					t.Fatalf("decode: %d events, %v", b.n, err)
 				}
 				decoded += b.n
+				b.decNs = obs.Nanotime()
 				ss.enqueue(b)
-				// Executor half: pop and process until drained.
-				for {
-					bb := ss.q.pop()
-					if bb == nil {
-						break
-					}
-					ss.process(bb)
-				}
+				// Executor half: receive and process until drained.
+				ss.drainQueue()
 				// Writer half: reclaim the coalesce buffer like a flush.
 				c.wmu.Lock()
 				c.wbuf = c.wbuf[:0]
@@ -187,7 +183,7 @@ func TestExecutorDrainMidQueue(t *testing.T) {
 	// Depending on scheduling the executor is anywhere in the queue when
 	// stop lands; either way every batch must be applied at exit.
 	ss.shutdownExecutor()
-	if got := c.applied.Load(); got != batches {
+	if got := srv.m.Batches.Load(); got != batches {
 		t.Fatalf("executor exited with %d of %d batches applied", got, batches)
 	}
 	// Every checkpoint got its response, in submission order.
@@ -208,7 +204,7 @@ func TestExecutorDrainMidQueue(t *testing.T) {
 // coalesce buffer. Crossing the response-count bound must disconnect the
 // peer exactly once, drop later sends, and never deliver the backlog.
 func TestStalledConsumerCoalesceBacklog(t *testing.T) {
-	srv := &Server{cfg: Config{QueueLen: 4, Logf: func(string, ...any) {}}.withDefaults()}
+	srv := &Server{cfg: Config{Logf: func(string, ...any) {}}.withDefaults()}
 	p1, p2 := net.Pipe()
 	defer p2.Close()
 	c := &conn{srv: srv, nc: p1,
@@ -220,10 +216,10 @@ func TestStalledConsumerCoalesceBacklog(t *testing.T) {
 		t.Fatal("first send dropped")
 	}
 	waitFor(t, func() bool { return c.queueDepth() == 0 })
-	// Now the pile-up: QueueLen is 4, so the fifth undelivered response
-	// crosses the bound with a non-empty coalesce buffer behind it.
+	// Now the pile-up: response maxBacklog+1 crosses the bound with a
+	// non-empty coalesce buffer behind it.
 	dropped := 0
-	for i := 0; i < 6; i++ {
+	for i := 0; i < maxBacklog+2; i++ {
 		if !c.send(proto.Response{Kind: proto.RespVerdict, Seq: uint64(i + 2)}) {
 			dropped++
 		}

@@ -141,7 +141,7 @@ func TestMalformedFrameRejected(t *testing.T) {
 // the moment the response-count bound is exceeded — buffer memory stays
 // bounded no matter how slow the peer.
 func TestSlowConsumerDisconnect(t *testing.T) {
-	srv := &Server{cfg: Config{QueueLen: 4, Logf: func(string, ...any) {}}.withDefaults()}
+	srv := &Server{cfg: Config{Logf: func(string, ...any) {}}.withDefaults()}
 	ss := newSession(srv, "slow", core.ModeDetect, nil, 0)
 	defer ss.shutdownExecutor()
 	p1, p2 := net.Pipe()
@@ -150,12 +150,12 @@ func TestSlowConsumerDisconnect(t *testing.T) {
 	// stopped reading while checkpoint verdicts pile up.
 	c := &conn{srv: srv, nc: p1,
 		wsig: make(chan struct{}, 1), done: make(chan struct{})}
-	b := &batch{c: c, events: make([]trace.Event, 8), n: 8}
+	b := &batch{c: c, events: make([]trace.Event, maxBacklog+4), n: maxBacklog + 4}
 	for i := range b.events {
 		b.events[i] = trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported}
 	}
 	ss.enqueue(b)
-	waitFor(t, func() bool { return c.applied.Load() >= 1 })
+	waitFor(t, func() bool { return srv.m.Batches.Load() >= 1 })
 	if got := srv.m.SlowDisconnects.Load(); got != 1 {
 		t.Fatalf("slow disconnects = %d, want 1", got)
 	}
@@ -170,7 +170,7 @@ func TestSlowConsumerDisconnect(t *testing.T) {
 	// Later sends are dropped without a second disconnect.
 	b2 := &batch{c: c, events: []trace.Event{{Kind: trace.KindVerdict, Verdict: trace.VerdictReported}}, n: 1}
 	ss.enqueue(b2)
-	waitFor(t, func() bool { return c.applied.Load() >= 2 })
+	waitFor(t, func() bool { return srv.m.Batches.Load() >= 2 })
 	if got := srv.m.SlowDisconnects.Load(); got != 1 {
 		t.Fatalf("slow disconnect double-counted: %d", got)
 	}
@@ -180,12 +180,13 @@ func TestSlowConsumerDisconnect(t *testing.T) {
 // sends checkpoints and never reads is disconnected by the slow-consumer
 // policy, which closes the pipe under the read loop. That is one slow
 // disconnect and no malformed stream: the read loop's io.ErrClosedPipe is
-// an abrupt close like any socket's.
+// an abrupt close like any socket's. Answers that ride the writer's first
+// swap do not count toward the backlog, hence twice the bound.
 func TestSlowConsumerOverPipeCountedOnce(t *testing.T) {
-	s := testServer(t, Config{QueueLen: 4})
+	s := testServer(t, Config{})
 	var wire bytes.Buffer
 	tw, err := trace.NewWriter(&wire, proto.Handshake{Session: "pipe-slow"}.Label(), uint8(core.ModeDetect))
-	for i := 0; err == nil && i < 64; i++ {
+	for i := 0; err == nil && i < 2*maxBacklog; i++ {
 		err = tw.WriteEvent(trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported})
 	}
 	if err == nil {

@@ -62,7 +62,7 @@ type Metrics struct {
 	Segment *segment.Metrics `metric:"segment_"`
 
 	// Batch size doubles as ingest outruns the executor, so this histogram
-	// is a direct read on how much coalescing the MPSC queue is buying.
+	// is a direct read on how much coalescing the session queue is buying.
 	ExecBatchEvents obs.Hist `metric:"exec_batch_events" le:"256" per:"1" help:"Events per processed executor batch."`
 
 	// Server-wide stage latencies, in nanoseconds: where a gate's
@@ -106,7 +106,7 @@ func (s *Server) initMetrics() {
 			sh := &s.shards[i]
 			sh.mu.Lock()
 			for _, ss := range sh.m {
-				depth += ss.q.depth.Load()
+				depth += int64(len(ss.in))
 			}
 			sh.mu.Unlock()
 		}

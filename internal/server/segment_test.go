@@ -140,10 +140,10 @@ func TestArchiveHoldsWhatArrived(t *testing.T) {
 func archiveHoldsWhatArrived(t *testing.T, reblocks bool) {
 	dir := t.TempDir()
 	// The stream carries some 450 checkpoints, and net.Pipe delivers their
-	// answers only as fast as the discarding reader runs: a queue longer
-	// than that keeps the slow-consumer policy, which is not under test
+	// answers only as fast as the discarding reader runs: fewer than
+	// maxBacklog keeps the slow-consumer policy, which is not under test
 	// here, from closing the pipe.
-	s := testServer(t, Config{SegmentDir: dir, QueueLen: 1 << 12})
+	s := testServer(t, Config{SegmentDir: dir})
 	const session = "verbatim"
 
 	var wire bytes.Buffer

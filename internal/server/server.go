@@ -28,16 +28,17 @@
 //     query, from the tasks whose status the batch set, and deadlock
 //     transitions are pushed to subscribed connections).
 //   - Each session owns ONE EXECUTOR goroutine (executor.go): the single
-//     writer of its verifier state, fed by a lock-free MPSC queue
-//     (mpsc.go) of decoded batches. Per-connection read loops only decode
-//     (trace.Reader.NextInto into recycled batches) and enqueue — no lock
-//     anywhere on the gate hot path. Ingress backpressure is the TCP
-//     window: a connection's batch ring running empty stops its read loop
-//     and the kernel stops the sender. Egress is a per-connection
-//     coalesce buffer flushed by a writer goroutine in single Write calls
-//     (many responses per syscall), bounded by response count: a
-//     connection that does not drain its read side is disconnected
-//     (slow-consumer policy) rather than buffered without bound.
+//     writer of its verifier state, fed by a buffered channel of decoded
+//     batches. Per-connection read loops only decode
+//     (trace.Reader.NextInto into recycled batches) and send — the
+//     verifier state takes no lock. Ingress backpressure is the TCP
+//     window: a connection's batch ring running empty, or its session's
+//     queue running full, stops its read loop and the kernel stops the
+//     sender. Egress is a per-connection coalesce buffer flushed by a
+//     writer goroutine in single Write calls (many responses per
+//     syscall), bounded by response count: a connection that does not
+//     drain its read side is disconnected (slow-consumer policy) rather
+//     than buffered without bound.
 //   - Sessions whose last connection has gone survive for a lease (so a
 //     crashed client can reconnect and resume), then a janitor driven by
 //     the injectable internal/clock garbage-collects them. Shutdown
@@ -79,10 +80,6 @@ import (
 type Config struct {
 	// Addr is the TCP listen address, e.g. "127.0.0.1:7777" or ":0".
 	Addr string
-	// QueueLen bounds a connection's undelivered responses (the coalesce
-	// buffer, counted in responses; default 256); a connection exceeding
-	// it is disconnected as a slow consumer.
-	QueueLen int
 	// Lease is how long a session with no attached connections survives
 	// before the janitor collects it (default 30s).
 	Lease time.Duration
@@ -159,9 +156,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.QueueLen <= 0 {
-		c.QueueLen = 256
-	}
 	if c.Lease <= 0 {
 		c.Lease = 30 * time.Second
 	}
@@ -360,7 +354,9 @@ func (s *Server) attach(name string, mode core.Mode, c *conn) (*session, bool, e
 	}
 	ss.conns[c] = struct{}{}
 	ss.idleTicks = 0
+	c.wmu.Lock()
 	c.sess = ss
+	c.wmu.Unlock()
 	return ss, resumed, nil
 }
 

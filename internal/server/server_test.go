@@ -288,7 +288,7 @@ func TestHTTPEndpoints(t *testing.T) {
 
 // The zero-allocation guard for the ingest hot path lives in
 // executor_test.go (TestExecutorPathZeroAlloc): it covers the full
-// decode -> MPSC enqueue -> executor mutate+gate -> coalesced response
+// decode -> channel send -> executor mutate+gate -> coalesced response
 // path of the executor architecture.
 
 func httpGet(t *testing.T, url string, wantCode int) string {

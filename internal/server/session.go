@@ -32,15 +32,15 @@ type session struct {
 	// lease is idleTicks * SweepPeriod.
 	idleTicks int
 
-	// q feeds the executor: read loops push decoded batches, the executor
-	// pops and applies them. execState/wake implement parking (see
-	// enqueue and runExecutor); stop/execDone bound the lifecycle.
-	q         mpsc
-	execState atomic.Int32
-	wake      chan struct{}
-	stop      chan struct{}
-	stopOnce  sync.Once
-	execDone  chan struct{}
+	// in feeds the executor: read loops send decoded batches, the executor
+	// receives and applies them. parked is set while the executor waits on
+	// an empty queue (read by /debug only); stop/execDone bound the
+	// lifecycle.
+	in       chan *batch
+	parked   atomic.Bool
+	stop     chan struct{}
+	stopOnce sync.Once
+	execDone chan struct{}
 
 	// eng is the session's verdict engine (internal/engine) — the same type
 	// the replay pipelines drive — and wasDeadlocked the last verdict a
@@ -78,13 +78,12 @@ func newSession(s *Server, name string, mode core.Mode, snap []deps.Blocked, sna
 		name:     name,
 		mode:     mode,
 		conns:    make(map[*conn]struct{}),
-		wake:     make(chan struct{}, 1),
+		in:       make(chan *batch, execQueueLen),
 		stop:     make(chan struct{}),
 		execDone: make(chan struct{}),
 		eng:      engine.New(mode == core.ModeAvoid),
 		chain:    dist.NewChain(0, snapshotFullEvery, snapSeq),
 	}
-	ss.q.init()
 	// Rehydrate: Definition 4.1 makes each blocked status a pure function
 	// of its task, so re-applying the snapshot IS the session state the
 	// previous owner had at persist time.
