@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -81,6 +82,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "armus-serve:", err)
 		os.Exit(1)
 	}
+	// Bind the HTTP listener before announcing anything: an -http address
+	// that cannot be bound ends the process, rather than leaving it serving
+	// the protocol with a /healthz that never answers.
+	var hl net.Listener
+	if *httpAddr != "" {
+		if hl, err = net.Listen("tcp", *httpAddr); err != nil {
+			s.Close()
+			fmt.Fprintln(os.Stderr, "armus-serve: http:", err)
+			os.Exit(1)
+		}
+	}
 	// Startup banner: one structured line carrying the same fields as the
 	// armus_serve_build_info / armus_serve_uptime_seconds metrics, so log
 	// scrapers and the metrics pipeline agree on what is running.
@@ -105,11 +117,11 @@ func main() {
 	}
 
 	var hs *http.Server
-	if *httpAddr != "" {
-		hs = &http.Server{Addr: *httpAddr, Handler: s.Handler()}
+	if hl != nil {
+		hs = &http.Server{Handler: s.Handler()}
 		go func() {
-			log.Printf("armus-serve: /healthz and /metrics on http://%s", *httpAddr)
-			if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			log.Printf("armus-serve: /healthz and /metrics on http://%s", hl.Addr())
+			if err := hs.Serve(hl); err != nil && err != http.ErrServerClosed {
 				log.Printf("armus-serve: http: %v", err)
 			}
 		}()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"slices"
 	"time"
 
 	"armus/internal/core"
@@ -89,43 +90,31 @@ func (ss *session) process(b *batch) {
 	}
 	c := b.c
 	events := b.events[:b.n]
-	for i := range events {
-		e := &events[i]
-		switch e.Kind {
-		case trace.KindBlock:
-			if ss.mode == core.ModeAvoid {
+	if ss.fold == nil {
+		// Avoidance: every block is a gate with its own answer.
+		for i := range events {
+			e := &events[i]
+			switch e.Kind {
+			case trace.KindBlock:
 				ss.gate(c, e)
-			} else {
-				ss.eng.Block(e.Status)
+			case trace.KindUnblock:
+				ss.eng.Unblock(e.Task)
+			case trace.KindVerdict:
+				ss.checkpoint(c, e)
 			}
-		case trace.KindUnblock:
-			ss.eng.Unblock(e.Task)
-		case trace.KindVerdict:
-			// A client->server verdict event is a CHECKPOINT: "tell me
-			// whether the session is deadlocked right now". (Recorded
-			// traces carry verdict events too; ingesting one costs the
-			// sender an answer it may ignore.) Counted and recorded before
-			// the answer goes: a client that has it may read
-			// /debug/armus/sessions next.
-			t0 := obs.Nanotime()
-			c.checkSeq++
-			ss.srv.m.Checkpoints.Add(1)
-			d := ss.eng.Check() != nil
-			ss.ob.LastDeadlocked.Store(d)
-			ss.ob.Flight.Record(obs.GateRecord{
-				Ordinal:    uint64(ss.ob.Checkpoints.Add(1)),
-				Kind:       obs.RecordCheckpoint,
-				Task:       int64(e.Task),
-				Deadlocked: d,
-				QueueNs:    ss.batchQueueNs,
-				VerifyNs:   obs.Nanotime() - t0,
-				AtNs:       t0,
-			})
-			c.send(proto.Response{
-				Kind:       proto.RespVerdict,
-				Seq:        c.checkSeq,
-				Deadlocked: d,
-			})
+		}
+	} else {
+		// Otherwise only the batch's net effect is applied (netEffect).
+		for _, i := range ss.fold.pick(events) {
+			e := &events[i]
+			switch e.Kind {
+			case trace.KindBlock:
+				ss.eng.Block(e.Status)
+			case trace.KindUnblock:
+				ss.eng.Unblock(e.Task)
+			case trace.KindVerdict:
+				ss.checkpoint(c, e)
+			}
 		}
 	}
 	if ss.mode == core.ModeDetect {
@@ -141,6 +130,111 @@ func (ss *session) process(b *batch) {
 	ss.srv.m.Batches.Add(1)
 	ss.srv.m.ExecBatchEvents.Observe(int64(len(events)))
 	c.recycle(b)
+}
+
+// netEffect picks out, in a batch of a session that does not gate, the
+// events that must reach the engine. Nothing reads the state between two
+// checkpoints of a batch (or between one and the batch's start or end):
+// checkpoint answers, the batch-end report, snapshots and LastDeadlocked
+// all read it at those boundaries. In an engine that does not gate, Block
+// replaces its task's status and Unblock clears it, and Definition 4.1
+// makes the state the set of statuses, so at a boundary the state is fixed
+// by each task's last mutation since the previous one, applied in any
+// order. A block is keyed on Status.Task, the task Block writes, an
+// unblock on Task.
+//
+// One backward pass over the batch finds those last mutations: a task seen
+// for the first time in the current checkpoint segment is kept, and each
+// checkpoint starts a new segment. The tasks seen go in an open-addressed
+// table stamped with the segment's epoch, so starting a segment clears
+// nothing. A batch holds at most maxBatch events, so the table is never
+// more than half full. Executor-owned.
+type netEffect struct {
+	order []int32 // pick's result; capacity maxBatch
+	slots [1 << netSlotBits]netSlot
+	epoch uint64 // the current segment's; 64 bits never wrap
+}
+
+type netSlot struct {
+	task  deps.TaskID
+	epoch uint64
+}
+
+// netSlotBits sizes the table at twice maxBatch slots: the constant below
+// does not compile if it is smaller.
+const netSlotBits = 9
+
+const _ = uint(1<<netSlotBits - 2*maxBatch)
+
+// pick returns the indices of the events to apply or answer, in batch
+// order: every checkpoint, and each task's last mutation in each
+// checkpoint segment. The result is valid until the next call.
+func (f *netEffect) pick(events []trace.Event) []int32 {
+	f.order = f.order[:0]
+	f.epoch++
+	for i := len(events) - 1; i >= 0; i-- {
+		e := &events[i]
+		switch e.Kind {
+		case trace.KindBlock:
+			if !f.firstSeen(e.Status.Task) {
+				continue
+			}
+		case trace.KindUnblock:
+			if !f.firstSeen(e.Task) {
+				continue
+			}
+		case trace.KindVerdict:
+			f.epoch++
+		default:
+			continue
+		}
+		f.order = append(f.order, int32(i))
+	}
+	slices.Reverse(f.order)
+	return f.order
+}
+
+// firstSeen enters t in the current segment and reports whether it was new
+// there. Fibonacci hashing: the top bits of t times 2^64 over the golden
+// ratio, then linear probing.
+func (f *netEffect) firstSeen(t deps.TaskID) bool {
+	for h := uint64(t) * 0x9e3779b97f4a7c15 >> (64 - netSlotBits); ; h = (h + 1) & (1<<netSlotBits - 1) {
+		s := &f.slots[h]
+		if s.epoch != f.epoch {
+			s.task, s.epoch = t, f.epoch
+			return true
+		}
+		if s.task == t {
+			return false
+		}
+	}
+}
+
+// checkpoint answers a client->server verdict event: "tell me whether the
+// session is deadlocked right now". (Recorded traces carry verdict events
+// too; ingesting one costs the sender an answer it may ignore.) Counted and
+// recorded before the answer goes: a client that has it may read
+// /debug/armus/sessions next.
+func (ss *session) checkpoint(c *conn, e *trace.Event) {
+	t0 := obs.Nanotime()
+	c.checkSeq++
+	ss.srv.m.Checkpoints.Add(1)
+	d := ss.eng.Check() != nil
+	ss.ob.LastDeadlocked.Store(d)
+	ss.ob.Flight.Record(obs.GateRecord{
+		Ordinal:    uint64(ss.ob.Checkpoints.Add(1)),
+		Kind:       obs.RecordCheckpoint,
+		Task:       int64(e.Task),
+		Deadlocked: d,
+		QueueNs:    ss.batchQueueNs,
+		VerifyNs:   obs.Nanotime() - t0,
+		AtNs:       t0,
+	})
+	c.send(proto.Response{
+		Kind:       proto.RespVerdict,
+		Seq:        c.checkSeq,
+		Deadlocked: d,
+	})
 }
 
 // gate runs the engine's avoidance gate on a block and sends the decision

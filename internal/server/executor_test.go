@@ -30,12 +30,13 @@ import (
 // modes. The executor goroutine is stopped and its receive loop
 // (drainQueue) run inline, so that the measured calls do all the work. With the archive on, its
 // store's goroutine runs beside: the stream is sized to stay inside one
-// archive block, so that it only appends to a warm buffer.
+// archive block, so that it only appends to a warm buffer. The folding
+// cases have each task block four times between checkpoints, so that a
+// detection executor skips three of every four blocks.
 func TestExecutorPathZeroAlloc(t *testing.T) {
 	const (
-		tasks          = 64
-		eventsPerBatch = tasks + 1 + tasks // blocks, checkpoint, unblocks
-		batches        = 80                // > warmups + AllocsPerRun's 51 calls, and < one archive block
+		tasks   = 64
+		batches = 80 // > warmups + AllocsPerRun's 51 calls, and < one archive block
 	)
 	// One steady round per batch: 64 tasks block (each arrived at its
 	// phaser, so the gate admits without refusing), one checkpoint, then
@@ -50,14 +51,32 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 	for i := 1; i <= tasks; i++ {
 		round = append(round, trace.Event{Kind: trace.KindUnblock, Task: deps.TaskID(i)})
 	}
+	// The folding round: 16 tasks each block at phases 1 to 4, every task
+	// at one phase before any at the next (deadlock-free: a task waits only
+	// for the phase it is registered at, or for tasks a phase behind it,
+	// which wait for nobody), then a checkpoint, then everyone unblocks.
+	var foldRound []trace.Event
+	for n := int64(1); n <= 4; n++ {
+		for i := 1; i <= tasks/4; i++ {
+			q := int64(i%8 + 1)
+			foldRound = append(foldRound, trace.Event{Kind: trace.KindBlock, Task: deps.TaskID(i),
+				Status: status(int64(i), []deps.Resource{res(q, n)}, []deps.Reg{reg(q, n)})})
+		}
+	}
+	foldRound = append(foldRound, trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported})
+	for i := 1; i <= tasks/4; i++ {
+		foldRound = append(foldRound, trace.Event{Kind: trace.KindUnblock, Task: deps.TaskID(i)})
+	}
 
 	for _, tc := range []struct {
-		mode              core.Mode
-		archive, reblocks bool
+		mode                    core.Mode
+		archive, reblocks, fold bool
 	}{
-		{core.ModeAvoid, false, false}, {core.ModeDetect, false, false},
-		{core.ModeAvoid, true, false}, {core.ModeDetect, true, false},
-		{core.ModeDetect, false, true}, {core.ModeDetect, true, true},
+		{core.ModeAvoid, false, false, false}, {core.ModeDetect, false, false, false},
+		{core.ModeAvoid, true, false, false}, {core.ModeDetect, true, false, false},
+		{core.ModeDetect, false, true, false}, {core.ModeDetect, true, true, false},
+		{core.ModeDetect, false, false, true}, {core.ModeDetect, true, false, true},
+		{core.ModeDetect, false, true, true}, {core.ModeDetect, true, true, true},
 	} {
 		mode := tc.mode
 		name := mode.String()
@@ -67,6 +86,12 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 		if tc.reblocks {
 			name += "-reblocks"
 		}
+		round := round
+		if tc.fold {
+			name += "-folding"
+			round = foldRound
+		}
+		eventsPerBatch := len(round)
 		t.Run(name, func(t *testing.T) {
 			// Pre-encode the wire stream the decode half will consume: full
 			// frames, or re-blocks wherever the SDK would send them.
@@ -155,6 +180,11 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 			// race detector makes forgetful.)
 			if n := testing.AllocsPerRun(50, run); n != 0 && !(tc.archive && raceEnabled) {
 				t.Fatalf("executor ingest path allocates %.1f allocs per batch, want 0", n)
+			}
+			// Every mutation moves the state's version once; folded, only
+			// one block in four and the unblocks reach the engine.
+			if v := ss.eng.State().Version(); tc.fold && v > uint64(decoded)/2 {
+				t.Fatalf("%d state writes for %d events decoded: the blocks were not folded", v, decoded)
 			}
 			if tc.archive {
 				c.teeFlush()

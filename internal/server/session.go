@@ -47,6 +47,10 @@ type session struct {
 	// detection session reported on. Executor-owned.
 	eng           *engine.Engine
 	wasDeadlocked bool
+	// fold picks out each batch's net effect in a session that does not
+	// gate; nil in avoidance, where every block is answered.
+	// Executor-owned.
+	fold *netEffect
 
 	// ob is the session's observability block: stage histograms, decision
 	// counters and the flight ring — atomics throughout, written by the
@@ -83,6 +87,9 @@ func newSession(s *Server, name string, mode core.Mode, snap []deps.Blocked, sna
 		execDone: make(chan struct{}),
 		eng:      engine.New(mode == core.ModeAvoid),
 		chain:    dist.NewChain(0, snapshotFullEvery, snapSeq),
+	}
+	if mode != core.ModeAvoid {
+		ss.fold = &netEffect{order: make([]int32, 0, maxBatch)}
 	}
 	// Rehydrate: Definition 4.1 makes each blocked status a pure function
 	// of its task, so re-applying the snapshot IS the session state the
