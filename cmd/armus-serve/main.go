@@ -7,11 +7,11 @@
 //
 //	armus-serve -listen 127.0.0.1:7777 -http 127.0.0.1:7778
 //
-// Observability: GET /healthz (liveness JSON with the executor backlog),
-// GET /metrics (Prometheus text: sessions, events, queue depth, gate
-// verdicts, stage-latency histograms, ...) and GET /debug/armus/sessions
-// (live per-session introspection) on the -http address; /debug/pprof
-// only with -pprof.
+// Observability: GET /healthz (liveness JSON with the batches decoded and
+// not yet applied), GET /metrics (Prometheus text: sessions, events, queue
+// depth, gate verdicts, stage-latency histograms, ...) and GET
+// /debug/armus/sessions (live per-session introspection) on the -http
+// address; /debug/pprof only with -pprof.
 //
 // Lifecycle: SIGINT/SIGTERM drains gracefully (stop accepting, goodbye
 // every client, wait up to -drain-grace, exit 0); a second signal
@@ -41,7 +41,7 @@ func main() {
 		lease    = flag.Duration("lease", 30*time.Second, "how long a session with no connections survives before GC")
 		grace    = flag.Duration("drain-grace", 5*time.Second, "graceful-shutdown wait for connections to finish")
 		storeDSN = flag.String("store", "", "armus-store address for session-snapshot persistence (empty disables)")
-		snapEv   = flag.Int("snapshot-every", 64, "persist a session snapshot every n executor batches")
+		snapEv   = flag.Int("snapshot-every", 64, "persist a session snapshot every n applied batches")
 		fleetCSV = flag.String("fleet", "", "comma-separated fleet shard map (the same list clients route with)")
 		selfAddr = flag.String("self", "", "this server's entry in -fleet (foreign-session accounting)")
 		segDir   = flag.String("segment-dir", "", "directory for the durable trace archive (empty disables; query with armus-trace query)")

@@ -64,7 +64,7 @@ func ReplayTrace(c *Client, tr *trace.Trace, o ReplayOptions) (*ReplayStats, err
 	st := &ReplayStats{}
 	avoid := c.cfg.Mode == core.ModeAvoid
 	// The mirror is the session engine itself (the type the server runs),
-	// so a disagreement is the executor's, the wire's or the SDK's; the
+	// so a disagreement is the server session's, the wire's or the SDK's; the
 	// engine's own reference is the oracle test in internal/engine.
 	var mirror *engine.Engine
 	if avoid {

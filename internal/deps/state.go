@@ -22,7 +22,7 @@ const minSweep = 256
 //
 // One lock guards everything: every caller already serialises its writers
 // (the avoidance gate under the verifier's check lock, a server session's
-// executor, a site's driver), so finer locking bought nothing.
+// lock, a site's driver), so finer locking bought nothing.
 //
 // A task's entry, and the places its registrations occupy in the index,
 // outlive Clear: a task that blocks again with the same phaser set — the

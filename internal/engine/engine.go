@@ -10,7 +10,7 @@
 // reach an engine: a membership change of a blocked task is always followed
 // by its status refresh, which does.
 //
-// An Engine is single-writer: its owner (a session's executor, a replay
+// An Engine is single-writer: its owner (a server session's lock, a replay
 // loop, a site's check round, the verifier's lock) serialises every call.
 package engine
 

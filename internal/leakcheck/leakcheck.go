@@ -1,7 +1,7 @@
 // Package leakcheck is a test binary's goroutine-leak guard: a TestMain that
 // hands over to Main fails the run when a goroutine of this module, started
 // during the tests, is still alive once they are over — a reader, writer,
-// executor or relay that some Close did not stop.
+// persister or relay that some Close did not stop.
 package leakcheck
 
 import (

@@ -14,12 +14,12 @@
 //
 // The three stages of a gate, as threaded through internal/server:
 //
-//	decode ──► enqueue ──► executor dequeue ──► verify done ──► flush
-//	         └── queue-wait ──┘└──── verify ────┘ └── flush ───┘
+//	decode ──► lock taken ──► verify done ──► flush
+//	└queue-wait┘└── verify ───┘└────── flush ─────┘
 //
-// Queue-wait runs from decode/enqueue (read loop) to executor pickup —
-// it grows when an executor is starved or a session's queue backs up.
-// Verify is the executor's occupancy for the batch — the actual deadlock
+// Queue-wait runs from decode (read loop) to the session lock taken —
+// it grows when the lock is contended or the read loop is starved of CPU.
+// Verify is the lock's occupancy for the batch — the actual deadlock
 // verification work (gate queries, state mutation, reports). Flush runs
 // from a response entering the connection's coalesce buffer to the
 // writer's syscall completing — it grows when egress coalescing backs up
@@ -127,8 +127,8 @@ const (
 )
 
 // FlightRecorder is a lock-free ring of the last FlightRecords decisions.
-// One writer (the session executor) records; any number of readers
-// snapshot concurrently. Each slot is its own sequence lock of atomic
+// One writer at a time (the session lock's holder) records; any number of
+// readers snapshot concurrently. Each slot is its own sequence lock of atomic
 // words: the writer brackets the six field stores with the write's id in
 // the slot's first and last word, and a reader accepts a slot only when
 // both ids match after the field loads. A collision means the writer
@@ -178,7 +178,7 @@ func (f *FlightRecorder) Len() int {
 // fields); a slot the writer laps mid-read is re-read — yielding the
 // newer record — and skipped entirely if it stays contended past a
 // bounded number of attempts (a debug surface must never spin against a
-// hot executor).
+// hot session).
 func (f *FlightRecorder) Snapshot(buf []GateRecord) []GateRecord {
 	buf = buf[:0]
 	n := f.n.Load()
@@ -216,9 +216,9 @@ func (f *FlightRecorder) Snapshot(buf []GateRecord) []GateRecord {
 
 // SessionObs is the per-session observability block: stage histograms,
 // decision counters, and the flight ring. Everything is atomic — the
-// executor writes on the hot path, the /debug handler and metrics scrape
-// read concurrently — and nothing here allocates after the session is
-// built.
+// session lock's holder writes on the hot path, the /debug handler and
+// metrics scrape read concurrently — and nothing here allocates after the
+// session is built.
 type SessionObs struct {
 	QueueWait Hist
 	Verify    Hist

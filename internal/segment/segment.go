@@ -6,7 +6,7 @@
 //
 // Because the armus-serve wire format IS the internal/trace stream, every
 // accepted connection is a replayable record of a real execution. The
-// server tees each decoded event batch — off the executor hot path, same
+// server tees each decoded event batch — off the verification hot path, same
 // bounded-channel/single-writer discipline as the snapshot persister —
 // into per-session rotating segment files written by Store's single
 // goroutine. A segment holds a run of DEFLATE-compressed blocks of trace

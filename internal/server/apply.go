@@ -12,77 +12,35 @@ import (
 	"armus/internal/trace"
 )
 
-// The session executor: one goroutine per session that owns the session's
-// engine outright. Read loops decode and enqueue; only the executor
-// mutates the engine or asks it anything. Single-writer is what
-// lets the gate hot path drop every lock: the paper's Definition 4.1 makes
-// a blocked status a pure function of the blocked task, so merging the
-// statuses of many connections is order-insensitive per task — any
-// serialization the queue happens to produce yields the same verdicts an
-// in-process verifier would have, and one owner goroutine is the cheapest
-// serializer there is.
+// Applying a batch. The read loop that decoded a batch applies it itself,
+// under the session lock: the paper's Definition 4.1 makes a blocked status
+// a pure function of the blocked task, so merging the statuses of many
+// connections is order-insensitive per task, and whichever order the lock
+// grants them yields the verdicts an in-process verifier would have. No
+// goroutine is woken and no queue is crossed between decode and verdict.
 
-// execQueueLen is the capacity of a session's executor queue, in batches:
-// room for sixteen connections' full batch rings. At the bound a read loop
-// waits in enqueue and stops reading its socket, as it does when its own
-// ring runs empty.
-const execQueueLen = 16 * batchesPerConn
-
-// enqueue hands a decoded batch to the session executor, waiting while the
-// queue is full. Called by connection read loops only; the executor
-// lifecycle guarantees it outlives every producer (see shutdownExecutor).
-func (ss *session) enqueue(b *batch) { ss.in <- b }
-
-// runExecutor is the session's event loop: receive and process until the
-// queue is empty, then park on the queue; drain and exit on stop.
-func (ss *session) runExecutor() {
-	defer close(ss.execDone)
-	for {
-		select {
-		case b := <-ss.in:
-			ss.process(b)
-			continue
-		default:
-		}
-		ss.srv.m.ExecParks.Add(1)
-		ss.parked.Store(true)
-		select {
-		case b := <-ss.in:
-			ss.parked.Store(false)
-			ss.process(b)
-		case <-ss.stop:
-			ss.parked.Store(false)
-			ss.drainQueue()
-			return
-		}
-	}
+// apply applies one decoded batch under ss.mu. The quiescence gauge counts
+// it from before the lock is asked for until it is released, so it reads
+// the batches decoded and not yet applied.
+func (ss *session) apply(b *batch) {
+	ss.srv.m.ExecQueueDepth.Add(1)
+	ss.mu.Lock()
+	ss.process(b)
+	ss.mu.Unlock()
+	ss.srv.m.ExecQueueDepth.Add(-1)
 }
 
-// drainQueue processes everything enqueued before stop. stop is only
-// closed once no producer can send again, so the queue strictly shrinks.
-func (ss *session) drainQueue() {
-	for {
-		select {
-		case b := <-ss.in:
-			ss.process(b)
-		default:
-			return
-		}
-	}
-}
-
-// process applies one decoded batch — the ingest hot path, running on the
-// executor goroutine with exclusive engine ownership: no lock anywhere.
+// process applies one decoded batch — the ingest hot path, run under ss.mu.
 // Steady-state (same tasks re-blocking, warm pools and buffers) it
 // performs zero heap allocations — guarded by TestExecutorPathZeroAlloc.
 func (ss *session) process(b *batch) {
-	// Queue-wait stage: decode to executor pickup. The stamp diffs and
+	// Queue-wait stage: decode to the session lock taken. The stamp diffs and
 	// histogram adds are a handful of atomics — the path stays
 	// allocation-free (TestExecutorPathZeroAlloc, obs.TestStampPathZeroAlloc).
 	// Only batches injected by tests lack the read loop's stamp.
-	tDeq := obs.Nanotime()
+	tLocked := obs.Nanotime()
 	if b.decNs != 0 {
-		ss.batchQueueNs = tDeq - b.decNs
+		ss.batchQueueNs = tLocked - b.decNs
 		ss.srv.m.StageQueueWait.Observe(ss.batchQueueNs)
 		ss.ob.QueueWait.Observe(ss.batchQueueNs)
 	} else {
@@ -121,15 +79,14 @@ func (ss *session) process(b *batch) {
 		ss.report()
 	}
 	ss.maybeSnapshot()
-	// Verify stage: executor occupancy for the whole batch (gate queries,
+	// Verify stage: lock occupancy for the whole batch (gate queries,
 	// state mutation, reports, snapshot encode).
-	verifyNs := obs.Nanotime() - tDeq
+	verifyNs := obs.Nanotime() - tLocked
 	ss.srv.m.StageVerify.Observe(verifyNs)
 	ss.ob.Verify.Observe(verifyNs)
 	ss.srv.m.Events.Add(int64(len(events)))
 	ss.srv.m.Batches.Add(1)
 	ss.srv.m.ExecBatchEvents.Observe(int64(len(events)))
-	c.recycle(b)
 }
 
 // netEffect picks out, in a batch of a session that does not gate, the
@@ -148,7 +105,7 @@ func (ss *session) process(b *batch) {
 // checkpoint starts a new segment. The tasks seen go in an open-addressed
 // table stamped with the segment's epoch, so starting a segment clears
 // nothing. A batch holds at most maxBatch events, so the table is never
-// more than half full. Executor-owned.
+// more than half full. Under the session lock.
 type netEffect struct {
 	order []int32 // pick's result; capacity maxBatch
 	slots [1 << netSlotBits]netSlot
@@ -279,8 +236,7 @@ func (ss *session) gate(c *conn, e *trace.Event) {
 // report pushes a deadlock report to every subscribed connection of the
 // session when the state transitions into a deadlock. The detection
 // engine's Check is version-cached, so the steady (non-deadlocked,
-// unchanged) case costs a version compare; ss.mu is only taken on the
-// transition.
+// unchanged) case costs a version compare. The caller holds ss.mu.
 func (ss *session) report() {
 	cyc := ss.eng.Check()
 	d := cyc != nil
@@ -290,7 +246,6 @@ func (ss *session) report() {
 			ss.teeVerdict(trace.VerdictReported, deps.Blocked{}, cyc.Resources)
 		}
 		ss.srv.cfg.Logf("armus-serve: session %q deadlocked: %v", ss.name, &core.DeadlockError{Cycle: cyc})
-		ss.mu.Lock()
 		for c := range ss.conns {
 			if c.subscribe {
 				c.send(proto.Response{
@@ -300,7 +255,6 @@ func (ss *session) report() {
 				})
 			}
 		}
-		ss.mu.Unlock()
 		now := obs.Nanotime()
 		ss.ob.Flight.Record(obs.GateRecord{
 			Ordinal:    uint64(ss.ob.Reports.Add(1)),
@@ -332,7 +286,7 @@ type flightDump struct {
 }
 
 // dumpFlight emits the session's flight ring as one structured JSON log
-// line. Runs on the executor, off the steady-state path (rejections and
+// line. Runs under ss.mu, off the steady-state path (rejections and
 // threshold breaches only) — allocation here is acceptable, a dump storm
 // is not, hence the rate limit.
 func (ss *session) dumpFlight(trigger string, rec obs.GateRecord) {

@@ -22,17 +22,15 @@ import (
 	"armus/internal/trace/replay"
 )
 
-// TestExecutorPathZeroAlloc guards the acceptance criterion for the
-// executor rework: the FULL ingest path — wire decode (conn.decode, the
-// read loop's own, with the archive tee off and on), the decode stamp and
-// the channel send, executor receive + gate/mutate/checkpoint, coalesced
-// response encode — allocates nothing per batch once warm, in both session
-// modes. The executor goroutine is stopped and its receive loop
-// (drainQueue) run inline, so that the measured calls do all the work. With the archive on, its
-// store's goroutine runs beside: the stream is sized to stay inside one
-// archive block, so that it only appends to a warm buffer. The folding
-// cases have each task block four times between checkpoints, so that a
-// detection executor skips three of every four blocks.
+// TestExecutorPathZeroAlloc guards the FULL ingest path — wire decode
+// (conn.decode, the read loop's own, with the archive tee off and on), the
+// decode stamp, session.apply's lock, gate/mutate/checkpoint and the
+// coalesced response encode: it allocates nothing per batch once warm, in
+// both session modes. With the archive on, its store's goroutine runs
+// beside: the stream is sized to stay inside one archive block, so that it
+// only appends to a warm buffer. The folding cases have each task block
+// four times between checkpoints, so that a detection session skips three
+// of every four blocks.
 func TestExecutorPathZeroAlloc(t *testing.T) {
 	const (
 		tasks   = 64
@@ -131,9 +129,7 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 				}
 			}
 			ss := newSession(srv, "alloc", mode, nil, 0)
-			ss.shutdownExecutor() // run its loop inline instead
 			c := &conn{srv: srv, wsig: make(chan struct{}, 1), done: make(chan struct{})}
-			c.free = make(chan *batch, 1)
 			// Every slot's slices start warm: decode ends a batch where the
 			// reader's window happens to end on a frame boundary, and from
 			// then on the rounds no longer fall on the same slots.
@@ -141,21 +137,18 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 			for i := range events {
 				events[i].Status = status(0, make([]deps.Resource, 0, 1), make([]deps.Reg, 0, 1))
 			}
-			c.free <- &batch{c: c, events: events}
+			b := &batch{c: c, events: events}
 
 			decoded := 0
 			run := func() {
-				// Read loop half: decode one batch (and tee it), stamp it and
-				// enqueue it.
-				b := <-c.free
+				// Read loop: decode one batch (and tee it), stamp it and
+				// apply it.
 				if err := c.decode(tr, ss, b); err != nil || b.n == 0 {
 					t.Fatalf("decode: %d events, %v", b.n, err)
 				}
 				decoded += b.n
 				b.decNs = obs.Nanotime()
-				ss.enqueue(b)
-				// Executor half: receive and process until drained.
-				ss.drainQueue()
+				ss.apply(b)
 				// Writer half: reclaim the coalesce buffer like a flush.
 				c.wmu.Lock()
 				c.wbuf = c.wbuf[:0]
@@ -179,7 +172,7 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 			// (The archive batch comes back through a sync.Pool, which the
 			// race detector makes forgetful.)
 			if n := testing.AllocsPerRun(50, run); n != 0 && !(tc.archive && raceEnabled) {
-				t.Fatalf("executor ingest path allocates %.1f allocs per batch, want 0", n)
+				t.Fatalf("ingest path allocates %.1f allocs per batch, want 0", n)
 			}
 			// Every mutation moves the state's version once; folded, only
 			// one block in four and the unblocks reach the engine.
@@ -195,37 +188,6 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestExecutorDrainMidQueue (chaos): stop arrives while batches are still
-// queued — the executor's drain must process every one of them, in order,
-// before exiting; none may be dropped on the floor.
-func TestExecutorDrainMidQueue(t *testing.T) {
-	srv := &Server{cfg: Config{Logf: func(string, ...any) {}}.withDefaults()}
-	ss := newSession(srv, "drain", core.ModeDetect, nil, 0)
-	c := &conn{srv: srv, wsig: make(chan struct{}, 1), done: make(chan struct{})}
-	const batches = 16
-	for i := 0; i < batches; i++ {
-		ss.enqueue(&batch{c: c, n: 1,
-			events: []trace.Event{{Kind: trace.KindVerdict, Verdict: trace.VerdictReported}}})
-	}
-	// Depending on scheduling the executor is anywhere in the queue when
-	// stop lands; either way every batch must be applied at exit.
-	ss.shutdownExecutor()
-	if got := srv.m.Batches.Load(); got != batches {
-		t.Fatalf("executor exited with %d of %d batches applied", got, batches)
-	}
-	// Every checkpoint got its response, in submission order.
-	br := bufio.NewReader(bytes.NewReader(c.wbuf))
-	var r proto.Response
-	for i := 1; i <= batches; i++ {
-		if err := proto.ReadResponse(br, &r); err != nil {
-			t.Fatalf("response %d: %v", i, err)
-		}
-		if r.Kind != proto.RespVerdict || r.Seq != uint64(i) {
-			t.Fatalf("response %d: kind=%v seq=%d, want verdict seq %d", i, r.Kind, r.Seq, i)
-		}
 	}
 }
 
@@ -280,11 +242,12 @@ func TestStalledConsumerCoalesceBacklog(t *testing.T) {
 	}
 }
 
-// TestCrashGCResumeExecutorLifecycle (chaos, on clock.Fake): a client
-// crash leaves the session's executor alive and parked; a reconnect
-// within the lease is served by the SAME executor; after the lease the
-// janitor stops it, and a fresh attach spawns a new one.
-func TestCrashGCResumeExecutorLifecycle(t *testing.T) {
+// TestCrashGCResumeSessionLifecycle (chaos, on clock.Fake): a client
+// crash leaves the session in the table; a reconnect within the lease is
+// served by the SAME session, which still holds the pre-crash blocked
+// status; after the lease the janitor drops it, and a fresh attach opens a
+// new one.
+func TestCrashGCResumeSessionLifecycle(t *testing.T) {
 	fc := clock.NewFake()
 	s := testServer(t, Config{Lease: 2 * time.Second, SweepPeriod: time.Second, Clock: fc})
 
@@ -310,32 +273,36 @@ func TestCrashGCResumeExecutorLifecycle(t *testing.T) {
 	if resumed {
 		t.Fatal("fresh session reported as resumed")
 	}
-	if got := s.Metrics().ExecSpawned.Load(); got != 1 {
-		t.Fatalf("executors spawned = %d, want 1", got)
+	if got := s.Metrics().SessionsTotal.Load(); got != 1 {
+		t.Fatalf("sessions opened = %d, want 1", got)
 	}
 	gateRoundTrip(nc, tw, br, 1)
-	// Idle executor parks (it may park and re-wake per batch; at least
-	// one park episode must be visible).
-	waitFor(t, func() bool { return s.Metrics().ExecParks.Load() >= 1 })
 
-	// Crash. The connection goes; session and executor stay.
+	// Crash. The connection goes; the session stays.
 	nc.Close()
 	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 	fc.Tick() // idle 1 of 2
 
-	// Reconnect inside the lease: same session, same executor, and it
-	// still serves gate decisions.
+	// Reconnect inside the lease: same session, holding task 1's status,
+	// and it still serves gate decisions.
 	nc2, tw2, br2, resumed := rawAttach(t, s, "lifecycle", core.ModeAvoid)
 	if !resumed {
 		t.Fatal("reconnect within lease did not resume")
 	}
-	if got := s.Metrics().ExecSpawned.Load(); got != 1 {
-		t.Fatalf("resume spawned a second executor (%d)", got)
+	if got := s.Metrics().SessionsTotal.Load(); got != 1 {
+		t.Fatalf("resume opened a second session (%d)", got)
+	}
+	sh := s.shardFor("lifecycle")
+	sh.mu.Lock()
+	ss := sh.m["lifecycle"]
+	sh.mu.Unlock()
+	if n := ss.eng.State().Len(); n != 1 {
+		t.Fatalf("resumed session holds %d blocked statuses, want the pre-crash 1", n)
 	}
 	gateRoundTrip(nc2, tw2, br2, 2)
 
-	// Crash again and let the lease run out: the janitor stops the
-	// executor and collects the session.
+	// Crash again and let the lease run out: the janitor collects the
+	// session.
 	nc2.Close()
 	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 	for i := 0; i < 10 && s.Metrics().SessionsGCed.Load() == 0; i++ {
@@ -345,13 +312,13 @@ func TestCrashGCResumeExecutorLifecycle(t *testing.T) {
 		t.Fatalf("session not collected after lease: %+v", m)
 	}
 
-	// A fresh attach is a new session with a new executor, fully live.
+	// A fresh attach is a new session, fully live.
 	nc3, tw3, br3, resumed := rawAttach(t, s, "lifecycle", core.ModeAvoid)
 	if resumed {
 		t.Fatal("attach after GC resumed a collected session")
 	}
-	if got := s.Metrics().ExecSpawned.Load(); got != 2 {
-		t.Fatalf("executors spawned = %d after GC + re-attach, want 2", got)
+	if got := s.Metrics().SessionsTotal.Load(); got != 2 {
+		t.Fatalf("sessions opened = %d after GC + re-attach, want 2", got)
 	}
 	gateRoundTrip(nc3, tw3, br3, 3)
 	nc3.Close()
@@ -362,8 +329,8 @@ func TestCrashGCResumeExecutorLifecycle(t *testing.T) {
 // against one server, every one asserting decision-for-decision parity
 // with the in-process machinery — the avoidance mirror gate block for
 // block, the detect pipeline verdict for verdict. Run under -race in CI,
-// this is the correctness case for single-writer executors: many
-// executors live at once, each fed by concurrent producers.
+// this is the correctness case for the session lock: many sessions live at
+// once, each applied to by concurrent read loops.
 func TestConcurrentSessionsParity(t *testing.T) {
 	s := testServer(t, Config{})
 	corpus := corpusTraces(t)
@@ -420,8 +387,8 @@ func TestConcurrentSessionsParity(t *testing.T) {
 	if m.SlowDisconnects.Load() != 0 || m.MalformedConns.Load() != 0 {
 		t.Fatalf("parity wall tripped failure paths: %+v", m)
 	}
-	if m.ExecSpawned.Load() < sessions {
-		t.Fatalf("executors spawned = %d, want >= %d", m.ExecSpawned.Load(), sessions)
+	if m.SessionsTotal.Load() < sessions {
+		t.Fatalf("sessions opened = %d, want >= %d", m.SessionsTotal.Load(), sessions)
 	}
 	if m.Batches.Load() < int64(sessions) {
 		t.Fatalf("batches = %d, want >= %d", m.Batches.Load(), sessions)

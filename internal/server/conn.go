@@ -16,15 +16,8 @@ import (
 	"armus/internal/trace"
 )
 
-// batchesPerConn is the size of a connection's decode-batch free ring: how
-// many batches may be in flight (decoded but not yet executor-processed)
-// per connection. An empty ring stalls the read loop, which stops reading
-// the socket — ingress backpressure is the TCP window, same as before the
-// executor split.
-const batchesPerConn = 4
-
 // maxBatch is the most events one read loop decodes into a batch before
-// handing it to the session executor.
+// applying it.
 const maxBatch = 256
 
 // maxBacklog bounds a connection's undelivered responses (the coalesce
@@ -33,35 +26,28 @@ const maxBatch = 256
 // keeps in flight, and a peer that does not read trips it at about 40 KB.
 const maxBacklog = 4096
 
-// batch is one decoded chunk of a connection's event stream — the unit of
-// work a read loop hands to its session's executor. Batches cycle through
-// the owning connection's free ring: the read loop decodes into a free
-// batch, the executor processes it and recycles it, so the steady-state
-// ingest path allocates nothing.
+// batch is one decoded chunk of a connection's event stream — the unit a
+// read loop applies to its session. A connection owns one batch and decodes
+// into it again once the last is applied, so the steady-state ingest path
+// allocates nothing.
 type batch struct {
 	c      *conn
 	events []trace.Event // backing array, len == maxBatch
 	n      int           // events[:n] are valid
 	// decNs (internal/obs Nanotime) is taken by the read loop right after
-	// the batch is decoded; the executor's queue-wait stage starts there.
+	// the batch is decoded; the queue-wait stage starts there.
 	decNs int64
 }
 
-// conn is one accepted client connection: a read loop that only decodes
-// and enqueues (the session executor does all verification), and a writer
-// goroutine flushing the coalesce buffer responses are encoded into.
+// conn is one accepted client connection: a read loop that decodes and
+// applies, and a writer goroutine flushing the coalesce buffer responses
+// are encoded into.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	// sess is set by attach and read by the writer, both under wmu: a
 	// Shutdown goodbye makes the writer flush mid-handshake.
 	sess *session
-
-	// free is the decode-batch ring; batches cycle read loop -> session
-	// queue -> executor -> back here. The batches out of the ring are the
-	// connection's in-flight work, and awaitApplied takes them all back
-	// before teardown so trailing responses make the writer's final flush.
-	free chan *batch
 
 	// Egress: responses are encoded under wmu into wbuf (bounded by
 	// response count, wcount) and the writer is nudged through wsig; the
@@ -89,8 +75,8 @@ type conn struct {
 
 	subscribe bool
 	slow      atomic.Bool
-	// checkSeq numbers this connection's checkpoints; only the session
-	// executor (single-writer) touches it.
+	// checkSeq numbers this connection's checkpoints; it is touched only
+	// under its session's lock.
 	checkSeq uint64
 }
 
@@ -118,12 +104,11 @@ func (s *Server) handleConn(nc net.Conn) {
 
 	go c.writeLoop()
 	defer func() {
-		// Read side done: archive the tail of the tee's pending frames,
-		// wait for the executor to finish this connection's in-flight
-		// batches (their responses land in the coalesce buffer), let the
-		// writer flush everything, then drop the socket and deregister.
+		// Read side done, and every batch it decoded applied (their
+		// responses are in the coalesce buffer): archive the tail of the
+		// tee's pending frames, let the writer flush everything, then drop
+		// the socket and deregister.
 		c.teeFlush()
-		c.awaitApplied()
 		close(c.done)
 		<-c.writerDone
 		nc.Close()
@@ -164,21 +149,15 @@ func (s *Server) handleConn(nc net.Conn) {
 	defer sess.detach(c)
 	c.send(proto.Response{Kind: proto.RespHello, Mode: uint8(sess.mode), Resumed: resumed})
 
-	// The ingest loop: take a free batch (blocking here is the
-	// backpressure), decode into it and hand it to the session executor.
-	// This loop never touches the verifier engine.
-	c.free = make(chan *batch, batchesPerConn)
-	for i := 0; i < batchesPerConn; i++ {
-		c.free <- &batch{c: c, events: make([]trace.Event, maxBatch)}
-	}
+	// The ingest loop: decode a batch and apply it. While the session lock
+	// is busy the loop does not read its socket, so the kernel stops the
+	// sender: that is the backpressure.
+	b := &batch{c: c, events: make([]trace.Event, maxBatch)}
 	for {
-		b := <-c.free
 		err := c.decode(tr, sess, b)
 		if b.n > 0 {
 			b.decNs = obs.Nanotime()
-			sess.enqueue(b)
-		} else {
-			c.free <- b
+			sess.apply(b)
 		}
 		if err != nil {
 			switch {
@@ -189,9 +168,8 @@ func (s *Server) handleConn(nc net.Conn) {
 				// the session lives on until its lease expires.
 			default:
 				s.m.MalformedConns.Add(1)
-				// Order the goodbye after the responses of every batch
-				// already enqueued.
-				c.awaitApplied()
+				// Every batch before the fault is applied, so the goodbye
+				// follows their answers.
 				c.send(proto.Response{Kind: proto.RespGoodbye, Code: proto.ByeMalformed, Msg: err.Error()})
 				s.cfg.Logf("armus-serve: session %q: malformed stream: %v", h.Session, err)
 			}
@@ -219,44 +197,6 @@ func (c *conn) decode(tr *trace.Reader, ss *session, b *batch) error {
 	}
 	c.teeFlushIfDue(tr)
 	return err
-}
-
-// awaitApplied waits until the session executor has processed every batch
-// this connection enqueued. The executor returns a batch to the free ring
-// only after its responses are encoded, so holding the whole ring means
-// nothing is in flight; the ring is put back afterwards. The executor
-// outlives every read loop by construction, so this returns quickly; the
-// guard only keeps a wedged engine from taking teardown down with it. A
-// connection that never attached has no ring and nothing in flight.
-func (c *conn) awaitApplied() {
-	if c.free == nil {
-		return
-	}
-	guard := time.NewTimer(time.Second)
-	defer guard.Stop()
-	var held [batchesPerConn]*batch
-	n := 0
-wait:
-	for ; n < batchesPerConn; n++ {
-		select {
-		case held[n] = <-c.free:
-		case <-guard.C:
-			break wait
-		}
-	}
-	for _, b := range held[:n] {
-		c.free <- b
-	}
-}
-
-// recycle returns a processed batch to its connection's free ring. Every
-// batch of the ring is in exactly one place (ring, read loop, queue, or
-// executor), so the ring always has room.
-func (c *conn) recycle(b *batch) {
-	select {
-	case c.free <- b:
-	default:
-	}
 }
 
 // refuse counts and reports a connection that never attached.

@@ -12,21 +12,18 @@ import (
 // The live-introspection surface: GET /debug/armus/sessions answers "what
 // is this server doing right now, session by session" — the question the
 // fleet and archive layers (PRs 8–9) made unanswerable from counters
-// alone. Everything it reads is atomic (obs.SessionObs, queue depths,
-// deps.State.Len) or taken under the same short locks the janitor uses,
-// so hitting it during an incident costs the hot path nothing.
+// alone. Everything it reads is atomic (obs.SessionObs, deps.State.Len)
+// or taken under the same short locks the janitor uses, so hitting it
+// during an incident costs the hot path nothing.
 
 // debugSession is one session's row in the /debug/armus/sessions reply.
 type debugSession struct {
-	Name     string `json:"name"`
-	Mode     string `json:"mode"`
-	Executor string `json:"executor"` // "running" | "parked"
-	// QueueDepth is the executor ingest backlog (queued batches); Conns
-	// the attached connections; BlockedTasks the session's current
-	// blocked-status count — the verifier's working-set size.
-	QueueDepth   int64 `json:"queue_depth"`
-	Conns        int   `json:"conns"`
-	BlockedTasks int   `json:"blocked_tasks"`
+	Name string `json:"name"`
+	Mode string `json:"mode"`
+	// Conns is the attached connections; BlockedTasks the session's
+	// current blocked-status count — the verifier's working-set size.
+	Conns        int `json:"conns"`
+	BlockedTasks int `json:"blocked_tasks"`
 
 	Gates          int64 `json:"gates"`
 	Rejections     int64 `json:"rejections"`
@@ -34,6 +31,7 @@ type debugSession struct {
 	Reports        int64 `json:"reports"`
 	LastDeadlocked bool  `json:"last_deadlocked"`
 
+	// Stages' queue_wait is the session lock's contention.
 	Stages obs.Stages `json:"stages"`
 
 	// Flight is the session's flight ring (oldest first), only populated
@@ -81,8 +79,6 @@ func (s *Server) handleDebugSessions(w http.ResponseWriter, r *http.Request) {
 			row := debugSession{
 				Name:           name,
 				Mode:           ss.mode.String(),
-				Executor:       "running",
-				QueueDepth:     int64(len(ss.in)),
 				BlockedTasks:   ss.eng.State().Len(),
 				Gates:          ss.ob.Gates.Load(),
 				Rejections:     ss.ob.Rejections.Load(),
@@ -90,9 +86,6 @@ func (s *Server) handleDebugSessions(w http.ResponseWriter, r *http.Request) {
 				Reports:        ss.ob.Reports.Load(),
 				LastDeadlocked: ss.ob.LastDeadlocked.Load(),
 				Stages:         obs.StagesOf(&ss.ob.QueueWait, &ss.ob.Verify, &ss.ob.Flush),
-			}
-			if ss.parked.Load() {
-				row.Executor = "parked"
 			}
 			ss.mu.Lock()
 			row.Conns = len(ss.conns)

@@ -143,7 +143,6 @@ func TestMalformedFrameRejected(t *testing.T) {
 func TestSlowConsumerDisconnect(t *testing.T) {
 	srv := &Server{cfg: Config{Logf: func(string, ...any) {}}.withDefaults()}
 	ss := newSession(srv, "slow", core.ModeDetect, nil, 0)
-	defer ss.shutdownExecutor()
 	p1, p2 := net.Pipe()
 	defer p2.Close()
 	// No writeLoop: the coalesce buffer never drains, like a peer that
@@ -154,8 +153,7 @@ func TestSlowConsumerDisconnect(t *testing.T) {
 	for i := range b.events {
 		b.events[i] = trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported}
 	}
-	ss.enqueue(b)
-	waitFor(t, func() bool { return srv.m.Batches.Load() >= 1 })
+	ss.apply(b)
 	if got := srv.m.SlowDisconnects.Load(); got != 1 {
 		t.Fatalf("slow disconnects = %d, want 1", got)
 	}
@@ -169,8 +167,7 @@ func TestSlowConsumerDisconnect(t *testing.T) {
 	}
 	// Later sends are dropped without a second disconnect.
 	b2 := &batch{c: c, events: []trace.Event{{Kind: trace.KindVerdict, Verdict: trace.VerdictReported}}, n: 1}
-	ss.enqueue(b2)
-	waitFor(t, func() bool { return srv.m.Batches.Load() >= 2 })
+	ss.apply(b2)
 	if got := srv.m.SlowDisconnects.Load(); got != 1 {
 		t.Fatalf("slow disconnect double-counted: %d", got)
 	}

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"net"
-	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,10 +15,10 @@ import (
 	"armus/internal/trace"
 )
 
-// The hand-off from a connection's read loop to its session's executor,
-// and the teardown that waits for it: a full queue makes senders wait and
-// loses nothing, every answer precedes a goodbye, and a connection with
-// nothing in flight tears down at once.
+// A read loop applies what it decoded under its session's lock, and
+// teardown follows from that: a busy session stops its connections
+// reading and loses nothing, every answer precedes a goodbye, and a
+// connection that never attached tears down at once.
 
 // readResp reads one response or fails the test.
 func readResp(t *testing.T, br *bufio.Reader) proto.Response {
@@ -32,31 +30,20 @@ func readResp(t *testing.T, br *bufio.Reader) proto.Response {
 	return r
 }
 
-// sendersWaiting counts the goroutines blocked in session.enqueue.
-func sendersWaiting() int {
-	buf := make([]byte, 1<<20)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "server.(*session).enqueue(")
-		}
-		buf = make([]byte, 2*len(buf))
-	}
-}
-
-// TestExecQueueFullSendersWait: more connections than the session queue
-// holds each send checkpoints while the executor is held inside a batch.
-// The queue fills, a read loop really waits to send, and once the executor
-// goes on every checkpoint is answered, in order, and counted.
-func TestExecQueueFullSendersWait(t *testing.T) {
+// TestBusySessionStopsReading: while the session lock is held, a
+// connection that has decoded a batch waits to apply it and reads no more
+// of its socket, and once the lock goes every answer arrives, in order.
+// On a net.Pipe a write completes only when the server reads it, so a
+// second write that stays pending shows the read loop stopped; 16 TCP
+// connections with three checkpoints each show one waiting batch per
+// connection and nothing applied.
+func TestBusySessionStopsReading(t *testing.T) {
 	const (
-		name   = "full"
-		conns  = execQueueLen + 16
+		name   = "busy"
+		conns  = 16
 		checks = 3
 	)
 	s := testServer(t, Config{})
-	closer, ctw, _, _ := rawAttach(t, s, name, core.ModeDetect)
-	defer closer.Close()
 	ncs := make([]net.Conn, conns)
 	tws := make([]*trace.Writer, conns)
 	brs := make([]*bufio.Reader, conns)
@@ -64,30 +51,43 @@ func TestExecQueueFullSendersWait(t *testing.T) {
 		ncs[i], tws[i], brs[i], _ = rawAttach(t, s, name, core.ModeDetect)
 		defer ncs[i].Close()
 	}
+	peer, server := net.Pipe()
+	defer peer.Close()
+	s.wg.Add(1)
+	go s.handleConn(server)
+	ptw, err := trace.NewWriter(peer, proto.Handshake{Session: name}.Label(), uint8(core.ModeDetect))
+	if err == nil {
+		err = ptw.Flush()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	pbr := bufio.NewReader(peer)
+	if r := readResp(t, pbr); r.Kind != proto.RespHello {
+		t.Fatalf("pipe: kind=%v, want hello", r.Kind)
+	}
+	checkpoint := func(tw *trace.Writer) error {
+		if err := tw.WriteEvent(trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported}); err != nil {
+			return err
+		}
+		return tw.Flush()
+	}
+
 	sh := s.shardFor(name)
 	sh.mu.Lock()
 	ss := sh.m[name]
 	sh.mu.Unlock()
-
-	// The executor takes ss.mu to push a detection report, so holding it
-	// stops the executor inside the batch that closes a cycle.
 	ss.mu.Lock()
 	var unlock sync.Once
 	release := func() { unlock.Do(ss.mu.Unlock) }
 	defer release()
-	for _, e := range []trace.Event{
-		{Kind: trace.KindBlock, Status: status(1, []deps.Resource{res(2, 1)}, []deps.Reg{reg(1, 0)})},
-		{Kind: trace.KindBlock, Status: status(2, []deps.Resource{res(1, 1)}, []deps.Reg{reg(2, 0)})},
-	} {
-		if err := ctw.WriteEvent(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ctw.Flush(); err != nil {
+
+	if err := checkpoint(ptw); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return s.Metrics().Reports.Load() == 1 })
-
+	waitFor(t, func() bool { return s.Metrics().ExecQueueDepth.Load() == 1 })
+	second := make(chan error, 1)
+	go func() { second <- checkpoint(ptw) }()
 	for i, tw := range tws {
 		for k := 0; k < checks; k++ {
 			if err := tw.WriteEvent(trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported}); err != nil {
@@ -98,23 +98,34 @@ func TestExecQueueFullSendersWait(t *testing.T) {
 			t.Fatalf("conn %d: %v", i, err)
 		}
 	}
-	waitFor(t, func() bool { return len(ss.in) == cap(ss.in) && sendersWaiting() > 0 })
+	waitFor(t, func() bool { return s.Metrics().ExecQueueDepth.Load() == conns+1 })
+	select {
+	case err := <-second:
+		t.Fatalf("a write completed while its read loop waited on the session (err %v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
 	if got := s.Metrics().Batches.Load(); got != 0 {
-		t.Fatalf("%d batches processed while the executor was held", got)
+		t.Fatalf("%d batches applied while the session was held", got)
 	}
 	release()
 
+	for k := 1; k <= 2; k++ {
+		if r := readResp(t, pbr); r.Kind != proto.RespVerdict || r.Seq != uint64(k) {
+			t.Fatalf("pipe answer %d: kind=%v seq=%d, want verdict seq %d", k, r.Kind, r.Seq, k)
+		}
+	}
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
 	for i, br := range brs {
 		for k := 1; k <= checks; k++ {
-			r := readResp(t, br)
-			if r.Kind != proto.RespVerdict || r.Seq != uint64(k) || !r.Deadlocked {
-				t.Fatalf("conn %d answer %d: kind=%v seq=%d deadlocked=%v, want deadlocked verdict seq %d",
-					i, k, r.Kind, r.Seq, r.Deadlocked, k)
+			if r := readResp(t, br); r.Kind != proto.RespVerdict || r.Seq != uint64(k) {
+				t.Fatalf("conn %d answer %d: kind=%v seq=%d, want verdict seq %d", i, k, r.Kind, r.Seq, k)
 			}
 		}
 	}
 	waitFor(t, func() bool { return s.Metrics().Events.Load() == 2+conns*checks })
-	waitFor(t, func() bool { return s.Metrics().ExecQueueDepth() == 0 })
+	waitFor(t, func() bool { return s.Metrics().ExecQueueDepth.Load() == 0 })
 }
 
 // TestMalformedStreamAnswersFirst: checkpoints followed by garbage in one
@@ -160,8 +171,8 @@ func TestMalformedStreamAnswersFirst(t *testing.T) {
 }
 
 // TestRefusedHandshakeTearsDownPromptly: a connection refused at the
-// handshake never attached, so it has nothing in flight and no batch ring
-// to wait on. It tears down at once, not after the teardown guard.
+// handshake never attached, so it has nothing to apply. It tears down at
+// once.
 func TestRefusedHandshakeTearsDownPromptly(t *testing.T) {
 	s := testServer(t, Config{})
 	keep, _, _, _ := rawAttach(t, s, "taken", core.ModeDetect)
@@ -226,7 +237,7 @@ func TestShutdownDuringHandshake(t *testing.T) {
 
 // TestGateBurstNotSlowConsumer: one avoidance client whose 300 tasks gate
 // 20 times each, all at once, reads every answer it is sent. However many
-// answers the executor encodes before the writer runs, that client is
+// answers its read loop encodes before the writer runs, that client is
 // not a slow consumer: it is never disconnected, so it never reconnects.
 func TestGateBurstNotSlowConsumer(t *testing.T) {
 	const tasks, gates = 300, 20

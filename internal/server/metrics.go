@@ -40,39 +40,38 @@ type Metrics struct {
 	ConnsTotal obs.Counter `metric:"conns_total" help:"Connections ever accepted."`
 
 	Events       obs.Counter `metric:"events_total" help:"Verifier events ingested."`
-	Batches      obs.Counter `metric:"batches_total" help:"Executor batches processed."`
+	Batches      obs.Counter `metric:"batches_total" help:"Batches applied: what one read loop found buffered."`
 	GateAllowed  obs.Counter `metric:"gate_allowed_total" help:"Avoidance blocks admitted."`
 	GateRejected obs.Counter `metric:"gate_rejected_total" help:"Avoidance blocks refused (deadlock would close)."`
 	Checkpoints  obs.Counter `metric:"checkpoints_total" help:"Verdict checkpoints answered."`
 	Reports      obs.Counter `metric:"reports_total" help:"Deadlock reports pushed to subscribers."`
 
-	ExecSpawned obs.Counter `metric:"exec_spawned_total" help:"Session executor goroutines spawned."`
-	ExecParks   obs.Counter `metric:"exec_parks_total" help:"Executor park episodes (idle waits)."`
-
 	MalformedConns  obs.Counter `metric:"malformed_conns_total" help:"Connections dropped for violating the trace framing."`
 	SlowDisconnects obs.Counter `metric:"slow_disconnects_total" help:"Connections dropped for an overflowing coalesce buffer."`
 
-	// The two backlogs are sums over live connections and open sessions,
-	// taken when read.
-	QueueDepth     obs.GaugeFunc `metric:"queue_depth" help:"Summed undelivered responses over live connections."`
-	ExecQueueDepth obs.GaugeFunc `metric:"exec_queue_depth" help:"Summed queued executor batches over open sessions."`
+	// QueueDepth is summed over live connections when read.
+	QueueDepth obs.GaugeFunc `metric:"queue_depth" help:"Summed undelivered responses over live connections."`
+	// ExecQueueDepth is the quiescence gauge /healthz reports even while
+	// draining, so an orchestrator can tell "draining, work pending" from
+	// "draining, quiesced" (session.apply).
+	ExecQueueDepth obs.Gauge `metric:"exec_queue_depth" help:"Batches decoded and not yet applied."`
 
 	// Segment is the durable trace archive's own declaration (nil, and
 	// served as zeros, when archiving is disabled).
 	Segment *segment.Metrics `metric:"segment_"`
 
-	// Batch size doubles as ingest outruns the executor, so this histogram
-	// is a direct read on how much coalescing the session queue is buying.
-	ExecBatchEvents obs.Hist `metric:"exec_batch_events" le:"256" per:"1" help:"Events per processed executor batch."`
+	// A batch is what one read loop found buffered, so this histogram is a
+	// direct read on how much each apply amortises.
+	ExecBatchEvents obs.Hist `metric:"exec_batch_events" le:"256" per:"1" help:"Events per applied batch."`
 
 	// Server-wide stage latencies, in nanoseconds: where a gate's
 	// server-side time goes. Always on — each observation is two atomic
-	// adds on the executor (queue-wait, verify) or the connection writer
-	// (flush). Per-session copies live in session.ob; these aggregate
+	// adds under the session lock (queue-wait, verify) or on the connection
+	// writer (flush). Per-session copies live in session.ob; these aggregate
 	// across sessions and survive session GC, which is what a Prometheus
 	// scrape needs (monotone cumulative series).
-	StageQueueWait obs.Hist `metric:"stage_queue_wait_us" le:"16384" per:"1000" help:"Batch queue wait: decode/enqueue to executor pickup, µs."`
-	StageVerify    obs.Hist `metric:"stage_verify_us" le:"16384" per:"1000" help:"Batch verify: executor occupancy per batch, µs."`
+	StageQueueWait obs.Hist `metric:"stage_queue_wait_us" le:"16384" per:"1000" help:"Batch queue wait: decode to session lock taken, µs."`
+	StageVerify    obs.Hist `metric:"stage_verify_us" le:"16384" per:"1000" help:"Batch verify: session lock occupancy per batch, µs."`
 	StageFlush     obs.Hist `metric:"stage_flush_us" le:"16384" per:"1000" help:"Response flush: oldest buffered response to write completion, µs."`
 
 	BuildInfo obs.Info      `metric:"build_info" help:"Build metadata (always 1)."`
@@ -97,21 +96,6 @@ func (s *Server) initMetrics() {
 		s.mu.Unlock()
 		return depth
 	}
-	// ExecQueueDepth is the quiescence gauge /healthz reports even while
-	// draining, so an orchestrator can tell "draining, work pending" from
-	// "draining, quiesced".
-	s.m.ExecQueueDepth = func() int64 {
-		var depth int64
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			for _, ss := range sh.m {
-				depth += int64(len(ss.in))
-			}
-			sh.mu.Unlock()
-		}
-		return depth
-	}
 }
 
 // Handler returns the HTTP observability surface: GET /healthz (liveness
@@ -126,15 +110,15 @@ func (s *Server) Handler() http.Handler {
 		s.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		if draining {
-			// Still report the executor backlog: exec_queue_depth reaching 0
+			// Still report the apply backlog: exec_queue_depth reaching 0
 			// is the quiescence signal a drain orchestrator polls for
 			// (replacing "sleep and hope" kill windows).
 			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintf(w, `{"status":"draining","exec_queue_depth":%d}`+"\n", s.m.ExecQueueDepth())
+			fmt.Fprintf(w, `{"status":"draining","exec_queue_depth":%d}`+"\n", s.m.ExecQueueDepth.Load())
 			return
 		}
 		fmt.Fprintf(w, `{"status":"ok","sessions":%d,"conns":%d,"events":%d,"exec_queue_depth":%d}`+"\n",
-			s.m.SessionsOpen.Load(), s.m.ConnsOpen.Load(), s.m.Events.Load(), s.m.ExecQueueDepth())
+			s.m.SessionsOpen.Load(), s.m.ConnsOpen.Load(), s.m.Events.Load(), s.m.ExecQueueDepth.Load())
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

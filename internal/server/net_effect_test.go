@@ -15,8 +15,8 @@ import (
 	"armus/internal/trace"
 )
 
-// TestDetectNetEffectAgainstEngine holds a detection session's executor,
-// which applies only each task's last mutation in a checkpoint segment,
+// TestDetectNetEffectAgainstEngine holds a detection session, which
+// applies only each task's last mutation in a checkpoint segment,
 // against an engine that applies every event in order. Seeded batches of 1
 // to maxBatch events on 1 to 12 tasks over four phasers re-block with
 // advanced phases, block on a changed phaser set, unblock tasks blocked
@@ -32,9 +32,7 @@ func TestDetectNetEffectAgainstEngine(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		srv := &Server{cfg: Config{Logf: func(string, ...any) {}}.withDefaults()}
 		ss := newSession(srv, "net-effect", core.ModeDetect, nil, 0)
-		ss.shutdownExecutor() // process runs inline
 		c := &conn{srv: srv, wsig: make(chan struct{}, 1), done: make(chan struct{}), subscribe: true}
-		c.free = make(chan *batch, 1)
 		ss.conns[c] = struct{}{}
 		b := &batch{c: c, events: make([]trace.Event, maxBatch)}
 		ref, refWas := engine.New(false), false
@@ -152,11 +150,10 @@ func TestDetectNetEffectAgainstEngine(t *testing.T) {
 			refWas = refCyc != nil
 
 			b.n = size
-			ss.process(b)
-			<-c.free
+			ss.apply(b)
 			received += int64(size)
 			// What reached the engine: every checkpoint and the mutations
-			// the executor kept.
+			// the session kept.
 			skipped += size - len(ss.fold.order)
 
 			got := readResponses(t, c)
@@ -177,10 +174,10 @@ func TestDetectNetEffectAgainstEngine(t *testing.T) {
 			}
 			snap := ref.State().Snapshot()
 			if gotSnap := ss.eng.State().Snapshot(); !sameStatuses(gotSnap, snap) {
-				t.Fatalf("seed %d batch %d: executor holds %+v, reference %+v\nbatch: %+v", seed, n, gotSnap, snap, events)
+				t.Fatalf("seed %d batch %d: session holds %+v, reference %+v\nbatch: %+v", seed, n, gotSnap, snap, events)
 			}
 			if d := ss.eng.Check() != nil; d != refWas || ss.ob.LastDeadlocked.Load() != refWas {
-				t.Fatalf("seed %d batch %d: executor's verdict %v (last %v), reference %v",
+				t.Fatalf("seed %d batch %d: session's verdict %v (last %v), reference %v",
 					seed, n, d, ss.ob.LastDeadlocked.Load(), refWas)
 			}
 			// Two reference states with several cycles may be searched from

@@ -19,12 +19,12 @@ import (
 // (re-asserting every live status) closes whatever gap the snapshot
 // cadence left.
 //
-// The hot path stays allocation-free: the executor only bumps a counter
-// per batch; every SnapshotEvery batches it encodes (into buffers that are
-// reused or handed off whole) and hands the payload to ONE persister
-// goroutine over a bounded channel. A full channel drops the snapshot
-// (next one supersedes it; the drop is counted) rather than ever blocking
-// an executor on store I/O. The single persister preserves per-session
+// The hot path stays allocation-free: applying a batch only bumps a
+// counter; every SnapshotEvery batches the applier encodes (into buffers
+// that are reused or handed off whole) and hands the payload to ONE
+// persister goroutine over a bounded channel. A full channel drops the
+// snapshot (next one supersedes it; the drop is counted) rather than ever
+// blocking a session lock holder on store I/O. The single persister preserves per-session
 // base/delta write order, which is what keeps a concurrently rehydrating
 // reader coherent: a delta whose baseSeq does not match the stored base is
 // simply ignored.
@@ -54,8 +54,8 @@ type persistReq struct {
 	mode  byte
 }
 
-// persist hands a snapshot to the persister without ever blocking the
-// executor. Reports whether the request was accepted; a drop is counted.
+// persist hands a snapshot to the persister without ever blocking: its
+// caller holds a session lock. Reports whether the request was accepted; a drop is counted.
 func (s *Server) persist(req persistReq) bool {
 	select {
 	case s.persistCh <- req:
@@ -85,7 +85,7 @@ func (s *Server) persister() {
 	}
 }
 
-// maybeSnapshot runs on the executor after each processed batch. With no
+// maybeSnapshot runs under the session lock after each applied batch. With no
 // store configured it is a single nil check — the zero-alloc guarantee of
 // the ingest path (TestExecutorPathZeroAlloc) is unchanged.
 func (ss *session) maybeSnapshot() {
@@ -101,7 +101,7 @@ func (ss *session) maybeSnapshot() {
 
 // persistSnapshot encodes the next link of the session's store chain
 // (dist.Chain owns the base/delta bookkeeping) and hands it to the
-// persister. Executor-owned; steady-state cost is the encode allocation
+// persister. Under the session lock; steady-state cost is the encode allocation
 // alone, amortized over SnapshotEvery batches.
 func (ss *session) persistSnapshot() {
 	field, val := ss.chain.Next(ss.eng.State(), nil)
@@ -117,8 +117,8 @@ func (ss *session) persistSnapshot() {
 // highest seq of its chain, which the new owner numbers above. The set is
 // nil when the store has none (or holds one for a different mode — a stale
 // tenant reusing the name across modes gets a fresh session, not a
-// refusal). Called on the attach cold path, before the session's executor
-// exists.
+// refusal). Called on the attach cold path, before the session is in the
+// table.
 func (s *Server) fetchSnapshot(name string, mode core.Mode) ([]deps.Blocked, uint64) {
 	if s.db == nil {
 		return nil, 0

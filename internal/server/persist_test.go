@@ -93,7 +93,7 @@ func TestSnapshotRehydrateAcrossServers(t *testing.T) {
 }
 
 // TestGCLeavesSnapshotIntact is the satellite-4 regression: the lease
-// janitor tombstones ONLY the in-memory executor and engine — the store
+// janitor drops ONLY the in-memory session and engine — the store
 // snapshot must survive, so a client reconnecting AFTER the lease still
 // resumes. Before the fix, a GC-then-reconnect within the snapshot cadence
 // silently restarted the session empty.

@@ -257,7 +257,7 @@ func archiveHoldsWhatArrived(t *testing.T, reblocks bool) {
 		t.Fatalf("the export does not decode: %v", err)
 	}
 	// The server's own annotations (a report if a batch happened to end
-	// inside a deadlock) sit where the executor happened to be; a client
+	// inside a deadlock) sit where the applying read loop happened to be; a client
 	// checkpoint names no resources, a report does.
 	var arrived []trace.Event
 	var ordinals []int64

@@ -27,18 +27,17 @@
 //     session engine answers "deadlocked now?" per batch with the same
 //     query, from the tasks whose status the batch set, and deadlock
 //     transitions are pushed to subscribed connections).
-//   - Each session owns ONE EXECUTOR goroutine (executor.go): the single
-//     writer of its verifier state, fed by a buffered channel of decoded
-//     batches. Per-connection read loops only decode
-//     (trace.Reader.NextInto into recycled batches) and send — the
-//     verifier state takes no lock. Ingress backpressure is the TCP
-//     window: a connection's batch ring running empty, or its session's
-//     queue running full, stops its read loop and the kernel stops the
-//     sender. Egress is a per-connection coalesce buffer flushed by a
-//     writer goroutine in single Write calls (many responses per
-//     syscall), bounded by response count: a connection that does not
-//     drain its read side is disconnected (slow-consumer policy) rather
-//     than buffered without bound.
+//   - A session is a lock, not a goroutine: the connection read loop that
+//     decoded a batch (trace.Reader.NextInto into the connection's one
+//     batch) applies it itself under the session's mutex (apply.go),
+//     whose holder is the single writer of the verifier state. Ingress
+//     backpressure is the TCP window: a read loop waiting for a busy
+//     session does not read its socket, and the kernel stops the sender.
+//     Egress is a per-connection coalesce buffer flushed by a writer
+//     goroutine in single Write calls (many responses per syscall),
+//     bounded by response count: a connection that does not drain its
+//     read side is disconnected (slow-consumer policy) rather than
+//     buffered without bound.
 //   - Sessions whose last connection has gone survive for a lease (so a
 //     crashed client can reconnect and resume), then a janitor driven by
 //     the injectable internal/clock garbage-collects them. Shutdown
@@ -46,10 +45,9 @@
 //     connections a grace to finish, then close.
 //   - With Config.SegmentDir set, every read loop additionally tees the
 //     frames it accepted, as they arrived, into the durable trace archive
-//     (internal/segment, tee.go) and executors append the server's verdict
-//     transitions —
-//     making every session's ingest stream queryable and replayable
-//     after the fact. The tee never blocks verification; see
+//     (internal/segment, tee.go) and sessions append the server's verdict
+//     transitions — making every session's ingest stream queryable and
+//     replayable after the fact. The tee never blocks verification; see
 //     docs/SEGMENT_FORMAT.md and docs/OPERATIONS.md.
 //   - With Config.Store set, sessions periodically snapshot their
 //     blocked-status state into the shared store (persist.go) and
@@ -102,8 +100,8 @@ type Config struct {
 	// stored snapshot — the fleet failover path (see persist.go). Empty
 	// disables persistence.
 	StoreAddr string
-	// SnapshotEvery persists a session snapshot every N processed executor
-	// batches (default 64). Lower is fresher at more store traffic; the
+	// SnapshotEvery persists a session snapshot every N applied batches
+	// (default 64). Lower is fresher at more store traffic; the
 	// client SDK's reconnect resync covers whatever the cadence misses.
 	SnapshotEvery int
 	// Fleet and SelfAddr declare the static shard map this server serves
@@ -117,7 +115,7 @@ type Config struct {
 	// SegmentDir enables the durable trace archive (internal/segment):
 	// every accepted connection's decoded event batches — plus the
 	// server's own verdict transitions (gate rejections, deadlock
-	// reports) — are teed off the executor hot path into per-session
+	// reports) — are teed off the verification hot path into per-session
 	// rotating, compressed, CRC-sealed segment files under this
 	// directory, queryable with `armus-trace query` and exportable back
 	// into replayable traces with `armus-trace export`. The tee follows
@@ -328,9 +326,9 @@ func (s *Server) attach(name string, mode core.Mode, c *conn) (*session, bool, e
 				s.cfg.Logf("armus-serve: session %q is owned by fleet member %s (serving anyway)", name, owner)
 			}
 		}
-		// One store round trip on the cold path, before the executor
-		// exists: the fresh engine is rehydrated before anything can race
-		// it, and the shard lock keeps a concurrent attach of the same
+		// One store round trip on the cold path, before the session is in
+		// the table: the fresh engine is rehydrated before anything can
+		// race it, and the shard lock keeps a concurrent attach of the same
 		// session out.
 		snap, snapSeq := s.fetchSnapshot(name, mode)
 		ss = newSession(s, name, mode, snap, snapSeq)
@@ -397,17 +395,15 @@ func (s *Server) sweep() {
 			expired := ss.idleTicks >= leaseTicks
 			ss.mu.Unlock()
 			if expired {
-				delete(sh.m, name)
-				// No connection is attached and attach is excluded by the
-				// shard lock, so no producer can push: the executor drains
-				// whatever is queued and exits.
+				// No connection is attached, so no read loop is applying
+				// a batch, and attach is excluded by the shard lock.
 				//
-				// The GC tombstones ONLY the executor and its engine — the
+				// The GC drops ONLY the session and its engine — the
 				// session's store snapshot is deliberately left intact, so
 				// a client reconnecting after the lease (or attaching on
 				// another fleet member) still rehydrates and resumes.
 				// Regression: TestGCLeavesSnapshotIntact.
-				ss.shutdownExecutor()
+				delete(sh.m, name)
 				s.m.SessionsOpen.Add(-1)
 				s.m.SessionsGCed.Add(1)
 				// Seal the session's archive segment now that its state is
@@ -465,7 +461,7 @@ func (s *Server) Shutdown() {
 }
 
 // Close stops the server immediately: listener and every connection are
-// closed, the janitor is stopped, and all session executors are stopped.
+// closed, the janitor is stopped, and every session is dropped.
 // Idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
@@ -486,19 +482,18 @@ func (s *Server) Close() {
 	close(s.sweepStop)
 	<-s.sweepDone
 	s.wg.Wait()
-	// Every read loop has exited (wg), so no producer survives: stop the
-	// executors (each drains its queue first).
+	// Every read loop has exited (wg), so no batch is being applied and
+	// none will be: drop the sessions.
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for name, ss := range sh.m {
+		for name := range sh.m {
 			delete(sh.m, name)
-			ss.shutdownExecutor()
 			s.m.SessionsOpen.Add(-1)
 		}
 		sh.mu.Unlock()
 	}
-	// Every executor has exited, so nothing can persist anymore: drain the
+	// No read loop remains, so nothing can persist anymore: drain the
 	// persister and release the store client. Stored snapshots survive the
 	// server on purpose — they are what a replacement rehydrates from.
 	if s.db != nil {
@@ -506,10 +501,10 @@ func (s *Server) Close() {
 		<-s.persistDone
 		s.db.Close()
 	}
-	// Read loops (wg), the sweeper (sweepDone) and every executor are
-	// stopped above, so no tee producer survives: drain the archive queue
-	// and seal every open segment. Sealed segments outlive the server on
-	// purpose — they are what an operator queries after an incident.
+	// Read loops (wg) and the sweeper (sweepDone) are stopped above, so
+	// no tee producer survives: drain the archive queue and seal every
+	// open segment. Sealed segments outlive the server on purpose — they
+	// are what an operator queries after an incident.
 	if s.seg != nil {
 		s.seg.Close()
 	}

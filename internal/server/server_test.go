@@ -287,9 +287,8 @@ func TestHTTPEndpoints(t *testing.T) {
 }
 
 // The zero-allocation guard for the ingest hot path lives in
-// executor_test.go (TestExecutorPathZeroAlloc): it covers the full
-// decode -> channel send -> executor mutate+gate -> coalesced response
-// path of the executor architecture.
+// apply_test.go (TestExecutorPathZeroAlloc): it covers the full
+// decode -> apply (mutate+gate) -> coalesced response path.
 
 func httpGet(t *testing.T, url string, wantCode int) string {
 	t.Helper()

@@ -9,10 +9,9 @@ import (
 
 // tee.go is the archive half of ingestion. When Config.SegmentDir is
 // set, every event frame a read loop accepts is appended to the durable
-// trace archive (internal/segment) before its batch reaches the session
-// executor — a block frame framed against the pending archive batch, so
-// that every archive block decodes on its own, anything else as it
-// arrived — and the server's own verdict transitions (gate rejections,
+// trace archive (internal/segment) before its batch is applied — a block
+// frame framed against the pending archive batch, so that every archive
+// block decodes on its own, anything else as it arrived — and the server's own verdict transitions (gate rejections,
 // deadlock reports) are appended as verdict annotations. Both paths end in
 // one non-blocking channel send; all file I/O happens on the archive's own
 // goroutine, so a slow or full disk can drop archive batches (counted)
@@ -38,7 +37,7 @@ const (
 // batch, and in full where it does not, so the batch decodes on its own and
 // is as dense as a re-block stream whoever sent it; every other frame is
 // copied as the decoder accepted it. It runs on the connection read loop,
-// before enqueue, so the archive order is the order this connection's
+// before the batch is applied, so the archive order is the order this connection's
 // events entered the session — one valid linearization of the merged trace
 // (blocked status is a pure function of the task, Def. 4.1, so per-task
 // order is all that matters and each task arrives on one connection).
@@ -89,7 +88,7 @@ func (c *conn) teeFlush() {
 // session. The event carries the refused status and the cycle's
 // resources for operators, but deliberately an EMPTY task list: the
 // archive is ordered by read-loop tee time while verdicts are computed
-// in executor order, so replay must count these annotations rather
+// in session-lock order, so replay must count these annotations rather
 // than re-assert them (replay only asserts verdict events that name
 // tasks). Client checkpoints travel in the ingress stream itself and
 // are archived by teeFrame.
