@@ -22,14 +22,14 @@ type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	r    *bufio.Reader
-	w    *bufio.Writer
+	out  []byte // a single command, encoded
 
 	roundTrips int64
 	commands   map[string]int64
 }
 
 // ClientStats counts the traffic a client has issued: RoundTrips is the
-// number of network flushes (one per do call, one per pipeline Exec —
+// number of network writes (one per do call, one per pipeline Exec —
 // retries after a reconnect do not count twice), Commands the number of
 // commands sent, by name. The dist tests use these to assert a check
 // round costs one MGETP instead of KEYS plus N GETs.
@@ -88,7 +88,6 @@ func (c *Client) ensureConnLocked() error {
 	}
 	c.conn = conn
 	c.r = bufio.NewReader(conn)
-	c.w = bufio.NewWriter(conn)
 	return nil
 }
 
@@ -99,50 +98,60 @@ func (c *Client) dropLocked() {
 	}
 }
 
-// do sends one command and reads one reply, retrying once on a broken
-// connection. The reply is freshly allocated: callers keep what it holds.
+// do sends one command and reads its reply, which is freshly allocated:
+// callers keep what it holds.
 func (c *Client) do(args ...[]byte) (Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.roundTrips++
-	c.countLocked(string(args[0]))
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		if err := c.ensureConnLocked(); err != nil {
-			lastErr = err
-			continue
-		}
-		if err := c.writeCommandLocked(args); err != nil {
-			c.dropLocked()
-			lastErr = err
-			continue
-		}
-		rep, err := c.readReplyLocked(nil)
-		if err != nil {
-			// ErrNil and server errors are valid replies, not transport
-			// failures: do not retry those.
-			if errors.Is(err, ErrNil) || errors.Is(err, ErrServerError) {
-				return rep, err
-			}
-			c.dropLocked()
-			lastErr = err
-			continue
-		}
-		return rep, nil
+	c.out = appendCommand(c.out[:0], args...)
+	var one [1]Reply
+	reps, err := c.exec([]string{string(args[0])}, c.out, nil, one[:0])
+	if cap(c.out) > keepBytes {
+		c.out = nil
 	}
-	return Reply{}, fmt.Errorf("store: %s unreachable: %w", c.addr, lastErr)
+	if err != nil {
+		return Reply{}, err
+	}
+	return reps[0], reps[0].Err
 }
 
-func (c *Client) writeCommandLocked(args [][]byte) error {
-	if err := writeHeader(c.w, '*', len(args)); err != nil {
-		return err
+// exec is the client's one round trip, for a single command and a
+// pipeline alike. It writes out, the encoding of the commands that names
+// names, and reads one reply per command into replies, their storage
+// carved from a (nil allocates). On a broken connection it redials and
+// sends everything once more. ErrNil and server errors are replies, in
+// Reply.Err; a transport failure is the error.
+func (c *Client) exec(names []string, out []byte, a *arena, replies []Reply) ([]Reply, error) {
+	c.roundTrips++
+	for _, name := range names {
+		c.countLocked(name)
 	}
-	for _, a := range args {
-		if err := writeBulk(c.w, a); err != nil {
-			return err
+	var lastErr error
+	for attempt := 0; attempt < 2; attempt++ {
+		if lastErr = c.ensureConnLocked(); lastErr != nil {
+			continue
 		}
+		if _, lastErr = c.conn.Write(out); lastErr != nil {
+			c.dropLocked()
+			continue
+		}
+		a.reset(maxBulk+2, maxArray)
+		replies = replies[:0]
+		for range names {
+			rep, err := c.readReplyLocked(a)
+			if err != nil && !errors.Is(err, ErrNil) && !errors.Is(err, ErrServerError) {
+				lastErr = err
+				break
+			}
+			rep.Err, rep.arena = err, a
+			replies = append(replies, rep)
+		}
+		if len(replies) == len(names) {
+			return replies, nil
+		}
+		c.dropLocked()
 	}
-	return c.w.Flush()
+	return replies, fmt.Errorf("store: %s unreachable: %w", c.addr, lastErr)
 }
 
 // simpleString is string(b) without an allocation for the status lines the
@@ -182,25 +191,10 @@ func (c *Client) readReplyLocked(a *arena) (Reply, error) {
 		return Reply{N: n}, nil
 	case '$':
 		b, err := readBulkBody(c.r, line, a)
-		if err != nil {
-			return Reply{}, err
-		}
-		return Reply{Bulk: b}, nil
+		return Reply{Bulk: b}, err
 	case '*':
-		n, err := strconv.Atoi(string(line[1:]))
-		if err != nil {
-			return Reply{}, err
-		}
-		if n < 0 || n > maxArray {
-			return Reply{}, fmt.Errorf("store: bad array length %d", n)
-		}
-		arr := a.array(n)
-		for i := range arr {
-			if arr[i], err = readBulk(c.r, a); err != nil {
-				return Reply{}, err
-			}
-		}
-		return Reply{Array: arr}, nil
+		arr, err := readArray(c.r, line, a)
+		return Reply{Array: arr}, err
 	default:
 		return Reply{}, fmt.Errorf("store: bad reply %q", line)
 	}
@@ -370,10 +364,11 @@ func (s *slab[T]) take(n int) []T {
 }
 
 // reset takes back everything handed out. If that did not fit one chunk,
-// the next one is sized for all of it (up to limit items), so a steady
-// sequence of equal requests settles on one chunk and no allocation.
+// or the chunk holds more than limit items, the next one is sized for all
+// of it, up to limit items: a steady sequence of equal requests settles on
+// one chunk and no allocation, and no chunk beyond limit is kept.
 func (s *slab[T]) reset(limit int) {
-	if s.total > cap(s.chunk) {
+	if s.total > cap(s.chunk) || cap(s.chunk) > limit {
 		s.chunk = make([]T, 0, min(s.total, limit))
 	}
 	s.chunk, s.total = s.chunk[:0], 0
@@ -387,10 +382,16 @@ type arena struct {
 	ents  slab[Entry]  // parsed MGETP entries
 }
 
-func (a *arena) reset() {
-	a.bytes.reset(maxBulk + 2)
-	a.elems.reset(maxArray)
-	a.ents.reset(maxArray / 3)
+// reset takes back everything handed out, keeping at most bytes of bulk
+// storage and elems array elements (and elems/3 entries) for what comes
+// next.
+func (a *arena) reset(bytes, elems int) {
+	if a == nil {
+		return
+	}
+	a.bytes.reset(bytes)
+	a.elems.reset(elems)
+	a.ents.reset(elems / 3)
 }
 
 func (a *arena) bulk(n int) []byte {
@@ -414,13 +415,13 @@ func (a *arena) entries(n int) []Entry {
 	return a.ents.take(n)
 }
 
-// Pipeline batches commands into one buffered write with a single flush;
-// replies are matched in order, so N commands cost one network round trip
-// instead of N. On a broken connection the whole batch is retried once
-// after a redial — callers must only pipeline idempotent commands (SET,
-// HSET, DEL, reads), which is all the verification rounds need. Commands
-// are encoded as they are queued, so the caller may reuse a queued value at
-// once. The pipeline owns the storage of its replies and reuses it: what
+// Pipeline batches commands into one write; replies are matched in order,
+// so N commands cost one network round trip instead of N. It goes through
+// the same round trip as a single command: on a broken connection the
+// whole batch is retried once after a redial — callers must only pipeline
+// idempotent commands (SET, HSET, DEL, reads), which is all the
+// verification rounds need. Commands are encoded as they are queued, so the
+// caller may reuse a queued value at once. The pipeline owns the storage of its replies and reuses it: what
 // Exec returns — the slice, every Bulk and Array, every Entries result — is
 // valid until the next Exec, and a caller that keeps any of it longer
 // copies it. A Pipeline is not safe for concurrent use; Exec resets it for
@@ -441,11 +442,6 @@ func (c *Client) Pipeline() *Pipeline { return &Pipeline{c: c} }
 func (p *Pipeline) add(name string, argc int) {
 	p.names = append(p.names, name)
 	p.out = appendBulk(appendHeader(p.out, '*', argc), name)
-}
-
-func appendBulk[T string | []byte](buf []byte, v T) []byte {
-	buf = append(appendHeader(buf, '$', len(v)), v...)
-	return append(buf, '\r', '\n')
 }
 
 // Len reports how many commands are queued.
@@ -481,7 +477,7 @@ func (p *Pipeline) MGetPrefix(prefix string) {
 	p.out = appendBulk(p.out, prefix)
 }
 
-// Exec flushes the queued commands in one write and reads one reply per
+// Exec sends the queued commands in one write and reads one reply per
 // command, in order. The queue is cleared for reuse whether or not Exec
 // succeeds. An empty pipeline returns (nil, nil) without touching the
 // network.
@@ -493,46 +489,11 @@ func (p *Pipeline) Exec() ([]Reply, error) {
 	if len(p.names) == 0 {
 		return nil, nil
 	}
-	c := p.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.roundTrips++
-	for _, name := range p.names {
-		c.countLocked(name)
+	p.c.mu.Lock()
+	defer p.c.mu.Unlock()
+	var err error
+	if p.replies, err = p.c.exec(p.names, p.out, &p.arena, p.replies); err != nil {
+		return nil, err
 	}
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		if err := c.ensureConnLocked(); err != nil {
-			lastErr = err
-			continue
-		}
-		_, werr := c.w.Write(p.out)
-		if werr == nil {
-			werr = c.w.Flush()
-		}
-		if werr != nil {
-			c.dropLocked()
-			lastErr = werr
-			continue
-		}
-		p.arena.reset()
-		p.replies = p.replies[:0]
-		ok := true
-		for range p.names {
-			rep, err := c.readReplyLocked(&p.arena)
-			if err != nil && !errors.Is(err, ErrNil) && !errors.Is(err, ErrServerError) {
-				c.dropLocked()
-				lastErr = err
-				ok = false
-				break
-			}
-			rep.Err, rep.arena = err, &p.arena
-			p.replies = append(p.replies, rep)
-		}
-		if !ok {
-			continue
-		}
-		return p.replies, nil
-	}
-	return nil, fmt.Errorf("store: %s unreachable: %w", c.addr, lastErr)
+	return p.replies, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -26,35 +27,46 @@ func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 // connect puts the client on a connection to a peer that replies script.
 func (c *Client) connect(script []byte) {
 	c.conn = &scriptConn{script: bytes.NewReader(script)}
-	c.r, c.w = bufio.NewReader(c.conn), bufio.NewWriter(c.conn)
+	c.r = bufio.NewReader(c.conn)
 }
 
 // cmdBytes encodes one client command in wire format, for building fuzz
 // seed streams.
-func cmdBytes(args ...string) []byte {
-	var out bytes.Buffer
-	w := bufio.NewWriter(&out)
-	writeHeader(w, '*', len(args))
-	for _, a := range args {
-		writeBulkString(w, a)
+func cmdBytes(args ...string) []byte { return appendCommand(nil, args...) }
+
+// replay runs a fresh server's side of one connection over a stream that
+// says data, each command read into a (nil allocates), and returns the
+// server and what it answered.
+func replay(data []byte, a *arena) (*Server, []byte) {
+	s := &Server{
+		data:   make(map[string][]byte),
+		hashes: make(map[string]map[string][]byte),
 	}
-	w.Flush()
-	return out.Bytes()
+	var out bytes.Buffer
+	s.exchange(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(data), &out}, a)
+	return s, out.Bytes()
 }
 
-// FuzzStoreProtocol feeds arbitrary bytes to the server's command reader
-// and dispatcher — the exact code path a connection exercises, covering
-// every command including the batched MGETP and HLEN — and then to the
-// client, as what a store said in reply to a pipeline. Three properties:
+// FuzzStoreProtocol feeds arbitrary bytes to the server's side of a
+// connection — the exact code path a connection exercises, covering every
+// command including the batched MGETP and HLEN — and then to the client,
+// as what a store said in reply to a pipeline. Four properties:
 //
 //  1. the server never panics, however malformed the stream,
 //  2. every byte the server emits parses as a well-formed reply stream
 //     through the client's own reply reader (protocol self-consistency:
 //     whatever the server says, a pipelining client can match replies to
-//     commands in order), and
+//     commands in order),
 //  3. the client's pipeline never panics either, sizes no piece of its
 //     reply storage beyond the protocol's bounds whatever lengths the
-//     bytes claim, and works on its next Exec whatever the last one read.
+//     bytes claim, and works on its next Exec whatever the last one read,
+//     and
+//  4. reading the commands into the connection's reused arena and into
+//     fresh storage leaves the same store and says the same bytes: no
+//     stored value aliases storage the next command overwrites.
 func FuzzStoreProtocol(f *testing.F) {
 	var all []byte
 	for _, c := range [][]string{
@@ -92,27 +104,16 @@ func FuzzStoreProtocol(f *testing.F) {
 	f.Add([]byte("+OK\r\n*1048576\r\n$16777216\r\n")) // the largest lengths allowed, and nothing behind them
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := &Server{
-			data:   make(map[string][]byte),
-			hashes: make(map[string]map[string][]byte),
+		s, out := replay(data, new(arena))
+		fresh, freshOut := replay(data, nil)
+		if !bytes.Equal(out, freshOut) || !reflect.DeepEqual(s.data, fresh.data) || !reflect.DeepEqual(s.hashes, fresh.hashes) {
+			t.Fatalf("commands read into a reused arena and into fresh storage differ:\nreplies %q\n   want %q\ndata %q\nwant %q\nhashes %q\n  want %q",
+				out, freshOut, s.data, fresh.data, s.hashes, fresh.hashes)
 		}
-		r := bufio.NewReader(bytes.NewReader(data))
-		var out bytes.Buffer
-		w := bufio.NewWriter(&out)
-		for {
-			args, err := readArray(r)
-			if err != nil {
-				break
-			}
-			if err := s.dispatch(w, args); err != nil {
-				break
-			}
-		}
-		w.Flush()
 
 		// The server speaks only complete replies: the client-side reply
 		// reader must consume the whole output without a protocol error.
-		c := &Client{r: bufio.NewReader(bytes.NewReader(out.Bytes()))}
+		c := &Client{r: bufio.NewReader(bytes.NewReader(out))}
 		for {
 			_, err := c.readReplyLocked(nil)
 			if err == nil || errors.Is(err, ErrNil) || errors.Is(err, ErrServerError) {
@@ -121,7 +122,7 @@ func FuzzStoreProtocol(f *testing.F) {
 			if errors.Is(err, io.EOF) {
 				break
 			}
-			t.Fatalf("server output does not parse as replies: %v\nreplies: %q", err, out.Bytes())
+			t.Fatalf("server output does not parse as replies: %v\nreplies: %q", err, out)
 		}
 
 		// The client leg. Its address is a socket that does not exist: the

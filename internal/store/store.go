@@ -6,11 +6,12 @@
 //
 // Supported commands: PING, SET, GET, DEL, KEYS (prefix match), HSET, HGET,
 // HGETALL, HDEL, HLEN, MGETP — the subset the one-phase detection algorithm
-// needs. MGETP returns every value under a key prefix (plain keys and hash
-// fields alike) in a single round trip, so a verification round costs one
-// command instead of KEYS plus one GET per site; the Client additionally
-// supports pipelining (Pipeline) so several commands share one flush and
-// one round trip.
+// needs. A key can be a plain key and a hash at once (SET then HSET); KEYS
+// lists it once and DEL counts it once. MGETP returns every value under a
+// key prefix (plain keys and hash fields alike) in a single round trip, so
+// a verification round costs one command instead of KEYS plus one GET per
+// site; the Client additionally supports pipelining (Pipeline) so several
+// commands share one write and one round trip.
 package store
 
 import (
@@ -130,110 +131,121 @@ func (s *Server) serve(conn net.Conn) {
 		s.connMu.Unlock()
 		conn.Close()
 	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	s.exchange(conn, new(arena))
+}
+
+// keepBytes is the most reply buffer and command storage a server
+// connection keeps between commands, and the most encoding buffer a Client
+// keeps between single commands; a larger command or reply gets storage of
+// its own, dropped once it is written or answered.
+const keepBytes = 64 << 10
+
+// exchange answers the commands read from rw until the stream ends or
+// fails. Each command is read into a, which is reset before every command
+// (a nil arena allocates): dispatch copies whatever it keeps. Replies are
+// appended to one buffer and written with nothing locked.
+func (s *Server) exchange(rw io.ReadWriter, a *arena) {
+	r := bufio.NewReader(rw)
+	var out []byte
 	for {
-		args, err := readArray(r)
+		a.reset(keepBytes, minChunk)
+		line, err := readLine(r)
+		var args [][]byte
+		if err == nil {
+			args, err = readArray(r, line, a)
+		}
 		if err != nil {
 			// A malformed frame (or EOF) mid-batch must not swallow the
-			// replies to commands that already executed: flush what's
-			// buffered before closing, best-effort.
-			w.Flush()
+			// replies to commands that already ran: write them first,
+			// best-effort, as the connection closes either way.
+			if len(out) > 0 {
+				_, _ = rw.Write(out)
+			}
 			return
 		}
-		if err := s.dispatch(w, args); err != nil {
-			return
-		}
-		// Flush only once the client's pipelined batch is drained: replies
-		// to back-to-back commands coalesce into one write syscall.
-		if r.Buffered() == 0 {
-			if err := w.Flush(); err != nil {
+		out = s.dispatch(out, args)
+		// Write once the client's pipelined batch is drained, so replies to
+		// back-to-back commands coalesce into one write syscall, or once
+		// keepBytes of them are waiting.
+		if r.Buffered() == 0 || len(out) >= keepBytes {
+			if _, err := rw.Write(out); err != nil {
 				return
+			}
+			out = out[:0]
+			if cap(out) > keepBytes {
+				out = nil
 			}
 		}
 	}
 }
 
-func (s *Server) dispatch(w *bufio.Writer, args [][]byte) error {
+// dispatch runs one command and appends its reply to out.
+func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 	if len(args) == 0 {
-		return writeError(w, "empty command")
+		return appendError(out, "empty command")
 	}
 	// The switch below compares the raw command bytes, which the compiler
 	// handles without allocating; clients send uppercase, so the ToUpper
 	// fallback in the default arm is the cold path.
 	switch string(args[0]) {
 	case "PING":
-		return writeSimple(w, "PONG")
+		return appendSimple(out, "PONG")
 
 	case "SET":
 		if len(args) != 3 {
-			return writeError(w, "SET needs key and value")
+			return appendError(out, "SET needs key and value")
 		}
 		s.mu.Lock()
 		s.data[string(args[1])] = clone(args[2])
 		s.mu.Unlock()
-		return writeSimple(w, "OK")
+		return appendSimple(out, "OK")
 
 	case "GET":
 		if len(args) != 2 {
-			return writeError(w, "GET needs key")
+			return appendError(out, "GET needs key")
 		}
 		s.mu.RLock()
 		v, ok := s.data[string(args[1])]
 		s.mu.RUnlock()
 		if !ok {
-			return writeNil(w)
+			return appendNil(out)
 		}
-		return writeBulk(w, v)
+		return appendBulk(out, v)
 
 	case "DEL":
 		if len(args) < 2 {
-			return writeError(w, "DEL needs at least one key")
+			return appendError(out, "DEL needs at least one key")
 		}
 		n := 0
 		s.mu.Lock()
 		for _, k := range args[1:] {
-			key := string(k)
-			if _, ok := s.data[key]; ok {
-				delete(s.data, key)
+			_, plain := s.data[string(k)]
+			_, hash := s.hashes[string(k)]
+			if plain || hash {
 				n++
 			}
-			if _, ok := s.hashes[key]; ok {
-				delete(s.hashes, key)
-				n++
-			}
+			delete(s.data, string(k))
+			delete(s.hashes, string(k))
 		}
 		s.mu.Unlock()
-		return writeInt(w, n)
+		return appendHeader(out, ':', n)
 
 	case "KEYS":
 		if len(args) != 2 {
-			return writeError(w, "KEYS needs a prefix")
+			return appendError(out, "KEYS needs a prefix")
 		}
-		prefix := string(args[1])
 		s.mu.RLock()
-		var keys []string
-		for k := range s.data {
-			if strings.HasPrefix(k, prefix) {
-				keys = append(keys, k)
-			}
-		}
-		for k := range s.hashes {
-			if strings.HasPrefix(k, prefix) {
-				keys = append(keys, k)
-			}
-		}
+		keys := s.keysLocked(string(args[1]))
 		s.mu.RUnlock()
-		sort.Strings(keys)
-		vals := make([][]byte, len(keys))
-		for i, k := range keys {
-			vals[i] = []byte(k)
+		out = appendHeader(out, '*', len(keys))
+		for _, k := range keys {
+			out = appendBulk(out, k)
 		}
-		return writeArray(w, vals)
+		return out
 
 	case "HSET":
 		if len(args) != 4 {
-			return writeError(w, "HSET needs hash, field, value")
+			return appendError(out, "HSET needs hash, field, value")
 		}
 		s.mu.Lock()
 		h, ok := s.hashes[string(args[1])]
@@ -243,129 +255,77 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) error {
 		}
 		h[string(args[2])] = clone(args[3])
 		s.mu.Unlock()
-		return writeSimple(w, "OK")
+		return appendSimple(out, "OK")
 
 	case "HGET":
 		if len(args) != 3 {
-			return writeError(w, "HGET needs hash and field")
+			return appendError(out, "HGET needs hash and field")
 		}
 		s.mu.RLock()
 		v, ok := s.hashes[string(args[1])][string(args[2])]
 		s.mu.RUnlock()
 		if !ok {
-			return writeNil(w)
+			return appendNil(out)
 		}
-		return writeBulk(w, v)
+		return appendBulk(out, v)
 
 	case "HGETALL":
 		if len(args) != 2 {
-			return writeError(w, "HGETALL needs hash")
+			return appendError(out, "HGETALL needs hash")
 		}
 		s.mu.RLock()
+		defer s.mu.RUnlock()
 		h := s.hashes[string(args[1])]
-		fields := make([]string, 0, len(h))
-		for f := range h {
-			fields = append(fields, f)
+		out = appendHeader(out, '*', 2*len(h))
+		for _, f := range sortedFields(nil, h) {
+			out = appendBulk(appendBulk(out, f), h[f])
 		}
-		sort.Strings(fields)
-		out := make([][]byte, 0, 2*len(fields))
-		for _, f := range fields {
-			out = append(out, []byte(f), clone(h[f]))
-		}
-		s.mu.RUnlock()
-		return writeArray(w, out)
+		return out
 
 	case "HLEN":
 		if len(args) != 2 {
-			return writeError(w, "HLEN needs hash")
+			return appendError(out, "HLEN needs hash")
 		}
 		s.mu.RLock()
 		n := len(s.hashes[string(args[1])])
 		s.mu.RUnlock()
-		return writeInt(w, n)
+		return appendHeader(out, ':', n)
 
 	case "MGETP":
 		if len(args) != 2 {
-			return writeError(w, "MGETP needs a prefix")
+			return appendError(out, "MGETP needs a prefix")
 		}
-		prefix := string(args[1])
+		// The reply is a flat array of (key, field, value) triples sorted
+		// by (key, field); plain keys carry an empty field. It is appended
+		// under the read lock and written after it is released, so a
+		// client that does not read its reply holds up no writer.
 		s.mu.RLock()
-		var keys []string
-		for k := range s.data {
-			if strings.HasPrefix(k, prefix) {
-				keys = append(keys, k)
-			}
-		}
-		for k := range s.hashes {
-			if strings.HasPrefix(k, prefix) {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		// A key can live in both maps (SET then HSET); emit it once per
-		// store entry, so dedupe the merged key list.
-		uniq := keys[:0]
-		for i, k := range keys {
-			if i == 0 || k != keys[i-1] {
-				uniq = append(uniq, k)
-			}
-		}
-		// Reply is a flat array of (key, field, value) triples sorted by
-		// (key, field); plain keys carry an empty field. The entries stream
-		// straight from the maps into the write buffer under the read lock,
-		// with no intermediate slices or value copies.
+		defer s.mu.RUnlock()
+		keys := s.keysLocked(string(args[1]))
 		n := 0
-		for _, k := range uniq {
+		for _, k := range keys {
 			if _, ok := s.data[k]; ok {
 				n++
 			}
 			n += len(s.hashes[k])
 		}
+		out = appendHeader(out, '*', 3*n)
 		var fields []string
-		emit := func() error {
-			if err := writeHeader(w, '*', 3*n); err != nil {
-				return err
+		for _, k := range keys {
+			if v, ok := s.data[k]; ok {
+				out = appendBulk(appendBulk(appendBulk(out, k), ""), v)
 			}
-			for _, k := range uniq {
-				if v, ok := s.data[k]; ok {
-					if err := writeBulkString(w, k); err != nil {
-						return err
-					}
-					if err := writeBulk(w, nil); err != nil {
-						return err
-					}
-					if err := writeBulk(w, v); err != nil {
-						return err
-					}
-				}
-				if h, ok := s.hashes[k]; ok {
-					fields = fields[:0]
-					for f := range h {
-						fields = append(fields, f)
-					}
-					sort.Strings(fields)
-					for _, f := range fields {
-						if err := writeBulkString(w, k); err != nil {
-							return err
-						}
-						if err := writeBulkString(w, f); err != nil {
-							return err
-						}
-						if err := writeBulk(w, h[f]); err != nil {
-							return err
-						}
-					}
-				}
+			h := s.hashes[k]
+			fields = sortedFields(fields[:0], h)
+			for _, f := range fields {
+				out = appendBulk(appendBulk(appendBulk(out, k), f), h[f])
 			}
-			return nil
 		}
-		err := emit()
-		s.mu.RUnlock()
-		return err
+		return out
 
 	case "HDEL":
 		if len(args) != 3 {
-			return writeError(w, "HDEL needs hash and field")
+			return appendError(out, "HDEL needs hash and field")
 		}
 		n := 0
 		s.mu.Lock()
@@ -381,19 +341,46 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) error {
 			}
 		}
 		s.mu.Unlock()
-		return writeInt(w, n)
+		return appendHeader(out, ':', n)
 
 	default:
 		up := strings.ToUpper(string(args[0]))
 		if up != string(args[0]) {
 			args[0] = []byte(up)
-			return s.dispatch(w, args)
+			return s.dispatch(out, args)
 		}
 		// Commands are binary-safe bulk strings but error lines are not:
 		// quote the echo so an embedded CR/LF cannot corrupt the reply
 		// stream.
-		return writeError(w, "unknown command "+strconv.Quote(up))
+		return appendError(out, "unknown command "+strconv.Quote(up))
 	}
+}
+
+// keysLocked returns the keys with the given prefix, sorted and each once:
+// a key can be a plain key and a hash at the same time (SET then HSET).
+func (s *Server) keysLocked(prefix string) []string {
+	var keys []string
+	for k := range s.data {
+		if strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
+		}
+	}
+	for k := range s.hashes {
+		if _, plain := s.data[k]; !plain && strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// sortedFields appends the fields of h to fields, sorted.
+func sortedFields(fields []string, h map[string][]byte) []string {
+	for f := range h {
+		fields = append(fields, f)
+	}
+	sort.Strings(fields)
+	return fields
 }
 
 func clone(b []byte) []byte {
@@ -418,78 +405,27 @@ func appendHeader(b []byte, tag byte, n int) []byte {
 	return append(b, '\r', '\n')
 }
 
-// writeHeader formats the header straight into the bufio writer's spare
-// capacity.
-func writeHeader(w *bufio.Writer, tag byte, n int) error {
-	_, err := w.Write(appendHeader(w.AvailableBuffer(), tag, n))
-	return err
+func appendBulk[T string | []byte](b []byte, v T) []byte {
+	b = append(appendHeader(b, '$', len(v)), v...)
+	return append(b, '\r', '\n')
 }
 
-func writeSimple(w *bufio.Writer, s string) error {
-	if err := w.WriteByte('+'); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(s); err != nil {
-		return err
-	}
-	_, err := w.WriteString("\r\n")
-	return err
+// appendSimple, appendError and appendNil append a status line, an error
+// line and a nil bulk string.
+func appendSimple(b []byte, s string) []byte { return append(append(append(b, '+'), s...), '\r', '\n') }
+func appendError(b []byte, msg string) []byte {
+	return append(append(append(b, "-ERR "...), msg...), '\r', '\n')
 }
+func appendNil(b []byte) []byte { return append(b, "$-1\r\n"...) }
 
-func writeError(w *bufio.Writer, msg string) error {
-	if _, err := w.WriteString("-ERR "); err != nil {
-		return err
+// appendCommand appends a command: an array of its arguments, the name
+// first.
+func appendCommand[T string | []byte](b []byte, args ...T) []byte {
+	b = appendHeader(b, '*', len(args))
+	for _, a := range args {
+		b = appendBulk(b, a)
 	}
-	if _, err := w.WriteString(msg); err != nil {
-		return err
-	}
-	_, err := w.WriteString("\r\n")
-	return err
-}
-
-func writeInt(w *bufio.Writer, n int) error {
-	return writeHeader(w, ':', n)
-}
-
-func writeNil(w *bufio.Writer) error {
-	_, err := w.WriteString("$-1\r\n")
-	return err
-}
-
-func writeBulk(w *bufio.Writer, b []byte) error {
-	if err := writeHeader(w, '$', len(b)); err != nil {
-		return err
-	}
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	_, err := w.WriteString("\r\n")
-	return err
-}
-
-// writeBulkString is writeBulk for string-typed data, avoiding a []byte
-// conversion at the call site.
-func writeBulkString(w *bufio.Writer, s string) error {
-	if err := writeHeader(w, '$', len(s)); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(s); err != nil {
-		return err
-	}
-	_, err := w.WriteString("\r\n")
-	return err
-}
-
-func writeArray(w *bufio.Writer, items [][]byte) error {
-	if err := writeHeader(w, '*', len(items)); err != nil {
-		return err
-	}
-	for _, it := range items {
-		if err := writeBulk(w, it); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b
 }
 
 // readLine returns one CRLF-terminated protocol line without the CRLF. The
@@ -564,11 +500,10 @@ func readBulk(r *bufio.Reader, a *arena) ([]byte, error) {
 	return b, err
 }
 
-func readArray(r *bufio.Reader) ([][]byte, error) {
-	line, err := readLine(r)
-	if err != nil {
-		return nil, err
-	}
+// readArray reads the rest of an array of bulk strings whose header line
+// was just read, into storage from a (nil allocates). It is the one array
+// reader: the server's commands and the client's replies.
+func readArray(r *bufio.Reader, line []byte, a *arena) ([][]byte, error) {
 	if len(line) == 0 || line[0] != '*' {
 		return nil, fmt.Errorf("store: expected array, got %q", line)
 	}
@@ -579,13 +514,11 @@ func readArray(r *bufio.Reader) ([][]byte, error) {
 	if n < 0 || n > maxArray {
 		return nil, fmt.Errorf("store: bad array length %d", n)
 	}
-	out := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		b, err := readBulk(r, nil)
-		if err != nil {
+	arr := a.array(n)
+	for i := range arr {
+		if arr[i], err = readBulk(r, a); err != nil {
 			return nil, err
 		}
-		out = append(out, b)
 	}
-	return out, nil
+	return arr, nil
 }

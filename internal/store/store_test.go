@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -391,7 +393,8 @@ func TestMGetPrefix(t *testing.T) {
 }
 
 // A key living both as plain data and as a hash (SET then HSET) must show
-// up once per stored entry, not be double-listed.
+// up once per stored entry, not be double-listed, and count as one key to
+// KEYS and DEL.
 func TestMGetPrefixMixedKey(t *testing.T) {
 	_, c := newPair(t)
 	if err := c.Set("k", []byte("plain")); err != nil {
@@ -406,6 +409,63 @@ func TestMGetPrefixMixedKey(t *testing.T) {
 	}
 	if len(got) != 2 || len(got[0].Field) != 0 || string(got[1].Field) != "f" {
 		t.Fatalf("MGetPrefix mixed = %v", got)
+	}
+	if keys, err := c.Keys(""); err != nil || len(keys) != 1 || keys[0] != "k" {
+		t.Fatalf("Keys mixed = %q, %v; want [k]", keys, err)
+	}
+	if n, err := c.Del("k"); err != nil || n != 1 {
+		t.Fatalf("Del mixed = %d, %v; want 1", n, err)
+	}
+}
+
+// TestStalledReaderDoesNotBlockWriters: a client that asks for a large
+// reply and never reads it must not hold up the store. The server answers
+// with nothing locked, so another client's SET goes through while the
+// stalled reply sits in the socket.
+func TestStalledReaderDoesNotBlockWriters(t *testing.T) {
+	dir, err := os.MkdirTemp("", "armus-store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	srv, err := NewServer("unix:" + filepath.Join(dir, "s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := Dial(srv.Addr())
+	defer c.Close()
+	value := bytes.Repeat([]byte{'v'}, 64<<10)
+	for i := 0; i < 64; i++ { // a 4 MiB reply, far more than a socket buffers
+		if err := c.HSet("big", fmt.Sprintf("f%02d", i), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stalled, err := net.Dial("unix", filepath.Join(dir, "s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := stalled.Write(cmdBytes("MGETP", "big")); err != nil {
+		t.Fatal(err)
+	}
+	// The first byte of the reply says the server is writing it; then stop
+	// reading, with almost all of it still to go.
+	if _, err := io.ReadFull(stalled, make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- c.Set("k", []byte("v")) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		stalled.Close() // lets the server and then the SET go
+		<-done
+		t.Fatal("SET waited behind a stalled MGETP reader")
 	}
 }
 
