@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -478,6 +480,65 @@ func waitBlocked(t *testing.T, v *Verifier, n int) {
 			t.Fatalf("only %d tasks blocked, want %d", v.State().Len(), n)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRegisterRacingBlockIsNotLost: a third party's Register of a task
+// that is blocking, racing the block, is never lost. T arrives on p and
+// blocks behind R while R registers T with p2. Whichever lands first, once
+// T is parked the state holds T's Registrations(), and R's Advance on p2,
+// which closes T → R → T, is refused. A status built before the Register
+// and written after it would miss T's registration on p2 and let R park
+// in a real deadlock.
+func TestRegisterRacingBlockIsNotLost(t *testing.T) {
+	iters := 300
+	if testing.Short() {
+		iters = 50
+	}
+	for i := 0; i < iters; i++ {
+		v := New(WithMode(ModeAvoid))
+		T, R := v.NewTask("T"), v.NewTask("R")
+		p := v.NewPhaser(T)
+		if err := p.Register(T, R); err != nil {
+			t.Fatal(err)
+		}
+		p2 := v.NewPhaser(R)
+		parked := make(chan error, 1)
+		go func() { parked <- p.Advance(T) }()
+		time.Sleep(time.Duration(i%8) * 25 * time.Microsecond) // spread where the Register lands
+		if err := p2.Register(R, T); err != nil {
+			t.Fatal(err)
+		}
+		waitBlocked(t, v, 1)
+		var got []deps.Reg
+		for _, b := range v.State().Snapshot() {
+			if b.Task == T.ID() {
+				got = slices.SortedFunc(slices.Values(b.Regs), func(a, b deps.Reg) int { return cmp.Compare(a.Phaser, b.Phaser) })
+			}
+		}
+		if want := T.Registrations(); !slices.Equal(got, want) {
+			t.Fatalf("iteration %d: the state holds T's registrations as %v, T has %v", i, got, want)
+		}
+		gated := make(chan error, 1)
+		go func() { gated <- p2.Advance(R) }()
+		select {
+		case err := <-gated:
+			var de *DeadlockError
+			if !errors.As(err, &de) {
+				t.Fatalf("iteration %d: R's Advance closing T → R → T returned %v, want *DeadlockError", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			_ = p2.Deregister(T) // let R through before failing
+			<-gated
+			t.Fatalf("iteration %d: R's Advance closing T → R → T was admitted and parked", i)
+		}
+		if err := p.Deregister(R); err != nil { // the refused R leaves p too: T goes on
+			t.Fatal(err)
+		}
+		if err := <-parked; err != nil {
+			t.Fatalf("iteration %d: T's Advance: %v", i, err)
+		}
+		v.Close()
 	}
 }
 

@@ -7,10 +7,11 @@ import (
 
 // BenchmarkGroupsAdvance is the lib-barrier program of the repository
 // benchmark as a go test: 16 goroutine tasks doing Advance rounds on four
-// phasers (everyone, each half, the even tasks), unchecked, recording only
-// and under the avoidance gate. One op is one Advance. Run it with
-// -cpu 1,2,4: it is the check that the single lock of deps.State costs
-// the library nothing when its tasks really run in parallel.
+// phasers (everyone, each half, the even tasks), unchecked, recording only,
+// recording under the periodic detector and under the avoidance gate. One
+// op is one Advance. Run it with -cpu 1,2,4: it is the check that the
+// single lock of deps.State costs the library nothing when its tasks
+// really run in parallel.
 func BenchmarkGroupsAdvance(b *testing.B) {
 	const tasks = 16
 	groups := [4]func(i int) bool{
@@ -19,7 +20,7 @@ func BenchmarkGroupsAdvance(b *testing.B) {
 		func(i int) bool { return i >= tasks/2 },
 		func(i int) bool { return i%2 == 0 },
 	}
-	for _, mode := range []Mode{ModeOff, ModeObserve, ModeAvoid} {
+	for _, mode := range []Mode{ModeOff, ModeObserve, ModeDetect, ModeAvoid} {
 		b.Run(mode.String(), func(b *testing.B) {
 			v := New(WithMode(mode))
 			defer v.Close()

@@ -40,7 +40,7 @@ func gateProbe(base int64, n int) deps.Blocked {
 // gate (targeted cycle check + state insert/remove) performs zero
 // allocations in steady state.
 func TestAvoidGateZeroAlloc(t *testing.T) {
-	v := New(WithMode(ModeAvoid))
+	v := New(WithMode(ModeAvoid), WithIDBase(1<<20)) // its own tasks and phasers clear of the chain's IDs
 	defer v.Close()
 	const n = 64
 	chainState(v, 1, n)
@@ -50,16 +50,30 @@ func TestAvoidGateZeroAlloc(t *testing.T) {
 		if cyc := v.block(probe); cyc != nil {
 			t.Fatalf("false deadlock: %+v", cyc)
 		}
-		v.State().Clear(probe.Task)
+		v.unblock(probe.Task)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		if cyc := v.block(probe); cyc != nil {
 			t.Fatalf("false deadlock: %+v", cyc)
 		}
-		v.State().Clear(probe.Task)
+		v.unblock(probe.Task)
 	})
 	if allocs != 0 {
 		t.Fatalf("avoidance gate allocates %.1f times per check, want 0", allocs)
+	}
+	// The same through a task, which builds the status in its own buffers
+	// under its lock: a member of a fresh phaser awaiting the chain head.
+	tk := v.NewTask("")
+	v.NewPhaser(tk)
+	head := deps.Resource{Phaser: 1, Phase: 1}
+	allocs = testing.AllocsPerRun(200, func() {
+		if cyc := tk.block(head); cyc != nil {
+			t.Fatalf("false deadlock: %+v", cyc)
+		}
+		v.unblock(tk.ID())
+	})
+	if allocs != 0 {
+		t.Fatalf("a task's block and resume allocate %.1f times, want 0", allocs)
 	}
 }
 
@@ -83,8 +97,8 @@ func TestCheckNowUnchangedZeroAlloc(t *testing.T) {
 }
 
 // churnBehind sets and clears probe through State, behind the engine's
-// back, as a resumed task's clear and the benchmark's verifier rung write:
-// the next verdict must scan the whole state.
+// back, as the benchmark's verifier rung writes: the next verdict must scan
+// the whole state.
 func churnBehind(v *Verifier, probe deps.Blocked) {
 	v.State().SetBlocked(probe)
 	v.State().Clear(probe.Task)
@@ -172,7 +186,7 @@ func BenchmarkHotPath(b *testing.B) {
 			if cyc := v.block(probe); cyc != nil {
 				b.Fatalf("false deadlock: %+v", cyc)
 			}
-			v.State().Clear(probe.Task)
+			v.unblock(probe.Task)
 		}
 	})
 	b.Run("avoid-gate/prefilter-64", func(b *testing.B) {
@@ -198,7 +212,7 @@ func BenchmarkHotPath(b *testing.B) {
 			if cyc := v.block(probe); cyc != nil {
 				b.Fatalf("false deadlock: %+v", cyc)
 			}
-			v.State().Clear(probe.Task)
+			v.unblock(probe.Task)
 		}
 	})
 	b.Run("checknow-unchanged-64", func(b *testing.B) {

@@ -135,7 +135,7 @@ func (p *Phaser) addMemberLocked(t *Task, phase int64, mode RegMode) *DeadlockEr
 	p.members[t] = r
 	t.mu.Lock()
 	t.regs = append(t.regs, r)
-	rep := t.refreshBlockedLocked()
+	rep := t.refreshLocked()
 	t.mu.Unlock()
 	return rep
 }
@@ -152,7 +152,7 @@ func (p *Phaser) removeMemberLocked(t *Task) *DeadlockError {
 	delete(p.members, t)
 	t.mu.Lock()
 	t.dropRegLocked(r)
-	rep := t.refreshBlockedLocked()
+	rep := t.refreshLocked()
 	t.mu.Unlock()
 	if r.mode != WaitOnly { // a wait-only member never gated anyone
 		p.signal--
@@ -343,20 +343,16 @@ func (p *Phaser) awaitLocked(t *Task, n int64) error {
 		return nil
 	}
 	if p.v.mode == ModeOff {
-		p.v.blocks.Add(1)
+		p.v.offParks.Add(1)
 		for !p.satisfiedLocked(n) {
 			p.cond.Wait()
 		}
 		p.mu.Unlock()
 		return nil
 	}
-	// Assemble the blocked status AFTER any arrival so the registration
+	// Publish the blocked status AFTER any arrival so the registration
 	// vector reflects the task's true (now frozen) phases.
-	b := t.blockedStatusFor(deps.Resource{Phaser: p.id, Phase: n})
-	if cyc := p.v.block(b); cyc != nil {
-		t.mu.Lock()
-		t.blockedOn = nil
-		t.mu.Unlock()
+	if cyc := t.block(deps.Resource{Phaser: p.id, Phase: n}); cyc != nil {
 		// Deregister the failing task so other members can proceed — the
 		// paper's avoidance recovery (§2.1). t holds no status, so there is
 		// no refresh to report.
@@ -364,13 +360,12 @@ func (p *Phaser) awaitLocked(t *Task, n int64) error {
 		p.mu.Unlock()
 		return p.v.newDeadlockError(cyc)
 	}
-	p.v.blocks.Add(1)
 	for !p.satisfiedLocked(n) {
 		p.cond.Wait()
 	}
 	// Clear before returning: the no-false-positive invariant requires a
 	// task's record to be gone before it mutates any phaser again.
-	t.clearBlocked()
+	p.v.unblock(t.id)
 	p.mu.Unlock()
 	return nil
 }

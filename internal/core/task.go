@@ -23,24 +23,23 @@ type Task struct {
 	id deps.TaskID
 	v  *Verifier
 
+	// mu is held by a block from building its status to writing it, and by
+	// a third party's Register or Deregister from changing regs to
+	// refreshing the status, so neither lands inside the other.
 	mu sync.Mutex
 	// regs is the registration vector, in registration order: a slice, so
 	// that assembling a blocked status is a loop and consecutive statuses
 	// list the phasers in the same order (deps.State updates those in place).
 	regs []*registration
-	// blockedOn is non-nil while the task has a blocked record in the
-	// verifier state; Register uses it to refresh the record when a third
-	// party registers a blocked task with a new phaser.
-	blockedOn []deps.Resource
-	done      bool
-	// waitsBuf/regsBuf back the blocked status assembled on every block.
-	// State.SetBlocked copies them, and a task blocks sequentially, so
-	// reusing them makes the block path allocation-free once warm.
-	// refreshBuf is the same for a third party's refresh, which may run
-	// while the blocking task still reads regsBuf outside t.mu.
-	waitsBuf   []deps.Resource
-	regsBuf    []deps.Reg
-	refreshBuf []deps.Reg
+	// parked is set by an admitted block and dropped by the first refresh
+	// that finds the task resumed (a resume does not take mu). While it is
+	// clear, a membership change does not take the verifier's lock.
+	parked bool
+	// waitsBuf/regsBuf back the status built on every block and refresh,
+	// under mu. The state copies them, so the block path is allocation-free
+	// once they are warm.
+	waitsBuf []deps.Resource
+	regsBuf  []deps.Reg
 }
 
 // registration is the shared per-(task, phaser) record. The phase is
@@ -95,7 +94,6 @@ func (t *Task) Name() string {
 func (t *Task) Terminate() {
 	for {
 		t.mu.Lock()
-		t.done = true
 		if len(t.regs) == 0 {
 			t.mu.Unlock()
 			return
@@ -140,40 +138,31 @@ func (t *Task) rawRegsInto(out []deps.Reg) []deps.Reg {
 	return out
 }
 
-// blockedStatusFor assembles the task's blocked status for one awaited
-// event, reusing the task-owned buffers (the state copies them on
-// SetBlocked, so aliasing them is safe until the task's next block).
-func (t *Task) blockedStatusFor(r deps.Resource) deps.Blocked {
+// block publishes the task's blocked status for one awaited event — in
+// avoidance mode through the gate — and returns the cycle of a refused
+// block. The status is built and written under t.mu, so a third party's
+// Register or Deregister of the task lands wholly before it or after it,
+// as a refresh of the status it wrote.
+func (t *Task) block(r deps.Resource) *deps.Cycle {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.waitsBuf = append(t.waitsBuf[:0], r)
-	t.blockedOn = t.waitsBuf
 	t.regsBuf = t.rawRegsInto(t.regsBuf[:0])
-	return deps.Blocked{Task: t.id, WaitsFor: t.waitsBuf, Regs: t.regsBuf}
-}
-
-// clearBlocked removes the task's blocked record. Must be called before
-// the task performs any further phaser mutation — the detector's
-// no-false-positive argument relies on blocked records always describing
-// the task's true (frozen) phase vector. It writes the state without the
-// verifier's lock: a clear closes no cycle, and the engine's next verdict
-// accounts for a write it did not make.
-func (t *Task) clearBlocked() {
-	t.mu.Lock()
-	t.blockedOn = nil
+	cyc := t.v.block(deps.Blocked{Task: t.id, WaitsFor: t.waitsBuf, Regs: t.regsBuf})
+	t.parked = cyc == nil
 	t.mu.Unlock()
-	t.v.State().Clear(t.id)
-	t.v.traceUnblock(t.id)
+	return cyc
 }
 
-// refreshBlockedLocked re-publishes the blocked record after a third party
-// changed the task's registration vector while it was blocked, and returns
-// the deadlock the new status closed in avoidance mode, which the caller
-// reports after letting go of its locks. Caller holds t.mu.
-func (t *Task) refreshBlockedLocked() *DeadlockError {
-	if t.blockedOn == nil {
+// refreshLocked re-publishes the registrations of a parked task after a
+// third party changed them, and returns the deadlock the new status closed
+// in avoidance mode, which the caller reports after letting go of its
+// locks. Caller holds t.mu.
+func (t *Task) refreshLocked() *DeadlockError {
+	if !t.parked {
 		return nil
 	}
-	t.refreshBuf = t.rawRegsInto(t.refreshBuf[:0])
-	return t.v.refresh(deps.Blocked{Task: t.id, WaitsFor: t.blockedOn, Regs: t.refreshBuf})
+	t.regsBuf = t.rawRegsInto(t.regsBuf[:0])
+	rep, parked := t.v.refresh(deps.Blocked{Task: t.id, WaitsFor: t.waitsBuf, Regs: t.regsBuf})
+	t.parked = parked
+	return rep
 }

@@ -77,19 +77,21 @@ type Verifier struct {
 	period time.Duration
 	clock  clock.Clock
 
-	// mu serialises every call into eng: the avoidance gate and the other
-	// modes' block inserts, a third party's refresh of a blocked task, and
-	// every verdict. A resumed task clears its status through eng.State()
-	// without it (Task.clearBlocked), a write the engine accounts for as
-	// made behind its back. lastErr wraps eng's verdict lastCyc, so an
-	// unchanged state answers with the same *DeadlockError; deadlocks counts
-	// the refused blocks and the verdicts that found a deadlock.
+	// mu serialises every call into eng, and eng is the only writer of
+	// the state: the avoidance gate and the other modes' block inserts, a
+	// third party's refresh of a parked task, a resume, and every verdict.
+	// A block takes p.mu → t.mu → mu → the state's lock, once each, so
+	// nothing lands between building a status and writing it. lastErr
+	// wraps eng's verdict lastCyc, so an unchanged state answers with the
+	// same *DeadlockError; deadlocks counts the refused blocks and the
+	// verdicts that found a deadlock, parks the admitted blocks.
 	mu        sync.Mutex
 	eng       *engine.Engine
 	lastCyc   *deps.Cycle
 	lastErr   *DeadlockError
 	deadlocks int64
-	blocks    atomic.Int64 // blocking operations that parked
+	parks     int64
+	offParks  atomic.Int64 // ModeOff's parks, which take no mu
 
 	onDeadlock func(*DeadlockError)
 
@@ -323,7 +325,7 @@ func (v *Verifier) verdictLocked() *DeadlockError {
 
 // block publishes the status of a task about to park. In avoidance mode it
 // is the gate: a block that would close a cycle through b.Task is refused,
-// left out of the state, and its cycle returned.
+// left out of the state, and its cycle returned. Caller holds the task's mu.
 func (v *Verifier) block(b deps.Blocked) *deps.Cycle {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -332,27 +334,40 @@ func (v *Verifier) block(b deps.Blocked) *deps.Cycle {
 		v.traceRejected(b, cyc)
 		return cyc
 	}
+	v.parks++
 	v.traceBlock(b)
 	return nil
 }
 
-// refresh re-publishes the status of a task that is already parked, after
-// a third party changed its registrations. No gate sees that insert, so in
+// unblock removes the status of a task that resumed. The trace records it
+// under the same lock as a refresh's Block, so the two stay in order.
+func (v *Verifier) unblock(t deps.TaskID) {
+	v.mu.Lock()
+	v.eng.Unblock(t)
+	v.traceUnblock(t)
+	v.mu.Unlock()
+}
+
+// refresh re-publishes the registrations of a task that parked, after a
+// third party changed them, and reports whether it still holds its status
+// (one that resumed is left alone). No gate sees that write, so in
 // avoidance mode the state is checked here, and a deadlock it closed is
 // returned for the caller to report once it holds no lock.
-func (v *Verifier) refresh(b deps.Blocked) *DeadlockError {
+func (v *Verifier) refresh(b deps.Blocked) (*DeadlockError, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.eng.Restore(b)
+	if !v.eng.Reregister(b.Task, b.Regs) {
+		return nil, false
+	}
 	v.traceBlock(b)
 	if v.mode != ModeAvoid {
-		return nil
+		return nil, true
 	}
 	e := v.verdictLocked()
 	if e != nil {
 		v.traceReported(e.Cycle)
 	}
-	return e
+	return e, true
 }
 
 // report delivers a deadlock found by a refresh. Callers hold no lock.
@@ -427,5 +442,5 @@ func (v *Verifier) Stats() Stats {
 	defer v.mu.Unlock()
 	es := v.eng.Stats()
 	return Stats{Checks: es.Searches, TotalEdges: es.Edges, MaxEdges: es.MaxEdges,
-		Deadlocks: v.deadlocks, Blocks: v.blocks.Load()}
+		Deadlocks: v.deadlocks, Blocks: v.parks + v.offParks.Load()}
 }

@@ -20,9 +20,10 @@ const minSweep = 256
 // SetBlocked/Clear keep up to date and CycleThrough and FindCycle read
 // directly instead of re-deriving it from a snapshot.
 //
-// One lock guards everything: every caller already serialises its writers
+// One Mutex guards everything: every caller already serialises its writers
 // (the avoidance gate under the verifier's check lock, a server session's
 // lock, a site's driver), so finer locking bought nothing.
+// Nor does a reader/writer lock: its write lock costs twice a Mutex's atomics.
 //
 // A task's entry, and the places its registrations occupy in the index,
 // outlive Clear: a task that blocks again with the same phaser set — the
@@ -35,9 +36,9 @@ const minSweep = 256
 // (the distributed publisher in package dist relies on this).
 type State struct {
 	version atomic.Uint64
-	count   atomic.Int64
 
-	mu      sync.RWMutex
+	mu      sync.Mutex
+	count   int // blocked tasks
 	tasks   map[TaskID]*taskEntry
 	phasers map[PhaserID]*phaserNode // exactly the nodes with a registration or a waiter
 	entries []*taskEntry             // entries[e.slot] == e; blocked and idle ones
@@ -98,6 +99,20 @@ func NewState() *State {
 // slices of b are copied; the caller keeps ownership of them.
 func (s *State) SetBlocked(b Blocked) {
 	s.mu.Lock()
+	s.setBlocked(b)
+	s.mu.Unlock()
+}
+
+// BlockThrough is SetBlocked then CycleThrough(b.Task, sc) — the avoidance
+// gate — under one lock and with one look-up of the task.
+func (s *State) BlockThrough(b Blocked, sc *CycleScratch) (*Cycle, int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.through(s.setBlocked(b), sc)
+}
+
+// setBlocked is SetBlocked under the lock; it returns b.Task's entry.
+func (s *State) setBlocked(b Blocked) *taskEntry {
 	e := s.tasks[b.Task]
 	switch {
 	case e == nil:
@@ -109,11 +124,11 @@ func (s *State) SetBlocked(b Blocked) {
 		e.b.Task, e.slot = b.Task, int32(len(s.entries))
 		s.entries = append(s.entries, e)
 		s.tasks[b.Task] = e
-		s.count.Add(1)
+		s.count++
 	case e.blocked:
 		s.releaseWaits(e)
 	default:
-		s.count.Add(1)
+		s.count++
 	}
 	e.blocked, e.gen = true, s.gen
 	s.setRegs(e, b.Regs)
@@ -122,7 +137,21 @@ func (s *State) SetBlocked(b Blocked) {
 	// observes must never lag a mutation that is already visible, or the
 	// version-keyed caches would serve stale verdicts.
 	s.version.Add(1)
-	s.mu.Unlock()
+	return e
+}
+
+// Reregister makes regs the registrations of blocked task t, which keeps
+// what it awaits, and reports true; a task with no status is left alone.
+func (s *State) Reregister(t TaskID, regs []Reg) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.tasks[t]
+	if e == nil || !e.blocked {
+		return false
+	}
+	s.setRegs(e, regs)
+	s.version.Add(1) // under the lock: see setBlocked
+	return true
 }
 
 // Clear removes the blocked status of t (the task resumed). Clearing an
@@ -132,8 +161,8 @@ func (s *State) Clear(t TaskID) {
 	if e := s.tasks[t]; e != nil && e.blocked {
 		e.blocked = false
 		s.releaseWaits(e)
-		s.count.Add(-1)
-		s.version.Add(1) // under the lock: see SetBlocked
+		s.count--
+		s.version.Add(1) // under the lock: see setBlocked
 		if s.untilSweep--; s.untilSweep <= 0 {
 			s.sweep()
 		}
@@ -142,7 +171,11 @@ func (s *State) Clear(t TaskID) {
 }
 
 // Len returns the number of currently blocked tasks.
-func (s *State) Len() int { return int(s.count.Load()) }
+func (s *State) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.count
+}
 
 // Version returns a counter incremented on every mutation; the detection
 // loop uses it to skip re-analysis of an unchanged state.
@@ -270,11 +303,11 @@ func (s *State) sweep() {
 	clear(s.entries[len(kept):])
 	s.entries = kept
 	s.gen++
-	s.untilSweep = max(minSweep, int(s.count.Load()))
+	s.untilSweep = max(minSweep, s.count)
 }
 
 // Snapshot returns a deep copy of all blocked statuses, sorted by task ID
-// for determinism. The copy is consistent (taken under the read lock) and
+// for determinism. The copy is consistent (taken under the lock) and
 // independent: later SetBlocked/Clear calls can never mutate a returned
 // snapshot.
 func (s *State) Snapshot() []Blocked {
@@ -287,7 +320,7 @@ func (s *State) Snapshot() []Blocked {
 // allocates nothing once the buffer is warm.
 func (s *State) SnapshotInto(buf []Blocked) []Blocked {
 	out := buf[:0]
-	s.mu.RLock()
+	s.mu.Lock()
 	for _, e := range s.entries {
 		if !e.blocked {
 			continue
@@ -302,7 +335,7 @@ func (s *State) SnapshotInto(buf []Blocked) []Blocked {
 		dst.WaitsFor = append(dst.WaitsFor[:0], e.b.WaitsFor...)
 		dst.Regs = append(dst.Regs[:0], e.b.Regs...)
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	slices.SortFunc(out, func(a, b Blocked) int { return cmp.Compare(a.Task, b.Task) })
 	return out
 }
@@ -363,12 +396,17 @@ func impeded(e *taskEntry) bool {
 // WFG edges examined, the targeted-check analogue of the edge-count
 // statistic of the full builders.
 //
-// The whole search runs under the read lock, so the view is consistent;
-// with sc warm the deadlock-free path performs no allocations.
+// The whole search runs under the lock, so the view is consistent; with sc
+// warm the deadlock-free path performs no allocations.
 func (s *State) CycleThrough(start TaskID, sc *CycleScratch) (*Cycle, int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	se := s.tasks[start]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.through(s.tasks[start], sc)
+}
+
+// through is CycleThrough from the entry se (nil when the task has none).
+// Caller holds the lock.
+func (s *State) through(se *taskEntry, sc *CycleScratch) (*Cycle, int) {
 	if se == nil || !se.blocked || !impeded(se) {
 		return nil, 0
 	}
@@ -377,14 +415,14 @@ func (s *State) CycleThrough(start TaskID, sc *CycleScratch) (*Cycle, int) {
 }
 
 // FindCycle answers "deadlocked now?" for the whole state: one coloured
-// depth-first search over the index under one read lock, expanding every
+// depth-first search over the index under one lock, expanding every
 // blocked task at most once, O(V+E). A root the in-edge pre-filter rejects
 // is passed over (a task reached over an edge has its in-edge). It returns
 // the WFG edges examined, as CycleThrough does, and with sc warm the
 // deadlock-free path performs no allocations.
 func (s *State) FindCycle(sc *CycleScratch) (*Cycle, int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	sc.begin(len(s.entries))
 	edges := 0
 	for _, root := range s.entries {
@@ -402,7 +440,7 @@ func (s *State) FindCycle(sc *CycleScratch) (*Cycle, int) {
 // expanded once and left finished, so the searches of one FindCycle pass
 // never expand a task twice. An edge into through closes a cycle — or,
 // when through is nil, an edge into any task on the search path. Caller
-// holds the read lock and has begun sc.
+// holds the lock and has begun sc.
 func (s *State) search(root, through *taskEntry, sc *CycleScratch) (*Cycle, int) {
 	onPath, done := sc.epoch, sc.epoch+1
 	sc.stamp[root.slot] = onPath
@@ -447,7 +485,7 @@ func nextEdge(u *taskEntry, f *cycleFrame) *taskEntry {
 
 // cycleFound translates the search path start -> ... -> last (plus the
 // closing edge last -> start) into a Cycle report. Runs on the deadlock
-// path only, so it allocates freely. Caller holds the read lock.
+// path only, so it allocates freely. Caller holds the lock.
 func (s *State) cycleFound(start, last *taskEntry, sc *CycleScratch) *Cycle {
 	c := &Cycle{Model: ModelWFG}
 	seen := make(map[Resource]bool)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -20,8 +21,8 @@ import (
 // phases and waiter counts.
 func (s *State) checkInvariants() error {
 	snap := s.Snapshot()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if len(s.tasks) != len(s.entries) {
 		return fmt.Errorf("%d tasks in the map, %d entries", len(s.tasks), len(s.entries))
 	}
@@ -52,8 +53,8 @@ func (s *State) checkInvariants() error {
 			}
 		}
 	}
-	if blocked != s.Len() || blocked != len(snap) {
-		return fmt.Errorf("%d blocked entries, Len %d, snapshot %d", blocked, s.Len(), len(snap))
+	if blocked != s.count || blocked != len(snap) {
+		return fmt.Errorf("%d blocked entries, count %d, snapshot %d", blocked, s.count, len(snap))
 	}
 	fresh := NewState()
 	for _, b := range snap {
@@ -193,7 +194,10 @@ func (m churnModel) checkCycle(cyc []TaskID) error {
 // a third party's refresh, clear, tasks and phasers that go away for good —
 // and after every step compares FindCycle and CycleThrough for every
 // blocked task with the exhaustive oracle, and the live index with one
-// rebuilt from scratch.
+// rebuilt from scratch. Half the blocks are gates through BlockThrough and
+// half the refreshes go through Reregister, also on idle and absent tasks;
+// a twin State takes the same steps as SetBlocked, CycleThrough and Clear
+// alone, and must answer every gate and hold every status the same.
 func TestStateChurnAgainstOracle(t *testing.T) {
 	steps := 30000
 	if testing.Short() {
@@ -223,9 +227,27 @@ func TestStateChurnAgainstOracle(t *testing.T) {
 			rng.Shuffle(len(regs), func(i, j int) { regs[i], regs[j] = regs[j], regs[i] })
 			return regs
 		}
+		twin := NewState()
+		var twinSC CycleScratch
 		set := func(b Blocked) {
-			s.SetBlocked(b)
 			model[b.Task], last[b.Task] = b, b
+			if rng.Intn(2) == 0 {
+				s.SetBlocked(b)
+				twin.SetBlocked(b)
+				return
+			}
+			cyc, edges := s.BlockThrough(b, &sc)
+			twin.SetBlocked(b)
+			wantCyc, wantEdges := twin.CycleThrough(b.Task, &twinSC)
+			if (cyc == nil) != (wantCyc == nil) || edges != wantEdges ||
+				cyc != nil && !slices.Equal(cyc.Tasks, wantCyc.Tasks) {
+				t.Fatalf("seed %d: BlockThrough(%+v) = %v, %d edges; SetBlocked then CycleThrough %v, %d edges",
+					seed, b, cyc, edges, wantCyc, wantEdges)
+			}
+		}
+		clearBoth := func(tk TaskID) {
+			s.Clear(tk)
+			twin.Clear(tk)
 		}
 		for step := 0; step < steps; step++ {
 			tk := tasks[rng.Intn(len(tasks))]
@@ -240,9 +262,7 @@ func TestStateChurnAgainstOracle(t *testing.T) {
 			case op < 7: // a different phaser set
 				set(status(tk, randomRegs()))
 			case op < 9 && known: // third-party refresh: same wait, one registration more or fewer
-				if _, isBlocked := model[tk]; !isBlocked {
-					continue
-				}
+				_, isBlocked := model[tk]
 				regs := slices.Clone(prev.Regs)
 				q := phasers[rng.Intn(len(phasers))]
 				if i := slices.IndexFunc(regs, func(r Reg) bool { return r.Phaser == q }); i >= 0 {
@@ -250,12 +270,27 @@ func TestStateChurnAgainstOracle(t *testing.T) {
 				} else {
 					regs = append(regs, Reg{q, int64(rng.Intn(4))})
 				}
-				set(Blocked{Task: tk, WaitsFor: prev.WaitsFor, Regs: regs})
+				b := Blocked{Task: tk, WaitsFor: prev.WaitsFor, Regs: regs}
+				if rng.Intn(2) == 0 { // a refresh of an idle task is Reregister's to ignore
+					if got := s.Reregister(tk, regs); got != isBlocked {
+						t.Fatalf("seed %d step %d: Reregister(%d) = %v on a task blocked=%v", seed, step, tk, got, isBlocked)
+					}
+					if isBlocked {
+						twin.SetBlocked(b)
+						model[tk], last[tk] = b, b
+					}
+				} else if isBlocked {
+					set(b)
+				}
+			case op < 10: // Reregister of a task the state has never held
+				if s.Reregister(nextTask+TaskID(rng.Intn(4)), randomRegs()) {
+					t.Fatalf("seed %d step %d: Reregister of an absent task reported a status", seed, step)
+				}
 			case op < 14:
-				s.Clear(tk)
+				clearBoth(tk)
 				delete(model, tk)
 			case op == 14: // the task ends; a new one takes its place
-				s.Clear(tk)
+				clearBoth(tk)
 				delete(model, tk)
 				delete(last, tk)
 				tasks[slices.Index(tasks, tk)] = nextTask
@@ -264,7 +299,7 @@ func TestStateChurnAgainstOracle(t *testing.T) {
 				i := rng.Intn(len(phasers))
 				for t2, b := range last {
 					if b.WaitsFor[0].Phaser == phasers[i] || slices.ContainsFunc(b.Regs, func(r Reg) bool { return r.Phaser == phasers[i] }) {
-						s.Clear(t2)
+						clearBoth(t2)
 						delete(model, t2)
 						delete(last, t2)
 					}
@@ -274,6 +309,9 @@ func TestStateChurnAgainstOracle(t *testing.T) {
 			}
 			if err := s.checkInvariants(); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if got, want := s.Snapshot(), twin.Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: state %+v, twin %+v", seed, step, got, want)
 			}
 			o := model.oracle()
 			cyc, edges := s.FindCycle(&sc)
@@ -364,7 +402,10 @@ func meshStatus(task TaskID, phase int64) Blocked {
 }
 
 // TestReblockZeroAlloc guards the steady barrier round at 16 registrations
-// per status: clear, then block again one phase later, allocates nothing.
+// per status: clear, block again one phase later, and refresh the
+// registrations through Reregister, allocates nothing. (A mesh status
+// awaits a phase it impedes itself, so the gate's allocation-free path is
+// TestGateSearchZeroAlloc's.)
 func TestReblockZeroAlloc(t *testing.T) {
 	s := NewState()
 	for task := TaskID(1); task <= 8; task++ {
@@ -378,6 +419,9 @@ func TestReblockZeroAlloc(t *testing.T) {
 		}
 		b.WaitsFor[0].Phase++
 		s.SetBlocked(b)
+		if !s.Reregister(b.Task, b.Regs) { // a third party's refresh
+			t.Fatal("Reregister lost the status it refreshes")
+		}
 	}
 	for i := 0; i < 2*minSweep; i++ { // past a sweep or two
 		round()
@@ -405,8 +449,7 @@ func TestGateSearchZeroAlloc(t *testing.T) {
 	s.SetBlocked(Blocked{Task: n + 2, WaitsFor: []Resource{{1000, 1}}})
 	probe := Blocked{Task: n + 1, WaitsFor: []Resource{{1, 1}}, Regs: []Reg{{1000, 0}}}
 	gate := func() {
-		s.SetBlocked(probe)
-		if cyc, edges := s.CycleThrough(probe.Task, &sc); cyc != nil || edges != n {
+		if cyc, edges := s.BlockThrough(probe, &sc); cyc != nil || edges != n {
 			t.Fatalf("gate: cycle %v, %d edges; want none and %d", cyc, edges, n)
 		}
 		s.Clear(probe.Task)
@@ -417,8 +460,8 @@ func TestGateSearchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStateRaceMix runs the four operations from 8 goroutines on shared
-// tasks and phasers (meaningful under -race), then checks the index.
+// TestStateRaceMix runs every operation from 8 goroutines on shared tasks
+// and phasers (meaningful under -race), then checks the index.
 func TestStateRaceMix(t *testing.T) {
 	s := NewState()
 	var wg sync.WaitGroup
@@ -431,19 +474,27 @@ func TestStateRaceMix(t *testing.T) {
 			var buf []Blocked
 			for i := 0; i < 4000; i++ {
 				task := TaskID(1 + rng.Intn(24))
-				switch rng.Intn(8) {
-				case 0, 1, 2:
-					q := PhaserID(1 + rng.Intn(6))
-					s.SetBlocked(Blocked{
-						Task:     task,
-						WaitsFor: []Resource{{q, int64(1 + rng.Intn(3))}},
-						Regs:     []Reg{{q, int64(rng.Intn(3))}, {PhaserID(1 + rng.Intn(6)), int64(rng.Intn(3))}},
-					})
-				case 3, 4:
+				q := PhaserID(1 + rng.Intn(6))
+				regs := []Reg{{q, int64(rng.Intn(3))}, {PhaserID(1 + rng.Intn(6)), int64(rng.Intn(3))}}
+				b := Blocked{Task: task, WaitsFor: []Resource{{q, int64(1 + rng.Intn(3))}}, Regs: regs}
+				switch rng.Intn(11) {
+				case 0, 1:
+					s.SetBlocked(b)
+				case 2:
+					if cyc, _ := s.BlockThrough(b, &sc); cyc != nil && cyc.Tasks[0] != task {
+						t.Errorf("cycle %v does not start at %d", cyc.Tasks, task)
+					}
+				case 3:
+					s.Reregister(task, regs)
+				case 4, 5:
 					s.Clear(task)
-				case 5, 6:
+				case 6, 7:
 					if cyc, _ := s.CycleThrough(task, &sc); cyc != nil && cyc.Tasks[0] != task {
 						t.Errorf("cycle %v does not start at %d", cyc.Tasks, task)
+					}
+				case 8:
+					if n := s.Len(); n < 0 || n > 24 {
+						t.Errorf("Len %d with 24 tasks", n)
 					}
 				default:
 					buf = s.SnapshotInto(buf)

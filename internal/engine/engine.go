@@ -8,7 +8,7 @@
 // task, so the state IS the set of statuses and those three operations are
 // the whole interface. Structural events (register / arrive / drop) never
 // reach an engine: a membership change of a blocked task is always followed
-// by its status refresh, which does.
+// by its status refresh (Reregister, or a whole new status), which does.
 //
 // An Engine is single-writer: its owner (a server session's lock, a replay
 // loop, a site's check round, the verifier's lock) serialises every call.
@@ -25,16 +25,17 @@ import "armus/internal/deps"
 // have passes through a status set since — take the member of the cycle set
 // last: when it went in, every other member already held the status it has
 // now — so Check searches from the tasks noted since its last deadlock-free
-// verdict and from nothing else. Block in a mode that does not gate and
-// Restore note their task; a Block the avoidance gate admitted needs no
-// note, the gate has just proved that no cycle passes through it.
+// verdict and from nothing else. Block in a mode that does not gate,
+// Restore and Reregister note their task; a Block the avoidance gate
+// admitted needs no note, the gate has just proved that no cycle passes
+// through it.
 //
 // The state may also be written behind the engine's back, through State:
-// the repository benchmark's verifier and dist rungs do, and core.Verifier
-// clears a resumed task's status without its lock. Such a write is never
-// noted, so Check compares how far the state's version moved with the
-// version steps of the engine's own writes, and scans the whole state when
-// the two differ.
+// the repository benchmark's rungs and the programs that inject statuses
+// into dist sites do, while core.Verifier makes every write through the
+// engine. Such a write is never noted, so Check compares how far the
+// state's version moved with the version steps of the engine's own writes,
+// and scans the whole state when the two differ.
 type Engine struct {
 	st     *deps.State
 	sc     deps.CycleScratch
@@ -79,13 +80,13 @@ func New(gating bool) *Engine {
 // admitted one before — and the cycle is returned. In every other mode the
 // insert is unconditional and the result nil.
 func (e *Engine) Block(b deps.Blocked) *deps.Cycle {
-	e.st.SetBlocked(b)
 	e.own++
 	if !e.gating {
+		e.st.SetBlocked(b)
 		e.note(b.Task)
 		return nil
 	}
-	cyc := e.counted(e.st.CycleThrough(b.Task, &e.sc))
+	cyc := e.counted(e.st.BlockThrough(b, &e.sc))
 	if cyc != nil {
 		e.Unblock(b.Task)
 	}
@@ -157,14 +158,24 @@ func (e *Engine) Probe(b deps.Blocked) bool {
 
 // Restore inserts statuses that were admitted before — a stored snapshot's
 // on rehydration, a recorded trace's on replay, a peer site's in a merged
-// view, a blocked task's refreshed by a third party — without gating them
-// again.
+// view — without gating them again.
 func (e *Engine) Restore(snap ...deps.Blocked) {
 	for i := range snap {
 		e.st.SetBlocked(snap[i])
 		e.own++
 		e.note(snap[i].Task)
 	}
+}
+
+// Reregister is State.Reregister, a third party's refresh of a blocked
+// task: no gate sees it, so t is noted.
+func (e *Engine) Reregister(t deps.TaskID, regs []deps.Reg) bool {
+	if !e.st.Reregister(t, regs) {
+		return false
+	}
+	e.own++
+	e.note(t)
+	return true
 }
 
 // State exposes the dependency state (snapshots, Version, Len, and the
