@@ -95,12 +95,14 @@ func NewState() *State {
 	}
 }
 
-// SetBlocked records (or replaces) the blocked status of b.Task. The
-// slices of b are copied; the caller keeps ownership of them.
-func (s *State) SetBlocked(b Blocked) {
+// SetBlocked records (or replaces) the blocked status of b.Task and
+// returns how many tasks it leaves blocked. The slices of b are copied; the
+// caller keeps ownership of them.
+func (s *State) SetBlocked(b Blocked) int {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.setBlocked(b)
-	s.mu.Unlock()
+	return s.count
 }
 
 // BlockThrough is SetBlocked then CycleThrough(b.Task, sc) — the avoidance
@@ -154,10 +156,11 @@ func (s *State) Reregister(t TaskID, regs []Reg) bool {
 	return true
 }
 
-// Clear removes the blocked status of t (the task resumed). Clearing an
-// absent task is a no-op.
-func (s *State) Clear(t TaskID) {
+// Clear removes the blocked status of t (the task resumed) and returns how
+// many tasks it leaves blocked. Clearing an absent task is a no-op.
+func (s *State) Clear(t TaskID) int {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if e := s.tasks[t]; e != nil && e.blocked {
 		e.blocked = false
 		s.releaseWaits(e)
@@ -167,7 +170,7 @@ func (s *State) Clear(t TaskID) {
 			s.sweep()
 		}
 	}
-	s.mu.Unlock()
+	return s.count
 }
 
 // Len returns the number of currently blocked tasks.

@@ -197,7 +197,8 @@ func (m churnModel) checkCycle(cyc []TaskID) error {
 // rebuilt from scratch. Half the blocks are gates through BlockThrough and
 // half the refreshes go through Reregister, also on idle and absent tasks;
 // a twin State takes the same steps as SetBlocked, CycleThrough and Clear
-// alone, and must answer every gate and hold every status the same.
+// alone, and must answer every gate and hold every status the same. Every
+// SetBlocked and Clear must return the count of blocked tasks it leaves.
 func TestStateChurnAgainstOracle(t *testing.T) {
 	steps := 30000
 	if testing.Short() {
@@ -229,15 +230,22 @@ func TestStateChurnAgainstOracle(t *testing.T) {
 		}
 		twin := NewState()
 		var twinSC CycleScratch
+		// counted checks the count a SetBlocked or Clear of st returned
+		// against st's Len and the model's size.
+		counted := func(st *State, n int) {
+			if l := st.Len(); n != l || n != len(model) {
+				t.Fatalf("seed %d: a write returned %d blocked tasks; Len %d, the model %d", seed, n, l, len(model))
+			}
+		}
 		set := func(b Blocked) {
 			model[b.Task], last[b.Task] = b, b
 			if rng.Intn(2) == 0 {
-				s.SetBlocked(b)
-				twin.SetBlocked(b)
+				counted(s, s.SetBlocked(b))
+				counted(twin, twin.SetBlocked(b))
 				return
 			}
 			cyc, edges := s.BlockThrough(b, &sc)
-			twin.SetBlocked(b)
+			counted(twin, twin.SetBlocked(b))
 			wantCyc, wantEdges := twin.CycleThrough(b.Task, &twinSC)
 			if (cyc == nil) != (wantCyc == nil) || edges != wantEdges ||
 				cyc != nil && !slices.Equal(cyc.Tasks, wantCyc.Tasks) {
@@ -246,8 +254,9 @@ func TestStateChurnAgainstOracle(t *testing.T) {
 			}
 		}
 		clearBoth := func(tk TaskID) {
-			s.Clear(tk)
-			twin.Clear(tk)
+			delete(model, tk)
+			counted(s, s.Clear(tk))
+			counted(twin, twin.Clear(tk))
 		}
 		for step := 0; step < steps; step++ {
 			tk := tasks[rng.Intn(len(tasks))]
@@ -276,8 +285,8 @@ func TestStateChurnAgainstOracle(t *testing.T) {
 						t.Fatalf("seed %d step %d: Reregister(%d) = %v on a task blocked=%v", seed, step, tk, got, isBlocked)
 					}
 					if isBlocked {
-						twin.SetBlocked(b)
 						model[tk], last[tk] = b, b
+						counted(twin, twin.SetBlocked(b))
 					}
 				} else if isBlocked {
 					set(b)
@@ -288,10 +297,8 @@ func TestStateChurnAgainstOracle(t *testing.T) {
 				}
 			case op < 14:
 				clearBoth(tk)
-				delete(model, tk)
 			case op == 14: // the task ends; a new one takes its place
 				clearBoth(tk)
-				delete(model, tk)
 				delete(last, tk)
 				tasks[slices.Index(tasks, tk)] = nextTask
 				nextTask++
@@ -300,7 +307,6 @@ func TestStateChurnAgainstOracle(t *testing.T) {
 				for t2, b := range last {
 					if b.WaitsFor[0].Phaser == phasers[i] || slices.ContainsFunc(b.Regs, func(r Reg) bool { return r.Phaser == phasers[i] }) {
 						clearBoth(t2)
-						delete(model, t2)
 						delete(last, t2)
 					}
 				}
@@ -392,9 +398,12 @@ func TestStateMemoryBounded(t *testing.T) {
 	}
 }
 
-// meshStatus is the gen.Mesh shape: 16 registrations per status.
+// meshStatus is the gen.Mesh shape: 16 registrations per status, on
+// phasers task to task+15. The task awaits phaser task+16, on which the
+// next 16 tasks are registered and the next one lags, so blocked tasks
+// form a chain and never a cycle.
 func meshStatus(task TaskID, phase int64) Blocked {
-	b := Blocked{Task: task, WaitsFor: []Resource{{PhaserID(task), phase + 1}}}
+	b := Blocked{Task: task, WaitsFor: []Resource{{PhaserID(task + 16), phase + 1}}}
 	for q := 0; q < 16; q++ {
 		b.Regs = append(b.Regs, Reg{PhaserID(int(task) + q), phase})
 	}
@@ -402,23 +411,25 @@ func meshStatus(task TaskID, phase int64) Blocked {
 }
 
 // TestReblockZeroAlloc guards the steady barrier round at 16 registrations
-// per status: clear, block again one phase later, and refresh the
-// registrations through Reregister, allocates nothing. (A mesh status
-// awaits a phase it impedes itself, so the gate's allocation-free path is
-// TestGateSearchZeroAlloc's.)
+// per status: clear, block again one phase later through the gate, which
+// finds no cycle, and refresh the registrations through Reregister,
+// allocates nothing.
 func TestReblockZeroAlloc(t *testing.T) {
 	s := NewState()
 	for task := TaskID(1); task <= 8; task++ {
 		s.SetBlocked(meshStatus(task, 0))
 	}
 	b := meshStatus(3, 0)
+	var sc CycleScratch
 	round := func() {
 		s.Clear(b.Task)
 		for i := range b.Regs {
 			b.Regs[i].Phase++
 		}
 		b.WaitsFor[0].Phase++
-		s.SetBlocked(b)
+		if cyc, _ := s.BlockThrough(b, &sc); cyc != nil {
+			t.Fatalf("the gate found a cycle %v in a chain", cyc)
+		}
 		if !s.Reregister(b.Task, b.Regs) { // a third party's refresh
 			t.Fatal("Reregister lost the status it refreshes")
 		}

@@ -446,20 +446,6 @@ func TestDistChurnAgainstReference(t *testing.T) {
 				if c.rng.Intn(3) == 0 { // a site closes and one of its name starts afresh
 					i := c.rng.Intn(len(c.sites))
 					c.sites[i].Close()
-					// Everyone sees the key gone before it is back: a new
-					// site numbers its publishes from 1 again, and a peer
-					// that slept through the withdrawal and woke to the
-					// very seqs it had cached would take them for the
-					// view it holds (so it has been since the cache is
-					// seq-gated; a site that fetches every period has seen
-					// the new numbering long before it catches up).
-					for j, s := range c.sites {
-						if j != i {
-							rep, err := s.RoundOnce()
-							c.must(err)
-							c.verify(s, rep)
-						}
-					}
 					c.sites[i] = c.newSite(i + 1)
 				}
 			case op < 97:

@@ -93,6 +93,24 @@ const keyPrefix = "armus:site:"
 // the cumulative delta's growth and the blast radius of a lost write.
 const defaultFullEvery = 16
 
+var (
+	firstSeqMu   sync.Mutex
+	lastFirstSeq uint64 // where the site created last in this process numbered from
+)
+
+// firstSeq returns where a new site numbers its links from: above every
+// link an earlier incarnation of its id published, or a peer that slept
+// through the withdrawal would take the new links for the ones it cached.
+// That is the clock in nanoseconds, floored 2^32 (more links than one
+// incarnation publishes) above the site created last in this process, so a
+// frozen clock still numbers incarnations apart.
+func firstSeq(c clock.Clock) uint64 {
+	firstSeqMu.Lock()
+	defer firstSeqMu.Unlock()
+	lastFirstSeq = max(uint64(max(c.Now().UnixNano(), 0)), lastFirstSeq+1<<32)
+	return lastFirstSeq
+}
+
 // noVersion is a deps.State version no state reaches: a site that has not
 // analysed anything yet holds it for the local state's, so its first
 // analysis is never taken for a repeat of an earlier one.
@@ -237,7 +255,7 @@ func NewSite(id int, addr string, opts ...Option) *Site {
 	for _, o := range opts {
 		o(s)
 	}
-	s.chain = NewChain(id, s.fullEvery, 0)
+	s.chain = NewChain(id, s.fullEvery, firstSeq(s.clock))
 	s.pubPipe = s.client.Pipeline()
 	s.chkPipe = s.client.Pipeline()
 	if s.onDeadlock == nil {

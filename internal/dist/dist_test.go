@@ -339,3 +339,48 @@ func TestFingerprintIsOrderInsensitive(t *testing.T) {
 		t.Fatal("distinct cycles share a fingerprint")
 	}
 }
+
+// TestReincarnatedSiteSeenBySleepingPeer: a site closes and one of its id
+// starts afresh while a peer fetches nothing in between. The peer caches
+// what it decoded by seq, so the new site must number its links above the
+// old one's or the peer keeps the dead incarnation's view. The clock is
+// frozen: only the numbering floor keeps the two incarnations apart.
+func TestReincarnatedSiteSeenBySleepingPeer(t *testing.T) {
+	srv, err := store.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	fc := clock.NewFake()
+	status := func(task int64) deps.Blocked {
+		return deps.Blocked{
+			Task:     deps.TaskID(1<<SiteIDShift + task),
+			WaitsFor: []deps.Resource{{Phaser: 1<<SiteIDShift + 1, Phase: 1}},
+		}
+	}
+	round := func(s *Site) {
+		t.Helper()
+		if _, err := s.RoundOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	peer := NewSite(2, srv.Addr(), WithClock(fc))
+	defer peer.Close()
+	old := NewSite(1, srv.Addr(), WithClock(fc))
+	old.v.State().SetBlocked(status(1))
+	round(old)
+	round(peer)
+	if got := peer.merged.State().Snapshot(); len(got) != 1 || got[0].Task != status(1).Task {
+		t.Fatalf("peer's view before the withdrawal: %+v", got)
+	}
+
+	old.Close()
+	site := NewSite(1, srv.Addr(), WithClock(fc))
+	defer site.Close()
+	site.v.State().SetBlocked(status(2))
+	round(site)
+	round(peer)
+	if got := peer.merged.State().Snapshot(); len(got) != 1 || got[0].Task != status(2).Task {
+		t.Fatalf("peer's view after the site started afresh holds %+v, want task %d alone", got, status(2).Task)
+	}
+}

@@ -48,6 +48,10 @@ type Engine struct {
 	// bounds it, not a constant.
 	set  []deps.TaskID
 	scan bool
+	// blocked is the count of blocked tasks the engine's last SetBlocked or
+	// Clear returned. A gate's insert only brings the scan forward by
+	// leaving it stale; after a write behind the engine's back Check scans.
+	blocked int
 	// own counts the version steps of the engine's own writes since lastVer.
 	own uint64
 	// last is the verdict of the state at version lastVer. The zero value
@@ -82,7 +86,7 @@ func New(gating bool) *Engine {
 func (e *Engine) Block(b deps.Blocked) *deps.Cycle {
 	e.own++
 	if !e.gating {
-		e.st.SetBlocked(b)
+		e.blocked = e.st.SetBlocked(b)
 		e.note(b.Task)
 		return nil
 	}
@@ -97,7 +101,7 @@ func (e *Engine) Block(b deps.Blocked) *deps.Cycle {
 func (e *Engine) note(t deps.TaskID) {
 	switch {
 	case e.scan:
-	case len(e.set) >= e.st.Len():
+	case len(e.set) >= e.blocked:
 		e.scan, e.set = true, e.set[:0]
 	default:
 		e.set = append(e.set, t)
@@ -116,7 +120,7 @@ func (e *Engine) counted(cyc *deps.Cycle, edges int) *deps.Cycle {
 // task with no status does not move the state's version.
 func (e *Engine) Unblock(t deps.TaskID) {
 	ver := e.st.Version()
-	e.st.Clear(t)
+	e.blocked = e.st.Clear(t)
 	e.own += e.st.Version() - ver
 }
 
@@ -130,7 +134,7 @@ func (e *Engine) Check() *deps.Cycle {
 		return e.last
 	}
 	var cyc *deps.Cycle
-	if e.last != nil || e.scan || len(e.set) > e.st.Len() || ver-e.lastVer != e.own {
+	if e.last != nil || e.scan || len(e.set) > e.blocked || ver-e.lastVer != e.own {
 		cyc = e.counted(e.st.FindCycle(&e.sc))
 	} else {
 		for _, t := range e.set {
@@ -161,7 +165,7 @@ func (e *Engine) Probe(b deps.Blocked) bool {
 // view — without gating them again.
 func (e *Engine) Restore(snap ...deps.Blocked) {
 	for i := range snap {
-		e.st.SetBlocked(snap[i])
+		e.blocked = e.st.SetBlocked(snap[i])
 		e.own++
 		e.note(snap[i].Task)
 	}

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -38,16 +40,27 @@ func cmdBytes(args ...string) []byte { return appendCommand(nil, args...) }
 // says data, each command read into a (nil allocates), and returns the
 // server and what it answered.
 func replay(data []byte, a *arena) (*Server, []byte) {
-	s := &Server{
-		data:   make(map[string][]byte),
-		hashes: make(map[string]map[string][]byte),
-	}
+	s := new(Server)
 	var out bytes.Buffer
 	s.exchange(struct {
 		io.Reader
 		io.Writer
 	}{bytes.NewReader(data), &out}, a)
 	return s, out.Bytes()
+}
+
+// dumpKeys renders a server's keys with every stored triple, for failures.
+func dumpKeys(s *Server) string {
+	var b strings.Builder
+	for _, e := range s.keys {
+		if e.plain != nil {
+			fmt.Fprintf(&b, "%q ", e.plain.enc)
+		}
+		for _, f := range e.fields {
+			fmt.Fprintf(&b, "%q ", f.enc)
+		}
+	}
+	return b.String()
 }
 
 // FuzzStoreProtocol feeds arbitrary bytes to the server's side of a
@@ -66,7 +79,8 @@ func replay(data []byte, a *arena) (*Server, []byte) {
 //     and
 //  4. reading the commands into the connection's reused arena and into
 //     fresh storage leaves the same store and says the same bytes: no
-//     stored value aliases storage the next command overwrites.
+//     stored value aliases storage the next command overwrites; and the
+//     store keeps its layout's rules (checkLayout).
 func FuzzStoreProtocol(f *testing.F) {
 	var all []byte
 	for _, c := range [][]string{
@@ -106,9 +120,12 @@ func FuzzStoreProtocol(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, out := replay(data, new(arena))
 		fresh, freshOut := replay(data, nil)
-		if !bytes.Equal(out, freshOut) || !reflect.DeepEqual(s.data, fresh.data) || !reflect.DeepEqual(s.hashes, fresh.hashes) {
-			t.Fatalf("commands read into a reused arena and into fresh storage differ:\nreplies %q\n   want %q\ndata %q\nwant %q\nhashes %q\n  want %q",
-				out, freshOut, s.data, fresh.data, s.hashes, fresh.hashes)
+		if !bytes.Equal(out, freshOut) || !reflect.DeepEqual(s.keys, fresh.keys) {
+			t.Fatalf("commands read into a reused arena and into fresh storage differ:\nreplies %q\n   want %q\nkeys %s\nwant %s",
+				out, freshOut, dumpKeys(s), dumpKeys(fresh))
+		}
+		if err := checkLayout(s); err != nil {
+			t.Fatal(err)
 		}
 
 		// The server speaks only complete replies: the client-side reply

@@ -21,7 +21,7 @@ import (
 	"io"
 	"net"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,9 +31,8 @@ import (
 type Server struct {
 	ln net.Listener
 
-	mu     sync.RWMutex
-	data   map[string][]byte
-	hashes map[string]map[string][]byte
+	mu   sync.RWMutex
+	keys []*entry // sorted by key
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -51,10 +50,8 @@ func NewServer(addr string) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		ln:     ln,
-		data:   make(map[string][]byte),
-		hashes: make(map[string]map[string][]byte),
-		conns:  make(map[net.Conn]struct{}),
+		ln:    ln,
+		conns: make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -179,7 +176,9 @@ func (s *Server) exchange(rw io.ReadWriter, a *arena) {
 	}
 }
 
-// dispatch runs one command and appends its reply to out.
+// dispatch runs one command and appends its reply to out. SET and HSET
+// overwrite stored values in place, so a read appends its reply before it
+// releases the read lock; the connection writes that copy unlocked.
 func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 	if len(args) == 0 {
 		return appendError(out, "empty command")
@@ -196,7 +195,11 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 			return appendError(out, "SET needs key and value")
 		}
 		s.mu.Lock()
-		s.data[string(args[1])] = clone(args[2])
+		e := s.entry(args[1])
+		if e.plain == nil {
+			e.plain = e.newField("")
+		}
+		e.plain.set(args[2])
 		s.mu.Unlock()
 		return appendSimple(out, "OK")
 
@@ -205,12 +208,11 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 			return appendError(out, "GET needs key")
 		}
 		s.mu.RLock()
-		v, ok := s.data[string(args[1])]
-		s.mu.RUnlock()
-		if !ok {
-			return appendNil(out)
+		defer s.mu.RUnlock()
+		if f := s.lookup(args[1]).plain; f != nil {
+			return append(out, f.enc[f.val:]...)
 		}
-		return appendBulk(out, v)
+		return appendNil(out)
 
 	case "DEL":
 		if len(args) < 2 {
@@ -219,13 +221,10 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 		n := 0
 		s.mu.Lock()
 		for _, k := range args[1:] {
-			_, plain := s.data[string(k)]
-			_, hash := s.hashes[string(k)]
-			if plain || hash {
+			if i, ok := s.find(k); ok {
+				s.keys = slices.Delete(s.keys, i, i+1)
 				n++
 			}
-			delete(s.data, string(k))
-			delete(s.hashes, string(k))
 		}
 		s.mu.Unlock()
 		return appendHeader(out, ':', n)
@@ -235,11 +234,11 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 			return appendError(out, "KEYS needs a prefix")
 		}
 		s.mu.RLock()
-		keys := s.keysLocked(string(args[1]))
-		s.mu.RUnlock()
+		defer s.mu.RUnlock()
+		keys := s.prefixed(args[1])
 		out = appendHeader(out, '*', len(keys))
-		for _, k := range keys {
-			out = appendBulk(out, k)
+		for _, e := range keys {
+			out = appendBulk(out, e.key)
 		}
 		return out
 
@@ -248,12 +247,12 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 			return appendError(out, "HSET needs hash, field, value")
 		}
 		s.mu.Lock()
-		h, ok := s.hashes[string(args[1])]
+		e := s.entry(args[1])
+		i, ok := e.find(args[2])
 		if !ok {
-			h = make(map[string][]byte)
-			s.hashes[string(args[1])] = h
+			e.fields = slices.Insert(e.fields, i, e.newField(string(args[2])))
 		}
-		h[string(args[2])] = clone(args[3])
+		e.fields[i].set(args[3])
 		s.mu.Unlock()
 		return appendSimple(out, "OK")
 
@@ -262,12 +261,12 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 			return appendError(out, "HGET needs hash and field")
 		}
 		s.mu.RLock()
-		v, ok := s.hashes[string(args[1])][string(args[2])]
-		s.mu.RUnlock()
-		if !ok {
-			return appendNil(out)
+		defer s.mu.RUnlock()
+		e := s.lookup(args[1])
+		if i, ok := e.find(args[2]); ok {
+			return append(out, e.fields[i].enc[e.fields[i].val:]...)
 		}
-		return appendBulk(out, v)
+		return appendNil(out)
 
 	case "HGETALL":
 		if len(args) != 2 {
@@ -275,10 +274,10 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 		}
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		h := s.hashes[string(args[1])]
-		out = appendHeader(out, '*', 2*len(h))
-		for _, f := range sortedFields(nil, h) {
-			out = appendBulk(appendBulk(out, f), h[f])
+		e := s.lookup(args[1])
+		out = appendHeader(out, '*', 2*len(e.fields))
+		for _, f := range e.fields {
+			out = append(appendBulk(out, f.name), f.enc[f.val:]...)
 		}
 		return out
 
@@ -287,7 +286,7 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 			return appendError(out, "HLEN needs hash")
 		}
 		s.mu.RLock()
-		n := len(s.hashes[string(args[1])])
+		n := len(s.lookup(args[1]).fields)
 		s.mu.RUnlock()
 		return appendHeader(out, ':', n)
 
@@ -296,29 +295,25 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 			return appendError(out, "MGETP needs a prefix")
 		}
 		// The reply is a flat array of (key, field, value) triples sorted
-		// by (key, field); plain keys carry an empty field. It is appended
-		// under the read lock and written after it is released, so a
-		// client that does not read its reply holds up no writer.
+		// by (key, field); plain keys carry an empty field and come first.
+		// Every triple is stored as it is sent.
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		keys := s.keysLocked(string(args[1]))
+		keys := s.prefixed(args[1])
 		n := 0
-		for _, k := range keys {
-			if _, ok := s.data[k]; ok {
+		for _, e := range keys {
+			if e.plain != nil {
 				n++
 			}
-			n += len(s.hashes[k])
+			n += len(e.fields)
 		}
 		out = appendHeader(out, '*', 3*n)
-		var fields []string
-		for _, k := range keys {
-			if v, ok := s.data[k]; ok {
-				out = appendBulk(appendBulk(appendBulk(out, k), ""), v)
+		for _, e := range keys {
+			if e.plain != nil {
+				out = append(out, e.plain.enc...)
 			}
-			h := s.hashes[k]
-			fields = sortedFields(fields[:0], h)
-			for _, f := range fields {
-				out = appendBulk(appendBulk(appendBulk(out, k), f), h[f])
+			for _, f := range e.fields {
+				out = append(out, f.enc...)
 			}
 		}
 		return out
@@ -329,14 +324,15 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 		}
 		n := 0
 		s.mu.Lock()
-		if h, ok := s.hashes[string(args[1])]; ok {
-			if _, ok := h[string(args[2])]; ok {
-				delete(h, string(args[2]))
+		if i, ok := s.find(args[1]); ok {
+			e := s.keys[i]
+			if j, ok := e.find(args[2]); ok {
+				e.fields = slices.Delete(e.fields, j, j+1)
 				n = 1
-				if len(h) == 0 {
+				if len(e.fields) == 0 && e.plain == nil {
 					// A hash goes with its last field: an empty one would
 					// be listed, counted and scanned as a key for ever.
-					delete(s.hashes, string(args[1]))
+					s.keys = slices.Delete(s.keys, i, i+1)
 				}
 			}
 		}
@@ -356,38 +352,87 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 	}
 }
 
-// keysLocked returns the keys with the given prefix, sorted and each once:
-// a key can be a plain key and a hash at the same time (SET then HSET).
-func (s *Server) keysLocked(prefix string) []string {
-	var keys []string
-	for k := range s.data {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
-	}
-	for k := range s.hashes {
-		if _, plain := s.data[k]; !plain && strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
+// entry is one stored key: a plain value, a hash, or both (SET then HSET).
+// A key with neither is not stored.
+type entry struct {
+	key    string
+	plain  *field   // the plain value, under the empty name, or nil
+	fields []*field // the hash, sorted by name
 }
 
-// sortedFields appends the fields of h to fields, sorted.
-func sortedFields(fields []string, h map[string][]byte) []string {
-	for f := range h {
-		fields = append(fields, f)
-	}
-	sort.Strings(fields)
-	return fields
+// field is one stored value, kept as the triple MGETP sends for it: the
+// key, the field's name and the value, each a bulk string.
+type field struct {
+	name string
+	enc  []byte
+	val  int // enc[val:] is the value, the reply to GET or HGET
 }
 
-func clone(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+// cmpName orders a stored name against one read off the wire, copying
+// neither.
+func cmpName(s string, b []byte) int {
+	if s == string(b) {
+		return 0
+	} else if s < string(b) {
+		return -1
+	}
+	return 1
 }
+
+// find returns the position of key in s.keys, or where it would go, and
+// whether it is there.
+func (s *Server) find(key []byte) (int, bool) {
+	return slices.BinarySearchFunc(s.keys, key, func(e *entry, k []byte) int { return cmpName(e.key, k) })
+}
+
+// absent is the entry lookup returns for a key that is not stored. It is
+// never written.
+var absent entry
+
+// lookup returns the entry of key, or absent.
+func (s *Server) lookup(key []byte) *entry {
+	if i, ok := s.find(key); ok {
+		return s.keys[i]
+	}
+	return &absent
+}
+
+// entry returns the entry of key, inserting one if there is none: the
+// caller gives it a value before it releases the lock.
+func (s *Server) entry(key []byte) *entry {
+	i, ok := s.find(key)
+	if !ok {
+		s.keys = slices.Insert(s.keys, i, &entry{key: string(key)})
+	}
+	return s.keys[i]
+}
+
+// prefixed returns the entries whose keys start with prefix, in key order:
+// a run of s.keys, which the caller reads under the lock.
+func (s *Server) prefixed(prefix []byte) []*entry {
+	i, _ := s.find(prefix)
+	j := i
+	for j < len(s.keys) && len(s.keys[j].key) >= len(prefix) && s.keys[j].key[:len(prefix)] == string(prefix) {
+		j++
+	}
+	return s.keys[i:j]
+}
+
+// find returns the position of the field name in e.fields, or where it
+// would go, and whether it is there.
+func (e *entry) find(name []byte) (int, bool) {
+	return slices.BinarySearchFunc(e.fields, name, func(f *field, n []byte) int { return cmpName(f.name, n) })
+}
+
+// newField returns a field of e named name, with no value yet.
+func (e *entry) newField(name string) *field {
+	enc := appendBulk(appendBulk(nil, e.key), name)
+	return &field{name: name, enc: enc, val: len(enc)}
+}
+
+// set makes v the field's value, in the storage the last one had when it
+// fits.
+func (f *field) set(v []byte) { f.enc = appendBulk(f.enc[:f.val], v) }
 
 // --- protocol ---------------------------------------------------------
 
