@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -141,13 +142,35 @@ func (m *mapModel) do(out []byte, args []string) []byte {
 	panic("mapModel: " + args[0])
 }
 
-// checkLayout reports the first way s's storage breaks its own rules: keys
-// strictly ascending and none empty, fields strictly ascending by name, and
-// every field's bytes exactly the MGETP triple of its key, name and value.
+// entries returns s's keys in the order its blocks hold them.
+func entries(s *Server) []*entry {
+	var all []*entry
+	for _, blk := range s.blocks {
+		all = append(all, blk...)
+	}
+	return all
+}
+
+// checkLayout reports the first way s's storage breaks its own rules:
+// blocks of 1 to 2*blockLen keys, keys strictly ascending and none empty,
+// fields strictly ascending by name, and every field's bytes exactly the
+// MGETP triple of its key, name and value.
 func checkLayout(s *Server) error {
-	for i, e := range s.keys {
-		if i > 0 && s.keys[i-1].key >= e.key {
-			return fmt.Errorf("keys %q and %q out of order", s.keys[i-1].key, e.key)
+	for b, blk := range s.blocks {
+		if len(blk) == 0 || len(blk) > 2*blockLen {
+			return fmt.Errorf("block %d of %d holds %d keys", b, len(s.blocks), len(blk))
+		}
+	}
+	keys := entries(s)
+	if len(s.index) != len(keys) {
+		return fmt.Errorf("%d keys indexed, %d in blocks", len(s.index), len(keys))
+	}
+	for i, e := range keys {
+		if s.index[e.key] != e {
+			return fmt.Errorf("key %q is not indexed as the entry its block holds", e.key)
+		}
+		if i > 0 && keys[i-1].key >= e.key {
+			return fmt.Errorf("keys %q and %q out of order", keys[i-1].key, e.key)
 		}
 		if e.plain == nil && len(e.fields) == 0 {
 			return fmt.Errorf("key %q is stored with nothing under it", e.key)
@@ -196,56 +219,90 @@ func readBulkFrom(b []byte) (v, rest []byte, err error) {
 // reply to every one, and a layout that keeps its rules after every one.
 func TestStoreAgainstMapModel(t *testing.T) {
 	keys := []string{"", "a", "ab", "abc", "abd", "b", "ba", "armus:site:1", "armus:site:10", "armus:site:2"}
-	names := []string{"", "base", "delta", "d", "de", "z"}
 	prefixes := []string{"", "a", "ab", "abc", "abcd", "armus:site:", "armus:site:1", "b", "c", "~"}
 	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s, m := new(Server), newMapModel()
-		value := func() string {
-			if rng.Intn(5) == 0 {
-				return ""
-			}
-			return strings.Repeat(string(rune('a'+rng.Intn(26))), rng.Intn(40))
+		againstMapModel(t, seed, keys, prefixes, 2000, 2000, 1)
+	}
+}
+
+// TestBlocksAgainstMapModel is the model test over enough keys to split
+// blocks, with a second half that only deletes until the store, and its
+// blocks, are empty again.
+func TestBlocksAgainstMapModel(t *testing.T) {
+	keys := make([]string, 6*blockLen)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("armus:sess:%d", i)
+	}
+	prefixes := []string{"", "armus:sess:", "armus:sess:1", "armus:sess:42", "armus:sess:9", "b"}
+	for seed := int64(1); seed <= 4; seed++ {
+		s, most := againstMapModel(t, seed, keys, prefixes, 20000, 8000, 97)
+		if most < 4 || len(s.blocks) != 0 {
+			t.Fatalf("seed %d: the store held at most %d blocks and ends with %d, want at least 4 and none", seed, most, len(s.blocks))
 		}
-		var got, want []byte
-		for step := 0; step < 2000; step++ {
-			k, f := keys[rng.Intn(len(keys))], names[rng.Intn(len(names))]
-			var args []string
-			switch op := rng.Intn(20); {
-			case op < 3:
-				args = []string{"SET", k, value()}
-			case op < 8:
-				args = []string{"HSET", k, f, value()}
-			case op < 10:
-				args = []string{"HDEL", k, f}
-			case op < 11:
-				args = []string{"DEL", k, keys[rng.Intn(len(keys))]}
-			case op < 12:
-				args = []string{"GET", k}
-			case op < 13:
-				args = []string{"HGET", k, f}
-			case op < 14:
-				args = []string{"HGETALL", k}
-			case op < 15:
-				args = []string{"HLEN", k}
-			case op < 17:
-				args = []string{"KEYS", prefixes[rng.Intn(len(prefixes))]}
-			default:
-				args = []string{"MGETP", prefixes[rng.Intn(len(prefixes))]}
-			}
-			wire := make([][]byte, len(args))
-			for i, a := range args {
-				wire[i] = []byte(a)
-			}
-			got, want = s.dispatch(got[:0], wire), m.do(want[:0], args)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("seed %d step %d: %q answered\n%q\nwant\n%q", seed, step, args, got, want)
-			}
+	}
+}
+
+// againstMapModel runs steps seeded random commands over keys through a new
+// store and a mapModel, wants the same reply from both to every one, and
+// checks the store's layout every checkEvery steps. From step delFrom on,
+// every write is a DEL instead. It returns the store and the most blocks it
+// held.
+func againstMapModel(t *testing.T, seed int64, keys, prefixes []string, steps, delFrom, checkEvery int) (*Server, int) {
+	t.Helper()
+	names := []string{"", "base", "delta", "d", "de", "z"}
+	rng := rand.New(rand.NewSource(seed))
+	s, m := new(Server), newMapModel()
+	value := func() string {
+		if rng.Intn(5) == 0 {
+			return ""
+		}
+		return strings.Repeat(string(rune('a'+rng.Intn(26))), rng.Intn(40))
+	}
+	var got, want []byte
+	most := 0
+	for step := 0; step < steps; step++ {
+		k, f := keys[rng.Intn(len(keys))], names[rng.Intn(len(names))]
+		var args []string
+		switch op := rng.Intn(20); {
+		case op < 8 && step >= delFrom:
+			args = []string{"DEL", k, keys[rng.Intn(len(keys))]}
+		case op < 3:
+			args = []string{"SET", k, value()}
+		case op < 8:
+			args = []string{"HSET", k, f, value()}
+		case op < 10:
+			args = []string{"HDEL", k, f}
+		case op < 11:
+			args = []string{"DEL", k, keys[rng.Intn(len(keys))]}
+		case op < 12:
+			args = []string{"GET", k}
+		case op < 13:
+			args = []string{"HGET", k, f}
+		case op < 14:
+			args = []string{"HGETALL", k}
+		case op < 15:
+			args = []string{"HLEN", k}
+		case op < 17:
+			args = []string{"KEYS", prefixes[rng.Intn(len(prefixes))]}
+		default:
+			args = []string{"MGETP", prefixes[rng.Intn(len(prefixes))]}
+		}
+		wire := make([][]byte, len(args))
+		for i, a := range args {
+			wire[i] = []byte(a)
+		}
+		got, want = s.dispatch(got[:0], wire), m.do(want[:0], args)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d step %d: %q answered\n%q\nwant\n%q", seed, step, args, got, want)
+		}
+		if step%checkEvery == 0 || step == steps-1 {
 			if err := checkLayout(s); err != nil {
 				t.Fatalf("seed %d step %d: after %q: %v", seed, step, args, err)
 			}
 		}
+		most = max(most, len(s.blocks))
 	}
+	return s, most
 }
 
 // roundServer is a store as a three-site dist-round leaves it: each site's
@@ -346,5 +403,79 @@ func TestInPlaceWritesAgainstReads(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestShrunkValueGivesStorageBack overwrites a large value with a small
+// one: the field then holds storage for the small one, not the large one's,
+// and a value of about the same size is still written in place.
+func TestShrunkValueGivesStorageBack(t *testing.T) {
+	s := new(Server)
+	k := []byte("armus:sess:a")
+	hset := func(v []byte) *field {
+		s.dispatch(nil, [][]byte{[]byte("HSET"), k, []byte("base"), v})
+		return s.lookup(k).fields[0]
+	}
+	hset(bytes.Repeat([]byte{'b'}, 1<<20))
+	f := hset([]byte("small"))
+	if cap(f.enc) > 2*len(f.enc) {
+		t.Fatalf("a %d-byte field keeps %d bytes of storage after its 1 MiB value shrank", len(f.enc), cap(f.enc))
+	}
+	enc := f.enc
+	if f = hset([]byte("smaller")); &f.enc[0] != &enc[0] {
+		t.Fatal("a value of about the same size was not written in place")
+	}
+}
+
+// BenchmarkKeyChurn is what an HSET to a key the store does not hold
+// costs (new), a DEL of such a key (del), and an HSET overwriting a value
+// of a stored key (warm), in a store already holding n keys: a fleet's
+// store keeps a key for every session it ever persisted. The keys written
+// land next to stored ones all over the key space.
+func BenchmarkKeyChurn(b *testing.B) {
+	for _, n := range []int{1e3, 1e4, 1e5} {
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("armus:sess:lg-avoid-c%d-s0-i0", i)
+		}
+		slices.Sort(keys) // insert in order, or filling a sorted list is quadratic
+		val := bytes.Repeat([]byte{'v'}, 40)
+		hset := func(k string) [][]byte { return [][]byte{[]byte("HSET"), []byte(k), []byte("base"), val} }
+		s := new(Server)
+		for _, k := range keys {
+			s.dispatch(nil, hset(k))
+		}
+		var fresh, del, warm [1024][][]byte
+		for i := range fresh {
+			k := keys[i*n/len(fresh)]
+			fresh[i], del[i], warm[i] = hset(k+"x"), [][]byte{[]byte("DEL"), []byte(k + "x")}, hset(k)
+		}
+		var out []byte
+		run := func(cmds, undo *[1024][][]byte) func(*testing.B) {
+			return func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if i > 0 && i%len(cmds) == 0 && undo != nil {
+						// Every fresh key has had the op: the other op
+						// puts them back, untimed.
+						b.StopTimer()
+						for _, c := range undo {
+							out = s.dispatch(out[:0], c)
+						}
+						b.StartTimer()
+					}
+					out = s.dispatch(out[:0], cmds[i%len(cmds)])
+				}
+			}
+		}
+		b.Run(fmt.Sprintf("keys=%d/new", n), run(&fresh, &del))
+		for _, c := range del {
+			s.dispatch(nil, c)
+		}
+		for _, c := range fresh {
+			s.dispatch(nil, c)
+		}
+		b.Run(fmt.Sprintf("keys=%d/del", n), run(&del, &fresh))
+		b.Run(fmt.Sprintf("keys=%d/warm", n), run(&warm, nil))
 	}
 }

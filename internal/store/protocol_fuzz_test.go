@@ -52,7 +52,7 @@ func replay(data []byte, a *arena) (*Server, []byte) {
 // dumpKeys renders a server's keys with every stored triple, for failures.
 func dumpKeys(s *Server) string {
 	var b strings.Builder
-	for _, e := range s.keys {
+	for _, e := range entries(s) {
 		if e.plain != nil {
 			fmt.Fprintf(&b, "%q ", e.plain.enc)
 		}
@@ -120,7 +120,7 @@ func FuzzStoreProtocol(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, out := replay(data, new(arena))
 		fresh, freshOut := replay(data, nil)
-		if !bytes.Equal(out, freshOut) || !reflect.DeepEqual(s.keys, fresh.keys) {
+		if !bytes.Equal(out, freshOut) || !reflect.DeepEqual(s.blocks, fresh.blocks) {
 			t.Fatalf("commands read into a reused arena and into fresh storage differ:\nreplies %q\n   want %q\nkeys %s\nwant %s",
 				out, freshOut, dumpKeys(s), dumpKeys(fresh))
 		}

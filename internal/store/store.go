@@ -31,8 +31,9 @@ import (
 type Server struct {
 	ln net.Listener
 
-	mu   sync.RWMutex
-	keys []*entry // sorted by key
+	mu     sync.RWMutex
+	index  map[string]*entry // every key's entry
+	blocks [][]*entry        // the same entries in key order, in runs of 1 to 2*blockLen
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -221,8 +222,8 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 		n := 0
 		s.mu.Lock()
 		for _, k := range args[1:] {
-			if i, ok := s.find(k); ok {
-				s.keys = slices.Delete(s.keys, i, i+1)
+			if b, i, ok := s.find(k); ok {
+				s.remove(b, i)
 				n++
 			}
 		}
@@ -235,11 +236,11 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 		}
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		keys := s.prefixed(args[1])
-		out = appendHeader(out, '*', len(keys))
-		for _, e := range keys {
-			out = appendBulk(out, e.key)
-		}
+		b, i, _ := s.find(args[1])
+		n := 0
+		s.prefixed(b, i, args[1], func(*entry) { n++ })
+		out = appendHeader(out, '*', n)
+		s.prefixed(b, i, args[1], func(e *entry) { out = appendBulk(out, e.key) })
 		return out
 
 	case "HSET":
@@ -299,23 +300,23 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 		// Every triple is stored as it is sent.
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		keys := s.prefixed(args[1])
+		b, i, _ := s.find(args[1])
 		n := 0
-		for _, e := range keys {
+		s.prefixed(b, i, args[1], func(e *entry) {
 			if e.plain != nil {
 				n++
 			}
 			n += len(e.fields)
-		}
+		})
 		out = appendHeader(out, '*', 3*n)
-		for _, e := range keys {
+		s.prefixed(b, i, args[1], func(e *entry) {
 			if e.plain != nil {
 				out = append(out, e.plain.enc...)
 			}
 			for _, f := range e.fields {
 				out = append(out, f.enc...)
 			}
-		}
+		})
 		return out
 
 	case "HDEL":
@@ -324,15 +325,15 @@ func (s *Server) dispatch(out []byte, args [][]byte) []byte {
 		}
 		n := 0
 		s.mu.Lock()
-		if i, ok := s.find(args[1]); ok {
-			e := s.keys[i]
+		if b, i, ok := s.find(args[1]); ok {
+			e := s.blocks[b][i]
 			if j, ok := e.find(args[2]); ok {
 				e.fields = slices.Delete(e.fields, j, j+1)
 				n = 1
 				if len(e.fields) == 0 && e.plain == nil {
 					// A hash goes with its last field: an empty one would
 					// be listed, counted and scanned as a key for ever.
-					s.keys = slices.Delete(s.keys, i, i+1)
+					s.remove(b, i)
 				}
 			}
 		}
@@ -379,10 +380,24 @@ func cmpName(s string, b []byte) int {
 	return 1
 }
 
-// find returns the position of key in s.keys, or where it would go, and
-// whether it is there.
-func (s *Server) find(key []byte) (int, bool) {
-	return slices.BinarySearchFunc(s.keys, key, func(e *entry, k []byte) int { return cmpName(e.key, k) })
+// blockLen is half the most keys one block of Server.blocks holds. A new
+// key moves at most 2*blockLen entries, and a split, at most once per
+// blockLen new keys, copies half a block and moves one slice header per
+// block, where one sorted list of every key would move half of them: a
+// fleet's store keeps a key for every session it ever persisted.
+const blockLen = 128
+
+// find returns where key is in s.blocks, or where it would go, as block b
+// and position i, and whether it is there.
+func (s *Server) find(key []byte) (b, i int, ok bool) {
+	b, _ = slices.BinarySearchFunc(s.blocks, key, func(blk []*entry, k []byte) int { return cmpName(blk[len(blk)-1].key, k) })
+	if b > 0 && b == len(s.blocks) {
+		b-- // after the last key: the end of the last block
+	}
+	if b < len(s.blocks) {
+		i, ok = slices.BinarySearchFunc(s.blocks[b], key, func(e *entry, k []byte) int { return cmpName(e.key, k) })
+	}
+	return b, i, ok
 }
 
 // absent is the entry lookup returns for a key that is not stored. It is
@@ -391,8 +406,8 @@ var absent entry
 
 // lookup returns the entry of key, or absent.
 func (s *Server) lookup(key []byte) *entry {
-	if i, ok := s.find(key); ok {
-		return s.keys[i]
+	if e := s.index[string(key)]; e != nil {
+		return e
 	}
 	return &absent
 }
@@ -400,22 +415,49 @@ func (s *Server) lookup(key []byte) *entry {
 // entry returns the entry of key, inserting one if there is none: the
 // caller gives it a value before it releases the lock.
 func (s *Server) entry(key []byte) *entry {
-	i, ok := s.find(key)
-	if !ok {
-		s.keys = slices.Insert(s.keys, i, &entry{key: string(key)})
+	if e := s.index[string(key)]; e != nil {
+		return e
 	}
-	return s.keys[i]
+	if s.index == nil {
+		s.index = make(map[string]*entry)
+	}
+	b, i, _ := s.find(key)
+	if len(s.blocks) == 0 {
+		s.blocks = append(s.blocks, nil)
+	}
+	e := &entry{key: string(key)}
+	s.index[e.key] = e
+	blk := slices.Insert(s.blocks[b], i, e)
+	if len(blk) > 2*blockLen {
+		s.blocks = slices.Insert(s.blocks, b+1, slices.Clone(blk[blockLen:]))
+		clear(blk[blockLen:])
+		blk = blk[:blockLen]
+	}
+	s.blocks[b] = blk
+	return e
 }
 
-// prefixed returns the entries whose keys start with prefix, in key order:
-// a run of s.keys, which the caller reads under the lock.
-func (s *Server) prefixed(prefix []byte) []*entry {
-	i, _ := s.find(prefix)
-	j := i
-	for j < len(s.keys) && len(s.keys[j].key) >= len(prefix) && s.keys[j].key[:len(prefix)] == string(prefix) {
-		j++
+// remove takes the entry at position i of block b out of s.blocks; a block
+// goes with its last key.
+func (s *Server) remove(b, i int) {
+	delete(s.index, s.blocks[b][i].key)
+	if s.blocks[b] = slices.Delete(s.blocks[b], i, i+1); len(s.blocks[b]) == 0 {
+		s.blocks = slices.Delete(s.blocks, b, b+1)
 	}
-	return s.keys[i:j]
+}
+
+// prefixed calls yield on every entry whose key starts with prefix, in key
+// order, from block b, position i: where find puts prefix. The caller reads
+// them under the lock.
+func (s *Server) prefixed(b, i int, prefix []byte, yield func(*entry)) {
+	for ; b < len(s.blocks); b, i = b+1, 0 {
+		for _, e := range s.blocks[b][i:] {
+			if len(e.key) < len(prefix) || e.key[:len(prefix)] != string(prefix) {
+				return
+			}
+			yield(e)
+		}
+	}
 }
 
 // find returns the position of the field name in e.fields, or where it
@@ -431,8 +473,16 @@ func (e *entry) newField(name string) *field {
 }
 
 // set makes v the field's value, in the storage the last one had when it
-// fits.
-func (f *field) set(v []byte) { f.enc = appendBulk(f.enc[:f.val], v) }
+// fits, unless that is more than twice what v needs: a value that shrank
+// does not keep its largest size's storage.
+func (f *field) set(v []byte) {
+	enc := f.enc[:f.val]
+	// 16 bytes hold the value's bulk header and terminator.
+	if need := f.val + len(v) + 16; cap(enc) > 2*need {
+		enc = append(make([]byte, 0, need), enc...)
+	}
+	f.enc = appendBulk(enc, v)
+}
 
 // --- protocol ---------------------------------------------------------
 
