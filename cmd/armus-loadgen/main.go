@@ -75,9 +75,9 @@ func main() {
 	if *fleetCSV != "" {
 		fleet = strings.Split(*fleetCSV, ",")
 		// Fleet runs persist session snapshots that outlive servers AND this
-		// process; a rerun reusing session names would rehydrate the
-		// previous run's state mid-parity-check. The pid nonce keeps every
-		// run's namespace fresh.
+		// process (until a clean end's lease GC); a rerun reusing session
+		// names would rehydrate the previous run's state mid-parity-check.
+		// The pid nonce keeps every run's namespace fresh.
 		*prefix = fmt.Sprintf("%s%d", *prefix, os.Getpid())
 	}
 

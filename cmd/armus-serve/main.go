@@ -40,8 +40,8 @@ func main() {
 		httpAddr = flag.String("http", "", "HTTP address for /healthz and /metrics (empty disables)")
 		lease    = flag.Duration("lease", 30*time.Second, "how long a session with no connections survives before GC")
 		grace    = flag.Duration("drain-grace", 5*time.Second, "graceful-shutdown wait for connections to finish")
-		storeDSN = flag.String("store", "", "armus-store address for session-snapshot persistence (empty disables)")
-		snapEv   = flag.Int("snapshot-every", 64, "persist a session snapshot every n applied batches")
+		storeDSN = flag.String("store", "", "armus-store address for session-snapshot persistence: one whole snapshot per session, deleted at GC after a clean end (empty disables)")
+		snapEv   = flag.Int("snapshot-every", 64, "persist a session snapshot every n applied batches, when its state changed")
 		fleetCSV = flag.String("fleet", "", "comma-separated fleet shard map (the same list clients route with)")
 		selfAddr = flag.String("self", "", "this server's entry in -fleet (foreign-session accounting)")
 		segDir   = flag.String("segment-dir", "", "directory for the durable trace archive (empty disables; query with armus-trace query)")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -306,7 +307,9 @@ func TestFleetChaosKillServer(t *testing.T) {
 // TestFleetLeaseExpiryResume is the deterministic-clock chaos variant: the
 // session is garbage-collected after its lease (clock.Fake ticks, not wall
 // time), and a LATER client still resumes from the store snapshot — the
-// reconnect-after-GC window of satellite 4, exercised through the SDK.
+// reconnect-after-GC window, exercised through the SDK. The first client is
+// cut off, not closed: a session that ended cleanly has its snapshot
+// deleted at GC.
 func TestFleetLeaseExpiryResume(t *testing.T) {
 	stSrv := startStore(t)
 	fc := clock.NewFake()
@@ -315,15 +318,20 @@ func TestFleetLeaseExpiryResume(t *testing.T) {
 		Lease: 2 * time.Second, SweepPeriod: time.Second, Clock: fc,
 	})
 
-	c1, err := client.Dial(client.Config{Addr: s.Addr(), Session: "lease", Mode: core.ModeAvoid})
+	p := newProxy(t, s.Addr())
+	c1, err := client.Dial(client.Config{
+		Addr: p.Addr(), Session: "lease", Mode: core.ModeAvoid,
+		RedialAttempts: 1, RedialBackoff: time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c1.Close()
 	if err := c1.Block(st(1, 2, 1, 1, 0)); err != nil {
 		t.Fatalf("block: %v", err)
 	}
 	waitUntil(t, func() bool { return s.Metrics().SnapshotsPersisted.Load() >= 1 })
-	c1.Close()
+	p.Close() // c1 is cut off and cannot redial
 	waitUntil(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
 	for i := 0; i < 10 && s.Metrics().SessionsGCed.Load() == 0; i++ {
 		fc.Tick()
@@ -343,5 +351,136 @@ func TestFleetLeaseExpiryResume(t *testing.T) {
 	var ge *client.GateError
 	if err := c2.Block(st(2, 1, 1, 2, 0)); !errors.As(err, &ge) {
 		t.Fatalf("deadlock-closing block after GC+rehydrate: got %v, want *GateError", err)
+	}
+}
+
+// TestDeadWriterStatusSurvivesFailover: a session's state after failover
+// includes the writers that are not back. W2 is pinned to the session's
+// owner A; W1 routes by the fleet. W2 blocks task2, A persists and dies, W1
+// fails over to B and blocks task1, closing a cycle with task2. Only the
+// snapshot carries task2 to B — W2 never reconnects — so B refuses the block
+// only because A's last snapshot is kept as input, as a dead site's is (§5.2).
+func TestDeadWriterStatusSurvivesFailover(t *testing.T) {
+	stSrv := startStore(t)
+	a := startFleetServer(t, server.Config{StoreAddr: stSrv.Addr(), SnapshotEvery: 1})
+	b := startFleetServer(t, server.Config{StoreAddr: stSrv.Addr(), SnapshotEvery: 1})
+	addrs := []string{a.Addr(), b.Addr()}
+	fm, err := fleet.New(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := ""
+	for i := 0; i < 1000 && sess == ""; i++ {
+		if name := fmt.Sprintf("dead-writer-%d", i); fm.Owner(name) == a.Addr() {
+			sess = name
+		}
+	}
+	if sess == "" {
+		t.Fatal("no session owned by A in 1000 candidates")
+	}
+
+	w2, err := client.Dial(client.Config{
+		Addr: a.Addr(), Session: sess, Mode: core.ModeAvoid,
+		RedialAttempts: 1, RedialBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	w1, err := client.Dial(client.Config{
+		Fleet: addrs, Session: sess, Mode: core.ModeAvoid,
+		RedialBackoff: 5 * time.Millisecond, DialTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w1.Close()
+
+	// task3 is W1's own and unrelated, so W1's resync on B is not empty.
+	if err := w1.Block(st(3, 5, 1, 6, 0)); err != nil {
+		t.Fatalf("block of task3: %v", err)
+	}
+	// task2 waits phaser1@1, impedes phaser2@1.
+	if err := w2.Block(st(2, 1, 1, 2, 0)); err != nil {
+		t.Fatalf("block of task2: %v", err)
+	}
+	waitUntil(t, func() bool { return a.Metrics().SnapshotsPersisted.Load() >= 2 })
+	a.Close() // the kill
+
+	// task1 waits phaser2@1, impedes phaser1@1: the cycle [1 2].
+	var ge *client.GateError
+	if err := w1.Block(st(1, 2, 1, 1, 0)); !errors.As(err, &ge) {
+		t.Fatalf("cycle-closing block after failover: got %v, want *GateError (W2's task2 lost with A)", err)
+	}
+	if w1.Reconnects() < 1 || b.Metrics().SessionsRehydrated.Load() != 1 {
+		t.Fatalf("W1 reconnects %d, B rehydrated %d: want W1 on B, resumed from A's snapshot",
+			w1.Reconnects(), b.Metrics().SessionsRehydrated.Load())
+	}
+}
+
+// TestOnlyCutOffSessionsKeepSnapshots is a load generator's run in small:
+// 16 SDK clients that close cleanly and 4 that are cut off, each in its own
+// session. After the lease the store holds exactly the 4 cut-off sessions'
+// snapshots — what failover may still need — and nothing of the rest.
+func TestOnlyCutOffSessionsKeepSnapshots(t *testing.T) {
+	stSrv := startStore(t)
+	fc := clock.NewFake()
+	s := startFleetServer(t, server.Config{
+		StoreAddr: stSrv.Addr(), SnapshotEvery: 1,
+		Lease: 2 * time.Second, SweepPeriod: time.Second, Clock: fc,
+	})
+	p := newProxy(t, s.Addr())
+
+	const closed, cut = 16, 4
+	var cutKeys []string
+	for i := 0; i < closed+cut; i++ {
+		name := fmt.Sprintf("load-%d", i)
+		addr := s.Addr()
+		if i >= closed {
+			addr = p.Addr()
+			cutKeys = append(cutKeys, "armus:sess:"+name)
+		}
+		c, err := client.Dial(client.Config{
+			Addr: addr, Session: name, Mode: core.ModeAvoid,
+			RedialAttempts: 1, RedialBackoff: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Block(st(1, 2, 1, 1, 0)); err != nil {
+			t.Fatalf("%s: block: %v", name, err)
+		}
+		if i < closed {
+			if err := c.Close(); err != nil {
+				t.Fatalf("%s: close: %v", name, err)
+			}
+		}
+	}
+	waitUntil(t, func() bool { return s.Metrics().SnapshotsPersisted.Load() >= closed+cut })
+	p.Close() // the last 4 are cut off and cannot redial
+	waitUntil(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
+	for i := 0; i < 10 && s.Metrics().SessionsGCed.Load() < closed+cut; i++ {
+		fc.Tick()
+	}
+	if n := s.Metrics().SessionsGCed.Load(); n != closed+cut {
+		t.Fatalf("%d sessions collected after lease, want %d", n, closed+cut)
+	}
+
+	db := store.Dial(stSrv.Addr())
+	defer db.Close()
+	var keys []string
+	waitUntil(t, func() bool {
+		var err error
+		keys, err = db.Keys("armus:sess:")
+		return err == nil && len(keys) <= cut
+	})
+	slices.Sort(keys)
+	slices.Sort(cutKeys)
+	if !slices.Equal(keys, cutKeys) {
+		t.Fatalf("store keeps %v, want the cut-off sessions' %v", keys, cutKeys)
+	}
+	if n := s.Metrics().SnapshotErrors.Load(); n != 0 {
+		t.Fatalf("SnapshotErrors = %d, want 0", n)
 	}
 }

@@ -11,14 +11,15 @@ import (
 // One snapshot chain, one writer and one reader. A chain is two store
 // fields: "base", a full ARMUSD1 snapshot of a blocked-status set, and
 // "delta", the latest cumulative ARMUSI1 delta against that base, each
-// stamped with a sequence number. The encodings were built for site-to-site
-// publication (§5.2), and they encode exactly what a session snapshot IS, so
-// both users go through the two types below: a dist.Site publishes its
-// statuses through a Chain and reads each peer through a Reader; the fleet
-// failover path (internal/server) persists a session through a Chain and
-// rehydrates it with DecodeChain, a Reader used once. Which link comes next,
-// under which number, and which stored pair may be merged are decided here
-// and nowhere else; the callers keep the store commands and the counters.
+// stamped with a sequence number. The chain serves sites only (§5.2): a
+// dist.Site publishes its statuses through a Chain every period and reads
+// each peer through a Reader, whose seq-gated cache makes an unchanged peer
+// cost two header peeks. Which link comes next, under which number, and
+// which stored pair may be merged are decided here and nowhere else; the
+// Site keeps the store commands and the counters. A server session
+// persists whole snapshots (EncodeSnapshot/DecodeSnapshot) instead: it
+// writes one every SnapshotEvery batches, when most statuses have changed,
+// and is read once, on failover.
 
 // EncodeSnapshot encodes a full blocked-status snapshot (ARMUSD1). snap
 // must be sorted by Task (deps.State.SnapshotInto output is).
@@ -33,7 +34,7 @@ func DecodeSnapshot(payload []byte) (siteID int, seq uint64, snap []deps.Blocked
 
 // Chain is the writer of one stored chain. Owned by one goroutine.
 type Chain struct {
-	site      int // stamped into the headers; 0 for a session
+	site      int // stamped into the headers
 	fullEvery int
 	seq       uint64 // last number handed out, never handed out again
 	baseSeq   uint64 // seq of the retained base; 0 forces the next link to be a base
@@ -47,8 +48,7 @@ type Chain struct {
 }
 
 // NewChain returns a writer that stamps site into its headers and lets
-// fullEvery deltas ride one base. Numbering continues above after — the
-// highest seq DecodeChain found in the store, 0 for a new chain — so no
+// fullEvery deltas ride one base. Numbering continues above after, so no
 // link of this writer can be paired with a field an earlier writer left
 // behind.
 func NewChain(site, fullEvery int, after uint64) *Chain {
@@ -222,15 +222,4 @@ func sortedByTask(snap []deps.Blocked) []deps.Blocked {
 		}
 	}
 	return snap
-}
-
-// DecodeChain reads the fields a Chain wrote (delta may be nil) with a new
-// Reader: the statuses in memory the caller owns, and the highest seq found
-// in either header, for the next writer's NewChain. On a corrupt base the
-// statuses are nil; on a corrupt delta they are the base alone; both come
-// with the error.
-func DecodeChain(base, delta []byte) (snap []deps.Blocked, last uint64, err error) {
-	var r Reader
-	snap, _, _, err = r.Read(base, delta)
-	return snap, r.Last(), err
 }

@@ -142,8 +142,8 @@ func FuzzDeltaCodec(f *testing.F) {
 		}
 		// The same through the reader a site keeps per peer: the input as the
 		// delta of a good base it names, read by a Reader that held a longer
-		// view of other seqs, must amount to what a fresh DecodeChain makes
-		// of the pair — whether it is applied, falls back or is set aside.
+		// view of other seqs, must amount to what a fresh Reader makes of
+		// the pair — whether it is applied, falls back or is set aside.
 		_, from, _, _ := peekDeltaSeqs(data)
 		var rd Reader
 		if v, _, _, _ := rd.Read(encodeSnapshot(7, from+1, long), encodeDelta(7, from+1, from+2, longRemoved[:1], long[:3])); len(v) != len(long) {
@@ -151,9 +151,10 @@ func FuzzDeltaCodec(f *testing.F) {
 		}
 		goodBase := encodeSnapshot(2, from, base)
 		view, moved, _, rerr := rd.Read(goodBase, data)
-		fresh, _, ferr := DecodeChain(goodBase, data)
+		var fr Reader
+		fresh, _, _, ferr := fr.Read(goodBase, data)
 		if !moved || (rerr != nil) != (ferr != nil) || !sameSnapshot(view, fresh) {
-			t.Fatalf("used reader: %+v (moved %v, %v), fresh DecodeChain: %+v (%v)", view, moved, rerr, fresh, ferr)
+			t.Fatalf("used reader: %+v (moved %v, %v), fresh reader: %+v (%v)", view, moved, rerr, fresh, ferr)
 		}
 		if err != nil {
 			return

@@ -104,11 +104,10 @@ func (f *chainFields) step() {
 
 // TestReaderAgainstFreshDecode is the differential for the one reader: a
 // long-lived Reader, as a site holds per peer, is fed the same fields at
-// every step as a DecodeChain on fresh memory, as a rehydrating server runs
-// once. Whenever the base decodes the two must return the same view — the
-// seq-gated cache, the reused buffers and the spare-and-swap rule change
-// nothing a reader can see — and when it does not the long-lived reader must
-// keep the view it had, untouched. Outcome and Last are held against what
+// every step as a fresh Reader. Whenever the base decodes the two must
+// return the same view — the seq-gated cache, the reused buffers and the
+// spare-and-swap rule change nothing a reader can see — and when it does not
+// the long-lived reader must keep the view it had, untouched. Outcome and Last are held against what
 // the codec says of each field on its own.
 func TestReaderAgainstFreshDecode(t *testing.T) {
 	steps := 12000
@@ -125,7 +124,9 @@ func TestReaderAgainstFreshDecode(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			f.step()
 			view, moved, out, err := rd.Read(f.base, f.delta)
-			fresh, freshLast, freshErr := DecodeChain(f.base, f.delta)
+			var fr Reader
+			fresh, _, _, freshErr := fr.Read(f.base, f.delta)
+			freshLast := fr.Last()
 
 			// What the codec says of each field on its own.
 			_, bseq, _, berr := decodeSnapshot(f.base)
@@ -144,7 +145,7 @@ func TestReaderAgainstFreshDecode(t *testing.T) {
 				}
 			}
 			if last = max(last, stepLast); rd.Last() != last || freshLast != stepLast {
-				t.Fatalf("seed %d step %d: Last() = %d, DecodeChain's last %d; highest header seq ever %d, now %d",
+				t.Fatalf("seed %d step %d: Last() = %d, a fresh reader's %d; highest header seq ever %d, now %d",
 					seed, step, rd.Last(), freshLast, last, stepLast)
 			}
 
@@ -154,7 +155,7 @@ func TestReaderAgainstFreshDecode(t *testing.T) {
 					t.Fatalf("seed %d step %d: corrupt base: outcome %v moved %v err %v, view %+v, had %+v", seed, step, out, moved, err, view, prev)
 				}
 				if fresh != nil || freshErr == nil {
-					t.Fatalf("seed %d step %d: DecodeChain of a corrupt base = %+v, %v", seed, step, fresh, freshErr)
+					t.Fatalf("seed %d step %d: a fresh reader of a corrupt base = %+v, %v", seed, step, fresh, freshErr)
 				}
 				continue
 			}

@@ -17,9 +17,8 @@ import (
 // rotate, and how much history retention keeps.
 type Config struct {
 	Dir string
-	// MaxBytes / MaxAge / BlockBytes are per-segment rotation knobs
-	// (WriterConfig semantics; zero means the package defaults).
-	MaxBytes   int64
+	// MaxAge / BlockBytes are per-segment rotation knobs (WriterConfig
+	// semantics, zero = default); the size bound is DefaultMaxBytes.
 	MaxAge     time.Duration
 	BlockBytes int
 	// RetainBytes caps the total size of sealed (and quarantined)
@@ -29,17 +28,19 @@ type Config struct {
 	// RetainAge deletes sealed segments whose seal time is older than
 	// this. Zero disables the age policy.
 	RetainAge time.Duration
-	// SweepPeriod is the retention/idle-seal tick (default 10s).
-	SweepPeriod time.Duration
-	// QueueLen bounds the tee channel (default 256). A full queue drops
-	// the batch — counted, never blocking ingestion.
-	QueueLen int
 	// Clock stamps batches and drives the sweep ticker (default Real).
 	Clock clock.Clock
 	// Logf, if set, receives operational warnings (seal failures,
 	// quarantines, retention deletions).
 	Logf func(format string, args ...any)
 }
+
+// sweepPeriod is the retention/idle-seal tick; queueLen bounds the tee
+// channel (a full queue drops the batch — counted, never blocking ingestion).
+const (
+	sweepPeriod = 10 * time.Second
+	queueLen    = 256
+)
 
 // Metrics are the Store's counters, each series declared where it is
 // counted (see obs.WriteMetrics); the server mounts them on its /metrics
@@ -118,12 +119,6 @@ func NewStore(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("segment: Dir required")
 	}
-	if cfg.SweepPeriod <= 0 {
-		cfg.SweepPeriod = 10 * time.Second
-	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 256
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
@@ -135,7 +130,7 @@ func NewStore(cfg Config) (*Store, error) {
 	}
 	st := &Store{
 		cfg:      cfg,
-		ch:       make(chan *Batch, cfg.QueueLen),
+		ch:       make(chan *Batch, queueLen),
 		done:     make(chan struct{}),
 		writers:  make(map[string]*Writer),
 		seqs:     make(map[string]uint64),
@@ -228,7 +223,7 @@ func (st *Store) Metrics() *Metrics { return &st.m }
 
 func (st *Store) run() {
 	defer close(st.done)
-	tick := st.cfg.Clock.NewTicker(st.cfg.SweepPeriod)
+	tick := st.cfg.Clock.NewTicker(sweepPeriod)
 	defer tick.Stop()
 	for {
 		select {
@@ -269,7 +264,7 @@ func (st *Store) handle(b *Batch) {
 		var err error
 		w, err = NewWriter(WriterConfig{
 			Dir: st.cfg.Dir, Session: b.Session, Mode: b.Mode,
-			MaxBytes: st.cfg.MaxBytes, MaxAge: st.cfg.MaxAge, BlockBytes: st.cfg.BlockBytes,
+			MaxAge: st.cfg.MaxAge, BlockBytes: st.cfg.BlockBytes,
 			OnWrite:  func(n int) { st.m.BytesWritten.Add(int64(n)) },
 			OnSealed: st.onSealed,
 			StartSeq: st.seqs[EscapeSession(b.Session)],

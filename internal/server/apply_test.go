@@ -128,7 +128,7 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ss := newSession(srv, "alloc", mode, nil, 0)
+			ss := newSession(srv, "alloc", mode, nil)
 			c := &conn{srv: srv, wsig: make(chan struct{}, 1), done: make(chan struct{})}
 			// Every slot's slices start warm: decode ends a batch where the
 			// reader's window happens to end on a frame boundary, and from

@@ -118,10 +118,8 @@ func (s *Server) handleConn(nc net.Conn) {
 	}()
 
 	// The handshake is the trace header; a peer that cannot produce one
-	// promptly is not a client.
-	if t := s.cfg.HandshakeTimeout; t > 0 {
-		nc.SetReadDeadline(time.Now().Add(t))
-	}
+	// within 10 s (real time: a socket deadline) is not a client.
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	tr, err := trace.NewReader(nc)
 	if err != nil {
 		c.refuse(proto.ByeMalformed, err)
@@ -146,7 +144,8 @@ func (s *Server) handleConn(nc net.Conn) {
 		c.refuse(proto.ByeSession, err)
 		return
 	}
-	defer sess.detach(c)
+	clean := false
+	defer func() { sess.detach(c, clean) }()
 	c.send(proto.Response{Kind: proto.RespHello, Mode: uint8(sess.mode), Resumed: resumed})
 
 	// The ingest loop: decode a batch and apply it. While the session lock
@@ -163,6 +162,7 @@ func (s *Server) handleConn(nc net.Conn) {
 			switch {
 			case errors.Is(err, io.EOF):
 				// Clean trace end: sentinel and CRC verified.
+				clean = true
 			case isAbruptClose(err):
 				// Peer vanished mid-stream (crash, reset, our Close):
 				// the session lives on until its lease expires.

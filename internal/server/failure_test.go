@@ -142,7 +142,7 @@ func TestMalformedFrameRejected(t *testing.T) {
 // bounded no matter how slow the peer.
 func TestSlowConsumerDisconnect(t *testing.T) {
 	srv := &Server{cfg: Config{Logf: func(string, ...any) {}}.withDefaults()}
-	ss := newSession(srv, "slow", core.ModeDetect, nil, 0)
+	ss := newSession(srv, "slow", core.ModeDetect, nil)
 	p1, p2 := net.Pipe()
 	defer p2.Close()
 	// No writeLoop: the coalesce buffer never drains, like a peer that

@@ -33,8 +33,8 @@ type Metrics struct {
 	SessionsForeign    obs.Counter `metric:"sessions_foreign_total" help:"Attached sessions the fleet shard map assigns to another member."`
 
 	SnapshotsPersisted obs.Counter `metric:"snapshots_persisted_total" help:"Session snapshots written to the store."`
-	SnapshotsDropped   obs.Counter `metric:"snapshots_dropped_total" help:"Session snapshots dropped on persister backlog."`
-	SnapshotErrors     obs.Counter `metric:"snapshot_errors_total" help:"Store or codec failures on the snapshot path."`
+	SnapshotsDropped   obs.Counter `metric:"snapshots_dropped_total" help:"Session snapshot writes and GC deletes dropped on persister backlog."`
+	SnapshotErrors     obs.Counter `metric:"snapshot_errors_total" help:"Store or codec failures on the snapshot path (write, GC delete, rehydration read)."`
 
 	ConnsOpen  obs.Gauge   `metric:"conns_open" help:"Live client connections."`
 	ConnsTotal obs.Counter `metric:"conns_total" help:"Connections ever accepted."`

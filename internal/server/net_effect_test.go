@@ -31,7 +31,7 @@ func TestDetectNetEffectAgainstEngine(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		srv := &Server{cfg: Config{Logf: func(string, ...any) {}}.withDefaults()}
-		ss := newSession(srv, "net-effect", core.ModeDetect, nil, 0)
+		ss := newSession(srv, "net-effect", core.ModeDetect, nil)
 		c := &conn{srv: srv, wsig: make(chan struct{}, 1), done: make(chan struct{}), subscribe: true}
 		ss.conns[c] = struct{}{}
 		b := &batch{c: c, events: make([]trace.Event, maxBatch)}

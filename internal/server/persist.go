@@ -1,61 +1,49 @@
 package server
 
 import (
+	"errors"
+
 	"armus/internal/core"
 	"armus/internal/deps"
 	"armus/internal/dist"
+	"armus/internal/store"
 )
 
 // Store-backed session persistence: the fleet-failover half of the server.
 //
-// Every session periodically snapshots its blocked-status state into the
-// shared store (an armus:sess:<name> hash holding a full ARMUSD1 base plus
-// a cumulative ARMUSI1 delta — the dist codec verbatim), and attach of a
-// session absent from the table rehydrates from that hash. Definition 4.1
-// is what makes this sound: a blocked task's status is a pure function of
-// the task, so a session's verifier state IS its blocked-status set —
-// re-applying the snapshot into a fresh engine reconstructs the exact
-// verdict-relevant state, and the client SDK's reconnect resync
-// (re-asserting every live status) closes whatever gap the snapshot
-// cadence left.
+// A session's store entry armus:sess:<name> is one value, its mode byte and
+// a whole ARMUSD1 snapshot of its blocked statuses (dist.EncodeSnapshot).
+// Every write replaces it whole — by the time one is due most statuses have
+// changed, so a delta would be no smaller — and no owner's write can pair
+// with what an earlier owner left. By Definition 4.1 that set IS the
+// verifier state: attach of a session absent from the table rehydrates from
+// it, and the SDK's reconnect resync closes the gap the cadence left.
 //
-// The hot path stays allocation-free: applying a batch only bumps a
-// counter; every SnapshotEvery batches the applier encodes (into buffers
-// that are reused or handed off whole) and hands the payload to ONE
-// persister goroutine over a bounded channel. A full channel drops the
-// snapshot (next one supersedes it; the drop is counted) rather than ever
-// blocking a session lock holder on store I/O. The single persister preserves per-session
-// base/delta write order, which is what keeps a concurrently rehydrating
-// reader coherent: a delta whose baseSeq does not match the stored base is
-// simply ignored.
+// Every SnapshotEvery batches, when the state version moved, the snapshot
+// is handed to ONE persister goroutine over a bounded channel; a full
+// channel drops it (counted; the next supersedes it), so a session lock
+// holder never waits on the store.
 //
-// Lease-GC and shutdown never delete store keys: an expired session's
-// snapshot is exactly what failover needs to still be there. The
-// bounded-channel/single-writer discipline here is shared with the
-// segment tee (tee.go, internal/segment) — both are best-effort side
-// channels that may drop work (counted) but can never stall a verdict.
-// DESIGN.md "Fleet & failover" is the end-to-end story.
+// Lease GC deletes the entry of a session whose last connection ended with
+// a clean trace end, on the same queue after its writes. A session that was
+// cut off keeps it: a writer that is not back is still blocked, and the
+// next owner's gate needs its statuses (the §5.2 dead-site rule, dist.go).
+// Shutdown deletes nothing. DESIGN.md "Fleet & failover" has the story.
 
 // sessionKeyPrefix namespaces session snapshots in the shared store.
 const sessionKeyPrefix = "armus:sess:"
 
-// snapshotFullEvery is how many cumulative deltas ride one persisted base
-// before the next snapshot is a full base again.
-const snapshotFullEvery = 16
-
 func sessionKey(name string) string { return sessionKeyPrefix + name }
 
-// persistReq is one snapshot write: HSET key field val, plus the session
-// mode tag alongside a full base, so rehydration can refuse a mode mismatch.
+// persistReq is one store write: SET key val, or DEL key when val is nil.
 type persistReq struct {
-	key   string
-	field string
-	val   []byte
-	mode  byte
+	key string
+	val []byte
 }
 
-// persist hands a snapshot to the persister without ever blocking: its
-// caller holds a session lock. Reports whether the request was accepted; a drop is counted.
+// persist hands a write to the persister without ever blocking: its caller
+// holds a session or shard lock. Reports whether the request was accepted;
+// a drop is counted.
 func (s *Server) persist(req persistReq) bool {
 	select {
 	case s.persistCh <- req:
@@ -67,21 +55,24 @@ func (s *Server) persist(req persistReq) bool {
 }
 
 // persister is the single store writer: it drains the bounded channel and
-// issues each snapshot as one pipelined round trip.
+// issues each write as one round trip.
 func (s *Server) persister() {
 	defer close(s.persistDone)
 	for req := range s.persistCh {
-		p := s.db.Pipeline()
-		if req.field == "base" {
-			p.HSet(req.key, "mode", []byte{req.mode})
+		var err error
+		if req.val == nil {
+			_, err = s.db.Del(req.key)
+		} else {
+			err = s.db.Set(req.key, req.val)
 		}
-		p.HSet(req.key, req.field, req.val)
-		if _, err := p.Exec(); err != nil {
+		if err != nil {
 			s.m.SnapshotErrors.Add(1)
-			s.cfg.Logf("armus-serve: persisting %s/%s: %v", req.key, req.field, err)
+			s.cfg.Logf("armus-serve: persisting %s: %v", req.key, err)
 			continue
 		}
-		s.m.SnapshotsPersisted.Add(1)
+		if req.val != nil {
+			s.m.SnapshotsPersisted.Add(1)
+		}
 	}
 }
 
@@ -99,48 +90,54 @@ func (ss *session) maybeSnapshot() {
 	ss.persistSnapshot()
 }
 
-// persistSnapshot encodes the next link of the session's store chain
-// (dist.Chain owns the base/delta bookkeeping) and hands it to the
-// persister. Under the session lock; steady-state cost is the encode allocation
-// alone, amortized over SnapshotEvery batches.
+// persistSnapshot encodes the session's whole snapshot and hands it to the
+// persister, unless the state has not changed since the last one. Under the
+// session lock; steady-state cost is the encode allocation alone, amortized
+// over SnapshotEvery batches.
 func (ss *session) persistSnapshot() {
-	field, val := ss.chain.Next(ss.eng.State(), nil)
-	if field == "" {
-		return // nothing changed since the last persisted snapshot
+	st := ss.eng.State()
+	v := st.Version()
+	if v == ss.snapVer {
+		return
 	}
-	if !ss.srv.persist(persistReq{key: sessionKey(ss.name), field: field, val: val, mode: byte(ss.mode)}) {
-		ss.chain.Rebase() // dropped under backpressure
+	ss.snapVer = v
+	ss.snapBuf = st.SnapshotInto(ss.snapBuf)
+	val := append([]byte{byte(ss.mode)}, dist.EncodeSnapshot(0, 0, ss.snapBuf)...)
+	if ss.srv.persist(persistReq{key: sessionKey(ss.name), val: val}) {
+		ss.stored = true
+	} else {
+		ss.snapVer = 0 // dropped: the next one goes even if nothing moves
 	}
 }
 
-// fetchSnapshot loads the stored blocked-status set of a session and the
-// highest seq of its chain, which the new owner numbers above. The set is
-// nil when the store has none (or holds one for a different mode — a stale
-// tenant reusing the name across modes gets a fresh session, not a
-// refusal). Called on the attach cold path, before the session is in the
-// table.
-func (s *Server) fetchSnapshot(name string, mode core.Mode) ([]deps.Blocked, uint64) {
+// fetchSnapshot loads a session's stored blocked-status set, and whether
+// the store holds a value for it. The set is nil when there is none, when
+// it does not decode (counted), or when it is of another mode: a stale
+// tenant reusing the name across modes gets a fresh session, not a refusal.
+// Called on the attach cold path, before the session is in the table.
+func (s *Server) fetchSnapshot(name string, mode core.Mode) ([]deps.Blocked, bool) {
 	if s.db == nil {
-		return nil, 0
+		return nil, false
 	}
-	h, err := s.db.HGetAll(sessionKey(name))
+	val, err := s.db.Get(sessionKey(name))
+	if errors.Is(err, store.ErrNil) {
+		return nil, false // never persisted, or deleted after a clean end
+	}
+	if err == nil && len(val) == 0 {
+		err = errors.New("empty value")
+	}
+	var snap []deps.Blocked
+	if err == nil {
+		_, _, snap, err = dist.DecodeSnapshot(val[1:])
+	}
 	if err != nil {
 		s.m.SnapshotErrors.Add(1)
 		s.cfg.Logf("armus-serve: session %q: snapshot fetch: %v", name, err)
-		return nil, 0
+		return nil, val != nil
 	}
-	base, ok := h["base"]
-	if !ok {
-		return nil, 0
-	}
-	snap, last, err := dist.DecodeChain(base, h["delta"])
-	if err != nil {
-		s.m.SnapshotErrors.Add(1)
-		s.cfg.Logf("armus-serve: session %q: %v", name, err)
-	}
-	if mv, ok := h["mode"]; !ok || len(mv) != 1 || core.Mode(mv[0]) != mode {
+	if core.Mode(val[0]) != mode {
 		s.cfg.Logf("armus-serve: session %q: stored snapshot has different mode, starting fresh", name)
-		return nil, last
+		return nil, true
 	}
-	return snap, last
+	return snap, true
 }

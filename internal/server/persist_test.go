@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"hash/maphash"
 	"testing"
 	"time"
 
@@ -184,12 +185,11 @@ func TestSnapshotModeMismatchStartsFresh(t *testing.T) {
 	}
 }
 
-// TestStaleDeltaAcrossOwners: a base write never clears the stored delta
-// field, so every owner of a session must number its chain above the seqs
-// the store already holds — or a later owner's base (seq 1 again) pairs with
-// an earlier owner's delta (against ITS base seq 1) and resurrects a task
-// that was unblocked in between.
-func TestStaleDeltaAcrossOwners(t *testing.T) {
+// TestLaterOwnerReplacesSnapshot: each owner of a session replaces the
+// stored snapshot whole, so nothing an earlier owner wrote survives the next
+// owner's write — neither a task unblocked in between nor a value that no
+// longer decodes.
+func TestLaterOwnerReplacesSnapshot(t *testing.T) {
 	st := testStore(t)
 	cfg := Config{StoreAddr: st.Addr(), SnapshotEvery: 1}
 	send := func(tw *trace.Writer, e trace.Event) {
@@ -202,8 +202,7 @@ func TestStaleDeltaAcrossOwners(t *testing.T) {
 		}
 	}
 
-	// A session's first owner: task1 (base, seq 1), then task3 (delta
-	// against it, seq 2).
+	// A session's first owner: task1, then task3, each persisted.
 	firstOwner := func(session string) {
 		t.Helper()
 		srv := testServer(t, cfg)
@@ -221,7 +220,7 @@ func TestStaleDeltaAcrossOwners(t *testing.T) {
 	}
 	firstOwner("handover") // owner A
 
-	// Owner B resumes both tasks, unblocks task3 and persists once: a base.
+	// Owner B resumes both tasks, unblocks task3 and persists once.
 	sB := testServer(t, cfg)
 	ncB, twB, _, resumed := rawAttach(t, sB, "handover", core.ModeAvoid)
 	if !resumed {
@@ -235,21 +234,19 @@ func TestStaleDeltaAcrossOwners(t *testing.T) {
 	// Owner C must see what B left: task1 alone.
 	snap, _ := testServer(t, cfg).fetchSnapshot("handover", core.ModeAvoid)
 	if len(snap) != 1 || snap[0].Task != 1 {
-		t.Fatalf("owner C rehydrates %v, want task1 only (A's stale delta applied over B's base)", snap)
+		t.Fatalf("owner C rehydrates %v, want task1 only (A's task3 outlived B's write)", snap)
 	}
 
-	// The same hand-over with the base gone bad in between: the delta beside
-	// it is live and numbered, so the next owner — which rehydrates nothing —
-	// must still number above it.
+	// The same hand-over with the stored value gone bad in between: the next
+	// owner rehydrates nothing and its write must replace the bad value.
 	firstOwner("corrupt") // owner D
 	db := store.Dial(st.Addr())
 	defer db.Close()
-	if err := db.HSet(sessionKey("corrupt"), "base", []byte("not a snapshot")); err != nil {
+	if err := db.Set(sessionKey("corrupt"), append([]byte{byte(core.ModeAvoid)}, "not a snapshot"...)); err != nil {
 		t.Fatal(err)
 	}
 
-	// Owner E finds nothing it can use, admits task5 and persists its first
-	// link: a base.
+	// Owner E finds nothing it can use, admits task5 and persists.
 	sE := testServer(t, cfg)
 	ncE, twE, brE, resumed := rawAttach(t, sE, "corrupt", core.ModeAvoid)
 	if resumed {
@@ -267,6 +264,88 @@ func TestStaleDeltaAcrossOwners(t *testing.T) {
 	// Owner F must see what E left: task5 alone.
 	snap, _ = testServer(t, cfg).fetchSnapshot("corrupt", core.ModeAvoid)
 	if len(snap) != 1 || snap[0].Task != 5 {
-		t.Fatalf("owner F rehydrates %v, want task5 only (D's delta applied over E's base)", snap)
+		t.Fatalf("owner F rehydrates %v, want task5 only (D's statuses outlived E's write)", snap)
+	}
+}
+
+// TestCleanEndDeletesSnapshotAtGC: a session whose last connection ended
+// its trace cleanly has nothing left to fail over, so the lease janitor
+// deletes its store entry — after the snapshot it persisted, on the same
+// queue.
+func TestCleanEndDeletesSnapshotAtGC(t *testing.T) {
+	st := testStore(t)
+	fc := clock.NewFake()
+	s := testServer(t, Config{
+		StoreAddr: st.Addr(), SnapshotEvery: 1,
+		Lease: 2 * time.Second, SweepPeriod: time.Second, Clock: fc,
+	})
+
+	nc, tw, br, _ := rawAttach(t, s, "done", core.ModeAvoid)
+	if err := tw.WriteEvent(trace.Event{Kind: trace.KindBlock,
+		Status: status(1, []deps.Resource{res(2, 1)}, []deps.Reg{reg(1, 0)})}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if r := readKind(t, br, proto.RespGate); !r.Allowed {
+		t.Fatalf("block of task1 refused: %+v", r)
+	}
+	waitFor(t, func() bool { return s.Metrics().SnapshotsPersisted.Load() >= 1 })
+	db := store.Dial(st.Addr())
+	defer db.Close()
+	if keys, err := db.Keys(sessionKeyPrefix); err != nil || len(keys) != 1 {
+		t.Fatalf("before GC: keys %v, %v; want the session's one entry", keys, err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	nc.Close()
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
+	for i := 0; i < 10 && s.Metrics().SessionsGCed.Load() == 0; i++ {
+		fc.Tick()
+	}
+	if s.Metrics().SessionsGCed.Load() != 1 {
+		t.Fatal("session not collected after lease")
+	}
+	waitFor(t, func() bool {
+		keys, err := db.Keys(sessionKeyPrefix)
+		return err == nil && len(keys) == 0
+	})
+	if n := s.Metrics().SnapshotErrors.Load(); n != 0 {
+		t.Fatalf("SnapshotErrors = %d, want 0", n)
+	}
+}
+
+// TestGCDeleteWaitsForRoomInTheQueue: the janitor hands a DEL to the
+// persister without blocking, so while the queue is full a cleanly ended
+// session stays in the table and the next sweep retries — a burst of
+// expiring sessions must not leave their entries behind. A session that
+// never had an entry costs no DEL at all.
+func TestGCDeleteWaitsForRoomInTheQueue(t *testing.T) {
+	s := &Server{cfg: Config{Logf: func(string, ...any) {}}.withDefaults(),
+		seed: maphash.MakeSeed(), persistCh: make(chan persistReq, 1)}
+	for i := range s.shards {
+		s.shards[i].m = make(map[string]*session)
+	}
+	for _, name := range []string{"done", "never"} {
+		ss := newSession(s, name, core.ModeAvoid, nil)
+		ss.cleanEnd, ss.stored, ss.idleTicks = true, name == "done", 100
+		s.shardFor(name).m[name] = ss
+	}
+	s.persistCh <- persistReq{key: "full", val: []byte{1}}
+
+	s.sweep()
+	if _, ok := s.shardFor("done").m["done"]; !ok || s.m.SessionsGCed.Load() != 1 || s.m.SnapshotsDropped.Load() != 1 {
+		t.Fatalf("full queue: done still held %v, GCed %d, dropped %d; want held, 1 (never), 1",
+			ok, s.m.SessionsGCed.Load(), s.m.SnapshotsDropped.Load())
+	}
+	<-s.persistCh
+	s.sweep()
+	if _, ok := s.shardFor("done").m["done"]; ok || s.m.SessionsGCed.Load() != 2 {
+		t.Fatalf("after room: done still held %v, GCed %d; want collected, 2", ok, s.m.SessionsGCed.Load())
+	}
+	if req := <-s.persistCh; req.key != sessionKey("done") || req.val != nil || len(s.persistCh) != 0 {
+		t.Fatalf("queued %+v (%d more), want one DEL of %s", req, len(s.persistCh), sessionKey("done"))
 	}
 }

@@ -49,7 +49,7 @@
 //     transitions — making every session's ingest stream queryable and
 //     replayable after the fact. The tee never blocks verification; see
 //     docs/SEGMENT_FORMAT.md and docs/OPERATIONS.md.
-//   - With Config.Store set, sessions periodically snapshot their
+//   - With Config.StoreAddr set, sessions periodically snapshot their
 //     blocked-status state into the shared store (persist.go) and
 //     fleet members rehydrate a dead member's sessions from it — the
 //     failover path described under "Fleet & failover" in DESIGN.md.
@@ -89,10 +89,6 @@ type Config struct {
 	// finish before force-closing them (default 5s, in SweepPeriod ticks
 	// of the injected clock).
 	DrainGrace time.Duration
-	// HandshakeTimeout bounds how long an accepted connection may take to
-	// deliver its trace header (default 10s; real time — it is a socket
-	// read deadline, not a verification loop).
-	HandshakeTimeout time.Duration
 	// StoreAddr connects the server to an armus-store instance
 	// ("host:port" or "unix:/path") for session-snapshot persistence:
 	// every session periodically persists its blocked-status state there,
@@ -162,9 +158,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 5 * time.Second
-	}
-	if c.HandshakeTimeout == 0 {
-		c.HandshakeTimeout = 10 * time.Second
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 64
@@ -330,8 +323,9 @@ func (s *Server) attach(name string, mode core.Mode, c *conn) (*session, bool, e
 		// the table: the fresh engine is rehydrated before anything can
 		// race it, and the shard lock keeps a concurrent attach of the same
 		// session out.
-		snap, snapSeq := s.fetchSnapshot(name, mode)
-		ss = newSession(s, name, mode, snap, snapSeq)
+		snap, stored := s.fetchSnapshot(name, mode)
+		ss = newSession(s, name, mode, snap)
+		ss.stored = stored
 		sh.m[name] = ss
 		s.m.SessionsTotal.Add(1)
 		s.m.SessionsOpen.Add(1)
@@ -393,16 +387,22 @@ func (s *Server) sweep() {
 			}
 			ss.idleTicks++
 			expired := ss.idleTicks >= leaseTicks
+			del := ss.cleanEnd && ss.stored
 			ss.mu.Unlock()
 			if expired {
 				// No connection is attached, so no read loop is applying
 				// a batch, and attach is excluded by the shard lock.
 				//
-				// The GC drops ONLY the session and its engine — the
-				// session's store snapshot is deliberately left intact, so
-				// a client reconnecting after the lease (or attaching on
-				// another fleet member) still rehydrates and resumes.
-				// Regression: TestGCLeavesSnapshotIntact.
+				// A session whose last connection was cut off keeps its
+				// store snapshot, so a client reconnecting after the lease
+				// (or attaching on another fleet member) still rehydrates
+				// and resumes (TestGCLeavesSnapshotIntact). One that ended
+				// cleanly has its entry deleted, queued after its writes
+				// (TestCleanEndDeletesSnapshotAtGC); while the queue is
+				// full the session stays, and the next sweep retries.
+				if del && !s.persist(persistReq{key: sessionKey(name)}) {
+					continue
+				}
 				delete(sh.m, name)
 				s.m.SessionsOpen.Add(-1)
 				s.m.SessionsGCed.Add(1)

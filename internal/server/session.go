@@ -5,7 +5,6 @@ import (
 
 	"armus/internal/core"
 	"armus/internal/deps"
-	"armus/internal/dist"
 	"armus/internal/engine"
 	"armus/internal/obs"
 )
@@ -30,8 +29,12 @@ type session struct {
 	mu    sync.Mutex
 	conns map[*conn]struct{}
 	// idleTicks counts janitor sweeps with no attached connection; the
-	// lease is idleTicks * SweepPeriod.
+	// lease is idleTicks * SweepPeriod. At the lease the janitor deletes the
+	// store entry (persist.go) if the last connection ended cleanly
+	// (cleanEnd) and the store may hold one (stored: found or handed over).
 	idleTicks int
+	cleanEnd  bool
+	stored    bool
 
 	// eng is the session's verdict engine (internal/engine) — the same type
 	// the replay pipelines drive — and wasDeadlocked the last verdict a
@@ -55,24 +58,24 @@ type session struct {
 	lastDumpNs int64
 	flightBuf  []obs.GateRecord
 
-	// Snapshot persistence (persist.go): the session's store chain and the
-	// batches processed since its last link. Under mu.
-	chain            *dist.Chain
+	// Snapshot persistence (persist.go): the batches processed since the
+	// last snapshot, the state version that snapshot is of, and the
+	// SnapshotInto buffer. Under mu.
 	batchesSinceSnap int
+	snapVer          uint64
+	snapBuf          []deps.Blocked
 }
 
 // newSession builds a session and seeds its engine from a store snapshot
-// (snap is empty in the common fresh-session case; snapSeq is the highest
-// seq the store holds for it). Seeding happens before the session is in the
-// table, so rehydration needs no lock.
-func newSession(s *Server, name string, mode core.Mode, snap []deps.Blocked, snapSeq uint64) *session {
+// (snap is empty in the common fresh-session case). Seeding happens before
+// the session is in the table, so rehydration needs no lock.
+func newSession(s *Server, name string, mode core.Mode, snap []deps.Blocked) *session {
 	ss := &session{
 		srv:   s,
 		name:  name,
 		mode:  mode,
 		conns: make(map[*conn]struct{}),
 		eng:   engine.New(mode == core.ModeAvoid),
-		chain: dist.NewChain(0, snapshotFullEvery, snapSeq),
 	}
 	if mode != core.ModeAvoid {
 		ss.fold = &netEffect{order: make([]int32, 0, maxBatch)}
@@ -88,10 +91,12 @@ func newSession(s *Server, name string, mode core.Mode, snap []deps.Blocked, sna
 	return ss
 }
 
-// detach removes c from the session; the session itself survives until
-// its lease expires (so the client can reconnect and resume).
-func (ss *session) detach(c *conn) {
+// detach removes c from the session, noting whether its trace ended
+// cleanly; the session itself survives until its lease expires (so the
+// client can reconnect and resume).
+func (ss *session) detach(c *conn, clean bool) {
 	ss.mu.Lock()
 	delete(ss.conns, c)
+	ss.cleanEnd = clean
 	ss.mu.Unlock()
 }

@@ -12,12 +12,10 @@ import (
 
 // TestSnapshotRehydrateParity is the differential check behind the fleet
 // failover path (internal/server/persist.go): for every corpus trace, the
-// live state is persisted at each settle point through the chain writer the
-// server persists sessions with (dist.Chain: alternating full bases and
-// cumulative deltas, stale deltas left in place across base rewrites), then
-// read back with the server's reader (dist.DecodeChain) and rehydrated into
-// a FRESH engine, whose verdict must equal the uninterrupted Detect pipeline's verdict at that
-// mutation. Definition 4.1 is the claim under test: a session's verifier
+// live state is encoded at each settle point as the whole snapshot the
+// server persists a session as (dist.EncodeSnapshot), decoded back
+// (dist.DecodeSnapshot) and rehydrated into a FRESH engine, whose verdict
+// must equal the uninterrupted Detect pipeline's verdict at that mutation. Definition 4.1 is the claim under test: a session's verifier
 // state IS its blocked-status set, so snapshot→rehydrate loses nothing
 // verdict-relevant at any point of any recorded execution.
 func TestSnapshotRehydrateParity(t *testing.T) {
@@ -29,7 +27,6 @@ func TestSnapshotRehydrateParity(t *testing.T) {
 		t.Fatalf("no corpus traces found (testdata/corpus is part of the repo)")
 	}
 	const checkEvery = 16 // settle cadence between forced checks
-	const fullEvery = 4   // deltas riding one full base
 	for _, path := range paths {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
@@ -43,21 +40,11 @@ func TestSnapshotRehydrateParity(t *testing.T) {
 			}
 
 			live := engine.New(false)
-			// The server's own writer and reader (dist.Chain, DecodeChain)
-			// over the store's two fields. As in the store, a base write
-			// does NOT clear the delta field — the reader must ignore a
-			// stale delta by sequence mismatch.
-			chain := dist.NewChain(0, fullEvery, 0)
-			fields := map[string][]byte{}
-			persist := func() {
-				if field, val := chain.Next(live.State(), nil); field != "" {
-					fields[field] = val
-				}
-			}
+			// What the server stores and what it reads back on failover.
 			rehydrate := func() []deps.Blocked {
-				snap, _, err := dist.DecodeChain(fields["base"], fields["delta"])
+				_, _, snap, err := dist.DecodeSnapshot(dist.EncodeSnapshot(0, 0, live.State().Snapshot()))
 				if err != nil {
-					t.Fatalf("decode chain: %v", err)
+					t.Fatalf("decode snapshot: %v", err)
 				}
 				return snap
 			}
@@ -65,7 +52,6 @@ func TestSnapshotRehydrateParity(t *testing.T) {
 			mut := 0
 			checked := 0
 			check := func() {
-				persist()
 				fresh := engine.New(false)
 				fresh.Restore(rehydrate()...)
 				got := fresh.Check() != nil
