@@ -542,6 +542,116 @@ func TestRegisterRacingBlockIsNotLost(t *testing.T) {
 	}
 }
 
+// TestReleaseClearsWaiters: the arrival that completes a phase clears the
+// status of every waiter it satisfies before it returns, so when the 8th
+// task's Advance returns the state is empty, whether or not the 7 woken
+// tasks have run yet, and each of them parked once.
+func TestReleaseClearsWaiters(t *testing.T) {
+	v := New(WithMode(ModeAvoid))
+	defer v.Close()
+	ts := make([]*Task, 8)
+	for i := range ts {
+		ts[i] = v.NewTask("")
+	}
+	p := v.NewPhaser(ts[0])
+	for _, tk := range ts[1:] {
+		if err := p.Register(ts[0], tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	woken := make(chan error, len(ts)-1)
+	for _, tk := range ts[1:] {
+		go func() { woken <- p.Advance(tk) }()
+	}
+	waitBlocked(t, v, len(ts)-1)
+	if err := p.Advance(ts[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n := v.State().Len(); n != 0 {
+		t.Fatalf("%d waiters still hold a status when the completing Advance returns", n)
+	}
+	for range ts[1:] {
+		if err := <-woken; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := v.Stats(); s.Blocks != int64(len(ts)-1) {
+		t.Fatalf("Stats().Blocks = %d, want the %d parks", s.Blocks, len(ts)-1)
+	}
+}
+
+// TestReleasedWaiterReblocksWhenMinDrops: A parks on p awaiting phase 1 and
+// B's arrival releases it, clearing its status. Before A runs, a WaitOnly
+// registrar W registers X at phase 0 (Arrive then RegisterMode, with no gap
+// between them for A to run in), so min drops back to 0 and A must wait
+// again. A holds no status then, so it blocks again through the gate: when
+// that is admitted, the state holds A's status and a cycle X closes
+// against it is refused; when A's own new status closes a cycle (X already
+// parked on q, which A impedes), A is refused and leaves p.
+func TestReleasedWaiterReblocksWhenMinDrops(t *testing.T) {
+	for _, xFirst := range []bool{false, true} {
+		v := New(WithMode(ModeAvoid))
+		A, B, W, X := v.NewTask("A"), v.NewTask("B"), v.NewTask("W"), v.NewTask("X")
+		p, q := v.NewPhaser(A), v.NewPhaser(A)
+		for _, err := range []error{p.Register(A, B), p.RegisterMode(A, W, WaitOnly), q.Register(A, X)} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		aDone := make(chan error, 1)
+		go func() { aDone <- p.Advance(A) }()
+		waitBlocked(t, v, 1)
+		p.mu.Lock()
+		p.arriveLocked(B, p.members[B])
+		if n := v.State().Len(); n != 0 {
+			t.Fatalf("the release left %d statuses", n)
+		}
+		v.report(p.addMemberLocked(X, p.members[W].phase.Load(), SigWait))
+		xDone := make(chan error, 1)
+		if xFirst { // X parks on q, awaiting A, while A is released and has no status
+			go func() { xDone <- q.Advance(X) }()
+			waitBlocked(t, v, 1)
+		}
+		p.mu.Unlock()
+		var de *DeadlockError
+		if xFirst {
+			if err := <-aDone; !errors.As(err, &de) {
+				t.Fatalf("A's block again closing A → X → A returned %v, want *DeadlockError", err)
+			}
+			if _, ok := p.Phase(A); ok {
+				t.Fatal("the refused A is still a member of p")
+			}
+			if err := q.Deregister(A); err != nil { // X's await holds
+				t.Fatal(err)
+			}
+			if err := <-xDone; err != nil {
+				t.Fatal(err)
+			}
+			v.Close()
+			continue
+		}
+		waitBlocked(t, v, 1)
+		want := deps.Blocked{Task: A.ID(), WaitsFor: []deps.Resource{{Phaser: p.ID(), Phase: 1}}, Regs: A.Registrations()}
+		if snap := v.State().Snapshot(); len(snap) != 1 || snap[0].Task != want.Task ||
+			!slices.Equal(snap[0].WaitsFor, want.WaitsFor) || !slices.Equal(snap[0].Regs, want.Regs) {
+			t.Fatalf("the state holds %+v, want A's status %+v", snap, want)
+		}
+		if err := q.Advance(X); !errors.As(err, &de) {
+			t.Fatalf("X's Advance closing X → A → X returned %v, want *DeadlockError", err)
+		}
+		if err := p.Deregister(X); err != nil { // A's await holds again
+			t.Fatal(err)
+		}
+		if err := <-aDone; err != nil {
+			t.Fatal(err)
+		}
+		if s := v.Stats(); s.Blocks != 2 {
+			t.Fatalf("Stats().Blocks = %d, want A's park and its block again", s.Blocks)
+		}
+		v.Close()
+	}
+}
+
 func TestTerminateDeregistersEverything(t *testing.T) {
 	v := newOff()
 	defer v.Close()

@@ -77,6 +77,51 @@ func TestAvoidGateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestReleaseRoundZeroAlloc: a warm avoidance-mode barrier round of two
+// tasks allocates nothing. In every round the first to arrive parks and
+// the other's arrival releases it, clearing its status in releaseLocked
+// with the phaser's reused waiting and freed buffers.
+func TestReleaseRoundZeroAlloc(t *testing.T) {
+	v := New(WithMode(ModeAvoid))
+	defer v.Close()
+	a, b := v.NewTask("a"), v.NewTask("b")
+	p := v.NewPhaser(a)
+	if err := p.Register(a, b); err != nil {
+		t.Fatal(err)
+	}
+	const warm, runs = 10, 200
+	rounds := warm + runs + 1 // AllocsPerRun runs once more to warm up
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			if err := p.Advance(b); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	round := func() {
+		if err := p.Advance(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		round()
+	}
+	allocs := testing.AllocsPerRun(runs, round)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if s := v.Stats(); s.Blocks != int64(rounds) || v.State().Len() != 0 {
+		t.Fatalf("%d rounds parked %d times and left %d statuses, want one park each and none left",
+			rounds, s.Blocks, v.State().Len())
+	}
+	if allocs != 0 {
+		t.Fatalf("a barrier round with a release allocates %.1f times, want 0", allocs)
+	}
+}
+
 // TestCheckNowUnchangedZeroAlloc guards the version short-circuit: CheckNow
 // on an unchanged state must not snapshot, build or allocate.
 func TestCheckNowUnchangedZeroAlloc(t *testing.T) {

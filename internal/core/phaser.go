@@ -86,6 +86,15 @@ type Phaser struct {
 	// the O(members) recomputation runs once per phase, not per arrival.
 	min   int64
 	atMin int
+	// waiting lists the tasks parked on p in avoidance mode with the phase
+	// each awaits; freed backs the IDs a release clears. Both are reused.
+	waiting []waiter
+	freed   []deps.TaskID
+}
+
+type waiter struct {
+	t *Task
+	n int64
 }
 
 // NewPhaser creates a phaser and registers creator at phase 0, following
@@ -159,16 +168,40 @@ func (p *Phaser) removeMemberLocked(t *Task) *DeadlockError {
 		switch {
 		case p.signal == 0:
 			p.atMin = 0
-			p.cond.Broadcast()
+			p.releaseLocked()
 		case r.phase.Load() == p.min:
 			p.atMin--
 			if p.atMin == 0 {
 				p.recomputeMinLocked()
-				p.cond.Broadcast()
+				p.releaseLocked()
 			}
 		}
 	}
 	return rep
+}
+
+// releaseLocked wakes the waiters of p once its min rose or its last signal
+// member left. In avoidance mode it first clears, in one verifier section,
+// the status of every waiter whose await now holds and marks it released,
+// so none of them takes the verifier's lock to resume; the clear lands
+// before the wake-up.
+func (p *Phaser) releaseLocked() {
+	p.freed = p.freed[:0]
+	kept := p.waiting[:0]
+	for _, w := range p.waiting {
+		if p.satisfiedLocked(w.n) {
+			w.t.released = true
+			p.freed = append(p.freed, w.t.id)
+		} else {
+			kept = append(kept, w)
+		}
+	}
+	clear(p.waiting[len(kept):])
+	p.waiting = kept
+	if len(p.freed) > 0 {
+		p.v.unblockAll(p.freed)
+	}
+	p.cond.Broadcast()
 }
 
 // recomputeMinLocked recomputes min/atMin over the signal-capable members
@@ -256,21 +289,22 @@ func (p *Phaser) Arrive(t *Task) (int64, error) {
 	if !ok {
 		return 0, ErrNotRegistered
 	}
-	n := p.arriveLocked(r)
-	p.v.traceArrive(t.id, p.id, n)
-	return n, nil
+	return p.arriveLocked(t, r), nil
 }
 
-// arriveLocked advances r's phase, maintaining the signal-member min.
+// arriveLocked advances t's phase r, maintaining the signal-member min.
 // A wait-only member's phase is private pacing state and gates nothing.
-func (p *Phaser) arriveLocked(r *registration) int64 {
+// The arrival is traced first, so the Unblocks of the release it may cause
+// never precede it.
+func (p *Phaser) arriveLocked(t *Task, r *registration) int64 {
 	old := r.phase.Load()
 	r.phase.Store(old + 1)
+	p.v.traceArrive(t.id, p.id, old+1)
 	if r.mode != WaitOnly && old == p.min {
 		p.atMin--
 		if p.atMin == 0 {
 			p.recomputeMinLocked()
-			p.cond.Broadcast()
+			p.releaseLocked()
 		}
 	}
 	return old + 1
@@ -312,9 +346,7 @@ func (p *Phaser) Advance(t *Task) error {
 		p.mu.Unlock()
 		return ErrSignalOnlyWait // signal-only members use Arrive
 	}
-	n := p.arriveLocked(r)
-	p.v.traceArrive(t.id, p.id, n)
-	return p.awaitLocked(t, n)
+	return p.awaitLocked(t, p.arriveLocked(t, r))
 }
 
 // AwaitPhase blocks until every member's local phase is at least n — the
@@ -337,6 +369,14 @@ func (p *Phaser) satisfiedLocked(n int64) bool {
 
 // awaitLocked implements the verified blocking wait for phase n of p.
 // Caller holds p.mu; awaitLocked releases it in all paths.
+//
+// The no-false-positive invariant requires a task's record to be gone
+// before it mutates any phaser again. In avoidance mode the release that
+// satisfies n clears t's status before it wakes t (releaseLocked); in the
+// other modes t clears its own. A released t can find n unsatisfied again:
+// a WaitOnly registrar's Register, or the first signal member of an empty
+// p, lowers min. It then holds no status, so it blocks again through the
+// gate, and a refusal deregisters it like the first one.
 func (p *Phaser) awaitLocked(t *Task, n int64) error {
 	if p.satisfiedLocked(n) {
 		p.mu.Unlock()
@@ -350,22 +390,33 @@ func (p *Phaser) awaitLocked(t *Task, n int64) error {
 		p.mu.Unlock()
 		return nil
 	}
-	// Publish the blocked status AFTER any arrival so the registration
-	// vector reflects the task's true (now frozen) phases.
-	if cyc := t.block(deps.Resource{Phaser: p.id, Phase: n}); cyc != nil {
-		// Deregister the failing task so other members can proceed — the
-		// paper's avoidance recovery (§2.1). t holds no status, so there is
-		// no refresh to report.
-		p.removeMemberLocked(t)
-		p.mu.Unlock()
-		return p.v.newDeadlockError(cyc)
+	for {
+		// Publish the blocked status AFTER any arrival so the registration
+		// vector reflects the task's true (now frozen) phases.
+		if cyc := t.block(deps.Resource{Phaser: p.id, Phase: n}); cyc != nil {
+			// Deregister the failing task so other members can proceed — the
+			// paper's avoidance recovery (§2.1). t holds no status, so there
+			// is no refresh to report.
+			p.removeMemberLocked(t)
+			p.mu.Unlock()
+			return p.v.newDeadlockError(cyc)
+		}
+		if p.v.mode != ModeAvoid {
+			for !p.satisfiedLocked(n) {
+				p.cond.Wait()
+			}
+			p.v.unblock(t.id)
+			break
+		}
+		p.waiting = append(p.waiting, waiter{t, n})
+		for !t.released {
+			p.cond.Wait()
+		}
+		t.released = false
+		if p.satisfiedLocked(n) {
+			break
+		}
 	}
-	for !p.satisfiedLocked(n) {
-		p.cond.Wait()
-	}
-	// Clear before returning: the no-false-positive invariant requires a
-	// task's record to be gone before it mutates any phaser again.
-	p.v.unblock(t.id)
 	p.mu.Unlock()
 	return nil
 }

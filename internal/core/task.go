@@ -32,9 +32,13 @@ type Task struct {
 	// list the phasers in the same order (deps.State updates those in place).
 	regs []*registration
 	// parked is set by an admitted block and dropped by the first refresh
-	// that finds the task resumed (a resume does not take mu). While it is
-	// clear, a membership change does not take the verifier's lock.
+	// that finds the task resumed or released (neither takes mu). While it
+	// is clear, a membership change does not take the verifier's lock.
 	parked bool
+	// released is set, under the mu of the phaser the task waits on (not
+	// t.mu), by the avoidance-mode release that cleared its status; the
+	// woken task drops it and skips its own unblock.
+	released bool
 	// waitsBuf/regsBuf back the status built on every block and refresh,
 	// under mu. The state copies them, so the block path is allocation-free
 	// once they are warm.

@@ -1,12 +1,15 @@
-package core
+package core_test
 
 import (
 	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 
+	"armus/internal/core"
 	"armus/internal/deps"
 	"armus/internal/trace"
+	"armus/internal/trace/replay"
 )
 
 // TestTraceTapRecordsBarrierRound pins the tap's event stream for one
@@ -15,7 +18,7 @@ import (
 // invariant (every block eventually cleared, no verdicts).
 func TestTraceTapRecordsBarrierRound(t *testing.T) {
 	rec := trace.NewRecorder()
-	v := New(WithMode(ModeAvoid), WithTraceRecorder(rec))
+	v := core.New(core.WithMode(core.ModeAvoid), core.WithTraceRecorder(rec))
 	defer v.Close()
 
 	a := v.NewTask("a")
@@ -72,7 +75,7 @@ func TestTraceTapRecordsBarrierRound(t *testing.T) {
 // produce a decodable trace carrying the verifier's mode.
 func TestWithTraceWriterEncodesOnClose(t *testing.T) {
 	var buf bytes.Buffer
-	v := New(WithMode(ModeAvoid), WithTraceWriter(&buf))
+	v := core.New(core.WithMode(core.ModeAvoid), core.WithTraceWriter(&buf))
 	a := v.NewTask("a")
 	v.NewPhaser(a)
 	v.Close()
@@ -80,8 +83,8 @@ func TestWithTraceWriterEncodesOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Close wrote an undecodable trace: %v", err)
 	}
-	if Mode(tr.Mode) != ModeAvoid {
-		t.Fatalf("trace mode = %v, want avoid", Mode(tr.Mode))
+	if core.Mode(tr.Mode) != core.ModeAvoid {
+		t.Fatalf("trace mode = %v, want avoid", core.Mode(tr.Mode))
 	}
 	if len(tr.Events) == 0 {
 		t.Fatalf("trace is empty")
@@ -89,5 +92,72 @@ func TestWithTraceWriterEncodesOnClose(t *testing.T) {
 	v.Close() // idempotent: must not write a second trace
 	if _, err := trace.Decode(buf.Bytes()); err != nil {
 		t.Fatalf("second Close corrupted the stream: %v", err)
+	}
+}
+
+// TestReleaseTraceOrder records an avoidance-mode barrier of 4 tasks over 3
+// rounds. In each round the first 3 arrivals park and the 4th, which
+// completes the phase, clears their statuses. Every Unblock must follow
+// that arrival in the trace, and replay.Detect of the trace must reach the
+// verdicts recorded: none.
+func TestReleaseTraceOrder(t *testing.T) {
+	const tasks, rounds = 4, 3
+	rec := trace.NewRecorder()
+	v := core.New(core.WithMode(core.ModeAvoid), core.WithTraceRecorder(rec))
+	defer v.Close()
+	ts := make([]*core.Task, tasks)
+	for i := range ts {
+		ts[i] = v.NewTask("")
+	}
+	p := v.NewPhaser(ts[0])
+	for _, tk := range ts[1:] {
+		if err := p.Register(ts[0], tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, tk := range ts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if err := p.Advance(tk); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	tr := rec.Trace()
+	arrivals := map[int64]int{} // arrivals recorded so far, by new phase
+	awaits := map[deps.TaskID]int64{}
+	blocks, unblocks := 0, 0
+	for i, e := range tr.Events {
+		switch e.Kind {
+		case trace.KindArrive:
+			arrivals[e.Phase]++
+		case trace.KindBlock:
+			blocks++
+			awaits[e.Task] = e.Status.WaitsFor[0].Phase
+		case trace.KindUnblock:
+			unblocks++
+			if n := awaits[e.Task]; arrivals[n] != tasks {
+				t.Fatalf("event %d: task%d's Unblock, awaiting phase %d, follows %d of its %d arrivals",
+					i, e.Task, n, arrivals[n], tasks)
+			}
+		}
+	}
+	if want := (tasks - 1) * rounds; blocks != want || unblocks != want {
+		t.Fatalf("recorded %d blocks and %d unblocks, want %d of each", blocks, unblocks, want)
+	}
+	res, err := replay.ReplayTrace(tr, replay.Detect, replay.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mutations != 2*blocks || res.DeadlockSteps != 0 || res.Rejections != 0 || res.Reports != 0 {
+		t.Fatalf("replay.Detect: %d mutations, %d deadlocked, %d rejections, %d reports; want %d, 0, 0, 0",
+			res.Mutations, res.DeadlockSteps, res.Rejections, res.Reports, 2*blocks)
 	}
 }

@@ -79,8 +79,9 @@ type Verifier struct {
 
 	// mu serialises every call into eng, and eng is the only writer of
 	// the state: the avoidance gate and the other modes' block inserts, a
-	// third party's refresh of a parked task, a resume, and every verdict.
-	// A block takes p.mu → t.mu → mu → the state's lock, once each, so
+	// third party's refresh of a parked task, a resume, a phaser's release
+	// of its waiters, and every verdict. A block takes p.mu → t.mu → mu →
+	// the state's lock, once each, and a release p.mu → mu → the state's, so
 	// nothing lands between building a status and writing it. lastErr
 	// wraps eng's verdict lastCyc, so an unchanged state answers with the
 	// same *DeadlockError; deadlocks counts the refused blocks and the
@@ -339,12 +340,18 @@ func (v *Verifier) block(b deps.Blocked) *deps.Cycle {
 	return nil
 }
 
-// unblock removes the status of a task that resumed. The trace records it
-// under the same lock as a refresh's Block, so the two stay in order.
-func (v *Verifier) unblock(t deps.TaskID) {
+// unblock removes the status of a task that resumed.
+func (v *Verifier) unblock(t deps.TaskID) { v.unblockAll([]deps.TaskID{t}) }
+
+// unblockAll removes the statuses of tasks that resumed, or that a phaser's
+// release freed, in one section. The trace records an Unblock per task under
+// the same lock as a refresh's Block, so the two stay in order.
+func (v *Verifier) unblockAll(ts []deps.TaskID) {
 	v.mu.Lock()
-	v.eng.Unblock(t)
-	v.traceUnblock(t)
+	v.eng.UnblockAll(ts)
+	for _, t := range ts {
+		v.traceUnblock(t)
+	}
 	v.mu.Unlock()
 }
 

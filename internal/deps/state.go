@@ -161,6 +161,23 @@ func (s *State) Reregister(t TaskID, regs []Reg) bool {
 func (s *State) Clear(t TaskID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.clear(t)
+	return s.count
+}
+
+// ClearAll is Clear of every task in ts under one lock: the waiters a
+// phaser's release frees.
+func (s *State) ClearAll(ts []TaskID) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, t := range ts {
+		s.clear(t)
+	}
+	return s.count
+}
+
+// clear is Clear under the lock.
+func (s *State) clear(t TaskID) {
 	if e := s.tasks[t]; e != nil && e.blocked {
 		e.blocked = false
 		s.releaseWaits(e)
@@ -170,7 +187,6 @@ func (s *State) Clear(t TaskID) int {
 			s.sweep()
 		}
 	}
-	return s.count
 }
 
 // Len returns the number of currently blocked tasks.

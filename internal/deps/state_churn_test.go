@@ -197,8 +197,11 @@ func (m churnModel) checkCycle(cyc []TaskID) error {
 // rebuilt from scratch. Half the blocks are gates through BlockThrough and
 // half the refreshes go through Reregister, also on idle and absent tasks;
 // a twin State takes the same steps as SetBlocked, CycleThrough and Clear
-// alone, and must answer every gate and hold every status the same. Every
-// SetBlocked and Clear must return the count of blocked tasks it leaves.
+// alone, and must answer every gate and hold every status the same. Half
+// the clears go through ClearAll, with a task the state never held, as a
+// phaser's release clears its waiters; the twin clears one at a time.
+// Every SetBlocked, Clear and ClearAll must return the count of blocked
+// tasks it leaves.
 func TestStateChurnAgainstOracle(t *testing.T) {
 	steps := 30000
 	if testing.Short() {
@@ -253,10 +256,18 @@ func TestStateChurnAgainstOracle(t *testing.T) {
 					seed, b, cyc, edges, wantCyc, wantEdges)
 			}
 		}
-		clearBoth := func(tk TaskID) {
-			delete(model, tk)
-			counted(s, s.Clear(tk))
-			counted(twin, twin.Clear(tk))
+		clearBoth := func(tks ...TaskID) {
+			all := rng.Intn(2) == 0
+			for _, tk := range tks {
+				delete(model, tk)
+				if !all {
+					counted(s, s.Clear(tk))
+				}
+				counted(twin, twin.Clear(tk))
+			}
+			if all {
+				counted(s, s.ClearAll(append(tks, nextTask)))
+			}
 		}
 		for step := 0; step < steps; step++ {
 			tk := tasks[rng.Intn(len(tasks))]
@@ -304,11 +315,16 @@ func TestStateChurnAgainstOracle(t *testing.T) {
 				nextTask++
 			default: // a phaser vanishes: whoever mentions it resumes
 				i := rng.Intn(len(phasers))
+				var gone []TaskID
 				for t2, b := range last {
 					if b.WaitsFor[0].Phaser == phasers[i] || slices.ContainsFunc(b.Regs, func(r Reg) bool { return r.Phaser == phasers[i] }) {
-						clearBoth(t2)
-						delete(last, t2)
+						gone = append(gone, t2)
 					}
+				}
+				slices.Sort(gone) // the map's order must not steer the seeded rng
+				clearBoth(gone...)
+				for _, t2 := range gone {
+					delete(last, t2)
 				}
 				phasers[i] = nextPhaser
 				nextPhaser++
@@ -497,8 +513,10 @@ func TestStateRaceMix(t *testing.T) {
 					}
 				case 3:
 					s.Reregister(task, regs)
-				case 4, 5:
+				case 4:
 					s.Clear(task)
+				case 5:
+					s.ClearAll([]TaskID{task, TaskID(1 + rng.Intn(24))})
 				case 6, 7:
 					if cyc, _ := s.CycleThrough(task, &sc); cyc != nil && cyc.Tasks[0] != task {
 						t.Errorf("cycle %v does not start at %d", cyc.Tasks, task)

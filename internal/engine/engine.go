@@ -124,6 +124,13 @@ func (e *Engine) Unblock(t deps.TaskID) {
 	e.own += e.st.Version() - ver
 }
 
+// UnblockAll is Unblock of every task in ts, under one lock of the state.
+func (e *Engine) UnblockAll(ts []deps.TaskID) {
+	ver := e.st.Version()
+	e.blocked = e.st.ClearAll(ts)
+	e.own += e.st.Version() - ver
+}
+
 // Check is the "deadlocked now?" verdict: a cycle of the current state, or
 // nil. An unchanged state version returns the previous verdict. After a
 // deadlock verdict, or a write the engine did not make, the whole state is
