@@ -84,7 +84,6 @@ func (ss *session) process(b *batch) {
 	verifyNs := obs.Nanotime() - tLocked
 	ss.srv.m.StageVerify.Observe(verifyNs)
 	ss.ob.Verify.Observe(verifyNs)
-	ss.srv.m.Events.Add(int64(len(events)))
 	ss.srv.m.Batches.Add(1)
 	ss.srv.m.ExecBatchEvents.Observe(int64(len(events)))
 }

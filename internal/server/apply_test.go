@@ -15,7 +15,6 @@ import (
 	"armus/internal/clock"
 	"armus/internal/core"
 	"armus/internal/deps"
-	"armus/internal/obs"
 	"armus/internal/segment"
 	"armus/internal/server/proto"
 	"armus/internal/trace"
@@ -30,24 +29,41 @@ import (
 // beside: the stream is sized to stay inside one archive block, so that it
 // only appends to a warm buffer. The folding cases have each task block
 // four times between checkpoints, so that a detection session skips three
-// of every four blocks.
+// of every four blocks. Register, arrive and drop frames come between the
+// mutations: decoded and teed, they take no slot of the batch.
 func TestExecutorPathZeroAlloc(t *testing.T) {
 	const (
 		tasks   = 64
 		batches = 80 // > warmups + AllocsPerRun's 51 calls, and < one archive block
 	)
+	// structural is task i's register, arrive or drop frame on phaser q,
+	// sent for one task a round (i == last): few enough that the measured
+	// runs hand the archive 3 or 4 batches, as a stream without them did.
+	// A drop spells its phaser in two bytes.
+	structural := func(kind trace.Kind, i, last, q int64) []trace.Event {
+		if i != last {
+			return nil
+		}
+		if kind == trace.KindDrop {
+			q += 100
+		}
+		return []trace.Event{{Kind: kind, Task: deps.TaskID(i), Phaser: deps.PhaserID(q), Phase: 1, Mode: 1}}
+	}
 	// One steady round per batch: 64 tasks block (each arrived at its
 	// phaser, so the gate admits without refusing), one checkpoint, then
 	// everyone unblocks. Deadlock-free, so only the hot path runs.
 	var round []trace.Event
 	for i := 1; i <= tasks; i++ {
 		q := int64(i%8 + 1)
+		round = append(round, structural(trace.KindRegister, int64(i), tasks, q)...)
 		round = append(round, trace.Event{Kind: trace.KindBlock, Task: deps.TaskID(i),
 			Status: status(int64(i), []deps.Resource{res(q, 1)}, []deps.Reg{reg(q, 1)})})
+		round = append(round, structural(trace.KindArrive, int64(i), tasks, q)...)
 	}
 	round = append(round, trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported})
 	for i := 1; i <= tasks; i++ {
 		round = append(round, trace.Event{Kind: trace.KindUnblock, Task: deps.TaskID(i)})
+		round = append(round, structural(trace.KindDrop, int64(i), tasks, int64(i%8+1))...)
 	}
 	// The folding round: 16 tasks each block at phases 1 to 4, every task
 	// at one phase before any at the next (deadlock-free: a task waits only
@@ -59,11 +75,16 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 			q := int64(i%8 + 1)
 			foldRound = append(foldRound, trace.Event{Kind: trace.KindBlock, Task: deps.TaskID(i),
 				Status: status(int64(i), []deps.Resource{res(q, n)}, []deps.Reg{reg(q, n)})})
+			if n == 4 {
+				foldRound = append(foldRound, structural(trace.KindArrive, int64(i), tasks/4, q)...)
+			}
 		}
 	}
 	foldRound = append(foldRound, trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported})
 	for i := 1; i <= tasks/4; i++ {
+		foldRound = append(foldRound, structural(trace.KindRegister, int64(i), tasks/4, int64(i%8+1))...)
 		foldRound = append(foldRound, trace.Event{Kind: trace.KindUnblock, Task: deps.TaskID(i)})
+		foldRound = append(foldRound, structural(trace.KindDrop, int64(i), tasks/4, int64(i%8+1))...)
 	}
 
 	for _, tc := range []struct {
@@ -89,7 +110,12 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 			name += "-folding"
 			round = foldRound
 		}
-		eventsPerBatch := len(round)
+		eventsPerBatch := 0 // the blocks, unblocks and checkpoints of a round
+		for _, e := range round {
+			if e.Kind >= trace.KindBlock {
+				eventsPerBatch++
+			}
+		}
 		t.Run(name, func(t *testing.T) {
 			// Pre-encode the wire stream the decode half will consume: full
 			// frames, or re-blocks wherever the SDK would send them.
@@ -139,16 +165,15 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 			}
 			b := &batch{c: c, events: events}
 
-			decoded := 0
+			decoded, applied := 0, 0
 			run := func() {
-				// Read loop: decode one batch (and tee it), stamp it and
-				// apply it.
-				if err := c.decode(tr, ss, b); err != nil || b.n == 0 {
+				// Read loop: decode one batch (and tee it), stamp it, apply
+				// it and count its frames.
+				if err := c.ingest(tr, ss, b); err != nil || b.n == 0 {
 					t.Fatalf("decode: %d events, %v", b.n, err)
 				}
-				decoded += b.n
-				b.decNs = obs.Nanotime()
-				ss.apply(b)
+				decoded += b.frames
+				applied += b.n
 				// Writer half: reclaim the coalesce buffer like a flush.
 				c.wmu.Lock()
 				c.wbuf = c.wbuf[:0]
@@ -176,8 +201,11 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 			}
 			// Every mutation moves the state's version once; folded, only
 			// one block in four and the unblocks reach the engine.
-			if v := ss.eng.State().Version(); tc.fold && v > uint64(decoded)/2 {
-				t.Fatalf("%d state writes for %d events decoded: the blocks were not folded", v, decoded)
+			if v := ss.eng.State().Version(); tc.fold && v > uint64(applied)/2 {
+				t.Fatalf("%d state writes for %d events applied: the blocks were not folded", v, applied)
+			}
+			if decoded == applied || srv.m.Events.Load() != int64(decoded) {
+				t.Fatalf("%d frames decoded, %d events applied, events_total %d", decoded, applied, srv.m.Events.Load())
 			}
 			if tc.archive {
 				c.teeFlush()

@@ -16,9 +16,13 @@ import (
 	"armus/internal/trace"
 )
 
-// maxBatch is the most events one read loop decodes into a batch before
-// applying it.
-const maxBatch = 256
+// maxBatch is the most events a batch holds: the blocks, unblocks and
+// checkpoints a session applies. A register, arrive or drop frame gives its
+// slot back once teed, and a batch spans at most maxBatchFrames frames.
+const (
+	maxBatch       = 256
+	maxBatchFrames = 4 * maxBatch
+)
 
 // maxBacklog bounds a connection's undelivered responses (the coalesce
 // buffer, counted in responses): a connection exceeding it is disconnected
@@ -34,6 +38,7 @@ type batch struct {
 	c      *conn
 	events []trace.Event // backing array, len == maxBatch
 	n      int           // events[:n] are valid
+	frames int           // frames decoded for it, structural ones included
 	// decNs (internal/obs Nanotime) is taken by the read loop right after
 	// the batch is decoded; the queue-wait stage starts there.
 	decNs int64
@@ -153,11 +158,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	// sender: that is the backpressure.
 	b := &batch{c: c, events: make([]trace.Event, maxBatch)}
 	for {
-		err := c.decode(tr, sess, b)
-		if b.n > 0 {
-			b.decNs = obs.Nanotime()
-			sess.apply(b)
-		}
+		err := c.ingest(tr, sess, b)
 		if err != nil {
 			switch {
 			case errors.Is(err, io.EOF):
@@ -178,23 +179,40 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 }
 
-// decode fills b from tr with the zero-alloc NextInto path: one event,
+// ingest is the read loop's turn: decode, apply, count the frames decoded.
+func (c *conn) ingest(tr *trace.Reader, ss *session, b *batch) error {
+	err := c.decode(tr, ss, b)
+	if b.n > 0 {
+		b.decNs = obs.Nanotime()
+		ss.apply(b)
+	}
+	c.srv.m.Events.Add(int64(b.frames))
+	return err
+}
+
+// decode fills b from tr with the zero-alloc NextInto path: one frame,
 // waiting for it if it must, then greedily whatever further frames are
 // already buffered. With the archive on, every frame is teed as it is
 // decoded — not after the batch, when a later read may have slid the
 // reader's window from under it — and the pending archive batch is handed
-// over once, after the last, if it is due.
+// over once, after the last, if it is due. A frame no session applies
+// leaves its slot free.
 func (c *conn) decode(tr *trace.Reader, ss *session, b *batch) error {
 	var err error
-	for b.n = 0; b.n < len(b.events) && (b.n == 0 || tr.Buffered() > 0); b.n++ {
-		e := &b.events[b.n]
+	n, frames, tee := 0, 0, c.srv.seg != nil
+	for ; n < len(b.events) && frames < maxBatchFrames && (frames == 0 || tr.Buffered() > 0); frames++ {
+		e := &b.events[n]
 		if err = tr.NextInto(e); err != nil {
 			break
 		}
-		if c.srv.seg != nil {
+		if tee {
 			c.teeFrame(ss, tr, e)
 		}
+		if k := e.Kind; k == trace.KindBlock || k == trace.KindUnblock || k == trace.KindVerdict {
+			n++
+		}
 	}
+	b.n, b.frames = n, frames
 	c.teeFlushIfDue(tr)
 	return err
 }

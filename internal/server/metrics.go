@@ -39,8 +39,8 @@ type Metrics struct {
 	ConnsOpen  obs.Gauge   `metric:"conns_open" help:"Live client connections."`
 	ConnsTotal obs.Counter `metric:"conns_total" help:"Connections ever accepted."`
 
-	Events       obs.Counter `metric:"events_total" help:"Verifier events ingested."`
-	Batches      obs.Counter `metric:"batches_total" help:"Batches applied: what one read loop found buffered."`
+	Events       obs.Counter `metric:"events_total" help:"Event frames received, structural ones included."`
+	Batches      obs.Counter `metric:"batches_total" help:"Batches applied: the blocks, unblocks and checkpoints one read loop found buffered."`
 	GateAllowed  obs.Counter `metric:"gate_allowed_total" help:"Avoidance blocks admitted."`
 	GateRejected obs.Counter `metric:"gate_rejected_total" help:"Avoidance blocks refused (deadlock would close)."`
 	Checkpoints  obs.Counter `metric:"checkpoints_total" help:"Verdict checkpoints answered."`
@@ -60,8 +60,8 @@ type Metrics struct {
 	// served as zeros, when archiving is disabled).
 	Segment *segment.Metrics `metric:"segment_"`
 
-	// A batch is what one read loop found buffered, so this histogram is a
-	// direct read on how much each apply amortises.
+	// A batch holds up to maxBatch blocks, unblocks and checkpoints, and no
+	// structural frame: this histogram reads how much each apply amortises.
 	ExecBatchEvents obs.Hist `metric:"exec_batch_events" le:"256" per:"1" help:"Events per applied batch."`
 
 	// Server-wide stage latencies, in nanoseconds: where a gate's

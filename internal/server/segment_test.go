@@ -117,11 +117,13 @@ func TestSegmentArchiveEndToEnd(t *testing.T) {
 // net.Pipe, with the tee on, as bytes written by hand: an unblock whose task
 // and a block whose phase are varints one byte longer than they need be, a
 // frame long enough for a two-byte length prefix, checkpoints in the middle
-// of batches, a deadlock that forms and dissolves, and all of it in one
-// write several reader windows long, so that the window slides in the
-// middle of a batch. The archive must read back as the events that were
-// sent, in order, with the index's verdict ordinals on the verdict events,
-// and the export must replay to the verdicts the sent trace replays to. The
+// of batches, a deadlock that forms and dissolves, register, arrive and
+// drop frames, and all of it in one write several reader windows long, so
+// that the window slides in the middle of a batch. The archive must read
+// back as the events that were sent, in order, with the index's verdict
+// ordinals on the verdict events, and the export must replay to the
+// verdicts the sent trace replays to. events_total must count every frame,
+// though the structural ones took no slot in a batch. The
 // stream goes once in full frames and once with re-blocks wherever the SDK
 // would send them, long enough to fill more than one archive block. Either
 // way the tee archives a block as a re-block wherever its reference lies in
@@ -199,8 +201,17 @@ func archiveHoldsWhatArrived(t *testing.T, reblocks bool) {
 	framer.ord += 2 // the framer numbers block frames as the stream does
 	send(checkpoint)
 	// Rounds of two tasks on two phasers; in every eighth they wait for each
-	// other, with a checkpoint while they do and one after.
+	// other, with a checkpoint while they do and one after. Both arrive
+	// before they block, and task 4 registers with phaser 200 and drops
+	// out again every fifth round: structural frames, which the archive
+	// holds and the batches do not.
 	for round := int64(1); wire.Len() < 72<<10; round++ {
+		send(trace.Event{Kind: trace.KindArrive, Task: 2, Phaser: 2, Phase: round})
+		send(trace.Event{Kind: trace.KindArrive, Task: 3, Phaser: 3, Phase: round})
+		if round%5 == 0 {
+			send(trace.Event{Kind: trace.KindRegister, Task: 4, Phaser: 200, Phase: round, Mode: 1})
+			send(trace.Event{Kind: trace.KindDrop, Task: 4, Phaser: 200})
+		}
 		a := status(2, []deps.Resource{res(2, round)}, []deps.Reg{reg(2, round), reg(3, round)})
 		b := status(3, []deps.Resource{res(3, round)}, []deps.Reg{reg(2, round), reg(3, round)})
 		if round%8 == 0 {
@@ -244,8 +255,20 @@ func archiveHoldsWhatArrived(t *testing.T, reblocks bool) {
 	}
 	client.Close()
 	s.Close() // waits for the connection, seals the segment
-	if m := s.Metrics(); m.MalformedConns.Load() != 0 || m.SlowDisconnects.Load() != 0 {
+	m := s.Metrics()
+	if m.MalformedConns.Load() != 0 || m.SlowDisconnects.Load() != 0 {
 		t.Fatalf("%d connections refused as malformed, %d as slow", m.MalformedConns.Load(), m.SlowDisconnects.Load())
+	}
+	// Every frame is counted; only the blocks, unblocks and checkpoints
+	// took a slot in a batch.
+	held := 0
+	for _, e := range sent.Events {
+		if e.Kind >= trace.KindBlock {
+			held++
+		}
+	}
+	if got := m.ExecBatchEvents.Snapshot().Sum; m.Events.Load() != int64(len(sent.Events)) || got != int64(held) || held == len(sent.Events) {
+		t.Fatalf("events_total %d of %d frames sent; the batches held %d events, want %d", m.Events.Load(), len(sent.Events), got, held)
 	}
 
 	var export bytes.Buffer

@@ -27,12 +27,12 @@
 //     session engine answers "deadlocked now?" per batch with the same
 //     query, from the tasks whose status the batch set, and deadlock
 //     transitions are pushed to subscribed connections).
-//   - A session is a lock, not a goroutine: the connection read loop that
-//     decoded a batch (trace.Reader.NextInto into the connection's one
-//     batch) applies it itself under the session's mutex (apply.go),
-//     whose holder is the single writer of the verifier state. Ingress
-//     backpressure is the TCP window: a read loop waiting for a busy
-//     session does not read its socket, and the kernel stops the sender.
+//   - A session is a lock, not a goroutine: the read loop that decoded a
+//     batch (trace.Reader.NextInto into the connection's one batch, where
+//     a structural frame leaves its slot free) applies it itself under the
+//     session's mutex (apply.go), whose holder alone writes the verifier
+//     state. Ingress backpressure is the TCP window: a read loop waiting
+//     for a busy session does not read its socket: the kernel stops the sender.
 //     Egress is a per-connection coalesce buffer flushed by a writer
 //     goroutine in single Write calls (many responses per syscall),
 //     bounded by response count: a connection that does not drain its

@@ -290,14 +290,16 @@ func DecodeFramePayload(payload []byte, e *Event) error {
 // ordinal. Every reblockWindow block frames it forgets the entries that many
 // or more back — no re-block may reach them — so it holds at most
 // 2·reblockWindow tasks, however many the stream names. The zero value is
-// ready for the start of a stream; a stream that failed to decode is over,
-// and so is its ledger.
+// ready for the start of a stream, and allocates nothing until it needs a
+// task's entry; a stream that failed to decode is over, and so is its ledger.
+// Tasks are found through an open-addressed table of 4·reblockWindow slots,
+// so never more than half full, which forgetting rebuilds.
 type Ledger struct {
-	last map[deps.TaskID]*ledgerEntry
-	free []*ledgerEntry // forgotten entries, for reuse
-	n    uint64         // block frames decoded: the last one's ordinal
-	ref  uint64         // the last frame was a re-block of block frame ref (0: it was not)
-	hit  *ledgerEntry   // the entry a re-block being decoded refers to
+	slots []uint16      // 1 + the index in ents, 0: empty
+	ents  []ledgerEntry // live entries; forgotten ones wait behind len, for reuse
+	n     uint64        // block frames decoded: the last one's ordinal
+	ref   uint64        // the last frame was a re-block of block frame ref (0: it was not)
+	hit   *ledgerEntry  // the entry a re-block being decoded refers to
 	// When the last frame was a full block frame of a task with an entry,
 	// prev is the ordinal of the task's block frame before it and prevRegs
 	// that frame's registrations: the entry's slice, swapped out for this
@@ -308,8 +310,32 @@ type Ledger struct {
 }
 
 type ledgerEntry struct {
+	task deps.TaskID
 	ord  uint64
 	regs []deps.Reg
+}
+
+// ledgerSlotBits sizes the table at 4·reblockWindow slots: the constant
+// below does not compile if it is smaller.
+const ledgerSlotBits = 9
+
+const _ = uint(1<<ledgerSlotBits - 4*reblockWindow)
+
+// find returns t's entry, or nil and the empty slot where it would go:
+// Fibonacci hashing and linear probing, as the server's netEffect.
+func (l *Ledger) find(t deps.TaskID) (*ledgerEntry, int) {
+	if l.slots == nil {
+		l.slots = make([]uint16, 1<<ledgerSlotBits)
+	}
+	for h := int(uint64(t) * 0x9e3779b97f4a7c15 >> (64 - ledgerSlotBits)); ; h = (h + 1) & (1<<ledgerSlotBits - 1) {
+		i := l.slots[h]
+		if i == 0 {
+			return nil, h
+		}
+		if ent := &l.ents[i-1]; ent.task == t {
+			return ent, h
+		}
+	}
 }
 
 // Decode decodes the next event payload of the stream into e, as
@@ -336,7 +362,7 @@ func (l *Ledger) reblockInto(c *wire.Cursor, e *Event) {
 	t := deps.TaskID(c.Varint())
 	e.Task, e.Status.Task = t, t
 	e.Status.WaitsFor = c.ResourcesInto(e.Status.WaitsFor, maxTraceItems)
-	ent := l.last[t]
+	ent, _ := l.find(t)
 	if ent == nil || l.n+1-ent.ord >= reblockWindow {
 		c.Fail(fmt.Errorf("task%d has no block frame among the last %d", t, reblockWindow))
 		return
@@ -368,30 +394,37 @@ func (l *Ledger) reblockInto(c *wire.Cursor, e *Event) {
 func (l *Ledger) record(st *deps.Blocked) {
 	ent := l.hit
 	if ent == nil {
-		if ent = l.last[st.Task]; ent != nil {
+		var h int
+		if ent, h = l.find(st.Task); ent != nil {
 			l.prev = ent.ord
 			l.prevRegs, ent.regs = ent.regs, append(l.prevRegs[:0], st.Regs...)
 		} else {
-			if k := len(l.free); k > 0 {
-				ent, l.free = l.free[k-1], l.free[:k-1]
-			} else {
-				ent = new(ledgerEntry)
+			// A new entry, in a forgotten one's storage if there is one.
+			if k := len(l.ents); k == cap(l.ents) {
+				l.ents = append(make([]ledgerEntry, 0, min(2*k+16, 2*reblockWindow)), l.ents...)
 			}
-			if l.last == nil {
-				l.last = make(map[deps.TaskID]*ledgerEntry)
-			}
-			l.last[st.Task] = ent
-			ent.regs = append(ent.regs[:0], st.Regs...)
+			l.ents = l.ents[:len(l.ents)+1]
+			l.slots[h] = uint16(len(l.ents))
+			ent = &l.ents[len(l.ents)-1]
+			ent.task, ent.regs = st.Task, append(ent.regs[:0], st.Regs...)
 		}
 	}
 	l.n++
 	ent.ord = l.n
 	if l.n%reblockWindow == 0 {
-		for t, old := range l.last {
-			if l.n-old.ord >= reblockWindow {
-				delete(l.last, t)
-				l.free = append(l.free, old)
+		// Forget: the entries in reach go in front, the table is rebuilt.
+		k := 0
+		for i := range l.ents {
+			if l.n-l.ents[i].ord < reblockWindow {
+				l.ents[k], l.ents[i] = l.ents[i], l.ents[k]
+				k++
 			}
+		}
+		l.ents = l.ents[:k]
+		clear(l.slots)
+		for i := range l.ents {
+			_, h := l.find(l.ents[i].task)
+			l.slots[h] = uint16(i + 1)
 		}
 	}
 }
@@ -654,6 +687,14 @@ func (tr *Reader) frameLen() (uint64, error) {
 // until the next call. It returns (nil, nil) at the end sentinel, after
 // verifying the CRC footer and that nothing trails it.
 func (tr *Reader) frame() ([]byte, error) {
+	// A frame with a one-byte prefix that lies whole in the window is sliced
+	// in place; the rest, and a frame on an empty window, are read below.
+	if r := tr.r; r < tr.w {
+		if n := int(tr.buf[r]); n > 0 && n < 0x80 && r+1+n <= tr.w {
+			tr.r = r + 1 + n
+			return tr.buf[r+1 : tr.r], nil
+		}
+	}
 	n, err := tr.frameLen()
 	if err != nil {
 		return nil, err
@@ -772,13 +813,12 @@ func (tr *Reader) Ref() uint64 { return tr.led.ref }
 // frames are already in memory) without ever blocking mid-batch.
 func (tr *Reader) Buffered() int { return tr.w - tr.r }
 
-// resetEvent zeroes e while keeping its slice storage for reuse.
+// resetEvent zeroes e while keeping its slice storage for reuse, field by
+// field: zeroing the whole event and putting the slices back costs more.
 func resetEvent(e *Event) {
-	w, g := e.Status.WaitsFor[:0], e.Status.Regs[:0]
-	ts, rs := e.Tasks[:0], e.Resources[:0]
-	*e = Event{}
-	e.Status.WaitsFor, e.Status.Regs = w, g
-	e.Tasks, e.Resources = ts, rs
+	e.Kind, e.Task, e.Phaser, e.Phase, e.Mode, e.Status.Task, e.Verdict = 0, 0, 0, 0, 0, 0, 0
+	e.Status.WaitsFor, e.Status.Regs = e.Status.WaitsFor[:0], e.Status.Regs[:0]
+	e.Tasks, e.Resources = e.Tasks[:0], e.Resources[:0]
 }
 
 // decodeEventInto decodes one event frame into e, reusing e's slice
@@ -787,6 +827,34 @@ func resetEvent(e *Event) {
 // buffers are warm. A re-block is read against l, and refused without one.
 // On error e is left in an unspecified (but safely reusable) state.
 func decodeEventInto(frame []byte, e *Event, l *Ledger) error {
+	if decodeOneByte(frame, e) {
+		return nil
+	}
+	return decodeCursor(frame, e, l)
+}
+
+// oneByteLen is the length of a kind's frame of one-byte varints: task,
+// phaser, phase, mode, each kind a prefix of the one before (0: none).
+var oneByteLen = [...]int{KindRegister: 5, KindArrive: 4, KindDrop: 3, KindUnblock: 2}
+
+// decodeOneByte decodes in one pass a register, arrive, drop or unblock
+// frame of one-byte varints (task, phaser, phase in -64..63), leaving e as
+// decodeCursor would. Any other frame it turns away, e untouched: by its
+// length if a field is wider, else by wire.OneByte.
+func decodeOneByte(p []byte, e *Event) bool {
+	if len(p) < 2 || int(p[0]) >= len(oneByteLen) || oneByteLen[p[0]] != len(p) || !wire.OneByte(p) {
+		return false
+	}
+	var f [5]byte
+	copy(f[:], p)
+	resetEvent(e)
+	e.Kind, e.Task, e.Phaser = Kind(f[0]), deps.TaskID(wire.Zigzag(f[1])), deps.PhaserID(wire.Zigzag(f[2]))
+	e.Phase, e.Mode = wire.Zigzag(f[3]), f[4]
+	return true
+}
+
+// decodeCursor is decodeEventInto for any frame, field by field.
+func decodeCursor(frame []byte, e *Event, l *Ledger) error {
 	c := wire.NewCursor(frame)
 	resetEvent(e)
 	e.Kind = Kind(c.Uint8())

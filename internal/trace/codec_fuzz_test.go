@@ -2,9 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strconv"
 	"testing"
+
+	"armus/internal/deps"
+	"armus/internal/wire"
 )
 
 // quoteBytes renders data as a Go double-quoted string literal, the form
@@ -24,7 +28,10 @@ func quoteBytes(data []byte) string {
 //  3. the streaming reader yields the same events and the same final error
 //     whether the bytes arrive whole, seven at a time or one at a time (the
 //     chunkings of window_test.go): its in-place window must not let a
-//     refill boundary show.
+//     refill boundary show, and
+//  4. the one-pass decoder of one-byte frames agrees with the cursor path
+//     (oneByteAgrees) on the input taken as one event payload and on every
+//     frame payload of the input taken as a stream.
 //
 // The seed corpus under testdata/fuzz/FuzzTraceCodec holds valid traces of
 // every event shape the recorder produces plus the corrupt variants the
@@ -54,8 +61,33 @@ func FuzzTraceCodec(f *testing.F) {
 	for _, c := range reblockRefusals(f) {                          // re-blocks refused by name
 		f.Add(c.data)
 	}
+	// Event payloads, alone and framed in a stream, for the one-pass decoder.
+	for _, p := range [][]byte{
+		{1, 2, 4, 6, 1}, {2, 0x7f, 4, 6}, {3, 2, 4}, {5, 2}, // one-byte register, arrive, drop, unblock
+		{0x82, 0x00, 2, 4, 6}, // a non-minimal kind
+		{2, 0x82, 0x00, 4, 6}, // a non-minimal field
+		{5, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, // a task past 64 bits
+		{5, 2, 0},          // a trailing byte
+		{1, 2, 4, 6},       // a register cut short
+		{3, 2, 0x80},       // a drop cut inside its phaser
+		{3, 2, 0x80, 0x01}, // phaser 64: two bytes
+	} {
+		f.Add(p)
+		f.Add(mustEncodeFrames(f, [][]byte{p}))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		oneByteAgrees(t, data)
+		if rest, ok := bytes.CutPrefix(data, []byte(traceMagic)); ok {
+			for len(rest) > 0 {
+				payload, next, err := NextFrame(rest)
+				if err != nil {
+					break
+				}
+				oneByteAgrees(t, payload)
+				rest = next
+			}
+		}
 		whole := streamOutcome(data, chunkings[0].wrap)
 		for _, c := range chunkings[1:] {
 			if got := streamOutcome(data, c.wrap); got != whole {
@@ -88,4 +120,37 @@ func FuzzTraceCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// oneByteAgrees holds decodeOneByte to the cursor path on the event payload
+// p: where it decodes p, the cursor decodes it to the same Event; where it
+// does not, p is a kind it leaves alone, has a longer spelling, or is
+// refused by the cursor. Both decode into events that hold another event's
+// fields, and the cursor also into a zero Event, so a field that either
+// path forgets to clear shows.
+func oneByteAgrees(t *testing.T, p []byte) {
+	t.Helper()
+	fast, slow, fresh := staleEvent(), staleEvent(), Event{}
+	ok := decodeOneByte(p, &fast)
+	err := decodeCursor(p, &slow, nil)
+	// Printed without Event's String, which shows only its kind's fields.
+	type fields Event
+	if decodeCursor(p, &fresh, nil) == nil && fmt.Sprintf("%+v", fields(fresh)) != fmt.Sprintf("%+v", fields(slow)) {
+		t.Fatalf("% x: decodes to %+v into a zero event, to %+v into a used one", p, fresh, slow)
+	}
+	switch {
+	case ok && err != nil:
+		t.Fatalf("% x: the one-pass decoder takes what the cursor refuses: %v", p, err)
+	case ok && !reflect.DeepEqual(fast, slow):
+		t.Fatalf("% x: one pass decodes %+v, the cursor %+v", p, fast, slow)
+	case !ok && err == nil && wire.OneByte(p) && slow.Kind != KindBlock && slow.Kind != KindVerdict:
+		t.Fatalf("% x: the one-pass decoder leaves %v to the cursor", p, slow)
+	}
+}
+
+// staleEvent is an event with every field set, as a reused one is.
+func staleEvent() Event {
+	return Event{Kind: KindVerdict, Task: 9, Phaser: 9, Phase: 9, Mode: 9, Verdict: VerdictRejected,
+		Status: deps.Blocked{Task: 9, WaitsFor: []deps.Resource{{Phaser: 9, Phase: 9}}, Regs: []deps.Reg{{Phaser: 9}}},
+		Tasks:  []deps.TaskID{9}, Resources: []deps.Resource{{Phaser: 9}}}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"io"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -413,8 +414,8 @@ func TestAppendArchivedKeepsOtherShapes(t *testing.T) {
 }
 
 // TestLedgerBounded: over 10^5 short-lived tasks, each blocking twice, the
-// reader's ledger never holds more than 2·reblockWindow tasks, nor keeps
-// more than that many entries for reuse.
+// reader's ledger never holds more than 2·reblockWindow entries, live and
+// kept for reuse together, so its table is never more than half full.
 func TestLedgerBounded(t *testing.T) {
 	var frames []byte
 	const tasks = 100_000
@@ -436,10 +437,123 @@ func TestLedgerBounded(t *testing.T) {
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		most = max(most, len(r.led.last)+len(r.led.free))
+		most = max(most, cap(r.led.ents))
 	}
-	if r.Blocks() != 2*tasks || most > 2*reblockWindow {
+	if r.Blocks() != 2*tasks || most > 2*reblockWindow || 2*most > len(r.led.slots) {
 		t.Fatalf("%d block frames; the ledger held up to %d entries, bound %d", r.Blocks(), most, 2*reblockWindow)
+	}
+}
+
+// TestLedgerTableCollisions: 300 tasks whose IDs all hash to one slot of
+// the ledger's table, near its end, and 20 that do not, block in full frames
+// and in re-blocks, some of them exactly reblockWindow-1 and reblockWindow
+// block frames back. Decoded through a Ledger, whose probes run long and
+// wrap and whose table is rebuilt every reblockWindow block frames, they
+// give what a map of every task's last block frame gives: the same events,
+// and the same refusals. A refused frame leaves the ledger as it was, so the
+// stream goes on past it.
+func TestLedgerTableCollisions(t *testing.T) {
+	home := func(id deps.TaskID) uint64 { return uint64(id) * 0x9e3779b97f4a7c15 >> (64 - ledgerSlotBits) }
+	const slot = 1<<ledgerSlotBits - 8
+	var tasks []deps.TaskID
+	for id := deps.TaskID(1); len(tasks) < 300; id++ {
+		if home(id) == slot {
+			tasks = append(tasks, id)
+		}
+	}
+	for id := deps.TaskID(1); id <= 20; id++ {
+		tasks = append(tasks, id)
+	}
+	type last struct {
+		ord uint64
+		st  deps.Blocked
+	}
+	ref := map[deps.TaskID]*last{}
+	byOrd := map[uint64]deps.TaskID{}
+	rng := rand.New(rand.NewSource(1))
+	var led Ledger
+	var e Event
+	var n uint64 // block frames accepted
+	var accepted, refused, at127, at128, unknown int
+	for step := 0; step < 20_000; step++ {
+		task := tasks[rng.Intn(len(tasks))]
+		switch rng.Intn(8) {
+		case 0:
+			if id, ok := byOrd[n+2-reblockWindow]; ok {
+				task = id // the last re-block that may reach
+			}
+		case 1:
+			if id, ok := byOrd[n+1-reblockWindow]; ok {
+				task = id // the first that may not
+			}
+		}
+		l, known := ref[task]
+		var st deps.Blocked
+		var frame []byte
+		if known && rng.Intn(3) > 0 {
+			st = copyStatus(l.st)
+			for i := range st.Regs {
+				st.Regs[i].Phase += int64(rng.Intn(2))
+			}
+			st.WaitsFor = []deps.Resource{{Phaser: st.Regs[0].Phaser, Phase: st.Regs[0].Phase + 1}}
+			var ok bool
+			if frame, ok = AppendReblockFrame(nil, &l.st, &st); !ok {
+				t.Fatal("a status on its reference's phasers does not frame as a re-block")
+			}
+		} else if !known && rng.Intn(4) == 0 {
+			st = deps.Blocked{Task: task, Regs: []deps.Reg{{Phaser: 1, Phase: 1}}}
+			frame, _ = AppendReblockFrame(nil, &st, &st)
+			unknown++
+		} else {
+			st = deps.Blocked{Task: task, WaitsFor: []deps.Resource{{Phaser: 1, Phase: 2}}}
+			for q := deps.PhaserID(1); q <= deps.PhaserID(1+rng.Intn(4)); q++ {
+				st.Regs = append(st.Regs, deps.Reg{Phaser: q, Phase: int64(rng.Intn(3))})
+			}
+			frame = mustFrame(t, nil, &Event{Kind: KindBlock, Task: task, Status: st})
+		}
+		payload, _, err := NextFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := true // the map's verdict
+		if frame[1] == byte(kindReblock) {
+			want = known && n+1-l.ord < reblockWindow
+			if known && n+1-l.ord == reblockWindow-1 {
+				at127++
+			} else if known && n+1-l.ord == reblockWindow {
+				at128++
+			}
+		}
+		err = led.Decode(payload, &e)
+		if (err == nil) != want {
+			t.Fatalf("step %d: task%d: the ledger says %v, the map accepts: %v", step, task, err, want)
+		}
+		if err != nil {
+			if !strings.Contains(err.Error(), "has no block frame among the last") {
+				t.Fatalf("step %d: refused for %v", step, err)
+			}
+			refused++
+			continue
+		}
+		accepted++
+		n++
+		if e.Kind != KindBlock || e.Task != task || e.Status.Task != task ||
+			!slices.Equal(e.Status.WaitsFor, st.WaitsFor) || !sameRegs(e.Status.Regs, st.Regs) {
+			t.Fatalf("step %d: decoded %v, sent %v", step, e, st)
+		}
+		if known {
+			delete(byOrd, l.ord)
+		}
+		ref[task] = &last{ord: n, st: copyStatus(st)}
+		byOrd[n] = task
+		if led.n != n || len(led.ents) > 2*reblockWindow {
+			t.Fatalf("step %d: ledger at block %d with %d entries, want block %d", step, led.n, len(led.ents), n)
+		}
+	}
+	t.Logf("%d accepted, %d refused (%d never blocked); %d re-blocks reblockWindow-1 back, %d reblockWindow back",
+		accepted, refused, unknown, at127, at128)
+	if at127 == 0 || at128 == 0 || unknown == 0 || refused <= unknown {
+		t.Fatal("the stream missed a case it is there for")
 	}
 }
 

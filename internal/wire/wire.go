@@ -75,11 +75,25 @@ func (c *Cursor) Varint() int64 {
 	if len(c.buf) > 0 && c.buf[0] < 0x80 {
 		u := c.buf[0]
 		c.buf = c.buf[1:]
-		return int64(u>>1) ^ -int64(u&1)
+		return Zigzag(u)
 	}
 	v, n := binary.Varint(c.buf)
 	return int64(c.advance(uint64(v), n))
 }
+
+// OneByte reports whether b is a run of one-byte varints, every byte below
+// 0x80: a record a decoder may read in one pass, an unsigned field as its
+// byte and a signed one as Zigzag of it, which is what a Cursor reads.
+func OneByte(b []byte) bool {
+	var or byte
+	for _, x := range b {
+		or |= x
+	}
+	return or < 0x80
+}
+
+// Zigzag returns the value of the one-byte zig-zag varint u (u < 0x80).
+func Zigzag(u byte) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // advance consumes the n bytes encoding/binary decoded v from, or fails.
 func (c *Cursor) advance(v uint64, n int) uint64 {
