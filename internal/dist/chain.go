@@ -27,6 +27,12 @@ func EncodeSnapshot(siteID int, seq uint64, snap []deps.Blocked) []byte {
 	return encodeSnapshot(siteID, seq, snap)
 }
 
+// AppendSnapshot appends EncodeSnapshot's encoding to buf, for a writer
+// that reuses its buffer.
+func AppendSnapshot(buf []byte, siteID int, seq uint64, snap []deps.Blocked) []byte {
+	return appendSnapshot(buf, siteID, seq, snap)
+}
+
 // DecodeSnapshot decodes an ARMUSD1 payload.
 func DecodeSnapshot(payload []byte) (siteID int, seq uint64, snap []deps.Blocked, err error) {
 	return decodeSnapshot(payload)

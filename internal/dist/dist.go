@@ -27,8 +27,8 @@
 // in place — no chains of deltas), re-basing after K deltas or whenever the
 // delta would outgrow the full set; when the local state did not change, it
 // publishes nothing at all. What the next link is and under which sequence
-// number is the Chain's decision (chain.go: the writer sessions are
-// persisted through, too); the site queues the store commands, counts once
+// number is the Chain's decision (chain.go; a server session stores whole
+// snapshots instead); the site queues the store commands, counts once
 // the store has answered, and has the chain re-base when it has not — a
 // link whose acknowledgement was lost may have been fetched by a peer, so
 // its number is never used again. Publish and fetch share one pipelined

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
-	"sync"
 )
 
 // The archive's compressor turns one block into one self-contained RFC 1951
@@ -34,8 +33,8 @@ var (
 )
 
 // blockEncoder is the compressor's state, under 6 KiB besides the output:
-// one per goroutine compressing at a time, from encoders (the Store's tee
-// goroutine is the only one in the server).
+// one per goroutine compressing, the Store's for the writers it makes (its
+// tee goroutine is the only one in the server).
 type blockEncoder struct {
 	freq  [numLit]uint32
 	lens  [numLit]uint8
@@ -50,8 +49,6 @@ type blockEncoder struct {
 	weights [numLit]uint32
 	out     []byte
 }
-
-var encoders = sync.Pool{New: func() any { return new(blockEncoder) }}
 
 // encode compresses src into one self-contained DEFLATE stream. The result
 // is the encoder's own and valid until its next call.
@@ -270,11 +267,9 @@ func (e *blockEncoder) writeStored(src []byte, size int) []byte {
 func (e *blockEncoder) writeLiterals(src []byte, hclen, ncg, size int) []byte {
 	canonical(e.lens[:], e.codes[:])
 	canonical(e.clLen[:], e.clCodes[:])
-	if cap(e.out) < size+8 {
-		e.out = make([]byte, size+8)
-	}
 	// A 64-bit accumulator holding fewer than 8 bits between writes, stored
 	// whole after each one: any write of up to 56 bits is one store.
+	e.out = slices.Grow(e.out[:0], size+8)
 	out := e.out[:size+8]
 	var acc uint64
 	nacc, pos := uint(0), 0

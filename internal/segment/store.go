@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"armus/internal/clock"
@@ -37,9 +36,14 @@ type Config struct {
 
 // sweepPeriod is the retention/idle-seal tick; queueLen bounds the tee
 // channel (a full queue drops the batch — counted, never blocking ingestion).
+// freeLen bounds the batches kept for reuse, and keepFrames the buffer of
+// one: a batch whose frames outgrew a block was a giant frame, and is left
+// to the GC. What the free list keeps is at most freeLen × keepFrames.
 const (
 	sweepPeriod = 10 * time.Second
 	queueLen    = 256
+	freeLen     = 64
+	keepFrames  = DefaultBlockBytes
 )
 
 // Metrics are the Store's counters, each series declared where it is
@@ -94,7 +98,12 @@ type Store struct {
 	cfg  Config
 	ch   chan *Batch
 	done chan struct{}
-	pool sync.Pool
+	// free holds handled batches for NewBatch. A GC does not empty it, as
+	// it would a pool of package sync: the archive's allocation rate, not
+	// its live set, sets the server's peak RSS.
+	free chan *Batch
+	// enc is the block encoder of every writer the tee goroutine runs.
+	enc blockEncoder
 
 	m Metrics
 
@@ -132,6 +141,7 @@ func NewStore(cfg Config) (*Store, error) {
 		cfg:      cfg,
 		ch:       make(chan *Batch, queueLen),
 		done:     make(chan struct{}),
+		free:     make(chan *Batch, freeLen),
 		writers:  make(map[string]*Writer),
 		seqs:     make(map[string]uint64),
 		retCache: make(map[string]retInfo),
@@ -160,16 +170,20 @@ func NewStore(cfg Config) (*Store, error) {
 			}
 		}
 	}
-	st.pool.New = func() any { return new(Batch) }
 	go st.run()
 	return st, nil
 }
 
-// NewBatch returns a reset Batch from the pool. Append takes it back.
+// NewBatch returns a reset Batch, a reused one when the free list has
+// one. Append takes it back.
 func (st *Store) NewBatch() *Batch {
-	b := st.pool.Get().(*Batch)
-	b.reset()
-	return b
+	select {
+	case b := <-st.free:
+		b.reset()
+		return b
+	default:
+		return new(Batch)
+	}
 }
 
 // Append enqueues the batch for archiving, never blocking: on a full
@@ -186,14 +200,23 @@ func (st *Store) Append(b *Batch) bool {
 		return true
 	default:
 		st.m.BatchesDropped.Add(1)
-		st.pool.Put(b)
+		st.Release(b)
 		return false
 	}
 }
 
-// Release returns an unused batch to the pool — for tee error paths
-// that obtained a batch via NewBatch but never handed it to Append.
-func (st *Store) Release(b *Batch) { st.pool.Put(b) }
+// Release returns a batch to the free list — for tee error paths that
+// obtained a batch via NewBatch but never handed it to Append. A full free
+// list, or a batch grown past keepFrames, leaves it to the GC.
+func (st *Store) Release(b *Batch) {
+	if cap(b.Frames) > keepFrames {
+		return
+	}
+	select {
+	case st.free <- b:
+	default:
+	}
+}
 
 // SealSession asks the tee goroutine to seal and release the session's
 // writer — the server calls it when lease GC reclaims a session. Best
@@ -206,7 +229,7 @@ func (st *Store) SealSession(session string) {
 	select {
 	case st.ch <- b:
 	default:
-		st.pool.Put(b)
+		st.Release(b)
 	}
 }
 
@@ -250,7 +273,7 @@ func (st *Store) shutdown() {
 }
 
 func (st *Store) handle(b *Batch) {
-	defer st.pool.Put(b)
+	defer st.Release(b)
 	now := st.cfg.Clock.Now()
 	if b.seal {
 		if w, ok := st.writers[b.Session]; ok {
@@ -275,6 +298,7 @@ func (st *Store) handle(b *Batch) {
 			st.cfg.Logf("segment: open writer for %q: %v", b.Session, err)
 			return
 		}
+		w.enc = &st.enc
 		st.writers[b.Session] = w
 		st.m.ActiveWriters.Store(int64(len(st.writers)))
 	}

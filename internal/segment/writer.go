@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -33,7 +34,8 @@ type WriterConfig struct {
 	BlockBytes int
 	// OnWrite, if set, observes every file write (metrics hook).
 	OnWrite func(n int)
-	// OnSealed, if set, observes every sealed segment.
+	// OnSealed, if set, observes every sealed segment. idx is the
+	// writer's, and valid during the call only.
 	OnSealed func(path string, idx *Index)
 	// StartSeq, with NoScan, seeds the sequence counter (sequences resume
 	// after it). The Store scans the directory once at startup and seeds
@@ -62,10 +64,18 @@ const (
 // single writer, exactly like the server's snapshot persister.
 type Writer struct {
 	cfg        WriterConfig
-	esc        string // escaped session name, the filename stem
-	seq        uint64 // last used sequence number
-	active     *activeSeg
+	esc        string     // escaped session name, the filename stem
+	seq        uint64     // last used sequence number
+	active     *activeSeg // &seg while a segment is open, else nil
 	lastAppend time.Time
+	// seg is every segment's state in turn: a rotation resets it and
+	// keeps its buffers, and idx, the index handed to OnSealed, is kept
+	// the same way.
+	seg activeSeg
+	idx Index
+	// enc compresses the blocks: the Store's own for the writers it
+	// makes, otherwise the writer's, made at the first flush.
+	enc *blockEncoder
 }
 
 // activeSeg is the open (not yet sealed) segment. The file itself is
@@ -75,7 +85,7 @@ type Writer struct {
 // path (and idle sessions never leave an empty `.seg.active` behind).
 type activeSeg struct {
 	f         *os.File
-	pre       []byte // magic + header frame, written when the file is created
+	buf       []byte // magic + header frame until the file is created, then the index
 	path      string // .seg.active path
 	finalPath string // .seg path after seal
 	crc       uint32 // running CRC over every byte written
@@ -211,26 +221,27 @@ func (w *Writer) ActivePath() string {
 
 // open starts a new segment: it claims the next sequence number and
 // prepares the magic and header frame, but creates no file — that
-// happens in ensureFile on the first block flush.
+// happens in ensureFile on the first block flush. The segment takes over
+// the previous one's buffers, emptied.
 func (w *Writer) open(now time.Time) {
 	w.seq++
 	base := fmt.Sprintf("%s-%08d.seg", w.esc, w.seq)
 	final := filepath.Join(w.cfg.Dir, base)
-	a := &activeSeg{
+	a := &w.seg
+	*a = activeSeg{
 		path: final + ".active", finalPath: final,
 		created: now.UnixNano(), createdAt: now,
+		buf: a.buf[:0], raw: a.raw[:0], blocks: a.blocks[:0], ordinals: a.ordinals[:0],
 	}
-	if w.active != nil { // reuse the block buffer across rotations
-		a.raw = w.active.raw[:0]
-	}
-	hdr := binary.AppendUvarint(nil, headerVersion)
+	hdr := append(a.buf, Magic...)
+	hdr = binary.AppendUvarint(hdr, headerVersion)
 	hdr = binary.AppendUvarint(hdr, uint64(w.cfg.Mode))
 	hdr = binary.AppendUvarint(hdr, w.seq)
 	hdr = binary.AppendUvarint(hdr, uint64(len(w.cfg.Session)))
 	hdr = append(hdr, w.cfg.Session...)
 	hdr = binary.AppendVarint(hdr, a.created)
-	a.pre = append([]byte(Magic), binary.AppendUvarint(nil, uint64(len(hdr)))...)
-	a.pre = append(a.pre, hdr...)
+	var n [binary.MaxVarintLen64]byte // the frame's length goes before it
+	a.buf = slices.Insert(hdr, len(Magic), n[:binary.PutUvarint(n[:], uint64(len(hdr)-len(Magic)))]...)
 	w.active = a
 }
 
@@ -245,9 +256,7 @@ func (a *activeSeg) ensureFile(onWrite func(int)) error {
 		return fmt.Errorf("segment: %w", err)
 	}
 	a.f = f
-	pre := a.pre
-	a.pre = nil
-	if err := a.write(pre, onWrite); err != nil {
+	if err := a.write(a.buf, onWrite); err != nil {
 		return err
 	}
 	a.dataStart = a.off
@@ -340,16 +349,15 @@ func (w *Writer) cutBlock() error {
 }
 
 // flushBlock compresses the pending raw buffer into one DEFLATE stream
-// and writes it, recording the block's metadata for the footer index. The
-// encoder comes from a pool shared by every writer: only the goroutines
-// compressing at the moment hold one.
+// and writes it, recording the block's metadata for the footer index.
 func (w *Writer) flushBlock(a *activeSeg) error {
 	if a == nil || a.blockEvents == 0 {
 		return nil
 	}
-	enc := encoders.Get().(*blockEncoder)
-	defer encoders.Put(enc)
-	cb := enc.encode(a.raw)
+	if w.enc == nil {
+		w.enc = new(blockEncoder)
+	}
+	cb := w.enc.encode(a.raw)
 	if err := a.ensureFile(w.cfg.OnWrite); err != nil {
 		return err
 	}
@@ -381,14 +389,16 @@ func (w *Writer) Seal(now time.Time) error {
 	if err := a.ensureFile(w.cfg.OnWrite); err != nil {
 		return w.abort(a, err)
 	}
-	idx := &Index{
+	idx := &w.idx
+	*idx = Index{
 		Version: indexVersion, Mode: w.cfg.Mode, Seq: w.seq, Session: w.cfg.Session,
 		CreatedUnixNano: a.created, SealedUnixNano: now.UnixNano(),
 		Events: a.events, FirstUnixNano: a.first, LastUnixNano: a.last,
 		Verdicts: a.verdicts, VerdictOrdinals: a.ordinals, VerdictsTruncated: a.truncated,
 		DataStart: a.dataStart, Blocks: a.blocks,
 	}
-	ib := appendIndex(nil, idx)
+	ib := appendIndex(a.buf[:0], idx)
+	a.buf = ib
 	if len(ib) > maxIndexLen {
 		return w.abort(a, fmt.Errorf("segment: index of %d bytes exceeds limit", len(ib)))
 	}

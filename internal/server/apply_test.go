@@ -185,18 +185,16 @@ func TestExecutorPathZeroAlloc(t *testing.T) {
 				}
 				if tc.archive {
 					// Archive half: let the store take what was handed over
-					// and put the batch back in its pool.
+					// and put the batch back on its free list.
 					runtime.Gosched()
 				}
 			}
 			run()
-			run() // warm the pools, maps, scratch and both buffers
+			run() // warm the free list, maps, scratch and both buffers
 			for i := 0; tc.archive && i <= teeFlushBytes/(wire.Len()/batches); i++ {
 				run() // and the archive batch, which is handed over every teeFlushBytes
 			}
-			// (The archive batch comes back through a sync.Pool, which the
-			// race detector makes forgetful.)
-			if n := testing.AllocsPerRun(50, run); n != 0 && !(tc.archive && raceEnabled) {
+			if n := testing.AllocsPerRun(50, run); n != 0 {
 				t.Fatalf("ingest path allocates %.1f allocs per batch, want 0", n)
 			}
 			// Every mutation moves the state's version once; folded, only

@@ -12,7 +12,7 @@ import (
 // Store-backed session persistence: the fleet-failover half of the server.
 //
 // A session's store entry armus:sess:<name> is one value, its mode byte and
-// a whole ARMUSD1 snapshot of its blocked statuses (dist.EncodeSnapshot).
+// a whole ARMUSD1 snapshot of its blocked statuses (dist.AppendSnapshot).
 // Every write replaces it whole — by the time one is due most statuses have
 // changed, so a delta would be no smaller — and no owner's write can pair
 // with what an earlier owner left. By Definition 4.1 that set IS the
@@ -36,9 +36,11 @@ const sessionKeyPrefix = "armus:sess:"
 func sessionKey(name string) string { return sessionKeyPrefix + name }
 
 // persistReq is one store write: SET key val, or DEL key when val is nil.
+// After its SET the persister hands val back on back, if that has room.
 type persistReq struct {
-	key string
-	val []byte
+	key  string
+	val  []byte
+	back chan<- []byte
 }
 
 // persist hands a write to the persister without ever blocking: its caller
@@ -64,6 +66,10 @@ func (s *Server) persister() {
 			_, err = s.db.Del(req.key)
 		} else {
 			err = s.db.Set(req.key, req.val)
+			select {
+			case req.back <- req.val:
+			default:
+			}
 		}
 		if err != nil {
 			s.m.SnapshotErrors.Add(1)
@@ -92,8 +98,9 @@ func (ss *session) maybeSnapshot() {
 
 // persistSnapshot encodes the session's whole snapshot and hands it to the
 // persister, unless the state has not changed since the last one. Under the
-// session lock; steady-state cost is the encode allocation alone, amortized
-// over SnapshotEvery batches.
+// session lock; it encodes into the buffer the persister handed back after
+// the session's last SET, so while the persister keeps up it allocates
+// nothing.
 func (ss *session) persistSnapshot() {
 	st := ss.eng.State()
 	v := st.Version()
@@ -102,8 +109,13 @@ func (ss *session) persistSnapshot() {
 	}
 	ss.snapVer = v
 	ss.snapBuf = st.SnapshotInto(ss.snapBuf)
-	val := append([]byte{byte(ss.mode)}, dist.EncodeSnapshot(0, 0, ss.snapBuf)...)
-	if ss.srv.persist(persistReq{key: sessionKey(ss.name), val: val}) {
+	var val []byte
+	select {
+	case val = <-ss.snapBack:
+	default:
+	}
+	val = dist.AppendSnapshot(append(val[:0], byte(ss.mode)), 0, 0, ss.snapBuf)
+	if ss.srv.persist(persistReq{key: ss.key, val: val, back: ss.snapBack}) {
 		ss.stored = true
 	} else {
 		ss.snapVer = 0 // dropped: the next one goes even if nothing moves

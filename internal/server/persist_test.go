@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"hash/maphash"
+	"runtime"
 	"testing"
 	"time"
 
@@ -347,5 +348,35 @@ func TestGCDeleteWaitsForRoomInTheQueue(t *testing.T) {
 	}
 	if req := <-s.persistCh; req.key != sessionKey("done") || req.val != nil || len(s.persistCh) != 0 {
 		t.Fatalf("queued %+v (%d more), want one DEL of %s", req, len(s.persistCh), sessionKey("done"))
+	}
+}
+
+// TestWarmSnapshotAllocatesNothing: a session encodes each snapshot into
+// the buffer the persister handed back after its last SET, and keeps its
+// store key, so while the persister drains a warm session's persistSnapshot
+// allocates nothing. The store still ends up with the last state.
+func TestWarmSnapshotAllocatesNothing(t *testing.T) {
+	s := testServer(t, Config{StoreAddr: testStore(t).Addr()})
+	ss := newSession(s, "warm", core.ModeAvoid, nil)
+	for i := range 12 {
+		// A block of task 1 at a new phase moves the version and keeps the
+		// snapshot's size.
+		ss.eng.Block(status(1, []deps.Resource{res(2, int64(i%60+1))}, []deps.Reg{reg(1, int64(i%60))}))
+		done := s.m.SnapshotsPersisted.Load()
+		var before, after runtime.MemStats
+		prev := runtime.GOMAXPROCS(1) // the persister waits until the count is read
+		runtime.ReadMemStats(&before)
+		ss.persistSnapshot()
+		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(prev)
+		if n := after.Mallocs - before.Mallocs; i > 0 && n != 0 {
+			t.Fatalf("snapshot %d: persistSnapshot allocated %d times (%d B), want 0",
+				i, n, after.TotalAlloc-before.TotalAlloc)
+		}
+		waitFor(t, func() bool { return s.m.SnapshotsPersisted.Load() > done })
+	}
+	snap, stored := s.fetchSnapshot("warm", core.ModeAvoid)
+	if !stored || len(snap) != 1 || snap[0].WaitsFor[0] != res(2, 12) {
+		t.Fatalf("stored snapshot %+v (found %v), want task 1 waiting on phaser 2 at 12", snap, stored)
 	}
 }

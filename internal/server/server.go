@@ -400,7 +400,7 @@ func (s *Server) sweep() {
 				// cleanly has its entry deleted, queued after its writes
 				// (TestCleanEndDeletesSnapshotAtGC); while the queue is
 				// full the session stays, and the next sweep retries.
-				if del && !s.persist(persistReq{key: sessionKey(name)}) {
+				if del && !s.persist(persistReq{key: ss.key}) {
 					continue
 				}
 				delete(sh.m, name)

@@ -19,6 +19,7 @@ import (
 type session struct {
 	srv  *Server
 	name string
+	key  string // the store entry, sessionKey(name)
 	mode core.Mode
 
 	// mu is the one session lock: it guards the connection set, the
@@ -60,10 +61,12 @@ type session struct {
 
 	// Snapshot persistence (persist.go): the batches processed since the
 	// last snapshot, the state version that snapshot is of, and the
-	// SnapshotInto buffer. Under mu.
+	// SnapshotInto buffer, under mu; and snapBack, on which the persister
+	// hands the encoding back after its SET (nil without a store).
 	batchesSinceSnap int
 	snapVer          uint64
 	snapBuf          []deps.Blocked
+	snapBack         chan []byte
 }
 
 // newSession builds a session and seeds its engine from a store snapshot
@@ -73,9 +76,13 @@ func newSession(s *Server, name string, mode core.Mode, snap []deps.Blocked) *se
 	ss := &session{
 		srv:   s,
 		name:  name,
+		key:   sessionKey(name),
 		mode:  mode,
 		conns: make(map[*conn]struct{}),
 		eng:   engine.New(mode == core.ModeAvoid),
+	}
+	if s.db != nil {
+		ss.snapBack = make(chan []byte, 1)
 	}
 	if mode != core.ModeAvoid {
 		ss.fold = &netEffect{order: make([]int32, 0, maxBatch)}

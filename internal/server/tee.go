@@ -24,7 +24,7 @@ import (
 // silent is archived with its next batch or its close, whichever comes
 // first. Gated avoidance traffic decodes one event per batch (each block
 // round-trips), so without coalescing every gate would cost a store
-// batch; with it, hot connections amortize the channel, pool and
+// batch; with it, hot connections amortize the channel, free list and
 // writer-dispatch overhead across hundreds of events.
 const (
 	teeFlushBytes = 8 << 10

@@ -128,7 +128,8 @@ type Event struct {
 
 // IsMutation reports whether the event changes the resource-dependency
 // state — the events the replayer applies (and computes a verdict after).
-func (e Event) IsMutation() bool { return e.Kind == KindBlock || e.Kind == KindUnblock }
+// A pointer receiver: an event is some 170 bytes, and callers ask per event.
+func (e *Event) IsMutation() bool { return e.Kind == KindBlock || e.Kind == KindUnblock }
 
 // Apply applies a mutation to st: a block sets its status, an unblock
 // clears its task. Any other event changes nothing.
@@ -198,8 +199,8 @@ type Trace struct {
 // Mutations counts the state-mutating events of the trace.
 func (t *Trace) Mutations() int {
 	n := 0
-	for _, e := range t.Events {
-		if e.IsMutation() {
+	for i := range t.Events {
+		if t.Events[i].IsMutation() {
 			n++
 		}
 	}
