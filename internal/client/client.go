@@ -9,8 +9,11 @@
 // pending slab and return; a writer goroutine swaps the slab for its spare
 // under the same lock and puts it on the wire with one CRC update and one
 // Write, so one syscall carries every event that accumulated since the last
-// one. Emitting only blocks once Config.Buffer events are pending — that is
-// the backpressure contract, never unbounded memory.
+// one. A caller about to wait for an answer (a gated Block, a Checkpoint)
+// that finds no write in flight swaps the slab in that same critical
+// section and writes it itself, instead of waking the writer for a write
+// it would only wait on. Emitting only blocks once Config.Buffer events are
+// pending — that is the backpressure contract, never unbounded memory.
 //
 // Block in an avoidance session round-trips the server's gate: it returns
 // nil when the block was admitted and *GateError (carrying the refused
@@ -197,7 +200,8 @@ type Client struct {
 
 	closeCh chan struct{}
 	done    chan struct{}
-	// wake nudges the writer when the pending slab goes non-empty.
+	// wake nudges the writer when the pending slab goes non-empty, and
+	// when a caller's write ends with more pending.
 	wake chan struct{}
 
 	mu sync.Mutex
@@ -219,6 +223,21 @@ type Client struct {
 	// space is where emitters wait out a full slab; the swap, Close and a
 	// terminal error release them.
 	space sync.Cond
+
+	// The write side of the live connection, shared by the pump and the
+	// callers that write their own round trip: link is that connection once
+	// its resync head is out (nil between connections); writing says a
+	// slab is on its way to the wire, and idle is signalled when it gets
+	// there; spare is the slab the next swap puts in pend's place; and
+	// sentVerdicts and sentBlocks count every verdict and block event
+	// written on the link — checkpoints and raw Emits alike — mirroring the
+	// server's per-connection answer ordinals, so a waiter knows which
+	// answer is its own.
+	link                     *link
+	writing                  bool
+	idle                     sync.Cond
+	spare                    []byte
+	sentVerdicts, sentBlocks uint64
 
 	blocks map[deps.TaskID]*waiter
 	// checks[checkHead:] is the FIFO of in-flight checkpoints.
@@ -273,6 +292,7 @@ func Dial(cfg Config) (*Client, error) {
 		owned:   make(map[deps.TaskID]*ownedStatus),
 	}
 	c.space.L = &c.mu
+	c.idle.L = &c.mu
 	l, err := c.connect()
 	if err != nil {
 		return nil, err
@@ -450,17 +470,12 @@ func (c *Client) loop(l *link) {
 // round trips in flight on the previous connection, start the reader, then
 // pump the pending slab.
 func (c *Client) run(l *link) error {
-	// sentVerdicts counts every verdict EVENT written on this connection
-	// — checkpoints and raw Emits alike — mirroring the server's
-	// per-connection response sequence, so checkpoint waiters know which
-	// RespVerdict ordinal is theirs. sentBlocks does the same for block
-	// events and gate responses (avoidance sessions answer every block).
-	var sentVerdicts, sentBlocks uint64
 	var head []byte
 	c.mu.Lock()
 	c.gen++
 	gen := c.gen
 	c.nc = l.nc
+	c.sentVerdicts, c.sentBlocks = 0, 0
 	c.boundDrainLocked()
 	// The resync set (reconnects only): clear every task this client ever
 	// asserted, then re-assert the live ones — skipping tasks with an
@@ -485,7 +500,7 @@ func (c *Client) run(l *link) error {
 		for _, t := range tasks {
 			if o := c.owned[t]; o.live {
 				head = appendBlock(head, &o.st)
-				sentBlocks++
+				c.sentBlocks++
 			}
 		}
 	}
@@ -493,7 +508,7 @@ func (c *Client) run(l *link) error {
 	// session their unsolicited gate answers are exactly the first
 	// sentBlocks-so-far ordinals — the reader treats a refusal among them
 	// as the terminal resync failure.
-	resyncGates := sentBlocks
+	resyncGates := c.sentBlocks
 	if c.cfg.Mode != core.ModeAvoid {
 		resyncGates = 0
 	}
@@ -504,21 +519,24 @@ func (c *Client) run(l *link) error {
 	for t, w := range c.blocks {
 		if w.sentGen > 0 {
 			head = appendBlock(head, &c.owned[t].st)
-			sentBlocks++
-			w.sentGen, w.seq = gen, sentBlocks
+			c.sentBlocks++
+			w.sentGen, w.seq = gen, c.sentBlocks
 		}
 	}
 	for _, w := range c.checks[c.checkHead:] { // FIFO order preserved
 		if w.sentGen > 0 {
 			head, _ = trace.AppendEventFrame(head, checkpointEvent)
-			sentVerdicts++
-			w.sentGen, w.seq = gen, sentVerdicts
+			c.sentVerdicts++
+			w.sentGen, w.seq = gen, c.sentVerdicts
 		}
 	}
 	c.mu.Unlock()
 	if err := l.tw.WriteFrames(head); err != nil {
 		return err
 	}
+	c.mu.Lock()
+	c.link = l
+	c.mu.Unlock()
 
 	readerErr := make(chan error, 1)
 	readerDone := make(chan struct{})
@@ -526,48 +544,45 @@ func (c *Client) run(l *link) error {
 		defer close(readerDone)
 		c.readLoop(l.br, readerErr, gen, resyncGates)
 	}()
-	// Join the reader before returning: a reader that outlived its
-	// connection could otherwise race the next connection's re-submission
-	// of in-flight round trips and mismatch the FIFO pairing.
+	// Retire the link and join the reader before returning: a caller's
+	// write or a reader that outlived its connection could otherwise race
+	// the next connection's re-submission of in-flight round trips and
+	// mismatch the pairing. Closing the socket first ends such a write.
 	defer func() {
 		l.nc.Close()
+		c.mu.Lock()
+		c.link = nil
+		for c.writing {
+			c.idle.Wait()
+		}
+		c.mu.Unlock()
 		<-readerDone
 	}()
 
-	// The pump: swap the pending slab for the spare under the lock, stamp
-	// the few waiters riding in it with this connection's generation and
-	// ordinals in that same critical section — before the bytes can reach
-	// the wire — and write it whole. The two slabs alternate, so steady
-	// state allocates nothing. A slab whose write fails is dropped; its
-	// waiters are stamped, so the next connection resends them, and the
+	// The pump: while no caller's write is in flight, take the pending slab
+	// (takeLocked) and write it whole. A slab whose write fails is dropped;
+	// its waiters are stamped, so the next connection resends them, and the
 	// ledger re-asserts what it held of the session state.
-	var spare []byte
 	for {
 		c.mu.Lock()
-		slab, closed := c.pend, c.closed
-		if len(slab) > 0 {
-			for _, w := range c.pendWaiters {
-				w.sentGen = gen
-				if w.check {
-					w.seq += sentVerdicts
-				} else {
-					w.seq += sentBlocks
-				}
-			}
-			sentVerdicts += c.pendVerdicts
-			sentBlocks += c.pendBlocks
-			clear(c.pendWaiters)
-			c.pendWaiters = c.pendWaiters[:0]
-			c.pend, c.pendN, c.pendVerdicts, c.pendBlocks = spare[:0], 0, 0, 0
-			c.slabStart = c.blockOrd + 1
-			c.space.Broadcast()
+		for c.writing && c.closed {
+			// A caller's write is in flight and Close has bounded it.
+			c.idle.Wait()
 		}
+		var slab []byte
+		if !c.writing && len(c.pend) > 0 {
+			slab = c.takeLocked()
+		}
+		closed := c.closed
 		c.mu.Unlock()
-		if len(slab) > 0 {
-			if err := l.tw.WriteFrames(slab); err != nil {
+		if slab != nil {
+			err := l.tw.WriteFrames(slab)
+			c.mu.Lock()
+			c.wroteLocked(slab)
+			c.mu.Unlock()
+			if err != nil {
 				return err
 			}
-			spare = slab
 			select {
 			case err := <-readerErr:
 				return err
@@ -588,6 +603,66 @@ func (c *Client) run(l *link) error {
 			return err
 		case <-c.closeCh:
 		}
+	}
+}
+
+// takeLocked swaps the pending slab for the spare for a write on the live
+// link: it stamps the few waiters riding in it with the link's generation
+// and ordinals in this same critical section — before the bytes can reach
+// the wire — and marks the write in flight. The two slabs alternate, so
+// steady state allocates nothing.
+func (c *Client) takeLocked() []byte {
+	slab := c.pend
+	for _, w := range c.pendWaiters {
+		w.sentGen = c.gen
+		if w.check {
+			w.seq += c.sentVerdicts
+		} else {
+			w.seq += c.sentBlocks
+		}
+	}
+	c.sentVerdicts += c.pendVerdicts
+	c.sentBlocks += c.pendBlocks
+	clear(c.pendWaiters)
+	c.pendWaiters = c.pendWaiters[:0]
+	c.pend, c.spare = c.spare[:0], nil
+	c.pendN, c.pendVerdicts, c.pendBlocks = 0, 0, 0
+	c.slabStart = c.blockOrd + 1
+	c.writing = true
+	c.space.Broadcast()
+	return slab
+}
+
+// wroteLocked ends the write of a slab takeLocked handed out: the slab is
+// the spare again, and whoever waits for the write side is released.
+func (c *Client) wroteLocked(slab []byte) {
+	c.spare = slab[:0]
+	c.writing = false
+	c.idle.Broadcast()
+}
+
+// writeOwn writes the slab a caller about to wait took in submit. A failed
+// write closes the link: the reader fails, run returns, and the reconnect
+// resends the round trips the slab carried, which takeLocked stamped. What
+// was emitted meanwhile goes to the pump.
+func (c *Client) writeOwn(l *link, slab []byte) {
+	if err := l.tw.WriteFrames(slab); err != nil {
+		l.nc.Close()
+	}
+	c.mu.Lock()
+	c.wroteLocked(slab)
+	more := c.pendN > 0
+	c.mu.Unlock()
+	if more {
+		c.nudge()
+	}
+}
+
+// nudge wakes the pump.
+func (c *Client) nudge() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -730,8 +805,10 @@ func (c *Client) isClosed() bool {
 // ledger and, for a round trip, enrol its waiter — so the slab's order is
 // the ledger's order is the waiters' order, with no second lock to
 // serialise them. wait enrols a waiter for the answer to e, a verdict event
-// (Checkpoint) or a block event (gated Block). The writer is nudged only
-// when the slab goes non-empty.
+// (Checkpoint) or a block event (gated Block); when no write is in flight
+// on the live link, the same critical section takes the slab and the caller
+// writes it (writeOwn). Otherwise the writer is nudged, and only when the
+// slab goes non-empty.
 func (c *Client) submit(e *trace.Event, wait bool) (*waiter, error) {
 	c.mu.Lock()
 	for c.pendN >= c.cfg.Buffer && c.termErr == nil && !c.closed {
@@ -792,13 +869,16 @@ func (c *Client) submit(e *trace.Event, wait bool) (*waiter, error) {
 		}
 		c.pendWaiters = append(c.pendWaiters, w)
 	}
-	first := c.pendN == 1
+	var slab []byte
+	l, first := c.link, c.pendN == 1
+	if wait && l != nil && !c.writing {
+		slab = c.takeLocked()
+	}
 	c.mu.Unlock()
-	if first {
-		select {
-		case c.wake <- struct{}{}:
-		default:
-		}
+	if slab != nil {
+		c.writeOwn(l, slab)
+	} else if first {
+		c.nudge()
 	}
 	return w, nil
 }

@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -329,5 +330,125 @@ func TestReconnectGivesUpEventually(t *testing.T) {
 			t.Fatal("client never reported a terminal error")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestInlineGatesBesideEmitsAndReconnects: three goroutines share one
+// avoidance client. The first makes gated Blocks, each of which finds the
+// write side idle most of the time and writes its own slab; its answers
+// alternate between admitted and refused, so an answer paired with the
+// wrong waiter shows. The second streams fire-and-forget Emits through the
+// pump, raw blocks and raw verdict events among them, whose answers have
+// no waiter and shift every ordinal after them (a checkpoint now and then
+// keeps them from outrunning the reader). The third severs the
+// connection again and again. Every waiter must get the answer to its own
+// event.
+func TestInlineGatesBesideEmitsAndReconnects(t *testing.T) {
+	s := startServer(t)
+	p := newProxy(t, s.Addr())
+	c, err := client.Dial(client.Config{Addr: p.Addr(), Session: "inline-mix", Mode: core.ModeAvoid,
+		RedialBackoff: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Task 1 waits on phaser 1 and holds phaser 2 back; task 2 the reverse:
+	// with task 1 blocked, task 2's block closes a cycle.
+	one, two := st(1, 1, 1, 2, 0), st(2, 2, 1, 1, 0)
+	const rounds, severs = 150, 6
+	stop, severed := make(chan struct{}), make(chan struct{})
+	errs := make(chan error, 3)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		// The streaming emitter: task 10 blocks on a phaser nobody holds.
+		// A checkpoint every 64 rounds keeps the answers it draws within
+		// what a reader takes in, far below the server's slow-consumer
+		// bound, which a peer that never waits trips.
+		defer wg.Done()
+		for i := int64(1); ; i++ {
+			select {
+			case <-stop:
+				errs <- nil
+				return
+			default:
+			}
+			err := errors.Join(
+				c.Emit(trace.Event{Kind: trace.KindBlock, Task: 10, Status: st(10, 10, i, 11, 0)}),
+				c.Emit(trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported}),
+				c.Unblock(10),
+			)
+			if err == nil && i%64 == 0 {
+				_, err = c.Checkpoint()
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	go func() { // the transport failures
+		defer wg.Done()
+		defer close(severed)
+		for i := 0; i < severs; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(15 * time.Millisecond):
+			}
+			p.Sever()
+			for c.Reconnects() <= int64(i) && !closed(stop) {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	func() { // the gates, on the test goroutine
+		defer close(stop)
+		var ge *client.GateError
+		for r := 0; r < rounds || !closed(severed); r++ {
+			if err := c.Block(one); err != nil {
+				errs <- fmt.Errorf("round %d: task1's block: %v, want admitted", r, err)
+				return
+			}
+			if err := c.Block(two); !errors.As(err, &ge) || ge.Task != 2 {
+				errs <- fmt.Errorf("round %d: task2's block beside task1: %v, want refused", r, err)
+				return
+			}
+			if d, err := c.Checkpoint(); err != nil || d {
+				errs <- fmt.Errorf("round %d: checkpoint: %v %v, want not deadlocked", r, d, err)
+				return
+			}
+			if err := c.Unblock(1); err != nil {
+				errs <- err
+				return
+			}
+			if err := c.Block(two); err != nil {
+				errs <- fmt.Errorf("round %d: task2's block alone: %v, want admitted", r, err)
+				return
+			}
+			if err := c.Unblock(2); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := c.Reconnects(); n != severs {
+		t.Fatalf("%d reconnects, want %d", n, severs)
+	}
+}
+
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
 }

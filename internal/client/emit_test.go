@@ -11,6 +11,7 @@ import (
 
 	"armus/internal/core"
 	"armus/internal/deps"
+	"armus/internal/server"
 	"armus/internal/server/proto"
 	"armus/internal/trace"
 )
@@ -348,5 +349,51 @@ func TestPendingWaitersNotAnsweredByEarlierOrdinals(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Errorf("%s still waiting after Close", what)
 		}
+	}
+}
+
+// TestGatedRoundTripZeroAlloc: over a loopback socket to a real server, a
+// warm gated Block and a Checkpoint go out from the calling goroutine and
+// come back through the server's read loop, which writes its answer
+// itself; the whole round trip, both ends and the unblock between,
+// allocates nothing. (TestExecutorPathZeroAlloc runs the server over
+// net.Pipe, which has no descriptor to write to inline.)
+func TestGatedRoundTripZeroAlloc(t *testing.T) {
+	s, err := server.New(server.Config{Addr: "127.0.0.1:0", Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(Config{Addr: s.Addr(), Session: "inline-alloc", Mode: core.ModeAvoid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	status := deps.Blocked{Task: 1,
+		WaitsFor: []deps.Resource{{Phaser: 1, Phase: 1}}, Regs: []deps.Reg{{Phaser: 2}}}
+	// Task 9 stays blocked alike, so the session keeps both phasers indexed
+	// while task 1 comes and goes: a phaser nothing waits on or is
+	// registered with is forgotten, and indexing it again allocates.
+	parked := status
+	parked.Task = 9
+	if err := c.Block(parked); err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		if err := c.Block(status); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Unblock(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		round()
+	}
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Fatalf("a warm gated round trip allocates %.2f times, want 0", n)
 	}
 }

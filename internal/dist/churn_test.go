@@ -194,7 +194,17 @@ func (c *churn) vandalise(s *Site) {
 	case 1:
 		c.must(c.c.HSet(s.key(), "base", []byte("not a snapshot")))
 	case 2:
-		_, err := c.c.HDel(s.key(), "base")
+		// Drop the base field: rewrite the hash with the fields it keeps.
+		ents, err := c.c.MGetPrefix(s.key())
+		c.must(err)
+		p := c.c.Pipeline()
+		p.Del(s.key())
+		for _, e := range ents {
+			if string(e.Key) == s.key() && string(e.Field) != "base" {
+				p.HSet(s.key(), string(e.Field), e.Value)
+			}
+		}
+		_, err = p.Exec()
 		c.must(err)
 	default:
 		_, err := c.c.Del(s.key())

@@ -11,6 +11,19 @@ import (
 	"armus/internal/store"
 )
 
+// siteKeys lists the site keys in the store, each once: one MGETP returns
+// an entry per field, sorted by key.
+func siteKeys(c *store.Client) ([]string, error) {
+	ents, err := c.MGetPrefix(keyPrefix)
+	var keys []string
+	for _, e := range ents {
+		if n := len(keys); n == 0 || keys[n-1] != string(e.Key) {
+			keys = append(keys, string(e.Key))
+		}
+	}
+	return keys, err
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	snap := []deps.Blocked{
 		{
@@ -180,7 +193,7 @@ func TestSiteSurvivesStoreRestart(t *testing.T) {
 	// The restarted (empty) store has been repopulated.
 	c := store.Dial(addr)
 	defer c.Close()
-	keys, err := c.Keys(keyPrefix)
+	keys, err := siteKeys(c)
 	if err != nil || len(keys) != 1 {
 		t.Fatalf("snapshot not republished: keys=%v err=%v", keys, err)
 	}
@@ -265,12 +278,12 @@ func TestCloseWithdrawsSnapshot(t *testing.T) {
 	}
 	c := store.Dial(srv.Addr())
 	defer c.Close()
-	keys, err := c.Keys(keyPrefix)
+	keys, err := siteKeys(c)
 	if err != nil || len(keys) != 2 {
 		t.Fatalf("Keys = %v, %v", keys, err)
 	}
 	sites[0].Close()
-	keys, err = c.Keys(keyPrefix)
+	keys, err = siteKeys(c)
 	if err != nil || len(keys) != 1 {
 		t.Fatalf("after close: Keys = %v, %v", keys, err)
 	}

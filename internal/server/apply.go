@@ -186,16 +186,17 @@ func (ss *session) checkpoint(c *conn, e *trace.Event) {
 		VerifyNs:   obs.Nanotime() - t0,
 		AtNs:       t0,
 	})
-	c.send(proto.Response{
+	c.enqueue(proto.Response{
 		Kind:       proto.RespVerdict,
 		Seq:        c.checkSeq,
 		Deadlocked: d,
 	})
 }
 
-// gate runs the engine's avoidance gate on a block and sends the decision
-// back to the submitting connection only. The decision is counted and
-// recorded before it is sent, and the flight ring dumped after.
+// gate runs the engine's avoidance gate on a block and encodes the decision
+// for the submitting connection only, whose read loop sends it once the
+// batch is applied. The decision is counted and recorded before it is
+// encoded, and the flight ring dumped after.
 func (ss *session) gate(c *conn, e *trace.Event) {
 	t0 := obs.Nanotime()
 	cyc := ss.eng.Block(e.Status)
@@ -222,7 +223,7 @@ func (ss *session) gate(c *conn, e *trace.Event) {
 		AtNs:     t0,
 	}
 	ss.ob.Flight.Record(rec)
-	c.send(resp)
+	c.enqueue(resp)
 	if cyc != nil {
 		ss.dumpFlight("gate-rejected", rec)
 	} else if sg := ss.srv.cfg.SlowGate; sg > 0 && rec.QueueNs+rec.VerifyNs >= int64(sg) {

@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"armus/internal/core"
@@ -44,9 +45,10 @@ type batch struct {
 	decNs int64
 }
 
-// conn is one accepted client connection: a read loop that decodes and
-// applies, and a writer goroutine flushing the coalesce buffer responses
-// are encoded into.
+// conn is one accepted client connection: a read loop that decodes,
+// applies and tries the write of its own answers, and a writer goroutine
+// flushing what that try leaves and what other goroutines encode into the
+// coalesce buffer.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -69,6 +71,18 @@ type conn struct {
 	// coalesce buffer was encoded; the writer turns it into the flush-stage
 	// latency — how long a verdict sat buffered before its syscall finished.
 	wfirstNs int64
+	// writing is set (under wmu) while the writer is between its swap and
+	// the end of its Write: the read loop's inline write stays out then.
+	writing bool
+
+	// raw is the socket's descriptor for the read loop's inline write (nil
+	// on a transport without one, such as net.Pipe). rawWrite is the
+	// callback that write passes, bound once so the attempt allocates
+	// nothing; it fills wn and werr, under wmu like the buffer it writes.
+	raw      syscall.RawConn
+	rawWrite func(fd uintptr) bool
+	wn       int
+	werr     error
 
 	// Tee coalescing (read-loop local): pending archive frames for the
 	// segment store, flushed by size/age after a decoded batch and at
@@ -97,6 +111,11 @@ func (s *Server) handleConn(nc net.Conn) {
 		wsig:       make(chan struct{}, 1),
 		done:       make(chan struct{}),
 		writerDone: make(chan struct{}),
+	}
+	if sc, ok := nc.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			c.raw, c.rawWrite = raw, c.writeOnce
+		}
 	}
 	s.mu.Lock()
 	if s.closed || s.draining {
@@ -179,12 +198,19 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 }
 
-// ingest is the read loop's turn: decode, apply, count the frames decoded.
+// ingest is the read loop's turn: decode, apply, send the answers, count
+// the frames decoded. The batch's answers are encoded without waking the
+// writer; once it is applied, a read loop with nothing more buffered to
+// decode tries their write itself, and otherwise (or for what the socket
+// does not take) the writer is woken.
 func (c *conn) ingest(tr *trace.Reader, ss *session, b *batch) error {
 	err := c.decode(tr, ss, b)
 	if b.n > 0 {
 		b.decNs = obs.Nanotime()
 		ss.apply(b)
+		if c.raw == nil || tr.Buffered() > 0 || !c.writeInline(ss) {
+			c.wake()
+		}
 	}
 	c.srv.m.Events.Add(int64(b.frames))
 	return err
@@ -230,13 +256,32 @@ func (c *conn) refuse(code byte, err error) {
 }
 
 // send encodes a response into the connection's coalesce buffer and
-// nudges the writer; it never blocks on the socket. The buffer is bounded
-// by RESPONSE COUNT: a peer holding more than maxBacklog undelivered
-// responses is not draining its read side while we still have verdicts to
-// deliver — the slow-consumer policy is to disconnect it (bounded memory
-// beats an unbounded backlog). Returns false if the response was dropped
-// (teardown, overflow, encode failure).
+// nudges the writer; it never blocks on the socket.
 func (c *conn) send(r proto.Response) bool {
+	if !c.enqueue(r) {
+		return false
+	}
+	c.wake()
+	return true
+}
+
+// wake nudges the writer.
+func (c *conn) wake() {
+	select {
+	case c.wsig <- struct{}{}:
+	default:
+	}
+}
+
+// enqueue encodes a response into the coalesce buffer, leaving the writer
+// asleep: the read loop's answers to its own batch go this way, and the
+// read loop sends them once the batch is applied (ingest). The buffer is
+// bounded by RESPONSE COUNT: a peer holding more than maxBacklog
+// undelivered responses is not draining its read side while we still have
+// verdicts to deliver — the slow-consumer policy is to disconnect it
+// (bounded memory beats an unbounded backlog). Returns false if the
+// response was dropped (teardown, overflow, encode failure).
+func (c *conn) enqueue(r proto.Response) bool {
 	if c.slow.Load() {
 		return false
 	}
@@ -268,10 +313,45 @@ func (c *conn) send(r proto.Response) bool {
 		}
 		return false
 	}
-	select {
-	case c.wsig <- struct{}{}:
-	default:
+	return true
+}
+
+// writeInline is the read loop's one non-blocking try at writing the
+// coalesce buffer: under wmu, unless the writer is mid-Write, through the
+// socket's RawConn, whose callback writes once and never waits for the
+// socket to drain. It reports whether the buffer left whole; what the
+// kernel did not take stays buffered, its responses still counted toward
+// the backlog, for the writer. The read loop thus never waits on its peer.
+func (c *conn) writeInline(ss *session) bool {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.writing {
+		return false
 	}
+	if len(c.wbuf) == 0 {
+		return true
+	}
+	c.wn, c.werr = 0, nil
+	if err := c.raw.Write(c.rawWrite); err != nil || c.werr != nil || c.wn <= 0 {
+		return false
+	}
+	if c.wn < len(c.wbuf) {
+		c.wbuf = c.wbuf[:copy(c.wbuf, c.wbuf[c.wn:])]
+		return false
+	}
+	if c.wfirstNs != 0 {
+		ns := obs.Nanotime() - c.wfirstNs
+		c.srv.m.StageFlush.Observe(ns)
+		ss.ob.Flush.Observe(ns)
+	}
+	c.wbuf, c.wcount, c.wfirstNs = c.wbuf[:0], 0, 0
+	return true
+}
+
+// writeOnce is writeInline's RawConn callback: one write(2) on the
+// non-blocking socket, done whatever it returns.
+func (c *conn) writeOnce(fd uintptr) bool {
+	c.wn, c.werr = syscall.Write(int(fd), c.wbuf)
 	return true
 }
 
@@ -284,12 +364,14 @@ func (c *conn) queueDepth() int {
 	return d
 }
 
-// writeLoop is the connection's single socket writer: woken through wsig,
-// it swaps the coalesce buffer for its spare and writes the whole thing
-// with one Write call — under load dozens of gate verdicts leave per
-// syscall. Write errors close the socket (the read loop notices); the
-// loop keeps swapping so send never sticks. The two buffers alternate, so
-// steady state allocates nothing.
+// writeLoop is the connection's blocking socket writer: woken through
+// wsig, it swaps the coalesce buffer for its spare and writes the whole
+// thing with one Write call — under load dozens of gate verdicts leave per
+// syscall. It carries what the read loop's inline try cannot: pushes and
+// goodbyes from other goroutines, the tail a full socket did not take, and
+// every write on a transport without a descriptor. Write errors close the
+// socket (the read loop notices); the loop keeps swapping so send never
+// sticks. The two buffers alternate, so steady state allocates nothing.
 func (c *conn) writeLoop() {
 	defer close(c.writerDone)
 	var spare []byte
@@ -302,8 +384,10 @@ func (c *conn) writeLoop() {
 		c.wbuf = spare[:0]
 		c.wcount = 0
 		c.wfirstNs = 0
+		write := len(buf) > 0 && !broken
+		c.writing = write
 		c.wmu.Unlock()
-		if len(buf) > 0 && !broken {
+		if write {
 			if _, err := c.nc.Write(buf); err != nil {
 				broken = true
 				c.nc.Close()
@@ -317,6 +401,9 @@ func (c *conn) writeLoop() {
 					ss.ob.Flush.Observe(ns)
 				}
 			}
+			c.wmu.Lock()
+			c.writing = false
+			c.wmu.Unlock()
 		}
 		spare = buf[:0]
 	}

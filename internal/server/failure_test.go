@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -201,6 +202,98 @@ func TestSlowConsumerOverPipeCountedOnce(t *testing.T) {
 	peer.Write(wire.Bytes())
 	waitFor(t, func() bool { return s.Metrics().SlowDisconnects.Load() > 0 })
 	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 0 })
+	if m := s.Metrics(); m.SlowDisconnects.Load() != 1 || m.MalformedConns.Load() != 0 {
+		t.Fatalf("%d slow disconnects, %d malformed connections; want 1 and 0",
+			m.SlowDisconnects.Load(), m.MalformedConns.Load())
+	}
+}
+
+// TestSlowConsumerOverTCPCountedOnce is TestSlowConsumerOverPipeCountedOnce
+// on a loopback socket, where the read loop writes its answers itself: a
+// peer streams checkpoints and never reads. Both ends' socket buffers are
+// small and fixed, as the pipe test hands its connection to handleConn. The
+// read loop's writes fill the socket, the writer sticks in Write, and the
+// answers after that pile up until the bound disconnects the peer. The
+// read loop gets there only by reading on past a full socket, so one slow
+// disconnect and no malformed connection mean it never waited on its peer.
+// Meanwhile a second connection to the same session keeps getting its gate
+// answers.
+func TestSlowConsumerOverTCPCountedOnce(t *testing.T) {
+	s := testServer(t, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	d := net.Dialer{Control: func(_, _ string, rc syscall.RawConn) error {
+		var err error
+		if cerr := rc.Control(func(fd uintptr) {
+			err = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 4096)
+		}); cerr != nil {
+			return cerr
+		}
+		return err
+	}}
+	peer, err := d.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	server, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.(*net.TCPConn).SetWriteBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	s.wg.Add(1)
+	go s.handleConn(server)
+	tw, err := trace.NewWriter(peer, proto.Handshake{Session: "tcp-slow"}.Label(), uint8(core.ModeAvoid))
+	if err == nil {
+		err = tw.Flush()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := make(chan struct{})
+	go func() {
+		// Checkpoints until the server cuts the connection, in bursts
+		// spaced so that the read loop mostly finds nothing more buffered
+		// after a batch, and so writes its answers itself.
+		defer close(streamed)
+		for err := error(nil); err == nil; err = tw.Flush() {
+			time.Sleep(100 * time.Microsecond)
+			for i := 0; i < 64 && err == nil; i++ {
+				err = tw.WriteEvent(trace.Event{Kind: trace.KindVerdict, Verdict: trace.VerdictReported})
+			}
+		}
+	}()
+
+	nc, tw2, br, _ := rawAttach(t, s, "tcp-slow", core.ModeAvoid)
+	defer nc.Close()
+	gates := 0
+	for deadline := time.Now().Add(10 * time.Second); gates < 64 || s.Metrics().SlowDisconnects.Load() == 0; gates++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("no slow disconnect after %d gates", gates)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		err := tw2.WriteEvent(trace.Event{Kind: trace.KindBlock, Task: 1,
+			Status: status(1, []deps.Resource{res(1, 1)}, []deps.Reg{reg(2, 0)})})
+		if err == nil {
+			err = tw2.WriteEvent(trace.Event{Kind: trace.KindUnblock, Task: 1})
+		}
+		if err == nil {
+			err = tw2.Flush()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := readKind(t, br, proto.RespGate); !r.Allowed {
+			t.Fatalf("gate %d refused: %+v", gates, r)
+		}
+	}
+	<-streamed
+	waitFor(t, func() bool { return s.Metrics().ConnsOpen.Load() == 1 })
 	if m := s.Metrics(); m.SlowDisconnects.Load() != 1 || m.MalformedConns.Load() != 0 {
 		t.Fatalf("%d slow disconnects, %d malformed connections; want 1 and 0",
 			m.SlowDisconnects.Load(), m.MalformedConns.Load())

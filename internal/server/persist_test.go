@@ -295,8 +295,8 @@ func TestCleanEndDeletesSnapshotAtGC(t *testing.T) {
 	waitFor(t, func() bool { return s.Metrics().SnapshotsPersisted.Load() >= 1 })
 	db := store.Dial(st.Addr())
 	defer db.Close()
-	if keys, err := db.Keys(sessionKeyPrefix); err != nil || len(keys) != 1 {
-		t.Fatalf("before GC: keys %v, %v; want the session's one entry", keys, err)
+	if ents, err := db.MGetPrefix(sessionKeyPrefix); err != nil || len(ents) != 1 {
+		t.Fatalf("before GC: %d entries, %v; want the session's one", len(ents), err)
 	}
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
@@ -310,8 +310,8 @@ func TestCleanEndDeletesSnapshotAtGC(t *testing.T) {
 		t.Fatal("session not collected after lease")
 	}
 	waitFor(t, func() bool {
-		keys, err := db.Keys(sessionKeyPrefix)
-		return err == nil && len(keys) == 0
+		ents, err := db.MGetPrefix(sessionKeyPrefix)
+		return err == nil && len(ents) == 0
 	})
 	if n := s.Metrics().SnapshotErrors.Load(); n != 0 {
 		t.Fatalf("SnapshotErrors = %d, want 0", n)

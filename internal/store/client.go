@@ -98,14 +98,20 @@ func (c *Client) dropLocked() {
 	}
 }
 
-// do sends one command and reads its reply, which is freshly allocated:
-// callers keep what it holds.
-func (c *Client) do(args ...[]byte) (Reply, error) {
+// do sends one command of argc arguments, name first, then what args
+// appends (nil for none), and reads its reply, which is freshly allocated:
+// callers keep what it holds. A command whose reply carries no bulk
+// allocates nothing once the client is warm.
+func (c *Client) do(name string, argc int, args func([]byte) []byte) (Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.out = appendCommand(c.out[:0], args...)
+	c.out = appendBulk(appendHeader(c.out[:0], '*', argc), name)
+	if args != nil {
+		c.out = args(c.out)
+	}
+	names := [1]string{name}
 	var one [1]Reply
-	reps, err := c.exec([]string{string(args[0])}, c.out, nil, one[:0])
+	reps, err := c.exec(names[:], c.out, nil, one[:0])
 	if cap(c.out) > keepBytes {
 		c.out = nil
 	}
@@ -202,7 +208,7 @@ func (c *Client) readReplyLocked(a *arena) (Reply, error) {
 
 // Ping checks connectivity.
 func (c *Client) Ping() error {
-	rep, err := c.do([]byte("PING"))
+	rep, err := c.do("PING", 1, nil)
 	if err != nil {
 		return err
 	}
@@ -214,13 +220,13 @@ func (c *Client) Ping() error {
 
 // Set stores value under key.
 func (c *Client) Set(key string, value []byte) error {
-	_, err := c.do([]byte("SET"), []byte(key), value)
+	_, err := c.do("SET", 3, func(b []byte) []byte { return appendBulk(appendBulk(b, key), value) })
 	return err
 }
 
 // Get fetches key; ErrNil if absent.
 func (c *Client) Get(key string) ([]byte, error) {
-	rep, err := c.do([]byte("GET"), []byte(key))
+	rep, err := c.do("GET", 2, func(b []byte) []byte { return appendBulk(b, key) })
 	if err != nil {
 		return nil, err
 	}
@@ -229,65 +235,35 @@ func (c *Client) Get(key string) ([]byte, error) {
 
 // Del removes keys, returning how many existed.
 func (c *Client) Del(keys ...string) (int, error) {
-	args := make([][]byte, 0, len(keys)+1)
-	args = append(args, []byte("DEL"))
-	for _, k := range keys {
-		args = append(args, []byte(k))
-	}
-	rep, err := c.do(args...)
+	rep, err := c.do("DEL", 1+len(keys), func(b []byte) []byte {
+		for _, k := range keys {
+			b = appendBulk(b, k)
+		}
+		return b
+	})
 	return rep.N, err
-}
-
-// Keys lists all keys with the given prefix.
-func (c *Client) Keys(prefix string) ([]string, error) {
-	rep, err := c.do([]byte("KEYS"), []byte(prefix))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(rep.Array))
-	for i, b := range rep.Array {
-		out[i] = string(b)
-	}
-	return out, nil
 }
 
 // HSet stores field=value in hash.
 func (c *Client) HSet(hash, field string, value []byte) error {
-	_, err := c.do([]byte("HSET"), []byte(hash), []byte(field), value)
+	_, err := c.do("HSET", 4, func(b []byte) []byte {
+		return appendBulk(appendBulk(appendBulk(b, hash), field), value)
+	})
 	return err
 }
 
 // HGet fetches hash[field]; ErrNil if absent.
 func (c *Client) HGet(hash, field string) ([]byte, error) {
-	rep, err := c.do([]byte("HGET"), []byte(hash), []byte(field))
+	rep, err := c.do("HGET", 3, func(b []byte) []byte { return appendBulk(appendBulk(b, hash), field) })
 	if err != nil {
 		return nil, err
 	}
 	return rep.Bulk, nil
 }
 
-// HGetAll returns every field of the hash.
-func (c *Client) HGetAll(hash string) (map[string][]byte, error) {
-	rep, err := c.do([]byte("HGETALL"), []byte(hash))
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(rep.Array)/2)
-	for i := 0; i+1 < len(rep.Array); i += 2 {
-		out[string(rep.Array[i])] = rep.Array[i+1]
-	}
-	return out, nil
-}
-
-// HDel removes hash[field], reporting whether it existed.
-func (c *Client) HDel(hash, field string) (bool, error) {
-	rep, err := c.do([]byte("HDEL"), []byte(hash), []byte(field))
-	return rep.N > 0, err
-}
-
 // HLen returns the number of fields in hash (0 if absent).
 func (c *Client) HLen(hash string) (int, error) {
-	rep, err := c.do([]byte("HLEN"), []byte(hash))
+	rep, err := c.do("HLEN", 2, func(b []byte) []byte { return appendBulk(b, hash) })
 	return rep.N, err
 }
 
@@ -304,7 +280,7 @@ type Entry struct {
 // MGetPrefix returns every value stored under keys with the given prefix
 // — plain keys and hash fields alike — in one round trip.
 func (c *Client) MGetPrefix(prefix string) ([]Entry, error) {
-	rep, err := c.do([]byte("MGETP"), []byte(prefix))
+	rep, err := c.do("MGETP", 2, func(b []byte) []byte { return appendBulk(b, prefix) })
 	if err != nil {
 		return nil, err
 	}

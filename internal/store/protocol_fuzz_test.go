@@ -34,7 +34,13 @@ func (c *Client) connect(script []byte) {
 
 // cmdBytes encodes one client command in wire format, for building fuzz
 // seed streams.
-func cmdBytes(args ...string) []byte { return appendCommand(nil, args...) }
+func cmdBytes(args ...string) []byte {
+	b := appendHeader(nil, '*', len(args))
+	for _, a := range args {
+		b = appendBulk(b, a)
+	}
+	return b
+}
 
 // replay runs a fresh server's side of one connection over a stream that
 // says data, each command read into a (nil allocates), and returns the

@@ -513,16 +513,6 @@ func appendError(b []byte, msg string) []byte {
 }
 func appendNil(b []byte) []byte { return append(b, "$-1\r\n"...) }
 
-// appendCommand appends a command: an array of its arguments, the name
-// first.
-func appendCommand[T string | []byte](b []byte, args ...T) []byte {
-	b = appendHeader(b, '*', len(args))
-	for _, a := range args {
-		b = appendBulk(b, a)
-	}
-	return b
-}
-
 // readLine returns one CRLF-terminated protocol line without the CRLF. The
 // slice aliases the reader's internal buffer and is valid only until the
 // next read; every caller parses or copies it before reading again.
